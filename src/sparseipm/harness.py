@@ -5,8 +5,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -16,18 +17,6 @@ from .problems import (FusedLassoLsInstance, LogisticInstance,
                        PoissonTvInstance, PortfolioInstance,
                        build_fused_lasso_ls, build_logistic_l1,
                        build_poisson_tv, build_portfolio_qp, naive_portfolio)
-
-
-@dataclass
-class RunConfig:
-    """Resolved run description: where the instance comes from, which solver
-    runs on it, and where results go."""
-
-    subcommand: str
-    seed: int = 0
-    solver: str = "ippmm"
-    options: dict = field(default_factory=dict)
-    out_dir: str = "."
 
 
 # ---------------------------------------------------------------------------
@@ -252,155 +241,107 @@ def _write_csv(path, header, rows):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Problem families: one table drives every family subcommand and bench
 
 
-def _exit_code(status: str) -> int:
-    return 2 if status == "numerical-failure" else 0
+class Flag(NamedTuple):
+    """One instance flag of a family; type ``bool`` makes an on/off switch."""
+
+    name: str
+    type: type
+    default: object
+    kw: dict = {}  # further argparse keywords
+
+    @property
+    def dest(self) -> str:
+        return self.kw.get("dest", self.name[2:].replace("-", "_"))
 
 
-def _solver_options(args, **overrides) -> ippmm.SolverOptions:
-    opts = ippmm.SolverOptions()
-    for name in ("tol", "max_iter", "eps_drop", "xi"):
-        if getattr(args, name, None) is not None:
-            setattr(opts, name, getattr(args, name))
-    for key, val in overrides.items():
-        setattr(opts, key, val)
-    return opts
+@dataclass(frozen=True)
+class Family:
+    """How the CLI poses, solves and scores one problem family."""
+
+    help: str
+    flags: tuple       # Flag entries for the instance and the baselines
+    make: Callable     # args -> (instance, ground truth passed to ``score``)
+    build: Callable    # instance -> ConvexProgram
+    ippmm: Callable    # (args, instance) -> SolverOptions overrides
+    baselines: dict    # solver name -> (instance, args) -> (w, report)
+    header: tuple      # scores.csv header
+    score: Callable    # (args, instance, truth, w, options) -> scores.csv rows
+
+    @property
+    def solvers(self) -> list:
+        return ["ippmm", *self.baselines]
 
 
-def _cmd_portfolio(args) -> int:
-    inst = gen_portfolio(args.s, args.m, args.seed, args.tau1, args.tau2)
-    w_naive, _ = naive_portfolio(inst)
-    out = Path(args.out)
-    eps_drop = args.eps_drop if args.eps_drop is not None else 1e-4
-    if args.solver == "ippmm":
-        prog = build_portfolio_qp(inst)
-        opts = _solver_options(args, linear_solver="direct-augmented",
-                               dropping=True, eps_drop=eps_drop)
-        (x, _, _), report = ippmm.solve(prog, opts)
-        w = prog.extract(x)
-        status = report.status
-        _write_text(out / "report_ippmm.json", report.to_json())
-    elif args.solver == "asb":
-        w, report = baselines.asb_chol_solve(inst, tol=args.tol or 1e-6)
+def _thresholded(w):
+    return metrics.threshold_solution(w) if np.any(w) else w
+
+
+def _score_portfolio(args, inst, _, w, opts):
+    if args.solver == "asb":
         # match the interior point run: prune entries below the drop level
-        w = np.where(np.abs(w) > eps_drop, w, 0.0)
-        status = report.status
-        _write_text(out / "report_asb.json", report.to_json())
-    else:
-        print(f"unknown portfolio solver {args.solver!r}", file=sys.stderr)
-        return 1
-    try:
-        ratio, ratio_h, ratio_t = metrics.portfolio_ratios(
-            w, w_naive, inst.block_covariance(), inst.num_periods,
-            eps=args.trans_eps)
-        _write_csv(out / "scores.csv", ["ratio", "ratio_h", "ratio_t"],
-                   [[float(ratio), float(ratio_h), float(ratio_t)]])
-    except metrics.UndefinedMetricError as exc:
-        print(f"scores unavailable: {exc}", file=sys.stderr)
-    return _exit_code(status)
+        w = np.where(np.abs(w) > opts.eps_drop, w, 0.0)
+    w_naive, _ = naive_portfolio(inst)
+    ratios = metrics.portfolio_ratios(w, w_naive, inst.block_covariance(),
+                                      inst.num_periods, eps=args.trans_eps)
+    return [[float(r) for r in ratios]]
 
 
-def _cmd_fmri(args) -> int:
-    grid = _parse_grid(args.grid)
-    inst, _ = gen_fused_lasso(args.s, grid, args.seed, args.tau1, args.tau2)
-    out = Path(args.out)
-    if args.solver == "ippmm":
-        prog = build_fused_lasso_ls(inst)
-        opts = _solver_options(args, linear_solver="pcg-normal",
-                               precond="fmri-block", dropping=True,
-                               eps_drop=args.eps_drop if args.eps_drop is not None else 1e-6)
-        (x, _, _), report = ippmm.solve(prog, opts)
-        w = prog.extract(x)
-        status = report.status
-    elif args.solver == "fista":
-        w, report = baselines.fista_solve(inst, time_budget=args.budget_seconds)
-        status = report.status
-    elif args.solver == "admm":
-        w, report = baselines.admm_solve(inst, time_budget=args.budget_seconds)
-        status = report.status
-    else:
-        print(f"unknown fmri solver {args.solver!r}", file=sys.stderr)
-        return 1
-    _write_text(out / f"report_{args.solver}.json", report.to_json())
-    wt = metrics.threshold_solution(w) if np.any(w) else w
-    q = int(np.prod(grid))
-    density = 100.0 * np.count_nonzero(wt) / q
-    _write_csv(out / "scores.csv", ["objective", "density_pct"],
-               [[inst.original_objective(w), density]])
-    return _exit_code(status)
+def _score_fmri(args, inst, _, w, opts):
+    density = 100.0 * np.count_nonzero(_thresholded(w)) / w.size
+    return [[inst.original_objective(w), density]]
 
 
-def _cmd_restore(args) -> int:
+def _make_restore(args):
     if args.image in ("squares", "disk"):
         img = builtin_image(args.image, args.size)
     else:
         pixels, maxval = read_pgm(args.image)
         img = pixels / maxval
-    kernel = _make_kernel(args, img.shape)
-    inst, wbar = gen_blur_instance(img, kernel, args.peak, args.background,
-                                   args.seed, lam=getattr(args, "lam"),
-                                   noise=not args.no_noise)
-    prog = build_poisson_tv(inst)
-    n = wbar.size
-    # interior start: observed counts (floored away from zero) for w, slacks
-    # bracketing the initial TV field
+    return gen_blur_instance(img, _make_kernel(args, img.shape), args.peak,
+                             args.background, args.seed, lam=args.lam,
+                             noise=not args.no_noise)
+
+
+def _poisson_start(inst) -> np.ndarray:
+    """Interior start: observed counts (floored away from zero) for w, slacks
+    bracketing the initial TV field."""
     w0 = np.maximum(inst.observed - inst.background, 1e-2 * max(1.0, inst.observed.mean()))
     Lw0 = make_tv_operator(inst.blur.grid).apply(w0)
-    x0 = np.concatenate([w0, np.maximum(Lw0, 0) + 1.0, np.maximum(-Lw0, 0) + 1.0])
-    opts = _solver_options(args, linear_solver="minres-augmented",
-                           htilde_choice=args.htilde, dropping=True,
-                           eps_drop=args.eps_drop if args.eps_drop is not None else 1e-6,
-                           x0=x0)
-    (x, _, _), report = ippmm.solve(prog, opts)
-    w = prog.extract(x)
-    out = Path(args.out)
-    _write_text(out / "report_ippmm.json", report.to_json())
-    out.mkdir(parents=True, exist_ok=True)
-    write_pgm(out / "restored.pgm", 255.0 * w.reshape(img.shape) / args.peak)
-    rmse, psnr, ms = metrics.image_scores(w, wbar, shape=img.shape)
-    _write_csv(out / "scores.csv", ["rmse", "psnr_db", "mssim"],
-               [[rmse, float(psnr), ms]])
-    return _exit_code(report.status)
+    return np.concatenate([w0, np.maximum(Lw0, 0) + 1.0, np.maximum(-Lw0, 0) + 1.0])
 
 
-def _cmd_classify(args) -> int:
+def _score_restore(args, inst, wbar, w, opts):
+    shape = inst.blur.grid
+    write_pgm(Path(args.out) / "restored.pgm", 255.0 * w.reshape(shape) / args.peak)
+    rmse, psnr, ms = metrics.image_scores(w, wbar, shape=shape)
+    return [[rmse, float(psnr), ms]]
+
+
+def _make_classify(args):
     inst, wbar, test = gen_classification(args.n, args.s, args.separation,
                                           args.sparsity, args.seed,
                                           test_fraction=args.test_fraction)
-    out = Path(args.out)
-    if args.solver == "ippmm":
-        prog = build_logistic_l1(inst)
-        opts = _solver_options(args, linear_solver="minres-augmented",
-                               htilde_choice="diag-h", dropping=True,
-                               eps_drop=args.eps_drop if args.eps_drop is not None else 1e-6)
-        (x, _, _), report = ippmm.solve(prog, opts)
-        w = prog.extract(x)
-        status = report.status
-    elif args.solver == "admm":
-        w, report = baselines.admm_solve(inst, time_budget=args.budget_seconds)
-        status = report.status
-    else:
-        print(f"unknown classify solver {args.solver!r}", file=sys.stderr)
-        return 1
-    _write_text(out / f"report_{args.solver}.json", report.to_json())
-    wt = metrics.threshold_solution(w) if np.any(w) else w
-    wt_feat = wt[:args.s]
+    # the sparse regime: at the generator's tau = 1/n the optimum is dense
+    return replace(inst, tau=0.1 * inst.lambda_max()), (wbar, test)
+
+
+def _score_classify(args, inst, truth, w, opts):
+    wbar, test = truth
+    wt = _thresholded(w)
+    wt_feat = wt[:wbar.size]
+    density = 100.0 * np.count_nonzero(wt_feat) / wbar.size
     recovered = np.flatnonzero(wt_feat)
     planted = np.flatnonzero(wbar)
     recovery = (100.0 * len(set(recovered) & set(planted)) / max(1, len(planted)))
-    rows = [["train", _accuracy(inst.design(), inst.labels, wt),
-             100.0 * np.count_nonzero(wt_feat) / args.s, recovery]]
+    rows = [["train", _accuracy(inst.design(), inst.labels, wt), density, recovery]]
     if test is not None:
         Dte, gte = test
         Dte = np.hstack([Dte, np.ones((Dte.shape[0], 1))])
-        rows.append(["test", _accuracy(Dte, gte, wt),
-                     100.0 * np.count_nonzero(wt_feat) / args.s, recovery])
-    _write_csv(out / "scores.csv",
-               ["split", "accuracy_pct", "density_pct", "support_recovery_pct"],
-               rows)
-    return _exit_code(status)
+        rows.append(["test", _accuracy(Dte, gte, wt), density, recovery])
+    return rows
 
 
 def _accuracy(D, labels, w) -> float:
@@ -409,64 +350,144 @@ def _accuracy(D, labels, w) -> float:
     return 100.0 * float(np.mean(pred == labels))
 
 
-def _cmd_bench(args) -> int:
-    solvers = args.solvers.split(",")
-    out = Path(args.out)
-    rows = []
-    worst = 0
-    if args.family == "portfolio":
-        inst = gen_portfolio(args.s, args.m, args.seed, args.tau1, args.tau2)
-        prog = build_portfolio_qp(inst)
-        for name in solvers:
-            if name == "ippmm":
-                opts = _solver_options(args, linear_solver="direct-augmented",
-                                       dropping=True)
-                (x, _, _), rep = ippmm.solve(prog, opts)
-                obj = inst.original_objective(prog.extract(x))
-                row = [name, rep.status, rep.iterations, rep.time_s, obj]
-            elif name == "asb":
-                w, rep = baselines.asb_chol_solve(
-                    inst, tol=args.tol or 1e-6, time_budget=args.budget_seconds)
-                row = [name, rep.status, rep.iterations, rep.time_s,
-                       inst.original_objective(w)]
-            else:
-                print(f"unknown bench solver {name!r}", file=sys.stderr)
-                return 1
-            _write_text(out / f"report_{name}.json", rep.to_json())
-            rows.append(row)
-            worst = max(worst, _exit_code(row[1]))
-    elif args.family == "fmri":
-        inst, _ = gen_fused_lasso(args.s, _parse_grid(args.grid), args.seed,
-                                  args.tau1, args.tau2)
-        prog = build_fused_lasso_ls(inst)
-        for name in solvers:
-            if name == "ippmm":
-                opts = _solver_options(args, linear_solver="pcg-normal",
-                                       precond="fmri-block", dropping=True,
-                                       eps_drop=1e-6)
-                (x, _, _), rep = ippmm.solve(prog, opts)
-                w = prog.extract(x)
-            elif name == "fista":
-                w, rep = baselines.fista_solve(inst, time_budget=args.budget_seconds)
-            elif name == "admm":
-                w, rep = baselines.admm_solve(inst, time_budget=args.budget_seconds)
-            else:
-                print(f"unknown bench solver {name!r}", file=sys.stderr)
-                return 1
-            _write_text(out / f"report_{name}.json", rep.to_json())
-            rows.append([name, rep.status, rep.iterations, rep.time_s,
-                         inst.original_objective(w)])
-            worst = max(worst, _exit_code(rows[-1][1]))
+_BUDGET = Flag("--budget-seconds", float, None)
+
+FAMILIES = {
+    "portfolio": Family(
+        help="multi-period portfolio selection",
+        flags=(Flag("--s", int, 8), Flag("--m", int, 4),
+               Flag("--tau1", float, 1e-2), Flag("--tau2", float, 1e-2),
+               Flag("--trans-eps", float, 1e-4)),
+        make=lambda a: (gen_portfolio(a.s, a.m, a.seed, a.tau1, a.tau2), None),
+        build=build_portfolio_qp,
+        ippmm=lambda a, inst: dict(linear_solver="direct-augmented", eps_drop=1e-4),
+        # the portfolio subcommand has no --budget-seconds; bench does
+        baselines={"asb": lambda inst, a: baselines.asb_chol_solve(
+            inst, tol=a.tol or 1e-6, time_budget=getattr(a, "budget_seconds", None))},
+        header=("ratio", "ratio_h", "ratio_t"),
+        score=_score_portfolio),
+    "fmri": Family(
+        help="fused-lasso least-squares classification",
+        flags=(Flag("--s", int, 30), Flag("--grid", str, "4x4x4"),
+               Flag("--tau1", float, 1e-1), Flag("--tau2", float, 1e-1), _BUDGET),
+        make=lambda a: gen_fused_lasso(a.s, _parse_grid(a.grid), a.seed,
+                                       a.tau1, a.tau2),
+        build=build_fused_lasso_ls,
+        ippmm=lambda a, inst: dict(linear_solver="pcg-normal",
+                                   precond="fmri-block", eps_drop=1e-6),
+        baselines={
+            "fista": lambda inst, a: baselines.fista_solve(
+                inst, time_budget=a.budget_seconds),
+            "admm": lambda inst, a: baselines.admm_solve(
+                inst, time_budget=a.budget_seconds)},
+        header=("objective", "density_pct"),
+        score=_score_fmri),
+    "restore": Family(
+        help="Poisson image restoration",
+        flags=(Flag("--image", str, "squares",
+                    {"help": "builtin pattern name or PGM path"}),
+               Flag("--size", int, 32),
+               Flag("--blur", str, "gaussian", {"choices": [
+                   "gaussian", "motion", "out-of-focus", "identity"]}),
+               Flag("--sigma", float, 1.0), Flag("--len", float, 5.0),
+               Flag("--angle", float, 0.0), Flag("--radius", float, 2.0),
+               Flag("--peak", float, 100.0), Flag("--background", float, 1.0),
+               Flag("--lambda", float, 5e-3, {"dest": "lam"}),
+               Flag("--htilde", str, "u-squared",
+                    {"choices": ["u-squared", "diag-h"]}),
+               Flag("--no-noise", bool, False)),
+        make=_make_restore,
+        build=build_poisson_tv,
+        ippmm=lambda a, inst: dict(linear_solver="minres-augmented",
+                                   htilde_choice=a.htilde, eps_drop=1e-6,
+                                   x0=_poisson_start(inst)),
+        baselines={},
+        header=("rmse", "psnr_db", "mssim"),
+        score=_score_restore),
+    "classify": Family(
+        help="l1-regularized logistic regression",
+        flags=(Flag("--n", int, 200), Flag("--s", int, 50),
+               Flag("--separation", float, 2.0), Flag("--sparsity", float, 0.1),
+               Flag("--test-fraction", float, 0.25), _BUDGET),
+        make=_make_classify,
+        build=build_logistic_l1,
+        ippmm=lambda a, inst: dict(linear_solver="minres-augmented",
+                                   htilde_choice="diag-h", eps_drop=1e-6),
+        baselines={"admm": lambda inst, a: baselines.admm_solve(
+            inst, time_budget=a.budget_seconds)},
+        header=("split", "accuracy_pct", "density_pct", "support_recovery_pct"),
+        score=_score_classify),
+}
+
+
+# ---------------------------------------------------------------------------
+# Subcommand handlers
+
+
+def _exit_code(status: str) -> int:
+    return 2 if status == "numerical-failure" else 0
+
+
+def _solver_options(family: Family, args, inst) -> ippmm.SolverOptions:
+    opts = ippmm.SolverOptions(dropping=True, **family.ippmm(args, inst))
+    for name in ("tol", "max_iter", "eps_drop", "xi"):
+        if getattr(args, name) is not None:
+            setattr(opts, name, getattr(args, name))
+    return opts
+
+
+def _solve(family: Family, solver: str, inst, opts, args):
+    """Run one solver on the instance and write its report; returns (w, report)."""
+    if solver == "ippmm":
+        prog = family.build(inst)
+        (x, _, _), report = ippmm.solve(prog, opts)
+        w = prog.extract(x)
     else:
-        print(f"unknown bench family {args.family!r}", file=sys.stderr)
+        w, report = family.baselines[solver](inst, args)
+    _write_text(Path(args.out) / f"report_{solver}.json", report.to_json())
+    return w, report
+
+
+def _cmd_family(args) -> int:
+    family = FAMILIES[args.subcommand]
+    inst, truth = family.make(args)
+    opts = _solver_options(family, args, inst)
+    w, report = _solve(family, args.solver, inst, opts, args)
+    try:
+        rows = family.score(args, inst, truth, w, opts)
+        _write_csv(Path(args.out) / "scores.csv", family.header, rows)
+    except metrics.UndefinedMetricError as exc:
+        print(f"scores unavailable: {exc}", file=sys.stderr)
+    return _exit_code(report.status)
+
+
+def _cmd_bench(args) -> int:
+    family = FAMILIES[args.family]
+    solvers = args.solvers.split(",") if args.solvers else family.solvers
+    unknown = [name for name in solvers if name not in family.solvers]
+    if unknown:
+        print(f"unknown {args.family} bench solver(s) {','.join(unknown)}; "
+              f"expected some of {','.join(family.solvers)}", file=sys.stderr)
         return 1
-    _write_csv(out / "bench.csv",
+    # bench flags default to None: the chosen family's defaults fill them, so
+    # bench solves the instance its family subcommand solves
+    for flag in family.flags:
+        if getattr(args, flag.dest) is None:
+            setattr(args, flag.dest, flag.default)
+    inst, _ = family.make(args)
+    opts = _solver_options(family, args, inst)
+    rows = []
+    for name in solvers:
+        w, rep = _solve(family, name, inst, opts, args)
+        rows.append([name, rep.status, rep.iterations, rep.time_s,
+                     inst.original_objective(w)])
+    _write_csv(Path(args.out) / "bench.csv",
                ["solver", "status", "iters", "time_s", "objective"], rows)
-    return worst
+    return max(_exit_code(row[1]) for row in rows)
 
 
 def _cmd_spectest(args) -> int:
-    grid = _parse_grid(args.grid)
+    grid = _parse_grid(args.grid or {"fmri": "3x3", "poisson": "8x8"}[args.family])
     rho = delta = 1e-2
     if args.family == "fmri":
         inst, _ = gen_fused_lasso(args.s, grid, args.seed)
@@ -479,9 +500,10 @@ def _cmd_spectest(args) -> int:
         doc = rep.to_dict()
         doc["interval_ok"] = bool(eigs.min() >= rep.chi - 1e-10
                                   and eigs.max() <= 2.0 + 1e-10)
-    elif args.family == "poisson":
-        img = builtin_image("squares", int(np.sqrt(np.prod(grid))) if len(grid) != 2
-                            else grid[0])
+    else:
+        if len(grid) != 2 or grid[0] != grid[1]:
+            raise ParseError(f"poisson spectest needs a square 2-d grid, got {args.grid!r}")
+        img = builtin_image("squares", grid[0])
         kernel = BlurKernel("gaussian", img.shape, {"sigma": 1.0})
         inst, _ = gen_blur_instance(img, kernel, 50.0, 1.0, args.seed,
                                     noise=False)
@@ -502,9 +524,6 @@ def _cmd_spectest(args) -> int:
             and np.all(neg <= -rep.alpha_h + tol)
             and np.all(pos >= 1.0 / (1.0 + rep.beta_h) - tol)
             and np.all(pos <= 1.0 + tol))
-    else:
-        print(f"unknown spectest family {args.family!r}", file=sys.stderr)
-        return 1
     _write_text(Path(args.out) / "spectral.json", json.dumps(doc, indent=2))
     return 0 if doc["interval_ok"] else 2
 
@@ -546,89 +565,42 @@ def _add_common(p):
                    help="key=value file; values become flag defaults")
 
 
+def _add_flag(p, flag: Flag, default):
+    kind = {"action": "store_true"} if flag.type is bool else {"type": flag.type}
+    p.add_argument(flag.name, default=default, **kind, **flag.kw)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sparseipm")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("portfolio", help="multi-period portfolio selection")
-    _add_common(p)
-    p.add_argument("--s", type=int, default=8)
-    p.add_argument("--m", type=int, default=4)
-    p.add_argument("--tau1", type=float, default=1e-2)
-    p.add_argument("--tau2", type=float, default=1e-2)
-    p.add_argument("--trans-eps", dest="trans_eps", type=float, default=1e-4)
-    p.add_argument("--solver", default="ippmm", choices=["ippmm", "asb"])
-
-    p = sub.add_parser("fmri", help="fused-lasso least-squares classification")
-    _add_common(p)
-    p.add_argument("--s", type=int, default=30)
-    p.add_argument("--grid", default="4x4x4")
-    p.add_argument("--tau1", type=float, default=1e-1)
-    p.add_argument("--tau2", type=float, default=1e-1)
-    p.add_argument("--solver", default="ippmm",
-                   choices=["ippmm", "fista", "admm"])
-    p.add_argument("--budget-seconds", dest="budget_seconds", type=float,
-                   default=None)
-
-    p = sub.add_parser("restore", help="Poisson image restoration")
-    _add_common(p)
-    p.add_argument("--image", default="squares",
-                   help="builtin pattern name or PGM path")
-    p.add_argument("--size", type=int, default=32)
-    p.add_argument("--blur", default="gaussian",
-                   choices=["gaussian", "motion", "out-of-focus", "identity"])
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--len", type=float, default=5.0)
-    p.add_argument("--angle", type=float, default=0.0)
-    p.add_argument("--radius", type=float, default=2.0)
-    p.add_argument("--peak", type=float, default=100.0)
-    p.add_argument("--background", type=float, default=1.0)
-    p.add_argument("--lambda", dest="lam", type=float, default=5e-3)
-    p.add_argument("--htilde", default="u-squared",
-                   choices=["u-squared", "diag-h"])
-    p.add_argument("--no-noise", action="store_true")
-
-    p = sub.add_parser("classify", help="l1-regularized logistic regression")
-    _add_common(p)
-    p.add_argument("--n", type=int, default=200)
-    p.add_argument("--s", type=int, default=50)
-    p.add_argument("--separation", type=float, default=2.0)
-    p.add_argument("--sparsity", type=float, default=0.1)
-    p.add_argument("--test-fraction", dest="test_fraction", type=float,
-                   default=0.25)
-    p.add_argument("--solver", default="ippmm", choices=["ippmm", "admm"])
-    p.add_argument("--budget-seconds", dest="budget_seconds", type=float,
-                   default=None)
+    bench_flags = {}
+    for name, family in FAMILIES.items():
+        p = sub.add_parser(name, help=family.help)
+        p.set_defaults(run=_cmd_family, solver="ippmm")
+        _add_common(p)
+        for flag in family.flags:
+            _add_flag(p, flag, flag.default)
+            bench_flags.setdefault(flag.name, flag)
+        if family.baselines:
+            p.add_argument("--solver", default="ippmm", choices=family.solvers)
 
     p = sub.add_parser("bench", help="run several solvers on one instance")
+    p.set_defaults(run=_cmd_bench)
     _add_common(p)
-    p.add_argument("--family", default="portfolio",
-                   choices=["portfolio", "fmri"])
-    p.add_argument("--solvers", default="ippmm,asb")
-    p.add_argument("--s", type=int, default=8)
-    p.add_argument("--m", type=int, default=4)
-    p.add_argument("--grid", default="4x4")
-    p.add_argument("--tau1", type=float, default=1e-2)
-    p.add_argument("--tau2", type=float, default=1e-2)
-    p.add_argument("--budget-seconds", dest="budget_seconds", type=float,
-                   default=None)
+    p.add_argument("--family", default="portfolio", choices=list(FAMILIES))
+    p.add_argument("--solvers", default=None,
+                   help="comma-separated; default: every solver of the family")
+    for flag in bench_flags.values():
+        _add_flag(p, flag, None)
 
     p = sub.add_parser("spectest", help="preconditioner eigenvalue check")
+    p.set_defaults(run=_cmd_spectest)
     _add_common(p)
     p.add_argument("--family", default="fmri", choices=["fmri", "poisson"])
     p.add_argument("--s", type=int, default=6)
-    p.add_argument("--grid", default="3x3")
+    p.add_argument("--grid", default=None, help="default: 3x3 for fmri, 8x8 for poisson")
     return parser
-
-
-_HANDLERS = {
-    "portfolio": _cmd_portfolio,
-    "fmri": _cmd_fmri,
-    "restore": _cmd_restore,
-    "classify": _cmd_classify,
-    "bench": _cmd_bench,
-    "spectest": _cmd_spectest,
-}
 
 
 def run_cli(argv=None) -> int:
@@ -650,7 +622,7 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return _HANDLERS[args.subcommand](args)
+        return args.run(args)
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

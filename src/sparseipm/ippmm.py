@@ -233,15 +233,6 @@ class AugmentedSystem:
         return np.concatenate([top, bottom])
 
 
-def assemble_augmented_system(state: IpPmmState, program: ConvexProgram,
-                              sigma: float = 1.0):
-    """Augmented operator plus rhs (r1 restricted to active columns, r2)."""
-    grad = program.gradient(state.x)
-    system = AugmentedSystem(state, program)
-    r1a, r2 = newton_rhs(state, program, grad, sigma)
-    return system, (r1a, r2)
-
-
 class NormalEquations:
     """SPD operator dy -> (A G^-1 A' + delta I) dy with G diagonal."""
 
@@ -264,14 +255,6 @@ class NormalEquations:
 
     def recover_dx(self, dy: np.ndarray, r1a: np.ndarray) -> np.ndarray:
         return (self.A_act.T @ dy - r1a) / self.gdiag
-
-
-def assemble_normal_equations(state: IpPmmState, program: ConvexProgram,
-                              sigma: float = 1.0):
-    grad = program.gradient(state.x)
-    system = NormalEquations(state, program)
-    r1a, r2 = newton_rhs(state, program, grad, sigma)
-    return system, system.rhs(r1a, r2)
 
 
 # ---------------------------------------------------------------------------

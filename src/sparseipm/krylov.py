@@ -70,14 +70,6 @@ class CholeskyFactor:
         return x
 
 
-def cholesky_factor(M) -> CholeskyFactor:
-    return CholeskyFactor(M)
-
-
-def cholesky_solve(M, rhs: np.ndarray) -> np.ndarray:
-    return CholeskyFactor(M).solve(rhs)
-
-
 def _as_matvec(M) -> Callable[[np.ndarray], np.ndarray]:
     if callable(M):
         return M

@@ -299,22 +299,6 @@ def kl_value_grad(w, inst: PoissonTvInstance, want_grad=True):
     return val, grad
 
 
-def kl_oracle(w, inst: PoissonTvInstance):
-    """Value, gradient and Hessian action of the KL data-fit term.
-
-    The Hessian action v -> D' U(w)^2 D v uses two FFT applications and a
-    diagonal scale with U(w) = diag(sqrt(g) / (Dw + a)); never materialized.
-    """
-    val, grad = kl_value_grad(w, inst)
-    nu = inst.blur.apply(w) + inst.background
-    u2 = inst.observed / nu ** 2
-
-    def hess_action(v):
-        return inst.blur.apply_transpose(u2 * inst.blur.apply(v))
-
-    return val, grad, hess_action
-
-
 def build_poisson_tv(inst: PoissonTvInstance) -> ConvexProgram:
     """Split program with x = [w; d+; d-], all non-negative."""
     n = inst.blur.cols
@@ -400,6 +384,13 @@ class LogisticInstance:
 
     def original_objective(self, w: np.ndarray) -> float:
         return logistic_loss(self.design(), self.labels, w) + self.tau * np.abs(w).sum()
+
+    def lambda_max(self) -> float:
+        """Smallest tau at which w = 0 is optimal: the infinity norm of the mean
+        loss gradient at w = 0, the bias column included (it is penalized too)."""
+        D = self.design()
+        _, grad, _ = logistic_oracle(D, self.labels, np.zeros(D.shape[1]))
+        return float(np.max(np.abs(grad)))
 
 
 def logistic_loss(D, g, w) -> float:

@@ -16,8 +16,8 @@ from sparseipm.baselines import admm_solve, asb_chol_solve
 from sparseipm.harness import (builtin_image, gen_blur_instance,
                                gen_classification, gen_fused_lasso,
                                gen_portfolio)
-from sparseipm.ippmm import (SolverOptions, assemble_augmented_system,
-                             assemble_normal_equations, solve)
+from sparseipm.ippmm import (AugmentedSystem, NormalEquations, SolverOptions,
+                             newton_rhs, solve)
 from sparseipm.linops import BlurKernel, make_bccb_operator, make_tv_operator
 from sparseipm.metrics import (corrected_overlap, count_transactions,
                                image_scores, portfolio_ratios,
@@ -161,10 +161,11 @@ def test_criterion_04_solver_path_equivalence():
                                  rng.standard_normal((m, n)),
                                  rng.standard_normal(m))
         st = random_state(prog, seed=600 + k)
-        normal, rhs = assemble_normal_equations(st, prog)
+        r1, r2 = newton_rhs(st, prog, prog.gradient(st.x), 1.0)
+        normal = NormalEquations(st, prog)
         M = np.column_stack([normal.matvec(e) for e in np.eye(m)])
-        dy_normal = np.linalg.solve(M, rhs)
-        system, (r1, r2) = assemble_augmented_system(st, prog)
+        dy_normal = np.linalg.solve(M, normal.rhs(r1, r2))
+        system = AugmentedSystem(st, prog)
         sol = np.linalg.solve(system.matrix.toarray(),
                               np.concatenate([r1, r2]))
         dy_aug = sol[n:]

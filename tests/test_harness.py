@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
-from sparseipm.harness import (ParseError, builtin_image, gen_blur_instance,
-                               gen_classification, gen_fused_lasso,
-                               gen_portfolio, parse_config, read_pgm, run_cli,
-                               write_pgm)
+from sparseipm.harness import (FAMILIES, ParseError, builtin_image,
+                               gen_blur_instance, gen_classification,
+                               gen_fused_lasso, gen_portfolio, parse_config,
+                               read_pgm, run_cli, write_pgm)
 from sparseipm.linops import BlurKernel
 
 
@@ -222,11 +224,54 @@ class TestCli:
         obj = [float(r.split(",")[-1]) for r in rows[1:]]
         assert abs(obj[0] - obj[1]) <= 1e-3 * (1 + abs(obj[1]))
 
+    def test_classify_defaults_pose_the_sparse_regime(self, tmp_path):
+        code = run_cli(["classify", "--out", str(tmp_path)])
+        assert code == 0
+        rows = (tmp_path / "scores.csv").read_text().splitlines()
+        density = float(rows[1].split(",")[2])
+        assert density <= 30.0
+
+    def test_bench_rejects_unknown_solver_before_solving(self, tmp_path):
+        out = tmp_path / "out"
+        code = run_cli(["bench", "--family", "portfolio", "--s", "4", "--m",
+                        "3", "--solvers", "ippmm,zzz", "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_family_subcommand_and_bench_solve_one_instance(self, family,
+                                                            tmp_path):
+        flags = {"portfolio": ["--s", "4", "--m", "3"],
+                 "fmri": ["--s", "10", "--grid", "3x3"],
+                 "restore": ["--size", "8", "--peak", "50", "--max-iter", "8"],
+                 "classify": ["--n", "60", "--s", "12"]}[family]
+        sub, bench = tmp_path / "sub", tmp_path / "bench"
+        assert run_cli([family, *flags, "--out", str(sub)]) == 0
+        scores = (sub / "scores.csv").read_text().splitlines()
+        assert scores[0] == ",".join(FAMILIES[family].header)
+        report = json.loads((sub / "report_ippmm.json").read_text())
+        assert run_cli(["bench", "--family", family, "--solvers", "ippmm",
+                        *flags, "--out", str(bench)]) == 0
+        # bench.csv holds the original-formulation objective at 6 digits;
+        # the report holds the solved program's, so compare reports exactly
+        bench_report = json.loads((bench / "report_ippmm.json").read_text())
+        assert bench_report["objective"] == report["objective"]
+        rows = (bench / "bench.csv").read_text().splitlines()
+        solver, status, iters = rows[1].split(",")[:3]
+        assert (solver, status, int(iters)) == ("ippmm", report["status"],
+                                                report["iters"])
+
     def test_spectest_fmri(self, tmp_path):
         code = run_cli(["spectest", "--family", "fmri", "--s", "5", "--grid",
                         "3x3", "--out", str(tmp_path)])
         assert code == 0
-        import json
+        doc = json.loads((tmp_path / "spectral.json").read_text())
+        assert doc["interval_ok"] is True
+
+    def test_spectest_poisson_defaults(self, tmp_path):
+        code = run_cli(["spectest", "--family", "poisson", "--out",
+                        str(tmp_path)])
+        assert code == 0
         doc = json.loads((tmp_path / "spectral.json").read_text())
         assert doc["interval_ok"] is True
 

@@ -3,11 +3,10 @@ import pytest
 import scipy.sparse as sp
 
 from sparseipm import baselines
-from sparseipm.ippmm import (AugmentedSystem, IpPmmState, SolverOptions,
-                             UnsupportedStructureError,
-                             assemble_augmented_system,
-                             assemble_normal_equations, check_termination,
-                             initial_state, newton_rhs, solve, step_lengths,
+from sparseipm.ippmm import (AugmentedSystem, IpPmmState, NormalEquations,
+                             SolverOptions, UnsupportedStructureError,
+                             check_termination, initial_state, newton_rhs,
+                             solve, step_lengths,
                              update_penalties_and_estimates)
 from sparseipm.problems import quadratic_program
 from test_problems import make_portfolio
@@ -150,7 +149,8 @@ class TestSystemAssembly:
     def test_augmented_matches_hand_assembly(self):
         prog = self._program(diag=False)
         st = random_state(prog, seed=5)
-        system, (r1, r2) = assemble_augmented_system(st, prog)
+        system = AugmentedSystem(st, prog)
+        r1, r2 = newton_rhs(st, prog, prog.gradient(st.x), 1.0)
         H = prog.Q.toarray() + np.diag(st.z / st.x) + st.rho * np.eye(4)
         K = np.block([[-H, prog.A.toarray().T],
                       [prog.A.toarray(), st.delta * np.eye(2)]])
@@ -190,24 +190,25 @@ class TestSystemAssembly:
         st.z = np.ones(3)
         st.rho = 0.0
         st.delta = 0.0
-        system, _ = assemble_normal_equations(st, prog)
+        system = NormalEquations(st, prog)
         v = np.array([1.0, -2.0, 0.5])
         np.testing.assert_allclose(system.matvec(v), v, atol=1e-14)
 
     def test_normal_equals_augmented_dy(self):
         prog = self._program(seed=11, n=10, m=4, diag=True)
         st = random_state(prog, seed=12)
-        normal, rhs = assemble_normal_equations(st, prog)
+        r1, r2 = newton_rhs(st, prog, prog.gradient(st.x), 1.0)
+        normal = NormalEquations(st, prog)
         M = np.column_stack([normal.matvec(e) for e in np.eye(4)])
-        dy_normal = np.linalg.solve(M, rhs)
-        system, (r1, r2) = assemble_augmented_system(st, prog)
+        dy_normal = np.linalg.solve(M, normal.rhs(r1, r2))
+        system = AugmentedSystem(st, prog)
         sol = np.linalg.solve(system.matrix.toarray(), np.concatenate([r1, r2]))
         np.testing.assert_allclose(dy_normal, sol[10:], rtol=1e-10, atol=1e-10)
 
     def test_normal_operator_min_eigenvalue_at_least_delta(self):
         prog = self._program(seed=13, n=8, m=3, diag=True)
         st = random_state(prog, seed=14, delta=0.37)
-        normal, _ = assemble_normal_equations(st, prog)
+        normal = NormalEquations(st, prog)
         M = np.column_stack([normal.matvec(e) for e in np.eye(3)])
         assert np.linalg.eigvalsh(M).min() >= 0.37 - 1e-12
 
@@ -215,7 +216,7 @@ class TestSystemAssembly:
         prog = self._program(diag=False)
         st = random_state(prog, seed=15)
         with pytest.raises(UnsupportedStructureError):
-            assemble_normal_equations(st, prog)
+            NormalEquations(st, prog)
 
     def test_sigma_one_rhs_is_perturbed_kkt_residual(self):
         prog = self._program(seed=16, diag=False)

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from sparseipm.krylov import (CholeskyFactor, NotPositiveDefiniteError,
-                              cholesky_solve, minres, pcg)
+                              minres, pcg)
 
 
 def random_spd(n, rng, cond=10.0):
@@ -17,7 +17,7 @@ class TestCholesky:
         rng = np.random.default_rng(0)
         M = random_spd(12, rng)
         b = rng.standard_normal(12)
-        np.testing.assert_allclose(cholesky_solve(M, b),
+        np.testing.assert_allclose(CholeskyFactor(M).solve(b),
                                    np.linalg.solve(M, b), rtol=1e-10)
 
     def test_sparse_solve(self):

@@ -283,3 +283,11 @@ class TestLogistic:
         H = np.column_stack([prog.hess_action(x, e) for e in np.eye(prog.n)])
         np.testing.assert_allclose(prog.hess_diag(x), np.diag(H),
                                    rtol=1e-10, atol=1e-12)
+
+    def test_lambda_max_is_gradient_norm_at_zero(self):
+        rng = np.random.default_rng(15)
+        inst = LogisticInstance(rng.standard_normal((25, 4)),
+                                rng.choice([-1.0, 1.0], size=25), tau=0.05)
+        D = inst.design()
+        _, grad0, _ = logistic_oracle(D, inst.labels, np.zeros(D.shape[1]))
+        assert inst.lambda_max() == np.max(np.abs(grad0))
