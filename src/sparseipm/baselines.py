@@ -38,6 +38,19 @@ class FirstOrderReport:
             "factorizations": self.factorizations,
         }, indent=2)
 
+    def record(self, k: int, feas: float, objective: float, tol: float,
+               t0: float, time_budget: Optional[float]) -> bool:
+        """Log iteration ``k``; True when the run stops (converged or out of
+        time). The tolerance test comes first."""
+        self.primal_inf_history.append(feas)
+        self.objective_history.append(objective)
+        self.iterations = k
+        if feas <= tol:
+            self.status = "converged"
+        elif time_budget is not None and time.perf_counter() - t0 >= time_budget:
+            self.status = "time-budget"
+        return self.status != "max-iterations"
+
 
 def soft_threshold(v: np.ndarray, gamma: float) -> np.ndarray:
     """Componentwise shrinkage sign(v) * max(|v| - gamma, 0)."""
@@ -45,10 +58,6 @@ def soft_threshold(v: np.ndarray, gamma: float) -> np.ndarray:
         raise ValueError("threshold must be non-negative")
     v = np.asarray(v, dtype=float)
     return np.sign(v) * np.maximum(np.abs(v) - gamma, 0.0)
-
-
-def _budget_exceeded(t0: float, time_budget: Optional[float]) -> bool:
-    return time_budget is not None and time.perf_counter() - t0 >= time_budget
 
 
 def asb_chol_solve(inst: PortfolioInstance, lambdas=(1.0, 1.0, 1.0),
@@ -93,14 +102,8 @@ def asb_chol_solve(inst: PortfolioInstance, lambdas=(1.0, 1.0, 1.0),
         q += L @ w - d
         t += w - u
         feas = float(np.linalg.norm(Abar @ w - bbar)) / bnorm
-        report.primal_inf_history.append(feas)
-        report.objective_history.append(inst.original_objective(w))
-        report.iterations = k
-        if feas <= tol:
-            report.status = "converged"
-            break
-        if _budget_exceeded(t0, time_budget):
-            report.status = "time-budget"
+        if report.record(k, feas, inst.original_objective(w), tol, t0,
+                         time_budget):
             break
     report.time_s = time.perf_counter() - t0
     return w, report
@@ -185,14 +188,8 @@ def fista_solve(inst: FusedLassoLsInstance, inner_steps: int = 10,
         change = float(np.linalg.norm(w_new - w)) / (1.0 + np.linalg.norm(w))
         w = w_new
         theta = theta_new
-        report.primal_inf_history.append(change)
-        report.objective_history.append(inst.original_objective(w))
-        report.iterations = k
-        if change <= tol:
-            report.status = "converged"
-            break
-        if _budget_exceeded(t0, time_budget):
-            report.status = "time-budget"
+        if report.record(k, change, inst.original_objective(w), tol, t0,
+                         time_budget):
             break
     report.time_s = time.perf_counter() - t0
     return w, report
@@ -235,14 +232,8 @@ def _admm_fused_lasso(inst: FusedLassoLsInstance, rho_admm, inner_cg_steps,
         dual = rho_admm * np.hypot(np.linalg.norm(u - u_prev),
                                    np.linalg.norm(L.T @ (d - d_prev)))
         feas = float(max(primal, dual)) / scale
-        report.primal_inf_history.append(feas)
-        report.objective_history.append(inst.original_objective(w))
-        report.iterations = k
-        if feas <= tol:
-            report.status = "converged"
-            break
-        if _budget_exceeded(t0, time_budget):
-            report.status = "time-budget"
+        if report.record(k, feas, inst.original_objective(w), tol, t0,
+                         time_budget):
             break
     report.time_s = time.perf_counter() - t0
     return w, report
@@ -277,14 +268,8 @@ def _admm_logistic(inst: LogisticInstance, rho_admm, inner_cg_steps,
         feas = float(max(np.linalg.norm(w - u),
                          rho_admm * np.linalg.norm(u - u_prev))) \
             / (1.0 + np.linalg.norm(w))
-        report.primal_inf_history.append(feas)
-        report.objective_history.append(inst.original_objective(w))
-        report.iterations = k
-        if feas <= tol:
-            report.status = "converged"
-            break
-        if _budget_exceeded(t0, time_budget):
-            report.status = "time-budget"
+        if report.record(k, feas, inst.original_objective(w), tol, t0,
+                         time_budget):
             break
     report.time_s = time.perf_counter() - t0
     return w, report

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -18,8 +18,18 @@ import scipy.sparse.linalg as spla
 
 from . import dropping as dropmod
 from . import precond as precondmod
-from .krylov import minres, pcg
+from .krylov import NotPositiveDefiniteError, minres, pcg
 from .problems import ConvexProgram
+
+
+# Algorithm constants of the method; they are not caller settings.
+SIGMA_MIN, SIGMA_MAX = 0.05, 0.95  # bounds on Mehrotra's centering parameter
+BOUNDARY_FRACTION = 0.995          # fraction-to-the-boundary step rule
+PENALTY_FLOOR = 1e-8               # lower bound on the penalties rho and delta
+ESTIMATE_DECREASE = 0.95           # residual decrease that refreshes the estimates
+DROP_ACTIVATION = 1e-2             # dropping scans only once mu <= this * mu0
+PCG_TOL, PCG_MAXIT = 1e-4, 2000   # inner PCG: relative tolerance, iteration cap
+MINRES_TOL = 1e-4                  # inner MINRES relative tolerance
 
 
 class UnsupportedStructureError(ValueError):
@@ -36,20 +46,8 @@ class SolverOptions:
     dropping: bool = False
     eps_drop: float = 1e-4
     xi: float = 1e2
-    drop_activation: float = 1e-2            # scan only once mu <= this * mu0
-    sigma_min: float = 0.05
-    sigma_max: float = 0.95
-    boundary_fraction: float = 0.995
-    rho_floor: float = 1e-8
-    delta_floor: float = 1e-8
-    estimate_decrease: float = 0.95
-    pcg_tol: float = 1e-4
-    pcg_maxit: int = 2000
-    minres_tol: float = 1e-4
     minres_maxit: int = 20
     x0: Optional[np.ndarray] = None
-    y0: Optional[np.ndarray] = None
-    z0: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -65,7 +63,6 @@ class IpPmmState:
     rho: float
     delta: float
     nonneg: np.ndarray
-    free: np.ndarray
     k: int = 0
     dropped: np.ndarray = None
     drop_log: list = field(default_factory=list)
@@ -127,7 +124,7 @@ class SolveReport:
 
 
 def initial_state(program: ConvexProgram, options: SolverOptions) -> IpPmmState:
-    """Unit interior start unless the caller overrides; estimates track it."""
+    """Unit interior start unless the caller gives ``x0``; estimates track it."""
     n, m = program.n, program.m
     x = np.zeros(n)
     x[program.nonneg] = 1.0
@@ -135,22 +132,14 @@ def initial_state(program: ConvexProgram, options: SolverOptions) -> IpPmmState:
         x = np.array(options.x0, dtype=float)
         if np.any(x[program.nonneg] <= 0):
             raise ValueError("override starting point must be interior")
-    y = np.zeros(m) if options.y0 is None else np.array(options.y0, dtype=float)
+    y = np.zeros(m)
     z = np.zeros(n)
     z[program.nonneg] = 1.0
-    if options.z0 is not None:
-        z = np.array(options.z0, dtype=float)
-        if np.any(z[program.nonneg] <= 0):
-            raise ValueError("override dual start must be interior")
-        z[program.free] = 0.0
     ia = program.nonneg
     mu = float(x[ia] @ z[ia]) / ia.size if ia.size else 0.0
-    reg = min(1.0, mu) if mu > 0 else 1.0
-    return IpPmmState(
-        x=x, y=y, z=z, zeta=x.copy(), eta=y.copy(), mu=mu,
-        rho=max(reg, options.rho_floor), delta=max(reg, options.delta_floor),
-        nonneg=program.nonneg, free=program.free,
-    )
+    reg = max(min(1.0, mu) if mu > 0 else 1.0, PENALTY_FLOOR)
+    return IpPmmState(x=x, y=y, z=z, zeta=x.copy(), eta=y.copy(), mu=mu,
+                      rho=reg, delta=reg, nonneg=program.nonneg)
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +197,8 @@ class AugmentedSystem:
         self._program = program
         self._x = state.x
         self.matrix = None
-        hess_explicit = None
         if program.Q is not None:
-            hess_explicit = program.Q[self.cols][:, self.cols]
-        elif program.hessian_is_diagonal and program.hess_diag is not None:
-            hess_explicit = sp.diags(program.hess_diag(state.x)[self.cols])
-        if hess_explicit is not None:
-            H = hess_explicit + sp.diags(self.diag_shift)
+            H = program.Q[self.cols][:, self.cols] + sp.diags(self.diag_shift)
             if self.m:
                 self.matrix = sp.bmat([
                     [-H, self.A_act.T],
@@ -237,7 +221,7 @@ class NormalEquations:
     """SPD operator dy -> (A G^-1 A' + delta I) dy with G diagonal."""
 
     def __init__(self, state: IpPmmState, program: ConvexProgram):
-        if not program.hessian_is_diagonal or program.hess_diag is None:
+        if not program.hessian_is_diagonal:
             raise UnsupportedStructureError(
                 "normal equations need a diagonal Hessian; use the augmented path")
         self.cols = state.active_indices()
@@ -266,7 +250,7 @@ class _DirectContext:
         self.system = AugmentedSystem(state, program)
         if self.system.matrix is None:
             raise UnsupportedStructureError(
-                "direct path needs an explicit quadratic or diagonal Hessian")
+                "direct path needs an explicit quadratic Hessian")
         self.lu = spla.splu(self.system.matrix)
         self.inner_iterations = 0
 
@@ -281,7 +265,6 @@ class _DirectContext:
 class _NormalContext:
     def __init__(self, state, program, options):
         self.system = NormalEquations(state, program)
-        self.options = options
         self.inner_iterations = 0
         kind = options.precond
         if kind == "auto":
@@ -297,10 +280,9 @@ class _NormalContext:
     def solve(self, r1a, r2):
         rhs = self.system.rhs(r1a, r2)
         nrm = np.linalg.norm(rhs)
-        base = self.options.pcg_tol
-        tol = base if nrm < 1.0 else max(1e-8, base / nrm)
+        tol = PCG_TOL if nrm < 1.0 else max(1e-8, PCG_TOL / nrm)
         out = pcg(self.system.matvec, rhs, self.precond.apply_inverse,
-                  tol=tol, maxit=self.options.pcg_maxit)
+                  tol=tol, maxit=PCG_MAXIT)
         self.inner_iterations += out.iterations
         dy = out.solution
         return self.system.recover_dx(dy, r1a), dy
@@ -333,7 +315,7 @@ class _MinresContext:
     def solve(self, r1a, r2):
         out = minres(self.system.matvec, np.concatenate([r1a, r2]),
                      self.precond.apply_inverse,
-                     tol=self.options.minres_tol, maxit=self.options.minres_maxit)
+                     tol=MINRES_TOL, maxit=self.options.minres_maxit)
         self.inner_iterations += out.iterations
         na = self.system.na
         return out.solution[:na], out.solution[na:]
@@ -350,8 +332,7 @@ _CONTEXTS = {
 # Steps
 
 
-def step_lengths(state: IpPmmState, dx: np.ndarray, dz: np.ndarray,
-                 fraction: float = 0.995):
+def step_lengths(state: IpPmmState, dx: np.ndarray, dz: np.ndarray):
     """Fraction-to-the-boundary primal and dual step lengths in (0, 1]."""
     ia = state.nonneg_active()
 
@@ -359,7 +340,7 @@ def step_lengths(state: IpPmmState, dx: np.ndarray, dz: np.ndarray,
         neg = dv < 0
         if not np.any(neg):
             return 1.0
-        return min(1.0, fraction * float(np.min(-v[neg] / dv[neg])))
+        return min(1.0, BOUNDARY_FRACTION * float(np.min(-v[neg] / dv[neg])))
 
     return max_step(state.x[ia], dx[ia]), max_step(state.z[ia], dz[ia])
 
@@ -375,11 +356,9 @@ def _expand_direction(state, cols, dxa, dy, rc=None):
     return dx, dy, dz
 
 
-def predictor_corrector_step(state: IpPmmState, program: ConvexProgram,
-                             ctx, options: SolverOptions, grad=None):
+def predictor_corrector_step(state: IpPmmState, program: ConvexProgram, ctx,
+                             grad: np.ndarray):
     """Affine predictor then centering-corrector solve with the same matrix."""
-    if grad is None:
-        grad = program.gradient(state.x)
     cols = state.active_indices()
     ia = state.nonneg_active()
 
@@ -390,14 +369,14 @@ def predictor_corrector_step(state: IpPmmState, program: ConvexProgram,
     rc_aff[ia] = -state.x[ia] * state.z[ia]
     dx_aff, dy_aff, dz_aff = _expand_direction(state, cols, dxa, dy, rc_aff)
 
-    ap, ad = step_lengths(state, dx_aff, dz_aff, options.boundary_fraction)
+    ap, ad = step_lengths(state, dx_aff, dz_aff)
     if ia.size:
         mu_aff = float((state.x[ia] + ap * dx_aff[ia])
                        @ (state.z[ia] + ad * dz_aff[ia])) / ia.size
         ratio = mu_aff / state.mu if state.mu > 0 else 0.0
-        sigma = float(np.clip(ratio ** 3, options.sigma_min, options.sigma_max))
+        sigma = float(np.clip(ratio ** 3, SIGMA_MIN, SIGMA_MAX))
     else:
-        sigma = options.sigma_min
+        sigma = SIGMA_MIN
 
     # corrector: centering plus second-order complementarity correction
     soc = dx_aff * dz_aff
@@ -409,19 +388,18 @@ def predictor_corrector_step(state: IpPmmState, program: ConvexProgram,
     return dx, dy, dz, sigma
 
 
-def update_penalties_and_estimates(state: IpPmmState, options: SolverOptions,
-                                   primal_norm: float, dual_norm: float):
+def update_penalties_and_estimates(state: IpPmmState, primal_norm: float,
+                                   dual_norm: float):
     """Shrink penalties at the rate of mu; refresh proximal estimates when the
     residuals have decreased sufficiently since the last refresh."""
     mu_new = state.complementarity()
     if state.mu > 0 and mu_new >= 0:
-        ratio = min(1.0, mu_new / state.mu) if state.mu > 0 else 1.0
-        state.rho = max(options.rho_floor, state.rho * ratio)
-        state.delta = max(options.delta_floor, state.delta * ratio)
+        ratio = min(1.0, mu_new / state.mu)
+        state.rho = max(PENALTY_FLOOR, state.rho * ratio)
+        state.delta = max(PENALTY_FLOOR, state.delta * ratio)
     state.mu = mu_new
-    factor = options.estimate_decrease
-    if (primal_norm <= factor * state.last_primal_norm
-            and dual_norm <= factor * state.last_dual_norm):
+    if (primal_norm <= ESTIMATE_DECREASE * state.last_primal_norm
+            and dual_norm <= ESTIMATE_DECREASE * state.last_dual_norm):
         state.zeta = state.x.copy()
         state.eta = state.y.copy()
         state.last_primal_norm = primal_norm
@@ -433,6 +411,10 @@ def solve(program: ConvexProgram, options: Optional[SolverOptions] = None):
     options = options or SolverOptions()
     if options.linear_solver not in _CONTEXTS:
         raise ValueError(f"unknown linear solver {options.linear_solver!r}")
+    if not options.tol > 0 or options.max_iter < 1:
+        raise ValueError("tol must be positive and max_iter at least 1")
+    if options.dropping and not (options.eps_drop > 0 and options.xi > 0):
+        raise ValueError("dropping needs positive eps_drop and xi")
     t_start = time.perf_counter()
     t_linalg = 0.0
     state = initial_state(program, options)
@@ -456,26 +438,22 @@ def solve(program: ConvexProgram, options: Optional[SolverOptions] = None):
         t0 = time.perf_counter()
         try:
             ctx = _CONTEXTS[options.linear_solver](state, program, options)
-            dx, dy, dz, _ = predictor_corrector_step(state, program, ctx,
-                                                     options, grad=grad)
-        except (RuntimeError, np.linalg.LinAlgError):
+            dx, dy, dz, _ = predictor_corrector_step(state, program, ctx, grad)
+        except (RuntimeError, np.linalg.LinAlgError, NotPositiveDefiniteError):
             status = "numerical-failure"
             break
         t_linalg += time.perf_counter() - t0
         report.inner_iterations += ctx.inner_iterations
 
-        ap, ad = step_lengths(state, dx, dz, options.boundary_fraction)
+        ap, ad = step_lengths(state, dx, dz)
         state.x = state.x + ap * dx
         state.y = state.y + ad * dy
         state.z = state.z + ad * dz
-        update_penalties_and_estimates(state, options,
-                                       float(np.linalg.norm(rp)),
+        update_penalties_and_estimates(state, float(np.linalg.norm(rp)),
                                        float(np.linalg.norm(rd[state.active_indices()])))
-        if options.dropping and state.mu <= options.drop_activation * mu0:
+        if options.dropping and state.mu <= DROP_ACTIVATION * mu0:
             dropmod.scan_and_drop(state, program, options.eps_drop, options.xi)
         report.iterations = k + 1
-    else:
-        report.iterations = options.max_iter
 
     audit = None
     if options.dropping:

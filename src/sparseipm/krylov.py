@@ -1,6 +1,7 @@
 """Direct and iterative linear solvers used inside the interior point engine."""
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -8,6 +9,15 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+# SuperLU reserves 10-20 MB blocks per factorization and touches little of
+# them. glibc raises its mmap threshold to the largest block freed, so later
+# blocks reuse heap pages that earlier ones touched, and the peak memory of
+# the same solves varied by 40 MB between runs. A fixed threshold stops that.
+try:
+    ctypes.CDLL("libc.so.6").mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD, 4 MiB
+except (OSError, AttributeError):  # not glibc
+    pass
 
 
 class NotPositiveDefiniteError(ValueError):

@@ -2,14 +2,14 @@
 program via the split-variable reformulation, plus the objective oracles."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 import warnings
 
 import numpy as np
 import scipy.sparse as sp
 
-from .linops import BccbOperator, LinearOperator, make_difference_operator, make_tv_operator
+from .linops import BccbOperator, make_difference_operator, make_tv_operator
 
 
 class DomainError(ValueError):
@@ -20,10 +20,11 @@ class DomainError(ValueError):
 class ConvexProgram:
     """min f(x) s.t. A x = b, x_I >= 0, x_F free, with oracle callbacks.
 
-    ``hessian_is_diagonal`` enables the normal-equations solver path; in that
-    case ``hess_diag`` must return the (constant or state-dependent) diagonal.
-    ``hess_diag_cheap`` is an optional inexpensive diagonal approximation of
-    the f-Hessian used by the block-diagonal augmented preconditioner.
+    ``hessian_is_diagonal`` is set from ``Q`` on construction: true when the
+    explicit Hessian ``Q`` is given and diagonal, which enables the
+    normal-equations solver path. ``hess_diag_cheap`` is an optional
+    inexpensive diagonal approximation of the f-Hessian used by the
+    block-diagonal augmented preconditioner.
     """
 
     n: int
@@ -37,11 +38,8 @@ class ConvexProgram:
     hess_action: Callable[[np.ndarray, np.ndarray], np.ndarray]
     hess_diag: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hess_diag_cheap: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    hessian_is_diagonal: bool = False
     Q: Optional[sp.csr_matrix] = None
-    c: Optional[np.ndarray] = None
     row_split: Optional[int] = None  # first-block row count for the 2x2 preconditioner
-    name: str = ""
     extract: Optional[Callable[[np.ndarray], np.ndarray]] = None  # split x -> original w
 
     def __post_init__(self):
@@ -51,6 +49,8 @@ class ConvexProgram:
             raise ValueError("nonneg and free index sets overlap")
         if self.nonneg.size + self.free.size != self.n:
             raise ValueError("nonneg and free sets must partition {0..n-1}")
+        self.hessian_is_diagonal = (
+            self.Q is not None and (self.Q - sp.diags(self.Q.diagonal())).nnz == 0)
 
 
 def quadratic_program(Q, c, A, b, nonneg=None, free=None, **kw) -> ConvexProgram:
@@ -67,7 +67,6 @@ def quadratic_program(Q, c, A, b, nonneg=None, free=None, **kw) -> ConvexProgram
     elif free is None:
         free = np.setdiff1d(np.arange(n), nonneg)
     qdiag = Q.diagonal()
-    is_diag = (Q - sp.diags(qdiag)).nnz == 0
     return ConvexProgram(
         n=n, m=A.shape[0], A=A, b=b, nonneg=nonneg, free=free,
         objective=lambda x: 0.5 * float(x @ (Q @ x)) + float(c @ x),
@@ -75,8 +74,7 @@ def quadratic_program(Q, c, A, b, nonneg=None, free=None, **kw) -> ConvexProgram
         hess_action=lambda x, v: Q @ v,
         hess_diag=(lambda x: qdiag),
         hess_diag_cheap=(lambda x: qdiag),
-        hessian_is_diagonal=is_diag,
-        Q=Q, c=c, **kw,
+        Q=Q, **kw,
     )
 
 
@@ -169,8 +167,7 @@ def build_portfolio_qp(inst: PortfolioInstance) -> ConvexProgram:
         np.full(2 * n, inst.tau1), np.full(2 * l, inst.tau2)])
 
     prog = quadratic_program(Q, c, A, b, nonneg=np.arange(2 * (n + l)),
-                             free=np.array([], dtype=int),
-                             name="portfolio-qp")
+                             free=np.array([], dtype=int))
     prog.extract = lambda x: x[:n] - x[n:2 * n]
     return prog
 
@@ -241,7 +238,7 @@ def build_fused_lasso_ls(inst: FusedLassoLsInstance) -> ConvexProgram:
     ])
     prog = quadratic_program(Q, c, A, b, free=np.arange(s),
                              nonneg=np.arange(s, n),
-                             row_split=s, name="fused-lasso-ls")
+                             row_split=s)
     prog.extract = lambda x: x[s:s + q] - x[s + q:s + 2 * q]
     # carry the constant ||y||^2/(2s) so values match the unsplit model
     const = float(inst.labels @ inst.labels) / (2.0 * s)
@@ -349,7 +346,6 @@ def build_poisson_tv(inst: PoissonTvInstance) -> ConvexProgram:
         nonneg=np.arange(nbar), free=np.array([], dtype=int),
         objective=objective, gradient=gradient, hess_action=hess_action,
         hess_diag=hess_diag, hess_diag_cheap=hess_diag_cheap,
-        hessian_is_diagonal=False, name="poisson-tv",
     )
     prog.extract = lambda x: x[:n]
     return prog
@@ -442,7 +438,6 @@ def build_logistic_l1(inst: LogisticInstance) -> ConvexProgram:
         free=np.arange(s), nonneg=np.arange(s, nbar),
         objective=objective, gradient=gradient, hess_action=hess_action,
         hess_diag=hess_diag, hess_diag_cheap=hess_diag,
-        hessian_is_diagonal=False, name="logistic-l1",
     )
     prog.extract = lambda x: x[:s]
     return prog

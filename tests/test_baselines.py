@@ -1,11 +1,13 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sparseipm.baselines import (admm_solve, asb_chol_solve, fista_solve,
-                                 soft_threshold)
+from sparseipm.baselines import (FirstOrderReport, admm_solve, asb_chol_solve,
+                                 fista_solve, soft_threshold)
 from sparseipm.problems import (FusedLassoLsInstance, LogisticInstance,
                                 budget_matrix, build_portfolio_qp)
 from test_problems import make_portfolio
@@ -40,6 +42,23 @@ class TestSoftThreshold:
     def test_non_expansive(self, u, v, gamma):
         lhs = np.linalg.norm(soft_threshold(u, gamma) - soft_threshold(v, gamma))
         assert lhs <= np.linalg.norm(u - v) + 1e-10
+
+
+class TestRecord:
+    def test_tolerance_wins_over_spent_budget(self):
+        rep = FirstOrderReport()
+        assert rep.record(3, 1e-9, 2.0, 1e-8, time.perf_counter(), 0.0)
+        assert rep.status == "converged" and rep.iterations == 3
+        assert rep.primal_inf_history == [1e-9]
+        assert rep.objective_history == [2.0]
+
+    def test_continues_until_budget_spent(self):
+        rep = FirstOrderReport()
+        assert not rep.record(1, 1.0, 0.0, 1e-8, time.perf_counter(), None)
+        assert not rep.record(2, 1.0, 0.0, 1e-8, time.perf_counter(), 60.0)
+        assert rep.status == "max-iterations"
+        assert rep.record(3, 1.0, 0.0, 1e-8, time.perf_counter() - 1.0, 0.5)
+        assert rep.status == "time-budget" and rep.iterations == 3
 
 
 class TestAsbChol:

@@ -299,5 +299,16 @@ class TestCli:
         code = run_cli(["fmri", "--grid", "3xbad", "--out", str(tmp_path)])
         assert code == 1
 
+    # one iteration ends before dropping would scan: the check is up front
+    @pytest.mark.parametrize("flags", [["--tol", "-1"], ["--max-iter", "-3"],
+                                       ["--eps-drop", "-1", "--max-iter", "1"],
+                                       ["--xi", "0", "--max-iter", "1"]])
+    def test_invalid_solver_options_rejected_before_solving(self, tmp_path,
+                                                            flags):
+        code = run_cli(["portfolio", "--s", "4", "--m", "3", *flags,
+                        "--out", str(tmp_path)])
+        assert code == 1
+        assert not (tmp_path / "report_ippmm.json").exists()
+
     def test_unknown_subcommand(self):
         assert run_cli(["frobnicate"]) == 1

@@ -104,7 +104,7 @@ class TestPenaltyUpdates:
         # force new mu = 0.1 via the iterate products
         st.x = np.array([0.1, 0.1])
         st.z = np.array([1.0, 1.0])
-        update_penalties_and_estimates(st, SolverOptions(), 1.0, 1.0)
+        update_penalties_and_estimates(st, 1.0, 1.0)
         assert st.mu == pytest.approx(0.1)
         assert st.rho == pytest.approx(1e-4)
         assert st.delta == pytest.approx(1e-4)
@@ -117,7 +117,7 @@ class TestPenaltyUpdates:
         st.rho = st.delta = 2e-8
         st.x = np.array([1e-6])
         st.z = np.array([1e-6])
-        update_penalties_and_estimates(st, SolverOptions(), 1.0, 1.0)
+        update_penalties_and_estimates(st, 1.0, 1.0)
         assert st.rho == 1e-8 and st.delta == 1e-8
 
     def test_estimates_update_only_on_decrease(self):
@@ -127,9 +127,9 @@ class TestPenaltyUpdates:
         st.last_primal_norm = 1.0
         st.last_dual_norm = 1.0
         zeta_before = st.zeta.copy()
-        update_penalties_and_estimates(st, SolverOptions(), 0.99, 0.99)
+        update_penalties_and_estimates(st, 0.99, 0.99)
         np.testing.assert_array_equal(st.zeta, zeta_before)  # not enough decrease
-        update_penalties_and_estimates(st, SolverOptions(), 0.5, 0.5)
+        update_penalties_and_estimates(st, 0.5, 0.5)
         np.testing.assert_array_equal(st.zeta, st.x)
         np.testing.assert_array_equal(st.eta, st.y)
 
@@ -317,3 +317,32 @@ class TestSolveBehavior:
                                  np.zeros(0))
         with pytest.raises(ValueError):
             solve(prog, SolverOptions(linear_solver="magic"))
+
+    @pytest.mark.parametrize("kw", [{"tol": 0.0}, {"tol": -1.0},
+                                    {"max_iter": 0}, {"max_iter": -3},
+                                    {"dropping": True, "eps_drop": -1.0},
+                                    {"dropping": True, "xi": 0.0}])
+    def test_invalid_options_rejected(self, kw):
+        # max_iter=1 ends before dropping would scan: the check is up front
+        kw = {"max_iter": 1, **kw}
+        prog = quadratic_program(np.eye(1), np.zeros(1), np.zeros((0, 1)),
+                                 np.zeros(0))
+        with pytest.raises(ValueError):
+            solve(prog, SolverOptions(**kw))
+
+    def test_cholesky_breakdown_is_numerical_failure(self, monkeypatch):
+        from sparseipm import precond
+        from sparseipm.harness import gen_fused_lasso
+        from sparseipm.krylov import NotPositiveDefiniteError
+        from sparseipm.problems import build_fused_lasso_ls
+
+        def breakdown(M):
+            raise NotPositiveDefiniteError(0)
+
+        inst, _ = gen_fused_lasso(10, (4, 4), 0)
+        prog = build_fused_lasso_ls(inst)
+        monkeypatch.setattr(precond, "CholeskyFactor", breakdown)
+        _, rep = solve(prog, SolverOptions(linear_solver="pcg-normal",
+                                           precond="fmri-block"))
+        assert rep.status == "numerical-failure"
+        assert rep.iterations == 0

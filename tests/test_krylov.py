@@ -1,3 +1,5 @@
+import ctypes
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,6 +12,26 @@ def random_spd(n, rng, cond=10.0):
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     eigs = np.geomspace(1.0, cond, n)
     return Q @ np.diag(eigs) @ Q.T
+
+
+class _MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+
+def test_large_blocks_stay_mapped_after_a_free():
+    """A freed 16 MiB block must not move the next one onto the heap, where
+    pages touched by earlier blocks would make peak memory vary by run."""
+    try:
+        mallinfo2 = ctypes.CDLL("libc.so.6").mallinfo2
+    except (OSError, AttributeError):
+        pytest.skip("needs glibc 2.33 or later")
+    mallinfo2.restype = _MallInfo2
+    np.ones(2 << 20)  # 16 MiB, freed at once
+    before = mallinfo2().hblkhd
+    block = np.ones(2 << 20)
+    assert mallinfo2().hblkhd - before >= block.nbytes
 
 
 class TestCholesky:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -107,6 +109,12 @@ class TestQuadraticProgram:
         dense = quadratic_program(np.array([[2.0, 1.0], [1.0, 2.0]]),
                                   np.zeros(2), np.ones((1, 2)), np.array([1.0]))
         assert not dense.hessian_is_diagonal
+
+    def test_diagonal_flag_follows_q_only(self):
+        prog = build_poisson_tv(make_poisson())
+        assert prog.Q is None and not prog.hessian_is_diagonal
+        with pytest.raises(TypeError):
+            dataclasses.replace(prog, hessian_is_diagonal=True)
 
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(6)
