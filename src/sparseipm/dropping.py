@@ -1,5 +1,5 @@
-"""Variable-dropping heuristic: eliminate variables converging to zero,
-verify multiplier signs post-hoc, and re-expand reduced solutions."""
+"""Variable-dropping heuristic: eliminate variables converging to zero and
+verify multiplier signs post-hoc."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -9,16 +9,16 @@ import numpy as np
 
 @dataclass
 class DropAudit:
-    """Post-solve audit of the dropped index set."""
+    """Post-solve audit of the dropped index set V."""
 
     dropped: list = field(default_factory=list)      # (index, iteration) pairs
-    multipliers: np.ndarray = None                   # recovered z on the dropped set
+    multipliers: np.ndarray = field(default_factory=lambda: np.zeros(0))  # recovered z on V
     violated: list = field(default_factory=list)     # indices with multiplier <= 0
 
     def to_dict(self):
         return {
             "dropped": [[int(j), int(k)] for j, k in self.dropped],
-            "multipliers": [] if self.multipliers is None else list(map(float, self.multipliers)),
+            "multipliers": list(map(float, self.multipliers)),
             "violated": [int(j) for j in self.violated],
         }
 
@@ -54,7 +54,6 @@ def verify_dropped(x_star, y_star, program, drop_log) -> DropAudit:
     """
     audit = DropAudit(dropped=list(drop_log))
     if not drop_log:
-        audit.multipliers = np.zeros(0)
         return audit
     V = np.array([j for j, _ in drop_log], dtype=int)
     grad = program.gradient(x_star)
@@ -63,16 +62,3 @@ def verify_dropped(x_star, y_star, program, drop_log) -> DropAudit:
     audit.violated = [int(j) for j, zj in zip(V, zV) if zj <= 0]
     return audit
 
-
-def expand_solution(reduced: np.ndarray, dropped_indices, n: int) -> np.ndarray:
-    """Zero-fill the dropped coordinates, restoring the original ordering."""
-    V = np.asarray(sorted(set(int(j) for j in dropped_indices)), dtype=int)
-    reduced = np.asarray(reduced, dtype=float)
-    if V.size and (V.min() < 0 or V.max() >= n):
-        raise ValueError("dropped index out of range")
-    if reduced.size + V.size != n:
-        raise ValueError("reduced size plus dropped count must equal n")
-    keep = np.setdiff1d(np.arange(n), V)
-    out = np.zeros(n)
-    out[keep] = reduced
-    return out

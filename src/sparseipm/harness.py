@@ -563,6 +563,28 @@ def _add_common(p):
     p.add_argument("--out", default=".")
     p.add_argument("--config", default=None,
                    help="key=value file; values become flag defaults")
+    p.set_defaults(command_parser=p)
+
+
+def _apply_config(p, path) -> None:
+    """Make the entries of a key=value file defaults of the subcommand parser
+    ``p``, each converted by its flag's own type; on/off flags take true/false."""
+    flags = {opt: action for action in p._actions for opt in action.option_strings
+             if action.dest not in ("help", "config")}
+    defaults = {}
+    for key, text in parse_config(path).items():
+        action = flags.get("--" + key.replace("_", "-"))
+        if action is None:
+            raise ParseError(f"{path}: unknown key {key!r}")
+        try:
+            value = ({"true": True, "false": False}[text.lower()] if action.nargs == 0
+                     else (action.type or str)(text))
+        except (KeyError, ValueError):
+            raise ParseError(f"{path}: bad value {text!r} for {key}") from None
+        if action.choices and value not in action.choices:
+            raise ParseError(f"{path}: {key} must be one of {action.choices}")
+        defaults[action.dest] = value
+    p.set_defaults(**defaults)
 
 
 def _add_flag(p, flag: Flag, default):
@@ -606,21 +628,17 @@ def build_parser() -> argparse.ArgumentParser:
 def run_cli(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    # a config file provides defaults; explicit flags still win
-    if "--config" in argv:
-        try:
-            cfg = parse_config(argv[argv.index("--config") + 1])
-        except (IndexError, OSError, ParseError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
-        extra = []
-        for key, val in cfg.items():
-            extra += [f"--{key.replace('_', '-')}", val]
-        argv = argv[:1] + extra + argv[1:]
     try:
         args = parser.parse_args(argv)
+        if args.config is not None:
+            # a config file provides defaults; explicit flags still win
+            _apply_config(args.command_parser, args.config)
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    except (OSError, ParseError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     try:
         return args.run(args)
     except (ParseError, OSError, ValueError) as exc:

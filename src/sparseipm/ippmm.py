@@ -63,15 +63,11 @@ class IpPmmState:
     rho: float
     delta: float
     nonneg: np.ndarray
+    dropped: np.ndarray
     k: int = 0
-    dropped: np.ndarray = None
     drop_log: list = field(default_factory=list)
     last_primal_norm: float = np.inf
     last_dual_norm: float = np.inf
-
-    def __post_init__(self):
-        if self.dropped is None:
-            self.dropped = np.zeros(self.x.size, dtype=bool)
 
     def nonneg_active(self) -> np.ndarray:
         return self.nonneg[~self.dropped[self.nonneg]]
@@ -130,6 +126,8 @@ def initial_state(program: ConvexProgram, options: SolverOptions) -> IpPmmState:
     x[program.nonneg] = 1.0
     if options.x0 is not None:
         x = np.array(options.x0, dtype=float)
+        if x.shape != (n,) or not np.all(np.isfinite(x)):
+            raise ValueError(f"starting point must be a finite vector of length {n}")
         if np.any(x[program.nonneg] <= 0):
             raise ValueError("override starting point must be interior")
     y = np.zeros(m)
@@ -139,7 +137,8 @@ def initial_state(program: ConvexProgram, options: SolverOptions) -> IpPmmState:
     mu = float(x[ia] @ z[ia]) / ia.size if ia.size else 0.0
     reg = max(min(1.0, mu) if mu > 0 else 1.0, PENALTY_FLOOR)
     return IpPmmState(x=x, y=y, z=z, zeta=x.copy(), eta=y.copy(), mu=mu,
-                      rho=reg, delta=reg, nonneg=program.nonneg)
+                      rho=reg, delta=reg, nonneg=program.nonneg,
+                      dropped=np.zeros(n, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +188,6 @@ class AugmentedSystem:
 
     def __init__(self, state: IpPmmState, program: ConvexProgram):
         self.cols = state.active_indices()
-        self.m = program.m
         self.na = self.cols.size
         self.A_act = sp.csc_matrix(program.A[:, self.cols])
         self.diag_shift = state.xi_diag()[self.cols] + state.rho
@@ -199,13 +197,10 @@ class AugmentedSystem:
         self.matrix = None
         if program.Q is not None:
             H = program.Q[self.cols][:, self.cols] + sp.diags(self.diag_shift)
-            if self.m:
-                self.matrix = sp.bmat([
-                    [-H, self.A_act.T],
-                    [self.A_act, self.delta * sp.eye(self.m)],
-                ], format="csc")
-            else:
-                self.matrix = (-H).tocsc()
+            self.matrix = sp.bmat([
+                [-H, self.A_act.T],
+                [self.A_act, self.delta * sp.eye(program.m)],
+            ], format="csc")
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v1, v2 = v[:self.na], v[self.na:]
@@ -229,7 +224,6 @@ class NormalEquations:
         self.gdiag = (program.hess_diag(state.x)[self.cols]
                       + state.xi_diag()[self.cols] + state.rho)
         self.delta = state.delta
-        self.m = program.m
 
     def matvec(self, dy: np.ndarray) -> np.ndarray:
         return self.A_act @ ((self.A_act.T @ dy) / self.gdiag) + self.delta * dy
@@ -256,10 +250,8 @@ class _DirectContext:
 
     def solve(self, r1a, r2):
         na = self.system.na
-        if self.system.m:
-            sol = self.lu.solve(np.concatenate([r1a, r2]))
-            return sol[:na], sol[na:]
-        return self.lu.solve(r1a), np.zeros(0)
+        sol = self.lu.solve(np.concatenate([r1a, r2]))
+        return sol[:na], sol[na:]
 
 
 class _NormalContext:
@@ -345,14 +337,12 @@ def step_lengths(state: IpPmmState, dx: np.ndarray, dz: np.ndarray):
     return max_step(state.x[ia], dx[ia]), max_step(state.z[ia], dz[ia])
 
 
-def _expand_direction(state, cols, dxa, dy, rc=None):
+def _expand_direction(state, cols, dxa, dy, rc):
     dx = np.zeros(state.x.size)
     dx[cols] = dxa
     dz = np.zeros(state.x.size)
     ia = state.nonneg_active()
-    if ia.size:
-        r = rc if rc is not None else np.zeros(state.x.size)
-        dz[ia] = (r[ia] - state.z[ia] * dx[ia]) / state.x[ia]
+    dz[ia] = (rc[ia] - state.z[ia] * dx[ia]) / state.x[ia]
     return dx, dy, dz
 
 
@@ -455,7 +445,6 @@ def solve(program: ConvexProgram, options: Optional[SolverOptions] = None):
             dropmod.scan_and_drop(state, program, options.eps_drop, options.xi)
         report.iterations = k + 1
 
-    audit = None
     if options.dropping:
         audit = dropmod.verify_dropped(state.x, state.y, program, state.drop_log)
         report.drop_audit = audit.to_dict()

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import ctypes
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,7 +35,6 @@ class KrylovOutcome:
     final_relative_residual: float
     converged: bool
     breakdown_reason: Optional[str] = None
-    residual_history: list = field(default_factory=list)
 
 
 class CholeskyFactor:
@@ -101,11 +100,11 @@ def pcg(M, rhs, precond=None, tol: float = 1e-8, maxit: int = 1000) -> KrylovOut
     s = pinv(r)
     rs = float(r @ s)
     norm0 = np.sqrt(max(rs, 0.0))
-    history = [1.0] if norm0 > 0 else [0.0]
     if norm0 == 0.0:
-        return KrylovOutcome(x, 0, 0.0, True, residual_history=history)
+        return KrylovOutcome(x, 0, 0.0, True)
     p = s.copy()
     breakdown = None
+    rel = 1.0
     it = 0
     for it in range(1, maxit + 1):
         Mp = matvec(p)
@@ -123,14 +122,11 @@ def pcg(M, rhs, precond=None, tol: float = 1e-8, maxit: int = 1000) -> KrylovOut
             breakdown = "non-spd-preconditioner"
             break
         rel = np.sqrt(rs_new) / norm0
-        history.append(rel)
         if rel <= tol:
-            return KrylovOutcome(x, it, rel, True, residual_history=history)
+            return KrylovOutcome(x, it, rel, True)
         p = s + (rs_new / rs) * p
         rs = rs_new
-    rel = history[-1]
-    return KrylovOutcome(x, it, rel, False, breakdown_reason=breakdown,
-                         residual_history=history)
+    return KrylovOutcome(x, it, rel, False, breakdown_reason=breakdown)
 
 
 def minres(M, rhs, precond=None, tol: float = 1e-8, maxit: int = 100) -> KrylovOutcome:
@@ -148,11 +144,10 @@ def minres(M, rhs, precond=None, tol: float = 1e-8, maxit: int = 100) -> KrylovO
     y = pinv(r1)
     beta1 = float(r1 @ y)
     if beta1 < 0:
-        return KrylovOutcome(x, 0, 1.0, False, breakdown_reason="non-spd-preconditioner",
-                             residual_history=[1.0])
+        return KrylovOutcome(x, 0, 1.0, False, breakdown_reason="non-spd-preconditioner")
     beta1 = np.sqrt(beta1)
     if beta1 == 0.0:
-        return KrylovOutcome(x, 0, 0.0, True, residual_history=[0.0])
+        return KrylovOutcome(x, 0, 0.0, True)
 
     oldb, beta = 0.0, beta1
     dbar, epsln, phibar = 0.0, 0.0, beta1
@@ -160,7 +155,7 @@ def minres(M, rhs, precond=None, tol: float = 1e-8, maxit: int = 100) -> KrylovO
     w = np.zeros(n)
     w2 = np.zeros(n)
     r2 = r1.copy()
-    history = [1.0]
+    rel = 1.0
     breakdown = None
     it = 0
     for it in range(1, maxit + 1):
@@ -198,8 +193,6 @@ def minres(M, rhs, precond=None, tol: float = 1e-8, maxit: int = 100) -> KrylovO
         x = x + phi * w
 
         rel = phibar / beta1
-        history.append(rel)
         if rel <= tol:
-            return KrylovOutcome(x, it, rel, True, residual_history=history)
-    return KrylovOutcome(x, it, history[-1], False, breakdown_reason=breakdown,
-                         residual_history=history)
+            return KrylovOutcome(x, it, rel, True)
+    return KrylovOutcome(x, it, rel, False, breakdown_reason=breakdown)

@@ -1,65 +1,29 @@
-"""Linear operators: explicit matrices, finite differences, FFT-applied convolutions.
+"""Linear operators: explicit sparse matrices, finite differences, FFT-applied convolutions.
 
 All operators expose ``apply`` / ``apply_transpose`` and are immutable after
 construction, so they can be shared freely between solver invocations.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 
-class LinearOperator:
-    """Dimensioned matrix-vector / transpose-vector application contract."""
+class MatrixOperator:
+    """Operator backed by an explicit sparse matrix, held in CSR form."""
 
-    kind = "composite"
-
-    def __init__(self, rows: int, cols: int):
-        self.rows = int(rows)
-        self.cols = int(cols)
-
-    @property
-    def shape(self):
-        return (self.rows, self.cols)
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def apply_transpose(self, u: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def dense(self) -> np.ndarray:
-        """Assemble the operator densely (test-scale only)."""
-        eye = np.eye(self.cols)
-        return np.column_stack([self.apply(eye[:, j]) for j in range(self.cols)])
-
-
-class MatrixOperator(LinearOperator):
-    """Operator backed by an explicit dense or sparse matrix."""
-
-    def __init__(self, matrix, kind: str | None = None):
-        if sp.issparse(matrix):
-            matrix = matrix.tocsr()
-            self.kind = kind or "sparse-triplet"
-        else:
-            matrix = np.asarray(matrix, dtype=float)
-            self.kind = kind or "dense"
-        super().__init__(matrix.shape[0], matrix.shape[1])
-        self.matrix = matrix
+    def __init__(self, matrix):
+        self.matrix = matrix.tocsr()
+        self.rows, self.cols = self.matrix.shape
 
     def apply(self, v):
         return self.matrix @ np.asarray(v, dtype=float)
 
     def apply_transpose(self, u):
         return self.matrix.T @ np.asarray(u, dtype=float)
-
-    def dense(self):
-        if sp.issparse(self.matrix):
-            return self.matrix.toarray()
-        return np.array(self.matrix)
 
 
 def _chain_difference(q: int) -> sp.csr_matrix:
@@ -83,7 +47,7 @@ def make_difference_operator(num_periods: int, num_assets: int) -> MatrixOperato
     if num_assets < 1:
         raise ValueError(f"need at least 1 asset, got {num_assets}")
     L = sp.kron(_chain_difference(num_periods), sp.eye(num_assets), format="csr")
-    return MatrixOperator(L, kind="stacked-difference")
+    return MatrixOperator(L)
 
 
 def make_tv_operator(grid) -> MatrixOperator:
@@ -102,7 +66,7 @@ def make_tv_operator(grid) -> MatrixOperator:
         right = sp.eye(int(np.prod(grid[axis + 1:], dtype=int)))
         blocks.append(sp.kron(sp.kron(left, _chain_difference(q)), right))
     L = sp.vstack(blocks, format="csr")
-    return MatrixOperator(L, kind="stacked-difference")
+    return MatrixOperator(L)
 
 
 @dataclass(frozen=True)
@@ -173,7 +137,7 @@ class BlurKernel:
         return k / k.sum()
 
 
-class BccbOperator(LinearOperator):
+class BccbOperator:
     """Block-circulant-with-circulant-blocks convolution, applied via the 2d FFT.
 
     Only the kernel eigenvalue array (the 2d FFT of the PSF) is stored; apply
@@ -181,13 +145,10 @@ class BccbOperator(LinearOperator):
     the transpose) and an inverse FFT, discarding the imaginary residue.
     """
 
-    kind = "bccb-convolution"
-
     def __init__(self, kernel: BlurKernel):
         n1, n2 = kernel.grid
-        super().__init__(n1 * n2, n1 * n2)
+        self.rows = self.cols = n1 * n2
         self.grid = (n1, n2)
-        self.kernel = kernel
         self.eigenvalues = np.fft.fft2(kernel.psf())
 
     def _spectral_apply(self, v, eigs):
@@ -200,16 +161,18 @@ class BccbOperator(LinearOperator):
     def apply_transpose(self, u):
         return self._spectral_apply(u, np.conj(self.eigenvalues))
 
+    def dense(self) -> np.ndarray:
+        """Assemble the operator densely (test-scale only)."""
+        eye = np.eye(self.cols)
+        return np.column_stack([self.apply(eye[:, j]) for j in range(self.cols)])
+
     def squared_kernel_operator(self) -> "BccbOperator":
         """Operator whose kernel weights are the element-wise squared PSF.
 
         Its transpose applied to u gives sum_i u_i * d_ij^2, i.e. the exact
         diagonal of D^T diag(u) D; used for diagonal Hessian approximations.
         """
-        out = object.__new__(BccbOperator)
-        LinearOperator.__init__(out, self.rows, self.cols)
-        out.grid = self.grid
-        out.kernel = self.kernel
+        out = copy.copy(self)
         out.eigenvalues = np.fft.fft2(np.real(
             np.fft.ifft2(self.eigenvalues)) ** 2)
         return out
@@ -222,13 +185,3 @@ def make_bccb_operator(kernel: BlurKernel) -> BccbOperator:
     if abs(psf.sum() - 1.0) > 1e-10:
         raise ValueError("kernel weights must sum to 1")
     return BccbOperator(kernel)
-
-
-def save_operator(op: MatrixOperator, path) -> None:
-    """Write an explicit sparse operator in Matrix Market coordinate format."""
-    mat = op.matrix if isinstance(op, MatrixOperator) else op
-    scipy.io.mmwrite(str(path), sp.coo_matrix(mat))
-
-
-def load_operator(path) -> MatrixOperator:
-    return MatrixOperator(sp.csr_matrix(scipy.io.mmread(str(path))))

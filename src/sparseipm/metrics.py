@@ -1,8 +1,6 @@
-"""Evaluation metrics: portfolio ratios, cross-validated classification
-scores, image-quality scores, and the solution-thresholding rule."""
+"""Evaluation metrics: portfolio ratios, the corrected support overlap,
+image-quality scores, and the solution-thresholding rule."""
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -11,21 +9,6 @@ from scipy.ndimage import convolve
 
 class UndefinedMetricError(ValueError):
     """Metric denominator degenerates (e.g. empty optimal portfolio)."""
-
-
-@dataclass
-class ScoreSet:
-    """Named scalar scores for one instance/fold of a problem family.
-
-    Ratios are dimensionless, ACC/DEN/CORR-OVR are percentages, PSNR is dB.
-    """
-
-    family: str
-    scores: dict = field(default_factory=dict)
-
-    def to_csv_row(self, keys=None):
-        keys = keys or sorted(self.scores)
-        return ",".join([self.family] + [f"{self.scores[k]:.6g}" for k in keys])
 
 
 def threshold_solution(w: np.ndarray, fraction: float = 1e-4) -> np.ndarray:
@@ -92,47 +75,6 @@ def corrected_overlap(wi: np.ndarray, wj: np.ndarray, q: int) -> float:
         raise UndefinedMetricError("empty support")
     expected = q * (len(Zi) / q) * (len(Zj) / q)
     return (len(Zi & Zj) - expected) / max(len(Zi), len(Zj))
-
-
-def classification_scores(weights: list, test_sets: list, q: int,
-                          fraction: float = 1e-4):
-    """LOSO-style scores over folds: accuracy, density and corrected pairwise
-    overlap, each as (mean, std) percentages.
-
-    ``test_sets`` holds (D_test, labels_test) pairs aligned with ``weights``;
-    every weight vector is thresholded before scoring.  The classifier applies
-    sign(D w); weight vectors may carry a trailing bias entry beyond q.
-    """
-    if len(weights) < 2:
-        raise ValueError("need at least two folds for the overlap score")
-    weights = [threshold_solution(np.asarray(w, dtype=float), fraction)
-               for w in weights]
-    acc = []
-    den = []
-    for w, (D, labels) in zip(weights, test_sets):
-        D = np.asarray(D, dtype=float)
-        if D.shape[1] == w.size - 1:  # account for a bias column
-            D = np.hstack([D, np.ones((D.shape[0], 1))])
-        pred = np.sign(D @ w)
-        pred[pred == 0] = 1.0
-        acc.append(100.0 * np.mean(pred == np.asarray(labels, dtype=float)))
-        den.append(100.0 * np.count_nonzero(w[:q]) / q)
-    ovr = []
-    skipped = 0
-    for i in range(len(weights)):
-        for j in range(i + 1, len(weights)):
-            try:
-                ovr.append(100.0 * corrected_overlap(weights[i][:q],
-                                                     weights[j][:q], q))
-            except UndefinedMetricError:
-                skipped += 1
-    stats = {}
-    for key, vals in (("ACC", acc), ("DEN", den), ("CORR_OVR", ovr)):
-        arr = np.asarray(vals)
-        stats[key] = (float(arr.mean()), float(arr.std())) if arr.size \
-            else (np.nan, np.nan)
-    stats["overlap_pairs_skipped"] = skipped
-    return stats
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,7 @@
 solver paths, plus dense spectral verification utilities."""
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -15,23 +14,14 @@ from .krylov import CholeskyFactor
 
 @dataclass
 class Preconditioner:
-    """Apply-inverse contract with build metadata."""
+    """Apply-inverse contract; ``dense()`` assembles the matrix (test-scale)."""
 
-    kind: str
     apply_inverse: Callable[[np.ndarray], np.ndarray]
-    build_time: float = 0.0
-    meta: dict = field(default_factory=dict)
-    dense_assembler: Optional[Callable[[], np.ndarray]] = None
-
-    def dense(self) -> np.ndarray:
-        if self.dense_assembler is None:
-            raise ValueError(f"{self.kind} preconditioner has no dense assembler")
-        return self.dense_assembler()
+    dense: Callable[[], np.ndarray]
 
 
 def identity_preconditioner(n: int) -> Preconditioner:
-    return Preconditioner(kind="identity", apply_inverse=lambda v: v,
-                          dense_assembler=lambda: np.eye(n))
+    return Preconditioner(apply_inverse=lambda v: v, dense=lambda: np.eye(n))
 
 
 def build_fmri_normal_precond(g_diag: np.ndarray, A, split: int,
@@ -42,7 +32,6 @@ def build_fmri_normal_precond(g_diag: np.ndarray, A, split: int,
     Cholesky factor; the remaining TV-structured block gets a sparse one.
     Rebuilt every interior point iteration since G changes.
     """
-    t0 = time.perf_counter()
     g_diag = np.asarray(g_diag, dtype=float)
     if np.any(g_diag <= 0):
         raise ValueError("diagonal weights must be positive")
@@ -64,15 +53,10 @@ def build_fmri_normal_precond(g_diag: np.ndarray, A, split: int,
         out[split:] = f3.solve(r[split:])
         return out
 
-    def dense_assembler():
+    def dense():
         return scipy.linalg.block_diag(M1, M3.toarray())
 
-    return Preconditioner(
-        kind="fmri-block-normal", apply_inverse=apply_inverse,
-        build_time=time.perf_counter() - t0,
-        meta={"factors": ("dense-cholesky", "sparse-cholesky"), "split": split},
-        dense_assembler=dense_assembler,
-    )
+    return Preconditioner(apply_inverse=apply_inverse, dense=dense)
 
 
 def build_aug_block_diag_precond(htilde: np.ndarray, A, delta: float) -> Preconditioner:
@@ -81,7 +65,6 @@ def build_aug_block_diag_precond(htilde: np.ndarray, A, delta: float) -> Precond
     ``htilde`` is the diagonal approximation of the full (1,1) block, i.e. it
     already includes the complementarity and proximal diagonals.
     """
-    t0 = time.perf_counter()
     htilde = np.asarray(htilde, dtype=float)
     if np.any(htilde <= 0):
         raise ValueError("diagonal approximation must be strictly positive")
@@ -97,15 +80,10 @@ def build_aug_block_diag_precond(htilde: np.ndarray, A, delta: float) -> Precond
         out[na:] = fS.solve(r[na:])
         return out
 
-    def dense_assembler():
+    def dense():
         return scipy.linalg.block_diag(np.diag(htilde), S.toarray())
 
-    return Preconditioner(
-        kind="aug-block-diagonal", apply_inverse=apply_inverse,
-        build_time=time.perf_counter() - t0,
-        meta={"factors": ("diagonal", "sparse-cholesky")},
-        dense_assembler=dense_assembler,
-    )
+    return Preconditioner(apply_inverse=apply_inverse, dense=dense)
 
 
 # ---------------------------------------------------------------------------

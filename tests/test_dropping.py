@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparseipm.dropping import expand_solution, scan_and_drop, verify_dropped
+from sparseipm.dropping import scan_and_drop, verify_dropped
 from sparseipm.ippmm import SolverOptions, initial_state, solve
 from sparseipm.problems import build_portfolio_qp, quadratic_program
 from test_problems import make_portfolio
@@ -101,33 +101,6 @@ class TestVerifyDropped:
         doc = audit.to_dict()
         assert doc["dropped"] == [[1, 5]]
         assert doc["violated"] == []
-
-
-class TestExpandSolution:
-    def test_identity_when_nothing_dropped(self):
-        v = np.array([1.0, 2.0])
-        np.testing.assert_array_equal(expand_solution(v, [], 2), v)
-
-    def test_zero_fill(self):
-        out = expand_solution(np.array([1.0, 3.0]), [1], 3)
-        np.testing.assert_array_equal(out, [1.0, 0.0, 3.0])
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(0)
-        full = rng.standard_normal(10)
-        V = [2, 5, 7]
-        keep = np.setdiff1d(np.arange(10), V)
-        out = expand_solution(full[keep], V, 10)
-        np.testing.assert_array_equal(out[keep], full[keep])
-        np.testing.assert_array_equal(out[V], 0.0)
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            expand_solution(np.ones(3), [1], 3)
-
-    def test_out_of_range_index(self):
-        with pytest.raises(ValueError):
-            expand_solution(np.ones(2), [5], 3)
 
 
 class TestDroppingInSolver:

@@ -295,6 +295,34 @@ class TestCli:
         code = run_cli(["portfolio", "--config", str(tmp_path / "nope.cfg")])
         assert code == 1
 
+    def test_config_equals_spelling(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max_iter = 2\ns = 4\nm = 3\n")
+        code = run_cli(["portfolio", f"--config={cfg}", "--out", str(tmp_path)])
+        assert code == 0
+        report = json.loads((tmp_path / "report_ippmm.json").read_text())
+        assert report["iters"] == 2
+
+    def test_config_switch_takes_true(self, tmp_path):
+        small = ["--size", "16", "--max-iter", "2"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("no_noise = true\n")
+        runs = {}
+        for name, flags in (("config", ["--config", str(cfg)]),
+                            ("flag", ["--no-noise"]), ("noisy", [])):
+            out = tmp_path / name
+            assert run_cli(["restore", *small, *flags, "--out", str(out)]) == 0
+            runs[name] = (out / "restored.pgm").read_bytes()
+        assert runs["config"] == runs["flag"] != runs["noisy"]
+
+    def test_config_unknown_key(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("s = 4\nm = 3\nbogus = 1\n")
+        code = run_cli(["portfolio", "--config", str(cfg), "--out",
+                        str(tmp_path)])
+        assert code == 1
+        assert not (tmp_path / "report_ippmm.json").exists()
+
     def test_bad_grid_spec(self, tmp_path):
         code = run_cli(["fmri", "--grid", "3xbad", "--out", str(tmp_path)])
         assert code == 1

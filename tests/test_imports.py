@@ -1,7 +1,11 @@
-"""Every name a ``sparseipm`` module imports is used in that module.
+"""Two small ``ast`` checks in place of a linter.
 
-A small ``ast`` check in place of a linter: an imported name counts as used
-when it appears as a name anywhere in the module, or in ``__all__``.
+- Every name a ``sparseipm`` module imports is used in that module: it appears
+  as a name anywhere in the module, or in ``__all__``.
+- Every public top-level function or class of ``sparseipm`` has a caller in
+  ``src/`` or ``perfbench/``, not only in its own unit tests. A reference is a
+  name, an attribute, an import alias or a string constant, since the
+  benchmark's tracing binds names by string; ``__all__`` entries are strings.
 """
 import ast
 from pathlib import Path
@@ -11,6 +15,12 @@ import pytest
 import sparseipm
 
 MODULES = sorted(Path(sparseipm.__file__).parent.glob("*.py"))
+PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+
+# public names kept without a caller, with the reason
+ALLOWED_UNREFERENCED = {
+    "corrected_overlap": "criterion 10",
+}
 
 
 def unused_imports(source: str) -> list:
@@ -45,3 +55,44 @@ def test_all_counts_as_use():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_public_names(modules: dict, others=()) -> list:
+    """Public top-level functions and classes of ``modules`` (name -> source)
+    that no source in ``modules`` or ``others`` references."""
+    defined = {}
+    refs = set()
+    for module, source in [*modules.items(), *((None, s) for s in others)]:
+        tree = ast.parse(source)
+        if module is not None:
+            for node in tree.body:
+                if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                        and not node.name.startswith("_")):
+                    defined[node.name] = module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.alias):
+                refs.add(node.name.rsplit(".", 1)[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                refs.add(node.value)
+    return sorted(f"{module}.{name}" for name, module in defined.items()
+                  if name not in refs)
+
+
+def test_checker_flags_an_unreferenced_public_name():
+    modules = {"a": "def f(): pass\ndef g(): pass\ndef _h(): pass\n"
+                    "class C: pass\nclass D: pass\n",
+               "b": "from a import C\nimport a\na.g()\n"}
+    others = ["names = ['D']\n"]
+    assert unreferenced_public_names(modules, others) == ["a.f"]
+
+
+def test_no_public_name_only_tests_call():
+    modules = {p.stem: p.read_text() for p in MODULES}
+    unreferenced = unreferenced_public_names(
+        modules, [p.read_text() for p in PERFBENCH])
+    assert [name for name in unreferenced
+            if name.split(".")[-1] not in ALLOWED_UNREFERENCED] == []

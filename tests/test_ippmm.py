@@ -330,6 +330,16 @@ class TestSolveBehavior:
         with pytest.raises(ValueError):
             solve(prog, SolverOptions(**kw))
 
+    @pytest.mark.parametrize("x0", [np.ones(2), np.ones(8), np.full(5, np.nan),
+                                    np.array([1.0, 1.0, np.inf, 1.0, 1.0]),
+                                    np.ones((5, 1))],
+                             ids=["short", "long", "nan", "inf", "column"])
+    def test_invalid_start_rejected(self, x0):
+        prog = quadratic_program(np.eye(5), np.zeros(5), np.ones((1, 5)),
+                                 np.ones(1))
+        with pytest.raises(ValueError, match="starting point"):
+            solve(prog, SolverOptions(x0=x0))
+
     def test_cholesky_breakdown_is_numerical_failure(self, monkeypatch):
         from sparseipm import precond
         from sparseipm.harness import gen_fused_lasso

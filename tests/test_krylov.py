@@ -111,8 +111,8 @@ class TestPcg:
         rng = np.random.default_rng(6)
         M = random_spd(15, rng)
         out = pcg(M, rng.standard_normal(15), tol=1e-12, maxit=300)
-        assert out.residual_history[0] == 1.0
-        assert out.residual_history[-1] <= 1e-12
+        assert out.converged
+        assert out.final_relative_residual <= 1e-12
 
 
 class TestMinres:
@@ -166,3 +166,27 @@ class TestMinres:
         out = minres(M, rng.standard_normal(50), tol=1e-16, maxit=5)
         assert out.iterations == 5
         assert not out.converged
+
+
+def _capped_system(solver, rng):
+    if solver is pcg:
+        return random_spd(30, rng, cond=1e4)
+    H = random_spd(20, rng, cond=1e3)
+    A = rng.standard_normal((10, 20))
+    return np.block([[-H, A.T], [A, 1e-2 * np.eye(10)]])
+
+
+@pytest.mark.parametrize("preconditioned", [False, True])
+@pytest.mark.parametrize("solver", [pcg, minres])
+def test_capped_run_reports_its_final_residual(solver, preconditioned):
+    rng = np.random.default_rng(11)
+    K = _capped_system(solver, rng)
+    b = rng.standard_normal(K.shape[0])
+    d = np.abs(np.diag(K)) + 1.0 if preconditioned else np.ones(K.shape[0])
+    out = solver(K, b, precond=(lambda v: v / d) if preconditioned else None,
+                 tol=1e-14, maxit=4)
+    assert out.iterations == 4 and not out.converged
+    # the stopping ratio sqrt(r'P^-1 r) / sqrt(b'P^-1 b), from the true residual
+    r = b - K @ out.solution
+    expected = np.sqrt(r @ (r / d)) / np.sqrt(b @ (b / d))
+    assert out.final_relative_residual == pytest.approx(expected, rel=1e-6)

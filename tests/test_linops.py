@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 
-from sparseipm.linops import (BccbOperator, BlurKernel, MatrixOperator,
-                              load_operator, make_bccb_operator,
-                              make_difference_operator, make_tv_operator,
-                              save_operator)
+from sparseipm.linops import (BccbOperator, BlurKernel, make_bccb_operator,
+                              make_difference_operator, make_tv_operator)
 
 
 def adjoint_probe(op, rng, trials=5, tol=1e-10):
@@ -21,7 +18,7 @@ def adjoint_probe(op, rng, trials=5, tol=1e-10):
 class TestDifferenceOperator:
     def test_small_dense(self):
         # m=3 periods, s=2 assets: rows are w_{j+1} - w_j per asset
-        L = make_difference_operator(3, 2).dense()
+        L = make_difference_operator(3, 2).matrix.toarray()
         expected = np.array([
             [-1, 0, 1, 0, 0, 0],
             [0, -1, 0, 1, 0, 0],
@@ -32,7 +29,7 @@ class TestDifferenceOperator:
 
     def test_shape(self):
         op = make_difference_operator(5, 3)
-        assert op.shape == (12, 15)
+        assert op.matrix.shape == (12, 15)
 
     def test_constant_in_kernel(self):
         op = make_difference_operator(4, 3)
@@ -55,7 +52,7 @@ class TestTvOperator:
     ])
     def test_row_counts(self, grid, rows):
         op = make_tv_operator(grid)
-        assert op.shape == (rows, int(np.prod(grid)))
+        assert op.matrix.shape == (rows, int(np.prod(grid)))
 
     def test_2d_matches_manual(self):
         op = make_tv_operator((3, 3))
@@ -149,20 +146,3 @@ class TestBccbOperator:
         np.testing.assert_allclose(sq.apply_transpose(u), expected,
                                    rtol=1e-10, atol=1e-12)
 
-
-def test_matrix_market_round_trip(tmp_path):
-    op = make_tv_operator((4, 4))
-    path = tmp_path / "op.mtx"
-    save_operator(op, path)
-    back = load_operator(path)
-    assert (sp.csr_matrix(op.matrix) - back.matrix).nnz == 0
-
-
-def test_matrix_operator_dense_vs_sparse():
-    rng = np.random.default_rng(6)
-    M = rng.standard_normal((4, 6))
-    a = MatrixOperator(M)
-    b = MatrixOperator(sp.csr_matrix(M))
-    v = rng.standard_normal(6)
-    np.testing.assert_allclose(a.apply(v), b.apply(v))
-    assert a.kind == "dense" and b.kind == "sparse-triplet"

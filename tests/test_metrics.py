@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from sparseipm.metrics import (ScoreSet, UndefinedMetricError,
-                               classification_scores, corrected_overlap,
+from sparseipm.metrics import (UndefinedMetricError, corrected_overlap,
                                count_transactions, image_scores, mssim,
                                portfolio_ratios, threshold_solution)
 
@@ -132,31 +131,6 @@ class TestCorrectedOverlap:
             corrected_overlap(np.zeros(4), np.ones(4), 4)
 
 
-class TestClassificationScores:
-    def test_perfect_classifier(self):
-        rng = np.random.default_rng(2)
-        w = np.zeros(10)
-        w[0] = 1.0
-        D = rng.standard_normal((30, 10))
-        labels = np.sign(D @ w)
-        scores = classification_scores([w, w], [(D, labels), (D, labels)], 10)
-        assert scores["ACC"][0] == pytest.approx(100.0)
-        assert scores["DEN"][0] == pytest.approx(10.0)
-
-    def test_bias_column_handled(self):
-        D = np.array([[2.0], [-2.0], [3.0]])
-        w = np.array([0.0, 1.0])  # zero feature weight, positive bias
-        labels = np.array([1.0, 1.0, 1.0])
-        scores = classification_scores([w, w], [(D, labels), (D, labels)], 1,
-                                       fraction=0.0)
-        assert scores["ACC"][0] == pytest.approx(100.0)
-        assert scores["overlap_pairs_skipped"] == 1
-
-    def test_needs_two_folds(self):
-        with pytest.raises(ValueError):
-            classification_scores([np.ones(3)], [(np.eye(3), np.ones(3))], 3)
-
-
 class TestMssim:
     def test_identical_images_score_one(self):
         rng = np.random.default_rng(3)
@@ -225,8 +199,3 @@ class TestImageScores:
         with pytest.raises(UndefinedMetricError):
             image_scores(np.ones(4), np.zeros(4))
 
-
-def test_score_set_csv_row():
-    s = ScoreSet("portfolio", {"ratio": 2.5, "ratio_h": 6.0})
-    assert s.to_csv_row() == "portfolio,2.5,6"
-    assert s.to_csv_row(["ratio_h"]) == "portfolio,6"

@@ -56,12 +56,6 @@ class TestFmriNormalPrecond:
         assert blocked.converged
         assert blocked.iterations <= plain.iterations
 
-    def test_metadata(self):
-        A, g, s, _, _ = random_fused_lasso_layout(5)
-        P = build_fmri_normal_precond(g, A, s, 1e-3)
-        assert P.kind == "fmri-block-normal"
-        assert P.meta["split"] == s
-
 
 class TestAugBlockDiagPrecond:
     def test_apply_matches_dense_inverse(self):
