@@ -510,8 +510,8 @@ def _cmd_spectest(args) -> int:
         prog = build_poisson_tv(inst)
         x = np.ones(prog.n)
         shift = 1.0 + rho
-        H = np.column_stack([prog.hess_action(x, e)
-                             for e in np.eye(prog.n)]) + shift * np.eye(prog.n)
+        hess = prog.hess_action(x)
+        H = np.column_stack([hess(e) for e in np.eye(prog.n)]) + shift * np.eye(prog.n)
         htilde = prog.hess_diag_cheap(x) + shift
         rep = precond.aug_spectral_report(H, prog.A, htilde, delta)
         eigs = rep.eigenvalues

@@ -97,6 +97,7 @@ class SolveReport:
     dual_inf_history: list = field(default_factory=list)
     mu_history: list = field(default_factory=list)
     inner_iterations: int = 0
+    inner_capped: int = 0  # inner Krylov solves that ended unconverged
     time_s: float = 0.0
     phase_times: dict = field(default_factory=dict)
     final_objective: float = np.nan
@@ -111,6 +112,7 @@ class SolveReport:
             "mu": self.mu_history,
             "time_s": self.time_s,
             "inner_iters": self.inner_iterations,
+            "inner_capped": self.inner_capped,
             "objective": None if np.isnan(self.final_objective) else self.final_objective,
             "phase_times": self.phase_times,
         }
@@ -192,8 +194,9 @@ class AugmentedSystem:
         self.A_act = sp.csc_matrix(program.A[:, self.cols])
         self.diag_shift = state.xi_diag()[self.cols] + state.rho
         self.delta = state.delta
-        self._program = program
-        self._x = state.x
+        self._n = program.n
+        self._hess = program.hess_action(state.x)
+        self._A_act_T = self.A_act.T
         self.matrix = None
         if program.Q is not None:
             H = program.Q[self.cols][:, self.cols] + sp.diags(self.diag_shift)
@@ -204,10 +207,10 @@ class AugmentedSystem:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v1, v2 = v[:self.na], v[self.na:]
-        full = np.zeros(self._program.n)
+        full = np.zeros(self._n)
         full[self.cols] = v1
-        hv = self._program.hess_action(self._x, full)[self.cols]
-        top = -(hv + self.diag_shift * v1) + self.A_act.T @ v2
+        hv = self._hess(full)[self.cols]
+        top = -(hv + self.diag_shift * v1) + self._A_act_T @ v2
         bottom = self.A_act @ v1 + self.delta * v2
         return np.concatenate([top, bottom])
 
@@ -246,7 +249,7 @@ class _DirectContext:
             raise UnsupportedStructureError(
                 "direct path needs an explicit quadratic Hessian")
         self.lu = spla.splu(self.system.matrix)
-        self.inner_iterations = 0
+        self.inner_iterations = self.inner_capped = 0
 
     def solve(self, r1a, r2):
         na = self.system.na
@@ -257,7 +260,7 @@ class _DirectContext:
 class _NormalContext:
     def __init__(self, state, program, options):
         self.system = NormalEquations(state, program)
-        self.inner_iterations = 0
+        self.inner_iterations = self.inner_capped = 0
         kind = options.precond
         if kind == "auto":
             kind = "fmri-block" if program.row_split is not None else "identity"
@@ -276,6 +279,7 @@ class _NormalContext:
         out = pcg(self.system.matvec, rhs, self.precond.apply_inverse,
                   tol=tol, maxit=PCG_MAXIT)
         self.inner_iterations += out.iterations
+        self.inner_capped += not out.converged
         dy = out.solution
         return self.system.recover_dx(dy, r1a), dy
 
@@ -284,7 +288,7 @@ class _MinresContext:
     def __init__(self, state, program, options):
         self.system = AugmentedSystem(state, program)
         self.options = options
-        self.inner_iterations = 0
+        self.inner_iterations = self.inner_capped = 0
         kind = options.precond
         if kind == "auto":
             kind = "aug-block"
@@ -300,7 +304,7 @@ class _MinresContext:
                     f"program provides no diagonal for {options.htilde_choice}")
             htilde = chooser(state.x)[self.system.cols] + self.system.diag_shift
             self.precond = precondmod.build_aug_block_diag_precond(
-                htilde, self.system.A_act, state.delta)
+                htilde, self.system.A_act, state.delta, program.row_split)
         else:
             raise ValueError(f"unknown preconditioner {kind!r} for the MINRES path")
 
@@ -309,6 +313,7 @@ class _MinresContext:
                      self.precond.apply_inverse,
                      tol=MINRES_TOL, maxit=self.options.minres_maxit)
         self.inner_iterations += out.iterations
+        self.inner_capped += not out.converged
         na = self.system.na
         return out.solution[:na], out.solution[na:]
 
@@ -434,6 +439,7 @@ def solve(program: ConvexProgram, options: Optional[SolverOptions] = None):
             break
         t_linalg += time.perf_counter() - t0
         report.inner_iterations += ctx.inner_iterations
+        report.inner_capped += ctx.inner_capped
 
         ap, ad = step_lengths(state, dx, dz)
         state.x = state.x + ap * dx

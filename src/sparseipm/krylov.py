@@ -152,21 +152,26 @@ def minres(M, rhs, precond=None, tol: float = 1e-8, maxit: int = 100) -> KrylovO
     oldb, beta = 0.0, beta1
     dbar, epsln, phibar = 0.0, 0.0, beta1
     cs, sn = -1.0, 0.0
-    w = np.zeros(n)
-    w2 = np.zeros(n)
+    # Buffers owned by the loop, updated in place. y, and the matvec result,
+    # come from callbacks and may alias their argument (an identity
+    # preconditioner returns it), so they are only ever read.
+    v = np.empty(n)
+    w, w1, w2 = np.zeros(n), np.zeros(n), np.zeros(n)
     r2 = r1.copy()
+    tmp = np.empty(n)
     rel = 1.0
     breakdown = None
     it = 0
     for it in range(1, maxit + 1):
-        v = y / beta
+        np.divide(y, beta, out=v)
         y = matvec(v)
         if it >= 2:
-            y = y - (beta / oldb) * r1
+            np.multiply(r1, beta / oldb, out=tmp)
+            y = np.subtract(y, tmp, out=r1)
         alfa = float(v @ y)
-        y = y - (alfa / beta) * r2
-        r1 = r2
-        r2 = y
+        np.multiply(r2, alfa / beta, out=tmp)
+        # the new Lanczos vector goes into r1's buffer, whose content is spent
+        r1, r2 = r2, np.subtract(y, tmp, out=r1)
         y = pinv(r2)
         oldb = beta
         betasq = float(r2 @ y)
@@ -187,10 +192,15 @@ def minres(M, rhs, precond=None, tol: float = 1e-8, maxit: int = 100) -> KrylovO
         phi = cs * phibar
         phibar = sn * phibar
 
-        w1 = w2
-        w2 = w
-        w = (v - oldeps * w1 - delta * w2) / gamma
-        x = x + phi * w
+        # w <- ((v - oldeps * w1) - delta * w2) / gamma, reusing the spent w1
+        w1, w2, w = w2, w, w1
+        np.multiply(w1, oldeps, out=tmp)
+        np.subtract(v, tmp, out=w)
+        np.multiply(w2, delta, out=tmp)
+        np.subtract(w, tmp, out=w)
+        np.divide(w, gamma, out=w)
+        np.multiply(w, phi, out=tmp)
+        np.add(x, tmp, out=x)
 
         rel = phibar / beta1
         if rel <= tol:

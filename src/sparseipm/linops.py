@@ -9,6 +9,7 @@ import copy
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 import scipy.sparse as sp
 
 
@@ -140,20 +141,20 @@ class BlurKernel:
 class BccbOperator:
     """Block-circulant-with-circulant-blocks convolution, applied via the 2d FFT.
 
-    Only the kernel eigenvalue array (the 2d FFT of the PSF) is stored; apply
-    and apply_transpose are a forward FFT, a spectral multiply (conjugated for
-    the transpose) and an inverse FFT, discarding the imaginary residue.
+    Only the half spectrum of the real PSF (its 2d real FFT) is stored; apply
+    and apply_transpose are a forward real FFT, a spectral multiply (conjugated
+    for the transpose) and an inverse real FFT back onto the grid.
     """
 
     def __init__(self, kernel: BlurKernel):
         n1, n2 = kernel.grid
         self.rows = self.cols = n1 * n2
         self.grid = (n1, n2)
-        self.eigenvalues = np.fft.fft2(kernel.psf())
+        self.eigenvalues = scipy.fft.rfft2(kernel.psf())
 
     def _spectral_apply(self, v, eigs):
         img = np.asarray(v, dtype=float).reshape(self.grid)
-        return np.real(np.fft.ifft2(np.fft.fft2(img) * eigs)).ravel()
+        return scipy.fft.irfft2(scipy.fft.rfft2(img) * eigs, s=self.grid).ravel()
 
     def apply(self, v):
         return self._spectral_apply(v, self.eigenvalues)
@@ -173,8 +174,8 @@ class BccbOperator:
         diagonal of D^T diag(u) D; used for diagonal Hessian approximations.
         """
         out = copy.copy(self)
-        out.eigenvalues = np.fft.fft2(np.real(
-            np.fft.ifft2(self.eigenvalues)) ** 2)
+        out.eigenvalues = scipy.fft.rfft2(
+            scipy.fft.irfft2(self.eigenvalues, s=self.grid) ** 2)
         return out
 
 

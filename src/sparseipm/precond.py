@@ -59,11 +59,15 @@ def build_fmri_normal_precond(g_diag: np.ndarray, A, split: int,
     return Preconditioner(apply_inverse=apply_inverse, dense=dense)
 
 
-def build_aug_block_diag_precond(htilde: np.ndarray, A, delta: float) -> Preconditioner:
+def build_aug_block_diag_precond(htilde: np.ndarray, A, delta: float,
+                                 split: Optional[int] = None) -> Preconditioner:
     """blockdiag(H~, A H~^-1 A' + delta I) for the augmented (saddle) system.
 
     ``htilde`` is the diagonal approximation of the full (1,1) block, i.e. it
-    already includes the complementarity and proximal diagonals.
+    already includes the complementarity and proximal diagonals. With
+    ``split = k``, the first k rows of A (dense ones such as a budget row) are
+    eliminated exactly from the Schur block instead of entering its sparse
+    factor; the preconditioner is the same matrix either way.
     """
     htilde = np.asarray(htilde, dtype=float)
     if np.any(htilde <= 0):
@@ -71,19 +75,42 @@ def build_aug_block_diag_precond(htilde: np.ndarray, A, delta: float) -> Precond
     A = sp.csr_matrix(A)
     mrows = A.shape[0]
     S = (A @ sp.diags(1.0 / htilde) @ A.T + delta * sp.eye(mrows)).tocsc()
-    fS = CholeskyFactor(S)
+    solve_s = _bordered_solver(S, split) if split else CholeskyFactor(S).solve
     na = htilde.size
 
     def apply_inverse(r):
         out = np.empty_like(r)
         out[:na] = r[:na] / htilde
-        out[na:] = fS.solve(r[na:])
+        out[na:] = solve_s(r[na:])
         return out
 
     def dense():
         return scipy.linalg.block_diag(np.diag(htilde), S.toarray())
 
     return Preconditioner(apply_inverse=apply_inverse, dense=dense)
+
+
+def _bordered_solver(S, k: int) -> Callable[[np.ndarray], np.ndarray]:
+    """r -> S^-1 r for SPD S = [[S11, S21'], [S21, S22]] with k leading rows.
+
+    Factors the sparse trailing block S22 and the k x k Schur complement
+    C = S11 - S21' S22^-1 S21, whose inverse is kept; each solve then takes
+    one S22 solve. Either factor raises NotPositiveDefiniteError when S is
+    not positive definite.
+    """
+    f22 = CholeskyFactor(S[k:, k:])
+    lead = S[:, :k].toarray()  # [S11; S21]
+    S21 = lead[k:]
+    T = f22.solve(S21)  # S22^-1 S21
+    Cinv = CholeskyFactor(lead[:k] - S21.T @ T).solve(np.eye(k))
+
+    # np.dot: matmul of an (m, 1) array with a vector is ten times slower
+    def solve(r):
+        t = f22.solve(r[k:])
+        y1 = Cinv.dot(r[:k] - S21.T.dot(t))
+        return np.concatenate([y1, t - T.dot(y1)])
+
+    return solve
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,9 @@ class ConvexProgram:
 
     ``hessian_is_diagonal`` is set from ``Q`` on construction: true when the
     explicit Hessian ``Q`` is given and diagonal, which enables the
-    normal-equations solver path. ``hess_diag_cheap`` is an optional
+    normal-equations solver path. ``hess_action(x)`` returns the action
+    v -> Hessian(x) v, so that work shared by all products at one point is done
+    once per point. ``hess_diag_cheap`` is an optional
     inexpensive diagonal approximation of the f-Hessian used by the
     block-diagonal augmented preconditioner.
     """
@@ -35,11 +37,11 @@ class ConvexProgram:
     free: np.ndarray
     objective: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
-    hess_action: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    hess_action: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
     hess_diag: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hess_diag_cheap: Optional[Callable[[np.ndarray], np.ndarray]] = None
     Q: Optional[sp.csr_matrix] = None
-    row_split: Optional[int] = None  # first-block row count for the 2x2 preconditioner
+    row_split: Optional[int] = None  # leading-block row count for the preconditioners
     extract: Optional[Callable[[np.ndarray], np.ndarray]] = None  # split x -> original w
 
     def __post_init__(self):
@@ -71,7 +73,7 @@ def quadratic_program(Q, c, A, b, nonneg=None, free=None, **kw) -> ConvexProgram
         n=n, m=A.shape[0], A=A, b=b, nonneg=nonneg, free=free,
         objective=lambda x: 0.5 * float(x @ (Q @ x)) + float(c @ x),
         gradient=lambda x: Q @ x + c,
-        hess_action=lambda x, v: Q @ v,
+        hess_action=lambda x: lambda v: Q @ v,
         hess_diag=(lambda x: qdiag),
         hess_diag_cheap=(lambda x: qdiag),
         Q=Q, **kw,
@@ -328,11 +330,14 @@ def build_poisson_tv(inst: PoissonTvInstance) -> ConvexProgram:
             raise DomainError("non-positive intensity Dw + a")
         return inst.observed / nu ** 2
 
-    def hess_action(x, v):
+    def hess_action(x):
         u2 = _u2(x)
-        out = np.zeros(nbar)
-        out[:n] = inst.blur.apply_transpose(u2 * inst.blur.apply(v[:n]))
-        return out
+
+        def action(v):
+            out = np.zeros(nbar)
+            out[:n] = inst.blur.apply_transpose(u2 * inst.blur.apply(v[:n]))
+            return out
+        return action
 
     def hess_diag(x):
         # diag(D' U^2 D)_j = sum_i u2_i d_ij^2, via the squared-kernel operator
@@ -346,6 +351,7 @@ def build_poisson_tv(inst: PoissonTvInstance) -> ConvexProgram:
         nonneg=np.arange(nbar), free=np.array([], dtype=int),
         objective=objective, gradient=gradient, hess_action=hess_action,
         hess_diag=hess_diag, hess_diag_cheap=hess_diag_cheap,
+        row_split=1,  # the intensity-budget row, dense over the pixels
     )
     prog.extract = lambda x: x[:n]
     return prog
@@ -409,6 +415,7 @@ def logistic_oracle(D, g, w):
 def build_logistic_l1(inst: LogisticInstance) -> ConvexProgram:
     """Split program with x = [w; d+; d-], w free and w = d+ - d-."""
     D = inst.design()
+    D2 = D ** 2
     g = inst.labels
     s = D.shape[1]
     nbar = 3 * s
@@ -423,15 +430,18 @@ def build_logistic_l1(inst: LogisticInstance) -> ConvexProgram:
         _, grad, _ = logistic_oracle(D, g, x[:s])
         return np.concatenate([grad, np.full(2 * s, tau)])
 
-    def hess_action(x, v):
+    def hess_action(x):
         _, _, hw = logistic_oracle(D, g, x[:s])
-        out = np.zeros(nbar)
-        out[:s] = D.T @ (hw * (D @ v[:s]))
-        return out
+
+        def action(v):
+            out = np.zeros(nbar)
+            out[:s] = D.T @ (hw * (D @ v[:s]))
+            return out
+        return action
 
     def hess_diag(x):
         _, _, hw = logistic_oracle(D, g, x[:s])
-        return np.concatenate([(D ** 2).T @ hw, np.zeros(2 * s)])
+        return np.concatenate([D2.T @ hw, np.zeros(2 * s)])
 
     prog = ConvexProgram(
         n=nbar, m=s, A=A, b=b,

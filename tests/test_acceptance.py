@@ -100,7 +100,7 @@ def test_criterion_02_normal_preconditioner_spectra():
 def _aug_interval_ok(prog, x, theta_inv, rho, delta, htilde_choice):
     n = prog.n
     shift = theta_inv + rho
-    H = np.column_stack([prog.hess_action(x, e) for e in np.eye(n)]) \
+    H = np.column_stack([prog.hess_action(x)(e) for e in np.eye(n)]) \
         + np.diag(shift)
     if htilde_choice == "diag-h":
         htilde = np.diag(H).copy()

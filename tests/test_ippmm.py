@@ -356,3 +356,54 @@ class TestSolveBehavior:
                                            precond="fmri-block"))
         assert rep.status == "numerical-failure"
         assert rep.iterations == 0
+
+
+class TestMinresPath:
+    """Five IP-PMM iterations of a small Poisson restoration on MINRES."""
+
+    @staticmethod
+    def program():
+        from sparseipm.harness import builtin_image, gen_blur_instance
+        from sparseipm.linops import BlurKernel
+        from sparseipm.problems import build_poisson_tv
+        img = builtin_image("squares", 16)
+        kernel = BlurKernel("gaussian", img.shape, {"sigma": 1.0})
+        inst, _ = gen_blur_instance(img, kernel, 100.0, 1.0, 0, lam=5e-3)
+        return build_poisson_tv(inst)
+
+    def test_hessian_action_is_built_once_per_iterate(self):
+        prog = self.program()
+        built = []
+        hess_action = prog.hess_action
+
+        def counted(x):
+            built.append(x)
+            return hess_action(x)
+
+        prog.hess_action = counted
+        _, rep = solve(prog, SolverOptions(linear_solver="minres-augmented",
+                                           max_iter=5))
+        assert rep.iterations == 5
+        assert rep.inner_iterations > 2 * rep.iterations
+        assert len(built) == rep.iterations
+
+    def test_report_counts_unconverged_inner_solves(self, monkeypatch):
+        import json
+        from sparseipm import ippmm
+        outcomes = []
+        minres = ippmm.minres
+
+        def recorded(*args, **kwargs):
+            out = minres(*args, **kwargs)
+            outcomes.append(out)
+            return out
+
+        monkeypatch.setattr(ippmm, "minres", recorded)
+        # a cap of 8 stops the early solves short and lets the later converge
+        _, rep = solve(self.program(), SolverOptions(
+            linear_solver="minres-augmented", max_iter=5, minres_maxit=8))
+        capped = sum(not out.converged for out in outcomes)
+        assert len(outcomes) == 2 * rep.iterations
+        assert 0 < capped < len(outcomes)
+        assert rep.inner_capped == capped
+        assert json.loads(rep.to_json())["inner_capped"] == capped

@@ -190,3 +190,80 @@ def test_capped_run_reports_its_final_residual(solver, preconditioned):
     r = b - K @ out.solution
     expected = np.sqrt(r @ (r / d)) / np.sqrt(b @ (b / d))
     assert out.final_relative_residual == pytest.approx(expected, rel=1e-6)
+
+
+def reference_minres(M, rhs, precond=None, tol=1e-8, maxit=100):
+    """The out-of-place MINRES loop that ``krylov.minres`` updates in place;
+    every vector update allocates, in the same arithmetic order."""
+    matvec = M if callable(M) else (lambda v: M @ v)
+    pinv = precond if precond is not None else (lambda v: v)
+    b = np.asarray(rhs, dtype=float)
+    n = b.size
+    x = np.zeros(n)
+    r1 = b.copy()
+    y = pinv(r1)
+    beta1 = np.sqrt(float(r1 @ y))
+    oldb, beta = 0.0, beta1
+    dbar, epsln, phibar = 0.0, 0.0, beta1
+    cs, sn = -1.0, 0.0
+    w = np.zeros(n)
+    w2 = np.zeros(n)
+    r2 = r1.copy()
+    rel = 1.0
+    it = 0
+    for it in range(1, maxit + 1):
+        v = y / beta
+        y = matvec(v)
+        if it >= 2:
+            y = y - (beta / oldb) * r1
+        alfa = float(v @ y)
+        y = y - (alfa / beta) * r2
+        r1 = r2
+        r2 = y
+        y = pinv(r2)
+        oldb = beta
+        beta = np.sqrt(float(r2 @ y))
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        gamma = max(np.hypot(gbar, beta), np.finfo(float).eps)
+        cs = gbar / gamma
+        sn = beta / gamma
+        phi = cs * phibar
+        phibar = sn * phibar
+        w1 = w2
+        w2 = w
+        w = (v - oldeps * w1 - delta * w2) / gamma
+        x = x + phi * w
+        rel = phibar / beta1
+        if rel <= tol:
+            break
+    return x, it, rel
+
+
+def _saddle(rng, n=30, m=12):
+    H = random_spd(n, rng, cond=1e3)
+    A = rng.standard_normal((m, n))
+    return np.block([[-H, A.T], [A, 1e-2 * np.eye(m)]])
+
+
+@pytest.mark.parametrize("case", ["diagonal-precond", "identity-precond", "capped"])
+def test_minres_is_bit_identical_to_reference_loop(case):
+    from sparseipm.precond import identity_preconditioner
+    rng = np.random.default_rng(12)
+    K = _saddle(rng)
+    b = rng.standard_normal(K.shape[0])
+    d = np.abs(np.diag(K)) + 0.5
+    precond = {"diagonal-precond": lambda v: v / d,
+               # returns its argument, which the loop must never write into
+               "identity-precond": identity_preconditioner(K.shape[0]).apply_inverse,
+               "capped": lambda v: v / d}[case]
+    tol, maxit = (1e-14, 7) if case == "capped" else (1e-10, 500)
+    out = minres(K, b, precond=precond, tol=tol, maxit=maxit)
+    x, it, rel = reference_minres(K, b, precond=precond, tol=tol, maxit=maxit)
+    assert out.converged == (case != "capped")
+    assert out.iterations == it
+    assert out.final_relative_residual == rel
+    np.testing.assert_array_equal(out.solution, x)

@@ -107,6 +107,8 @@ class TestBccbOperator:
         BlurKernel("gaussian", (16, 16), {"sigma": 2.0}),
         BlurKernel("motion", (16, 16), {"length": 7, "angle": 45.0}),
         BlurKernel("out-of-focus", (16, 16), {"radius": 3.0}),
+        BlurKernel("gaussian", (6, 9), {"sigma": 2.0}),
+        BlurKernel("motion", (7, 10), {"length": 7, "angle": 45.0}),
     ])
     def test_matches_dense_circulant(self, kernel):
         op = make_bccb_operator(kernel)
@@ -135,12 +137,15 @@ class TestBccbOperator:
         v = np.random.default_rng(4).uniform(size=64)
         assert abs(op.apply(v).sum() - v.sum()) <= 1e-10
 
-    def test_squared_kernel_gives_exact_diagonal(self):
-        kernel = BlurKernel("gaussian", (8, 8), {"sigma": 1.0})
+    @pytest.mark.parametrize("kernel", [
+        BlurKernel("gaussian", (8, 8), {"sigma": 1.0}),
+        BlurKernel("gaussian", (5, 7), {"sigma": 1.0}),
+    ])
+    def test_squared_kernel_gives_exact_diagonal(self, kernel):
         op = make_bccb_operator(kernel)
         sq = op.squared_kernel_operator()
         dense = op.dense()
-        u = np.random.default_rng(5).uniform(0.5, 2.0, size=64)
+        u = np.random.default_rng(5).uniform(0.5, 2.0, size=op.cols)
         # diag(D' diag(u) D) = (D.^2)' u
         expected = np.diag(dense.T @ np.diag(u) @ dense)
         np.testing.assert_allclose(sq.apply_transpose(u), expected,

@@ -3,12 +3,13 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from sparseipm.krylov import minres, pcg
+from sparseipm.krylov import NotPositiveDefiniteError, minres, pcg
 from sparseipm.precond import (aug_spectral_report, augmented_matrix,
                                build_aug_block_diag_precond,
                                build_fmri_normal_precond,
                                identity_preconditioner,
                                normal_equations_matrix, spectral_check)
+from sparseipm.problems import build_poisson_tv
 
 
 def random_fused_lasso_layout(seed, s=4, q=9, grid=(3, 3)):
@@ -73,6 +74,40 @@ class TestAugBlockDiagPrecond:
         g[0] = -1.0
         with pytest.raises(ValueError):
             build_aug_block_diag_precond(g, A, 1e-3)
+
+    @staticmethod
+    def poisson_layout():
+        """H~ and A of a small Poisson program, whose first row (the intensity
+        budget) is dense over the pixels."""
+        from test_problems import make_poisson
+        prog = build_poisson_tv(make_poisson(size=6))
+        rng = np.random.default_rng(13)
+        x = rng.uniform(0.5, 3.0, size=prog.n)
+        htilde = prog.hess_diag_cheap(x) + rng.uniform(0.1, 10.0, size=prog.n)
+        return htilde, prog.A, prog.row_split
+
+    @pytest.mark.parametrize("delta", [1.0, 1e-8])
+    def test_bordered_split_matches_dense_inverse(self, delta):
+        htilde, A, split = self.poisson_layout()
+        assert split == 1
+        P = build_aug_block_diag_precond(htilde, A, delta, split=split)
+        r = np.random.default_rng(14).standard_normal(htilde.size + A.shape[0])
+        expected = np.linalg.solve(P.dense(), r)
+        err = np.linalg.norm(P.apply_inverse(r) - expected)
+        assert err <= 1e-10 * np.linalg.norm(expected)
+
+    def test_bordered_split_raises_on_indefinite_schur_block(self):
+        # S = M + delta I with lambda_min(M) < -delta < lambda_min(M22): the
+        # trailing block stays positive definite and S does not, so the 1x1
+        # Schur complement of the budget row is the factor that must fail
+        htilde, A, split = self.poisson_layout()
+        M = (A @ sp.diags(1.0 / htilde) @ A.T).toarray()
+        low = np.linalg.eigvalsh(M)[0]
+        low22 = np.linalg.eigvalsh(M[split:, split:])[0]
+        assert low < low22
+        with pytest.raises(NotPositiveDefiniteError):
+            build_aug_block_diag_precond(htilde, A, -0.5 * (low + low22),
+                                         split=split)
 
     def test_minres_with_precond_converges(self):
         A, g, s, ell, _ = random_fused_lasso_layout(9)

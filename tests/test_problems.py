@@ -226,10 +226,10 @@ class TestPoissonTv:
                             rng.uniform(0.1, 1.0, size=prog.n - 64)])
         u = rng.standard_normal(prog.n)
         v = rng.standard_normal(prog.n)
-        huv = float(u @ prog.hess_action(x, v))
-        hvu = float(v @ prog.hess_action(x, u))
+        huv = float(u @ prog.hess_action(x)(v))
+        hvu = float(v @ prog.hess_action(x)(u))
         assert abs(huv - hvu) <= 1e-12 * max(1.0, abs(huv))
-        H = np.column_stack([prog.hess_action(x, e) for e in np.eye(prog.n)])
+        H = np.column_stack([prog.hess_action(x)(e) for e in np.eye(prog.n)])
         np.testing.assert_allclose(prog.hess_diag(x), np.diag(H),
                                    rtol=1e-9, atol=1e-10)
 
@@ -288,7 +288,7 @@ class TestLogistic:
                                 rng.choice([-1.0, 1.0], size=15), tau=0.05)
         prog = build_logistic_l1(inst)
         x = rng.standard_normal(prog.n)
-        H = np.column_stack([prog.hess_action(x, e) for e in np.eye(prog.n)])
+        H = np.column_stack([prog.hess_action(x)(e) for e in np.eye(prog.n)])
         np.testing.assert_allclose(prog.hess_diag(x), np.diag(H),
                                    rtol=1e-10, atol=1e-12)
 
