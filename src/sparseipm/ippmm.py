@@ -18,7 +18,7 @@ import scipy.sparse.linalg as spla
 
 from . import dropping as dropmod
 from . import precond as precondmod
-from .krylov import NotPositiveDefiniteError, minres, pcg
+from .krylov import InertiaError, ldl_factor, minres, pcg
 from .problems import ConvexProgram
 
 
@@ -68,6 +68,7 @@ class IpPmmState:
     drop_log: list = field(default_factory=list)
     last_primal_norm: float = np.inf
     last_dual_norm: float = np.inf
+    saddle: Optional[SaddleMatrix] = None  # the direct path's per-solve matrix
 
     def nonneg_active(self) -> np.ndarray:
         return self.nonneg[~self.dropped[self.nonneg]]
@@ -197,22 +198,76 @@ class AugmentedSystem:
         self._n = program.n
         self._hess = program.hess_action(state.x)
         self._A_act_T = self.A_act.T
-        self.matrix = None
-        if program.Q is not None:
-            H = program.Q[self.cols][:, self.cols] + sp.diags(self.diag_shift)
-            self.matrix = sp.bmat([
-                [-H, self.A_act.T],
-                [self.A_act, self.delta * sp.eye(program.m)],
-            ], format="csc")
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        v1, v2 = v[:self.na], v[self.na:]
-        full = np.zeros(self._n)
-        full[self.cols] = v1
-        hv = self._hess(full)[self.cols]
-        top = -(hv + self.diag_shift * v1) + self._A_act_T @ v2
-        bottom = self.A_act @ v1 + self.delta * v2
-        return np.concatenate([top, bottom])
+        na = self.na
+        v1, v2 = v[:na], v[na:]
+        if na == self._n:
+            hv = self._hess(v1)
+        else:
+            full = np.zeros(self._n)
+            full[self.cols] = v1
+            hv = self._hess(full)[self.cols]
+        out = np.empty(v.size)
+        np.subtract(self._A_act_T @ v2, hv + self.diag_shift * v1, out=out[:na])
+        np.add(self.A_act @ v1, self.delta * v2, out=out[na:])
+        return out
+
+
+class SaddleMatrix:
+    """The direct path's quasi-definite matrix [[-(Q + Θ + ρI), A'], [A, δI]].
+
+    One lives for a whole solve. The pattern, with every diagonal entry
+    stored, is assembled once; it is restricted to the active set and
+    permuted into the elimination order once per active set, and each
+    factorization only rewrites the diagonal. The first factorization finds
+    the order by minimum degree on A + A'; later ones factor the pre-permuted
+    matrix in NATURAL order. Dropping variables restricts the order to the
+    active set, which cannot add fill; a dropped variable never returns.
+    """
+
+    def __init__(self, program: ConvexProgram):
+        if program.Q is None:
+            raise UnsupportedStructureError(
+                "direct path needs an explicit quadratic Hessian")
+        self.n, self.m = program.n, program.m
+        self.qdiag = program.Q.diagonal()
+        # -1 keeps every diagonal entry stored; factor() overwrites it
+        self.pattern = (sp.bmat([[-program.Q, program.A.T], [program.A, None]])
+                        - sp.eye(self.n + self.m)).tocsc()
+        self.order = np.arange(self.n + self.m)  # pattern rows, elimination order
+        self.ordered = False  # until the first factor picks the order
+        self.cols = None      # active set the matrix below is arranged for
+
+    def _arrange(self, cols: np.ndarray):
+        active = np.ones(self.n + self.m, dtype=bool)
+        active[:self.n] = False
+        active[cols] = True
+        self.cols = cols
+        self.rows = self.order[active[self.order]]
+        self.perm = np.cumsum(active)[self.rows] - 1  # active position of each row
+        self.matrix = self.pattern[self.rows][:, self.rows].tocsc()
+        self.matrix.sort_indices()
+        col_of = np.repeat(np.arange(self.rows.size), np.diff(self.matrix.indptr))
+        self.diag_pos = np.flatnonzero(self.matrix.indices == col_of)
+
+    def factor(self, state: IpPmmState, splu):
+        """Write the diagonal of ``state`` and factor; raises InertiaError
+        unless every x pivot is negative and every y pivot positive."""
+        cols = state.active_indices()
+        if self.cols is None or not np.array_equal(cols, self.cols):
+            self._arrange(cols)
+        shift = state.xi_diag()[cols] + state.rho
+        diag = np.concatenate([-(self.qdiag[cols] + shift),
+                               np.full(self.m, state.delta)])
+        self.matrix.data[self.diag_pos] = diag[self.perm]
+        spec = "NATURAL" if self.ordered else "MMD_AT_PLUS_A"
+        lu = ldl_factor(self.matrix, self.perm < cols.size, spec, splu)
+        if not self.ordered:
+            self.order = self.rows[np.argsort(lu.perm_c)]
+            self.ordered = True
+            self.cols = None  # permute into the new order on the next factor
+        return lu
 
 
 class NormalEquations:
@@ -244,17 +299,20 @@ class NormalEquations:
 
 class _DirectContext:
     def __init__(self, state, program, options):
-        self.system = AugmentedSystem(state, program)
-        if self.system.matrix is None:
-            raise UnsupportedStructureError(
-                "direct path needs an explicit quadratic Hessian")
-        self.lu = spla.splu(self.system.matrix)
+        if state.saddle is None:
+            state.saddle = SaddleMatrix(program)
+        saddle = state.saddle
+        self.lu = saddle.factor(state, spla.splu)
+        self.matrix, self.perm = saddle.matrix, saddle.perm
         self.inner_iterations = self.inner_capped = 0
 
     def solve(self, r1a, r2):
-        na = self.system.na
-        sol = self.lu.solve(np.concatenate([r1a, r2]))
-        return sol[:na], sol[na:]
+        r = np.concatenate([r1a, r2])[self.perm]
+        x = self.lu.solve(r)
+        x += self.lu.solve(r - self.matrix @ x)  # one step of iterative refinement
+        sol = np.empty_like(x)
+        sol[self.perm] = x
+        return sol[:r1a.size], sol[r1a.size:]
 
 
 class _NormalContext:
@@ -434,7 +492,7 @@ def solve(program: ConvexProgram, options: Optional[SolverOptions] = None):
         try:
             ctx = _CONTEXTS[options.linear_solver](state, program, options)
             dx, dy, dz, _ = predictor_corrector_step(state, program, ctx, grad)
-        except (RuntimeError, np.linalg.LinAlgError, NotPositiveDefiniteError):
+        except (RuntimeError, np.linalg.LinAlgError, InertiaError):
             status = "numerical-failure"
             break
         t_linalg += time.perf_counter() - t0

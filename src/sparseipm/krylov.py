@@ -20,12 +20,20 @@ except (OSError, AttributeError):  # not glibc
     pass
 
 
-class NotPositiveDefiniteError(ValueError):
+class InertiaError(ValueError):
+    """Raised when a factorization meets a pivot whose sign (or finiteness)
+    contradicts the inertia the matrix must have."""
+
+    def __init__(self, pivot: int, what: str = "has the wrong inertia"):
+        self.pivot = int(pivot)
+        super().__init__(f"matrix {what} (pivot {self.pivot})")
+
+
+class NotPositiveDefiniteError(InertiaError):
     """Raised when a Cholesky factorization hits a non-positive pivot."""
 
     def __init__(self, pivot: int):
-        self.pivot = int(pivot)
-        super().__init__(f"matrix is not positive definite (pivot {self.pivot})")
+        super().__init__(pivot, "is not positive definite")
 
 
 @dataclass
@@ -37,28 +45,37 @@ class KrylovOutcome:
     breakdown_reason: Optional[str] = None
 
 
-class CholeskyFactor:
-    """Reusable SPD factorization; dense via LAPACK, sparse via SuperLU.
+def ldl_factor(M, negative=None, permc_spec="MMD_AT_PLUS_A", splu=spla.splu):
+    """Sparse LDL' of a symmetric matrix whose signs of pivots are known.
 
-    For sparse input, SuperLU is run with a symmetric fill-reducing ordering
-    and no diagonal pivoting, which reproduces a Cholesky-like LDL' with
-    positive pivots iff the matrix is positive definite.
+    ``negative`` marks the rows whose pivots must be negative (none: the
+    matrix must be positive definite). SPD and symmetric quasi-definite
+    matrices factor under any symmetric order without pivoting, so SuperLU
+    runs in symmetric mode with no diagonal pivoting, and pivot k belongs to
+    row ``argsort(perm_c)[k]``. A pivot of the wrong sign, or not finite,
+    raises ``NotPositiveDefiniteError`` (no ``negative``) or ``InertiaError``.
     """
+    lu = splu(M, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+              options=dict(SymmetricMode=True))
+    pivots = np.real(lu.U.diagonal())
+    neg = False if negative is None else negative[np.argsort(lu.perm_c)]
+    bad = np.flatnonzero(~(np.where(neg, pivots < 0, pivots > 0)
+                           & np.isfinite(pivots)))
+    if bad.size:
+        if negative is None:
+            raise NotPositiveDefiniteError(bad[0])
+        raise InertiaError(bad[0])
+    return lu
+
+
+class CholeskyFactor:
+    """Reusable SPD factorization; dense via LAPACK, sparse via ``ldl_factor``
+    with a fresh minimum-degree order on A + A'."""
 
     def __init__(self, M):
         if sp.issparse(M):
             self.is_sparse = True
-            lu = spla.splu(
-                sp.csc_matrix(M),
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                options=dict(SymmetricMode=True),
-            )
-            pivots = lu.U.diagonal()
-            bad = np.flatnonzero(np.real(pivots) <= 0)
-            if bad.size:
-                raise NotPositiveDefiniteError(bad[0])
-            self._lu = lu
+            self._lu = ldl_factor(sp.csc_matrix(M))
         else:
             self.is_sparse = False
             M = np.asarray(M, dtype=float)

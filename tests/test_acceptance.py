@@ -16,8 +16,7 @@ from sparseipm.baselines import admm_solve, asb_chol_solve
 from sparseipm.harness import (builtin_image, gen_blur_instance,
                                gen_classification, gen_fused_lasso,
                                gen_portfolio)
-from sparseipm.ippmm import (AugmentedSystem, NormalEquations, SolverOptions,
-                             newton_rhs, solve)
+from sparseipm.ippmm import NormalEquations, SolverOptions, newton_rhs, solve
 from sparseipm.linops import BlurKernel, make_bccb_operator, make_tv_operator
 from sparseipm.metrics import (corrected_overlap, count_transactions,
                                image_scores, portfolio_ratios,
@@ -26,7 +25,7 @@ from sparseipm.problems import (build_fused_lasso_ls, build_logistic_l1,
                                 build_poisson_tv, build_portfolio_qp,
                                 kl_value_grad, logistic_oracle,
                                 quadratic_program)
-from test_ippmm import random_state
+from test_ippmm import direct_matrix, random_state
 
 
 def _report(num, title, ok):
@@ -165,8 +164,8 @@ def test_criterion_04_solver_path_equivalence():
         normal = NormalEquations(st, prog)
         M = np.column_stack([normal.matvec(e) for e in np.eye(m)])
         dy_normal = np.linalg.solve(M, normal.rhs(r1, r2))
-        system = AugmentedSystem(st, prog)
-        sol = np.linalg.solve(system.matrix.toarray(),
+        matrix = direct_matrix(st, prog)
+        sol = np.linalg.solve(matrix.toarray(),
                               np.concatenate([r1, r2]))
         dy_aug = sol[n:]
         ok &= np.linalg.norm(dy_normal - dy_aug) \

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from sparseipm import baselines
+from sparseipm import baselines, ippmm
 from sparseipm.ippmm import (AugmentedSystem, IpPmmState, NormalEquations,
                              SolverOptions, UnsupportedStructureError,
+                             _DirectContext,
                              check_termination, initial_state, newton_rhs,
                              solve, step_lengths,
                              update_penalties_and_estimates)
-from sparseipm.problems import quadratic_program
+from sparseipm.harness import gen_portfolio
+from sparseipm.problems import build_portfolio_qp, quadratic_program
 from test_problems import make_portfolio
 
 
@@ -25,6 +28,13 @@ def random_state(prog, seed=0, rho=1e-2, delta=1e-2):
     state.mu = state.complementarity()
     state.rho, state.delta = rho, delta
     return state
+
+
+def direct_matrix(state, program):
+    """The direct path's assembled saddle matrix at ``state``, in natural order."""
+    ctx = _DirectContext(state, program, SolverOptions())
+    inv = np.argsort(ctx.perm)
+    return ctx.matrix[inv][:, inv]
 
 
 class TestScalarProblems:
@@ -149,12 +159,12 @@ class TestSystemAssembly:
     def test_augmented_matches_hand_assembly(self):
         prog = self._program(diag=False)
         st = random_state(prog, seed=5)
-        system = AugmentedSystem(st, prog)
+        matrix = direct_matrix(st, prog)
         r1, r2 = newton_rhs(st, prog, prog.gradient(st.x), 1.0)
         H = prog.Q.toarray() + np.diag(st.z / st.x) + st.rho * np.eye(4)
         K = np.block([[-H, prog.A.toarray().T],
                       [prog.A.toarray(), st.delta * np.eye(2)]])
-        np.testing.assert_allclose(system.matrix.toarray(), K, atol=1e-12)
+        np.testing.assert_allclose(matrix.toarray(), K, atol=1e-12)
         # rhs against the definition
         g = prog.gradient(st.x)
         expected_r1 = (g - prog.A.T @ st.y + st.rho * (st.x - st.zeta)
@@ -169,8 +179,8 @@ class TestSystemAssembly:
                                  rng.standard_normal((1, 3)), np.ones(1),
                                  free=np.arange(3))
         st = random_state(prog, seed=7)
-        system = AugmentedSystem(st, prog)
-        block = system.matrix.toarray()[:3, :3]
+        matrix = direct_matrix(st, prog)
+        block = matrix.toarray()[:3, :3]
         np.testing.assert_allclose(block, -(1.0 + st.rho) * np.eye(3),
                                    atol=1e-14)
 
@@ -178,9 +188,26 @@ class TestSystemAssembly:
         prog = self._program(diag=False)
         st = random_state(prog, seed=8)
         system = AugmentedSystem(st, prog)
+        matrix = direct_matrix(st, prog)
         v = np.random.default_rng(9).standard_normal(6)
-        np.testing.assert_allclose(system.matvec(v), system.matrix @ v,
+        np.testing.assert_allclose(system.matvec(v), matrix @ v,
                                    atol=1e-10)
+
+    @pytest.mark.parametrize("dropped", [[], [1, 4, 7]], ids=["all-active", "dropped"])
+    def test_matvec_is_bit_identical_to_scatter_gather(self, dropped):
+        prog = self._program(seed=30, n=10, m=4, diag=False)
+        st = random_state(prog, seed=31)
+        st.dropped[dropped] = True
+        system = AugmentedSystem(st, prog)
+        v = np.random.default_rng(32).standard_normal(system.na + prog.m)
+        # the scatter, gather and concatenation the matvec used to do
+        v1, v2 = v[:system.na], v[system.na:]
+        full = np.zeros(prog.n)
+        full[system.cols] = v1
+        hv = prog.hess_action(st.x)(full)[system.cols]
+        top = -(hv + system.diag_shift * v1) + system.A_act.T @ v2
+        bottom = system.A_act @ v1 + system.delta * v2
+        assert np.array_equal(system.matvec(v), np.concatenate([top, bottom]))
 
     def test_normal_equations_identity_case(self):
         prog = quadratic_program(np.eye(3) * 0.0, np.zeros(3), np.eye(3),
@@ -201,8 +228,8 @@ class TestSystemAssembly:
         normal = NormalEquations(st, prog)
         M = np.column_stack([normal.matvec(e) for e in np.eye(4)])
         dy_normal = np.linalg.solve(M, normal.rhs(r1, r2))
-        system = AugmentedSystem(st, prog)
-        sol = np.linalg.solve(system.matrix.toarray(), np.concatenate([r1, r2]))
+        matrix = direct_matrix(st, prog)
+        sol = np.linalg.solve(matrix.toarray(), np.concatenate([r1, r2]))
         np.testing.assert_allclose(dy_normal, sol[10:], rtol=1e-10, atol=1e-10)
 
     def test_normal_operator_min_eigenvalue_at_least_delta(self):
@@ -226,6 +253,90 @@ class TestSystemAssembly:
         expected = (g - prog.A.T @ st.y + st.rho * (st.x - st.zeta)
                     - st.mu / st.x)
         np.testing.assert_allclose(r1, expected, atol=1e-13)
+
+
+class CountingSpla:
+    """Stand-in for ``ippmm.spla`` that records the order and the fill of
+    every ``splu``."""
+
+    def __init__(self, wrap=lambda lu: lu):
+        self.specs, self.nnz = [], []
+        self._wrap = wrap
+
+    def splu(self, *args, **kwargs):
+        lu = spla.splu(*args, **kwargs)
+        self.specs.append(kwargs.get("permc_spec"))
+        self.nnz.append(lu.nnz)
+        return self._wrap(lu)
+
+
+class TestDirectPath:
+    def test_step_matches_dense_solve_with_reused_and_restricted_order(
+            self, monkeypatch):
+        counting = CountingSpla()
+        monkeypatch.setattr(ippmm, "spla", counting)
+        prog = build_portfolio_qp(gen_portfolio(8, 4, 0))
+        st = random_state(prog, seed=41)
+        Q, A = prog.Q.toarray(), prog.A.toarray()
+        perms = []
+        for change in ("first", "reused", "restricted"):
+            if change == "reused":
+                st.x = 1.5 * st.x
+                st.rho, st.delta = 1e-4, 1e-3
+            elif change == "restricted":
+                st.dropped[[2, 50, 90]] = True
+            ctx = _DirectContext(st, prog, SolverOptions())
+            perms.append(ctx.perm)
+            cols = st.active_indices()
+            r1, r2 = newton_rhs(st, prog, prog.gradient(st.x), 0.5)
+            H = Q[np.ix_(cols, cols)] + np.diag(st.xi_diag()[cols] + st.rho)
+            K = np.block([[-H, A[:, cols].T],
+                          [A[:, cols], st.delta * np.eye(prog.m)]])
+            dx, dy = ctx.solve(r1, r2)
+            np.testing.assert_allclose(np.concatenate([dx, dy]),
+                                       np.linalg.solve(K, np.concatenate([r1, r2])),
+                                       rtol=1e-10, atol=1e-10)
+        assert counting.specs == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL"]
+        assert counting.nnz[1] == counting.nnz[0]  # the order is kept, not inverted
+        assert not np.array_equal(perms[1], np.arange(perms[1].size))
+        assert perms[2].size == perms[1].size - 3
+
+    def test_wrong_inertia_is_numerical_failure(self, monkeypatch):
+        class Flipped:
+            """A factor whose pivots all have the opposite sign."""
+
+            def __init__(self, lu):
+                self.U = -lu.U
+                self._lu = lu
+
+            def __getattr__(self, name):
+                return getattr(self._lu, name)
+
+        monkeypatch.setattr(ippmm, "spla", CountingSpla(Flipped))
+        prog = build_portfolio_qp(gen_portfolio(8, 4, 0))
+        _, rep = solve(prog, SolverOptions())
+        assert rep.status == "numerical-failure"
+        assert rep.iterations == 0
+
+    def test_dropping_solve_orders_once(self, monkeypatch):
+        counting = CountingSpla()
+        monkeypatch.setattr(ippmm, "spla", counting)
+        prog = build_portfolio_qp(gen_portfolio(8, 4, 0))
+        _, rep = solve(prog, SolverOptions(dropping=True, eps_drop=1e-4))
+        assert rep.status == "optimal" and rep.drop_audit["dropped"]
+        assert counting.specs.count("MMD_AT_PLUS_A") == 1
+        assert counting.specs[0] == "MMD_AT_PLUS_A"
+
+    @pytest.mark.parametrize("dropping", [False, True])
+    def test_every_factorization_goes_through_ippmm_splu(self, monkeypatch,
+                                                        dropping):
+        # the benchmark's ippmm.lu_factor layer is traced on this name
+        counting = CountingSpla()
+        monkeypatch.setattr(ippmm, "spla", counting)
+        prog = build_portfolio_qp(gen_portfolio(8, 4, 1))
+        _, rep = solve(prog, SolverOptions(dropping=dropping, eps_drop=1e-4))
+        assert rep.status == "optimal"
+        assert len(counting.specs) == rep.iterations
 
 
 class TestSolveBehavior:
