@@ -29,7 +29,7 @@ PENALTY_FLOOR = 1e-8               # lower bound on the penalties rho and delta
 ESTIMATE_DECREASE = 0.95           # residual decrease that refreshes the estimates
 DROP_ACTIVATION = 1e-2             # dropping scans only once mu <= this * mu0
 PCG_TOL, PCG_MAXIT = 1e-4, 2000   # inner PCG: relative tolerance, iteration cap
-MINRES_TOL = 1e-4                  # inner MINRES relative tolerance
+MINRES_TOL, MINRES_MAXIT = 1e-4, 20  # inner MINRES: relative tolerance, cap
 
 
 class UnsupportedStructureError(ValueError):
@@ -46,7 +46,6 @@ class SolverOptions:
     dropping: bool = False
     eps_drop: float = 1e-4
     xi: float = 1e2
-    minres_maxit: int = 20
     x0: Optional[np.ndarray] = None
 
 
@@ -145,51 +144,64 @@ def initial_state(program: ConvexProgram, options: SolverOptions) -> IpPmmState:
 
 
 # ---------------------------------------------------------------------------
-# Residuals and system assembly
+# Residuals and right-hand side
 
 
 def kkt_residuals(state: IpPmmState, program: ConvexProgram):
-    """Scaled primal/dual infeasibility and average complementarity."""
+    """Scaled primal/dual infeasibility and average complementarity, with
+    b - Ax, grad - A'y and the dual residual grad - A'y - z."""
     g = program.gradient(state.x)
     rp = program.b - program.A @ state.x
-    rd = g - program.A.T @ state.y - state.z
+    gy = g - program.A.T @ state.y
+    rd = gy - state.z
     act = state.active_indices()
     primal = float(np.linalg.norm(rp)) / (1.0 + np.linalg.norm(program.b))
     dual = float(np.linalg.norm(rd[act])) / (1.0 + np.linalg.norm(g[act]))
-    return primal, dual, state.complementarity(), g, rp, rd
+    return primal, dual, state.complementarity(), rp, gy, rd
 
 
 def check_termination(primal: float, dual: float, mu: float, tol: float) -> bool:
     return primal <= tol and dual <= tol and mu <= tol
 
 
-def newton_rhs(state: IpPmmState, program: ConvexProgram, grad: np.ndarray,
-               sigma: float, correction: Optional[np.ndarray] = None):
-    """Right-hand side of the reduced augmented system on the active set.
+def newton_rhs(state: IpPmmState, rp: np.ndarray, gy: np.ndarray, sigma: float,
+               correction: Optional[np.ndarray] = None):
+    """Right-hand side of the reduced augmented system on the active set,
+    from ``rp`` = b - Ax and ``gy`` = grad - A'y of ``kkt_residuals``.
 
     ``correction`` carries the second-order complementarity products
     dx_aff * dz_aff of the predictor for the corrector solve.
     """
-    r1 = grad - program.A.T @ state.y
+    r1 = gy
     if sigma != 0.0:
         r1 = r1 + sigma * state.rho * (state.x - state.zeta)
     ia = state.nonneg_active()
     if ia.size:
-        barrier = np.zeros(program.n)
+        barrier = np.zeros(state.x.size)
         if sigma != 0.0:
             barrier[ia] -= sigma * state.mu / state.x[ia]
         if correction is not None:
             barrier[ia] += correction[ia] / state.x[ia]
         r1 = r1 + barrier
-    r2 = program.b - program.A @ state.x - sigma * state.delta * (state.y - state.eta)
+    r2 = rp - sigma * state.delta * (state.y - state.eta)
     cols = state.active_indices()
     return r1[cols], r2
 
 
-class AugmentedSystem:
-    """Symmetric indefinite 2x2 block operator on the active coordinates."""
+# ---------------------------------------------------------------------------
+# Linear-solver paths. ``_CONTEXTS`` builds one per outer iteration; its
+# ``solve(r1a, r2)`` serves both the predictor and the corrector and returns
+# (dx on the active set, dy).
 
-    def __init__(self, state: IpPmmState, program: ConvexProgram):
+
+class AugmentedSystem:
+    """MINRES path: the symmetric indefinite 2x2 block operator on the active
+    coordinates, with the block-diagonal preconditioner built from H~."""
+
+    inner_iterations = inner_capped = 0  # MINRES iterations, unconverged solves
+
+    def __init__(self, state: IpPmmState, program: ConvexProgram,
+                 options: SolverOptions):
         self.cols = state.active_indices()
         self.na = self.cols.size
         self.A_act = sp.csc_matrix(program.A[:, self.cols])
@@ -198,6 +210,14 @@ class AugmentedSystem:
         self._n = program.n
         self._hess = program.hess_action(state.x)
         self._A_act_T = self.A_act.T
+        chooser = (program.hess_diag_cheap if options.htilde_choice == "u-squared"
+                   else program.hess_diag)
+        if chooser is None:
+            raise UnsupportedStructureError(
+                f"program provides no diagonal for {options.htilde_choice}")
+        htilde = chooser(state.x)[self.cols] + self.diag_shift
+        self.precond = precondmod.build_aug_block_diag_precond(
+            htilde, self.A_act, state.delta, program.row_split)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         na = self.na
@@ -213,6 +233,13 @@ class AugmentedSystem:
         np.add(self.A_act @ v1, self.delta * v2, out=out[na:])
         return out
 
+    def solve(self, r1a: np.ndarray, r2: np.ndarray):
+        out = minres(self.matvec, np.concatenate([r1a, r2]),
+                     self.precond.apply_inverse, tol=MINRES_TOL, maxit=MINRES_MAXIT)
+        self.inner_iterations += out.iterations
+        self.inner_capped += not out.converged
+        return out.solution[:self.na], out.solution[self.na:]
+
 
 class SaddleMatrix:
     """The direct path's quasi-definite matrix [[-(Q + Θ + ρI), A'], [A, δI]].
@@ -225,6 +252,8 @@ class SaddleMatrix:
     matrix in NATURAL order. Dropping variables restricts the order to the
     active set, which cannot add fill; a dropped variable never returns.
     """
+
+    inner_iterations = inner_capped = 0  # a direct solve has no inner iterations
 
     def __init__(self, program: ConvexProgram):
         if program.Q is None:
@@ -251,7 +280,7 @@ class SaddleMatrix:
         col_of = np.repeat(np.arange(self.rows.size), np.diff(self.matrix.indptr))
         self.diag_pos = np.flatnonzero(self.matrix.indices == col_of)
 
-    def factor(self, state: IpPmmState, splu):
+    def factor(self, state: IpPmmState):
         """Write the diagonal of ``state`` and factor; raises InertiaError
         unless every x pivot is negative and every y pivot positive."""
         cols = state.active_indices()
@@ -262,18 +291,38 @@ class SaddleMatrix:
                                np.full(self.m, state.delta)])
         self.matrix.data[self.diag_pos] = diag[self.perm]
         spec = "NATURAL" if self.ordered else "MMD_AT_PLUS_A"
-        lu = ldl_factor(self.matrix, self.perm < cols.size, spec, splu)
+        self.lu = ldl_factor(self.matrix, self.perm < cols.size, spec, spla.splu)
         if not self.ordered:
-            self.order = self.rows[np.argsort(lu.perm_c)]
+            self.order = self.rows[np.argsort(self.lu.perm_c)]
             self.ordered = True
             self.cols = None  # permute into the new order on the next factor
-        return lu
+
+    def solve(self, r1a: np.ndarray, r2: np.ndarray):
+        r = np.concatenate([r1a, r2])[self.perm]
+        x = self.lu.solve(r)
+        x += self.lu.solve(r - self.matrix @ x)  # one step of iterative refinement
+        sol = np.empty_like(x)
+        sol[self.perm] = x
+        return sol[:r1a.size], sol[r1a.size:]
+
+
+def _factor_saddle(state: IpPmmState, program: ConvexProgram,
+                   options: SolverOptions) -> SaddleMatrix:
+    """Direct path: factor the solve's saddle matrix at ``state``."""
+    if state.saddle is None:
+        state.saddle = SaddleMatrix(program)
+    state.saddle.factor(state)
+    return state.saddle
 
 
 class NormalEquations:
-    """SPD operator dy -> (A G^-1 A' + delta I) dy with G diagonal."""
+    """PCG path: the SPD operator dy -> (A G^-1 A' + delta I) dy with G
+    diagonal, and its preconditioner."""
 
-    def __init__(self, state: IpPmmState, program: ConvexProgram):
+    inner_iterations = inner_capped = 0  # PCG iterations, unconverged solves
+
+    def __init__(self, state: IpPmmState, program: ConvexProgram,
+                 options: SolverOptions):
         if not program.hessian_is_diagonal:
             raise UnsupportedStructureError(
                 "normal equations need a diagonal Hessian; use the augmented path")
@@ -282,6 +331,14 @@ class NormalEquations:
         self.gdiag = (program.hess_diag(state.x)[self.cols]
                       + state.xi_diag()[self.cols] + state.rho)
         self.delta = state.delta
+        kind = options.precond
+        if kind == "auto":
+            kind = "fmri-block" if program.row_split is not None else "identity"
+        if kind == "fmri-block":
+            self.precond = precondmod.build_fmri_normal_precond(
+                self.gdiag, self.A_act, program.row_split, state.delta)
+        else:
+            self.precond = precondmod.identity_preconditioner(program.m)
 
     def matvec(self, dy: np.ndarray) -> np.ndarray:
         return self.A_act @ ((self.A_act.T @ dy) / self.gdiag) + self.delta * dy
@@ -292,95 +349,26 @@ class NormalEquations:
     def recover_dx(self, dy: np.ndarray, r1a: np.ndarray) -> np.ndarray:
         return (self.A_act.T @ dy - r1a) / self.gdiag
 
-
-# ---------------------------------------------------------------------------
-# Per-iteration linear solver contexts
-
-
-class _DirectContext:
-    def __init__(self, state, program, options):
-        if state.saddle is None:
-            state.saddle = SaddleMatrix(program)
-        saddle = state.saddle
-        self.lu = saddle.factor(state, spla.splu)
-        self.matrix, self.perm = saddle.matrix, saddle.perm
-        self.inner_iterations = self.inner_capped = 0
-
-    def solve(self, r1a, r2):
-        r = np.concatenate([r1a, r2])[self.perm]
-        x = self.lu.solve(r)
-        x += self.lu.solve(r - self.matrix @ x)  # one step of iterative refinement
-        sol = np.empty_like(x)
-        sol[self.perm] = x
-        return sol[:r1a.size], sol[r1a.size:]
-
-
-class _NormalContext:
-    def __init__(self, state, program, options):
-        self.system = NormalEquations(state, program)
-        self.inner_iterations = self.inner_capped = 0
-        kind = options.precond
-        if kind == "auto":
-            kind = "fmri-block" if program.row_split is not None else "identity"
-        if kind == "fmri-block":
-            self.precond = precondmod.build_fmri_normal_precond(
-                self.system.gdiag, self.system.A_act, program.row_split, state.delta)
-        elif kind == "identity":
-            self.precond = precondmod.identity_preconditioner(program.m)
-        else:
-            raise ValueError(f"unknown preconditioner {kind!r} for the normal path")
-
-    def solve(self, r1a, r2):
-        rhs = self.system.rhs(r1a, r2)
+    def solve(self, r1a: np.ndarray, r2: np.ndarray):
+        rhs = self.rhs(r1a, r2)
         nrm = np.linalg.norm(rhs)
         tol = PCG_TOL if nrm < 1.0 else max(1e-8, PCG_TOL / nrm)
-        out = pcg(self.system.matvec, rhs, self.precond.apply_inverse,
+        out = pcg(self.matvec, rhs, self.precond.apply_inverse,
                   tol=tol, maxit=PCG_MAXIT)
         self.inner_iterations += out.iterations
         self.inner_capped += not out.converged
         dy = out.solution
-        return self.system.recover_dx(dy, r1a), dy
-
-
-class _MinresContext:
-    def __init__(self, state, program, options):
-        self.system = AugmentedSystem(state, program)
-        self.options = options
-        self.inner_iterations = self.inner_capped = 0
-        kind = options.precond
-        if kind == "auto":
-            kind = "aug-block"
-        if kind == "identity":
-            self.precond = precondmod.identity_preconditioner(
-                self.system.na + program.m)
-        elif kind == "aug-block":
-            chooser = (program.hess_diag_cheap
-                       if options.htilde_choice == "u-squared"
-                       else program.hess_diag)
-            if chooser is None:
-                raise UnsupportedStructureError(
-                    f"program provides no diagonal for {options.htilde_choice}")
-            htilde = chooser(state.x)[self.system.cols] + self.system.diag_shift
-            self.precond = precondmod.build_aug_block_diag_precond(
-                htilde, self.system.A_act, state.delta, program.row_split)
-        else:
-            raise ValueError(f"unknown preconditioner {kind!r} for the MINRES path")
-
-    def solve(self, r1a, r2):
-        out = minres(self.system.matvec, np.concatenate([r1a, r2]),
-                     self.precond.apply_inverse,
-                     tol=MINRES_TOL, maxit=self.options.minres_maxit)
-        self.inner_iterations += out.iterations
-        self.inner_capped += not out.converged
-        na = self.system.na
-        return out.solution[:na], out.solution[na:]
+        return self.recover_dx(dy, r1a), dy
 
 
 _CONTEXTS = {
-    "direct-augmented": _DirectContext,
-    "pcg-normal": _NormalContext,
-    "minres-augmented": _MinresContext,
+    "direct-augmented": _factor_saddle,
+    "pcg-normal": NormalEquations,
+    "minres-augmented": AugmentedSystem,
 }
+# preconditioners each path accepts besides "auto"
+_PRECONDS = {"direct-augmented": (), "pcg-normal": ("identity", "fmri-block"),
+             "minres-augmented": ("aug-block",)}
 
 
 # ---------------------------------------------------------------------------
@@ -409,16 +397,16 @@ def _expand_direction(state, cols, dxa, dy, rc):
     return dx, dy, dz
 
 
-def predictor_corrector_step(state: IpPmmState, program: ConvexProgram, ctx,
-                             grad: np.ndarray):
+def predictor_corrector_step(state: IpPmmState, ctx, rp: np.ndarray,
+                             gy: np.ndarray):
     """Affine predictor then centering-corrector solve with the same matrix."""
     cols = state.active_indices()
     ia = state.nonneg_active()
 
     # predictor: sigma = 0, complementarity rhs -XZe
-    r1a, r2 = newton_rhs(state, program, grad, sigma=0.0)
+    r1a, r2 = newton_rhs(state, rp, gy, sigma=0.0)
     dxa, dy = ctx.solve(r1a, r2)
-    rc_aff = np.zeros(program.n)
+    rc_aff = np.zeros(state.x.size)
     rc_aff[ia] = -state.x[ia] * state.z[ia]
     dx_aff, dy_aff, dz_aff = _expand_direction(state, cols, dxa, dy, rc_aff)
 
@@ -433,12 +421,11 @@ def predictor_corrector_step(state: IpPmmState, program: ConvexProgram, ctx,
 
     # corrector: centering plus second-order complementarity correction
     soc = dx_aff * dz_aff
-    r1a, r2 = newton_rhs(state, program, grad, sigma=sigma, correction=soc)
+    r1a, r2 = newton_rhs(state, rp, gy, sigma=sigma, correction=soc)
     dxa, dy = ctx.solve(r1a, r2)
-    rc = np.zeros(program.n)
+    rc = np.zeros(state.x.size)
     rc[ia] = sigma * state.mu - state.x[ia] * state.z[ia] - soc[ia]
-    dx, dy, dz = _expand_direction(state, cols, dxa, dy, rc)
-    return dx, dy, dz, sigma
+    return _expand_direction(state, cols, dxa, dy, rc)
 
 
 def update_penalties_and_estimates(state: IpPmmState, primal_norm: float,
@@ -468,6 +455,13 @@ def solve(program: ConvexProgram, options: Optional[SolverOptions] = None):
         raise ValueError("tol must be positive and max_iter at least 1")
     if options.dropping and not (options.eps_drop > 0 and options.xi > 0):
         raise ValueError("dropping needs positive eps_drop and xi")
+    if options.htilde_choice not in ("u-squared", "diag-h"):
+        raise ValueError(f"unknown htilde_choice {options.htilde_choice!r}")
+    if options.precond not in ("auto", *_PRECONDS[options.linear_solver]):
+        raise ValueError(f"preconditioner {options.precond!r} does not apply to "
+                         f"{options.linear_solver}")
+    if options.precond == "fmri-block" and program.row_split is None:
+        raise ValueError("fmri-block needs a program with a row_split")
     t_start = time.perf_counter()
     t_linalg = 0.0
     state = initial_state(program, options)
@@ -477,7 +471,7 @@ def solve(program: ConvexProgram, options: Optional[SolverOptions] = None):
 
     for k in range(options.max_iter):
         state.k = k
-        primal, dual, mu, grad, rp, rd = kkt_residuals(state, program)
+        primal, dual, mu, rp, gy, rd = kkt_residuals(state, program)
         report.primal_inf_history.append(primal)
         report.dual_inf_history.append(dual)
         report.mu_history.append(mu)
@@ -491,7 +485,7 @@ def solve(program: ConvexProgram, options: Optional[SolverOptions] = None):
         t0 = time.perf_counter()
         try:
             ctx = _CONTEXTS[options.linear_solver](state, program, options)
-            dx, dy, dz, _ = predictor_corrector_step(state, program, ctx, grad)
+            dx, dy, dz = predictor_corrector_step(state, ctx, rp, gy)
         except (RuntimeError, np.linalg.LinAlgError, InertiaError):
             status = "numerical-failure"
             break

@@ -1,4 +1,4 @@
-"""Two small ``ast`` checks in place of a linter.
+"""Three small ``ast`` checks in place of a linter.
 
 - Every name a ``sparseipm`` module imports is used in that module: it appears
   as a name anywhere in the module, or in ``__all__``.
@@ -6,13 +6,18 @@
   ``src/`` or ``perfbench/``, not only in its own unit tests. A reference is a
   name, an attribute, an import alias or a string constant, since the
   benchmark's tracing binds names by string; ``__all__`` entries are strings.
+- Every ``SolverOptions`` field is set somewhere in ``src/`` or
+  ``perfbench/``: it appears there as a keyword argument or a string constant
+  (``setattr`` by name). An option that only tests set is not a caller setting.
 """
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 import sparseipm
+from sparseipm.ippmm import SolverOptions
 
 MODULES = sorted(Path(sparseipm.__file__).parent.glob("*.py"))
 PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
@@ -96,3 +101,25 @@ def test_no_public_name_only_tests_call():
         modules, [p.read_text() for p in PERFBENCH])
     assert [name for name in unreferenced
             if name.split(".")[-1] not in ALLOWED_UNREFERENCED] == []
+
+
+def unset_options(fields, sources) -> list:
+    """Fields that no source passes as a keyword or names as a string."""
+    named = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.keyword):
+                named.add(node.arg)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+    return sorted(set(fields) - named)
+
+
+def test_checker_flags_an_unset_option():
+    sources = ["f(tol=1.0)\n", "for name in ('xi',): pass\nopts.cap = 3\n"]
+    assert unset_options(["tol", "xi", "cap"], sources) == ["cap"]
+
+
+def test_every_solver_option_has_a_caller():
+    fields = [f.name for f in dataclasses.fields(SolverOptions)]
+    assert unset_options(fields, [p.read_text() for p in MODULES + PERFBENCH]) == []

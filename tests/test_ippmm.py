@@ -6,9 +6,8 @@ import scipy.sparse.linalg as spla
 from sparseipm import baselines, ippmm
 from sparseipm.ippmm import (AugmentedSystem, IpPmmState, NormalEquations,
                              SolverOptions, UnsupportedStructureError,
-                             _DirectContext,
-                             check_termination, initial_state, newton_rhs,
-                             solve, step_lengths,
+                             check_termination, initial_state, kkt_residuals,
+                             newton_rhs, solve, step_lengths,
                              update_penalties_and_estimates)
 from sparseipm.harness import gen_portfolio
 from sparseipm.problems import build_portfolio_qp, quadratic_program
@@ -32,9 +31,9 @@ def random_state(prog, seed=0, rho=1e-2, delta=1e-2):
 
 def direct_matrix(state, program):
     """The direct path's assembled saddle matrix at ``state``, in natural order."""
-    ctx = _DirectContext(state, program, SolverOptions())
-    inv = np.argsort(ctx.perm)
-    return ctx.matrix[inv][:, inv]
+    saddle = ippmm._CONTEXTS["direct-augmented"](state, program, SolverOptions())
+    inv = np.argsort(saddle.perm)
+    return saddle.matrix[inv][:, inv]
 
 
 class TestScalarProblems:
@@ -160,7 +159,8 @@ class TestSystemAssembly:
         prog = self._program(diag=False)
         st = random_state(prog, seed=5)
         matrix = direct_matrix(st, prog)
-        r1, r2 = newton_rhs(st, prog, prog.gradient(st.x), 1.0)
+        _, _, _, rp, gy, _ = kkt_residuals(st, prog)
+        r1, r2 = newton_rhs(st, rp, gy, 1.0)
         H = prog.Q.toarray() + np.diag(st.z / st.x) + st.rho * np.eye(4)
         K = np.block([[-H, prog.A.toarray().T],
                       [prog.A.toarray(), st.delta * np.eye(2)]])
@@ -187,7 +187,7 @@ class TestSystemAssembly:
     def test_matvec_agrees_with_matrix(self):
         prog = self._program(diag=False)
         st = random_state(prog, seed=8)
-        system = AugmentedSystem(st, prog)
+        system = AugmentedSystem(st, prog, SolverOptions())
         matrix = direct_matrix(st, prog)
         v = np.random.default_rng(9).standard_normal(6)
         np.testing.assert_allclose(system.matvec(v), matrix @ v,
@@ -198,7 +198,7 @@ class TestSystemAssembly:
         prog = self._program(seed=30, n=10, m=4, diag=False)
         st = random_state(prog, seed=31)
         st.dropped[dropped] = True
-        system = AugmentedSystem(st, prog)
+        system = AugmentedSystem(st, prog, SolverOptions())
         v = np.random.default_rng(32).standard_normal(system.na + prog.m)
         # the scatter, gather and concatenation the matvec used to do
         v1, v2 = v[:system.na], v[system.na:]
@@ -217,15 +217,16 @@ class TestSystemAssembly:
         st.z = np.ones(3)
         st.rho = 0.0
         st.delta = 0.0
-        system = NormalEquations(st, prog)
+        system = NormalEquations(st, prog, SolverOptions())
         v = np.array([1.0, -2.0, 0.5])
         np.testing.assert_allclose(system.matvec(v), v, atol=1e-14)
 
     def test_normal_equals_augmented_dy(self):
         prog = self._program(seed=11, n=10, m=4, diag=True)
         st = random_state(prog, seed=12)
-        r1, r2 = newton_rhs(st, prog, prog.gradient(st.x), 1.0)
-        normal = NormalEquations(st, prog)
+        _, _, _, rp, gy, _ = kkt_residuals(st, prog)
+        r1, r2 = newton_rhs(st, rp, gy, 1.0)
+        normal = NormalEquations(st, prog, SolverOptions())
         M = np.column_stack([normal.matvec(e) for e in np.eye(4)])
         dy_normal = np.linalg.solve(M, normal.rhs(r1, r2))
         matrix = direct_matrix(st, prog)
@@ -235,7 +236,7 @@ class TestSystemAssembly:
     def test_normal_operator_min_eigenvalue_at_least_delta(self):
         prog = self._program(seed=13, n=8, m=3, diag=True)
         st = random_state(prog, seed=14, delta=0.37)
-        normal = NormalEquations(st, prog)
+        normal = NormalEquations(st, prog, SolverOptions())
         M = np.column_stack([normal.matvec(e) for e in np.eye(3)])
         assert np.linalg.eigvalsh(M).min() >= 0.37 - 1e-12
 
@@ -243,16 +244,42 @@ class TestSystemAssembly:
         prog = self._program(diag=False)
         st = random_state(prog, seed=15)
         with pytest.raises(UnsupportedStructureError):
-            NormalEquations(st, prog)
+            NormalEquations(st, prog, SolverOptions())
 
     def test_sigma_one_rhs_is_perturbed_kkt_residual(self):
         prog = self._program(seed=16, diag=False)
         st = random_state(prog, seed=17)
         g = prog.gradient(st.x)
-        r1, r2 = newton_rhs(st, prog, g, sigma=1.0)
+        _, _, _, rp, gy, _ = kkt_residuals(st, prog)
+        r1, r2 = newton_rhs(st, rp, gy, sigma=1.0)
         expected = (g - prog.A.T @ st.y + st.rho * (st.x - st.zeta)
                     - st.mu / st.x)
         np.testing.assert_allclose(r1, expected, atol=1e-13)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.3], ids=["predictor", "corrector"])
+    @pytest.mark.parametrize("dropped", [[], [1, 4, 7, 20, 33]],
+                             ids=["all-active", "dropped"])
+    def test_rhs_from_residuals_is_bit_identical_to_recomputed(self, dropped,
+                                                               sigma):
+        prog = self._program(seed=33, n=60, m=20, diag=False)
+        st = random_state(prog, seed=34)
+        st.dropped[dropped] = True
+        soc = np.random.default_rng(35).standard_normal(prog.n) if sigma else None
+        _, _, _, rp, gy, _ = kkt_residuals(st, prog)
+        r1, r2 = newton_rhs(st, rp, gy, sigma, soc)
+        # the formula newton_rhs used before it took b - Ax and grad - A'y
+        old_r1 = prog.gradient(st.x) - prog.A.T @ st.y
+        if sigma:
+            old_r1 = old_r1 + sigma * st.rho * (st.x - st.zeta)
+        ia = st.nonneg_active()
+        barrier = np.zeros(prog.n)
+        if sigma:
+            barrier[ia] -= sigma * st.mu / st.x[ia]
+            barrier[ia] += soc[ia] / st.x[ia]
+        old_r1 = old_r1 + barrier
+        old_r2 = prog.b - prog.A @ st.x - sigma * st.delta * (st.y - st.eta)
+        assert np.array_equal(r1, old_r1[st.active_indices()])
+        assert np.array_equal(r2, old_r2)
 
 
 class CountingSpla:
@@ -285,10 +312,11 @@ class TestDirectPath:
                 st.rho, st.delta = 1e-4, 1e-3
             elif change == "restricted":
                 st.dropped[[2, 50, 90]] = True
-            ctx = _DirectContext(st, prog, SolverOptions())
+            ctx = ippmm._CONTEXTS["direct-augmented"](st, prog, SolverOptions())
             perms.append(ctx.perm)
             cols = st.active_indices()
-            r1, r2 = newton_rhs(st, prog, prog.gradient(st.x), 0.5)
+            _, _, _, rp, gy, _ = kkt_residuals(st, prog)
+            r1, r2 = newton_rhs(st, rp, gy, 0.5)
             H = Q[np.ix_(cols, cols)] + np.diag(st.xi_diag()[cols] + st.rho)
             K = np.block([[-H, A[:, cols].T],
                           [A[:, cols], st.delta * np.eye(prog.m)]])
@@ -373,7 +401,7 @@ class TestSolveBehavior:
         pair_min = np.minimum(x[:n], x[n:2 * n])
         assert np.all(pair_min <= 10 * tol)
 
-    def test_three_paths_agree_on_diagonal_qp(self):
+    def test_three_paths_agree_on_diagonal_qp(self, monkeypatch):
         rng = np.random.default_rng(22)
         n, m = 20, 6
         Q = np.diag(rng.uniform(0.5, 3.0, size=n))
@@ -381,10 +409,10 @@ class TestSolveBehavior:
         x_feas = rng.uniform(0.5, 1.5, size=n)
         prog = quadratic_program(Q, rng.standard_normal(n), A, A @ x_feas)
         sols = {}
+        monkeypatch.setattr(ippmm, "MINRES_MAXIT", 200)
         for path in ("direct-augmented", "pcg-normal", "minres-augmented"):
             opts = SolverOptions(tol=1e-8, linear_solver=path,
-                                 precond="identity" if path == "pcg-normal" else "auto",
-                                 minres_maxit=200)
+                                 precond="identity" if path == "pcg-normal" else "auto")
             (x, _, _), rep = solve(prog, opts)
             assert rep.status == "optimal", path
             sols[path] = prog.objective(x)
@@ -432,9 +460,16 @@ class TestSolveBehavior:
     @pytest.mark.parametrize("kw", [{"tol": 0.0}, {"tol": -1.0},
                                     {"max_iter": 0}, {"max_iter": -3},
                                     {"dropping": True, "eps_drop": -1.0},
-                                    {"dropping": True, "xi": 0.0}])
+                                    {"dropping": True, "xi": 0.0},
+                                    {"precond": "bogus"},
+                                    {"htilde_choice": "u_squared"},
+                                    {"linear_solver": "pcg-normal",
+                                     "precond": "fmri-block"},
+                                    {"linear_solver": "minres-augmented",
+                                     "precond": "identity"}])
     def test_invalid_options_rejected(self, kw):
-        # max_iter=1 ends before dropping would scan: the check is up front
+        # max_iter=1 ends before dropping would scan: the check is up front;
+        # the program has no row_split for fmri-block
         kw = {"max_iter": 1, **kw}
         prog = quadratic_program(np.eye(1), np.zeros(1), np.zeros((0, 1)),
                                  np.zeros(0))
@@ -511,8 +546,9 @@ class TestMinresPath:
 
         monkeypatch.setattr(ippmm, "minres", recorded)
         # a cap of 8 stops the early solves short and lets the later converge
+        monkeypatch.setattr(ippmm, "MINRES_MAXIT", 8)
         _, rep = solve(self.program(), SolverOptions(
-            linear_solver="minres-augmented", max_iter=5, minres_maxit=8))
+            linear_solver="minres-augmented", max_iter=5))
         capped = sum(not out.converged for out in outcomes)
         assert len(outcomes) == 2 * rep.iterations
         assert 0 < capped < len(outcomes)
