@@ -12,9 +12,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .krylov import CholeskyFactor, pcg
-from .linops import make_difference_operator, make_tv_operator
 from .problems import (FusedLassoLsInstance, LogisticInstance,
-                       PortfolioInstance, logistic_oracle)
+                       PortfolioInstance, budget_constraints, logistic_oracle)
 
 
 @dataclass
@@ -71,15 +70,10 @@ def asb_chol_solve(inst: PortfolioInstance, lambdas=(1.0, 1.0, 1.0),
         raise ValueError("penalty parameters must be positive")
     t0 = time.perf_counter()
     C = inst.block_covariance()
-    m, s = inst.num_periods, inst.num_assets
-    L = make_difference_operator(m, s).matrix
-    from .problems import budget_matrix
-    Abar = budget_matrix(inst)
-    bbar = np.zeros(m + 1)
-    bbar[0] = inst.xi_init
-    bbar[m] = inst.xi_term
+    L = inst.difference.matrix
+    Abar, bbar = budget_constraints(inst)
 
-    n = m * s
+    n = L.shape[1]
     H = (C + l1 * (Abar.T @ Abar) + l2 * (L.T @ L)
          + l3 * sp.eye(n)).tocsc()
     factor = CholeskyFactor(H)
@@ -88,7 +82,7 @@ def asb_chol_solve(inst: PortfolioInstance, lambdas=(1.0, 1.0, 1.0),
     w = np.zeros(n)
     u = np.zeros(n)
     d = np.zeros(L.shape[0])
-    p = np.zeros(m + 1)
+    p = np.zeros(bbar.size)
     q = np.zeros(L.shape[0])
     t = np.zeros(n)
     bnorm = max(np.linalg.norm(bbar), 1.0)
@@ -154,7 +148,7 @@ def fista_solve(inst: FusedLassoLsInstance, inner_steps: int = 10,
     D = inst.data
     g = inst.labels
     s, qdim = D.shape
-    L = make_tv_operator(inst.grid).matrix
+    L = inst.tv.matrix
     ell = L.shape[0]
 
     def Lhat_mv(w):
@@ -201,7 +195,7 @@ def _admm_fused_lasso(inst: FusedLassoLsInstance, rho_admm, inner_cg_steps,
     D = inst.data
     glab = inst.labels
     s, qdim = D.shape
-    L = make_tv_operator(inst.grid).matrix
+    L = inst.tv.matrix
     ell = L.shape[0]
     LtL = (L.T @ L).tocsr()
 

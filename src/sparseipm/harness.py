@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import baselines, ippmm, metrics, precond
-from .linops import BlurKernel, make_bccb_operator, make_tv_operator
+from .linops import BlurKernel, make_bccb_operator
 from .problems import (FusedLassoLsInstance, LogisticInstance,
                        PoissonTvInstance, PortfolioInstance,
                        build_fused_lasso_ls, build_logistic_l1,
@@ -309,7 +309,7 @@ def _poisson_start(inst) -> np.ndarray:
     """Interior start: observed counts (floored away from zero) for w, slacks
     bracketing the initial TV field."""
     w0 = np.maximum(inst.observed - inst.background, 1e-2 * max(1.0, inst.observed.mean()))
-    Lw0 = make_tv_operator(inst.blur.grid).apply(w0)
+    Lw0 = inst.tv.apply(w0)
     return np.concatenate([w0, np.maximum(Lw0, 0) + 1.0, np.maximum(-Lw0, 0) + 1.0])
 
 
@@ -339,8 +339,8 @@ def _score_classify(args, inst, truth, w, opts):
     rows = [["train", _accuracy(inst.design(), inst.labels, wt), density, recovery]]
     if test is not None:
         Dte, gte = test
-        Dte = np.hstack([Dte, np.ones((Dte.shape[0], 1))])
-        rows.append(["test", _accuracy(Dte, gte, wt), density, recovery])
+        design = replace(inst, data=Dte, labels=gte).design()
+        rows.append(["test", _accuracy(design, gte, wt), density, recovery])
     return rows
 
 

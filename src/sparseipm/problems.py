@@ -86,7 +86,8 @@ def quadratic_program(Q, c, A, b, nonneg=None, free=None, **kw) -> ConvexProgram
 
 @dataclass
 class PortfolioInstance:
-    """Multi-period mean-variance model with fused-lasso regularization."""
+    """Multi-period mean-variance model with fused-lasso regularization; the
+    block covariance and ``difference`` operator are built once, on construction."""
 
     covariances: list           # m blocks, each s x s SPD
     returns: list               # m vectors of per-period fractional returns
@@ -111,22 +112,25 @@ class PortfolioInstance:
                 np.linalg.cholesky(np.asarray(C))
             except np.linalg.LinAlgError:
                 raise ValueError(f"covariance block {j} is not positive definite")
+        self._covariance = sp.block_diag(
+            [np.asarray(C) for C in self.covariances], format="csr")
+        self.difference = make_difference_operator(self.num_periods, self.num_assets)
 
     def block_covariance(self) -> sp.csr_matrix:
-        return sp.block_diag([np.asarray(C) for C in self.covariances], format="csr")
+        return self._covariance
 
     def original_objective(self, w: np.ndarray) -> float:
-        L = make_difference_operator(self.num_periods, self.num_assets)
-        C = self.block_covariance()
-        return (0.5 * float(w @ (C @ w)) + self.tau1 * np.abs(w).sum()
-                + self.tau2 * np.abs(L.apply(w)).sum())
+        return (0.5 * float(w @ (self._covariance @ w)) + self.tau1 * np.abs(w).sum()
+                + self.tau2 * np.abs(self.difference.apply(w)).sum())
 
 
-def budget_matrix(inst: PortfolioInstance) -> sp.csr_matrix:
-    """(m+1) x (m*s) self-financing constraint matrix.
+def budget_constraints(inst: PortfolioInstance) -> tuple:
+    """(m+1) x (m*s) self-financing constraint matrix and its right-hand side.
 
     Row 1 is the initial budget, rows 2..m carry wealth between consecutive
-    periods, row m+1 fixes the expected terminal wealth.
+    periods, row m+1 fixes the expected terminal wealth. The right-hand side
+    is formed here on each call, since ``xi_term`` may be set after
+    construction.
     """
     m, s = inst.num_periods, inst.num_assets
     rows = []
@@ -139,7 +143,10 @@ def budget_matrix(inst: PortfolioInstance) -> sp.csr_matrix:
             grow = e + np.asarray(inst.returns[i - 1], dtype=float)
             blocks[i - 1] = (blocks[i - 1] - grow) if i < m else grow
         rows.append(np.concatenate(blocks))
-    return sp.csr_matrix(np.array(rows))
+    bbar = np.zeros(m + 1)
+    bbar[0] = inst.xi_init
+    bbar[m] = inst.xi_term
+    return sp.csr_matrix(np.array(rows)), bbar
 
 
 def build_portfolio_qp(inst: PortfolioInstance) -> ConvexProgram:
@@ -148,11 +155,8 @@ def build_portfolio_qp(inst: PortfolioInstance) -> ConvexProgram:
     n = m * s
     l = (m - 1) * s
     C = inst.block_covariance()
-    L = make_difference_operator(m, s).matrix
-    Abar = budget_matrix(inst)
-    bbar = np.zeros(m + 1)
-    bbar[0] = inst.xi_init
-    bbar[m] = inst.xi_term
+    L = inst.difference.matrix
+    Abar, bbar = budget_constraints(inst)
 
     Q = sp.bmat([
         [C, -C, None, None],
@@ -192,7 +196,8 @@ def naive_portfolio(inst: PortfolioInstance) -> tuple:
 
 @dataclass
 class FusedLassoLsInstance:
-    """Least-squares classifier with l1 + anisotropic TV regularization."""
+    """Least-squares classifier with l1 + anisotropic TV regularization; the
+    TV operator ``tv`` on ``grid`` is built once, on construction."""
 
     data: np.ndarray            # s x q, rows are samples
     labels: np.ndarray          # in {-1, 1}
@@ -210,20 +215,19 @@ class FusedLassoLsInstance:
             raise ValueError("labels must be -1/+1")
         if s > q:
             warnings.warn("more samples than features; model intended for s <= q")
+        self.tv = make_tv_operator(self.grid)
 
     def original_objective(self, w: np.ndarray) -> float:
-        L = make_tv_operator(self.grid)
         s = self.data.shape[0]
         return (0.5 / s * float(np.sum((self.data @ w - self.labels) ** 2))
-                + self.tau1 * np.abs(w).sum() + self.tau2 * np.abs(L.apply(w)).sum())
+                + self.tau1 * np.abs(w).sum() + self.tau2 * np.abs(self.tv.apply(w)).sum())
 
 
 def build_fused_lasso_ls(inst: FusedLassoLsInstance) -> ConvexProgram:
     """Split program with x = [u; w+; w-; d+; d-], u = Dw free."""
     s, q = inst.data.shape
-    Lop = make_tv_operator(inst.grid)
-    L = Lop.matrix
-    l = Lop.rows
+    L = inst.tv.matrix
+    l = inst.tv.rows
     D = sp.csr_matrix(inst.data)
     n = s + 2 * q + 2 * l
     A = sp.bmat([
@@ -255,7 +259,8 @@ def build_fused_lasso_ls(inst: FusedLassoLsInstance) -> ConvexProgram:
 
 @dataclass
 class PoissonTvInstance:
-    """TV-regularized Kullback-Leibler restoration model."""
+    """TV-regularized Kullback-Leibler restoration model; the TV operator
+    ``tv`` on the blur grid is built once, on construction."""
 
     blur: BccbOperator
     observed: np.ndarray        # g >= 0
@@ -269,15 +274,15 @@ class PoissonTvInstance:
             raise ValueError("observed counts must be non-negative")
         if np.any(self.background <= 0):
             raise ValueError("background must be strictly positive")
+        self.tv = make_tv_operator(self.blur.grid)
 
     @property
     def intensity_budget(self) -> float:
         return float(np.sum(self.observed - self.background))
 
     def original_objective(self, w: np.ndarray) -> float:
-        L = make_tv_operator(self.blur.grid)
         val, _ = kl_value_grad(w, self, want_grad=False)
-        return val + self.lam * np.abs(L.apply(w)).sum()
+        return val + self.lam * np.abs(self.tv.apply(w)).sum()
 
 
 def kl_value_grad(w, inst: PoissonTvInstance, want_grad=True):
@@ -301,9 +306,8 @@ def kl_value_grad(w, inst: PoissonTvInstance, want_grad=True):
 def build_poisson_tv(inst: PoissonTvInstance) -> ConvexProgram:
     """Split program with x = [w; d+; d-], all non-negative."""
     n = inst.blur.cols
-    Lop = make_tv_operator(inst.blur.grid)
-    L = Lop.matrix
-    l = Lop.rows
+    L = inst.tv.matrix
+    l = inst.tv.rows
     r = inst.intensity_budget
     if r <= 0:
         raise ValueError("degenerate intensity: sum(g - a) must be positive")

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from sparseipm.baselines import (FirstOrderReport, admm_solve, asb_chol_solve,
                                  fista_solve, soft_threshold)
 from sparseipm.problems import (FusedLassoLsInstance, LogisticInstance,
-                                budget_matrix, build_portfolio_qp)
+                                budget_constraints, build_portfolio_qp)
 from test_problems import make_portfolio
 
 
@@ -68,7 +68,7 @@ class TestAsbChol:
         w, rep = asb_chol_solve(inst, tol=1e-12, maxit=20000)
         assert rep.status == "converged"
         C = inst.block_covariance().toarray()
-        A = budget_matrix(inst).toarray()
+        A = budget_constraints(inst)[0].toarray()
         b = np.zeros(3)
         b[0], b[-1] = inst.xi_init, inst.xi_term
         K = np.block([[C, A.T], [A, np.zeros((3, 3))]])

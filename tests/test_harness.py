@@ -1,8 +1,12 @@
+import importlib
 import json
+import pkgutil
 
 import numpy as np
 import pytest
 
+import sparseipm
+from sparseipm import baselines, harness, problems
 from sparseipm.harness import (FAMILIES, ParseError, builtin_image,
                                gen_blur_instance, gen_classification,
                                gen_fused_lasso, gen_portfolio, parse_config,
@@ -85,6 +89,46 @@ class TestGenerators:
             gen_blur_instance(img, kernel, -1.0, 1.0, seed=0)
         with pytest.raises(ValueError):
             gen_blur_instance(img, kernel, 10.0, 0.0, seed=0)
+
+
+def test_instances_build_their_operators_once(monkeypatch):
+    """Builders, objectives, baselines and the Poisson start reuse the
+    operators an instance built on construction."""
+    port = gen_portfolio(6, 3, seed=0)
+    fl, _ = gen_fused_lasso(12, (3, 3, 2), seed=0)
+    img = builtin_image("squares", 8)
+    kernel = BlurKernel("gaussian", img.shape, {"sigma": 1.0})
+    poisson, _ = gen_blur_instance(img, kernel, 50.0, 1.0, seed=0)
+
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # every name any sparseipm module binds the operator factories to
+    for info in pkgutil.iter_modules(sparseipm.__path__):
+        module = importlib.import_module(f"sparseipm.{info.name}")
+        for name in ("make_tv_operator", "make_difference_operator"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(getattr(module, name)))
+
+    problems.build_portfolio_qp(port)
+    problems.build_fused_lasso_ls(fl)
+    problems.build_poisson_tv(poisson)
+    for inst, n in ((port, 18), (fl, 18), (poisson, 64)):
+        for k in range(10):
+            inst.original_objective(np.full(n, 1.0 + k))
+    baselines.asb_chol_solve(port, maxit=3)
+    baselines.fista_solve(fl, maxit=3)
+    baselines.admm_solve(fl, maxit=3)
+    harness._poisson_start(poisson)
+    assert calls == []
+    # the counters are live: a new instance builds its operator
+    gen_fused_lasso(12, (3, 3, 2), seed=1)
+    assert calls == ["make_tv_operator"]
 
 
 class TestBuiltinImages:

@@ -1,4 +1,4 @@
-"""Three small ``ast`` checks in place of a linter.
+"""Four small ``ast`` checks in place of a linter.
 
 - Every name a ``sparseipm`` module imports is used in that module: it appears
   as a name anywhere in the module, or in ``__all__``.
@@ -9,6 +9,8 @@
 - Every ``SolverOptions`` field is set somewhere in ``src/`` or
   ``perfbench/``: it appears there as a keyword argument or a string constant
   (``setattr`` by name). An option that only tests set is not a caller setting.
+- No ``sparseipm`` function imports inside its body: every dependency of a
+  module shows at its top.
 """
 import ast
 import dataclasses
@@ -123,3 +125,25 @@ def test_checker_flags_an_unset_option():
 def test_every_solver_option_has_a_caller():
     fields = [f.name for f in dataclasses.fields(SolverOptions)]
     assert unset_options(fields, [p.read_text() for p in MODULES + PERFBENCH]) == []
+
+
+def function_local_imports(source: str) -> list:
+    """Line numbers of ``import`` statements inside a function body."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            lines.update(inner.lineno for stmt in node.body for inner in ast.walk(stmt)
+                         if isinstance(inner, (ast.Import, ast.ImportFrom)))
+    return sorted(lines)
+
+
+def test_checker_flags_a_function_local_import():
+    source = ("import os\n"
+              "def f():\n    from a import b\n    def g():\n        import c\n"
+              "class K:\n    import d\n    def m(self):\n        import e\n")
+    assert function_local_imports(source) == [3, 5, 9]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_local_imports(path):
+    assert function_local_imports(path.read_text()) == []

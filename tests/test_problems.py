@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from sparseipm.linops import BlurKernel, make_bccb_operator, make_tv_operator
 from sparseipm.problems import (DomainError, FusedLassoLsInstance,
                                 LogisticInstance, PoissonTvInstance,
-                                PortfolioInstance, budget_matrix,
+                                PortfolioInstance, budget_constraints,
                                 build_fused_lasso_ls, build_logistic_l1,
                                 build_poisson_tv, build_portfolio_qp,
                                 kl_value_grad, logistic_loss, logistic_oracle,
@@ -48,13 +48,19 @@ class TestPortfolio:
             covariances=[np.eye(2), np.eye(2)],
             returns=[np.array([0.1, 0.2]), np.array([0.0, 0.05])],
             xi_init=1.0, xi_term=1.2, tau1=0.0, tau2=0.0)
-        A = budget_matrix(inst).toarray()
+        A = budget_constraints(inst)[0].toarray()
         expected = np.array([
             [1.0, 1.0, 0.0, 0.0],
             [-1.1, -1.2, 1.0, 1.0],
             [0.0, 0.0, 1.0, 1.05],
         ])
         np.testing.assert_allclose(A, expected)
+
+    def test_budget_rhs_follows_terminal_wealth_set_later(self):
+        inst = make_portfolio(s=2, m=3)
+        inst.xi_term = 1.3
+        _, b = budget_constraints(inst)
+        np.testing.assert_array_equal(b, [1.0, 0.0, 0.0, 1.3])
 
     def test_budget_rows_feasible_for_buy_and_hold(self):
         inst = make_portfolio(s=3, m=4, seed=1)
@@ -64,7 +70,7 @@ class TestPortfolio:
         for j in range(1, 4):
             w[3 * j:3 * j + 3] = w[3 * (j - 1):3 * j] \
                 * (1.0 + np.asarray(inst.returns[j - 1]))
-        A = budget_matrix(inst)
+        A, _ = budget_constraints(inst)
         r = A @ w
         assert abs(r[0] - 1.0) <= 1e-12
         np.testing.assert_allclose(r[1:4], 0.0, atol=1e-12)
