@@ -1,5 +1,6 @@
 """Variable-dropping heuristic: eliminate variables converging to zero and
-verify multiplier signs post-hoc."""
+verify multiplier signs post-hoc, both from residuals that
+``ippmm.kkt_residuals`` formed."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -11,7 +12,7 @@ import numpy as np
 class DropAudit:
     """Post-solve audit of the dropped index set V."""
 
-    dropped: list = field(default_factory=list)      # (index, iteration) pairs
+    dropped: list = field(default_factory=list)      # (index, evaluation) pairs
     multipliers: np.ndarray = field(default_factory=lambda: np.zeros(0))  # recovered z on V
     violated: list = field(default_factory=list)     # indices with multiplier <= 0
 
@@ -23,16 +24,14 @@ class DropAudit:
         }
 
 
-def scan_and_drop(state, program, eps_drop: float, xi: float) -> list:
+def scan_and_drop(state, rd: np.ndarray, eps_drop: float, xi: float) -> list:
     """Move near-zero variables with well-separated duals into the dropped set.
 
     A non-negative, still-active variable j is dropped when x_j <= eps_drop,
-    z_j >= xi * eps_drop and its dual infeasibility is within eps_drop.
-    Returns the newly dropped indices; mutates the state in place.
+    z_j >= xi * eps_drop and its dual residual ``rd`` = grad - A'y - z is
+    within eps_drop; the log stamps it with ``state.k``, the evaluation that
+    found it. Returns the newly dropped indices; mutates the state in place.
     """
-    if eps_drop <= 0 or xi <= 0:
-        raise ValueError("eps_drop and xi must be positive")
-    rd = program.gradient(state.x) - program.A.T @ state.y - state.z
     candidates = state.nonneg_active()
     mask = ((state.x[candidates] <= eps_drop)
             & (state.z[candidates] >= xi * eps_drop)
@@ -46,19 +45,16 @@ def scan_and_drop(state, program, eps_drop: float, xi: float) -> list:
     return list(map(int, newly))
 
 
-def verify_dropped(x_star, y_star, program, drop_log) -> DropAudit:
+def verify_dropped(gy: np.ndarray, drop_log) -> DropAudit:
     """Recover multipliers on the dropped set and flag non-positive entries.
 
-    Uses z_V = (grad f(x*))_V - (A_{:,V})' y*, with x* already expanded by
-    zeros on V; for quadratics this is c_V + (Q x*)_V - (A_{:,V})' y*.
+    ``gy`` is grad f(x*) - A'y* at the returned iterate, whose x* is zero on
+    V, so z_V = gy_V; for quadratics this is c_V + (Q x*)_V - (A_{:,V})' y*.
     """
     audit = DropAudit(dropped=list(drop_log))
     if not drop_log:
         return audit
     V = np.array([j for j, _ in drop_log], dtype=int)
-    grad = program.gradient(x_star)
-    zV = grad[V] - (program.A.T @ y_star)[V]
-    audit.multipliers = zV
-    audit.violated = [int(j) for j, zj in zip(V, zV) if zj <= 0]
+    audit.multipliers = gy[V]
+    audit.violated = [int(j) for j, zj in zip(V, gy[V]) if zj <= 0]
     return audit
-

@@ -147,13 +147,20 @@ def initial_state(program: ConvexProgram, options: SolverOptions) -> IpPmmState:
 # Residuals and right-hand side
 
 
-def kkt_residuals(state: IpPmmState, program: ConvexProgram):
+def kkt_residuals(state: IpPmmState, program: ConvexProgram,
+                  drop: Optional[tuple] = None):
     """Scaled primal/dual infeasibility and average complementarity, with
-    b - Ax, grad - A'y and the dual residual grad - A'y - z."""
-    g = program.gradient(state.x)
-    rp = program.b - program.A @ state.x
-    gy = g - program.A.T @ state.y
-    rd = gy - state.z
+    b - Ax, grad - A'y and the dual residual grad - A'y - z. With ``drop =
+    (eps_drop, xi)`` the drop rule runs on that residual, and the residuals
+    are formed again if it changed ``state``."""
+    for _ in range(2):
+        g = program.gradient(state.x)
+        rp = program.b - program.A @ state.x
+        gy = g - program.A.T @ state.y
+        rd = gy - state.z
+        if drop is None or not dropmod.scan_and_drop(state, rd, *drop):
+            break
+        drop = None
     act = state.active_indices()
     primal = float(np.linalg.norm(rp)) / (1.0 + np.linalg.norm(program.b))
     dual = float(np.linalg.norm(rd[act])) / (1.0 + np.linalg.norm(g[act]))
@@ -469,9 +476,12 @@ def solve(program: ConvexProgram, options: Optional[SolverOptions] = None):
     report = SolveReport()
     status = "max-iterations"
 
-    for k in range(options.max_iter):
+    drop = (options.eps_drop, options.xi) if options.dropping else None
+    # evaluation k is of the k-th iterate; the last one is of the returned point
+    for k in range(options.max_iter + 1):
         state.k = k
-        primal, dual, mu, rp, gy, rd = kkt_residuals(state, program)
+        primal, dual, mu, rp, gy, rd = kkt_residuals(
+            state, program, drop if state.mu <= DROP_ACTIVATION * mu0 else None)
         report.primal_inf_history.append(primal)
         report.dual_inf_history.append(dual)
         report.mu_history.append(mu)
@@ -480,6 +490,8 @@ def solve(program: ConvexProgram, options: Optional[SolverOptions] = None):
             break
         if check_termination(primal, dual, mu, options.tol):
             status = "optimal"
+            break
+        if k == options.max_iter:
             break
 
         t0 = time.perf_counter()
@@ -499,12 +511,10 @@ def solve(program: ConvexProgram, options: Optional[SolverOptions] = None):
         state.z = state.z + ad * dz
         update_penalties_and_estimates(state, float(np.linalg.norm(rp)),
                                        float(np.linalg.norm(rd[state.active_indices()])))
-        if options.dropping and state.mu <= DROP_ACTIVATION * mu0:
-            dropmod.scan_and_drop(state, program, options.eps_drop, options.xi)
         report.iterations = k + 1
 
     if options.dropping:
-        audit = dropmod.verify_dropped(state.x, state.y, program, state.drop_log)
+        audit = dropmod.verify_dropped(gy, state.drop_log)
         report.drop_audit = audit.to_dict()
         if audit.violated and status == "optimal":
             status = "numerical-failure"

@@ -367,7 +367,8 @@ def build_poisson_tv(inst: PoissonTvInstance) -> ConvexProgram:
 
 @dataclass
 class LogisticInstance:
-    """Binary classification with logistic loss and l1 regularization."""
+    """Binary classification with logistic loss and l1 regularization; the
+    design matrix is built once, on construction."""
 
     data: np.ndarray            # n x s, rows are training points
     labels: np.ndarray          # in {-1, 1}
@@ -381,20 +382,20 @@ class LogisticInstance:
             raise ValueError("labels must be -1/+1")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
+        self._design = (np.hstack([self.data, np.ones((self.data.shape[0], 1))])
+                        if self.add_bias else self.data)
 
     def design(self) -> np.ndarray:
         """Data matrix with the all-ones bias column appended when enabled."""
-        if self.add_bias:
-            return np.hstack([self.data, np.ones((self.data.shape[0], 1))])
-        return self.data
+        return self._design
 
     def original_objective(self, w: np.ndarray) -> float:
-        return logistic_loss(self.design(), self.labels, w) + self.tau * np.abs(w).sum()
+        return logistic_loss(self._design, self.labels, w) + self.tau * np.abs(w).sum()
 
     def lambda_max(self) -> float:
         """Smallest tau at which w = 0 is optimal: the infinity norm of the mean
         loss gradient at w = 0, the bias column included (it is penalized too)."""
-        D = self.design()
+        D = self._design
         _, grad, _ = logistic_oracle(D, self.labels, np.zeros(D.shape[1]))
         return float(np.max(np.abs(grad)))
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sparseipm.dropping import scan_and_drop, verify_dropped
-from sparseipm.ippmm import SolverOptions, initial_state, solve
+from sparseipm.ippmm import SolverOptions, initial_state, kkt_residuals, solve
 from sparseipm.problems import build_portfolio_qp, quadratic_program
 from test_problems import make_portfolio
 
@@ -15,6 +15,17 @@ def make_state(prog, x, z, y=None, k=0):
         st.y = np.asarray(y, dtype=float)
     st.k = k
     return st
+
+
+def dual_residual(st, prog):
+    """grad - A'y - z at the state, as the solver's evaluation forms it."""
+    return kkt_residuals(st, prog)[5]
+
+
+def grad_minus_aty(prog, x, y):
+    """grad - A'y at (x, y), as the solver's final evaluation forms it."""
+    st = make_state(prog, x, np.zeros(len(x)), y=y)
+    return kkt_residuals(st, prog)[4]
 
 
 def lp(c, A, b):
@@ -32,7 +43,7 @@ class TestScanAndDrop:
         z = np.array([0.5, 0.5])
         # residual grad - A'y - z = 1 - 0.5 - 0.5 = 0 on both coordinates
         st = make_state(prog, [1e-5, 1.0], z, y=y, k=7)
-        newly = scan_and_drop(st, prog, eps_drop=1e-4, xi=1e2)
+        newly = scan_and_drop(st, dual_residual(st, prog), eps_drop=1e-4, xi=1e2)
         assert newly == [0]
         assert st.x[0] == 0.0 and st.z[0] == 0.0
         assert st.drop_log == [(0, 7)]
@@ -42,62 +53,64 @@ class TestScanAndDrop:
         prog = lp([1.0, 1.0], [[1.0, 1.0]], [1.0])
         st = make_state(prog, [1e-5, 1.0], [1e-3, 1.0], y=np.array([0.0]))
         # z = 1e-3 < xi * eps_drop = 1e-2
-        assert scan_and_drop(st, prog, eps_drop=1e-4, xi=1e2) == []
+        assert scan_and_drop(st, dual_residual(st, prog), eps_drop=1e-4, xi=1e2) == []
 
     def test_dual_residual_blocks_drop(self):
         prog = lp([1.0, 1.0], [[1.0, 1.0]], [1.0])
         st = make_state(prog, [1e-5, 1.0], [0.5, 0.5], y=np.array([5.0]))
         # residual = 1 - 5 - 0.5 far from zero
-        assert scan_and_drop(st, prog, eps_drop=1e-4, xi=1e2) == []
+        assert scan_and_drop(st, dual_residual(st, prog), eps_drop=1e-4, xi=1e2) == []
 
     def test_noop_when_away_from_bound(self):
         prog = lp([1.0, 1.0], [[1.0, 1.0]], [2.0])
         st = make_state(prog, [1.0, 1.0], [0.5, 0.5], y=np.array([0.5]))
-        assert scan_and_drop(st, prog, eps_drop=1e-4, xi=1e2) == []
+        assert scan_and_drop(st, dual_residual(st, prog), eps_drop=1e-4, xi=1e2) == []
         assert not st.dropped.any()
 
     def test_monotone_growth(self):
         prog = lp([1.0, 1.0], [[1.0, 1.0]], [1.0])
         st = make_state(prog, [1e-5, 1.0], [0.5, 0.5], y=np.array([0.5]))
-        scan_and_drop(st, prog, eps_drop=1e-4, xi=1e2)
+        scan_and_drop(st, dual_residual(st, prog), eps_drop=1e-4, xi=1e2)
         first = st.dropped.copy()
-        scan_and_drop(st, prog, eps_drop=1e-4, xi=1e2)
+        scan_and_drop(st, dual_residual(st, prog), eps_drop=1e-4, xi=1e2)
         assert np.all(st.dropped >= first)
 
-    def test_invalid_parameters(self):
-        prog = lp([1.0], [[1.0]], [1.0])
-        st = make_state(prog, [1.0], [1.0])
-        with pytest.raises(ValueError):
-            scan_and_drop(st, prog, eps_drop=0.0, xi=1e2)
+    def test_evaluation_with_drop_describes_the_dropped_state(self):
+        prog = lp([1.0, 1.0], [[1.0, 1.0]], [1.0])
+        st = make_state(prog, [1e-5, 1.0], [0.5, 0.5], y=np.array([0.5]), k=4)
+        evaluated = kkt_residuals(st, prog, drop=(1e-4, 1e2))
+        assert st.drop_log == [(0, 4)] and st.x[0] == 0.0
+        for got, fresh in zip(evaluated, kkt_residuals(st, prog)):
+            np.testing.assert_array_equal(got, fresh)
 
 
 class TestVerifyDropped:
     def test_empty_audit(self):
         prog = lp([1.0], [[1.0]], [1.0])
-        audit = verify_dropped(np.array([1.0]), np.array([1.0]), prog, [])
+        audit = verify_dropped(grad_minus_aty(prog, [1.0], [1.0]), [])
         assert audit.dropped == [] and audit.violated == []
         assert audit.multipliers.size == 0
 
     def test_correct_drop_positive_multiplier(self):
         # min x1 + 2 x2 s.t. x1 + x2 = 1: optimum x = (1, 0), y = 1, z2 = 1
         prog = lp([1.0, 2.0], [[1.0, 1.0]], [1.0])
-        audit = verify_dropped(np.array([1.0, 0.0]), np.array([1.0]),
-                               prog, [(1, 5)])
+        audit = verify_dropped(grad_minus_aty(prog, [1.0, 0.0], [1.0]),
+                               [(1, 5)])
         assert audit.multipliers[0] == pytest.approx(1.0)
         assert audit.violated == []
 
     def test_wrong_drop_flagged(self):
         # dropping the cheap variable instead: its multiplier 1 - 2 = -1
         prog = lp([1.0, 2.0], [[1.0, 1.0]], [1.0])
-        audit = verify_dropped(np.array([0.0, 1.0]), np.array([2.0]),
-                               prog, [(0, 3)])
+        audit = verify_dropped(grad_minus_aty(prog, [0.0, 1.0], [2.0]),
+                               [(0, 3)])
         assert audit.multipliers[0] == pytest.approx(-1.0)
         assert audit.violated == [0]
 
     def test_audit_serialization(self):
         prog = lp([1.0, 2.0], [[1.0, 1.0]], [1.0])
-        audit = verify_dropped(np.array([1.0, 0.0]), np.array([1.0]),
-                               prog, [(1, 5)])
+        audit = verify_dropped(grad_minus_aty(prog, [1.0, 0.0], [1.0]),
+                               [(1, 5)])
         doc = audit.to_dict()
         assert doc["dropped"] == [[1, 5]]
         assert doc["violated"] == []

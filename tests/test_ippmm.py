@@ -451,6 +451,41 @@ class TestSolveBehavior:
         assert rep.status == "max-iterations"
         assert rep.iterations == 2
 
+    def test_cap_at_the_needed_iteration_count_is_optimal(self):
+        prog = build_portfolio_qp(gen_portfolio(8, 4, 0))
+        (x, _, _), rep = solve(prog, SolverOptions())
+        assert rep.status == "optimal"
+        (x_cap, _, _), capped = solve(prog, SolverOptions(max_iter=rep.iterations))
+        assert capped.status == "optimal"
+        assert capped.iterations == rep.iterations
+        np.testing.assert_array_equal(x_cap, x)
+
+    def test_max_iterations_history_ends_at_the_returned_point(self):
+        prog = build_portfolio_qp(make_portfolio(seed=24))
+        (x, _, z), rep = solve(prog, SolverOptions(max_iter=3))
+        assert rep.status == "max-iterations" and rep.iterations == 3
+        assert len(rep.primal_inf_history) == rep.iterations + 1
+        assert len(rep.mu_history) == rep.iterations + 1
+        primal = (float(np.linalg.norm(prog.b - prog.A @ x))
+                  / (1.0 + np.linalg.norm(prog.b)))
+        assert rep.primal_inf_history[-1] == primal
+        ia = prog.nonneg
+        assert rep.mu_history[-1] == float(x[ia] @ z[ia]) / ia.size
+
+    @pytest.mark.parametrize("dropping", [False, True])
+    def test_one_gradient_per_evaluation(self, dropping):
+        # an evaluation that drops a variable forms the residuals once more
+        prog = build_portfolio_qp(gen_portfolio(8, 4, 0))
+        gradient, calls = prog.gradient, []
+        prog.gradient = lambda x: calls.append(x) or gradient(x)
+        _, rep = solve(prog, SolverOptions(dropping=dropping, eps_drop=1e-4))
+        assert rep.status == "optimal"
+        dropped_at = set()
+        if dropping:
+            dropped_at = {k for _, k in rep.drop_audit["dropped"]}
+            assert dropped_at
+        assert len(calls) == len(rep.primal_inf_history) + len(dropped_at)
+
     def test_bad_solver_name(self):
         prog = quadratic_program(np.eye(1), np.zeros(1), np.zeros((0, 1)),
                                  np.zeros(0))

@@ -276,6 +276,22 @@ class TestLogistic:
         assert inst.design().shape == (3, 3)
         np.testing.assert_array_equal(inst.design()[:, -1], 1.0)
 
+    @pytest.mark.parametrize("add_bias", [True, False])
+    def test_replaced_instance_keeps_the_right_design(self, add_bias):
+        rng = np.random.default_rng(16)
+        inst = LogisticInstance(rng.standard_normal((8, 3)),
+                                rng.choice([-1.0, 1.0], size=8), tau=0.1,
+                                add_bias=add_bias)
+        retau = dataclasses.replace(inst, tau=0.3)
+        np.testing.assert_array_equal(retau.design(), inst.design())
+        w = rng.standard_normal(inst.design().shape[1])
+        assert retau.original_objective(w) == pytest.approx(
+            inst.original_objective(w) + 0.2 * np.abs(w).sum())
+        data = rng.standard_normal((5, 3))
+        moved = dataclasses.replace(inst, data=data, labels=np.ones(5))
+        expected = np.hstack([data, np.ones((5, 1))]) if add_bias else data
+        np.testing.assert_array_equal(moved.design(), expected)
+
     def test_split_program_structure(self):
         rng = np.random.default_rng(13)
         inst = LogisticInstance(rng.standard_normal((20, 4)),
