@@ -1,5 +1,5 @@
 """Command-line harness: synthetic instance generation, file IO (PGM images,
-key=value configs), benchmark orchestration and spectral diagnostics."""
+key=value configs), solver comparison runs and spectral diagnostics."""
 from __future__ import annotations
 
 import argparse
@@ -241,7 +241,7 @@ def _write_csv(path, header, rows):
 
 
 # ---------------------------------------------------------------------------
-# Problem families: one table drives every family subcommand and bench
+# Problem families: one table drives every family subcommand
 
 
 class Flag(NamedTuple):
@@ -251,10 +251,6 @@ class Flag(NamedTuple):
     type: type
     default: object
     kw: dict = {}  # further argparse keywords
-
-    @property
-    def dest(self) -> str:
-        return self.kw.get("dest", self.name[2:].replace("-", "_"))
 
 
 @dataclass(frozen=True)
@@ -267,20 +263,16 @@ class Family:
     build: Callable    # instance -> ConvexProgram
     ippmm: Callable    # (args, instance) -> SolverOptions overrides
     baselines: dict    # solver name -> (instance, args) -> (w, report)
-    header: tuple      # scores.csv header
-    score: Callable    # (args, instance, truth, w, options) -> scores.csv rows
+    header: tuple      # the family's scores.csv columns
+    score: Callable    # (solver, args, instance, truth, w, options) -> rows
 
     @property
     def solvers(self) -> list:
         return ["ippmm", *self.baselines]
 
 
-def _thresholded(w):
-    return metrics.threshold_solution(w) if np.any(w) else w
-
-
-def _score_portfolio(args, inst, _, w, opts):
-    if args.solver == "asb":
+def _score_portfolio(solver, args, inst, _, w, opts):
+    if solver == "asb":
         # match the interior point run: prune entries below the drop level
         w = np.where(np.abs(w) > opts.eps_drop, w, 0.0)
     w_naive, _ = naive_portfolio(inst)
@@ -289,9 +281,8 @@ def _score_portfolio(args, inst, _, w, opts):
     return [[float(r) for r in ratios]]
 
 
-def _score_fmri(args, inst, _, w, opts):
-    density = 100.0 * np.count_nonzero(_thresholded(w)) / w.size
-    return [[inst.original_objective(w), density]]
+def _score_fmri(solver, args, inst, _, w, opts):
+    return [[100.0 * np.count_nonzero(metrics.threshold_solution(w)) / w.size]]
 
 
 def _make_restore(args):
@@ -313,7 +304,7 @@ def _poisson_start(inst) -> np.ndarray:
     return np.concatenate([w0, np.maximum(Lw0, 0) + 1.0, np.maximum(-Lw0, 0) + 1.0])
 
 
-def _score_restore(args, inst, wbar, w, opts):
+def _score_restore(solver, args, inst, wbar, w, opts):
     shape = inst.blur.grid
     write_pgm(Path(args.out) / "restored.pgm", 255.0 * w.reshape(shape) / args.peak)
     rmse, psnr, ms = metrics.image_scores(w, wbar, shape=shape)
@@ -328,9 +319,9 @@ def _make_classify(args):
     return replace(inst, tau=0.1 * inst.lambda_max()), (wbar, test)
 
 
-def _score_classify(args, inst, truth, w, opts):
+def _score_classify(solver, args, inst, truth, w, opts):
     wbar, test = truth
-    wt = _thresholded(w)
+    wt = metrics.threshold_solution(w)
     wt_feat = wt[:wbar.size]
     density = 100.0 * np.count_nonzero(wt_feat) / wbar.size
     recovered = np.flatnonzero(wt_feat)
@@ -357,13 +348,12 @@ FAMILIES = {
         help="multi-period portfolio selection",
         flags=(Flag("--s", int, 8), Flag("--m", int, 4),
                Flag("--tau1", float, 1e-2), Flag("--tau2", float, 1e-2),
-               Flag("--trans-eps", float, 1e-4)),
+               Flag("--trans-eps", float, 1e-4), _BUDGET),
         make=lambda a: (gen_portfolio(a.s, a.m, a.seed, a.tau1, a.tau2), None),
         build=build_portfolio_qp,
         ippmm=lambda a, inst: dict(linear_solver="direct-augmented", eps_drop=1e-4),
-        # the portfolio subcommand has no --budget-seconds; bench does
         baselines={"asb": lambda inst, a: baselines.asb_chol_solve(
-            inst, tol=a.tol or 1e-6, time_budget=getattr(a, "budget_seconds", None))},
+            inst, tol=a.tol or 1e-6, time_budget=a.budget_seconds)},
         header=("ratio", "ratio_h", "ratio_t"),
         score=_score_portfolio),
     "fmri": Family(
@@ -380,7 +370,7 @@ FAMILIES = {
                 inst, time_budget=a.budget_seconds),
             "admm": lambda inst, a: baselines.admm_solve(
                 inst, time_budget=a.budget_seconds)},
-        header=("objective", "density_pct"),
+        header=("density_pct",),
         score=_score_fmri),
     "restore": Family(
         help="Poisson image restoration",
@@ -436,53 +426,41 @@ def _solver_options(family: Family, args, inst) -> ippmm.SolverOptions:
     return opts
 
 
-def _solve(family: Family, solver: str, inst, opts, args):
-    """Run one solver on the instance and write its report; returns (w, report)."""
-    if solver == "ippmm":
-        prog = family.build(inst)
-        (x, _, _), report = ippmm.solve(prog, opts)
-        w = prog.extract(x)
-    else:
-        w, report = family.baselines[solver](inst, args)
-    _write_text(Path(args.out) / f"report_{solver}.json", report.to_json())
-    return w, report
-
-
 def _cmd_family(args) -> int:
+    """Solve one instance with each listed solver, write a report per solver
+    and one scores.csv; the exit code is the worst outcome's."""
     family = FAMILIES[args.subcommand]
-    inst, truth = family.make(args)
-    opts = _solver_options(family, args, inst)
-    w, report = _solve(family, args.solver, inst, opts, args)
-    try:
-        rows = family.score(args, inst, truth, w, opts)
-        _write_csv(Path(args.out) / "scores.csv", family.header, rows)
-    except metrics.UndefinedMetricError as exc:
-        print(f"scores unavailable: {exc}", file=sys.stderr)
-    return _exit_code(report.status)
-
-
-def _cmd_bench(args) -> int:
-    family = FAMILIES[args.family]
-    solvers = args.solvers.split(",") if args.solvers else family.solvers
+    solvers = args.solver.split(",")
     unknown = [name for name in solvers if name not in family.solvers]
     if unknown:
-        print(f"unknown {args.family} bench solver(s) {','.join(unknown)}; "
+        print(f"unknown {args.subcommand} solver(s) {','.join(unknown)}; "
               f"expected some of {','.join(family.solvers)}", file=sys.stderr)
         return 1
-    # bench flags default to None: the chosen family's defaults fill them, so
-    # bench solves the instance its family subcommand solves
-    for flag in family.flags:
-        if getattr(args, flag.dest) is None:
-            setattr(args, flag.dest, flag.default)
-    inst, _ = family.make(args)
+    if len(set(solvers)) < len(solvers):
+        print(f"repeated {args.subcommand} solver in {args.solver}", file=sys.stderr)
+        return 1
+    inst, truth = family.make(args)
     opts = _solver_options(family, args, inst)
     rows = []
-    for name in solvers:
-        w, rep = _solve(family, name, inst, opts, args)
-        rows.append([name, rep.status, rep.iterations, rep.time_s,
-                     inst.original_objective(w)])
-    _write_csv(Path(args.out) / "bench.csv",
-               ["solver", "status", "iters", "time_s", "objective"], rows)
+    for solver in solvers:
+        if solver == "ippmm":
+            prog = family.build(inst)
+            (x, _, _), report = ippmm.solve(prog, opts)
+            w = prog.extract(x)
+        else:
+            w, report = family.baselines[solver](inst, args)
+        _write_text(Path(args.out) / f"report_{solver}.json", report.to_json())
+        run = [solver, report.status, report.iterations, report.time_s,
+               inst.original_objective(w)]
+        try:
+            scores = family.score(solver, args, inst, truth, w, opts)
+        except metrics.UndefinedMetricError as exc:
+            print(f"{solver} scores unavailable: {exc}", file=sys.stderr)
+            scores = [[""] * len(family.header)]
+        rows += [run + score for score in scores]
+    _write_csv(Path(args.out) / "scores.csv",
+               ("solver", "status", "iters", "time_s", "objective", *family.header),
+               rows)
     return max(_exit_code(row[1]) for row in rows)
 
 
@@ -587,34 +565,20 @@ def _apply_config(p, path) -> None:
     p.set_defaults(**defaults)
 
 
-def _add_flag(p, flag: Flag, default):
-    kind = {"action": "store_true"} if flag.type is bool else {"type": flag.type}
-    p.add_argument(flag.name, default=default, **kind, **flag.kw)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sparseipm")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    bench_flags = {}
     for name, family in FAMILIES.items():
         p = sub.add_parser(name, help=family.help)
         p.set_defaults(run=_cmd_family, solver="ippmm")
         _add_common(p)
         for flag in family.flags:
-            _add_flag(p, flag, flag.default)
-            bench_flags.setdefault(flag.name, flag)
+            kind = {"action": "store_true"} if flag.type is bool else {"type": flag.type}
+            p.add_argument(flag.name, default=flag.default, **kind, **flag.kw)
         if family.baselines:
-            p.add_argument("--solver", default="ippmm", choices=family.solvers)
-
-    p = sub.add_parser("bench", help="run several solvers on one instance")
-    p.set_defaults(run=_cmd_bench)
-    _add_common(p)
-    p.add_argument("--family", default="portfolio", choices=list(FAMILIES))
-    p.add_argument("--solvers", default=None,
-                   help="comma-separated; default: every solver of the family")
-    for flag in bench_flags.values():
-        _add_flag(p, flag, None)
+            p.add_argument("--solver", default="ippmm",
+                           help=f"comma-separated, some of {','.join(family.solvers)}")
 
     p = sub.add_parser("spectest", help="preconditioner eigenvalue check")
     p.set_defaults(run=_cmd_spectest)

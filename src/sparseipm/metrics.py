@@ -13,11 +13,9 @@ class UndefinedMetricError(ValueError):
 
 def threshold_solution(w: np.ndarray, fraction: float = 1e-4) -> np.ndarray:
     """Zero the smallest-magnitude entries whose cumulative absolute sum stays
-    within ``fraction`` of the l1 norm."""
+    within ``fraction`` of the l1 norm; the zero vector comes back as a copy."""
     w = np.asarray(w, dtype=float)
     norm1 = np.abs(w).sum()
-    if norm1 == 0:
-        raise ValueError("cannot threshold the zero vector")
     if fraction <= 0:
         return w.copy()
     order = np.argsort(np.abs(w), kind="stable")

@@ -1,12 +1,16 @@
 import importlib
 import json
 import pkgutil
+import re
+import shlex
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sparseipm
-from sparseipm import baselines, harness, problems
+from sparseipm import baselines, harness, metrics, problems
 from sparseipm.harness import (FAMILIES, ParseError, builtin_image,
                                gen_blur_instance, gen_classification,
                                gen_fused_lasso, gen_portfolio, parse_config,
@@ -228,7 +232,7 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "report_ippmm.json").exists()
         scores = (tmp_path / "scores.csv").read_text().splitlines()
-        assert scores[0] == "ratio,ratio_h,ratio_t"
+        assert scores[0] == "solver,status,iters,time_s,objective,ratio,ratio_h,ratio_t"
         assert len(scores) == 2
 
     def test_portfolio_asb_solver(self, tmp_path):
@@ -242,7 +246,7 @@ class TestCli:
                         "3x3", "--out", str(tmp_path)])
         assert code == 0
         scores = (tmp_path / "scores.csv").read_text().splitlines()
-        assert scores[0] == "objective,density_pct"
+        assert scores[0] == "solver,status,iters,time_s,objective,density_pct"
 
     def test_restore_small(self, tmp_path):
         code = run_cli(["restore", "--size", "16", "--peak", "50",
@@ -256,54 +260,89 @@ class TestCli:
                         str(tmp_path)])
         assert code == 0
         scores = (tmp_path / "scores.csv").read_text().splitlines()
-        assert scores[0].startswith("split,accuracy_pct")
-        assert scores[1].startswith("train") and scores[2].startswith("test")
+        assert scores[0].startswith("solver,status,iters,time_s,objective,"
+                                    "split,accuracy_pct")
+        assert scores[1].split(",")[5] == "train"
+        assert scores[2].split(",")[5] == "test"
 
     def test_bench_runs_all_solvers_on_one_instance(self, tmp_path):
-        code = run_cli(["bench", "--family", "portfolio", "--s", "4", "--m",
-                        "3", "--solvers", "ippmm,asb", "--out", str(tmp_path)])
+        code = run_cli(["portfolio", "--s", "4", "--m", "3", "--solver",
+                        "ippmm,asb", "--out", str(tmp_path)])
         assert code == 0
-        rows = (tmp_path / "bench.csv").read_text().splitlines()
-        assert rows[0] == "solver,status,iters,time_s,objective"
-        obj = [float(r.split(",")[-1]) for r in rows[1:]]
+        rows = (tmp_path / "scores.csv").read_text().splitlines()
+        assert rows[0].startswith("solver,status,iters,time_s,objective,")
+        assert [r.split(",")[0] for r in rows[1:]] == ["ippmm", "asb"]
+        obj = [float(r.split(",")[4]) for r in rows[1:]]
         assert abs(obj[0] - obj[1]) <= 1e-3 * (1 + abs(obj[1]))
 
     def test_classify_defaults_pose_the_sparse_regime(self, tmp_path):
         code = run_cli(["classify", "--out", str(tmp_path)])
         assert code == 0
         rows = (tmp_path / "scores.csv").read_text().splitlines()
-        density = float(rows[1].split(",")[2])
+        header = rows[0].split(",")
+        density = float(rows[1].split(",")[header.index("density_pct")])
         assert density <= 30.0
 
-    def test_bench_rejects_unknown_solver_before_solving(self, tmp_path):
+    def test_bench_rejects_unknown_solver_before_solving(self, tmp_path,
+                                                          capsys):
         out = tmp_path / "out"
-        code = run_cli(["bench", "--family", "portfolio", "--s", "4", "--m",
-                        "3", "--solvers", "ippmm,zzz", "--out", str(out)])
+        code = run_cli(["portfolio", "--s", "4", "--m", "3", "--solver",
+                        "ippmm,zzz", "--out", str(out)])
         assert code == 1
         assert not out.exists()
+        assert "zzz" in capsys.readouterr().err
+        code = run_cli(["portfolio", "--s", "4", "--m", "3", "--solver",
+                        "asb,asb", "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert "repeated" in capsys.readouterr().err
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_family_subcommand_and_bench_solve_one_instance(self, family,
                                                             tmp_path):
+        """A run of every solver of the family gives the same IP-PMM report,
+        timings aside, as a run of IP-PMM alone."""
         flags = {"portfolio": ["--s", "4", "--m", "3"],
                  "fmri": ["--s", "10", "--grid", "3x3"],
                  "restore": ["--size", "8", "--peak", "50", "--max-iter", "8"],
                  "classify": ["--n", "60", "--s", "12"]}[family]
-        sub, bench = tmp_path / "sub", tmp_path / "bench"
-        assert run_cli([family, *flags, "--out", str(sub)]) == 0
-        scores = (sub / "scores.csv").read_text().splitlines()
-        assert scores[0] == ",".join(FAMILIES[family].header)
-        report = json.loads((sub / "report_ippmm.json").read_text())
-        assert run_cli(["bench", "--family", family, "--solvers", "ippmm",
-                        *flags, "--out", str(bench)]) == 0
-        # bench.csv holds the original-formulation objective at 6 digits;
-        # the report holds the solved program's, so compare reports exactly
-        bench_report = json.loads((bench / "report_ippmm.json").read_text())
-        assert bench_report["objective"] == report["objective"]
-        rows = (bench / "bench.csv").read_text().splitlines()
+        solvers = FAMILIES[family].solvers
+        single, several = tmp_path / "single", tmp_path / "several"
+        assert run_cli([family, *flags, "--out", str(single)]) == 0
+        report = json.loads((single / "report_ippmm.json").read_text())
+        several_flags = ["--solver", ",".join(solvers)] if len(solvers) > 1 else []
+        assert run_cli([family, *flags, *several_flags,
+                        "--out", str(several)]) == 0
+        several_report = json.loads((several / "report_ippmm.json").read_text())
+        for doc in (report, several_report):
+            del doc["time_s"], doc["phase_times"]
+        assert several_report == report
+        rows = (several / "scores.csv").read_text().splitlines()
+        assert rows[0] == ",".join(("solver", "status", "iters", "time_s",
+                                    "objective", *FAMILIES[family].header))
+        assert {r.split(",")[0] for r in rows[1:]} == set(solvers)
         solver, status, iters = rows[1].split(",")[:3]
         assert (solver, status, int(iters)) == ("ippmm", report["status"],
                                                 report["iters"])
+        for solver in solvers:
+            assert (several / f"report_{solver}.json").exists()
+
+    def test_undefined_score_leaves_its_columns_blank(self, tmp_path,
+                                                      monkeypatch):
+        def undefined(*args):
+            raise metrics.UndefinedMetricError("optimal portfolio is empty")
+
+        monkeypatch.setitem(FAMILIES, "portfolio",
+                            replace(FAMILIES["portfolio"], score=undefined))
+        code = run_cli(["portfolio", "--s", "4", "--m", "3", "--solver",
+                        "ippmm,asb", "--out", str(tmp_path)])
+        assert code == 0
+        rows = [r.split(",") for r in
+                (tmp_path / "scores.csv").read_text().splitlines()[1:]]
+        assert [r[:2] for r in rows] == [["ippmm", "optimal"], ["asb", "converged"]]
+        for r in rows:
+            float(r[4])  # the objective is kept
+            assert r[5:] == ["", "", ""]
 
     def test_spectest_fmri(self, tmp_path):
         code = run_cli(["spectest", "--family", "fmri", "--s", "5", "--grid",
@@ -325,6 +364,17 @@ class TestCli:
         code = run_cli(["portfolio", "--config", str(cfg), "--out",
                         str(tmp_path)])
         assert code == 0
+
+    def test_config_lists_several_solvers(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("solver = ippmm,asb\ns = 4\nm = 3\n")
+        code = run_cli(["portfolio", "--config", str(cfg), "--out",
+                        str(tmp_path)])
+        assert code == 0
+        assert (tmp_path / "report_ippmm.json").exists()
+        assert (tmp_path / "report_asb.json").exists()
+        rows = (tmp_path / "scores.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["ippmm", "asb"]
 
     def test_explicit_flag_beats_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -384,3 +434,24 @@ class TestCli:
 
     def test_unknown_subcommand(self):
         assert run_cli(["frobnicate"]) == 1
+
+
+def test_readme_command_lines_parse():
+    """Every ``sparseipm`` command in the README's code blocks names an
+    existing subcommand, existing flags and existing solvers."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("sparseipm ")]
+    assert lines
+    parser = harness.build_parser()
+    # a removed flag must not pass as an abbreviation of a longer one
+    for p in [parser, *parser._subparsers._group_actions[0].choices.values()]:
+        p.allow_abbrev = False
+    for line in lines:
+        try:
+            args = parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
+        if args.subcommand in FAMILIES:
+            assert set(args.solver.split(",")) <= set(FAMILIES[args.subcommand].solvers), line

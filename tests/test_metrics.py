@@ -32,9 +32,11 @@ class TestThresholdSolution:
         np.testing.assert_array_equal(out, w)
         assert out is not w
 
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            threshold_solution(np.zeros(3))
+    def test_zero_vector_returned_as_copy(self):
+        w = np.zeros(3)
+        out = threshold_solution(w)
+        np.testing.assert_array_equal(out, w)
+        assert out is not w
 
 
 class TestCountTransactions:
