@@ -15,6 +15,12 @@ from .krylov import CholeskyFactor, pcg
 from .problems import (FusedLassoLsInstance, LogisticInstance,
                        PortfolioInstance, budget_constraints, logistic_oracle)
 
+# Method constants of the baselines; they are not caller settings.
+ASB_LAMBDAS = (1.0, 1.0, 1.0)  # split Bregman penalties of A w = b, L w = d, w = u
+FISTA_INNER_STEPS = 10         # inner dual proximal steps per FISTA step
+ADMM_RHO = 1.0                 # ADMM penalty
+ADMM_INNER_CG_STEPS = 10       # CG iterations per ADMM subproblem solve
+
 
 @dataclass
 class FirstOrderReport:
@@ -59,15 +65,12 @@ def soft_threshold(v: np.ndarray, gamma: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - gamma, 0.0)
 
 
-def asb_chol_solve(inst: PortfolioInstance, lambdas=(1.0, 1.0, 1.0),
-                   tol: float = 1e-6, maxit: int = 5000,
+def asb_chol_solve(inst: PortfolioInstance, tol: float = 1e-6, maxit: int = 5000,
                    time_budget: Optional[float] = None):
     """Alternating split Bregman on the three-way splitting of the portfolio
     model; the quadratic subproblem matrix H = C + l1*A'A + l2*L'L + l3*I is
     factorized exactly once and reused across all iterations."""
-    l1, l2, l3 = lambdas
-    if min(l1, l2, l3) <= 0:
-        raise ValueError("penalty parameters must be positive")
+    l1, l2, l3 = ASB_LAMBDAS
     t0 = time.perf_counter()
     C = inst.block_covariance()
     L = inst.difference.matrix
@@ -118,7 +121,7 @@ def _power_sigma_max_sq(matvec, rmatvec, n, iters=50, seed=0):
     return lam
 
 
-def _prox_l1_analysis(v, Lhat_mv, Lhat_rmv, lip, gamma, phi0, inner_steps):
+def _prox_l1_analysis(v, Lhat_mv, Lhat_rmv, lip, gamma, phi0):
     """Approximate prox of gamma*||Lhat w||_1 at v by an inner dual FISTA loop.
 
     Maximizes the dual -0.5*||v - Lhat' phi||^2 over ||phi||_inf <= gamma with
@@ -127,7 +130,7 @@ def _prox_l1_analysis(v, Lhat_mv, Lhat_rmv, lip, gamma, phi0, inner_steps):
     phi = phi0.copy()
     psi = phi.copy()
     theta = 1.0
-    for _ in range(inner_steps):
+    for _ in range(FISTA_INNER_STEPS):
         grad = Lhat_mv(v - Lhat_rmv(psi))
         cand = np.clip(psi + grad / lip, -gamma, gamma)
         theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta ** 2))
@@ -137,13 +140,10 @@ def _prox_l1_analysis(v, Lhat_mv, Lhat_rmv, lip, gamma, phi0, inner_steps):
     return v - Lhat_rmv(phi), phi
 
 
-def fista_solve(inst: FusedLassoLsInstance, inner_steps: int = 10,
-                time_budget: Optional[float] = None,
+def fista_solve(inst: FusedLassoLsInstance, time_budget: Optional[float] = None,
                 tol: float = 1e-8, maxit: int = 5000):
     """Accelerated proximal gradient on the least-squares term with the
     composite l1 + TV penalty handled by an inner dual proximal loop."""
-    if inner_steps < 1:
-        raise ValueError("need at least one inner proximal step")
     t0 = time.perf_counter()
     D = inst.data
     g = inst.labels
@@ -173,8 +173,8 @@ def fista_solve(inst: FusedLassoLsInstance, inner_steps: int = 10,
         point = v - step * grad
         if reg_active:
             w_new, phi = _prox_l1_analysis(point, Lhat_mv, Lhat_rmv, lip_dual,
-                                           step, phi, inner_steps)
-            report.inner_iterations += inner_steps
+                                           step, phi)
+            report.inner_iterations += FISTA_INNER_STEPS
         else:
             w_new = point
         theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta ** 2))
@@ -189,8 +189,11 @@ def fista_solve(inst: FusedLassoLsInstance, inner_steps: int = 10,
     return w, report
 
 
-def _admm_fused_lasso(inst: FusedLassoLsInstance, rho_admm, inner_cg_steps,
-                      time_budget, tol, maxit):
+def admm_fused_lasso(inst: FusedLassoLsInstance,
+                     time_budget: Optional[float] = None,
+                     tol: float = 1e-8, maxit: int = 5000):
+    """Scaled-dual ADMM on the fused-lasso least-squares model; the smooth
+    subproblem gets a handful of CG iterations per outer step."""
     t0 = time.perf_counter()
     D = inst.data
     glab = inst.labels
@@ -200,7 +203,7 @@ def _admm_fused_lasso(inst: FusedLassoLsInstance, rho_admm, inner_cg_steps,
     LtL = (L.T @ L).tocsr()
 
     def subproblem_mv(v):
-        return D.T @ (D @ v) / s + rho_admm * (v + LtL @ v)
+        return D.T @ (D @ v) / s + ADMM_RHO * (v + LtL @ v)
 
     report = FirstOrderReport()
     w = np.zeros(qdim)
@@ -209,21 +212,21 @@ def _admm_fused_lasso(inst: FusedLassoLsInstance, rho_admm, inner_cg_steps,
     p = np.zeros(qdim)
     qdual = np.zeros(ell)
     for k in range(1, maxit + 1):
-        rhs = (D.T @ glab / s + rho_admm * (u - p)
-               + rho_admm * (L.T @ (d - qdual)))
+        rhs = (D.T @ glab / s + ADMM_RHO * (u - p)
+               + ADMM_RHO * (L.T @ (d - qdual)))
         out = pcg(subproblem_mv, rhs - subproblem_mv(w),
-                  tol=1e-12, maxit=inner_cg_steps)
+                  tol=1e-12, maxit=ADMM_INNER_CG_STEPS)
         w = w + out.solution
         report.inner_iterations += out.iterations
         u_prev, d_prev = u, d
-        u = soft_threshold(w + p, inst.tau1 / rho_admm)
+        u = soft_threshold(w + p, inst.tau1 / ADMM_RHO)
         Lw = L @ w
-        d = soft_threshold(Lw + qdual, inst.tau2 / rho_admm)
+        d = soft_threshold(Lw + qdual, inst.tau2 / ADMM_RHO)
         p += w - u
         qdual += Lw - d
         scale = 1.0 + np.linalg.norm(w)
         primal = np.hypot(np.linalg.norm(w - u), np.linalg.norm(Lw - d))
-        dual = rho_admm * np.hypot(np.linalg.norm(u - u_prev),
+        dual = ADMM_RHO * np.hypot(np.linalg.norm(u - u_prev),
                                    np.linalg.norm(L.T @ (d - d_prev)))
         feas = float(max(primal, dual)) / scale
         if report.record(k, feas, inst.original_objective(w), tol, t0,
@@ -233,8 +236,10 @@ def _admm_fused_lasso(inst: FusedLassoLsInstance, rho_admm, inner_cg_steps,
     return w, report
 
 
-def _admm_logistic(inst: LogisticInstance, rho_admm, inner_cg_steps,
-                   time_budget, tol, maxit):
+def admm_logistic(inst: LogisticInstance, time_budget: Optional[float] = None,
+                  tol: float = 1e-8, maxit: int = 5000):
+    """Scaled-dual ADMM on the l1-regularized logistic model; the smooth
+    subproblem gets a few Newton-CG steps per outer step."""
     t0 = time.perf_counter()
     D = inst.design()
     glab = inst.labels
@@ -246,42 +251,24 @@ def _admm_logistic(inst: LogisticInstance, rho_admm, inner_cg_steps,
     p = np.zeros(sdim)
     for k in range(1, maxit + 1):
         # w-update: a few Newton steps on logistic(w) + rho/2 ||w - u + p||^2,
-        # each linear system truncated to inner_cg_steps CG iterations
+        # each linear system truncated to ADMM_INNER_CG_STEPS CG iterations
         for _ in range(5):
-            _, grad, hw = logistic_oracle(D, glab, w)
-            res = grad + rho_admm * (w - u + p)
+            grad, hw = logistic_oracle(D, glab, w)
+            res = grad + ADMM_RHO * (w - u + p)
             if np.linalg.norm(res) <= 1e-10:
                 break
-            out = pcg(lambda v: D.T @ (hw * (D @ v)) + rho_admm * v,
-                      -res, tol=1e-12, maxit=inner_cg_steps)
+            out = pcg(lambda v: D.T @ (hw * (D @ v)) + ADMM_RHO * v,
+                      -res, tol=1e-12, maxit=ADMM_INNER_CG_STEPS)
             w = w + out.solution
             report.inner_iterations += out.iterations
         u_prev = u
-        u = soft_threshold(w + p, inst.tau / rho_admm)
+        u = soft_threshold(w + p, inst.tau / ADMM_RHO)
         p += w - u
         feas = float(max(np.linalg.norm(w - u),
-                         rho_admm * np.linalg.norm(u - u_prev))) \
+                         ADMM_RHO * np.linalg.norm(u - u_prev))) \
             / (1.0 + np.linalg.norm(w))
         if report.record(k, feas, inst.original_objective(w), tol, t0,
                          time_budget):
             break
     report.time_s = time.perf_counter() - t0
     return w, report
-
-
-def admm_solve(problem, rho_admm: float = 1.0, inner_cg_steps: int = 10,
-               time_budget: Optional[float] = None,
-               tol: float = 1e-8, maxit: int = 5000):
-    """Scaled-dual ADMM; the smooth subproblem is solved by a handful of CG
-    (or Newton-CG for the logistic model) iterations per outer step."""
-    if inner_cg_steps < 1:
-        raise ValueError("need at least one inner CG step")
-    if rho_admm <= 0:
-        raise ValueError("ADMM penalty must be positive")
-    if isinstance(problem, FusedLassoLsInstance):
-        return _admm_fused_lasso(problem, rho_admm, inner_cg_steps,
-                                 time_budget, tol, maxit)
-    if isinstance(problem, LogisticInstance):
-        return _admm_logistic(problem, rho_admm, inner_cg_steps,
-                              time_budget, tol, maxit)
-    raise TypeError(f"unsupported problem type {type(problem).__name__}")

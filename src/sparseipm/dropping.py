@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+XI = 1e2  # a dropped variable's dual must be at least XI * eps_drop
+
 
 @dataclass
 class DropAudit:
@@ -24,17 +26,17 @@ class DropAudit:
         }
 
 
-def scan_and_drop(state, rd: np.ndarray, eps_drop: float, xi: float) -> list:
+def scan_and_drop(state, rd: np.ndarray, eps_drop: float) -> list:
     """Move near-zero variables with well-separated duals into the dropped set.
 
     A non-negative, still-active variable j is dropped when x_j <= eps_drop,
-    z_j >= xi * eps_drop and its dual residual ``rd`` = grad - A'y - z is
+    z_j >= XI * eps_drop and its dual residual ``rd`` = grad - A'y - z is
     within eps_drop; the log stamps it with ``state.k``, the evaluation that
     found it. Returns the newly dropped indices; mutates the state in place.
     """
     candidates = state.nonneg_active()
     mask = ((state.x[candidates] <= eps_drop)
-            & (state.z[candidates] >= xi * eps_drop)
+            & (state.z[candidates] >= XI * eps_drop)
             & (np.abs(rd[candidates]) <= eps_drop))
     newly = candidates[mask]
     for j in newly:

@@ -89,9 +89,10 @@ def gen_blur_instance(image: np.ndarray, kernel: BlurKernel, peak_counts: float,
 
 def gen_classification(n: int, s: int, separation: float = 1.0,
                        sparsity: float = 0.1, seed: int = 0,
-                       tau: float = None, test_fraction: float = 0.0):
+                       test_fraction: float = 0.0):
     """Planted sparse linear model with Gaussian design; labels carry unit
-    noise so finite separation keeps the classes overlapping.
+    noise so finite separation keeps the classes overlapping. The instance
+    has tau = 1/n.
 
     Returns (instance, planted weights, test set or None)."""
     if n < 1 or s < 1:
@@ -112,7 +113,7 @@ def gen_classification(n: int, s: int, separation: float = 1.0,
         return D, g
 
     D, g = draw(n)
-    inst = LogisticInstance(data=D, labels=g, tau=(1.0 / n if tau is None else tau))
+    inst = LogisticInstance(data=D, labels=g, tau=1.0 / n)
     test = draw(int(round(test_fraction * n))) if test_fraction > 0 else None
     return inst, wbar, test
 
@@ -212,20 +213,13 @@ def read_pgm(path):
     return img.reshape(height, width), maxval
 
 
-def write_pgm(path, img: np.ndarray, maxval: int = 255, binary: bool = True):
-    """Write a 2-d array of integers in [0, maxval] as PGM (P5 or P2)."""
-    img = np.asarray(img)
-    arr = np.clip(np.rint(img), 0, maxval).astype(np.uint16 if maxval > 255
-                                                  else np.uint8)
+def write_pgm(path, img: np.ndarray, maxval: int = 255):
+    """Write a 2-d array of integers in [0, maxval] as binary PGM (P5)."""
+    arr = np.clip(np.rint(np.asarray(img)), 0, maxval)
     h, w = arr.shape
-    header = f"{'P5' if binary else 'P2'}\n{w} {h}\n{maxval}\n"
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        if binary:
-            fh.write(arr.astype(">u2" if maxval > 255 else np.uint8).tobytes())
-        else:
-            body = "\n".join(" ".join(str(v) for v in row) for row in arr)
-            fh.write((body + "\n").encode("ascii"))
+        fh.write(f"P5\n{w} {h}\n{maxval}\n".encode("ascii"))
+        fh.write(arr.astype(">u2" if maxval > 255 else np.uint8).tobytes())
 
 
 def _write_text(path, text):
@@ -368,7 +362,7 @@ FAMILIES = {
         baselines={
             "fista": lambda inst, a: baselines.fista_solve(
                 inst, time_budget=a.budget_seconds),
-            "admm": lambda inst, a: baselines.admm_solve(
+            "admm": lambda inst, a: baselines.admm_fused_lasso(
                 inst, time_budget=a.budget_seconds)},
         header=("density_pct",),
         score=_score_fmri),
@@ -403,7 +397,7 @@ FAMILIES = {
         build=build_logistic_l1,
         ippmm=lambda a, inst: dict(linear_solver="minres-augmented",
                                    htilde_choice="diag-h", eps_drop=1e-6),
-        baselines={"admm": lambda inst, a: baselines.admm_solve(
+        baselines={"admm": lambda inst, a: baselines.admm_logistic(
             inst, time_budget=a.budget_seconds)},
         header=("split", "accuracy_pct", "density_pct", "support_recovery_pct"),
         score=_score_classify),
@@ -420,7 +414,7 @@ def _exit_code(status: str) -> int:
 
 def _solver_options(family: Family, args, inst) -> ippmm.SolverOptions:
     opts = ippmm.SolverOptions(dropping=True, **family.ippmm(args, inst))
-    for name in ("tol", "max_iter", "eps_drop", "xi"):
+    for name in ("tol", "max_iter", "eps_drop"):
         if getattr(args, name) is not None:
             setattr(opts, name, getattr(args, name))
     return opts
@@ -534,10 +528,6 @@ def _make_kernel(args, shape) -> BlurKernel:
 
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    p.add_argument("--eps-drop", dest="eps_drop", type=float, default=None)
-    p.add_argument("--xi", type=float, default=None)
     p.add_argument("--out", default=".")
     p.add_argument("--config", default=None,
                    help="key=value file; values become flag defaults")
@@ -573,6 +563,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=family.help)
         p.set_defaults(run=_cmd_family, solver="ippmm")
         _add_common(p)
+        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
+        p.add_argument("--eps-drop", dest="eps_drop", type=float, default=None)
         for flag in family.flags:
             kind = {"action": "store_true"} if flag.type is bool else {"type": flag.type}
             p.add_argument(flag.name, default=flag.default, **kind, **flag.kw)

@@ -45,7 +45,6 @@ class SolverOptions:
     htilde_choice: str = "u-squared"         # | diag-h
     dropping: bool = False
     eps_drop: float = 1e-4
-    xi: float = 1e2
     x0: Optional[np.ndarray] = None
 
 
@@ -148,19 +147,19 @@ def initial_state(program: ConvexProgram, options: SolverOptions) -> IpPmmState:
 
 
 def kkt_residuals(state: IpPmmState, program: ConvexProgram,
-                  drop: Optional[tuple] = None):
+                  eps_drop: Optional[float] = None):
     """Scaled primal/dual infeasibility and average complementarity, with
-    b - Ax, grad - A'y and the dual residual grad - A'y - z. With ``drop =
-    (eps_drop, xi)`` the drop rule runs on that residual, and the residuals
-    are formed again if it changed ``state``."""
+    b - Ax, grad - A'y and the dual residual grad - A'y - z. With
+    ``eps_drop`` the drop rule runs on that residual, and the residuals are
+    formed again if it changed ``state``."""
     for _ in range(2):
         g = program.gradient(state.x)
         rp = program.b - program.A @ state.x
         gy = g - program.A.T @ state.y
         rd = gy - state.z
-        if drop is None or not dropmod.scan_and_drop(state, rd, *drop):
+        if eps_drop is None or not dropmod.scan_and_drop(state, rd, eps_drop):
             break
-        drop = None
+        eps_drop = None
     act = state.active_indices()
     primal = float(np.linalg.norm(rp)) / (1.0 + np.linalg.norm(program.b))
     dual = float(np.linalg.norm(rd[act])) / (1.0 + np.linalg.norm(g[act]))
@@ -460,8 +459,8 @@ def solve(program: ConvexProgram, options: Optional[SolverOptions] = None):
         raise ValueError(f"unknown linear solver {options.linear_solver!r}")
     if not options.tol > 0 or options.max_iter < 1:
         raise ValueError("tol must be positive and max_iter at least 1")
-    if options.dropping and not (options.eps_drop > 0 and options.xi > 0):
-        raise ValueError("dropping needs positive eps_drop and xi")
+    if options.dropping and not options.eps_drop > 0:
+        raise ValueError("dropping needs a positive eps_drop")
     if options.htilde_choice not in ("u-squared", "diag-h"):
         raise ValueError(f"unknown htilde_choice {options.htilde_choice!r}")
     if options.precond not in ("auto", *_PRECONDS[options.linear_solver]):
@@ -476,12 +475,12 @@ def solve(program: ConvexProgram, options: Optional[SolverOptions] = None):
     report = SolveReport()
     status = "max-iterations"
 
-    drop = (options.eps_drop, options.xi) if options.dropping else None
+    eps_drop = options.eps_drop if options.dropping else None
     # evaluation k is of the k-th iterate; the last one is of the returned point
     for k in range(options.max_iter + 1):
         state.k = k
         primal, dual, mu, rp, gy, rd = kkt_residuals(
-            state, program, drop if state.mu <= DROP_ACTIVATION * mu0 else None)
+            state, program, eps_drop if state.mu <= DROP_ACTIVATION * mu0 else None)
         report.primal_inf_history.append(primal)
         report.dual_inf_history.append(dual)
         report.mu_history.append(mu)

@@ -20,21 +20,19 @@ class DomainError(ValueError):
 class ConvexProgram:
     """min f(x) s.t. A x = b, x_I >= 0, x_F free, with oracle callbacks.
 
-    ``hessian_is_diagonal`` is set from ``Q`` on construction: true when the
-    explicit Hessian ``Q`` is given and diagonal, which enables the
-    normal-equations solver path. ``hess_action(x)`` returns the action
+    The sizes ``m, n`` come from ``A``; ``free`` is the complement of
+    ``nonneg``. ``hessian_is_diagonal`` is set from ``Q`` on construction:
+    true when the explicit Hessian ``Q`` is given and diagonal, which enables
+    the normal-equations solver path. ``hess_action(x)`` returns the action
     v -> Hessian(x) v, so that work shared by all products at one point is done
     once per point. ``hess_diag_cheap`` is an optional
     inexpensive diagonal approximation of the f-Hessian used by the
     block-diagonal augmented preconditioner.
     """
 
-    n: int
-    m: int
     A: sp.csr_matrix
     b: np.ndarray
     nonneg: np.ndarray
-    free: np.ndarray
     objective: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     hess_action: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
@@ -45,32 +43,29 @@ class ConvexProgram:
     extract: Optional[Callable[[np.ndarray], np.ndarray]] = None  # split x -> original w
 
     def __post_init__(self):
+        self.m, self.n = self.A.shape
         self.nonneg = np.asarray(self.nonneg, dtype=int)
-        self.free = np.asarray(self.free, dtype=int)
-        if np.intersect1d(self.nonneg, self.free).size:
-            raise ValueError("nonneg and free index sets overlap")
-        if self.nonneg.size + self.free.size != self.n:
-            raise ValueError("nonneg and free sets must partition {0..n-1}")
+        if np.any((self.nonneg < 0) | (self.nonneg >= self.n)):
+            raise ValueError("nonneg indices must lie in {0..n-1}")
+        free = np.ones(self.n, dtype=bool)
+        free[self.nonneg] = False
+        if np.count_nonzero(free) != self.n - self.nonneg.size:
+            raise ValueError("nonneg indices must not repeat")
+        self.free = np.flatnonzero(free)
         self.hessian_is_diagonal = (
             self.Q is not None and (self.Q - sp.diags(self.Q.diagonal())).nnz == 0)
 
 
-def quadratic_program(Q, c, A, b, nonneg=None, free=None, **kw) -> ConvexProgram:
-    """Build a ConvexProgram for f(x) = 1/2 x'Qx + c'x with explicit Q."""
+def quadratic_program(Q, c, A, b, nonneg=None, **kw) -> ConvexProgram:
+    """Build a ConvexProgram for f(x) = 1/2 x'Qx + c'x with explicit Q; every
+    coordinate is non-negative unless ``nonneg`` says otherwise."""
     Q = sp.csr_matrix(Q)
     c = np.asarray(c, dtype=float)
     A = sp.csr_matrix(A)
     b = np.asarray(b, dtype=float)
-    n = c.size
-    if nonneg is None and free is None:
-        nonneg, free = np.arange(n), np.array([], dtype=int)
-    elif nonneg is None:
-        nonneg = np.setdiff1d(np.arange(n), free)
-    elif free is None:
-        free = np.setdiff1d(np.arange(n), nonneg)
     qdiag = Q.diagonal()
     return ConvexProgram(
-        n=n, m=A.shape[0], A=A, b=b, nonneg=nonneg, free=free,
+        A=A, b=b, nonneg=np.arange(c.size) if nonneg is None else nonneg,
         objective=lambda x: 0.5 * float(x @ (Q @ x)) + float(c @ x),
         gradient=lambda x: Q @ x + c,
         hess_action=lambda x: lambda v: Q @ v,
@@ -107,6 +102,8 @@ class PortfolioInstance:
     def __post_init__(self):
         if self.num_periods < 2:
             raise ValueError("need at least 2 periods")
+        if not (self.tau1 >= 0 and self.tau2 >= 0):  # NaN fails too
+            raise ValueError("tau1 and tau2 must be non-negative")
         for j, C in enumerate(self.covariances):
             try:
                 np.linalg.cholesky(np.asarray(C))
@@ -172,8 +169,7 @@ def build_portfolio_qp(inst: PortfolioInstance) -> ConvexProgram:
     c = np.concatenate([
         np.full(2 * n, inst.tau1), np.full(2 * l, inst.tau2)])
 
-    prog = quadratic_program(Q, c, A, b, nonneg=np.arange(2 * (n + l)),
-                             free=np.array([], dtype=int))
+    prog = quadratic_program(Q, c, A, b)
     prog.extract = lambda x: x[:n] - x[n:2 * n]
     return prog
 
@@ -213,6 +209,8 @@ class FusedLassoLsInstance:
             raise ValueError("grid does not match number of features")
         if not np.all(np.isin(self.labels, (-1.0, 1.0))):
             raise ValueError("labels must be -1/+1")
+        if not (self.tau1 >= 0 and self.tau2 >= 0):  # NaN fails too
+            raise ValueError("tau1 and tau2 must be non-negative")
         if s > q:
             warnings.warn("more samples than features; model intended for s <= q")
         self.tv = make_tv_operator(self.grid)
@@ -242,9 +240,7 @@ def build_fused_lasso_ls(inst: FusedLassoLsInstance) -> ConvexProgram:
         np.full(2 * q, inst.tau1),
         np.full(2 * l, inst.tau2),
     ])
-    prog = quadratic_program(Q, c, A, b, free=np.arange(s),
-                             nonneg=np.arange(s, n),
-                             row_split=s)
+    prog = quadratic_program(Q, c, A, b, nonneg=np.arange(s, n), row_split=s)
     prog.extract = lambda x: x[s:s + q] - x[s + q:s + 2 * q]
     # carry the constant ||y||^2/(2s) so values match the unsplit model
     const = float(inst.labels @ inst.labels) / (2.0 * s)
@@ -274,6 +270,8 @@ class PoissonTvInstance:
             raise ValueError("observed counts must be non-negative")
         if np.any(self.background <= 0):
             raise ValueError("background must be strictly positive")
+        if not self.lam >= 0:
+            raise ValueError("lam must be non-negative")
         self.tv = make_tv_operator(self.blur.grid)
 
     @property
@@ -281,26 +279,30 @@ class PoissonTvInstance:
         return float(np.sum(self.observed - self.background))
 
     def original_objective(self, w: np.ndarray) -> float:
-        val, _ = kl_value_grad(w, self, want_grad=False)
-        return val + self.lam * np.abs(self.tv.apply(w)).sum()
+        return kl_value(w, self) + self.lam * np.abs(self.tv.apply(w)).sum()
 
 
-def kl_value_grad(w, inst: PoissonTvInstance, want_grad=True):
-    """Kullback-Leibler divergence of (Dw + a) from g, and its gradient.
-
-    Terms with g_j = 0 contribute only (Dw + a)_j.
-    """
-    g = inst.observed
+def _intensity(w, inst: PoissonTvInstance) -> np.ndarray:
+    """The modelled mean Dw + a, which the KL terms need strictly positive."""
     nu = inst.blur.apply(w) + inst.background
     if np.any(nu <= 0):
         raise DomainError("non-positive intensity Dw + a")
+    return nu
+
+
+def kl_value(w, inst: PoissonTvInstance) -> float:
+    """Kullback-Leibler divergence of (Dw + a) from g; terms with g_j = 0
+    contribute only (Dw + a)_j."""
+    g = inst.observed
+    nu = _intensity(w, inst)
     pos = g > 0
     val = float(np.sum(nu - g))
-    val += float(np.sum(g[pos] * np.log(g[pos] / nu[pos])))
-    if not want_grad:
-        return val, None
-    grad = inst.blur.apply_transpose(1.0 - g / nu)
-    return val, grad
+    return val + float(np.sum(g[pos] * np.log(g[pos] / nu[pos])))
+
+
+def kl_gradient(w, inst: PoissonTvInstance) -> np.ndarray:
+    """Gradient D'(1 - g / (Dw + a)) of ``kl_value``."""
+    return inst.blur.apply_transpose(1.0 - inst.observed / _intensity(w, inst))
 
 
 def build_poisson_tv(inst: PoissonTvInstance) -> ConvexProgram:
@@ -321,18 +323,13 @@ def build_poisson_tv(inst: PoissonTvInstance) -> ConvexProgram:
     blur_sq = inst.blur.squared_kernel_operator()
 
     def objective(x):
-        val, _ = kl_value_grad(x[:n], inst, want_grad=False)
-        return val + lam * float(np.sum(x[n:]))
+        return kl_value(x[:n], inst) + lam * float(np.sum(x[n:]))
 
     def gradient(x):
-        _, gw = kl_value_grad(x[:n], inst)
-        return np.concatenate([gw, np.full(2 * l, lam)])
+        return np.concatenate([kl_gradient(x[:n], inst), np.full(2 * l, lam)])
 
     def _u2(x):
-        nu = inst.blur.apply(x[:n]) + inst.background
-        if np.any(nu <= 0):
-            raise DomainError("non-positive intensity Dw + a")
-        return inst.observed / nu ** 2
+        return inst.observed / _intensity(x[:n], inst) ** 2
 
     def hess_action(x):
         u2 = _u2(x)
@@ -351,8 +348,7 @@ def build_poisson_tv(inst: PoissonTvInstance) -> ConvexProgram:
         return np.concatenate([_u2(x), np.zeros(2 * l)])
 
     prog = ConvexProgram(
-        n=nbar, m=l + 1, A=A, b=b,
-        nonneg=np.arange(nbar), free=np.array([], dtype=int),
+        A=A, b=b, nonneg=np.arange(nbar),
         objective=objective, gradient=gradient, hess_action=hess_action,
         hess_diag=hess_diag, hess_diag_cheap=hess_diag_cheap,
         row_split=1,  # the intensity-budget row, dense over the pixels
@@ -368,12 +364,12 @@ def build_poisson_tv(inst: PoissonTvInstance) -> ConvexProgram:
 @dataclass
 class LogisticInstance:
     """Binary classification with logistic loss and l1 regularization; the
-    design matrix is built once, on construction."""
+    design matrix, the data with an all-ones bias column appended, is built
+    once, on construction."""
 
     data: np.ndarray            # n x s, rows are training points
     labels: np.ndarray          # in {-1, 1}
     tau: float
-    add_bias: bool = True
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
@@ -382,11 +378,10 @@ class LogisticInstance:
             raise ValueError("labels must be -1/+1")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-        self._design = (np.hstack([self.data, np.ones((self.data.shape[0], 1))])
-                        if self.add_bias else self.data)
+        self._design = np.hstack([self.data, np.ones((self.data.shape[0], 1))])
 
     def design(self) -> np.ndarray:
-        """Data matrix with the all-ones bias column appended when enabled."""
+        """Data matrix with the all-ones bias column appended."""
         return self._design
 
     def original_objective(self, w: np.ndarray) -> float:
@@ -396,7 +391,7 @@ class LogisticInstance:
         """Smallest tau at which w = 0 is optimal: the infinity norm of the mean
         loss gradient at w = 0, the bias column included (it is penalized too)."""
         D = self._design
-        _, grad, _ = logistic_oracle(D, self.labels, np.zeros(D.shape[1]))
+        grad, _ = logistic_oracle(D, self.labels, np.zeros(D.shape[1]))
         return float(np.max(np.abs(grad)))
 
 
@@ -407,14 +402,13 @@ def logistic_loss(D, g, w) -> float:
 
 
 def logistic_oracle(D, g, w):
-    """Value, gradient and Hessian weights of the mean logistic loss."""
+    """Gradient and Hessian weights of the mean logistic loss."""
     nsamp = D.shape[0]
     t = g * (D @ w)
-    val = float(np.mean(np.maximum(-t, 0.0) + np.log1p(np.exp(-np.abs(t)))))
     p = 1.0 / (1.0 + np.exp(np.clip(t, -500, 500)))  # sigmoid(-t)
     grad = -(D.T @ (g * p)) / nsamp
     hweights = p * (1.0 - p) / nsamp
-    return val, grad, hweights
+    return grad, hweights
 
 
 def build_logistic_l1(inst: LogisticInstance) -> ConvexProgram:
@@ -432,11 +426,11 @@ def build_logistic_l1(inst: LogisticInstance) -> ConvexProgram:
         return logistic_loss(D, g, x[:s]) + tau * float(np.sum(x[s:]))
 
     def gradient(x):
-        _, grad, _ = logistic_oracle(D, g, x[:s])
+        grad, _ = logistic_oracle(D, g, x[:s])
         return np.concatenate([grad, np.full(2 * s, tau)])
 
     def hess_action(x):
-        _, _, hw = logistic_oracle(D, g, x[:s])
+        _, hw = logistic_oracle(D, g, x[:s])
 
         def action(v):
             out = np.zeros(nbar)
@@ -445,12 +439,11 @@ def build_logistic_l1(inst: LogisticInstance) -> ConvexProgram:
         return action
 
     def hess_diag(x):
-        _, _, hw = logistic_oracle(D, g, x[:s])
+        _, hw = logistic_oracle(D, g, x[:s])
         return np.concatenate([D2.T @ hw, np.zeros(2 * s)])
 
     prog = ConvexProgram(
-        n=nbar, m=s, A=A, b=b,
-        free=np.arange(s), nonneg=np.arange(s, nbar),
+        A=A, b=b, nonneg=np.arange(s, nbar),
         objective=objective, gradient=gradient, hess_action=hess_action,
         hess_diag=hess_diag, hess_diag_cheap=hess_diag,
     )

@@ -43,7 +43,7 @@ class TestScanAndDrop:
         z = np.array([0.5, 0.5])
         # residual grad - A'y - z = 1 - 0.5 - 0.5 = 0 on both coordinates
         st = make_state(prog, [1e-5, 1.0], z, y=y, k=7)
-        newly = scan_and_drop(st, dual_residual(st, prog), eps_drop=1e-4, xi=1e2)
+        newly = scan_and_drop(st, dual_residual(st, prog), eps_drop=1e-4)
         assert newly == [0]
         assert st.x[0] == 0.0 and st.z[0] == 0.0
         assert st.drop_log == [(0, 7)]
@@ -52,33 +52,33 @@ class TestScanAndDrop:
     def test_small_dual_blocks_drop(self):
         prog = lp([1.0, 1.0], [[1.0, 1.0]], [1.0])
         st = make_state(prog, [1e-5, 1.0], [1e-3, 1.0], y=np.array([0.0]))
-        # z = 1e-3 < xi * eps_drop = 1e-2
-        assert scan_and_drop(st, dual_residual(st, prog), eps_drop=1e-4, xi=1e2) == []
+        # z = 1e-3 < XI * eps_drop = 1e-2
+        assert scan_and_drop(st, dual_residual(st, prog), eps_drop=1e-4) == []
 
     def test_dual_residual_blocks_drop(self):
         prog = lp([1.0, 1.0], [[1.0, 1.0]], [1.0])
         st = make_state(prog, [1e-5, 1.0], [0.5, 0.5], y=np.array([5.0]))
         # residual = 1 - 5 - 0.5 far from zero
-        assert scan_and_drop(st, dual_residual(st, prog), eps_drop=1e-4, xi=1e2) == []
+        assert scan_and_drop(st, dual_residual(st, prog), eps_drop=1e-4) == []
 
     def test_noop_when_away_from_bound(self):
         prog = lp([1.0, 1.0], [[1.0, 1.0]], [2.0])
         st = make_state(prog, [1.0, 1.0], [0.5, 0.5], y=np.array([0.5]))
-        assert scan_and_drop(st, dual_residual(st, prog), eps_drop=1e-4, xi=1e2) == []
+        assert scan_and_drop(st, dual_residual(st, prog), eps_drop=1e-4) == []
         assert not st.dropped.any()
 
     def test_monotone_growth(self):
         prog = lp([1.0, 1.0], [[1.0, 1.0]], [1.0])
         st = make_state(prog, [1e-5, 1.0], [0.5, 0.5], y=np.array([0.5]))
-        scan_and_drop(st, dual_residual(st, prog), eps_drop=1e-4, xi=1e2)
+        scan_and_drop(st, dual_residual(st, prog), eps_drop=1e-4)
         first = st.dropped.copy()
-        scan_and_drop(st, dual_residual(st, prog), eps_drop=1e-4, xi=1e2)
+        scan_and_drop(st, dual_residual(st, prog), eps_drop=1e-4)
         assert np.all(st.dropped >= first)
 
     def test_evaluation_with_drop_describes_the_dropped_state(self):
         prog = lp([1.0, 1.0], [[1.0, 1.0]], [1.0])
         st = make_state(prog, [1e-5, 1.0], [0.5, 0.5], y=np.array([0.5]), k=4)
-        evaluated = kkt_residuals(st, prog, drop=(1e-4, 1e2))
+        evaluated = kkt_residuals(st, prog, eps_drop=1e-4)
         assert st.drop_log == [(0, 4)] and st.x[0] == 0.0
         for got, fresh in zip(evaluated, kkt_residuals(st, prog)):
             np.testing.assert_array_equal(got, fresh)
@@ -122,7 +122,7 @@ class TestDroppingInSolver:
         prog = build_portfolio_qp(inst)
         # tight tolerance: the comparison must not be dominated by the
         # remaining duality gap of either run
-        opts_on = SolverOptions(tol=1e-9, dropping=True, eps_drop=1e-4, xi=1e2)
+        opts_on = SolverOptions(tol=1e-9, dropping=True, eps_drop=1e-4)
         (x_on, _, _), rep_on = solve(prog, opts_on)
         (x_off, _, _), rep_off = solve(prog, SolverOptions(tol=1e-9))
         assert rep_on.status == "optimal"

@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import pkgutil
@@ -127,7 +128,7 @@ def test_instances_build_their_operators_once(monkeypatch):
             inst.original_objective(np.full(n, 1.0 + k))
     baselines.asb_chol_solve(port, maxit=3)
     baselines.fista_solve(fl, maxit=3)
-    baselines.admm_solve(fl, maxit=3)
+    baselines.admm_fused_lasso(fl, maxit=3)
     harness._poisson_start(poisson)
     assert calls == []
     # the counters are live: a new instance builds its operator
@@ -179,7 +180,7 @@ class TestPgm:
         rng = np.random.default_rng(6)
         img = rng.integers(0, 256, size=(9, 7))
         path = tmp_path / "img.pgm"
-        write_pgm(path, img, maxval=255, binary=True)
+        write_pgm(path, img, maxval=255)
         back, maxval = read_pgm(path)
         assert maxval == 255
         np.testing.assert_array_equal(back, img)
@@ -187,7 +188,8 @@ class TestPgm:
     def test_ascii_round_trip(self, tmp_path):
         img = np.arange(12).reshape(3, 4) * 20
         path = tmp_path / "img.pgm"
-        write_pgm(path, img, maxval=255, binary=False)
+        body = "\n".join(" ".join(str(v) for v in row) for row in img)
+        path.write_bytes(f"P2\n4 3\n255\n{body}\n".encode("ascii"))
         back, _ = read_pgm(path)
         np.testing.assert_array_equal(back, img)
 
@@ -424,7 +426,7 @@ class TestCli:
     # one iteration ends before dropping would scan: the check is up front
     @pytest.mark.parametrize("flags", [["--tol", "-1"], ["--max-iter", "-3"],
                                        ["--eps-drop", "-1", "--max-iter", "1"],
-                                       ["--xi", "0", "--max-iter", "1"]])
+                                       ["--eps-drop", "0", "--max-iter", "1"]])
     def test_invalid_solver_options_rejected_before_solving(self, tmp_path,
                                                             flags):
         code = run_cli(["portfolio", "--s", "4", "--m", "3", *flags,
@@ -432,8 +434,76 @@ class TestCli:
         assert code == 1
         assert not (tmp_path / "report_ippmm.json").exists()
 
+    @pytest.mark.parametrize("argv", [["portfolio", "--tau1", "-1"],
+                                      ["portfolio", "--tau2", "-0.5"],
+                                      ["portfolio", "--tau1", "nan"],
+                                      ["fmri", "--tau1", "-0.1"],
+                                      ["restore", "--size", "16", "--lambda", "-0.01"]],
+                             ids=" ".join)
+    def test_invalid_regularization_rejected_before_solving(self, tmp_path,
+                                                            capsys, argv):
+        out = tmp_path / "out"
+        assert run_cli([*argv, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "non-negative" in capsys.readouterr().err
+
     def test_unknown_subcommand(self):
         assert run_cli(["frobnicate"]) == 1
+
+
+def _runs_of(subcommand) -> list:
+    """Argument lists that together exercise every option of a subcommand
+    on tiny instances."""
+    if subcommand == "spectest":
+        return [["spectest", "--family", family] for family in ("fmri", "poisson")]
+    family = FAMILIES[subcommand]
+    small = {"portfolio": ["--s", "4", "--m", "3"],
+             "fmri": ["--s", "6", "--grid", "2x3"],
+             "restore": ["--size", "8", "--peak", "20"],
+             "classify": ["--n", "30", "--s", "6"]}[subcommand]
+    argv = [subcommand, *small, "--max-iter", "1"]
+    if family.baselines:
+        argv += ["--solver", ",".join(family.solvers), "--budget-seconds", "0"]
+    if subcommand != "restore":
+        return [argv]
+    blurs = next(f.kw["choices"] for f in family.flags if f.name == "--blur")
+    return [[*argv, "--blur", blur] for blur in blurs]
+
+
+@pytest.mark.parametrize("subcommand", [*FAMILIES, "spectest"])
+def test_every_flag_is_read(subcommand, tmp_path, monkeypatch):
+    """Every option a subcommand accepts is read by some run of it: a flag
+    that nothing reads would be accepted and silently ignored."""
+    reads, live = set(), [False]
+
+    class Recorder(argparse.Namespace):
+        # argparse's own reads while parsing are not counted
+        def __getattribute__(self, name):
+            if live[0]:
+                reads.add(name)
+            return super().__getattribute__(name)
+
+    build = harness.build_parser
+
+    def recording_parser():
+        parser = build()
+        parse = parser.parse_args
+
+        def parse_args(argv):
+            live[0] = False
+            args = parse(argv, namespace=Recorder())
+            live[0] = True
+            return args
+        parser.parse_args = parse_args
+        return parser
+
+    monkeypatch.setattr(harness, "build_parser", recording_parser)
+    for k, argv in enumerate(_runs_of(subcommand)):
+        assert run_cli([*argv, "--out", str(tmp_path / str(k))]) in (0, 2), argv
+    live[0] = False
+    sub = build()._subparsers._group_actions[0].choices[subcommand]
+    dests = {a.dest for a in sub._actions if a.option_strings and a.dest != "help"}
+    assert sorted(dests - reads) == []
 
 
 def test_readme_command_lines_parse():

@@ -177,7 +177,7 @@ class TestSystemAssembly:
         rng = np.random.default_rng(6)
         prog = quadratic_program(np.eye(3), np.zeros(3),
                                  rng.standard_normal((1, 3)), np.ones(1),
-                                 free=np.arange(3))
+                                 nonneg=np.array([], dtype=int))
         st = random_state(prog, seed=7)
         matrix = direct_matrix(st, prog)
         block = matrix.toarray()[:3, :3]
@@ -375,7 +375,7 @@ class TestSolveBehavior:
         prog = quadratic_program(Q, rng.standard_normal(n),
                                  rng.standard_normal((m, n)),
                                  rng.standard_normal(m),
-                                 free=np.array([0, 1]))
+                                 nonneg=np.arange(2, n))
         (x, y, z), rep = solve(prog, SolverOptions(tol=1e-8))
         assert rep.status == "optimal"
         np.testing.assert_array_equal(z[:2], 0.0)
@@ -495,7 +495,7 @@ class TestSolveBehavior:
     @pytest.mark.parametrize("kw", [{"tol": 0.0}, {"tol": -1.0},
                                     {"max_iter": 0}, {"max_iter": -3},
                                     {"dropping": True, "eps_drop": -1.0},
-                                    {"dropping": True, "xi": 0.0},
+                                    {"dropping": True, "eps_drop": 0.0},
                                     {"precond": "bogus"},
                                     {"htilde_choice": "u_squared"},
                                     {"linear_solver": "pcg-normal",

@@ -10,8 +10,9 @@ from sparseipm.problems import (DomainError, FusedLassoLsInstance,
                                 PortfolioInstance, budget_constraints,
                                 build_fused_lasso_ls, build_logistic_l1,
                                 build_poisson_tv, build_portfolio_qp,
-                                kl_value_grad, logistic_loss, logistic_oracle,
-                                naive_portfolio, quadratic_program)
+                                kl_gradient, kl_value, logistic_loss,
+                                logistic_oracle, naive_portfolio,
+                                quadratic_program)
 
 
 def finite_diff_grad(f, x, h=1e-6):
@@ -41,6 +42,13 @@ class TestPortfolio:
         bad[0] = -np.eye(4)
         with pytest.raises(ValueError):
             PortfolioInstance(bad, inst.returns, 1.0, 1.1, 1e-2, 1e-2)
+
+    @pytest.mark.parametrize("tau1, tau2", [(-1.0, 1e-2), (1e-2, -0.5)])
+    def test_rejects_negative_weights(self, tau1, tau2):
+        # a negative weight makes the split program unbounded below
+        with pytest.raises(ValueError, match="non-negative"):
+            make_portfolio(tau1=tau1, tau2=tau2)
+        make_portfolio(tau1=0.0, tau2=0.0)  # zero stays valid
 
     def test_budget_matrix_small(self):
         # m=2, s=2: budget row, one self-financing row, terminal row
@@ -134,10 +142,14 @@ class TestQuadraticProgram:
                                    rtol=1e-5, atol=1e-6)
 
     def test_index_partition_enforced(self):
-        with pytest.raises(ValueError):
-            quadratic_program(np.eye(2), np.zeros(2), np.zeros((0, 2)),
-                              np.zeros(0), nonneg=np.array([0, 1]),
-                              free=np.array([1]))
+        for nonneg in ([0, 0], [2], [-1]):
+            with pytest.raises(ValueError):
+                quadratic_program(np.eye(2), np.zeros(2), np.zeros((0, 2)),
+                                  np.zeros(0), nonneg=np.array(nonneg))
+        prog = quadratic_program(np.eye(3), np.zeros(3), np.zeros((1, 3)),
+                                 np.zeros(1), nonneg=np.array([2, 0]))
+        assert (prog.m, prog.n) == (1, 3)
+        np.testing.assert_array_equal(prog.free, [1])
 
 
 class TestFusedLassoLs:
@@ -179,6 +191,12 @@ class TestFusedLassoLs:
         with pytest.warns(UserWarning):
             FusedLassoLsInstance(np.ones((5, 2)), np.ones(5), (2,), 0.1, 0.1)
 
+    @pytest.mark.parametrize("tau1, tau2", [(-0.1, 0.1), (0.1, -0.1)])
+    def test_rejects_negative_weights(self, tau1, tau2):
+        with pytest.raises(ValueError, match="non-negative"):
+            FusedLassoLsInstance(np.ones((2, 4)), np.ones(2), (4,), tau1, tau2)
+        FusedLassoLsInstance(np.ones((2, 4)), np.ones(2), (4,), 0.0, 0.0)
+
 
 def make_poisson(size=8, seed=9, lam=1e-2):
     rng = np.random.default_rng(seed)
@@ -196,22 +214,21 @@ class TestPoissonTv:
         # with g = Dw + a exactly, the divergence vanishes
         op = inst.blur
         w = np.linalg.lstsq(op.dense(), inst.observed - 1.0, rcond=None)[0]
-        val, _ = kl_value_grad(w, inst, want_grad=False)
-        assert val >= -1e-8
+        assert kl_value(w, inst) >= -1e-8
 
     def test_gradient_matches_fd(self):
         inst = make_poisson()
         rng = np.random.default_rng(10)
         w = rng.uniform(1.0, 5.0, size=64)
-        val, grad = kl_value_grad(w, inst)
-        fd = finite_diff_grad(lambda v: kl_value_grad(v, inst, want_grad=False)[0],
-                              w, h=1e-5)
+        grad = kl_gradient(w, inst)
+        fd = finite_diff_grad(lambda v: kl_value(v, inst), w, h=1e-5)
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-6)
 
     def test_domain_error(self):
         inst = make_poisson()
-        with pytest.raises(DomainError):
-            kl_value_grad(np.full(64, -100.0), inst)
+        for oracle in (kl_value, kl_gradient):
+            with pytest.raises(DomainError):
+                oracle(np.full(64, -100.0), inst)
 
     def test_zero_count_terms_linear(self):
         # pixels with zero observed count contribute only their intensity
@@ -219,7 +236,7 @@ class TestPoissonTv:
         inst = PoissonTvInstance(blur=op, observed=np.array([0.0, 0.0, 3.0, 0.0]),
                                  background=np.full(4, 0.5), lam=0.0)
         w = np.array([1.0, 2.0, 3.0, 4.0])
-        val, _ = kl_value_grad(w, inst, want_grad=False)
+        val = kl_value(w, inst)
         nu = w + 0.5
         expected = float(np.sum(nu - inst.observed)) + 3.0 * np.log(3.0 / nu[2])
         assert val == pytest.approx(expected)
@@ -253,6 +270,11 @@ class TestPoissonTv:
             PoissonTvInstance(op, np.array([1.0, -1.0, 0.0, 2.0]),
                               np.ones(4), 1e-2)
 
+    def test_negative_lambda_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            make_poisson(lam=-0.01)
+        assert make_poisson(lam=0.0).lam == 0.0
+
 
 class TestLogistic:
     def test_loss_stable_at_extremes(self):
@@ -266,7 +288,7 @@ class TestLogistic:
         D = rng.standard_normal((30, 6))
         g = rng.choice([-1.0, 1.0], size=30)
         w = rng.standard_normal(6)
-        _, grad, _ = logistic_oracle(D, g, w)
+        grad, _ = logistic_oracle(D, g, w)
         fd = finite_diff_grad(lambda v: logistic_loss(D, g, v), w)
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-7)
 
@@ -276,12 +298,10 @@ class TestLogistic:
         assert inst.design().shape == (3, 3)
         np.testing.assert_array_equal(inst.design()[:, -1], 1.0)
 
-    @pytest.mark.parametrize("add_bias", [True, False])
-    def test_replaced_instance_keeps_the_right_design(self, add_bias):
+    def test_replaced_instance_keeps_the_right_design(self):
         rng = np.random.default_rng(16)
         inst = LogisticInstance(rng.standard_normal((8, 3)),
-                                rng.choice([-1.0, 1.0], size=8), tau=0.1,
-                                add_bias=add_bias)
+                                rng.choice([-1.0, 1.0], size=8), tau=0.1)
         retau = dataclasses.replace(inst, tau=0.3)
         np.testing.assert_array_equal(retau.design(), inst.design())
         w = rng.standard_normal(inst.design().shape[1])
@@ -289,8 +309,8 @@ class TestLogistic:
             inst.original_objective(w) + 0.2 * np.abs(w).sum())
         data = rng.standard_normal((5, 3))
         moved = dataclasses.replace(inst, data=data, labels=np.ones(5))
-        expected = np.hstack([data, np.ones((5, 1))]) if add_bias else data
-        np.testing.assert_array_equal(moved.design(), expected)
+        np.testing.assert_array_equal(moved.design(),
+                                      np.hstack([data, np.ones((5, 1))]))
 
     def test_split_program_structure(self):
         rng = np.random.default_rng(13)
@@ -319,5 +339,5 @@ class TestLogistic:
         inst = LogisticInstance(rng.standard_normal((25, 4)),
                                 rng.choice([-1.0, 1.0], size=25), tau=0.05)
         D = inst.design()
-        _, grad0, _ = logistic_oracle(D, inst.labels, np.zeros(D.shape[1]))
+        grad0, _ = logistic_oracle(D, inst.labels, np.zeros(D.shape[1]))
         assert inst.lambda_max() == np.max(np.abs(grad0))
