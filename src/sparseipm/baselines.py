@@ -106,13 +106,13 @@ def asb_chol_solve(inst: PortfolioInstance, tol: float = 1e-6, maxit: int = 5000
     return w, report
 
 
-def _power_sigma_max_sq(matvec, rmatvec, n, iters=50, seed=0):
-    """Largest squared singular value by power iteration on M'M."""
-    rng = np.random.default_rng(seed)
+def _power_sigma_max_sq(matvec, rmatvec, n):
+    """Largest squared singular value by 50 power steps on M'M from a fixed start."""
+    rng = np.random.default_rng(0)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(50):
         u = rmatvec(matvec(v))
         lam = float(np.linalg.norm(u))
         if lam == 0:

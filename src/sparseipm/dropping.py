@@ -20,9 +20,9 @@ class DropAudit:
 
     def to_dict(self):
         return {
-            "dropped": [[int(j), int(k)] for j, k in self.dropped],
-            "multipliers": list(map(float, self.multipliers)),
-            "violated": [int(j) for j in self.violated],
+            "dropped": [list(pair) for pair in self.dropped],
+            "multipliers": self.multipliers.tolist(),
+            "violated": list(self.violated),
         }
 
 
@@ -39,12 +39,12 @@ def scan_and_drop(state, rd: np.ndarray, eps_drop: float) -> list:
             & (state.z[candidates] >= XI * eps_drop)
             & (np.abs(rd[candidates]) <= eps_drop))
     newly = candidates[mask]
-    for j in newly:
-        state.dropped[j] = True
-        state.x[j] = 0.0
-        state.z[j] = 0.0
-        state.drop_log.append((int(j), int(state.k)))
-    return list(map(int, newly))
+    state.dropped[newly] = True
+    state.x[newly] = 0.0
+    state.z[newly] = 0.0
+    newly = newly.tolist()
+    state.drop_log += [(j, state.k) for j in newly]
+    return newly
 
 
 def verify_dropped(gy: np.ndarray, drop_log) -> DropAudit:
@@ -54,9 +54,7 @@ def verify_dropped(gy: np.ndarray, drop_log) -> DropAudit:
     V, so z_V = gy_V; for quadratics this is c_V + (Q x*)_V - (A_{:,V})' y*.
     """
     audit = DropAudit(dropped=list(drop_log))
-    if not drop_log:
-        return audit
-    V = np.array([j for j, _ in drop_log], dtype=int)
+    V = np.array(drop_log, dtype=int).reshape(-1, 2)[:, 0]
     audit.multipliers = gy[V]
-    audit.violated = [int(j) for j, zj in zip(V, gy[V]) if zj <= 0]
+    audit.violated = V[audit.multipliers <= 0].tolist()
     return audit

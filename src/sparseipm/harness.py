@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import baselines, ippmm, metrics, precond
-from .linops import BlurKernel, make_bccb_operator
+from .linops import BLUR_PARAMETERS, BlurKernel, make_bccb_operator
 from .problems import (FusedLassoLsInstance, LogisticInstance,
                        PoissonTvInstance, PortfolioInstance,
                        build_fused_lasso_ls, build_logistic_l1,
@@ -213,13 +213,13 @@ def read_pgm(path):
     return img.reshape(height, width), maxval
 
 
-def write_pgm(path, img: np.ndarray, maxval: int = 255):
-    """Write a 2-d array of integers in [0, maxval] as binary PGM (P5)."""
-    arr = np.clip(np.rint(np.asarray(img)), 0, maxval)
+def write_pgm(path, img: np.ndarray):
+    """Write a 2-d array, rounded and clipped to [0, 255], as 8-bit PGM (P5)."""
+    arr = np.clip(np.rint(np.asarray(img)), 0, 255)
     h, w = arr.shape
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n{maxval}\n".encode("ascii"))
-        fh.write(arr.astype(">u2" if maxval > 255 else np.uint8).tobytes())
+        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(arr.astype(np.uint8).tobytes())
 
 
 def _write_text(path, text):
@@ -281,7 +281,9 @@ def _score_fmri(solver, args, inst, _, w, opts):
 
 def _make_restore(args):
     if args.image in ("squares", "disk"):
-        img = builtin_image(args.image, args.size)
+        img = builtin_image(args.image, 32 if args.size is None else args.size)
+    elif args.size is not None:
+        raise ValueError("--size sets a builtin image's side; a PGM image keeps its own")
     else:
         pixels, maxval = read_pgm(args.image)
         img = pixels / maxval
@@ -347,7 +349,7 @@ FAMILIES = {
         build=build_portfolio_qp,
         ippmm=lambda a, inst: dict(linear_solver="direct-augmented", eps_drop=1e-4),
         baselines={"asb": lambda inst, a: baselines.asb_chol_solve(
-            inst, tol=a.tol or 1e-6, time_budget=a.budget_seconds)},
+            inst, time_budget=a.budget_seconds, **_limits(a))},
         header=("ratio", "ratio_h", "ratio_t"),
         score=_score_portfolio),
     "fmri": Family(
@@ -357,24 +359,22 @@ FAMILIES = {
         make=lambda a: gen_fused_lasso(a.s, _parse_grid(a.grid), a.seed,
                                        a.tau1, a.tau2),
         build=build_fused_lasso_ls,
-        ippmm=lambda a, inst: dict(linear_solver="pcg-normal",
-                                   precond="fmri-block", eps_drop=1e-6),
+        ippmm=lambda a, inst: dict(linear_solver="pcg-normal", eps_drop=1e-6),
         baselines={
             "fista": lambda inst, a: baselines.fista_solve(
-                inst, time_budget=a.budget_seconds),
+                inst, time_budget=a.budget_seconds, **_limits(a)),
             "admm": lambda inst, a: baselines.admm_fused_lasso(
-                inst, time_budget=a.budget_seconds)},
+                inst, time_budget=a.budget_seconds, **_limits(a))},
         header=("density_pct",),
         score=_score_fmri),
     "restore": Family(
         help="Poisson image restoration",
         flags=(Flag("--image", str, "squares",
                     {"help": "builtin pattern name or PGM path"}),
-               Flag("--size", int, 32),
-               Flag("--blur", str, "gaussian", {"choices": [
-                   "gaussian", "motion", "out-of-focus", "identity"]}),
-               Flag("--sigma", float, 1.0), Flag("--len", float, 5.0),
-               Flag("--angle", float, 0.0), Flag("--radius", float, 2.0),
+               Flag("--size", int, None, {"help": "side of a builtin image (default 32)"}),
+               Flag("--blur", str, "gaussian", {"choices": list(BLUR_PARAMETERS)}),
+               Flag("--sigma", float, None), Flag("--len", float, None),
+               Flag("--angle", float, None), Flag("--radius", float, None),
                Flag("--peak", float, 100.0), Flag("--background", float, 1.0),
                Flag("--lambda", float, 5e-3, {"dest": "lam"}),
                Flag("--htilde", str, "u-squared",
@@ -395,10 +395,9 @@ FAMILIES = {
                Flag("--test-fraction", float, 0.25), _BUDGET),
         make=_make_classify,
         build=build_logistic_l1,
-        ippmm=lambda a, inst: dict(linear_solver="minres-augmented",
-                                   htilde_choice="diag-h", eps_drop=1e-6),
+        ippmm=lambda a, inst: dict(linear_solver="minres-augmented", eps_drop=1e-6),
         baselines={"admm": lambda inst, a: baselines.admm_logistic(
-            inst, time_budget=a.budget_seconds)},
+            inst, time_budget=a.budget_seconds, **_limits(a))},
         header=("split", "accuracy_pct", "density_pct", "support_recovery_pct"),
         score=_score_classify),
 }
@@ -409,7 +408,7 @@ FAMILIES = {
 
 
 def _exit_code(status: str) -> int:
-    return 2 if status == "numerical-failure" else 0
+    return 2 if status in ("numerical-failure", "max-iterations") else 0
 
 
 def _solver_options(family: Family, args, inst) -> ippmm.SolverOptions:
@@ -417,7 +416,15 @@ def _solver_options(family: Family, args, inst) -> ippmm.SolverOptions:
     for name in ("tol", "max_iter", "eps_drop"):
         if getattr(args, name) is not None:
             setattr(opts, name, getattr(args, name))
+    if not (opts.tol > 0 and opts.eps_drop > 0) or opts.max_iter < 1:  # before any solve
+        raise ValueError("--tol and --eps-drop must be positive and --max-iter at least 1")
     return opts
+
+
+def _limits(args) -> dict:
+    """--tol and --max-iter as a baseline's own ``tol`` and ``maxit``, where set."""
+    limits = {"tol": args.tol, "maxit": args.max_iter}
+    return {key: value for key, value in limits.items() if value is not None}
 
 
 def _cmd_family(args) -> int:
@@ -462,21 +469,21 @@ def _cmd_spectest(args) -> int:
     grid = _parse_grid(args.grid or {"fmri": "3x3", "poisson": "8x8"}[args.family])
     rho = delta = 1e-2
     if args.family == "fmri":
-        inst, _ = gen_fused_lasso(args.s, grid, args.seed)
+        inst, _ = gen_fused_lasso(6 if args.s is None else args.s, grid, args.seed)
         prog = build_fused_lasso_ls(inst)
         x = np.ones(prog.n)
         gdiag = prog.hess_diag(x) + 1.0 + rho  # unit point: z/x = 1
         rep = precond.fmri_spectral_report(gdiag, prog.A, prog.row_split,
                                            rho, delta)
         eigs = rep.eigenvalues
-        doc = rep.to_dict()
-        doc["interval_ok"] = bool(eigs.min() >= rep.chi - 1e-10
-                                  and eigs.max() <= 2.0 + 1e-10)
+        ok = eigs.min() >= rep.chi - 1e-10 and eigs.max() <= 2.0 + 1e-10
     else:
+        if args.s is not None:
+            raise ParseError("--s sets the fmri sample count; the poisson check has none")
         if len(grid) != 2 or grid[0] != grid[1]:
             raise ParseError(f"poisson spectest needs a square 2-d grid, got {args.grid!r}")
         img = builtin_image("squares", grid[0])
-        kernel = BlurKernel("gaussian", img.shape, {"sigma": 1.0})
+        kernel = BlurKernel("gaussian", img.shape)
         inst, _ = gen_blur_instance(img, kernel, 50.0, 1.0, args.seed,
                                     noise=False)
         prog = build_poisson_tv(inst)
@@ -487,17 +494,16 @@ def _cmd_spectest(args) -> int:
         htilde = prog.hess_diag_cheap(x) + shift
         rep = precond.aug_spectral_report(H, prog.A, htilde, delta)
         eigs = rep.eigenvalues
-        doc = rep.to_dict()
         neg = eigs[eigs < 0]
         pos = eigs[eigs > 0]
         tol = 1e-8
-        doc["interval_ok"] = bool(
-            np.all(neg >= -rep.beta_h - 1.0 - tol)
-            and np.all(neg <= -rep.alpha_h + tol)
-            and np.all(pos >= 1.0 / (1.0 + rep.beta_h) - tol)
-            and np.all(pos <= 1.0 + tol))
+        ok = (np.all(neg >= -rep.beta_h - 1.0 - tol)
+              and np.all(neg <= -rep.alpha_h + tol)
+              and np.all(pos >= 1.0 / (1.0 + rep.beta_h) - tol)
+              and np.all(pos <= 1.0 + tol))
+    doc = {**rep.to_dict(), "interval_ok": bool(ok)}
     _write_text(Path(args.out) / "spectral.json", json.dumps(doc, indent=2))
-    return 0 if doc["interval_ok"] else 2
+    return 0 if ok else 2
 
 
 # ---------------------------------------------------------------------------
@@ -515,14 +521,10 @@ def _parse_grid(text) -> tuple:
 
 
 def _make_kernel(args, shape) -> BlurKernel:
-    if args.blur == "gaussian":
-        params = {"sigma": args.sigma}
-    elif args.blur == "motion":
-        params = {"length": args.len, "angle": args.angle}
-    elif args.blur == "out-of-focus":
-        params = {"radius": args.radius}
-    else:
-        params = {}
+    """The --blur kernel from the kernel flags set; BlurKernel rejects the others."""
+    flags = {"sigma": args.sigma, "length": args.len, "angle": args.angle,
+             "radius": args.radius}
+    params = {name: value for name, value in flags.items() if value is not None}
     return BlurKernel(args.blur, tuple(shape), params)
 
 
@@ -577,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_spectest)
     _add_common(p)
     p.add_argument("--family", default="fmri", choices=["fmri", "poisson"])
-    p.add_argument("--s", type=int, default=6)
+    p.add_argument("--s", type=int, default=None, help="fmri sample count (default 6)")
     p.add_argument("--grid", default=None, help="default: 3x3 for fmri, 8x8 for poisson")
     return parser
 

@@ -344,7 +344,7 @@ class NormalEquations:
             self.precond = precondmod.build_fmri_normal_precond(
                 self.gdiag, self.A_act, program.row_split, state.delta)
         else:
-            self.precond = precondmod.identity_preconditioner(program.m)
+            self.precond = precondmod.identity_preconditioner()
 
     def matvec(self, dy: np.ndarray) -> np.ndarray:
         return self.A_act @ ((self.A_act.T @ dy) / self.gdiag) + self.delta * dy

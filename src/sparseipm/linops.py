@@ -70,17 +70,29 @@ def make_tv_operator(grid) -> MatrixOperator:
     return MatrixOperator(L)
 
 
+# each blur family's parameters with their defaults
+BLUR_PARAMETERS = {"gaussian": {"sigma": 1.0}, "motion": {"length": 5.0, "angle": 0.0},
+                   "out-of-focus": {"radius": 2.0}, "identity": {}}
+
+
 @dataclass(frozen=True)
 class BlurKernel:
-    """Normalized point-spread function on an (n1, n2) periodic pixel grid."""
+    """Normalized point-spread function on an (n1, n2) periodic pixel grid;
+    ``parameters`` override some of the family's ``BLUR_PARAMETERS``."""
 
     family: str
     grid: tuple
     parameters: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.family not in ("gaussian", "motion", "out-of-focus", "identity"):
+        if self.family not in BLUR_PARAMETERS:
             raise ValueError(f"unknown blur family {self.family!r}")
+        defaults = BLUR_PARAMETERS[self.family]
+        unknown = sorted(set(self.parameters) - set(defaults))
+        if unknown:
+            takes = ", ".join(defaults) or "no parameters"
+            raise ValueError(f"{self.family} blur takes {takes}, not {', '.join(unknown)}")
+        object.__setattr__(self, "parameters", {**defaults, **self.parameters})
 
     def psf(self) -> np.ndarray:
         """PSF embedded in the full grid with its center wrapped to pixel (0, 0)."""
@@ -107,7 +119,7 @@ class BlurKernel:
             k = np.outer(g, g)
         elif self.family == "motion":
             length = float(self.parameters["length"])
-            angle = np.deg2rad(float(self.parameters.get("angle", 0.0)))
+            angle = np.deg2rad(float(self.parameters["angle"]))
             if length < 1:
                 raise ValueError("motion length must be >= 1 pixel")
             r = int(np.ceil(length / 2)) + 1
@@ -161,11 +173,6 @@ class BccbOperator:
 
     def apply_transpose(self, u):
         return self._spectral_apply(u, np.conj(self.eigenvalues))
-
-    def dense(self) -> np.ndarray:
-        """Assemble the operator densely (test-scale only)."""
-        eye = np.eye(self.cols)
-        return np.column_stack([self.apply(eye[:, j]) for j in range(self.cols)])
 
     def squared_kernel_operator(self) -> "BccbOperator":
         """Operator whose kernel weights are the element-wise squared PSF.

@@ -79,25 +79,22 @@ def corrected_overlap(wi: np.ndarray, wj: np.ndarray, q: int) -> float:
 # Image quality
 
 
-def _gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
-    half = (size - 1) / 2.0
-    coords = np.arange(size) - half
-    g = np.exp(-coords ** 2 / (2.0 * sigma ** 2))
+def _gaussian_window() -> np.ndarray:
+    coords = np.arange(11) - 5.0
+    g = np.exp(-coords ** 2 / (2.0 * 1.5 ** 2))
     win = np.outer(g, g)
     return win / win.sum()
 
 
-def mssim(img: np.ndarray, ref: np.ndarray, dynamic_range=None) -> float:
+def mssim(img: np.ndarray, ref: np.ndarray) -> float:
     """Mean structural similarity with the standard 11x11 Gaussian window
-    (sigma = 1.5) and constants C1 = (0.01 R)^2, C2 = (0.03 R)^2."""
+    (sigma = 1.5) and constants C1 = (0.01 R)^2, C2 = (0.03 R)^2, where the
+    dynamic range R is that of ``ref`` (1 for a constant ``ref``)."""
     img = np.asarray(img, dtype=float)
     ref = np.asarray(ref, dtype=float)
     if img.shape != ref.shape or img.ndim != 2:
         raise ValueError("expected two equal-shape 2-d images")
-    if dynamic_range is None:
-        dynamic_range = float(ref.max() - ref.min())
-        if dynamic_range == 0:
-            dynamic_range = 1.0
+    dynamic_range = float(ref.max() - ref.min()) or 1.0
     c1 = (0.01 * dynamic_range) ** 2
     c2 = (0.03 * dynamic_range) ** 2
     win = _gaussian_window()

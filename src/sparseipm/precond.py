@@ -14,14 +14,13 @@ from .krylov import CholeskyFactor
 
 @dataclass
 class Preconditioner:
-    """Apply-inverse contract; ``dense()`` assembles the matrix (test-scale)."""
+    """Apply-inverse contract: r -> P^-1 r."""
 
     apply_inverse: Callable[[np.ndarray], np.ndarray]
-    dense: Callable[[], np.ndarray]
 
 
-def identity_preconditioner(n: int) -> Preconditioner:
-    return Preconditioner(apply_inverse=lambda v: v, dense=lambda: np.eye(n))
+def identity_preconditioner() -> Preconditioner:
+    return Preconditioner(apply_inverse=lambda v: v)
 
 
 def build_fmri_normal_precond(g_diag: np.ndarray, A, split: int,
@@ -53,10 +52,7 @@ def build_fmri_normal_precond(g_diag: np.ndarray, A, split: int,
         out[split:] = f3.solve(r[split:])
         return out
 
-    def dense():
-        return scipy.linalg.block_diag(M1, M3.toarray())
-
-    return Preconditioner(apply_inverse=apply_inverse, dense=dense)
+    return Preconditioner(apply_inverse=apply_inverse)
 
 
 def build_aug_block_diag_precond(htilde: np.ndarray, A, delta: float,
@@ -84,10 +80,7 @@ def build_aug_block_diag_precond(htilde: np.ndarray, A, delta: float,
         out[na:] = solve_s(r[na:])
         return out
 
-    def dense():
-        return scipy.linalg.block_diag(np.diag(htilde), S.toarray())
-
-    return Preconditioner(apply_inverse=apply_inverse, dense=dense)
+    return Preconditioner(apply_inverse=apply_inverse)
 
 
 def _bordered_solver(S, k: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -116,6 +109,8 @@ def _bordered_solver(S, k: int) -> Callable[[np.ndarray], np.ndarray]:
 # ---------------------------------------------------------------------------
 # Spectral verification (test-scale dense eigendecompositions)
 
+DENSE_MAX = 2000  # largest dimension spectral_check decomposes
+
 
 @dataclass
 class SpectralReport:
@@ -138,16 +133,14 @@ class SpectralReport:
         return d
 
 
-def spectral_check(M, P, unit_tol: float = 1e-8, budget: int = 2000) -> SpectralReport:
-    """Dense generalized eigenvalues of (M, P) with a unit-eigenvalue census."""
-    M = np.asarray(M if not sp.issparse(M) else M.toarray(), dtype=float)
-    P = P.dense() if isinstance(P, Preconditioner) else P
-    P = np.asarray(P if not sp.issparse(P) else P.toarray(), dtype=float)
-    if M.shape[0] > budget:
-        raise ValueError(f"dimension {M.shape[0]} over the dense budget {budget}")
+def spectral_check(M, P) -> SpectralReport:
+    """Dense generalized eigenvalues of (M, P) with a census of those within
+    1e-8 of one."""
+    if len(M) > DENSE_MAX:
+        raise ValueError(f"dimension {len(M)} over the dense limit {DENSE_MAX}")
     eigs = scipy.linalg.eigh(M, P, eigvals_only=True)
     eigs = np.sort(eigs)
-    unit = int(np.count_nonzero(np.abs(eigs - 1.0) <= unit_tol))
+    unit = int(np.count_nonzero(np.abs(eigs - 1.0) <= 1e-8))
     return SpectralReport(eigenvalues=eigs, unit_count=unit)
 
 
@@ -161,7 +154,7 @@ def fmri_spectral_report(g_diag, A, split: int, rho: float, delta: float) -> Spe
     """Eigenvalues of the block-preconditioned normal matrix plus the lower
     bound chi = delta*rho / (sigma_max(A)^2 + rho*delta)."""
     M = normal_equations_matrix(g_diag, A, delta)
-    P = build_fmri_normal_precond(g_diag, A, split, delta)
+    P = scipy.linalg.block_diag(M[:split, :split], M[split:, split:])  # M, coupling dropped
     rep = spectral_check(M, P)
     smax = scipy.linalg.svdvals(sp.csr_matrix(A).toarray())[0]
     rep.chi = delta * rho / (smax ** 2 + rho * delta)
@@ -169,7 +162,6 @@ def fmri_spectral_report(g_diag, A, split: int, rho: float, delta: float) -> Spe
 
 
 def augmented_matrix(H, A, delta: float) -> np.ndarray:
-    H = np.asarray(H if not sp.issparse(H) else H.toarray(), dtype=float)
     A = np.asarray(A if not sp.issparse(A) else A.toarray(), dtype=float)
     mrows = A.shape[0]
     return np.block([
@@ -181,10 +173,12 @@ def augmented_matrix(H, A, delta: float) -> np.ndarray:
 def aug_spectral_report(H, A, htilde, delta: float) -> SpectralReport:
     """Eigenvalues of the block-preconditioned saddle matrix together with the
     extremal eigenvalues (alpha_H, beta_H) of H~^-1/2 H H~^-1/2."""
-    H = np.asarray(H if not sp.issparse(H) else H.toarray(), dtype=float)
+    H = np.asarray(H, dtype=float)
     htilde = np.asarray(htilde, dtype=float)
     M = augmented_matrix(H, A, delta)
-    P = build_aug_block_diag_precond(htilde, A, delta)
+    A = sp.csr_matrix(A)
+    S = A @ sp.diags(1.0 / htilde) @ A.T + delta * sp.eye(A.shape[0])
+    P = scipy.linalg.block_diag(np.diag(htilde), S.toarray())  # blockdiag(H~, S)
     rep = spectral_check(M, P)
     scale = 1.0 / np.sqrt(htilde)
     Hhat = scale[:, None] * H * scale[None, :]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparseipm.dropping import scan_and_drop, verify_dropped
+from sparseipm.dropping import XI, scan_and_drop, verify_dropped
 from sparseipm.ippmm import SolverOptions, initial_state, kkt_residuals, solve
 from sparseipm.problems import build_portfolio_qp, quadratic_program
 from test_problems import make_portfolio
@@ -82,6 +82,47 @@ class TestScanAndDrop:
         assert st.drop_log == [(0, 4)] and st.x[0] == 0.0
         for got, fresh in zip(evaluated, kkt_residuals(st, prog)):
             np.testing.assert_array_equal(got, fresh)
+
+
+def reference_scan_and_drop(state, rd, eps_drop):
+    """The drop rule one index at a time: the reference for the array form."""
+    newly = []
+    for j in state.nonneg_active():
+        if state.x[j] <= eps_drop and state.z[j] >= XI * eps_drop \
+                and abs(rd[j]) <= eps_drop:
+            state.dropped[j] = True
+            state.x[j] = 0.0
+            state.z[j] = 0.0
+            state.drop_log.append((int(j), int(state.k)))
+            newly.append(int(j))
+    return newly
+
+
+def test_array_drop_rule_matches_the_reference_loop():
+    rng = np.random.default_rng(3)
+    n = 60
+    prog = lp(np.ones(n), np.ones((1, n)), [1.0])
+    x = np.where(rng.random(n) < 0.5, rng.uniform(0, 2e-4, n), 1.0)
+    z = rng.uniform(0.0, 0.05, n)
+    rd = rng.uniform(-2e-4, 2e-4, n)
+    states = [make_state(prog, x.copy(), z.copy(), k=9) for _ in range(2)]
+    for st in states:
+        st.dropped[:5] = True
+        st.drop_log = [(j, 3) for j in range(5)]
+    got = scan_and_drop(states[0], rd, 1e-4)
+    want = reference_scan_and_drop(states[1], rd, 1e-4)
+    assert got == want and len(got) > 5
+    for name in ("dropped", "x", "z"):
+        np.testing.assert_array_equal(getattr(states[0], name), getattr(states[1], name))
+    assert states[0].drop_log == states[1].drop_log
+    gy = rng.standard_normal(n)
+    audit = verify_dropped(gy, states[0].drop_log)
+    V = [j for j, _ in states[0].drop_log]
+    np.testing.assert_array_equal(audit.multipliers, gy[V])
+    assert audit.violated == [j for j in V if gy[j] <= 0]
+    assert audit.to_dict() == {"dropped": [[j, k] for j, k in states[0].drop_log],
+                               "multipliers": [float(gy[j]) for j in V],
+                               "violated": audit.violated}
 
 
 class TestVerifyDropped:

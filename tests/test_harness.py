@@ -180,7 +180,7 @@ class TestPgm:
         rng = np.random.default_rng(6)
         img = rng.integers(0, 256, size=(9, 7))
         path = tmp_path / "img.pgm"
-        write_pgm(path, img, maxval=255)
+        write_pgm(path, img)
         back, maxval = read_pgm(path)
         assert maxval == 255
         np.testing.assert_array_equal(back, img)
@@ -197,7 +197,7 @@ class TestPgm:
         rng = np.random.default_rng(7)
         img = rng.integers(0, 40000, size=(5, 5))
         path = tmp_path / "img.pgm"
-        write_pgm(path, img, maxval=65535)
+        path.write_bytes(b"P5\n5 5\n65535\n" + img.astype(">u2").tobytes())
         back, maxval = read_pgm(path)
         assert maxval == 65535
         np.testing.assert_array_equal(back, img)
@@ -253,7 +253,7 @@ class TestCli:
     def test_restore_small(self, tmp_path):
         code = run_cli(["restore", "--size", "16", "--peak", "50",
                         "--max-iter", "8", "--out", str(tmp_path)])
-        assert code == 0
+        assert code == 2  # capped at 8 iterations
         img, maxval = read_pgm(tmp_path / "restored.pgm")
         assert img.shape == (16, 16) and maxval == 255
 
@@ -310,11 +310,12 @@ class TestCli:
                  "classify": ["--n", "60", "--s", "12"]}[family]
         solvers = FAMILIES[family].solvers
         single, several = tmp_path / "single", tmp_path / "several"
-        assert run_cli([family, *flags, "--out", str(single)]) == 0
+        code = 2 if family == "restore" else 0  # restore is capped at 8 iterations
+        assert run_cli([family, *flags, "--out", str(single)]) == code
         report = json.loads((single / "report_ippmm.json").read_text())
         several_flags = ["--solver", ",".join(solvers)] if len(solvers) > 1 else []
         assert run_cli([family, *flags, *several_flags,
-                        "--out", str(several)]) == 0
+                        "--out", str(several)]) == code
         several_report = json.loads((several / "report_ippmm.json").read_text())
         for doc in (report, several_report):
             del doc["time_s"], doc["phase_times"]
@@ -395,7 +396,7 @@ class TestCli:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("max_iter = 2\ns = 4\nm = 3\n")
         code = run_cli(["portfolio", f"--config={cfg}", "--out", str(tmp_path)])
-        assert code == 0
+        assert code == 2  # capped at 2 iterations
         report = json.loads((tmp_path / "report_ippmm.json").read_text())
         assert report["iters"] == 2
 
@@ -407,7 +408,7 @@ class TestCli:
         for name, flags in (("config", ["--config", str(cfg)]),
                             ("flag", ["--no-noise"]), ("noisy", [])):
             out = tmp_path / name
-            assert run_cli(["restore", *small, *flags, "--out", str(out)]) == 0
+            assert run_cli(["restore", *small, *flags, "--out", str(out)]) == 2  # capped
             runs[name] = (out / "restored.pgm").read_bytes()
         assert runs["config"] == runs["flag"] != runs["noisy"]
 
@@ -426,13 +427,16 @@ class TestCli:
     # one iteration ends before dropping would scan: the check is up front
     @pytest.mark.parametrize("flags", [["--tol", "-1"], ["--max-iter", "-3"],
                                        ["--eps-drop", "-1", "--max-iter", "1"],
-                                       ["--eps-drop", "0", "--max-iter", "1"]])
+                                       ["--eps-drop", "0", "--max-iter", "1"],
+                                       ["--solver", "asb", "--tol", "0"],
+                                       ["--solver", "asb,ippmm", "--max-iter", "0"],
+                                       ["--solver", "asb,ippmm", "--eps-drop", "-1"]])
     def test_invalid_solver_options_rejected_before_solving(self, tmp_path,
                                                             flags):
         code = run_cli(["portfolio", "--s", "4", "--m", "3", *flags,
                         "--out", str(tmp_path)])
         assert code == 1
-        assert not (tmp_path / "report_ippmm.json").exists()
+        assert list(tmp_path.glob("report_*.json")) == []
 
     @pytest.mark.parametrize("argv", [["portfolio", "--tau1", "-1"],
                                       ["portfolio", "--tau2", "-0.5"],
@@ -446,6 +450,58 @@ class TestCli:
         assert run_cli([*argv, "--out", str(out)]) == 1
         assert not out.exists()
         assert "non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["restore", "--blur", "motion", "--sigma", "3"],
+                                      ["restore", "--blur", "identity", "--radius", "2"],
+                                      ["restore", "--image", "PGM", "--size", "16"],
+                                      ["spectest", "--family", "poisson", "--s", "5"]],
+                             ids=" ".join)
+    def test_flag_that_cannot_apply_is_rejected_before_solving(self, tmp_path,
+                                                               argv):
+        pgm = tmp_path / "img.pgm"
+        write_pgm(pgm, np.full((16, 16), 128))
+        out = tmp_path / "out"
+        argv = [str(pgm) if a == "PGM" else a for a in argv]
+        assert run_cli([*argv, "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_kernel_flags_reach_their_kernel(self, tmp_path):
+        """A kernel flag at its default gives the default run; another value
+        changes it."""
+        base = ["restore", "--size", "8", "--max-iter", "1", "--blur", "motion"]
+        images = {}
+        for name, flags in (("default", []), ("explicit", ["--len", "5", "--angle", "0"]),
+                            ("other", ["--angle", "90"])):
+            assert run_cli([*base, *flags, "--out", str(tmp_path / name)]) == 2
+            images[name] = (tmp_path / name / "restored.pgm").read_bytes()
+        assert images["default"] == images["explicit"] != images["other"]
+
+    def test_pgm_image_keeps_its_size(self, tmp_path):
+        pgm = tmp_path / "img.pgm"
+        write_pgm(pgm, 255.0 * builtin_image("disk", 10))
+        assert run_cli(["restore", "--image", str(pgm), "--max-iter", "1",
+                        "--out", str(tmp_path / "out")]) == 2
+        img, _ = read_pgm(tmp_path / "out" / "restored.pgm")
+        assert img.shape == (10, 10)
+
+    @pytest.mark.parametrize("family, solver", [(family, solver)
+                                                for family in sorted(FAMILIES)
+                                                for solver in FAMILIES[family].baselines])
+    def test_solver_limits_reach_every_baseline(self, family, solver, tmp_path):
+        """--max-iter caps a baseline (exit 2), a loose --tol ends it at its
+        first iteration, and a spent --budget-seconds is not a failure."""
+        small = {"portfolio": ["--s", "4", "--m", "3"],
+                 "fmri": ["--s", "10", "--grid", "3x3"],
+                 "classify": ["--n", "60", "--s", "12"]}[family]
+        runs = {"capped": (["--max-iter", "3"], 2, "max-iterations", 3),
+                "loose": (["--tol", "1e30"], 0, "converged", 1),
+                "budget": (["--budget-seconds", "0"], 0, "time-budget", 1)}
+        for name, (flags, code, status, iters) in runs.items():
+            out = tmp_path / name
+            assert run_cli([family, *small, "--solver", solver, *flags,
+                            "--out", str(out)]) == code, name
+            report = json.loads((out / f"report_{solver}.json").read_text())
+            assert (report["status"], report["iters"]) == (status, iters), name
 
     def test_unknown_subcommand(self):
         assert run_cli(["frobnicate"]) == 1

@@ -1,4 +1,4 @@
-"""Four small ``ast`` checks in place of a linter.
+"""Five small ``ast`` checks in place of a linter.
 
 - Every name a ``sparseipm`` module imports is used in that module: it appears
   as a name anywhere in the module, or in ``__all__``.
@@ -11,6 +11,12 @@
   (``setattr`` by name). An option that only tests set is not a caller setting.
 - No ``sparseipm`` function imports inside its body: every dependency of a
   module shows at its top.
+- Every defaulted parameter of a ``sparseipm`` function or method, public or
+  private, is passed by some call in ``src/`` or ``perfbench/``, by keyword
+  or by position; one that no caller passes would be a constant. Calls match
+  by the callee's name; ``__init__`` also goes by its class's name, and a
+  method's positions skip ``self``. A call with ``*`` or ``**`` passes every
+  parameter.
 """
 import ast
 import dataclasses
@@ -27,6 +33,12 @@ PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.p
 # public names kept without a caller, with the reason
 ALLOWED_UNREFERENCED = {
     "corrected_overlap": "criterion 10",
+}
+
+# defaulted parameters kept without a caller passing them, with the reason
+ALLOWED_UNPASSED = {
+    "run_cli.argv": "tests drive the CLI in-process",
+    "threshold_solution.fraction": "criterion 10 checks two fractions",
 }
 
 
@@ -147,3 +159,86 @@ def test_checker_flags_a_function_local_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_function_local_imports(path):
     assert function_local_imports(path.read_text()) == []
+
+
+def defaulted_parameters(source: str) -> list:
+    """(callee names, parameter, position or None) for every defaulted
+    parameter of the functions and methods in ``source``. Positions count
+    from the first argument a call writes, so a method's skip ``self``;
+    keyword-only parameters have none."""
+    out = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                if cls is not None and not static:
+                    positional = positional[1:]
+                names = {child.name}
+                if cls is not None and child.name == "__init__":
+                    names.add(cls)
+                first = len(positional) - len(args.defaults)
+                out.extend((names, a.arg, i) for i, a in enumerate(positional)
+                           if i >= first)
+                out.extend((names, a.arg, None)
+                           for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                           if d is not None)
+                visit(child, None)
+            else:
+                visit(child, cls)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def unpassed_parameters(modules: dict, sources) -> list:
+    """``function.parameter`` for each defaulted parameter of ``modules``
+    (name -> source) that no call in ``sources`` passes."""
+    calls = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def passes(call, param, position):
+        if (any(isinstance(a, ast.Starred) for a in call.args)
+                or any(k.arg is None for k in call.keywords)):
+            return True
+        return ((position is not None and position < len(call.args))
+                or any(k.arg == param for k in call.keywords))
+
+    out = []
+    for source in modules.values():
+        for names, param, position in defaulted_parameters(source):
+            if not any(passes(call, param, position)
+                       for name in names for call in calls.get(name, [])):
+                out.append(f"{min(names, key=len)}.{param}")
+    return sorted(out)
+
+
+def test_checker_flags_an_unpassed_parameter():
+    modules = {"a": ("def f(x, k=1, *, kw=2): pass\n"
+                     "def g(x, k=1): pass\n"
+                     "def h(k=1, j=2): pass\n"
+                     "class C:\n"
+                     "    def __init__(self, k=1): pass\n"
+                     "    def m(self, k=1, j=2): pass\n"
+                     "class D:\n"
+                     "    def __init__(self, k=1): pass\n")}
+    sources = [*modules.values(),
+               "f(1, 2)\ng(1)\nh(*args)\nC(3)\nobj.m(j=4)\n"
+               "class E(D):\n    def __init__(self):\n        super().__init__(5)\n"]
+    assert unpassed_parameters(modules, sources) == ["f.kw", "g.k", "m.k"]
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    unpassed = unpassed_parameters({p.stem: p.read_text() for p in MODULES},
+                                   [p.read_text() for p in MODULES + PERFBENCH])
+    assert [name for name in unpassed if name not in ALLOWED_UNPASSED] == []

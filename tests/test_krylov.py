@@ -258,7 +258,7 @@ def test_minres_is_bit_identical_to_reference_loop(case):
     d = np.abs(np.diag(K)) + 0.5
     precond = {"diagonal-precond": lambda v: v / d,
                # returns its argument, which the loop must never write into
-               "identity-precond": identity_preconditioner(K.shape[0]).apply_inverse,
+               "identity-precond": identity_preconditioner().apply_inverse,
                "capped": lambda v: v / d}[case]
     tol, maxit = (1e-14, 7) if case == "capped" else (1e-10, 500)
     out = minres(K, b, precond=precond, tol=tol, maxit=maxit)

@@ -101,6 +101,20 @@ class TestBlurKernels:
         with pytest.raises(ValueError):
             BlurKernel("gaussian", (8, 8), {"sigma": -1}).psf()
 
+    def test_defaults_fill_the_family_parameters(self):
+        np.testing.assert_array_equal(BlurKernel("gaussian", (8, 8)).psf(),
+                                      BlurKernel("gaussian", (8, 8), {"sigma": 1.0}).psf())
+        assert BlurKernel("motion", (8, 8), {"length": 3.0}).parameters == {
+            "length": 3.0, "angle": 0.0}
+        assert BlurKernel("identity", (8, 8)).parameters == {}
+
+    @pytest.mark.parametrize("family, params", [
+        ("motion", {"sigma": 1.0}), ("gaussian", {"radius": 2.0}),
+        ("out-of-focus", {"radius": 2.0, "angle": 5.0}), ("identity", {"radius": 2.0})])
+    def test_rejects_a_parameter_of_another_family(self, family, params):
+        with pytest.raises(ValueError, match="blur takes"):
+            BlurKernel(family, (8, 8), params)
+
 
 class TestBccbOperator:
     @pytest.mark.parametrize("kernel", [
@@ -144,7 +158,7 @@ class TestBccbOperator:
     def test_squared_kernel_gives_exact_diagonal(self, kernel):
         op = make_bccb_operator(kernel)
         sq = op.squared_kernel_operator()
-        dense = op.dense()
+        dense = np.column_stack([op.apply(e) for e in np.eye(op.cols)])
         u = np.random.default_rng(5).uniform(0.5, 2.0, size=op.cols)
         # diag(D' diag(u) D) = (D.^2)' u
         expected = np.diag(dense.T @ np.diag(u) @ dense)

@@ -213,7 +213,8 @@ class TestPoissonTv:
         inst = make_poisson()
         # with g = Dw + a exactly, the divergence vanishes
         op = inst.blur
-        w = np.linalg.lstsq(op.dense(), inst.observed - 1.0, rcond=None)[0]
+        dense = np.column_stack([op.apply(e) for e in np.eye(op.cols)])
+        w = np.linalg.lstsq(dense, inst.observed - 1.0, rcond=None)[0]
         assert kl_value(w, inst) >= -1e-8
 
     def test_gradient_matches_fd(self):
