@@ -257,6 +257,12 @@ class SaddleMatrix:
     the order by minimum degree on A + A'; later ones factor the pre-permuted
     matrix in NATURAL order. Dropping variables restricts the order to the
     active set, which cannot add fill; a dropped variable never returns.
+
+    A split pair (x+, x-) of ``program.pairs`` with both members active is
+    eliminated: with D = Θ + ρ, its two rows become one in u = dx+ - dx-,
+    held in the plus member's row with diagonal D+ D- / (D+ + D-), and the
+    minus member is left out like a dropped one. The order puts each minus
+    member right after its partner, so a pair broken by a drop adds no fill.
     """
 
     inner_iterations = inner_capped = 0  # a direct solve has no inner iterations
@@ -266,6 +272,10 @@ class SaddleMatrix:
             raise UnsupportedStructureError(
                 "direct path needs an explicit quadratic Hessian")
         self.n, self.m = program.n, program.m
+        self.pairs = program.pairs
+        for M in (program.A.tocsc(), program.Q.tocsc()):
+            if (M[:, self.pairs[0]] + M[:, self.pairs[1]]).count_nonzero():
+                raise ValueError("the A and Q columns of each pair must be exact negatives")
         self.qdiag = program.Q.diagonal()
         # -1 keeps every diagonal entry stored; factor() overwrites it
         self.pattern = (sp.bmat([[-program.Q, program.A.T], [program.A, None]])
@@ -290,26 +300,49 @@ class SaddleMatrix:
         """Write the diagonal of ``state`` and factor; raises InertiaError
         unless every x pivot is negative and every y pivot positive."""
         cols = state.active_indices()
-        if self.cols is None or not np.array_equal(cols, self.cols):
-            self._arrange(cols)
         shift = state.xi_diag()[cols] + state.rho
-        diag = np.concatenate([-(self.qdiag[cols] + shift),
+        at = np.full(self.n, -1)
+        at[cols] = np.arange(cols.size)
+        plus, minus = at[self.pairs]
+        intact = (plus >= 0) & (minus >= 0)
+        self.plus, self.minus = plus[intact], minus[intact]  # active positions
+        self.dplus, self.dminus = shift[self.plus], shift[self.minus]
+        self.dtilde = self.dplus * self.dminus / (self.dplus + self.dminus)
+        shift[self.plus] = self.dtilde
+        self.keep = np.ones(cols.size, dtype=bool)
+        self.keep[self.minus] = False
+        kept = cols[self.keep]
+        if self.cols is None or not np.array_equal(kept, self.cols):
+            self._arrange(kept)
+        diag = np.concatenate([-(self.qdiag[kept] + shift[self.keep]),
                                np.full(self.m, state.delta)])
         self.matrix.data[self.diag_pos] = diag[self.perm]
         spec = "NATURAL" if self.ordered else "MMD_AT_PLUS_A"
-        self.lu = ldl_factor(self.matrix, self.perm < cols.size, spec, spla.splu)
+        self.lu = ldl_factor(self.matrix, self.perm < kept.size, spec, spla.splu)
         if not self.ordered:
-            self.order = self.rows[np.argsort(self.lu.perm_c)]
+            order = self.rows[np.argsort(self.lu.perm_c)]
+            minus_of = np.full(self.n + self.m, -1)
+            minus_of[self.pairs[0]] = self.pairs[1]
+            order = np.column_stack([order, minus_of[order]]).ravel()
+            self.order = order[order >= 0]
             self.ordered = True
             self.cols = None  # permute into the new order on the next factor
 
     def solve(self, r1a: np.ndarray, r2: np.ndarray):
-        r = np.concatenate([r1a, r2])[self.perm]
+        p, q = self.plus, self.minus
+        r1 = r1a.copy()
+        r1[p] = self.dtilde * (r1a[p] / self.dplus - r1a[q] / self.dminus)
+        r = np.concatenate([r1[self.keep], r2])[self.perm]
         x = self.lu.solve(r)
         x += self.lu.solve(r - self.matrix @ x)  # one step of iterative refinement
         sol = np.empty_like(x)
         sol[self.perm] = x
-        return sol[:r1a.size], sol[r1a.size:]
+        dx = np.empty(r1a.size)
+        dx[self.keep] = sol[:r1a.size - q.size]
+        g = self.dtilde * dx[p] + r1[p]  # recover the pair from u = dx[p]
+        dx[p] = (g - r1a[p]) / self.dplus
+        dx[q] = -(g + r1a[q]) / self.dminus
+        return dx, sol[r1a.size - q.size:]
 
 
 def _factor_saddle(state: IpPmmState, program: ConvexProgram,

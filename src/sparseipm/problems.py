@@ -27,7 +27,10 @@ class ConvexProgram:
     v -> Hessian(x) v, so that work shared by all products at one point is done
     once per point. ``hess_diag_cheap`` is an optional
     inexpensive diagonal approximation of the f-Hessian used by the
-    block-diagonal augmented preconditioner.
+    block-diagonal augmented preconditioner. Each column (x+, x-) of the
+    2 x p index array ``pairs`` names a split pair of non-negative
+    coordinates whose columns in ``A`` and ``Q`` are exact negatives; the
+    direct path eliminates each pair inside its Newton solve.
     """
 
     A: sp.csr_matrix
@@ -41,6 +44,7 @@ class ConvexProgram:
     Q: Optional[sp.csr_matrix] = None
     row_split: Optional[int] = None  # leading-block row count for the preconditioners
     extract: Optional[Callable[[np.ndarray], np.ndarray]] = None  # split x -> original w
+    pairs: Optional[np.ndarray] = None  # 2 x p split pairs (x+, x-)
 
     def __post_init__(self):
         self.m, self.n = self.A.shape
@@ -52,6 +56,17 @@ class ConvexProgram:
         if np.count_nonzero(free) != self.n - self.nonneg.size:
             raise ValueError("nonneg indices must not repeat")
         self.free = np.flatnonzero(free)
+        self.pairs = np.asarray(np.empty((2, 0)) if self.pairs is None else self.pairs,
+                                dtype=int)
+        if (self.pairs.ndim != 2 or len(self.pairs) != 2
+                or np.any((self.pairs < 0) | (self.pairs >= self.n))):
+            raise ValueError("pairs must be a 2 x p array of indices in {0..n-1}")
+        paired = np.zeros(self.n, dtype=bool)
+        paired[self.pairs] = True
+        if np.count_nonzero(paired) != self.pairs.size:
+            raise ValueError("pair indices must not repeat")
+        if np.any(paired & free):
+            raise ValueError("pair indices must be non-negative coordinates")
         self.hessian_is_diagonal = (
             self.Q is not None and (self.Q - sp.diags(self.Q.diagonal())).nnz == 0)
 
@@ -169,7 +184,8 @@ def build_portfolio_qp(inst: PortfolioInstance) -> ConvexProgram:
     c = np.concatenate([
         np.full(2 * n, inst.tau1), np.full(2 * l, inst.tau2)])
 
-    prog = quadratic_program(Q, c, A, b)
+    pairs = np.array([np.r_[:n, 2 * n:2 * n + l], np.r_[n:2 * n, 2 * n + l:2 * (n + l)]])
+    prog = quadratic_program(Q, c, A, b, pairs=pairs)
     prog.extract = lambda x: x[:n] - x[n:2 * n]
     return prog
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -302,21 +304,25 @@ class TestDirectPath:
             self, monkeypatch):
         counting = CountingSpla()
         monkeypatch.setattr(ippmm, "spla", counting)
+        # 8 assets over 4 periods: w+ = x[:32], w- = x[32:64], 56 split pairs
         prog = build_portfolio_qp(gen_portfolio(8, 4, 0))
         st = random_state(prog, seed=41)
         Q, A = prog.Q.toarray(), prog.A.toarray()
         perms = []
-        for change in ("first", "reused", "restricted"):
+        for change in ("first", "reused", "one-dropped", "both-dropped"):
             if change == "reused":
                 st.x = 1.5 * st.x
                 st.rho, st.delta = 1e-4, 1e-3
-            elif change == "restricted":
-                st.dropped[[2, 50, 90]] = True
+            elif change == "one-dropped":
+                st.dropped[2] = True   # w+_2; its partner w-_2 stays
+            elif change == "both-dropped":
+                st.dropped[34] = True  # w-_2 as well
             ctx = ippmm._CONTEXTS["direct-augmented"](st, prog, SolverOptions())
             perms.append(ctx.perm)
             cols = st.active_indices()
             _, _, _, rp, gy, _ = kkt_residuals(st, prog)
             r1, r2 = newton_rhs(st, rp, gy, 0.5)
+            # the unreduced system on the active set, every pair member kept
             H = Q[np.ix_(cols, cols)] + np.diag(st.xi_diag()[cols] + st.rho)
             K = np.block([[-H, A[:, cols].T],
                           [A[:, cols], st.delta * np.eye(prog.m)]])
@@ -324,10 +330,46 @@ class TestDirectPath:
             np.testing.assert_allclose(np.concatenate([dx, dy]),
                                        np.linalg.solve(K, np.concatenate([r1, r2])),
                                        rtol=1e-10, atol=1e-10)
-        assert counting.specs == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL"]
+        assert counting.specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 3
         assert counting.nnz[1] == counting.nnz[0]  # the order is kept, not inverted
         assert not np.array_equal(perms[1], np.arange(perms[1].size))
-        assert perms[2].size == perms[1].size - 3
+        # one row per intact pair: the plus member's, with the minus member left out
+        assert perms[0].size == prog.n - prog.pairs.shape[1] + prog.m
+        # w-_2 takes the row of its dropped partner, in its place in the order
+        assert perms[2].size == perms[1].size
+        assert counting.nnz[2] == counting.nnz[1]
+        assert perms[3].size == perms[2].size - 1
+
+    def test_split_pairs_shrink_the_first_factor(self, monkeypatch):
+        # the benchmark's 40 x 12 portfolio; 163,226 nonzeros without pairs
+        counting = CountingSpla()
+        monkeypatch.setattr(ippmm, "spla", counting)
+        prog = build_portfolio_qp(gen_portfolio(40, 12, 1))
+        ippmm._CONTEXTS["direct-augmented"](initial_state(prog, SolverOptions()),
+                                            prog, SolverOptions())
+        assert counting.nnz[0] <= 50_000
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pair_elimination_keeps_the_iterates(self, seed):
+        prog = build_portfolio_qp(gen_portfolio(8, 4, seed))
+        opts = SolverOptions(dropping=True, eps_drop=1e-4)
+        _, paired = solve(prog, opts)
+        _, plain = solve(dataclasses.replace(prog, pairs=None), opts)
+        assert paired.status == plain.status == "optimal"
+        assert paired.iterations == plain.iterations
+        assert paired.drop_audit["dropped"] == plain.drop_audit["dropped"]
+        assert paired.drop_audit["dropped"]
+        assert paired.final_objective == pytest.approx(plain.final_objective,
+                                                       rel=1e-12)
+
+    @pytest.mark.parametrize("block", ["A", "Q"])
+    def test_pair_columns_must_be_exact_negatives(self, block):
+        prog = build_portfolio_qp(gen_portfolio(8, 4, 0))
+        M = getattr(prog, block).tolil()
+        M[0, 0] += 1e-12  # column 0 is w+_0; Q stays symmetric
+        bad = dataclasses.replace(prog, **{block: M.tocsr()})
+        with pytest.raises(ValueError, match="exact negatives"):
+            solve(bad, SolverOptions())
 
     def test_wrong_inertia_is_numerical_failure(self, monkeypatch):
         class Flipped:

@@ -90,6 +90,15 @@ class TestPortfolio:
         assert prog.n == 2 * 48 * (2 * 9 - 1) == 1632
         assert prog.m == 9 + 1 + 48 * 8
 
+    def test_split_pairs_are_negated_columns(self):
+        inst = make_portfolio(s=3, m=4, seed=1)
+        prog = build_portfolio_qp(inst)
+        n, l = 12, 9
+        np.testing.assert_array_equal(prog.pairs[0], np.r_[:n, 2 * n:2 * n + l])
+        np.testing.assert_array_equal(prog.pairs[1], prog.pairs[0] + np.r_[[n] * n, [l] * l])
+        for M in (prog.A, prog.Q):
+            assert (M[:, prog.pairs[0]] + M[:, prog.pairs[1]]).count_nonzero() == 0
+
     def test_split_objective_matches_original(self):
         inst = make_portfolio(seed=3)
         prog = build_portfolio_qp(inst)
@@ -150,6 +159,21 @@ class TestQuadraticProgram:
                                  np.zeros(1), nonneg=np.array([2, 0]))
         assert (prog.m, prog.n) == (1, 3)
         np.testing.assert_array_equal(prog.free, [1])
+        assert prog.pairs.shape == (2, 0)  # no split pairs declared
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([[0], [3]], "indices in"),          # out of range
+        ([[0], [-1]], "indices in"),
+        ([[0, 1]], "2 x p"),                 # not two rows
+        ([[0, 0], [1, 2]], "repeat"),
+        ([[0], [0]], "repeat"),
+        ([[0], [2]], "non-negative"),        # 2 is free
+    ])
+    def test_pair_indices_enforced(self, pairs, message):
+        with pytest.raises(ValueError, match=message):
+            quadratic_program(np.eye(3), np.zeros(3), np.zeros((0, 3)),
+                              np.zeros(0), nonneg=np.array([0, 1]),
+                              pairs=np.array(pairs))
 
 
 class TestFusedLassoLs:
