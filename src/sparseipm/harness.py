@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import baselines, ippmm, metrics, precond
-from .linops import BLUR_PARAMETERS, BlurKernel, make_bccb_operator
+from .linops import BLUR_PARAMETERS, BccbOperator, BlurKernel
 from .problems import (FusedLassoLsInstance, LogisticInstance,
                        PoissonTvInstance, PortfolioInstance,
                        build_fused_lasso_ls, build_logistic_l1,
@@ -75,7 +75,7 @@ def gen_blur_instance(image: np.ndarray, kernel: BlurKernel, peak_counts: float,
     if image.shape != kernel.grid:
         raise ValueError("image shape does not match the kernel grid")
     wbar = (image * peak_counts).ravel()
-    op = make_bccb_operator(kernel)
+    op = BccbOperator(kernel)
     mean = op.apply(wbar) + background
     if noise:
         rng = np.random.default_rng(seed)
@@ -275,8 +275,13 @@ def _score_portfolio(solver, args, inst, _, w, opts):
     return [[float(r) for r in ratios]]
 
 
-def _score_fmri(solver, args, inst, _, w, opts):
-    return [[100.0 * np.count_nonzero(metrics.threshold_solution(w)) / w.size]]
+def _score_fmri(solver, args, inst, wbar, w, opts):
+    wt = metrics.threshold_solution(w)
+    try:
+        overlap = metrics.corrected_overlap(wt, wbar, w.size)
+    except metrics.UndefinedMetricError:  # an empty support blanks only this cell
+        overlap = ""
+    return [[100.0 * np.count_nonzero(wt) / w.size, overlap]]
 
 
 def _make_restore(args):
@@ -365,7 +370,7 @@ FAMILIES = {
                 inst, time_budget=a.budget_seconds, **_limits(a)),
             "admm": lambda inst, a: baselines.admm_fused_lasso(
                 inst, time_budget=a.budget_seconds, **_limits(a))},
-        header=("density_pct",),
+        header=("density_pct", "overlap"),
         score=_score_fmri),
     "restore": Family(
         help="Poisson image restoration",

@@ -250,19 +250,18 @@ class AugmentedSystem:
 class SaddleMatrix:
     """The direct path's quasi-definite matrix [[-(Q + Θ + ρI), A'], [A, δI]].
 
-    One lives for a whole solve. The pattern, with every diagonal entry
-    stored, is assembled once; it is restricted to the active set and
-    permuted into the elimination order once per active set, and each
-    factorization only rewrites the diagonal. The first factorization finds
-    the order by minimum degree on A + A'; later ones factor the pre-permuted
-    matrix in NATURAL order. Dropping variables restricts the order to the
-    active set, which cannot add fill; a dropped variable never returns.
+    One lives for a whole solve, with one pattern: every diagonal entry is
+    stored, and each split pair (x+, x-) of ``program.pairs`` has one row,
+    the plus member's, in u = dx+ - dx-; no minus member has a row. The first
+    factorization finds the order by minimum degree on A + A'. The matrix is
+    permuted into it once, and later ones only write values and factor in
+    NATURAL order.
 
-    A split pair (x+, x-) of ``program.pairs`` with both members active is
-    eliminated: with D = Θ + ρ, its two rows become one in u = dx+ - dx-,
-    held in the plus member's row with diagonal D+ D- / (D+ + D-), and the
-    minus member is left out like a dropped one. The order puts each minus
-    member right after its partner, so a pair broken by a drop adds no fill.
+    With e = 1/(Θ + ρ) on active variables and 0 on dropped ones, a pair's
+    row has diagonal 1/(e+ + e-), whether both members are active or one was
+    dropped. A row with no active variable left is pinned: its off-diagonal
+    entries are zeroed once (a dropped variable never returns), and its
+    negative diagonal and zero rhs make its step exactly 0.
     """
 
     inner_iterations = inner_capped = 0  # a direct solve has no inner iterations
@@ -276,73 +275,67 @@ class SaddleMatrix:
         for M in (program.A.tocsc(), program.Q.tocsc()):
             if (M[:, self.pairs[0]] + M[:, self.pairs[1]]).count_nonzero():
                 raise ValueError("the A and Q columns of each pair must be exact negatives")
-        self.qdiag = program.Q.diagonal()
+        self.rows = np.setdiff1d(np.arange(self.n), self.pairs[1])  # x of each x row
+        self.qdiag = program.Q.diagonal()[self.rows]
+        A = program.A[:, self.rows]
         # -1 keeps every diagonal entry stored; factor() overwrites it
-        self.pattern = (sp.bmat([[-program.Q, program.A.T], [program.A, None]])
-                        - sp.eye(self.n + self.m)).tocsc()
-        self.order = np.arange(self.n + self.m)  # pattern rows, elimination order
-        self.ordered = False  # until the first factor picks the order
-        self.cols = None      # active set the matrix below is arranged for
+        self.matrix = (sp.bmat([[-program.Q[self.rows][:, self.rows], A.T], [A, None]])
+                       - sp.eye(self.rows.size + self.m)).tocsc()
+        self.perm = np.arange(self.rows.size + self.m)  # row each matrix row holds
+        self._index()
+        self.lu, self.ordered, self.pinned = None, False, 0
 
-    def _arrange(self, cols: np.ndarray):
-        active = np.ones(self.n + self.m, dtype=bool)
-        active[:self.n] = False
-        active[cols] = True
-        self.cols = cols
-        self.rows = self.order[active[self.order]]
-        self.perm = np.cumsum(active)[self.rows] - 1  # active position of each row
-        self.matrix = self.pattern[self.rows][:, self.rows].tocsc()
+    def _index(self):
         self.matrix.sort_indices()
-        col_of = np.repeat(np.arange(self.rows.size), np.diff(self.matrix.indptr))
-        self.diag_pos = np.flatnonzero(self.matrix.indices == col_of)
+        self.col_of = np.repeat(np.arange(self.perm.size), np.diff(self.matrix.indptr))
+        self.diag_pos = np.flatnonzero(self.matrix.indices == self.col_of)
 
     def factor(self, state: IpPmmState):
-        """Write the diagonal of ``state`` and factor; raises InertiaError
+        """Write the values of ``state`` and factor; raises InertiaError
         unless every x pivot is negative and every y pivot positive."""
-        cols = state.active_indices()
-        shift = state.xi_diag()[cols] + state.rho
-        at = np.full(self.n, -1)
-        at[cols] = np.arange(cols.size)
-        plus, minus = at[self.pairs]
-        intact = (plus >= 0) & (minus >= 0)
-        self.plus, self.minus = plus[intact], minus[intact]  # active positions
-        self.dplus, self.dminus = shift[self.plus], shift[self.minus]
-        self.dtilde = self.dplus * self.dminus / (self.dplus + self.dminus)
-        shift[self.plus] = self.dtilde
-        self.keep = np.ones(cols.size, dtype=bool)
-        self.keep[self.minus] = False
-        kept = cols[self.keep]
-        if self.cols is None or not np.array_equal(kept, self.cols):
-            self._arrange(kept)
-        diag = np.concatenate([-(self.qdiag[kept] + shift[self.keep]),
+        if self.lu is not None and not self.ordered:  # the first factor's order
+            self.perm = np.argsort(self.lu.perm_c)
+            self.matrix = self.matrix[self.perm][:, self.perm].tocsc()
+            self._index()
+            self.ordered = True
+        p, q = self.pairs
+        self.cols = state.active_indices()
+        self.e = np.zeros(self.n)
+        self.e[self.cols] = 1.0 / (state.xi_diag()[self.cols] + state.rho)
+        live = ~state.dropped
+        live[p] |= live[q]  # a pair's row lives while either member does
+        esum = self.e.copy()
+        esum[p] += self.e[q]
+        self.dtilde = np.divide(1.0, esum, out=np.ones(self.n), where=live)  # pinned: 1
+        pin = np.concatenate([~live[self.rows], np.zeros(self.m, dtype=bool)])[self.perm]
+        if np.count_nonzero(pin) > self.pinned:  # pins are never lifted
+            off = pin[self.matrix.indices] | pin[self.col_of]
+            off[self.diag_pos] = False
+            self.matrix.data[off] = 0.0
+            self.pinned = np.count_nonzero(pin)
+        diag = np.concatenate([-(self.qdiag + self.dtilde[self.rows]),
                                np.full(self.m, state.delta)])
         self.matrix.data[self.diag_pos] = diag[self.perm]
         spec = "NATURAL" if self.ordered else "MMD_AT_PLUS_A"
-        self.lu = ldl_factor(self.matrix, self.perm < kept.size, spec, spla.splu)
-        if not self.ordered:
-            order = self.rows[np.argsort(self.lu.perm_c)]
-            minus_of = np.full(self.n + self.m, -1)
-            minus_of[self.pairs[0]] = self.pairs[1]
-            order = np.column_stack([order, minus_of[order]]).ravel()
-            self.order = order[order >= 0]
-            self.ordered = True
-            self.cols = None  # permute into the new order on the next factor
+        self.lu = ldl_factor(self.matrix, self.perm < self.rows.size, spec, spla.splu)
 
     def solve(self, r1a: np.ndarray, r2: np.ndarray):
-        p, q = self.plus, self.minus
-        r1 = r1a.copy()
-        r1[p] = self.dtilde * (r1a[p] / self.dplus - r1a[q] / self.dminus)
-        r = np.concatenate([r1[self.keep], r2])[self.perm]
-        x = self.lu.solve(r)
-        x += self.lu.solve(r - self.matrix @ x)  # one step of iterative refinement
+        p, q = self.pairs
+        r = np.zeros(self.n)
+        r[self.cols] = r1a
+        rt = r.copy()
+        rt[p] = self.dtilde[p] * (self.e[p] * r[p] - self.e[q] * r[q])
+        b = np.concatenate([rt[self.rows], r2])[self.perm]
+        x = self.lu.solve(b)
+        x += self.lu.solve(b - self.matrix @ x)  # one step of iterative refinement
         sol = np.empty_like(x)
         sol[self.perm] = x
-        dx = np.empty(r1a.size)
-        dx[self.keep] = sol[:r1a.size - q.size]
-        g = self.dtilde * dx[p] + r1[p]  # recover the pair from u = dx[p]
-        dx[p] = (g - r1a[p]) / self.dplus
-        dx[q] = -(g + r1a[q]) / self.dminus
-        return dx, sol[r1a.size - q.size:]
+        dx = np.zeros(self.n)
+        dx[self.rows] = sol[:self.rows.size]
+        g = self.dtilde[p] * dx[p] + rt[p]  # recover the pair from u = dx[p]
+        dx[p] = (g - r[p]) * self.e[p]
+        dx[q] = -(g + r[q]) * self.e[q]
+        return dx[self.cols], sol[self.rows.size:]
 
 
 def _factor_saddle(state: IpPmmState, program: ConvexProgram,

@@ -159,10 +159,15 @@ class BccbOperator:
     """
 
     def __init__(self, kernel: BlurKernel):
+        psf = kernel.psf()
+        if np.any(psf < -1e-15):
+            raise ValueError("kernel weights must be non-negative")
+        if abs(psf.sum() - 1.0) > 1e-10:
+            raise ValueError("kernel weights must sum to 1")
         n1, n2 = kernel.grid
         self.rows = self.cols = n1 * n2
         self.grid = (n1, n2)
-        self.eigenvalues = scipy.fft.rfft2(kernel.psf())
+        self.eigenvalues = scipy.fft.rfft2(psf)
 
     def _spectral_apply(self, v, eigs):
         img = np.asarray(v, dtype=float).reshape(self.grid)
@@ -185,11 +190,3 @@ class BccbOperator:
             scipy.fft.irfft2(self.eigenvalues, s=self.grid) ** 2)
         return out
 
-
-def make_bccb_operator(kernel: BlurKernel) -> BccbOperator:
-    psf = kernel.psf()
-    if np.any(psf < -1e-15):
-        raise ValueError("kernel weights must be non-negative")
-    if abs(psf.sum() - 1.0) > 1e-10:
-        raise ValueError("kernel weights must sum to 1")
-    return BccbOperator(kernel)

@@ -18,7 +18,7 @@ from sparseipm.harness import (builtin_image, gen_blur_instance,
                                gen_portfolio)
 from sparseipm.ippmm import (NormalEquations, SolverOptions, kkt_residuals,
                              newton_rhs, solve)
-from sparseipm.linops import BlurKernel, make_bccb_operator, make_tv_operator
+from sparseipm.linops import BccbOperator, BlurKernel, make_tv_operator
 from sparseipm.metrics import (corrected_overlap, count_transactions,
                                image_scores, portfolio_ratios,
                                threshold_solution)
@@ -210,7 +210,7 @@ def test_criterion_06_blur_operator_fidelity():
                BlurKernel("motion", (n1, n2), {"length": 5.0, "angle": 30.0}),
                BlurKernel("out-of-focus", (n1, n2), {"radius": 2.0})]
     for kernel in kernels:
-        op = make_bccb_operator(kernel)
+        op = BccbOperator(kernel)
         psf = kernel.psf().reshape(n1, n2)
         dense = np.zeros((n1 * n2, n1 * n2))
         for i in range(n1):

@@ -248,7 +248,7 @@ class TestCli:
                         "3x3", "--out", str(tmp_path)])
         assert code == 0
         scores = (tmp_path / "scores.csv").read_text().splitlines()
-        assert scores[0] == "solver,status,iters,time_s,objective,density_pct"
+        assert scores[0] == "solver,status,iters,time_s,objective,density_pct,overlap"
 
     def test_restore_small(self, tmp_path):
         code = run_cli(["restore", "--size", "16", "--peak", "50",

@@ -30,11 +30,6 @@ from sparseipm.ippmm import SolverOptions
 MODULES = sorted(Path(sparseipm.__file__).parent.glob("*.py"))
 PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
 
-# public names kept without a caller, with the reason
-ALLOWED_UNREFERENCED = {
-    "corrected_overlap": "criterion 10",
-}
-
 # defaulted parameters kept without a caller passing them, with the reason
 ALLOWED_UNPASSED = {
     "run_cli.argv": "tests drive the CLI in-process",
@@ -113,8 +108,7 @@ def test_no_public_name_only_tests_call():
     modules = {p.stem: p.read_text() for p in MODULES}
     unreferenced = unreferenced_public_names(
         modules, [p.read_text() for p in PERFBENCH])
-    assert [name for name in unreferenced
-            if name.split(".")[-1] not in ALLOWED_UNREFERENCED] == []
+    assert unreferenced == []
 
 
 def unset_options(fields, sources) -> list:

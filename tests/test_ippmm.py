@@ -302,43 +302,47 @@ class CountingSpla:
 class TestDirectPath:
     def test_step_matches_dense_solve_with_reused_and_restricted_order(
             self, monkeypatch):
-        counting = CountingSpla()
-        monkeypatch.setattr(ippmm, "spla", counting)
         # 8 assets over 4 periods: w+ = x[:32], w- = x[32:64], 56 split pairs
-        prog = build_portfolio_qp(gen_portfolio(8, 4, 0))
-        st = random_state(prog, seed=41)
-        Q, A = prog.Q.toarray(), prog.A.toarray()
-        perms = []
-        for change in ("first", "reused", "one-dropped", "both-dropped"):
-            if change == "reused":
-                st.x = 1.5 * st.x
-                st.rho, st.delta = 1e-4, 1e-3
-            elif change == "one-dropped":
-                st.dropped[2] = True   # w+_2; its partner w-_2 stays
-            elif change == "both-dropped":
-                st.dropped[34] = True  # w-_2 as well
-            ctx = ippmm._CONTEXTS["direct-augmented"](st, prog, SolverOptions())
-            perms.append(ctx.perm)
-            cols = st.active_indices()
-            _, _, _, rp, gy, _ = kkt_residuals(st, prog)
-            r1, r2 = newton_rhs(st, rp, gy, 0.5)
-            # the unreduced system on the active set, every pair member kept
-            H = Q[np.ix_(cols, cols)] + np.diag(st.xi_diag()[cols] + st.rho)
-            K = np.block([[-H, A[:, cols].T],
-                          [A[:, cols], st.delta * np.eye(prog.m)]])
-            dx, dy = ctx.solve(r1, r2)
-            np.testing.assert_allclose(np.concatenate([dx, dy]),
-                                       np.linalg.solve(K, np.concatenate([r1, r2])),
-                                       rtol=1e-10, atol=1e-10)
-        assert counting.specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 3
-        assert counting.nnz[1] == counting.nnz[0]  # the order is kept, not inverted
-        assert not np.array_equal(perms[1], np.arange(perms[1].size))
-        # one row per intact pair: the plus member's, with the minus member left out
-        assert perms[0].size == prog.n - prog.pairs.shape[1] + prog.m
-        # w-_2 takes the row of its dropped partner, in its place in the order
-        assert perms[2].size == perms[1].size
-        assert counting.nnz[2] == counting.nnz[1]
-        assert perms[3].size == perms[2].size - 1
+        paired = build_portfolio_qp(gen_portfolio(8, 4, 0))
+        # without pairs, every dropped variable is an unpaired one
+        for prog in (paired, dataclasses.replace(paired, pairs=None)):
+            counting = CountingSpla()
+            monkeypatch.setattr(ippmm, "spla", counting)
+            st = random_state(prog, seed=41)
+            Q, A = prog.Q.toarray(), prog.A.toarray()
+            perms = []
+            for change in ("first", "reused", "one-dropped", "both-dropped"):
+                if change == "reused":
+                    st.x = 1.5 * st.x
+                    st.rho, st.delta = 1e-4, 1e-3
+                elif change == "one-dropped":
+                    st.dropped[2] = True   # w+_2; its partner w-_2 stays
+                elif change == "both-dropped":
+                    st.dropped[34] = True  # w-_2 as well
+                ctx = ippmm._CONTEXTS["direct-augmented"](st, prog, SolverOptions())
+                perms.append(ctx.perm)
+                cols = st.active_indices()
+                _, _, _, rp, gy, _ = kkt_residuals(st, prog)
+                r1, r2 = newton_rhs(st, rp, gy, 0.5)
+                # the unreduced system on the active set, every pair member kept
+                H = Q[np.ix_(cols, cols)] + np.diag(st.xi_diag()[cols] + st.rho)
+                K = np.block([[-H, A[:, cols].T],
+                              [A[:, cols], st.delta * np.eye(prog.m)]])
+                dx, dy = ctx.solve(r1, r2)
+                np.testing.assert_allclose(np.concatenate([dx, dy]),
+                                           np.linalg.solve(K, np.concatenate([r1, r2])),
+                                           rtol=1e-10, atol=1e-10)
+            assert counting.specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 3
+            assert counting.nnz[1] == counting.nnz[0]  # the order is kept, not inverted
+            assert not np.array_equal(perms[1], np.arange(perms[1].size))
+            # one row per intact pair: the plus member's, with the minus member left out
+            assert perms[0].size == prog.n - prog.pairs.shape[1] + prog.m
+            # w-_2 takes the row of its dropped partner, in its place in the order
+            assert perms[2].size == perms[1].size
+            assert counting.nnz[2] == counting.nnz[1]
+            # dropping both members pins the row: the size and the fill stay
+            assert perms[3].size == perms[2].size
+            assert counting.nnz[3] == counting.nnz[2]
 
     def test_split_pairs_shrink_the_first_factor(self, monkeypatch):
         # the benchmark's 40 x 12 portfolio; 163,226 nonzeros without pairs
@@ -396,6 +400,8 @@ class TestDirectPath:
         assert rep.status == "optimal" and rep.drop_audit["dropped"]
         assert counting.specs.count("MMD_AT_PLUS_A") == 1
         assert counting.specs[0] == "MMD_AT_PLUS_A"
+        # one pattern per solve: every NATURAL factor has the same fill
+        assert set(counting.nnz[1:]) == {counting.nnz[1]}
 
     @pytest.mark.parametrize("dropping", [False, True])
     def test_every_factorization_goes_through_ippmm_splu(self, monkeypatch,

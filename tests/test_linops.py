@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sparseipm.linops import (BccbOperator, BlurKernel, make_bccb_operator,
+from sparseipm.linops import (BccbOperator, BlurKernel,
                               make_difference_operator, make_tv_operator)
 
 
@@ -125,7 +125,7 @@ class TestBccbOperator:
         BlurKernel("motion", (7, 10), {"length": 7, "angle": 45.0}),
     ])
     def test_matches_dense_circulant(self, kernel):
-        op = make_bccb_operator(kernel)
+        op = BccbOperator(kernel)
         psf = kernel.psf()
         n1, n2 = kernel.grid
         # column j of the BCCB matrix is the PSF cyclically shifted to pixel j
@@ -143,11 +143,11 @@ class TestBccbOperator:
                                    rtol=1e-10, atol=1e-10)
 
     def test_adjoint(self):
-        op = make_bccb_operator(BlurKernel("gaussian", (8, 8), {"sigma": 1.0}))
+        op = BccbOperator(BlurKernel("gaussian", (8, 8), {"sigma": 1.0}))
         adjoint_probe(op, np.random.default_rng(3))
 
     def test_preserves_total_mass(self):
-        op = make_bccb_operator(BlurKernel("gaussian", (8, 8), {"sigma": 1.0}))
+        op = BccbOperator(BlurKernel("gaussian", (8, 8), {"sigma": 1.0}))
         v = np.random.default_rng(4).uniform(size=64)
         assert abs(op.apply(v).sum() - v.sum()) <= 1e-10
 
@@ -156,7 +156,7 @@ class TestBccbOperator:
         BlurKernel("gaussian", (5, 7), {"sigma": 1.0}),
     ])
     def test_squared_kernel_gives_exact_diagonal(self, kernel):
-        op = make_bccb_operator(kernel)
+        op = BccbOperator(kernel)
         sq = op.squared_kernel_operator()
         dense = np.column_stack([op.apply(e) for e in np.eye(op.cols)])
         u = np.random.default_rng(5).uniform(0.5, 2.0, size=op.cols)

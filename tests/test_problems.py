@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sparseipm.linops import BlurKernel, make_bccb_operator, make_tv_operator
+from sparseipm.linops import BccbOperator, BlurKernel, make_tv_operator
 from sparseipm.problems import (DomainError, FusedLassoLsInstance,
                                 LogisticInstance, PoissonTvInstance,
                                 PortfolioInstance, budget_constraints,
@@ -225,7 +225,7 @@ class TestFusedLassoLs:
 def make_poisson(size=8, seed=9, lam=1e-2):
     rng = np.random.default_rng(seed)
     kernel = BlurKernel("gaussian", (size, size), {"sigma": 1.0})
-    op = make_bccb_operator(kernel)
+    op = BccbOperator(kernel)
     truth = rng.uniform(1.0, 20.0, size=size * size)
     g = np.round(op.apply(truth) + 1.0)
     return PoissonTvInstance(blur=op, observed=g,
@@ -257,7 +257,7 @@ class TestPoissonTv:
 
     def test_zero_count_terms_linear(self):
         # pixels with zero observed count contribute only their intensity
-        op = make_bccb_operator(BlurKernel("identity", (2, 2)))
+        op = BccbOperator(BlurKernel("identity", (2, 2)))
         inst = PoissonTvInstance(blur=op, observed=np.array([0.0, 0.0, 3.0, 0.0]),
                                  background=np.full(4, 0.5), lam=0.0)
         w = np.array([1.0, 2.0, 3.0, 4.0])
@@ -290,7 +290,7 @@ class TestPoissonTv:
         np.testing.assert_array_equal(row[64:], 0.0)
 
     def test_negative_counts_rejected(self):
-        op = make_bccb_operator(BlurKernel("identity", (2, 2)))
+        op = BccbOperator(BlurKernel("identity", (2, 2)))
         with pytest.raises(ValueError):
             PoissonTvInstance(op, np.array([1.0, -1.0, 0.0, 2.0]),
                               np.ones(4), 1e-2)
