@@ -258,24 +258,21 @@ class Family:
     ippmm: Callable    # (args, instance) -> SolverOptions overrides
     baselines: dict    # solver name -> (instance, args) -> (w, report)
     header: tuple      # the family's scores.csv columns
-    score: Callable    # (solver, args, instance, truth, w, options) -> rows
+    score: Callable    # (args, instance, truth, w) -> rows
 
     @property
     def solvers(self) -> list:
         return ["ippmm", *self.baselines]
 
 
-def _score_portfolio(solver, args, inst, _, w, opts):
-    if solver == "asb":
-        # match the interior point run: prune entries below the drop level
-        w = np.where(np.abs(w) > opts.eps_drop, w, 0.0)
+def _score_portfolio(args, inst, _, w):
     w_naive, _ = naive_portfolio(inst)
     ratios = metrics.portfolio_ratios(w, w_naive, inst.block_covariance(),
                                       inst.num_periods, eps=args.trans_eps)
     return [[float(r) for r in ratios]]
 
 
-def _score_fmri(solver, args, inst, wbar, w, opts):
+def _score_fmri(args, inst, wbar, w):
     wt = metrics.threshold_solution(w)
     try:
         overlap = metrics.corrected_overlap(wt, wbar, w.size)
@@ -305,7 +302,7 @@ def _poisson_start(inst) -> np.ndarray:
     return np.concatenate([w0, np.maximum(Lw0, 0) + 1.0, np.maximum(-Lw0, 0) + 1.0])
 
 
-def _score_restore(solver, args, inst, wbar, w, opts):
+def _score_restore(args, inst, wbar, w):
     shape = inst.blur.grid
     write_pgm(Path(args.out) / "restored.pgm", 255.0 * w.reshape(shape) / args.peak)
     rmse, psnr, ms = metrics.image_scores(w, wbar, shape=shape)
@@ -320,7 +317,7 @@ def _make_classify(args):
     return replace(inst, tau=0.1 * inst.lambda_max()), (wbar, test)
 
 
-def _score_classify(solver, args, inst, truth, w, opts):
+def _score_classify(args, inst, truth, w):
     wbar, test = truth
     wt = metrics.threshold_solution(w)
     wt_feat = wt[:wbar.size]
@@ -458,8 +455,10 @@ def _cmd_family(args) -> int:
         _write_text(Path(args.out) / f"report_{solver}.json", report.to_json())
         run = [solver, report.status, report.iterations, report.time_s,
                inst.original_objective(w)]
+        if solver != "ippmm":  # prune a baseline at the interior point drop level
+            w = np.where(np.abs(w) > opts.eps_drop, w, 0.0)
         try:
-            scores = family.score(solver, args, inst, truth, w, opts)
+            scores = family.score(args, inst, truth, w)
         except metrics.UndefinedMetricError as exc:
             print(f"{solver} scores unavailable: {exc}", file=sys.stderr)
             scores = [[""] * len(family.header)]

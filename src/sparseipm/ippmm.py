@@ -28,8 +28,8 @@ BOUNDARY_FRACTION = 0.995          # fraction-to-the-boundary step rule
 PENALTY_FLOOR = 1e-8               # lower bound on the penalties rho and delta
 ESTIMATE_DECREASE = 0.95           # residual decrease that refreshes the estimates
 DROP_ACTIVATION = 1e-2             # dropping scans only once mu <= this * mu0
-PCG_TOL, PCG_MAXIT = 1e-4, 2000   # inner PCG: relative tolerance, iteration cap
-MINRES_TOL, MINRES_MAXIT = 1e-4, 20  # inner MINRES: relative tolerance, cap
+FORCING, INNER_MAXIT = 0.1, 500    # inner Krylov solves: tolerance per residual, cap
+INNER_TOL_MIN, INNER_TOL_MAX = 1e-10, 1e-2  # bounds on the inner relative tolerance
 
 
 class UnsupportedStructureError(ValueError):
@@ -66,6 +66,7 @@ class IpPmmState:
     drop_log: list = field(default_factory=list)
     last_primal_norm: float = np.inf
     last_dual_norm: float = np.inf
+    inner_tol: float = INNER_TOL_MAX  # relative tolerance of this iteration's Krylov solves
     saddle: Optional[SaddleMatrix] = None  # the direct path's per-solve matrix
 
     def nonneg_active(self) -> np.ndarray:
@@ -213,6 +214,7 @@ class AugmentedSystem:
         self.A_act = sp.csc_matrix(program.A[:, self.cols])
         self.diag_shift = state.xi_diag()[self.cols] + state.rho
         self.delta = state.delta
+        self.tol = state.inner_tol
         self._n = program.n
         self._hess = program.hess_action(state.x)
         self._A_act_T = self.A_act.T
@@ -241,7 +243,7 @@ class AugmentedSystem:
 
     def solve(self, r1a: np.ndarray, r2: np.ndarray):
         out = minres(self.matvec, np.concatenate([r1a, r2]),
-                     self.precond.apply_inverse, tol=MINRES_TOL, maxit=MINRES_MAXIT)
+                     self.precond.apply_inverse, tol=self.tol, maxit=INNER_MAXIT)
         self.inner_iterations += out.iterations
         self.inner_capped += not out.converged
         return out.solution[:self.na], out.solution[self.na:]
@@ -363,6 +365,7 @@ class NormalEquations:
         self.gdiag = (program.hess_diag(state.x)[self.cols]
                       + state.xi_diag()[self.cols] + state.rho)
         self.delta = state.delta
+        self.tol = state.inner_tol
         kind = options.precond
         if kind == "auto":
             kind = "fmri-block" if program.row_split is not None else "identity"
@@ -382,11 +385,8 @@ class NormalEquations:
         return (self.A_act.T @ dy - r1a) / self.gdiag
 
     def solve(self, r1a: np.ndarray, r2: np.ndarray):
-        rhs = self.rhs(r1a, r2)
-        nrm = np.linalg.norm(rhs)
-        tol = PCG_TOL if nrm < 1.0 else max(1e-8, PCG_TOL / nrm)
-        out = pcg(self.matvec, rhs, self.precond.apply_inverse,
-                  tol=tol, maxit=PCG_MAXIT)
+        out = pcg(self.matvec, self.rhs(r1a, r2), self.precond.apply_inverse,
+                  tol=self.tol, maxit=INNER_MAXIT)
         self.inner_iterations += out.iterations
         self.inner_capped += not out.converged
         dy = out.solution
@@ -518,6 +518,9 @@ def solve(program: ConvexProgram, options: Optional[SolverOptions] = None):
             break
         if k == options.max_iter:
             break
+        # forcing term: the Krylov solves get more accurate as the iterate nears optimal
+        state.inner_tol = max(INNER_TOL_MIN,
+                              min(INNER_TOL_MAX, FORCING * max(primal, dual, mu)))
 
         t0 = time.perf_counter()
         try:

@@ -1,0 +1,55 @@
+"""Convex QPs with a planted KKT point: an exact oracle for every solver path.
+
+Pick x*, z* >= 0 with x*'z* = 0, y*, Q >= 0 and A, then set
+c = -Q x* + A'y* + z* and b = A x*. The point (x*, y*, z*) satisfies the KKT
+conditions of min 1/2 x'Qx + c'x s.t. Ax = b, x_I >= 0, so its objective is
+the optimal value, whatever the solver under test does (Rosen & Suzuki 1965).
+"""
+import numpy as np
+
+from sparseipm.problems import quadratic_program
+
+STRUCTURES = ("plain", "degenerate", "ill-conditioned", "diagonal", "free",
+              "rank-deficient")
+
+
+def planted_qp(structure: str, n: int, m: int, seed: int):
+    """(program, optimal objective) of one planted QP.
+
+    ``plain``: coupled Q = BB'/n, half the coordinates basic (x* > 0 = z*).
+    Each other structure changes one thing about it:
+    ``degenerate``: 30% of the coordinates have x* = z* = 0;
+    ``ill-conditioned``: Q has eigenvalues from 1 down to 1e-6;
+    ``diagonal``: Q is diagonal, and half of it zero (linear coordinates);
+    ``free``: 20% of the coordinates are free, not non-negative;
+    ``rank-deficient``: the last 5 rows of A repeat its first 5.
+    """
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, n))
+    if structure == "rank-deficient":
+        A[-5:] = A[:5]
+    if structure == "diagonal":
+        Q = np.diag(rng.uniform(0.5, 2.0, n) * (rng.random(n) < 0.5))
+    elif structure == "ill-conditioned":
+        U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        Q = (U * np.logspace(0, -6, n)) @ U.T
+        Q = 0.5 * (Q + Q.T)
+    else:
+        B = rng.standard_normal((n, n))
+        Q = B @ B.T / n
+    order = rng.permutation(n)
+    basic, nonbasic = order[:n // 2], order[n // 2:]
+    if structure == "degenerate":
+        nonbasic = nonbasic[int(0.3 * n):]
+    x = np.zeros(n)
+    z = np.zeros(n)
+    x[basic] = rng.uniform(0.5, 2.0, basic.size)
+    z[nonbasic] = rng.uniform(0.5, 2.0, nonbasic.size)
+    nonneg = np.arange(n)
+    if structure == "free":
+        free = basic[:int(0.2 * n)]
+        x[free] = rng.standard_normal(free.size)
+        nonneg = np.setdiff1d(nonneg, free)
+    c = -Q @ x + A.T @ rng.standard_normal(m) + z
+    prog = quadratic_program(Q, c, A, A @ x, nonneg=nonneg)
+    return prog, prog.objective(x)

@@ -257,6 +257,27 @@ class TestCli:
         img, maxval = read_pgm(tmp_path / "restored.pgm")
         assert img.shape == (16, 16) and maxval == 255
 
+    def test_restore_defaults_reach_optimal(self, tmp_path):
+        assert run_cli(["restore", "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report_ippmm.json").read_text())
+        assert report["status"] == "optimal"
+        assert report["inner_capped"] == 0
+
+    def test_baselines_are_scored_at_the_drop_level(self, tmp_path):
+        # every baseline's w is below fmri's drop level 1e-6 here, as IP-PMM's is
+        code = run_cli(["fmri", "--solver", "ippmm,fista,admm", "--s", "10",
+                        "--grid", "3x3", "--tau1", "100", "--tau2", "100",
+                        "--out", str(tmp_path)])
+        assert code == 0
+        rows = [r.split(",") for r in
+                (tmp_path / "scores.csv").read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["ippmm", "fista", "admm"]
+        assert [r[5:] for r in rows] == [["0", ""]] * 3
+        inst, _ = gen_fused_lasso(10, (3, 3), 0, 100.0, 100.0)
+        at_zero = inst.original_objective(np.zeros(9))
+        for r in rows[1:]:  # the objective is of the unpruned w
+            assert float(r[4]) != at_zero
+
     def test_classify_runs(self, tmp_path):
         code = run_cli(["classify", "--n", "60", "--s", "12", "--out",
                         str(tmp_path)])

@@ -1,4 +1,4 @@
-"""Five small ``ast`` checks in place of a linter.
+"""Five small ``ast`` checks in place of a linter, and one on the README.
 
 - Every name a ``sparseipm`` module imports is used in that module: it appears
   as a name anywhere in the module, or in ``__all__``.
@@ -17,9 +17,13 @@
   by the callee's name; ``__init__`` also goes by its class's name, and a
   method's positions skip ``self``. A call with ``*`` or ``**`` passes every
   parameter.
+- Every backticked ``<module>.<Name>`` of a ``sparseipm`` module that
+  ``README.md`` cites, such as ``dropping.XI``, names a real attribute.
 """
 import ast
 import dataclasses
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -29,6 +33,7 @@ from sparseipm.ippmm import SolverOptions
 
 MODULES = sorted(Path(sparseipm.__file__).parent.glob("*.py"))
 PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # defaulted parameters kept without a caller passing them, with the reason
 ALLOWED_UNPASSED = {
@@ -236,3 +241,36 @@ def test_every_defaulted_parameter_has_a_caller():
     unpassed = unpassed_parameters({p.stem: p.read_text() for p in MODULES},
                                    [p.read_text() for p in MODULES + PERFBENCH])
     assert [name for name in unpassed if name not in ALLOWED_UNPASSED] == []
+
+
+def unresolved_citations(text: str, namespaces: dict) -> list:
+    """Dotted names in backticks of ``text`` that start with a key of
+    ``namespaces`` (name -> module) but do not resolve to an attribute."""
+    out = []
+    text = re.sub(r"```.*?```", "", text, flags=re.S)  # fenced blocks are not citations
+    for span in re.findall(r"`([^`]+)`", text):
+        for dotted in re.findall(r"(?<![\w/.])\w+(?:\.\w+)+", span):
+            head, *names = dotted.split(".")
+            obj = namespaces.get(head)
+            for name in names if obj is not None else ():
+                if not hasattr(obj, name):
+                    out.append(dotted)
+                    break
+                obj = getattr(obj, name)
+    return out
+
+
+def test_checker_flags_an_unresolved_citation():
+    namespaces = {"sparseipm": sparseipm,
+                  "ippmm": importlib.import_module("sparseipm.ippmm")}
+    text = ("```sh\nippmm.X\n```\n"
+            "`ippmm.solve` and `sparseipm.ippmm.SolverOptions.x0`, `ippmm.GONE = 2`,"
+            " `sparseipm.nothing`, ippmm.OUTSIDE, `other.thing`, `tests/ippmm.py`")
+    assert unresolved_citations(text, namespaces) == ["ippmm.GONE", "sparseipm.nothing"]
+
+
+def test_readme_cites_real_names():
+    namespaces = {p.stem: importlib.import_module(f"sparseipm.{p.stem}")
+                  for p in MODULES if p.stem != "__init__"}
+    namespaces["sparseipm"] = sparseipm
+    assert unresolved_citations(README.read_text(), namespaces) == []

@@ -11,8 +11,10 @@ from sparseipm.ippmm import (AugmentedSystem, IpPmmState, NormalEquations,
                              check_termination, initial_state, kkt_residuals,
                              newton_rhs, solve, step_lengths,
                              update_penalties_and_estimates)
-from sparseipm.harness import gen_portfolio
-from sparseipm.problems import build_portfolio_qp, quadratic_program
+from sparseipm.harness import gen_classification, gen_portfolio
+from sparseipm.problems import (build_logistic_l1, build_portfolio_qp,
+                                quadratic_program)
+from planted import planted_qp
 from test_problems import make_portfolio
 
 
@@ -449,7 +451,7 @@ class TestSolveBehavior:
         pair_min = np.minimum(x[:n], x[n:2 * n])
         assert np.all(pair_min <= 10 * tol)
 
-    def test_three_paths_agree_on_diagonal_qp(self, monkeypatch):
+    def test_three_paths_agree_on_diagonal_qp(self):
         rng = np.random.default_rng(22)
         n, m = 20, 6
         Q = np.diag(rng.uniform(0.5, 3.0, size=n))
@@ -457,7 +459,6 @@ class TestSolveBehavior:
         x_feas = rng.uniform(0.5, 1.5, size=n)
         prog = quadratic_program(Q, rng.standard_normal(n), A, A @ x_feas)
         sols = {}
-        monkeypatch.setattr(ippmm, "MINRES_MAXIT", 200)
         for path in ("direct-augmented", "pcg-normal", "minres-augmented"):
             opts = SolverOptions(tol=1e-8, linear_solver=path,
                                  precond="identity" if path == "pcg-normal" else "auto")
@@ -629,7 +630,7 @@ class TestMinresPath:
 
         monkeypatch.setattr(ippmm, "minres", recorded)
         # a cap of 8 stops the early solves short and lets the later converge
-        monkeypatch.setattr(ippmm, "MINRES_MAXIT", 8)
+        monkeypatch.setattr(ippmm, "INNER_MAXIT", 8)
         _, rep = solve(self.program(), SolverOptions(
             linear_solver="minres-augmented", max_iter=5))
         capped = sum(not out.converged for out in outcomes)
@@ -637,3 +638,38 @@ class TestMinresPath:
         assert 0 < capped < len(outcomes)
         assert rep.inner_capped == capped
         assert json.loads(rep.to_json())["inner_capped"] == capped
+
+
+class TestInnerAccuracy:
+    """One forcing rule sets the tolerance and cap of both Krylov paths."""
+
+    @pytest.mark.parametrize("path,name", [("pcg-normal", "pcg"),
+                                           ("minres-augmented", "minres")])
+    def test_tolerance_follows_the_outer_residual(self, monkeypatch, path, name):
+        calls = []
+        krylov = getattr(ippmm, name)
+
+        def recorded(*args, **kwargs):
+            calls.append(kwargs)
+            return krylov(*args, **kwargs)
+
+        monkeypatch.setattr(ippmm, name, recorded)
+        prog, _ = planted_qp("diagonal", 30, 10, 0)
+        _, rep = solve(prog, SolverOptions(tol=1e-9, linear_solver=path))
+        assert rep.status == "optimal"
+        residual = np.maximum.reduce([rep.primal_inf_history, rep.dual_inf_history,
+                                      rep.mu_history])[:rep.iterations]
+        # predictor and corrector share their iteration's tolerance
+        expected = np.repeat(np.clip(0.1 * residual, 1e-10, 1e-2), 2)
+        assert [c["tol"] for c in calls] == pytest.approx(expected, rel=1e-15)
+        assert {c["maxit"] for c in calls} == {ippmm.INNER_MAXIT}
+
+    def test_logistic_benchmark_instance_reaches_optimal(self):
+        # instance (0, 1) of the logistic-minres workload: the generator's
+        # tau = 1/n, dropping on
+        inst, _, _ = gen_classification(2000, 400, 2.0, 0.1, 3964924996)
+        _, rep = solve(build_logistic_l1(inst), SolverOptions(
+            linear_solver="minres-augmented", htilde_choice="diag-h",
+            dropping=True, eps_drop=1e-6))
+        assert rep.status == "optimal"
+        assert not rep.drop_audit["violated"]
