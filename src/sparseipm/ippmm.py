@@ -203,50 +203,97 @@ def newton_rhs(state: IpPmmState, rp: np.ndarray, gy: np.ndarray, sigma: float,
 
 class AugmentedSystem:
     """MINRES path: the symmetric indefinite 2x2 block operator on the active
-    coordinates, with the block-diagonal preconditioner built from H~."""
+    coordinates with their slack pairs eliminated, and the block-diagonal
+    preconditioner built from H~.
+
+    A slack pair is a pair of ``program.pairs`` whose two columns each hold
+    one entry of A, both in the same row, and that the Hessian does not
+    touch. With e = 1/(Θ + ρ) on active variables and 0 on dropped ones, a
+    row that holds slack pairs has the diagonal E = δ + Σ a²(e+ + e-), and
+    these rows R are eliminated exactly together with their pairs. MINRES
+    runs on [[-K, A_B'], [A_B, δI]] over the other active variables, with
+    K = H + Θ + ρI + A_R' E^-1 A_R and A_B the rows without a slack pair;
+    dy_R and the pair steps follow in closed form. The preconditioner is
+    blockdiag(P, δI + A_B P^-1 A_B'), with P = K and H~ in place of H.
+    Without slack pairs this is the whole active-set system.
+    """
 
     inner_iterations = inner_capped = 0  # MINRES iterations, unconverged solves
 
     def __init__(self, state: IpPmmState, program: ConvexProgram,
                  options: SolverOptions):
-        self.cols = state.active_indices()
-        self.na = self.cols.size
-        self.A_act = sp.csc_matrix(program.A[:, self.cols])
-        self.diag_shift = state.xi_diag()[self.cols] + state.rho
-        self.delta = state.delta
-        self.tol = state.inner_tol
-        self._n = program.n
-        self._hess = program.hess_action(state.x)
-        self._A_act_T = self.A_act.T
         chooser = (program.hess_diag_cheap if options.htilde_choice == "u-squared"
                    else program.hess_diag)
         if chooser is None:
             raise UnsupportedStructureError(
                 f"program provides no diagonal for {options.htilde_choice}")
-        htilde = chooser(state.x)[self.cols] + self.diag_shift
+        n, A = program.n, program.A.tocoo()
+        count = np.bincount(A.col, minlength=n)
+        row, val = np.full(n, -1), np.zeros(n)  # of a column's (last) entry
+        row[A.col], val[A.col] = A.row, A.data
+        p, q = program.pairs
+        slack = (count[p] == 1) & (count[q] == 1) & (row[p] == row[q])
+        if program.Q is not None:
+            qcol = np.asarray(abs(program.Q).sum(axis=0)).ravel()
+            slack &= (qcol[p] == 0) & (qcol[q] == 0)
+        self.pairs = np.concatenate([p[slack], q[slack]])  # members of slack pairs
+        self.prow, self.pval = row[self.pairs], val[self.pairs]
+        self.active = state.active_indices()
+        self.e = np.zeros(n)
+        self.e[self.active] = 1.0 / (state.xi_diag()[self.active] + state.rho)
+        self.E = state.delta + np.bincount(self.prow, self.pval ** 2 * self.e[self.pairs],
+                                           minlength=program.m)
+        in_r = np.zeros(program.m, dtype=bool)
+        in_r[self.prow] = True
+        self.R, self.B = np.flatnonzero(in_r), np.flatnonzero(~in_r)
+        rest = np.ones(n, dtype=bool)
+        rest[self.pairs] = False
+        self.cols = self.active[rest[self.active]]  # the MINRES unknowns besides dy_B
+        self.na = self.cols.size
+        A = program.A[:, self.cols]
+        self.A_act, self.A_R = sp.csc_matrix(A[self.B]), A[self.R]  # A_B, A_R
+        self.diag_shift = state.xi_diag()[self.cols] + state.rho
+        self.K_R = self.A_R.T @ sp.diags(1.0 / self.E[self.R]) @ self.A_R
+        self.delta = state.delta
+        self.tol = state.inner_tol
+        self._n = n
+        self._hess = program.hess_action(state.x)
+        self._A_act_T = self.A_act.T
         self.precond = precondmod.build_aug_block_diag_precond(
-            htilde, self.A_act, state.delta, program.row_split)
+            self.K_R + sp.diags(chooser(state.x)[self.cols] + self.diag_shift),
+            self.A_act, state.delta)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         na = self.na
         v1, v2 = v[:na], v[na:]
-        if na == self._n:
-            hv = self._hess(v1)
-        else:
-            full = np.zeros(self._n)
-            full[self.cols] = v1
-            hv = self._hess(full)[self.cols]
+        full = np.zeros(self._n)
+        full[self.cols] = v1
+        hv = self._hess(full)[self.cols]
         out = np.empty(v.size)
-        np.subtract(self._A_act_T @ v2, hv + self.diag_shift * v1, out=out[:na])
+        np.subtract(self._A_act_T @ v2, hv + self.diag_shift * v1 + self.K_R @ v1,
+                    out=out[:na])
         np.add(self.A_act @ v1, self.delta * v2, out=out[na:])
         return out
 
     def solve(self, r1a: np.ndarray, r2: np.ndarray):
-        out = minres(self.matvec, np.concatenate([r1a, r2]),
-                     self.precond.apply_inverse, tol=self.tol, maxit=INNER_MAXIT)
+        c, e, R = self.pairs, self.e, self.R
+        r = np.zeros(self._n)
+        r[self.active] = r1a
+        # row R's rhs after its pairs are eliminated, and dy_R = u - E^-1 A_R dx
+        u = (r2 + np.bincount(self.prow, self.pval * e[c] * r[c],
+                              minlength=r2.size))[R] / self.E[R]
+        rhs = np.concatenate([r[self.cols] - self.A_R.T @ u, r2[self.B]])
+        out = minres(self.matvec, rhs, self.precond.apply_inverse, tol=self.tol,
+                     maxit=INNER_MAXIT)
         self.inner_iterations += out.iterations
         self.inner_capped += not out.converged
-        return out.solution[:self.na], out.solution[self.na:]
+        dx = np.zeros(self._n)
+        dx[self.cols] = out.solution[:self.na]
+        dy = np.empty(r2.size)
+        dy[self.B] = out.solution[self.na:]
+        dy[R] = u - (self.A_R @ dx[self.cols]) / self.E[R]
+        dx[c] = e[c] * (self.pval * dy[self.prow] - r[c])
+        return dx[self.active], dy
 
 
 class SaddleMatrix:

@@ -55,55 +55,37 @@ def build_fmri_normal_precond(g_diag: np.ndarray, A, split: int,
     return Preconditioner(apply_inverse=apply_inverse)
 
 
-def build_aug_block_diag_precond(htilde: np.ndarray, A, delta: float,
-                                 split: Optional[int] = None) -> Preconditioner:
-    """blockdiag(H~, A H~^-1 A' + delta I) for the augmented (saddle) system.
+def build_aug_block_diag_precond(P, A, delta: float) -> Preconditioner:
+    """blockdiag(P, A P^-1 A' + delta I) for the augmented (saddle) system.
 
-    ``htilde`` is the diagonal approximation of the full (1,1) block, i.e. it
-    already includes the complementarity and proximal diagonals. With
-    ``split = k``, the first k rows of A (dense ones such as a budget row) are
-    eliminated exactly from the Schur block instead of entering its sparse
-    factor; the preconditioner is the same matrix either way.
+    ``P`` is the SPD approximation of the full (1,1) block: H~ with the
+    complementarity and proximal diagonals, plus A_R' E^-1 A_R where rows
+    were eliminated with their slack pairs (``ippmm.AugmentedSystem``). A
+    diagonal P is applied by division and gives a sparse Schur block; any
+    other P gets a sparse Cholesky factor, and the Schur block takes one P
+    solve per row of A (one on Poisson: the intensity budget).
     """
-    htilde = np.asarray(htilde, dtype=float)
-    if np.any(htilde <= 0):
-        raise ValueError("diagonal approximation must be strictly positive")
+    P = sp.csr_matrix(P)
     A = sp.csr_matrix(A)
-    mrows = A.shape[0]
-    S = (A @ sp.diags(1.0 / htilde) @ A.T + delta * sp.eye(mrows)).tocsc()
-    solve_s = _bordered_solver(S, split) if split else CholeskyFactor(S).solve
-    na = htilde.size
+    p = P.diagonal()
+    if np.any(p <= 0):
+        raise ValueError("diagonal approximation must be strictly positive")
+    if P.nnz == p.size:  # diagonal
+        solve_p = p.__rtruediv__  # r -> r / p
+        AP = A @ sp.diags(1.0 / p)
+    else:
+        solve_p = CholeskyFactor(P.tocsc()).solve
+        AP = sp.csr_matrix(solve_p(A.T.toarray()).T)
+    solve_s = CholeskyFactor((AP @ A.T + delta * sp.eye(A.shape[0])).tocsc()).solve
+    na = p.size
 
     def apply_inverse(r):
         out = np.empty_like(r)
-        out[:na] = r[:na] / htilde
+        out[:na] = solve_p(r[:na])
         out[na:] = solve_s(r[na:])
         return out
 
     return Preconditioner(apply_inverse=apply_inverse)
-
-
-def _bordered_solver(S, k: int) -> Callable[[np.ndarray], np.ndarray]:
-    """r -> S^-1 r for SPD S = [[S11, S21'], [S21, S22]] with k leading rows.
-
-    Factors the sparse trailing block S22 and the k x k Schur complement
-    C = S11 - S21' S22^-1 S21, whose inverse is kept; each solve then takes
-    one S22 solve. Either factor raises NotPositiveDefiniteError when S is
-    not positive definite.
-    """
-    f22 = CholeskyFactor(S[k:, k:])
-    lead = S[:, :k].toarray()  # [S11; S21]
-    S21 = lead[k:]
-    T = f22.solve(S21)  # S22^-1 S21
-    Cinv = CholeskyFactor(lead[:k] - S21.T @ T).solve(np.eye(k))
-
-    # np.dot: matmul of an (m, 1) array with a vector is ten times slower
-    def solve(r):
-        t = f22.solve(r[k:])
-        y1 = Cinv.dot(r[:k] - S21.T.dot(t))
-        return np.concatenate([y1, t - T.dot(y1)])
-
-    return solve
 
 
 # ---------------------------------------------------------------------------

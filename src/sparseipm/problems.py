@@ -30,7 +30,10 @@ class ConvexProgram:
     block-diagonal augmented preconditioner. Each column (x+, x-) of the
     2 x p index array ``pairs`` names a split pair of non-negative
     coordinates whose columns in ``A`` and ``Q`` are exact negatives; the
-    direct path eliminates each pair inside its Newton solve.
+    direct path eliminates each pair inside its Newton solve. Without ``Q``,
+    the Hessian of f must vanish on pair coordinates (f is at most linear in
+    them). The MINRES path eliminates each slack pair, one whose two columns
+    each hold a single entry of ``A`` in the same row, and that row with it.
     """
 
     A: sp.csr_matrix
@@ -367,7 +370,7 @@ def build_poisson_tv(inst: PoissonTvInstance) -> ConvexProgram:
         A=A, b=b, nonneg=np.arange(nbar),
         objective=objective, gradient=gradient, hess_action=hess_action,
         hess_diag=hess_diag, hess_diag_cheap=hess_diag_cheap,
-        row_split=1,  # the intensity-budget row, dense over the pixels
+        pairs=np.array([np.r_[n:n + l], np.r_[n + l:nbar]]),
     )
     prog.extract = lambda x: x[:n]
     return prog
@@ -462,6 +465,7 @@ def build_logistic_l1(inst: LogisticInstance) -> ConvexProgram:
         A=A, b=b, nonneg=np.arange(s, nbar),
         objective=objective, gradient=gradient, hess_action=hess_action,
         hess_diag=hess_diag, hess_diag_cheap=hess_diag,
+        pairs=np.array([np.r_[s:2 * s], np.r_[2 * s:nbar]]),
     )
     prog.extract = lambda x: x[:s]
     return prog

@@ -10,7 +10,7 @@ import numpy as np
 from sparseipm.problems import quadratic_program
 
 STRUCTURES = ("plain", "degenerate", "ill-conditioned", "diagonal", "free",
-              "rank-deficient")
+              "rank-deficient", "slack")
 
 
 def planted_qp(structure: str, n: int, m: int, seed: int):
@@ -22,7 +22,11 @@ def planted_qp(structure: str, n: int, m: int, seed: int):
     ``ill-conditioned``: Q has eigenvalues from 1 down to 1e-6;
     ``diagonal``: Q is diagonal, and half of it zero (linear coordinates);
     ``free``: 20% of the coordinates are free, not non-negative;
-    ``rank-deficient``: the last 5 rows of A repeat its first 5.
+    ``rank-deficient``: the last 5 rows of A repeat its first 5;
+    ``slack``: 4 more rows of A, each with its own declared split pairs
+    (x+, x-), whose columns are a e_i and -a e_i and which Q does not touch;
+    the last row holds two pairs. Each x+ is basic and each x- is not. The
+    program then has m + 4 rows and n + 10 columns.
     """
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
@@ -50,6 +54,20 @@ def planted_qp(structure: str, n: int, m: int, seed: int):
         free = basic[:int(0.2 * n)]
         x[free] = rng.standard_normal(free.size)
         nonneg = np.setdiff1d(nonneg, free)
-    c = -Q @ x + A.T @ rng.standard_normal(m) + z
-    prog = quadratic_program(Q, c, A, A @ x, nonneg=nonneg)
+    pairs = None
+    if structure == "slack":
+        rows = m + np.array([0, 1, 2, 3, 3])
+        k = rows.size
+        a = rng.uniform(0.5, 2.0, k) * rng.choice([-1.0, 1.0], k)
+        slack = np.zeros((m + 4, 2 * k))
+        slack[rows, np.arange(k)] = a
+        slack[rows, k + np.arange(k)] = -a
+        A = np.hstack([np.vstack([A, rng.standard_normal((4, n))]), slack])
+        Q = np.pad(Q, (0, 2 * k))
+        x = np.concatenate([x, rng.uniform(0.5, 2.0, k), np.zeros(k)])
+        z = np.concatenate([z, np.zeros(k), rng.uniform(0.5, 2.0, k)])
+        pairs = n + np.arange(2 * k).reshape(2, k)
+        nonneg = np.arange(n + 2 * k)
+    c = -Q @ x + A.T @ rng.standard_normal(A.shape[0]) + z
+    prog = quadratic_program(Q, c, A, A @ x, nonneg=nonneg, pairs=pairs)
     return prog, prog.objective(x)

@@ -12,10 +12,11 @@ from sparseipm.ippmm import (AugmentedSystem, IpPmmState, NormalEquations,
                              newton_rhs, solve, step_lengths,
                              update_penalties_and_estimates)
 from sparseipm.harness import gen_classification, gen_portfolio
-from sparseipm.problems import (build_logistic_l1, build_portfolio_qp,
+from sparseipm.problems import (LogisticInstance, build_logistic_l1,
+                                build_poisson_tv, build_portfolio_qp,
                                 quadratic_program)
 from planted import planted_qp
-from test_problems import make_portfolio
+from test_problems import make_poisson, make_portfolio
 
 
 def random_state(prog, seed=0, rho=1e-2, delta=1e-2):
@@ -588,6 +589,65 @@ class TestSolveBehavior:
         assert rep.iterations == 0
 
 
+class TestSlackPairElimination:
+    """The MINRES path eliminates slack pairs and their rows; its step must be
+    the step of the unreduced system [[-(H + Θ + ρI), A'], [A, δI]]."""
+
+    @staticmethod
+    def program(family):
+        if family == "poisson":
+            return build_poisson_tv(make_poisson(size=6))
+        rng = np.random.default_rng(40)
+        return build_logistic_l1(LogisticInstance(
+            rng.standard_normal((30, 4)), rng.choice([-1.0, 1.0], size=30), tau=0.05))
+
+    @pytest.mark.parametrize("family,drop", [
+        ("poisson", "none"), ("poisson", "one member"), ("poisson", "both members"),
+        ("poisson", "w"), ("logistic", "none"), ("logistic", "one member"),
+        ("logistic", "both members")])
+    def test_reduced_step_matches_dense_unreduced_solve(self, family, drop):
+        prog = self.program(family)
+        st = random_state(prog, seed=41)
+        p, q = prog.pairs
+        st.dropped[{"none": [], "one member": [q[0]], "both members": [p[1], q[1]],
+                    "w": [2]}[drop]] = True
+        st.inner_tol = 1e-12
+        system = AugmentedSystem(st, prog, SolverOptions())
+        assert system.pairs.size == prog.pairs.size  # every declared pair is slack
+        act = st.active_indices()
+        H = np.column_stack([prog.hess_action(st.x)(e) for e in np.eye(prog.n)])
+        K = H[np.ix_(act, act)] + np.diag(st.xi_diag()[act] + st.rho)
+        A = prog.A[:, act].toarray()
+        M = np.block([[-K, A.T], [A, st.delta * np.eye(prog.m)]])
+        rng = np.random.default_rng(42)
+        r1a, r2 = rng.standard_normal(act.size), rng.standard_normal(prog.m)
+        expected = np.linalg.solve(M, np.concatenate([r1a, r2]))
+        dxa, dy = system.solve(r1a, r2)
+        got = np.concatenate([dxa, dy])
+        assert np.linalg.norm(got - expected) <= 1e-9 * np.linalg.norm(expected)
+
+    def test_planted_slack_rows_are_eliminated(self):
+        prog, _ = planted_qp("slack", 30, 10, 0)
+        system = AugmentedSystem(random_state(prog, seed=43), prog, SolverOptions())
+        assert system.pairs.size == 10 and system.R.size == 4
+        assert system.na == 30 and system.A_act.shape == (10, 30)
+
+    def test_poisson_minres_runs_over_pixels_and_the_budget_row(self, monkeypatch):
+        sizes = []
+        minres = ippmm.minres
+
+        def recorded(M, rhs, *args, **kwargs):
+            sizes.append(rhs.size)
+            return minres(M, rhs, *args, **kwargs)
+
+        monkeypatch.setattr(ippmm, "minres", recorded)
+        prog = build_poisson_tv(make_poisson(size=8))
+        _, rep = solve(prog, SolverOptions(linear_solver="minres-augmented",
+                                           max_iter=3))
+        assert rep.iterations == 3
+        assert sizes == [64 + 1] * 6
+
+
 class TestMinresPath:
     """Five IP-PMM iterations of a small Poisson restoration on MINRES."""
 
@@ -629,8 +689,9 @@ class TestMinresPath:
             return out
 
         monkeypatch.setattr(ippmm, "minres", recorded)
-        # a cap of 8 stops the early solves short and lets the later converge
-        monkeypatch.setattr(ippmm, "INNER_MAXIT", 8)
+        # on the reduced system (slack pairs eliminated) a cap of 3 stops some
+        # solves short and lets the others converge
+        monkeypatch.setattr(ippmm, "INNER_MAXIT", 3)
         _, rep = solve(self.program(), SolverOptions(
             linear_solver="minres-augmented", max_iter=5))
         capped = sum(not out.converged for out in outcomes)

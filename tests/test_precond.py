@@ -78,7 +78,7 @@ class TestAugBlockDiagPrecond:
     def test_apply_matches_dense_inverse(self):
         A, g, s, ell, _ = random_fused_lasso_layout(6)
         htilde = g + 0.5
-        P = build_aug_block_diag_precond(htilde, A, 1e-3)
+        P = build_aug_block_diag_precond(sp.diags(htilde), A, 1e-3)
         dense = aug_block_matrix(htilde, A, 1e-3)
         r = np.random.default_rng(7).standard_normal(dense.shape[0])
         np.testing.assert_allclose(P.apply_inverse(r),
@@ -89,48 +89,49 @@ class TestAugBlockDiagPrecond:
         A, g, _, _, _ = random_fused_lasso_layout(8)
         g[0] = -1.0
         with pytest.raises(ValueError):
-            build_aug_block_diag_precond(g, A, 1e-3)
+            build_aug_block_diag_precond(sp.diags(g), A, 1e-3)
 
     @staticmethod
     def poisson_layout():
-        """H~ and A of a small Poisson program, whose first row (the intensity
-        budget) is dense over the pixels."""
+        """P and A_B of a small Poisson program with its slack pairs and their
+        rows eliminated: P = H~ + A_R' E^-1 A_R is a 5-point pixel matrix, and
+        A_B is the intensity-budget row, dense over the pixels."""
         from test_problems import make_poisson
         prog = build_poisson_tv(make_poisson(size=6))
+        pixels = 36
         rng = np.random.default_rng(13)
-        x = rng.uniform(0.5, 3.0, size=prog.n)
-        htilde = prog.hess_diag_cheap(x) + rng.uniform(0.1, 10.0, size=prog.n)
-        return htilde, prog.A, prog.row_split
+        A_R = prog.A[1:, :pixels]
+        E = rng.uniform(0.1, 10.0, size=A_R.shape[0])
+        P = (sp.diags(rng.uniform(0.1, 10.0, size=pixels))
+             + A_R.T @ sp.diags(1.0 / E) @ A_R)
+        return P, prog.A[:1, :pixels]
 
     @pytest.mark.parametrize("delta", [1.0, 1e-8])
-    def test_bordered_split_matches_dense_inverse(self, delta):
-        htilde, A, split = self.poisson_layout()
-        assert split == 1
-        P = build_aug_block_diag_precond(htilde, A, delta, split=split)
-        r = np.random.default_rng(14).standard_normal(htilde.size + A.shape[0])
-        expected = np.linalg.solve(aug_block_matrix(htilde, A, delta), r)
-        err = np.linalg.norm(P.apply_inverse(r) - expected)
+    def test_eliminated_rows_match_dense_inverse(self, delta):
+        P, A = self.poisson_layout()
+        pre = build_aug_block_diag_precond(P, A, delta)
+        P = P.toarray()
+        schur = A @ np.linalg.solve(P, A.T.toarray()) + delta
+        r = np.random.default_rng(14).standard_normal(P.shape[0] + 1)
+        expected = np.linalg.solve(scipy.linalg.block_diag(P, schur), r)
+        err = np.linalg.norm(pre.apply_inverse(r) - expected)
         assert err <= 1e-10 * np.linalg.norm(expected)
 
-    def test_bordered_split_raises_on_indefinite_schur_block(self):
-        # S = M + delta I with lambda_min(M) < -delta < lambda_min(M22): the
-        # trailing block stays positive definite and S does not, so the 1x1
-        # Schur complement of the budget row is the factor that must fail
-        htilde, A, split = self.poisson_layout()
-        M = (A @ sp.diags(1.0 / htilde) @ A.T).toarray()
-        low = np.linalg.eigvalsh(M)[0]
-        low22 = np.linalg.eigvalsh(M[split:, split:])[0]
-        assert low < low22
+    def test_raises_on_indefinite_schur_block(self):
+        # P is positive definite and delta + A_B P^-1 A_B' is not, so the
+        # Schur block of the budget row is the factor that must fail
+        P, A = self.poisson_layout()
+        budget = (A @ np.linalg.solve(P.toarray(), A.T.toarray())).item()
+        assert budget > 0
         with pytest.raises(NotPositiveDefiniteError):
-            build_aug_block_diag_precond(htilde, A, -0.5 * (low + low22),
-                                         split=split)
+            build_aug_block_diag_precond(P, A, -2.0 * budget)
 
     def test_minres_with_precond_converges(self):
         A, g, s, ell, _ = random_fused_lasso_layout(9)
         delta = 1e-3
         H = np.diag(g)
         K = augmented_matrix(H, A, delta)
-        P = build_aug_block_diag_precond(g, A, delta)
+        P = build_aug_block_diag_precond(sp.diags(g), A, delta)
         b = np.random.default_rng(10).standard_normal(K.shape[0])
         out = minres(K, b, precond=P.apply_inverse, tol=1e-8, maxit=100)
         assert out.converged

@@ -366,3 +366,29 @@ class TestLogistic:
         D = inst.design()
         grad0, _ = logistic_oracle(D, inst.labels, np.zeros(D.shape[1]))
         assert inst.lambda_max() == np.max(np.abs(grad0))
+
+
+@pytest.mark.parametrize("family", ["poisson", "logistic"])
+def test_declared_pairs_are_slack_pairs(family):
+    """The pairs contract of a program without Q: each member's column holds
+    one entry of A, the two in the same row and exact negatives, and the
+    Hessian vanishes on pair coordinates, so the MINRES path eliminates them."""
+    rng = np.random.default_rng(17)
+    if family == "poisson":
+        prog = build_poisson_tv(make_poisson(size=4))
+    else:
+        prog = build_logistic_l1(LogisticInstance(
+            rng.standard_normal((20, 4)), rng.choice([-1.0, 1.0], size=20), tau=0.05))
+    p, q = prog.pairs
+    assert p.size == (prog.m - 1 if family == "poisson" else prog.m)
+    A = prog.A.tocsc()
+    assert np.all(np.diff(A.indptr)[prog.pairs] == 1)
+    rows = A.indices[A.indptr[prog.pairs]]
+    np.testing.assert_array_equal(rows[0], rows[1])
+    np.testing.assert_array_equal(A[:, p].toarray(), -A[:, q].toarray())
+    x = rng.uniform(1.0, 5.0, size=prog.n)
+    hess = prog.hess_action(x)
+    assert not np.any(hess(rng.standard_normal(prog.n))[prog.pairs])
+    v = np.zeros(prog.n)
+    v[prog.pairs] = rng.standard_normal(prog.pairs.shape)
+    assert not np.any(hess(v))
