@@ -67,7 +67,7 @@ class IpPmmState:
     last_primal_norm: float = np.inf
     last_dual_norm: float = np.inf
     inner_tol: float = INNER_TOL_MAX  # relative tolerance of this iteration's Krylov solves
-    saddle: Optional[SaddleMatrix] = None  # the direct path's per-solve matrix
+    system: Optional[NewtonSystem] = None  # the solve's linear-solver path
 
     def nonneg_active(self) -> np.ndarray:
         return self.nonneg[~self.dropped[self.nonneg]]
@@ -173,8 +173,8 @@ def check_termination(primal: float, dual: float, mu: float, tol: float) -> bool
 
 def newton_rhs(state: IpPmmState, rp: np.ndarray, gy: np.ndarray, sigma: float,
                correction: Optional[np.ndarray] = None):
-    """Right-hand side of the reduced augmented system on the active set,
-    from ``rp`` = b - Ax and ``gy`` = grad - A'y of ``kkt_residuals``.
+    """Right-hand side of the reduced augmented system, from ``rp`` = b - Ax
+    and ``gy`` = grad - A'y of ``kkt_residuals``.
 
     ``correction`` carries the second-order complementarity products
     dx_aff * dz_aff of the predictor for the corrector solve.
@@ -191,17 +191,53 @@ def newton_rhs(state: IpPmmState, rp: np.ndarray, gy: np.ndarray, sigma: float,
             barrier[ia] += correction[ia] / state.x[ia]
         r1 = r1 + barrier
     r2 = rp - sigma * state.delta * (state.y - state.eta)
-    cols = state.active_indices()
-    return r1[cols], r2
+    return r1, r2
 
 
 # ---------------------------------------------------------------------------
-# Linear-solver paths. ``_CONTEXTS`` builds one per outer iteration; its
-# ``solve(r1a, r2)`` serves both the predictor and the corrector and returns
-# (dx on the active set, dy).
+# Linear-solver paths. Each is built once per solve from the program and the
+# options, and ``factor(state)`` writes what depends on the iterate at every
+# outer iteration. Its ``solve(r1, r2)`` serves both the predictor and the
+# corrector: r1 is the full-length rhs of ``newton_rhs`` and dx comes back
+# full length, zero on dropped variables.
 
 
-class AugmentedSystem:
+class NewtonSystem:
+    """What the three paths share: the Krylov counters of the solve and the
+    active set. A dropped variable never returns, so the active set only
+    shrinks, and a path cuts its columns of A again only when it does."""
+
+    inner_iterations = inner_capped = 0  # Krylov iterations, unconverged solves
+    active = None  # active variables of the last factor
+
+    @classmethod
+    def at(cls, state: IpPmmState, program: ConvexProgram, options: SolverOptions):
+        """The solve's system, built on the first call, factored at ``state``."""
+        if state.system is None:
+            state.system = cls(program, options)
+        state.system.factor(state)
+        return state.system
+
+    def _refresh(self, state: IpPmmState) -> bool:
+        """Take the active set, e = 1/(Θ + ρ) on it (0 on dropped variables),
+        δ and the inner tolerance from ``state``; True when the active set
+        shrank."""
+        active = state.active_indices()
+        shrank = self.active is None or active.size < self.active.size
+        self.active = active
+        self.e = np.zeros(state.x.size)
+        self.e[active] = 1.0 / (state.xi_diag()[active] + state.rho)
+        self.delta, self.tol = state.delta, state.inner_tol
+        return shrank
+
+    def _count(self, out) -> np.ndarray:
+        """Add one Krylov solve to the counters; returns its solution."""
+        self.inner_iterations += out.iterations
+        self.inner_capped += not out.converged
+        return out.solution
+
+
+class AugmentedSystem(NewtonSystem):
     """MINRES path: the symmetric indefinite 2x2 block operator on the active
     coordinates with their slack pairs eliminated, and the block-diagonal
     preconditioner built from H~.
@@ -218,15 +254,13 @@ class AugmentedSystem:
     Without slack pairs this is the whole active-set system.
     """
 
-    inner_iterations = inner_capped = 0  # MINRES iterations, unconverged solves
-
-    def __init__(self, state: IpPmmState, program: ConvexProgram,
-                 options: SolverOptions):
-        chooser = (program.hess_diag_cheap if options.htilde_choice == "u-squared"
-                   else program.hess_diag)
-        if chooser is None:
+    def __init__(self, program: ConvexProgram, options: SolverOptions):
+        self.chooser = (program.hess_diag_cheap if options.htilde_choice == "u-squared"
+                        else program.hess_diag)
+        if self.chooser is None:
             raise UnsupportedStructureError(
                 f"program provides no diagonal for {options.htilde_choice}")
+        self.program = program
         n, A = program.n, program.A.tocoo()
         count = np.bincount(A.col, minlength=n)
         row, val = np.full(n, -1), np.zeros(n)  # of a column's (last) entry
@@ -238,35 +272,32 @@ class AugmentedSystem:
             slack &= (qcol[p] == 0) & (qcol[q] == 0)
         self.pairs = np.concatenate([p[slack], q[slack]])  # members of slack pairs
         self.prow, self.pval = row[self.pairs], val[self.pairs]
-        self.active = state.active_indices()
-        self.e = np.zeros(n)
-        self.e[self.active] = 1.0 / (state.xi_diag()[self.active] + state.rho)
-        self.E = state.delta + np.bincount(self.prow, self.pval ** 2 * self.e[self.pairs],
-                                           minlength=program.m)
         in_r = np.zeros(program.m, dtype=bool)
         in_r[self.prow] = True
         self.R, self.B = np.flatnonzero(in_r), np.flatnonzero(~in_r)
-        rest = np.ones(n, dtype=bool)
-        rest[self.pairs] = False
-        self.cols = self.active[rest[self.active]]  # the MINRES unknowns besides dy_B
-        self.na = self.cols.size
-        A = program.A[:, self.cols]
-        self.A_act, self.A_R = sp.csc_matrix(A[self.B]), A[self.R]  # A_B, A_R
+        self.rest = np.ones(n, dtype=bool)
+        self.rest[self.pairs] = False
+
+    def factor(self, state: IpPmmState):
+        if self._refresh(state):
+            self.cols = self.active[self.rest[self.active]]  # unknowns besides dy_B
+            self.na = self.cols.size
+            A = self.program.A[:, self.cols]
+            self.A_act, self.A_R = sp.csc_matrix(A[self.B]), A[self.R]  # A_B, A_R
+            self._A_act_T = self.A_act.T
+        self.E = state.delta + np.bincount(self.prow, self.pval ** 2 * self.e[self.pairs],
+                                           minlength=self.program.m)
         self.diag_shift = state.xi_diag()[self.cols] + state.rho
         self.K_R = self.A_R.T @ sp.diags(1.0 / self.E[self.R]) @ self.A_R
-        self.delta = state.delta
-        self.tol = state.inner_tol
-        self._n = n
-        self._hess = program.hess_action(state.x)
-        self._A_act_T = self.A_act.T
+        self._hess = self.program.hess_action(state.x)
         self.precond = precondmod.build_aug_block_diag_precond(
-            self.K_R + sp.diags(chooser(state.x)[self.cols] + self.diag_shift),
+            self.K_R + sp.diags(self.chooser(state.x)[self.cols] + self.diag_shift),
             self.A_act, state.delta)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         na = self.na
         v1, v2 = v[:na], v[na:]
-        full = np.zeros(self._n)
+        full = np.zeros(self.e.size)
         full[self.cols] = v1
         hv = self._hess(full)[self.cols]
         out = np.empty(v.size)
@@ -275,33 +306,29 @@ class AugmentedSystem:
         np.add(self.A_act @ v1, self.delta * v2, out=out[na:])
         return out
 
-    def solve(self, r1a: np.ndarray, r2: np.ndarray):
+    def solve(self, r1: np.ndarray, r2: np.ndarray):
         c, e, R = self.pairs, self.e, self.R
-        r = np.zeros(self._n)
-        r[self.active] = r1a
         # row R's rhs after its pairs are eliminated, and dy_R = u - E^-1 A_R dx
-        u = (r2 + np.bincount(self.prow, self.pval * e[c] * r[c],
+        u = (r2 + np.bincount(self.prow, self.pval * e[c] * r1[c],
                               minlength=r2.size))[R] / self.E[R]
-        rhs = np.concatenate([r[self.cols] - self.A_R.T @ u, r2[self.B]])
-        out = minres(self.matvec, rhs, self.precond.apply_inverse, tol=self.tol,
-                     maxit=INNER_MAXIT)
-        self.inner_iterations += out.iterations
-        self.inner_capped += not out.converged
-        dx = np.zeros(self._n)
-        dx[self.cols] = out.solution[:self.na]
+        rhs = np.concatenate([r1[self.cols] - self.A_R.T @ u, r2[self.B]])
+        sol = self._count(minres(self.matvec, rhs, self.precond.apply_inverse,
+                                 tol=self.tol, maxit=INNER_MAXIT))
+        dx = np.zeros(e.size)
+        dx[self.cols] = sol[:self.na]
         dy = np.empty(r2.size)
-        dy[self.B] = out.solution[self.na:]
+        dy[self.B] = sol[self.na:]
         dy[R] = u - (self.A_R @ dx[self.cols]) / self.E[R]
-        dx[c] = e[c] * (self.pval * dy[self.prow] - r[c])
-        return dx[self.active], dy
+        dx[c] = e[c] * (self.pval * dy[self.prow] - r1[c])  # 0 on dropped members
+        return dx, dy
 
 
-class SaddleMatrix:
+class SaddleMatrix(NewtonSystem):
     """The direct path's quasi-definite matrix [[-(Q + Θ + ρI), A'], [A, δI]].
 
-    One lives for a whole solve, with one pattern: every diagonal entry is
-    stored, and each split pair (x+, x-) of ``program.pairs`` has one row,
-    the plus member's, in u = dx+ - dx-; no minus member has a row. The first
+    One pattern serves the whole solve: every diagonal entry is stored, and
+    each split pair (x+, x-) of ``program.pairs`` has one row, the plus
+    member's, in u = dx+ - dx-; no minus member has a row. The first
     factorization finds the order by minimum degree on A + A'. The matrix is
     permuted into it once, and later ones only write values and factor in
     NATURAL order.
@@ -313,9 +340,7 @@ class SaddleMatrix:
     negative diagonal and zero rhs make its step exactly 0.
     """
 
-    inner_iterations = inner_capped = 0  # a direct solve has no inner iterations
-
-    def __init__(self, program: ConvexProgram):
+    def __init__(self, program: ConvexProgram, options: SolverOptions):
         if program.Q is None:
             raise UnsupportedStructureError(
                 "direct path needs an explicit quadratic Hessian")
@@ -348,10 +373,8 @@ class SaddleMatrix:
             self._index()
             self.ordered = True
         p, q = self.pairs
-        self.cols = state.active_indices()
-        self.e = np.zeros(self.n)
-        self.e[self.cols] = 1.0 / (state.xi_diag()[self.cols] + state.rho)
-        live = ~state.dropped
+        self._refresh(state)
+        self.live = live = ~state.dropped
         live[p] |= live[q]  # a pair's row lives while either member does
         esum = self.e.copy()
         esum[p] += self.e[q]
@@ -368,12 +391,10 @@ class SaddleMatrix:
         spec = "NATURAL" if self.ordered else "MMD_AT_PLUS_A"
         self.lu = ldl_factor(self.matrix, self.perm < self.rows.size, spec, spla.splu)
 
-    def solve(self, r1a: np.ndarray, r2: np.ndarray):
+    def solve(self, r1: np.ndarray, r2: np.ndarray):
         p, q = self.pairs
-        r = np.zeros(self.n)
-        r[self.cols] = r1a
-        rt = r.copy()
-        rt[p] = self.dtilde[p] * (self.e[p] * r[p] - self.e[q] * r[q])
+        rt = np.where(self.live, r1, 0.0)  # a pinned row's rhs is 0
+        rt[p] = self.dtilde[p] * (self.e[p] * r1[p] - self.e[q] * r1[q])
         b = np.concatenate([rt[self.rows], r2])[self.perm]
         x = self.lu.solve(b)
         x += self.lu.solve(b - self.matrix @ x)  # one step of iterative refinement
@@ -382,68 +403,53 @@ class SaddleMatrix:
         dx = np.zeros(self.n)
         dx[self.rows] = sol[:self.rows.size]
         g = self.dtilde[p] * dx[p] + rt[p]  # recover the pair from u = dx[p]
-        dx[p] = (g - r[p]) * self.e[p]
-        dx[q] = -(g + r[q]) * self.e[q]
-        return dx[self.cols], sol[self.rows.size:]
+        dx[p] = (g - r1[p]) * self.e[p]
+        dx[q] = -(g + r1[q]) * self.e[q]
+        return dx, sol[self.rows.size:]
 
 
-def _factor_saddle(state: IpPmmState, program: ConvexProgram,
-                   options: SolverOptions) -> SaddleMatrix:
-    """Direct path: factor the solve's saddle matrix at ``state``."""
-    if state.saddle is None:
-        state.saddle = SaddleMatrix(program)
-    state.saddle.factor(state)
-    return state.saddle
-
-
-class NormalEquations:
+class NormalEquations(NewtonSystem):
     """PCG path: the SPD operator dy -> (A G^-1 A' + delta I) dy with G
     diagonal, and its preconditioner."""
 
-    inner_iterations = inner_capped = 0  # PCG iterations, unconverged solves
-
-    def __init__(self, state: IpPmmState, program: ConvexProgram,
-                 options: SolverOptions):
+    def __init__(self, program: ConvexProgram, options: SolverOptions):
         if not program.hessian_is_diagonal:
             raise UnsupportedStructureError(
                 "normal equations need a diagonal Hessian; use the augmented path")
-        self.cols = state.active_indices()
-        self.A_act = sp.csc_matrix(program.A[:, self.cols])
-        self.gdiag = (program.hess_diag(state.x)[self.cols]
-                      + state.xi_diag()[self.cols] + state.rho)
-        self.delta = state.delta
-        self.tol = state.inner_tol
-        kind = options.precond
-        if kind == "auto":
-            kind = "fmri-block" if program.row_split is not None else "identity"
-        if kind == "fmri-block":
+        self.program = program
+        self.kind = options.precond
+        if self.kind == "auto":
+            self.kind = "fmri-block" if program.row_split is not None else "identity"
+
+    def factor(self, state: IpPmmState):
+        if self._refresh(state):
+            self.A_act = sp.csc_matrix(self.program.A[:, self.active])
+        self.gdiag = (self.program.hess_diag(state.x)[self.active]
+                      + state.xi_diag()[self.active] + state.rho)
+        if self.kind == "fmri-block":
             self.precond = precondmod.build_fmri_normal_precond(
-                self.gdiag, self.A_act, program.row_split, state.delta)
+                self.gdiag, self.A_act, self.program.row_split, state.delta)
         else:
             self.precond = precondmod.identity_preconditioner()
 
     def matvec(self, dy: np.ndarray) -> np.ndarray:
         return self.A_act @ ((self.A_act.T @ dy) / self.gdiag) + self.delta * dy
 
-    def rhs(self, r1a: np.ndarray, r2: np.ndarray) -> np.ndarray:
-        return r2 + self.A_act @ (r1a / self.gdiag)
+    def rhs(self, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
+        return r2 + self.A_act @ (r1[self.active] / self.gdiag)
 
-    def recover_dx(self, dy: np.ndarray, r1a: np.ndarray) -> np.ndarray:
-        return (self.A_act.T @ dy - r1a) / self.gdiag
-
-    def solve(self, r1a: np.ndarray, r2: np.ndarray):
-        out = pcg(self.matvec, self.rhs(r1a, r2), self.precond.apply_inverse,
-                  tol=self.tol, maxit=INNER_MAXIT)
-        self.inner_iterations += out.iterations
-        self.inner_capped += not out.converged
-        dy = out.solution
-        return self.recover_dx(dy, r1a), dy
+    def solve(self, r1: np.ndarray, r2: np.ndarray):
+        dy = self._count(pcg(self.matvec, self.rhs(r1, r2), self.precond.apply_inverse,
+                             tol=self.tol, maxit=INNER_MAXIT))
+        dx = np.zeros(r1.size)
+        dx[self.active] = (self.A_act.T @ dy - r1[self.active]) / self.gdiag
+        return dx, dy
 
 
 _CONTEXTS = {
-    "direct-augmented": _factor_saddle,
-    "pcg-normal": NormalEquations,
-    "minres-augmented": AugmentedSystem,
+    "direct-augmented": SaddleMatrix.at,
+    "pcg-normal": NormalEquations.at,
+    "minres-augmented": AugmentedSystem.at,
 }
 # preconditioners each path accepts besides "auto"
 _PRECONDS = {"direct-augmented": (), "pcg-normal": ("identity", "fmri-block"),
@@ -467,27 +473,23 @@ def step_lengths(state: IpPmmState, dx: np.ndarray, dz: np.ndarray):
     return max_step(state.x[ia], dx[ia]), max_step(state.z[ia], dz[ia])
 
 
-def _expand_direction(state, cols, dxa, dy, rc):
-    dx = np.zeros(state.x.size)
-    dx[cols] = dxa
-    dz = np.zeros(state.x.size)
+def _dual_step(state, dx, rc):
+    """dz from dx and the complementarity rhs ``rc`` of the active
+    non-negative variables; 0 elsewhere."""
     ia = state.nonneg_active()
-    dz[ia] = (rc[ia] - state.z[ia] * dx[ia]) / state.x[ia]
-    return dx, dy, dz
+    dz = np.zeros(state.x.size)
+    dz[ia] = (rc - state.z[ia] * dx[ia]) / state.x[ia]
+    return dz
 
 
 def predictor_corrector_step(state: IpPmmState, ctx, rp: np.ndarray,
                              gy: np.ndarray):
     """Affine predictor then centering-corrector solve with the same matrix."""
-    cols = state.active_indices()
     ia = state.nonneg_active()
 
     # predictor: sigma = 0, complementarity rhs -XZe
-    r1a, r2 = newton_rhs(state, rp, gy, sigma=0.0)
-    dxa, dy = ctx.solve(r1a, r2)
-    rc_aff = np.zeros(state.x.size)
-    rc_aff[ia] = -state.x[ia] * state.z[ia]
-    dx_aff, dy_aff, dz_aff = _expand_direction(state, cols, dxa, dy, rc_aff)
+    dx_aff, _ = ctx.solve(*newton_rhs(state, rp, gy, sigma=0.0))
+    dz_aff = _dual_step(state, dx_aff, -state.x[ia] * state.z[ia])
 
     ap, ad = step_lengths(state, dx_aff, dz_aff)
     if ia.size:
@@ -500,11 +502,9 @@ def predictor_corrector_step(state: IpPmmState, ctx, rp: np.ndarray,
 
     # corrector: centering plus second-order complementarity correction
     soc = dx_aff * dz_aff
-    r1a, r2 = newton_rhs(state, rp, gy, sigma=sigma, correction=soc)
-    dxa, dy = ctx.solve(r1a, r2)
-    rc = np.zeros(state.x.size)
-    rc[ia] = sigma * state.mu - state.x[ia] * state.z[ia] - soc[ia]
-    return _expand_direction(state, cols, dxa, dy, rc)
+    dx, dy = ctx.solve(*newton_rhs(state, rp, gy, sigma=sigma, correction=soc))
+    rc = sigma * state.mu - state.x[ia] * state.z[ia] - soc[ia]
+    return dx, dy, _dual_step(state, dx, rc)
 
 
 def update_penalties_and_estimates(state: IpPmmState, primal_norm: float,
@@ -577,8 +577,6 @@ def solve(program: ConvexProgram, options: Optional[SolverOptions] = None):
             status = "numerical-failure"
             break
         t_linalg += time.perf_counter() - t0
-        report.inner_iterations += ctx.inner_iterations
-        report.inner_capped += ctx.inner_capped
 
         ap, ad = step_lengths(state, dx, dz)
         state.x = state.x + ap * dx
@@ -588,6 +586,9 @@ def solve(program: ConvexProgram, options: Optional[SolverOptions] = None):
                                        float(np.linalg.norm(rd[state.active_indices()])))
         report.iterations = k + 1
 
+    if state.system is not None:  # the Krylov work of every iteration, a failed one too
+        report.inner_iterations = state.system.inner_iterations
+        report.inner_capped = state.system.inner_capped
     if options.dropping:
         audit = dropmod.verify_dropped(gy, state.drop_log)
         report.drop_audit = audit.to_dict()

@@ -63,19 +63,20 @@ def build_aug_block_diag_precond(P, A, delta: float) -> Preconditioner:
     were eliminated with their slack pairs (``ippmm.AugmentedSystem``). A
     diagonal P is applied by division and gives a sparse Schur block; any
     other P gets a sparse Cholesky factor, and the Schur block takes one P
-    solve per row of A (one on Poisson: the intensity budget).
+    solve per row of A (one on Poisson: the intensity budget). Without rows
+    (on logistic every row was eliminated) there is no Schur block.
     """
     P = sp.csr_matrix(P)
     A = sp.csr_matrix(A)
     p = P.diagonal()
     if np.any(p <= 0):
         raise ValueError("diagonal approximation must be strictly positive")
-    if P.nnz == p.size:  # diagonal
-        solve_p = p.__rtruediv__  # r -> r / p
-        AP = A @ sp.diags(1.0 / p)
-    else:
-        solve_p = CholeskyFactor(P.tocsc()).solve
-        AP = sp.csr_matrix(solve_p(A.T.toarray()).T)
+    diagonal = P.nnz == p.size  # then P^-1 r = r / p
+    solve_p = p.__rtruediv__ if diagonal else CholeskyFactor(P.tocsc()).solve
+    if A.shape[0] == 0:
+        return Preconditioner(apply_inverse=solve_p)
+    AP = (A @ sp.diags(1.0 / p) if diagonal
+          else sp.csr_matrix(solve_p(A.T.toarray()).T))
     solve_s = CholeskyFactor((AP @ A.T + delta * sp.eye(A.shape[0])).tocsc()).solve
     na = p.size
 

@@ -26,7 +26,7 @@ from sparseipm.problems import (build_fused_lasso_ls, build_logistic_l1,
                                 build_poisson_tv, build_portfolio_qp,
                                 kl_gradient, kl_value, logistic_loss,
                                 logistic_oracle, quadratic_program)
-from test_ippmm import direct_matrix, random_state
+from test_ippmm import direct_matrix, factored, random_state
 
 
 def _report(num, title, ok):
@@ -163,7 +163,7 @@ def test_criterion_04_solver_path_equivalence():
         st = random_state(prog, seed=600 + k)
         _, _, _, rp, gy, _ = kkt_residuals(st, prog)
         r1, r2 = newton_rhs(st, rp, gy, 1.0)
-        normal = NormalEquations(st, prog, SolverOptions())
+        normal = factored(NormalEquations, st, prog)
         M = np.column_stack([normal.matvec(e) for e in np.eye(m)])
         dy_normal = np.linalg.solve(M, normal.rhs(r1, r2))
         matrix = direct_matrix(st, prog)

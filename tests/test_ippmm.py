@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 
 from sparseipm import baselines, ippmm
 from sparseipm.ippmm import (AugmentedSystem, IpPmmState, NormalEquations,
-                             SolverOptions, UnsupportedStructureError,
+                             SaddleMatrix, SolverOptions, UnsupportedStructureError,
                              check_termination, initial_state, kkt_residuals,
                              newton_rhs, solve, step_lengths,
                              update_penalties_and_estimates)
@@ -34,9 +34,16 @@ def random_state(prog, seed=0, rho=1e-2, delta=1e-2):
     return state
 
 
+def factored(cls, state, program):
+    """A path's system, built for ``program`` and factored at ``state``."""
+    system = cls(program, SolverOptions())
+    system.factor(state)
+    return system
+
+
 def direct_matrix(state, program):
     """The direct path's assembled saddle matrix at ``state``, in natural order."""
-    saddle = ippmm._CONTEXTS["direct-augmented"](state, program, SolverOptions())
+    saddle = factored(SaddleMatrix, state, program)
     inv = np.argsort(saddle.perm)
     return saddle.matrix[inv][:, inv]
 
@@ -192,7 +199,7 @@ class TestSystemAssembly:
     def test_matvec_agrees_with_matrix(self):
         prog = self._program(diag=False)
         st = random_state(prog, seed=8)
-        system = AugmentedSystem(st, prog, SolverOptions())
+        system = factored(AugmentedSystem, st, prog)
         matrix = direct_matrix(st, prog)
         v = np.random.default_rng(9).standard_normal(6)
         np.testing.assert_allclose(system.matvec(v), matrix @ v,
@@ -203,7 +210,7 @@ class TestSystemAssembly:
         prog = self._program(seed=30, n=10, m=4, diag=False)
         st = random_state(prog, seed=31)
         st.dropped[dropped] = True
-        system = AugmentedSystem(st, prog, SolverOptions())
+        system = factored(AugmentedSystem, st, prog)
         v = np.random.default_rng(32).standard_normal(system.na + prog.m)
         # the scatter, gather and concatenation the matvec used to do
         v1, v2 = v[:system.na], v[system.na:]
@@ -222,7 +229,7 @@ class TestSystemAssembly:
         st.z = np.ones(3)
         st.rho = 0.0
         st.delta = 0.0
-        system = NormalEquations(st, prog, SolverOptions())
+        system = factored(NormalEquations, st, prog)
         v = np.array([1.0, -2.0, 0.5])
         np.testing.assert_allclose(system.matvec(v), v, atol=1e-14)
 
@@ -231,7 +238,7 @@ class TestSystemAssembly:
         st = random_state(prog, seed=12)
         _, _, _, rp, gy, _ = kkt_residuals(st, prog)
         r1, r2 = newton_rhs(st, rp, gy, 1.0)
-        normal = NormalEquations(st, prog, SolverOptions())
+        normal = factored(NormalEquations, st, prog)
         M = np.column_stack([normal.matvec(e) for e in np.eye(4)])
         dy_normal = np.linalg.solve(M, normal.rhs(r1, r2))
         matrix = direct_matrix(st, prog)
@@ -241,7 +248,7 @@ class TestSystemAssembly:
     def test_normal_operator_min_eigenvalue_at_least_delta(self):
         prog = self._program(seed=13, n=8, m=3, diag=True)
         st = random_state(prog, seed=14, delta=0.37)
-        normal = NormalEquations(st, prog, SolverOptions())
+        normal = factored(NormalEquations, st, prog)
         M = np.column_stack([normal.matvec(e) for e in np.eye(3)])
         assert np.linalg.eigvalsh(M).min() >= 0.37 - 1e-12
 
@@ -249,7 +256,7 @@ class TestSystemAssembly:
         prog = self._program(diag=False)
         st = random_state(prog, seed=15)
         with pytest.raises(UnsupportedStructureError):
-            NormalEquations(st, prog, SolverOptions())
+            NormalEquations(prog, SolverOptions())
 
     def test_sigma_one_rhs_is_perturbed_kkt_residual(self):
         prog = self._program(seed=16, diag=False)
@@ -283,7 +290,7 @@ class TestSystemAssembly:
             barrier[ia] += soc[ia] / st.x[ia]
         old_r1 = old_r1 + barrier
         old_r2 = prog.b - prog.A @ st.x - sigma * st.delta * (st.y - st.eta)
-        assert np.array_equal(r1, old_r1[st.active_indices()])
+        assert np.array_equal(r1, old_r1)
         assert np.array_equal(r2, old_r2)
 
 
@@ -313,6 +320,7 @@ class TestDirectPath:
             monkeypatch.setattr(ippmm, "spla", counting)
             st = random_state(prog, seed=41)
             Q, A = prog.Q.toarray(), prog.A.toarray()
+            ctx = SaddleMatrix(prog, SolverOptions())  # one matrix for the whole sequence
             perms = []
             for change in ("first", "reused", "one-dropped", "both-dropped"):
                 if change == "reused":
@@ -322,7 +330,7 @@ class TestDirectPath:
                     st.dropped[2] = True   # w+_2; its partner w-_2 stays
                 elif change == "both-dropped":
                     st.dropped[34] = True  # w-_2 as well
-                ctx = ippmm._CONTEXTS["direct-augmented"](st, prog, SolverOptions())
+                ctx.factor(st)
                 perms.append(ctx.perm)
                 cols = st.active_indices()
                 _, _, _, rp, gy, _ = kkt_residuals(st, prog)
@@ -332,9 +340,10 @@ class TestDirectPath:
                 K = np.block([[-H, A[:, cols].T],
                               [A[:, cols], st.delta * np.eye(prog.m)]])
                 dx, dy = ctx.solve(r1, r2)
-                np.testing.assert_allclose(np.concatenate([dx, dy]),
-                                           np.linalg.solve(K, np.concatenate([r1, r2])),
+                expected = np.linalg.solve(K, np.concatenate([r1[cols], r2]))
+                np.testing.assert_allclose(np.concatenate([dx[cols], dy]), expected,
                                            rtol=1e-10, atol=1e-10)
+                assert not np.any(dx[st.dropped])
             assert counting.specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 3
             assert counting.nnz[1] == counting.nnz[0]  # the order is kept, not inverted
             assert not np.array_equal(perms[1], np.arange(perms[1].size))
@@ -352,8 +361,7 @@ class TestDirectPath:
         counting = CountingSpla()
         monkeypatch.setattr(ippmm, "spla", counting)
         prog = build_portfolio_qp(gen_portfolio(40, 12, 1))
-        ippmm._CONTEXTS["direct-augmented"](initial_state(prog, SolverOptions()),
-                                            prog, SolverOptions())
+        factored(SaddleMatrix, initial_state(prog, SolverOptions()), prog)
         assert counting.nnz[0] <= 50_000
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -589,6 +597,24 @@ class TestSolveBehavior:
         assert rep.iterations == 0
 
 
+def assert_dense_step(system, st, prog):
+    """``system``'s step at ``st`` is the step of the unreduced system
+    [[-(H + Θ + ρI), A'], [A, δI]] on the active set, and 0 on dropped
+    variables; the rhs has values on dropped variables too."""
+    act = st.active_indices()
+    H = np.column_stack([prog.hess_action(st.x)(e) for e in np.eye(prog.n)])
+    K = H[np.ix_(act, act)] + np.diag(st.xi_diag()[act] + st.rho)
+    A = prog.A[:, act].toarray()
+    M = np.block([[-K, A.T], [A, st.delta * np.eye(prog.m)]])
+    rng = np.random.default_rng(42)
+    r1, r2 = rng.standard_normal(prog.n), rng.standard_normal(prog.m)
+    expected = np.linalg.solve(M, np.concatenate([r1[act], r2]))
+    dx, dy = system.solve(r1, r2)
+    got = np.concatenate([dx[act], dy])
+    assert np.linalg.norm(got - expected) <= 1e-9 * np.linalg.norm(expected)
+    assert not np.any(dx[st.dropped])
+
+
 class TestSlackPairElimination:
     """The MINRES path eliminates slack pairs and their rows; its step must be
     the step of the unreduced system [[-(H + Θ + ρI), A'], [A, δI]]."""
@@ -612,23 +638,31 @@ class TestSlackPairElimination:
         st.dropped[{"none": [], "one member": [q[0]], "both members": [p[1], q[1]],
                     "w": [2]}[drop]] = True
         st.inner_tol = 1e-12
-        system = AugmentedSystem(st, prog, SolverOptions())
+        system = factored(AugmentedSystem, st, prog)
         assert system.pairs.size == prog.pairs.size  # every declared pair is slack
-        act = st.active_indices()
-        H = np.column_stack([prog.hess_action(st.x)(e) for e in np.eye(prog.n)])
-        K = H[np.ix_(act, act)] + np.diag(st.xi_diag()[act] + st.rho)
-        A = prog.A[:, act].toarray()
-        M = np.block([[-K, A.T], [A, st.delta * np.eye(prog.m)]])
-        rng = np.random.default_rng(42)
-        r1a, r2 = rng.standard_normal(act.size), rng.standard_normal(prog.m)
-        expected = np.linalg.solve(M, np.concatenate([r1a, r2]))
-        dxa, dy = system.solve(r1a, r2)
-        got = np.concatenate([dxa, dy])
-        assert np.linalg.norm(got - expected) <= 1e-9 * np.linalg.norm(expected)
+        assert_dense_step(system, st, prog)
+
+    def test_logistic_builds_no_schur_factor(self, monkeypatch):
+        # every logistic row holds a slack pair, so A_B has no rows
+        from sparseipm import precond
+        built = []
+        factor = precond.CholeskyFactor
+
+        def counted(M):
+            built.append(M)
+            return factor(M)
+
+        monkeypatch.setattr(precond, "CholeskyFactor", counted)
+        inst, _, _ = gen_classification(200, 40, 2.0, 0.1, 0)
+        _, rep = solve(build_logistic_l1(inst), SolverOptions(
+            linear_solver="minres-augmented", htilde_choice="diag-h"))
+        assert built == []
+        # the status and counts of the same solve with a 0 x 0 Schur factor
+        assert (rep.status, rep.iterations, rep.inner_iterations) == ("optimal", 9, 172)
 
     def test_planted_slack_rows_are_eliminated(self):
         prog, _ = planted_qp("slack", 30, 10, 0)
-        system = AugmentedSystem(random_state(prog, seed=43), prog, SolverOptions())
+        system = factored(AugmentedSystem, random_state(prog, seed=43), prog)
         assert system.pairs.size == 10 and system.R.size == 4
         assert system.na == 30 and system.A_act.shape == (10, 30)
 
@@ -646,6 +680,71 @@ class TestSlackPairElimination:
                                            max_iter=3))
         assert rep.iterations == 3
         assert sizes == [64 + 1] * 6
+
+
+class TestLifecycle:
+    """Each path's system is built once per solve, factored at every outer
+    iterate and takes and returns full-length vectors."""
+
+    @staticmethod
+    def program(family):
+        if family == "diagonal-slack":  # the planted slack QP with a diagonal Q
+            prog, _ = planted_qp("slack", 30, 10, 0)
+            rng = np.random.default_rng(44)
+            return quadratic_program(sp.diags(prog.Q.diagonal()),
+                                     rng.standard_normal(prog.n), prog.A, prog.b,
+                                     pairs=prog.pairs)
+        return TestSlackPairElimination.program(family)
+
+    @pytest.mark.parametrize("cls,family", [
+        (AugmentedSystem, "poisson"), (AugmentedSystem, "logistic"),
+        (NormalEquations, "diagonal-slack")])
+    def test_one_system_follows_the_active_set_as_it_shrinks(self, cls, family):
+        prog = self.program(family)
+        st = random_state(prog, seed=41)
+        st.inner_tol = 1e-12
+        system = cls(prog, SolverOptions())
+        p, q = prog.pairs
+        # all active, then one pair member, both members of another, a w variable
+        for drop in ([], [q[0]], [p[1], q[1]], [2]):
+            st.dropped[drop] = True
+            system.factor(st)
+            assert_dense_step(system, st, prog)
+
+    @pytest.mark.parametrize("dropping", [False, True], ids=["keep", "drop"])
+    @pytest.mark.parametrize("cls,path", [
+        (SaddleMatrix, "direct-augmented"), (NormalEquations, "pcg-normal"),
+        (AugmentedSystem, "minres-augmented")])
+    def test_one_system_per_solve(self, monkeypatch, cls, path, dropping):
+        built = []
+        init = cls.__init__
+
+        def counted(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+        prog, _ = planted_qp("diagonal", 60, 20, 0)
+        _, rep = solve(prog, SolverOptions(tol=1e-9, linear_solver=path,
+                                           dropping=dropping))
+        assert rep.status == "optimal" and rep.iterations >= 2
+        assert len(built) == 1
+
+    def test_report_counts_the_work_of_a_failed_iteration(self, monkeypatch):
+        outcomes = []
+        minres = ippmm.minres
+
+        def recorded(*args, **kwargs):
+            if len(outcomes) == 3:  # the corrector of the second iteration
+                raise RuntimeError("breakdown")
+            outcomes.append(minres(*args, **kwargs))
+            return outcomes[-1]
+
+        monkeypatch.setattr(ippmm, "minres", recorded)
+        prog, _ = planted_qp("plain", 30, 10, 0)
+        _, rep = solve(prog, SolverOptions(linear_solver="minres-augmented"))
+        assert rep.status == "numerical-failure" and rep.iterations == 1
+        assert rep.inner_iterations == sum(out.iterations for out in outcomes) > 0
 
 
 class TestMinresPath:
