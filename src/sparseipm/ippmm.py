@@ -219,14 +219,15 @@ class NewtonSystem:
         return state.system
 
     def _refresh(self, state: IpPmmState) -> bool:
-        """Take the active set, e = 1/(Θ + ρ) on it (0 on dropped variables),
-        δ and the inner tolerance from ``state``; True when the active set
-        shrank."""
+        """Take the active set, Θ = ``state.xi_diag()``, e = 1/(Θ + ρ) on the
+        active set (0 on dropped variables), δ and the inner tolerance from
+        ``state``; True when the active set shrank."""
         active = state.active_indices()
         shrank = self.active is None or active.size < self.active.size
         self.active = active
+        self.xi = state.xi_diag()
         self.e = np.zeros(state.x.size)
-        self.e[active] = 1.0 / (state.xi_diag()[active] + state.rho)
+        self.e[active] = 1.0 / (self.xi[active] + state.rho)
         self.delta, self.tol = state.delta, state.inner_tol
         return shrank
 
@@ -287,7 +288,7 @@ class AugmentedSystem(NewtonSystem):
             self._A_act_T = self.A_act.T
         self.E = state.delta + np.bincount(self.prow, self.pval ** 2 * self.e[self.pairs],
                                            minlength=self.program.m)
-        self.diag_shift = state.xi_diag()[self.cols] + state.rho
+        self.diag_shift = self.xi[self.cols] + state.rho
         self.K_R = self.A_R.T @ sp.diags(1.0 / self.E[self.R]) @ self.A_R
         self._hess = self.program.hess_action(state.x)
         self.precond = precondmod.build_aug_block_diag_precond(
@@ -424,11 +425,13 @@ class NormalEquations(NewtonSystem):
     def factor(self, state: IpPmmState):
         if self._refresh(state):
             self.A_act = sp.csc_matrix(self.program.A[:, self.active])
+            if self.kind == "fmri-block":
+                self.blocks = precondmod.fmri_row_blocks(self.A_act, self.program.row_split)
         self.gdiag = (self.program.hess_diag(state.x)[self.active]
-                      + state.xi_diag()[self.active] + state.rho)
+                      + self.xi[self.active] + state.rho)
         if self.kind == "fmri-block":
             self.precond = precondmod.build_fmri_normal_precond(
-                self.gdiag, self.A_act, self.program.row_split, state.delta)
+                self.gdiag, *self.blocks, state.delta)
         else:
             self.precond = precondmod.identity_preconditioner()
 
@@ -576,7 +579,8 @@ def solve(program: ConvexProgram, options: Optional[SolverOptions] = None):
         except (RuntimeError, np.linalg.LinAlgError, InertiaError):
             status = "numerical-failure"
             break
-        t_linalg += time.perf_counter() - t0
+        finally:  # a failed iteration's linear algebra counts too
+            t_linalg += time.perf_counter() - t0
 
         ap, ad = step_lengths(state, dx, dz)
         state.x = state.x + ap * dx

@@ -23,26 +23,34 @@ def identity_preconditioner() -> Preconditioner:
     return Preconditioner(apply_inverse=lambda v: v)
 
 
-def build_fmri_normal_precond(g_diag: np.ndarray, A, split: int,
-                              delta: float) -> Preconditioner:
-    """Block-diagonal approximation of A G^-1 A' + delta I for fused-lasso LS.
+def fmri_row_blocks(A, split: int):
+    """The row blocks of A that the fmri-block preconditioner reads: the
+    columns the leading ``split`` rows touch, those rows as a dense array over
+    these columns, and the remaining rows in CSR. They depend on A alone, so
+    a caller cuts them once per active set."""
+    A = sp.csr_matrix(A)
+    if split > A.shape[0]:
+        raise ValueError("split exceeds row count")
+    cols = np.flatnonzero(A[:split].getnnz(axis=0))
+    return cols, A[:split, cols].toarray(), A[split:]
 
-    The first ``split`` rows (the dense data-coupling block) get a dense
-    Cholesky factor; the remaining TV-structured block gets a sparse one.
-    Rebuilt every interior point iteration since G changes.
+
+def build_fmri_normal_precond(g_diag: np.ndarray, cols: np.ndarray, A1: np.ndarray,
+                              A2, delta: float) -> Preconditioner:
+    """blockdiag(M1, M3) of A G^-1 A' + delta I for fused-lasso LS, from the
+    row blocks of ``fmri_row_blocks``.
+
+    The data block M1 = A1 G^-1 A1' + delta I is one dense product over the
+    columns ``cols`` and gets a dense Cholesky factor; the TV block
+    M3 = A2 G^-1 A2' + delta I gets a sparse one. Both are formed at every
+    interior point iteration, since G changes.
     """
     g_diag = np.asarray(g_diag, dtype=float)
     if np.any(g_diag <= 0):
         raise ValueError("diagonal weights must be positive")
-    A = sp.csr_matrix(A)
-    mrows = A.shape[0]
-    if split > mrows:
-        raise ValueError("split exceeds row count")
-    Ginv = sp.diags(1.0 / g_diag)
-    A1 = A[:split]
-    A2 = A[split:]
-    M1 = (A1 @ Ginv @ A1.T).toarray() + delta * np.eye(split)
-    M3 = (A2 @ Ginv @ A2.T + delta * sp.eye(mrows - split)).tocsc()
+    split = A1.shape[0]
+    M1 = (A1 / g_diag[cols]) @ A1.T + delta * np.eye(split)
+    M3 = (A2 @ sp.diags(1.0 / g_diag) @ A2.T + delta * sp.eye(A2.shape[0])).tocsc()
     f1 = CholeskyFactor(M1)
     f3 = CholeskyFactor(M3)
 

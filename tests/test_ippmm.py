@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -11,11 +12,12 @@ from sparseipm.ippmm import (AugmentedSystem, IpPmmState, NormalEquations,
                              check_termination, initial_state, kkt_residuals,
                              newton_rhs, solve, step_lengths,
                              update_penalties_and_estimates)
-from sparseipm.harness import gen_classification, gen_portfolio
-from sparseipm.problems import (LogisticInstance, build_logistic_l1,
-                                build_poisson_tv, build_portfolio_qp,
-                                quadratic_program)
+from sparseipm.harness import gen_classification, gen_fused_lasso, gen_portfolio
+from sparseipm.problems import (LogisticInstance, build_fused_lasso_ls,
+                                build_logistic_l1, build_poisson_tv,
+                                build_portfolio_qp, quadratic_program)
 from planted import planted_qp
+from test_precond import fmri_block_matrix
 from test_problems import make_poisson, make_portfolio
 
 
@@ -745,6 +747,37 @@ class TestLifecycle:
         _, rep = solve(prog, SolverOptions(linear_solver="minres-augmented"))
         assert rep.status == "numerical-failure" and rep.iterations == 1
         assert rep.inner_iterations == sum(out.iterations for out in outcomes) > 0
+
+    def test_fmri_blocks_follow_the_active_set_as_it_shrinks(self):
+        inst, _ = gen_fused_lasso(10, (4, 4), 0)
+        prog = build_fused_lasso_ls(inst)
+        (s, q), ell = inst.data.shape, inst.tv.rows
+        st = random_state(prog, seed=45)
+        st.inner_tol = 1e-12
+        system = NormalEquations(prog, SolverOptions(linear_solver="pcg-normal",
+                                                     precond="fmri-block"))
+        r = np.random.default_rng(46).standard_normal(prog.m)
+        # all active, then a w member, then a whole (d+, d-) pair
+        for drop in ([], [s + 3], [s + 2 * q + 5, s + 2 * q + ell + 5]):
+            st.dropped[drop] = True
+            system.factor(st)
+            act = st.active_indices()
+            g = prog.hess_diag(st.x)[act] + st.xi_diag()[act] + st.rho
+            P = fmri_block_matrix(g, prog.A[:, act], s, st.delta)
+            np.testing.assert_allclose(system.precond.apply_inverse(r),
+                                       np.linalg.solve(P, r), rtol=1e-9, atol=1e-12)
+            assert_dense_step(system, st, prog)
+
+    def test_report_times_the_linear_algebra_of_a_failed_iteration(self, monkeypatch):
+        def failing(self, r1, r2):
+            time.sleep(0.05)
+            raise np.linalg.LinAlgError("breakdown")
+
+        monkeypatch.setattr(NormalEquations, "solve", failing)
+        prog, _ = planted_qp("diagonal", 60, 20, 0)
+        _, rep = solve(prog, SolverOptions(linear_solver="pcg-normal"))
+        assert rep.status == "numerical-failure" and rep.iterations == 0
+        assert rep.phase_times["linear_algebra_s"] >= 0.05
 
 
 class TestMinresPath:

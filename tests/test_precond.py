@@ -7,7 +7,7 @@ from sparseipm import precond
 from sparseipm.krylov import NotPositiveDefiniteError, minres, pcg
 from sparseipm.precond import (aug_spectral_report, augmented_matrix,
                                build_aug_block_diag_precond,
-                               build_fmri_normal_precond,
+                               build_fmri_normal_precond, fmri_row_blocks,
                                identity_preconditioner,
                                normal_equations_matrix, spectral_check)
 from sparseipm.problems import build_poisson_tv
@@ -48,7 +48,7 @@ class TestFmriNormalPrecond:
     def test_apply_matches_block_inverse(self):
         A, g, s, ell, _ = random_fused_lasso_layout(0)
         delta = 1e-3
-        P = build_fmri_normal_precond(g, A, s, delta)
+        P = build_fmri_normal_precond(g, *fmri_row_blocks(A, s), delta)
         dense = fmri_block_matrix(g, A, s, delta)
         rng = np.random.default_rng(1)
         r = rng.standard_normal(s + ell)
@@ -60,14 +60,14 @@ class TestFmriNormalPrecond:
         A, g, s, _, _ = random_fused_lasso_layout(2)
         g[3] = 0.0
         with pytest.raises(ValueError):
-            build_fmri_normal_precond(g, A, s, 1e-3)
+            build_fmri_normal_precond(g, *fmri_row_blocks(A, s), 1e-3)
 
     def test_pcg_converges_fast_with_block_precond(self):
         A, g, s, ell, _ = random_fused_lasso_layout(3)
         delta = 1e-3
         M = normal_equations_matrix(g, A, delta)
         b = np.random.default_rng(4).standard_normal(s + ell)
-        P = build_fmri_normal_precond(g, A, s, delta)
+        P = build_fmri_normal_precond(g, *fmri_row_blocks(A, s), delta)
         plain = pcg(M, b, tol=1e-8, maxit=2000)
         blocked = pcg(M, b, precond=P.apply_inverse, tol=1e-8, maxit=2000)
         assert blocked.converged
