@@ -192,6 +192,8 @@ def read_pgm(path):
         width, height, maxval = (int(next_token()) for _ in range(3))
     except ValueError as exc:
         raise ParseError(f"{path}: non-numeric header near byte {pos}") from exc
+    if width < 1 or height < 1:
+        raise ParseError(f"{path}: image size {width} x {height}, expected at least 1 x 1")
     if maxval <= 0 or maxval > 65535:
         raise ParseError(f"{path}: maxval {maxval} out of range")
     count = width * height
@@ -414,13 +416,9 @@ def _exit_code(status: str) -> int:
 
 
 def _solver_options(family: Family, args, inst) -> ippmm.SolverOptions:
-    opts = ippmm.SolverOptions(dropping=True, **family.ippmm(args, inst))
-    for name in ("tol", "max_iter", "eps_drop"):
-        if getattr(args, name) is not None:
-            setattr(opts, name, getattr(args, name))
-    if not (opts.tol > 0 and opts.eps_drop > 0) or opts.max_iter < 1:  # before any solve
-        raise ValueError("--tol and --eps-drop must be positive and --max-iter at least 1")
-    return opts
+    overrides = {name: getattr(args, name) for name in ("tol", "max_iter", "eps_drop")
+                 if getattr(args, name) is not None}
+    return ippmm.SolverOptions(dropping=True, **{**family.ippmm(args, inst), **overrides})
 
 
 def _limits(args) -> dict:

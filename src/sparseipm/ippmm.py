@@ -36,8 +36,10 @@ class UnsupportedStructureError(ValueError):
     """Requested solver path incompatible with the program's Hessian structure."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverOptions:
+    """A caller's settings; an invalid value raises ValueError on construction."""
+
     tol: float = 1e-6
     max_iter: int = 100
     linear_solver: str = "direct-augmented"  # | pcg-normal | minres-augmented
@@ -46,6 +48,19 @@ class SolverOptions:
     dropping: bool = False
     eps_drop: float = 1e-4
     x0: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.linear_solver not in _CONTEXTS:
+            raise ValueError(f"unknown linear solver {self.linear_solver!r}")
+        if not self.tol > 0 or self.max_iter < 1:
+            raise ValueError("tol must be positive and max_iter at least 1")
+        if self.dropping and not self.eps_drop > 0:
+            raise ValueError("dropping needs a positive eps_drop")
+        if self.htilde_choice not in ("u-squared", "diag-h"):
+            raise ValueError(f"unknown htilde_choice {self.htilde_choice!r}")
+        if self.precond not in ("auto", *_PRECONDS[self.linear_solver]):
+            raise ValueError(f"preconditioner {self.precond!r} does not apply to "
+                             f"{self.linear_solver}")
 
 
 @dataclass
@@ -531,17 +546,6 @@ def update_penalties_and_estimates(state: IpPmmState, primal_norm: float,
 def solve(program: ConvexProgram, options: Optional[SolverOptions] = None):
     """Run IP-PMM; returns ((x, y, z), SolveReport)."""
     options = options or SolverOptions()
-    if options.linear_solver not in _CONTEXTS:
-        raise ValueError(f"unknown linear solver {options.linear_solver!r}")
-    if not options.tol > 0 or options.max_iter < 1:
-        raise ValueError("tol must be positive and max_iter at least 1")
-    if options.dropping and not options.eps_drop > 0:
-        raise ValueError("dropping needs a positive eps_drop")
-    if options.htilde_choice not in ("u-squared", "diag-h"):
-        raise ValueError(f"unknown htilde_choice {options.htilde_choice!r}")
-    if options.precond not in ("auto", *_PRECONDS[options.linear_solver]):
-        raise ValueError(f"preconditioner {options.precond!r} does not apply to "
-                         f"{options.linear_solver}")
     if options.precond == "fmri-block" and program.row_split is None:
         raise ValueError("fmri-block needs a program with a row_split")
     t_start = time.perf_counter()

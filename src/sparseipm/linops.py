@@ -31,10 +31,7 @@ def _chain_difference(q: int) -> sp.csr_matrix:
     """(q-1) x q forward-difference matrix [-1, 1] on a 1d chain."""
     if q < 2:
         raise ValueError(f"chain length must be >= 2, got {q}")
-    data = np.repeat([[-1.0, 1.0]], q - 1, axis=0).ravel()
-    rows = np.repeat(np.arange(q - 1), 2)
-    cols = np.column_stack([np.arange(q - 1), np.arange(1, q)]).ravel()
-    return sp.csr_matrix((data, (rows, cols)), shape=(q - 1, q))
+    return sp.diags([-1.0, 1.0], [0, 1], shape=(q - 1, q), format="csr")
 
 
 def make_difference_operator(num_periods: int, num_assets: int) -> MatrixOperator:

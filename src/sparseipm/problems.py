@@ -93,6 +93,28 @@ def quadratic_program(Q, c, A, b, nonneg=None, **kw) -> ConvexProgram:
     )
 
 
+def split_l1_program(A, b, k, lam, nonneg, value, gradient, hess_action, hess_diag,
+                     hess_diag_cheap) -> ConvexProgram:
+    """Build a ConvexProgram for f(x) = phi(w) + lam * sum(x[k:]) with
+    x = [w; d+; d-] and w = x[:k], from phi's oracles as functions of w; the
+    gradient is lam and the Hessian action and diagonals are zero on the pairs."""
+    n = A.shape[1]
+    zeros = np.zeros(n - k)
+
+    def padded_action(x):
+        action = hess_action(x[:k])
+        return lambda v: np.concatenate([action(v[:k]), zeros])
+
+    return ConvexProgram(
+        A=A, b=b, nonneg=nonneg,
+        objective=lambda x: value(x[:k]) + lam * float(np.sum(x[k:])),
+        gradient=lambda x: np.concatenate([gradient(x[:k]), np.full(n - k, lam)]),
+        hess_action=padded_action,
+        hess_diag=lambda x: np.concatenate([hess_diag(x[:k]), zeros]),
+        hess_diag_cheap=lambda x: np.concatenate([hess_diag_cheap(x[:k]), zeros]),
+        pairs=np.arange(k, n).reshape(2, -1), extract=lambda x: x[:k])
+
+
 # ---------------------------------------------------------------------------
 # Multi-period portfolio
 
@@ -224,6 +246,8 @@ class FusedLassoLsInstance:
         self.data = np.asarray(self.data, dtype=float)
         self.labels = np.asarray(self.labels, dtype=float)
         s, q = self.data.shape
+        if s < 1:
+            raise ValueError("need at least 1 sample")
         if int(np.prod(self.grid)) != q:
             raise ValueError("grid does not match number of features")
         if not np.all(np.isin(self.labels, (-1.0, 1.0))):
@@ -336,44 +360,21 @@ def build_poisson_tv(inst: PoissonTvInstance) -> ConvexProgram:
         [sp.csr_matrix(np.ones((1, n))), None, None],
         [L, -sp.eye(l), sp.eye(l)],
     ], format="csr")
-    b = np.concatenate([[r], np.zeros(l)])
-    nbar = n + 2 * l
-    lam = inst.lam
+
+    def u2(w):
+        return inst.observed / _intensity(w, inst) ** 2
+
+    def hess_action(w):
+        weights = u2(w)
+        return lambda v: inst.blur.apply_transpose(weights * inst.blur.apply(v))
+
+    # diag(D' U^2 D)_j = sum_i u2_i d_ij^2, via the squared-kernel operator
     blur_sq = inst.blur.squared_kernel_operator()
-
-    def objective(x):
-        return kl_value(x[:n], inst) + lam * float(np.sum(x[n:]))
-
-    def gradient(x):
-        return np.concatenate([kl_gradient(x[:n], inst), np.full(2 * l, lam)])
-
-    def _u2(x):
-        return inst.observed / _intensity(x[:n], inst) ** 2
-
-    def hess_action(x):
-        u2 = _u2(x)
-
-        def action(v):
-            out = np.zeros(nbar)
-            out[:n] = inst.blur.apply_transpose(u2 * inst.blur.apply(v[:n]))
-            return out
-        return action
-
-    def hess_diag(x):
-        # diag(D' U^2 D)_j = sum_i u2_i d_ij^2, via the squared-kernel operator
-        return np.concatenate([blur_sq.apply_transpose(_u2(x)), np.zeros(2 * l)])
-
-    def hess_diag_cheap(x):
-        return np.concatenate([_u2(x), np.zeros(2 * l)])
-
-    prog = ConvexProgram(
-        A=A, b=b, nonneg=np.arange(nbar),
-        objective=objective, gradient=gradient, hess_action=hess_action,
-        hess_diag=hess_diag, hess_diag_cheap=hess_diag_cheap,
-        pairs=np.array([np.r_[n:n + l], np.r_[n + l:nbar]]),
-    )
-    prog.extract = lambda x: x[:n]
-    return prog
+    return split_l1_program(
+        A, np.concatenate([[r], np.zeros(l)]), n, inst.lam, np.arange(n + 2 * l),
+        value=lambda w: kl_value(w, inst), gradient=lambda w: kl_gradient(w, inst),
+        hess_action=hess_action, hess_diag=lambda w: blur_sq.apply_transpose(u2(w)),
+        hess_diag_cheap=u2)
 
 
 # ---------------------------------------------------------------------------
@@ -436,36 +437,17 @@ def build_logistic_l1(inst: LogisticInstance) -> ConvexProgram:
     D2 = D ** 2
     g = inst.labels
     s = D.shape[1]
-    nbar = 3 * s
     A = sp.hstack([sp.eye(s), -sp.eye(s), sp.eye(s)], format="csr")
-    b = np.zeros(s)
-    tau = inst.tau
 
-    def objective(x):
-        return logistic_loss(D, g, x[:s]) + tau * float(np.sum(x[s:]))
+    def hess_action(w):
+        hw = logistic_oracle(D, g, w)[1]
+        return lambda v: D.T @ (hw * (D @ v))
 
-    def gradient(x):
-        grad, _ = logistic_oracle(D, g, x[:s])
-        return np.concatenate([grad, np.full(2 * s, tau)])
+    def hess_diag(w):
+        return D2.T @ logistic_oracle(D, g, w)[1]
 
-    def hess_action(x):
-        _, hw = logistic_oracle(D, g, x[:s])
-
-        def action(v):
-            out = np.zeros(nbar)
-            out[:s] = D.T @ (hw * (D @ v[:s]))
-            return out
-        return action
-
-    def hess_diag(x):
-        _, hw = logistic_oracle(D, g, x[:s])
-        return np.concatenate([D2.T @ hw, np.zeros(2 * s)])
-
-    prog = ConvexProgram(
-        A=A, b=b, nonneg=np.arange(s, nbar),
-        objective=objective, gradient=gradient, hess_action=hess_action,
-        hess_diag=hess_diag, hess_diag_cheap=hess_diag,
-        pairs=np.array([np.r_[s:2 * s], np.r_[2 * s:nbar]]),
-    )
-    prog.extract = lambda x: x[:s]
-    return prog
+    return split_l1_program(
+        A, np.zeros(s), s, inst.tau, np.arange(s, 3 * s),
+        value=lambda w: logistic_loss(D, g, w),
+        gradient=lambda w: logistic_oracle(D, g, w)[0],
+        hess_action=hess_action, hess_diag=hess_diag, hess_diag_cheap=hess_diag)

@@ -1,4 +1,4 @@
-"""Five small ``ast`` checks in place of a linter, and one on the README.
+"""Six small ``ast`` checks in place of a linter, and one on the README.
 
 - Every name a ``sparseipm`` module imports is used in that module: it appears
   as a name anywhere in the module, or in ``__all__``.
@@ -17,6 +17,8 @@
   by the callee's name; ``__init__`` also goes by its class's name, and a
   method's positions skip ``self``. A call with ``*`` or ``**`` passes every
   parameter.
+- Within ``src/sparseipm`` only ``quadratic_program`` and ``split_l1_program``
+  construct a ``ConvexProgram``, so every builder shares their oracle padding.
 - Every backticked ``<module>.<Name>`` of a ``sparseipm`` module that
   ``README.md`` cites, such as ``dropping.XI``, names a real attribute.
 """
@@ -241,6 +243,38 @@ def test_every_defaulted_parameter_has_a_caller():
     unpassed = unpassed_parameters({p.stem: p.read_text() for p in MODULES},
                                    [p.read_text() for p in MODULES + PERFBENCH])
     assert [name for name in unpassed if name not in ALLOWED_UNPASSED] == []
+
+
+# the builders that construct a ConvexProgram; every other builder calls one
+PROGRAM_CONSTRUCTORS = {"quadratic_program", "split_l1_program"}
+
+
+def program_constructions(source: str) -> list:
+    """(top-level definition, line) of each ``ConvexProgram(...)`` call."""
+    out = []
+    for top in ast.parse(source).body:
+        name = getattr(top, "name", "<module>")
+        out.extend((name, node.lineno) for node in ast.walk(top)
+                   if isinstance(node, ast.Call)
+                   and "ConvexProgram" in (getattr(node.func, "id", None),
+                                           getattr(node.func, "attr", None)))
+    return out
+
+
+def test_checker_finds_program_constructions():
+    source = ("def a():\n    return ConvexProgram(A=1)\n"
+              "def b():\n    def inner():\n        return problems.ConvexProgram()\n"
+              "class C:\n    def m(self):\n        ConvexProgram()\n"
+              "prog = ConvexProgram()\nConvexProgram.__doc__\n")
+    assert program_constructions(source) == [("a", 2), ("b", 5), ("C", 8),
+                                             ("<module>", 9)]
+
+
+def test_only_the_shared_builders_construct_programs():
+    found = [(path.name, name, line) for path in MODULES
+             for name, line in program_constructions(path.read_text())
+             if name not in PROGRAM_CONSTRUCTORS]
+    assert found == []
 
 
 def unresolved_citations(text: str, namespaces: dict) -> list:

@@ -372,14 +372,19 @@ class TestLogistic:
 def test_declared_pairs_are_slack_pairs(family):
     """The pairs contract of a program without Q: each member's column holds
     one entry of A, the two in the same row and exact negatives, and the
-    Hessian vanishes on pair coordinates, so the MINRES path eliminates them."""
+    Hessian vanishes on pair coordinates, so the MINRES path eliminates them.
+    The split builder's part: the pairs are x[k:] after w = x[:k], where the
+    gradient is the l1 weight and both Hessian diagonals are zero."""
     rng = np.random.default_rng(17)
     if family == "poisson":
-        prog = build_poisson_tv(make_poisson(size=4))
+        inst = make_poisson(size=4)
+        prog, k, weight = build_poisson_tv(inst), inst.blur.cols, inst.lam
     else:
-        prog = build_logistic_l1(LogisticInstance(
-            rng.standard_normal((20, 4)), rng.choice([-1.0, 1.0], size=20), tau=0.05))
+        inst = LogisticInstance(rng.standard_normal((20, 4)),
+                                rng.choice([-1.0, 1.0], size=20), tau=0.05)
+        prog, k, weight = build_logistic_l1(inst), 5, inst.tau
     p, q = prog.pairs
+    np.testing.assert_array_equal(np.sort(prog.pairs, axis=None), np.arange(k, prog.n))
     assert p.size == (prog.m - 1 if family == "poisson" else prog.m)
     A = prog.A.tocsc()
     assert np.all(np.diff(A.indptr)[prog.pairs] == 1)
@@ -392,3 +397,7 @@ def test_declared_pairs_are_slack_pairs(family):
     v = np.zeros(prog.n)
     v[prog.pairs] = rng.standard_normal(prog.pairs.shape)
     assert not np.any(hess(v))
+    assert np.all(prog.gradient(x)[prog.pairs] == weight)
+    assert not np.any(prog.hess_diag(x)[prog.pairs])
+    assert not np.any(prog.hess_diag_cheap(x)[prog.pairs])
+    np.testing.assert_array_equal(prog.extract(x), x[:k])
