@@ -94,7 +94,8 @@ def gen_classification(n: int, s: int, separation: float = 1.0,
     noise so finite separation keeps the classes overlapping. The instance
     has tau = 1/n.
 
-    Returns (instance, planted weights, test set or None)."""
+    Returns (instance, planted weights, test set or None); there is no test
+    set when ``test_fraction * n`` rounds to 0 rows."""
     if n < 1 or s < 1:
         raise ValueError("need n, s >= 1")
     if not 0 < sparsity <= 1:
@@ -114,8 +115,8 @@ def gen_classification(n: int, s: int, separation: float = 1.0,
 
     D, g = draw(n)
     inst = LogisticInstance(data=D, labels=g, tau=1.0 / n)
-    test = draw(int(round(test_fraction * n))) if test_fraction > 0 else None
-    return inst, wbar, test
+    count = int(round(test_fraction * n))
+    return inst, wbar, (draw(count) if count > 0 else None)
 
 
 def builtin_image(name: str, size: int) -> np.ndarray:

@@ -13,14 +13,20 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.sparse.csgraph
+import scipy.sparse.linalg
 
 from . import dropping as dropmod
 from . import precond as precondmod
-from .krylov import InertiaError, ldl_factor, minres, pcg
+from .krylov import NotPositiveDefiniteError, minres, pcg
 from .problems import ConvexProgram
 
+
+# Read only by perfbench/tracing.py, whose ippmm.lu_factor span wraps its splu;
+# no path of the solver factors with SuperLU through it.
+spla = scipy.sparse.linalg
 
 # Algorithm constants of the method; they are not caller settings.
 SIGMA_MIN, SIGMA_MAX = 0.05, 0.95  # bounds on Mehrotra's centering parameter
@@ -246,37 +252,12 @@ class NewtonSystem:
         self.delta, self.tol = state.delta, state.inner_tol
         return shrank
 
-    def _count(self, out) -> np.ndarray:
-        """Add one Krylov solve to the counters; returns its solution."""
-        self.inner_iterations += out.iterations
-        self.inner_capped += not out.converged
-        return out.solution
-
-
-class AugmentedSystem(NewtonSystem):
-    """MINRES path: the symmetric indefinite 2x2 block operator on the active
-    coordinates with their slack pairs eliminated, and the block-diagonal
-    preconditioner built from H~.
-
-    A slack pair is a pair of ``program.pairs`` whose two columns each hold
-    one entry of A, both in the same row, and that the Hessian does not
-    touch. With e = 1/(Θ + ρ) on active variables and 0 on dropped ones, a
-    row that holds slack pairs has the diagonal E = δ + Σ a²(e+ + e-), and
-    these rows R are eliminated exactly together with their pairs. MINRES
-    runs on [[-K, A_B'], [A_B, δI]] over the other active variables, with
-    K = H + Θ + ρI + A_R' E^-1 A_R and A_B the rows without a slack pair;
-    dy_R and the pair steps follow in closed form. The preconditioner is
-    blockdiag(P, δI + A_B P^-1 A_B'), with P = K and H~ in place of H.
-    Without slack pairs this is the whole active-set system.
-    """
-
-    def __init__(self, program: ConvexProgram, options: SolverOptions):
-        self.chooser = (program.hess_diag_cheap if options.htilde_choice == "u-squared"
-                        else program.hess_diag)
-        if self.chooser is None:
-            raise UnsupportedStructureError(
-                f"program provides no diagonal for {options.htilde_choice}")
-        self.program = program
+    def _find_slack_pairs(self, program: ConvexProgram):
+        """Find the slack pairs: the pairs of ``program.pairs`` whose two
+        columns each hold one entry of A, both in the same row, and that the
+        Hessian does not touch. Keeps their members, each member's row and
+        entry of A, the rows R that hold slack pairs and the rows B that do
+        not, and ``rest``, which marks the variables that are not members."""
         n, A = program.n, program.A.tocoo()
         count = np.bincount(A.col, minlength=n)
         row, val = np.full(n, -1), np.zeros(n)  # of a column's (last) entry
@@ -294,6 +275,54 @@ class AugmentedSystem(NewtonSystem):
         self.rest = np.ones(n, dtype=bool)
         self.rest[self.pairs] = False
 
+    def _slack_diagonal(self) -> np.ndarray:
+        """E = δ + Σ a²(e+ + e-) of each row over its slack pairs: the
+        diagonal a slack row keeps once its pairs are eliminated."""
+        return self.delta + np.bincount(self.prow, self.pval ** 2 * self.e[self.pairs],
+                                        minlength=self.R.size + self.B.size)
+
+    def _slack_rhs(self, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
+        """Row R's rhs after its pairs are eliminated, over E: dy_R is this
+        minus E^-1 A_R dx."""
+        c, e = self.pairs, self.e
+        return (r2 + np.bincount(self.prow, self.pval * e[c] * r1[c],
+                                 minlength=r2.size))[self.R] / self.E[self.R]
+
+    def _slack_steps(self, dx, dy, r1, u, A_R_dx):
+        """Write dy_R and the steps of the slack members, 0 on dropped ones."""
+        dy[self.R] = u - A_R_dx / self.E[self.R]
+        c, e = self.pairs, self.e
+        dx[c] = e[c] * (self.pval * dy[self.prow] - r1[c])
+
+    def _count(self, out) -> np.ndarray:
+        """Add one Krylov solve to the counters; returns its solution."""
+        self.inner_iterations += out.iterations
+        self.inner_capped += not out.converged
+        return out.solution
+
+
+class AugmentedSystem(NewtonSystem):
+    """MINRES path: the symmetric indefinite 2x2 block operator on the active
+    coordinates with their slack pairs eliminated, and the block-diagonal
+    preconditioner built from H~.
+
+    With the slack rows R eliminated (``NewtonSystem._find_slack_pairs``),
+    MINRES runs on [[-K, A_B'], [A_B, δI]] over the other active variables,
+    with K = H + Θ + ρI + A_R' E^-1 A_R and A_B the rows without a slack
+    pair; dy_R and the pair steps follow in closed form. The preconditioner
+    is blockdiag(P, δI + A_B P^-1 A_B'), with P = K and H~ in place of H.
+    Without slack pairs this is the whole active-set system.
+    """
+
+    def __init__(self, program: ConvexProgram, options: SolverOptions):
+        self.chooser = (program.hess_diag_cheap if options.htilde_choice == "u-squared"
+                        else program.hess_diag)
+        if self.chooser is None:
+            raise UnsupportedStructureError(
+                f"program provides no diagonal for {options.htilde_choice}")
+        self.program = program
+        self._find_slack_pairs(program)
+
     def factor(self, state: IpPmmState):
         if self._refresh(state):
             self.cols = self.active[self.rest[self.active]]  # unknowns besides dy_B
@@ -301,8 +330,7 @@ class AugmentedSystem(NewtonSystem):
             A = self.program.A[:, self.cols]
             self.A_act, self.A_R = sp.csc_matrix(A[self.B]), A[self.R]  # A_B, A_R
             self._A_act_T = self.A_act.T
-        self.E = state.delta + np.bincount(self.prow, self.pval ** 2 * self.e[self.pairs],
-                                           minlength=self.program.m)
+        self.E = self._slack_diagonal()
         self.diag_shift = self.xi[self.cols] + state.rho
         self.K_R = self.A_R.T @ sp.diags(1.0 / self.E[self.R]) @ self.A_R
         self._hess = self.program.hess_action(state.x)
@@ -323,105 +351,143 @@ class AugmentedSystem(NewtonSystem):
         return out
 
     def solve(self, r1: np.ndarray, r2: np.ndarray):
-        c, e, R = self.pairs, self.e, self.R
-        # row R's rhs after its pairs are eliminated, and dy_R = u - E^-1 A_R dx
-        u = (r2 + np.bincount(self.prow, self.pval * e[c] * r1[c],
-                              minlength=r2.size))[R] / self.E[R]
+        u = self._slack_rhs(r1, r2)
         rhs = np.concatenate([r1[self.cols] - self.A_R.T @ u, r2[self.B]])
         sol = self._count(minres(self.matvec, rhs, self.precond.apply_inverse,
                                  tol=self.tol, maxit=INNER_MAXIT))
-        dx = np.zeros(e.size)
+        dx = np.zeros(self.e.size)
         dx[self.cols] = sol[:self.na]
         dy = np.empty(r2.size)
         dy[self.B] = sol[self.na:]
-        dy[R] = u - (self.A_R @ dx[self.cols]) / self.E[R]
-        dx[c] = e[c] * (self.pval * dy[self.prow] - r1[c])  # 0 on dropped members
+        self._slack_steps(dx, dy, r1, u, self.A_R @ dx[self.cols])
         return dx, dy
 
 
 class SaddleMatrix(NewtonSystem):
-    """The direct path's quasi-definite matrix [[-(Q + Θ + ρI), A'], [A, δI]].
+    """Direct path: the quasi-definite system [[-(Q + Θ + ρI), A'], [A, δI]]
+    reduced to an SPD band K and a dense border, both factored by Cholesky.
 
-    One pattern serves the whole solve: every diagonal entry is stored, and
-    each split pair (x+, x-) of ``program.pairs`` has one row, the plus
-    member's, in u = dx+ - dx-; no minus member has a row. The first
-    factorization finds the order by minimum degree on A + A'. The matrix is
-    permuted into it once, and later ones only write values and factor in
-    NATURAL order.
-
-    With e = 1/(Θ + ρ) on active variables and 0 on dropped ones, a pair's
-    row has diagonal 1/(e+ + e-), whether both members are active or one was
-    dropped. A row with no active variable left is pinned: its off-diagonal
-    entries are zeroed once (a dropped variable never returns), and its
-    negative diagonal and zero rhs make its step exactly 0.
+    The slack rows R are eliminated with their pairs, as on the MINRES path.
+    Each other split pair (x+, x-) of ``program.pairs`` is reduced to its
+    plus member's unknown u = dx+ - dx-, with diagonal 1/(e+ + e-); an
+    unpaired variable has 1/e. That leaves [[-K, A_B'], [A_B, δI]] with
+    K = Q_u + D~ + A_R' E^-1 A_R. K = LL' is factored by banded Cholesky in
+    the reverse Cuthill-McKee order found once per solve, and the rows B
+    through the dense Cholesky factor of δI + Z'Z with Z = L^-1 A_B'. The
+    band's pattern is fixed for the solve: its Q part is written once, and
+    A_R' E^-1 A_R is added as one sparse product per factor. A row of K
+    with no active variable left is pinned: unit diagonal, zero
+    off-diagonals and zero rhs, and its column leaves A_B and A_R, so its
+    step is exactly 0.
     """
 
     def __init__(self, program: ConvexProgram, options: SolverOptions):
         if program.Q is None:
             raise UnsupportedStructureError(
                 "direct path needs an explicit quadratic Hessian")
-        self.n, self.m = program.n, program.m
-        self.pairs = program.pairs
+        p, q = program.pairs
         for M in (program.A.tocsc(), program.Q.tocsc()):
-            if (M[:, self.pairs[0]] + M[:, self.pairs[1]]).count_nonzero():
+            if (M[:, p] + M[:, q]).count_nonzero():
                 raise ValueError("the A and Q columns of each pair must be exact negatives")
-        self.rows = np.setdiff1d(np.arange(self.n), self.pairs[1])  # x of each x row
-        self.qdiag = program.Q.diagonal()[self.rows]
-        A = program.A[:, self.rows]
-        # -1 keeps every diagonal entry stored; factor() overwrites it
-        self.matrix = (sp.bmat([[-program.Q[self.rows][:, self.rows], A.T], [A, None]])
-                       - sp.eye(self.rows.size + self.m)).tocsc()
-        self.perm = np.arange(self.rows.size + self.m)  # row each matrix row holds
-        self._index()
-        self.lu, self.ordered, self.pinned = None, False, 0
-
-    def _index(self):
-        self.matrix.sort_indices()
-        self.col_of = np.repeat(np.arange(self.perm.size), np.diff(self.matrix.indptr))
-        self.diag_pos = np.flatnonzero(self.matrix.indices == self.col_of)
+        self._find_slack_pairs(program)
+        split = self.rest[p]  # pairs that are not slack pairs
+        self.p, self.q = p[split], q[split]
+        keep = self.rest.copy()
+        keep[self.q] = False
+        rows = np.flatnonzero(keep)
+        Qu, A = program.Q[rows][:, rows].tocoo(), program.A[:, rows]
+        A_R = abs(A[self.R])
+        order = scipy.sparse.csgraph.reverse_cuthill_mckee(
+            (abs(Qu) + A_R.T @ A_R).tocsr(), symmetric_mode=True)
+        self.rows, N = rows[order], rows.size  # K's unknowns, in band order
+        where = np.empty(program.n, dtype=int)
+        where[self.rows] = np.arange(N)
+        self.kp = where[self.p]  # the u of each split pair
+        A = sp.csr_matrix(A[:, order])
+        self.A_R, self.A_Bt = A[self.R], A[self.B].T.toarray()
+        # K's entries on and below the diagonal, in lower band storage [i - j, j]:
+        # Q_u's are written once, and entry (i, j) of A_R' E^-1 A_R is row
+        # (i, j) of W @ (1/E_R), summing A_R[r, i] A_R[r, j] / E_r over the rows r
+        lens = np.diff(self.A_R.indptr)
+        sq = lens ** 2
+        t = np.arange(sq.sum()) - np.repeat(np.cumsum(sq) - sq, sq)
+        start, per = np.repeat(self.A_R.indptr[:-1], sq), np.repeat(lens, sq)
+        k, l = start + t // per, start + t % per
+        i, j = self.A_R.indices[k], self.A_R.indices[l]
+        low = i >= j
+        qi, qj = where[rows[Qu.row]], where[rows[Qu.col]]
+        qlow = qi >= qj
+        self.bw = int(max((i - j)[low].max(initial=0), (qi - qj)[qlow].max(initial=0)))
+        self.band_q = np.zeros((self.bw + 1, N))
+        self.band_q[(qi - qj)[qlow], qj[qlow]] = Qu.data[qlow]
+        self.pos, slot = np.unique(((i - j) * N + j)[low], return_inverse=True)
+        self.W = sp.csr_matrix(
+            ((self.A_R.data[k] * self.A_R.data[l])[low],
+             (slot, np.repeat(np.arange(lens.size), sq)[low])),
+            shape=(self.pos.size, lens.size))
+        self.pin = np.zeros(N, dtype=bool)
 
     def factor(self, state: IpPmmState):
-        """Write the values of ``state`` and factor; raises InertiaError
-        unless every x pivot is negative and every y pivot positive."""
-        if self.lu is not None and not self.ordered:  # the first factor's order
-            self.perm = np.argsort(self.lu.perm_c)
-            self.matrix = self.matrix[self.perm][:, self.perm].tocsc()
-            self._index()
-            self.ordered = True
-        p, q = self.pairs
-        self._refresh(state)
-        self.live = live = ~state.dropped
-        live[p] |= live[q]  # a pair's row lives while either member does
+        """Write the values of ``state`` and factor; a band that is not
+        finite, or a Cholesky breakdown of the band or the border, raises
+        LinAlgError."""
+        if self._refresh(state):
+            live = ~state.dropped
+            live[self.p] |= live[self.q]  # a pair's row lives while either member does
+            self._pin(~live[self.rows])
+        self.E = self._slack_diagonal()
         esum = self.e.copy()
-        esum[p] += self.e[q]
-        self.dtilde = np.divide(1.0, esum, out=np.ones(self.n), where=live)  # pinned: 1
-        pin = np.concatenate([~live[self.rows], np.zeros(self.m, dtype=bool)])[self.perm]
-        if np.count_nonzero(pin) > self.pinned:  # pins are never lifted
-            off = pin[self.matrix.indices] | pin[self.col_of]
-            off[self.diag_pos] = False
-            self.matrix.data[off] = 0.0
-            self.pinned = np.count_nonzero(pin)
-        diag = np.concatenate([-(self.qdiag + self.dtilde[self.rows]),
-                               np.full(self.m, state.delta)])
-        self.matrix.data[self.diag_pos] = diag[self.perm]
-        spec = "NATURAL" if self.ordered else "MMD_AT_PLUS_A"
-        self.lu = ldl_factor(self.matrix, self.perm < self.rows.size, spec, spla.splu)
+        esum[self.p] += self.e[self.q]
+        self.dt = np.divide(1.0, esum[self.rows], out=np.ones(self.rows.size),
+                            where=~self.pin)
+        band = self.band_q.copy()
+        band.ravel()[self.pos] += self.W @ (1.0 / self.E[self.R])
+        band[0] += self.dt
+        if not np.all(np.isfinite(band)):  # an infinite Θ, say
+            raise np.linalg.LinAlgError("the Newton matrix is not finite")
+        self.L = scipy.linalg.cholesky_banded(band, lower=True, check_finite=False)
+        self.Z = self._tri(self.A_Bt, "N")
+        S = self.Z.T @ self.Z + state.delta * np.eye(self.B.size)
+        self.S = scipy.linalg.cho_factor(S, lower=True, check_finite=False)
+
+    def _tri(self, b: np.ndarray, trans: str) -> np.ndarray:
+        """L^-1 b, or L'^-1 b with ``trans`` "T"."""
+        return scipy.linalg.lapack.dtbtrs(self.L, b, uplo="L", trans=trans)[0]
+
+    def _pin(self, pin: np.ndarray):
+        """Pin the rows of ``pin``: the entries of each row not pinned yet
+        leave the band, A_B and A_R. Pins are never lifted."""
+        new, self.pin = pin & ~self.pin, pin
+        d, j = np.divmod(self.pos, pin.size)
+        kept = ~(new[j] | new[j + d])
+        self.pos, self.W = self.pos[kept], self.W[kept]
+        off = np.arange(self.bw + 1)[:, None]
+        cols = np.flatnonzero(new) - off  # the band entries of each new row, by offset
+        self.band_q[np.broadcast_to(off, cols.shape)[cols >= 0], cols[cols >= 0]] = 0.0
+        self.band_q[:, new] = 0.0  # and of its column
+        self.A_Bt[new] = 0.0
+        self.A_R.data[new[self.A_R.indices]] = 0.0
 
     def solve(self, r1: np.ndarray, r2: np.ndarray):
-        p, q = self.pairs
-        rt = np.where(self.live, r1, 0.0)  # a pinned row's rhs is 0
-        rt[p] = self.dtilde[p] * (self.e[p] * r1[p] - self.e[q] * r1[q])
-        b = np.concatenate([rt[self.rows], r2])[self.perm]
-        x = self.lu.solve(b)
-        x += self.lu.solve(b - self.matrix @ x)  # one step of iterative refinement
-        sol = np.empty_like(x)
-        sol[self.perm] = x
-        dx = np.zeros(self.n)
-        dx[self.rows] = sol[:self.rows.size]
-        g = self.dtilde[p] * dx[p] + rt[p]  # recover the pair from u = dx[p]
-        dx[p] = (g - r1[p]) * self.e[p]
-        dx[q] = -(g + r1[q]) * self.e[q]
-        return dx, sol[self.rows.size:]
+        p, q, e, kp = self.p, self.q, self.e, self.kp
+        u = self._slack_rhs(r1, r2)
+        rt = r1[self.rows]
+        rt[kp] = self.dt[kp] * (e[p] * r1[p] - e[q] * r1[q])
+        rt[self.pin] = 0.0
+        # -K dx + A_B' dy_B = rt - A_R' u and A_B dx + δ dy_B = r2_B, with K = LL'
+        h = self._tri(rt - self.A_R.T @ u, "N")
+        dyB = scipy.linalg.cho_solve(self.S, r2[self.B] + self.Z.T @ h,
+                                     check_finite=False)
+        xu = self._tri(self.Z @ dyB - h, "T")
+        dx = np.zeros(e.size)
+        dx[self.rows] = xu
+        dy = np.empty(r2.size)
+        dy[self.B] = dyB
+        self._slack_steps(dx, dy, r1, u, self.A_R @ xu)
+        gp = self.dt[kp] * xu[kp] + rt[kp]  # recover the pair from its u
+        dx[p] = (gp - r1[p]) * e[p]
+        dx[q] = -(gp + r1[q]) * e[q]
+        return dx, dy
 
 
 class NormalEquations(NewtonSystem):
@@ -580,7 +646,7 @@ def solve(program: ConvexProgram, options: Optional[SolverOptions] = None):
         try:
             ctx = _CONTEXTS[options.linear_solver](state, program, options)
             dx, dy, dz = predictor_corrector_step(state, ctx, rp, gy)
-        except (RuntimeError, np.linalg.LinAlgError, InertiaError):
+        except (RuntimeError, np.linalg.LinAlgError, NotPositiveDefiniteError):
             status = "numerical-failure"
             break
         finally:  # a failed iteration's linear algebra counts too

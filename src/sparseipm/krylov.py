@@ -20,20 +20,13 @@ except (OSError, AttributeError):  # not glibc
     pass
 
 
-class InertiaError(ValueError):
-    """Raised when a factorization meets a pivot whose sign (or finiteness)
-    contradicts the inertia the matrix must have."""
-
-    def __init__(self, pivot: int, what: str = "has the wrong inertia"):
-        self.pivot = int(pivot)
-        super().__init__(f"matrix {what} (pivot {self.pivot})")
-
-
-class NotPositiveDefiniteError(InertiaError):
-    """Raised when a Cholesky factorization hits a non-positive pivot."""
+class NotPositiveDefiniteError(ValueError):
+    """Raised when a Cholesky factorization hits a pivot that is not positive
+    (or not finite)."""
 
     def __init__(self, pivot: int):
-        super().__init__(pivot, "is not positive definite")
+        self.pivot = int(pivot)
+        super().__init__(f"matrix is not positive definite (pivot {self.pivot})")
 
 
 @dataclass
@@ -45,26 +38,19 @@ class KrylovOutcome:
     breakdown_reason: Optional[str] = None
 
 
-def ldl_factor(M, negative=None, permc_spec="MMD_AT_PLUS_A", splu=spla.splu):
-    """Sparse LDL' of a symmetric matrix whose signs of pivots are known.
+def ldl_factor(M):
+    """Sparse LDL' of an SPD matrix under a minimum-degree order on A + A'.
 
-    ``negative`` marks the rows whose pivots must be negative (none: the
-    matrix must be positive definite). SPD and symmetric quasi-definite
-    matrices factor under any symmetric order without pivoting, so SuperLU
-    runs in symmetric mode with no diagonal pivoting, and pivot k belongs to
-    row ``argsort(perm_c)[k]``. A pivot of the wrong sign, or not finite,
-    raises ``NotPositiveDefiniteError`` (no ``negative``) or ``InertiaError``.
+    An SPD matrix factors under any symmetric order without pivoting, so
+    SuperLU runs in symmetric mode with no diagonal pivoting. A pivot that is
+    not positive, or not finite, raises ``NotPositiveDefiniteError``.
     """
-    lu = splu(M, permc_spec=permc_spec, diag_pivot_thresh=0.0,
-              options=dict(SymmetricMode=True))
+    lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options=dict(SymmetricMode=True))
     pivots = np.real(lu.U.diagonal())
-    neg = False if negative is None else negative[np.argsort(lu.perm_c)]
-    bad = np.flatnonzero(~(np.where(neg, pivots < 0, pivots > 0)
-                           & np.isfinite(pivots)))
+    bad = np.flatnonzero(~((pivots > 0) & np.isfinite(pivots)))
     if bad.size:
-        if negative is None:
-            raise NotPositiveDefiniteError(bad[0])
-        raise InertiaError(bad[0])
+        raise NotPositiveDefiniteError(bad[0])
     return lu
 
 

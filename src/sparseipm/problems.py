@@ -29,11 +29,12 @@ class ConvexProgram:
     inexpensive diagonal approximation of the f-Hessian used by the
     block-diagonal augmented preconditioner. Each column (x+, x-) of the
     2 x p index array ``pairs`` names a split pair of non-negative
-    coordinates whose columns in ``A`` and ``Q`` are exact negatives; the
-    direct path eliminates each pair inside its Newton solve. Without ``Q``,
-    the Hessian of f must vanish on pair coordinates (f is at most linear in
-    them). The MINRES path eliminates each slack pair, one whose two columns
-    each hold a single entry of ``A`` in the same row, and that row with it.
+    coordinates whose columns in ``A`` and ``Q`` are exact negatives. Without
+    ``Q``, the Hessian of f must vanish on pair coordinates (f is at most
+    linear in them). The direct and MINRES paths eliminate each slack pair,
+    one whose two columns each hold a single entry of ``A`` in the same row,
+    and that row with it; the direct path reduces every other pair to one
+    unknown inside its Newton solve.
     """
 
     A: sp.csr_matrix
@@ -265,7 +266,8 @@ class FusedLassoLsInstance:
 
 
 def build_fused_lasso_ls(inst: FusedLassoLsInstance) -> ConvexProgram:
-    """Split program with x = [u; w+; w-; d+; d-], u = Dw free."""
+    """Split program with x = [u; w+; w-; d+; d-], u = Dw free; (w+, w-) and
+    (d+, d-) are declared pairs."""
     s, q = inst.data.shape
     L = inst.tv.matrix
     l = inst.tv.rows
@@ -283,7 +285,9 @@ def build_fused_lasso_ls(inst: FusedLassoLsInstance) -> ConvexProgram:
         np.full(2 * q, inst.tau1),
         np.full(2 * l, inst.tau2),
     ])
-    prog = quadratic_program(Q, c, A, b, nonneg=np.arange(s, n), row_split=s)
+    w, d = s + np.arange(q), s + 2 * q + np.arange(l)
+    prog = quadratic_program(Q, c, A, b, nonneg=np.arange(s, n), row_split=s,
+                             pairs=np.array([np.r_[w, d], np.r_[w + q, d + l]]))
     prog.extract = lambda x: x[s:s + q] - x[s + q:s + 2 * q]
     # carry the constant ||y||^2/(2s) so values match the unsplit model
     const = float(inst.labels @ inst.labels) / (2.0 * s)

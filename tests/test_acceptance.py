@@ -26,7 +26,7 @@ from sparseipm.problems import (build_fused_lasso_ls, build_logistic_l1,
                                 build_poisson_tv, build_portfolio_qp,
                                 kl_gradient, kl_value, logistic_loss,
                                 logistic_oracle, quadratic_program)
-from test_ippmm import direct_matrix, factored, random_state
+from test_ippmm import direct_matrix, direct_step, factored, random_state
 
 
 def _report(num, title, ok):
@@ -167,11 +167,13 @@ def test_criterion_04_solver_path_equivalence():
         M = np.column_stack([normal.matvec(e) for e in np.eye(m)])
         dy_normal = np.linalg.solve(M, normal.rhs(r1, r2))
         matrix = direct_matrix(st, prog)
-        sol = np.linalg.solve(matrix.toarray(),
-                              np.concatenate([r1, r2]))
+        sol = np.linalg.solve(matrix, np.concatenate([r1, r2]))
         dy_aug = sol[n:]
         ok &= np.linalg.norm(dy_normal - dy_aug) \
             <= 1e-8 * (1 + np.linalg.norm(dy_aug))
+        # the direct path's step is the dense solve of the same matrix
+        ok &= np.linalg.norm(direct_step(st, prog, r1, r2) - sol) \
+            <= 1e-8 * (1 + np.linalg.norm(sol))
     _report(4, "normal-equations step equals dense augmented step", ok)
     assert ok
 

@@ -4,6 +4,7 @@ import json
 import pkgutil
 import re
 import shlex
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -287,6 +288,17 @@ class TestCli:
                                     "split,accuracy_pct")
         assert scores[1].split(",")[5] == "train"
         assert scores[2].split(",")[5] == "test"
+
+    def test_classify_without_test_rows_writes_no_test_row(self, tmp_path):
+        # the default test fraction rounds to 0 of 1 sample: no empty mean
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["classify", "--n", "1", "--max-iter", "2", "--out",
+                            str(tmp_path)])
+        assert code in (0, 2)
+        rows = (tmp_path / "scores.csv").read_text().splitlines()
+        assert [r.split(",")[5] for r in rows[1:]] == ["train"]
+        assert "nan" not in rows[1]
 
     def test_bench_runs_all_solvers_on_one_instance(self, tmp_path):
         code = run_cli(["portfolio", "--s", "4", "--m", "3", "--solver",

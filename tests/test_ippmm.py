@@ -1,10 +1,13 @@
 import dataclasses
+import json
 import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.sparse.csgraph
+import scipy.sparse.linalg
 
 from sparseipm import baselines, ippmm
 from sparseipm.ippmm import (AugmentedSystem, IpPmmState, NormalEquations,
@@ -44,10 +47,16 @@ def factored(cls, state, program):
 
 
 def direct_matrix(state, program):
-    """The direct path's assembled saddle matrix at ``state``, in natural order."""
-    saddle = factored(SaddleMatrix, state, program)
-    inv = np.argsort(saddle.perm)
-    return saddle.matrix[inv][:, inv]
+    """The unreduced saddle matrix [[-(Q + Θ + ρI), A'], [A, δI]] at
+    ``state``, dense, from its definition."""
+    H = program.Q.toarray() + np.diag(state.xi_diag() + state.rho)
+    A = program.A.toarray()
+    return np.block([[-H, A.T], [A, state.delta * np.eye(program.m)]])
+
+
+def direct_step(state, program, r1, r2):
+    """The direct path's (dx, dy) at ``state``, concatenated."""
+    return np.concatenate(factored(SaddleMatrix, state, program).solve(r1, r2))
 
 
 class TestScalarProblems:
@@ -178,7 +187,10 @@ class TestSystemAssembly:
         H = prog.Q.toarray() + np.diag(st.z / st.x) + st.rho * np.eye(4)
         K = np.block([[-H, prog.A.toarray().T],
                       [prog.A.toarray(), st.delta * np.eye(2)]])
-        np.testing.assert_allclose(matrix.toarray(), K, atol=1e-12)
+        np.testing.assert_allclose(matrix, K, atol=1e-12)
+        np.testing.assert_allclose(direct_step(st, prog, r1, r2),
+                                   np.linalg.solve(matrix, np.concatenate([r1, r2])),
+                                   rtol=1e-10, atol=1e-10)
         # rhs against the definition
         g = prog.gradient(st.x)
         expected_r1 = (g - prog.A.T @ st.y + st.rho * (st.x - st.zeta)
@@ -194,9 +206,13 @@ class TestSystemAssembly:
                                  nonneg=np.array([], dtype=int))
         st = random_state(prog, seed=7)
         matrix = direct_matrix(st, prog)
-        block = matrix.toarray()[:3, :3]
+        block = matrix[:3, :3]
         np.testing.assert_allclose(block, -(1.0 + st.rho) * np.eye(3),
                                    atol=1e-14)
+        r1, r2 = np.arange(1.0, 4.0), np.ones(1)
+        np.testing.assert_allclose(direct_step(st, prog, r1, r2),
+                                   np.linalg.solve(matrix, np.concatenate([r1, r2])),
+                                   rtol=1e-12, atol=1e-12)
 
     def test_matvec_agrees_with_matrix(self):
         prog = self._program(diag=False)
@@ -244,8 +260,10 @@ class TestSystemAssembly:
         M = np.column_stack([normal.matvec(e) for e in np.eye(4)])
         dy_normal = np.linalg.solve(M, normal.rhs(r1, r2))
         matrix = direct_matrix(st, prog)
-        sol = np.linalg.solve(matrix.toarray(), np.concatenate([r1, r2]))
+        sol = np.linalg.solve(matrix, np.concatenate([r1, r2]))
         np.testing.assert_allclose(dy_normal, sol[10:], rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(direct_step(st, prog, r1, r2), sol,
+                                   rtol=1e-10, atol=1e-10)
 
     def test_normal_operator_min_eigenvalue_at_least_delta(self):
         prog = self._program(seed=13, n=8, m=3, diag=True)
@@ -296,19 +314,17 @@ class TestSystemAssembly:
         assert np.array_equal(r2, old_r2)
 
 
-class CountingSpla:
-    """Stand-in for ``ippmm.spla`` that records the order and the fill of
-    every ``splu``."""
+def record_calls(monkeypatch, owner, name, before=lambda a: a):
+    """Route ``owner.name`` through a recorder: each call's first argument is
+    kept in the returned list and passed on through ``before``."""
+    calls, fn = [], getattr(owner, name)
 
-    def __init__(self, wrap=lambda lu: lu):
-        self.specs, self.nnz = [], []
-        self._wrap = wrap
+    def recorded(a, *args, **kwargs):
+        calls.append(a)
+        return fn(before(a), *args, **kwargs)
 
-    def splu(self, *args, **kwargs):
-        lu = spla.splu(*args, **kwargs)
-        self.specs.append(kwargs.get("permc_spec"))
-        self.nnz.append(lu.nnz)
-        return self._wrap(lu)
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
 
 
 class TestDirectPath:
@@ -318,12 +334,12 @@ class TestDirectPath:
         paired = build_portfolio_qp(gen_portfolio(8, 4, 0))
         # without pairs, every dropped variable is an unpaired one
         for prog in (paired, dataclasses.replace(paired, pairs=None)):
-            counting = CountingSpla()
-            monkeypatch.setattr(ippmm, "spla", counting)
+            orders = record_calls(monkeypatch, scipy.sparse.csgraph,
+                                  "reverse_cuthill_mckee")
+            bands = record_calls(monkeypatch, scipy.linalg, "cholesky_banded")
             st = random_state(prog, seed=41)
             Q, A = prog.Q.toarray(), prog.A.toarray()
-            ctx = SaddleMatrix(prog, SolverOptions())  # one matrix for the whole sequence
-            perms = []
+            ctx = SaddleMatrix(prog, SolverOptions())  # one band for the whole sequence
             for change in ("first", "reused", "one-dropped", "both-dropped"):
                 if change == "reused":
                     st.x = 1.5 * st.x
@@ -333,7 +349,6 @@ class TestDirectPath:
                 elif change == "both-dropped":
                     st.dropped[34] = True  # w-_2 as well
                 ctx.factor(st)
-                perms.append(ctx.perm)
                 cols = st.active_indices()
                 _, _, _, rp, gy, _ = kkt_residuals(st, prog)
                 r1, r2 = newton_rhs(st, rp, gy, 0.5)
@@ -346,25 +361,37 @@ class TestDirectPath:
                 np.testing.assert_allclose(np.concatenate([dx[cols], dy]), expected,
                                            rtol=1e-10, atol=1e-10)
                 assert not np.any(dx[st.dropped])
-            assert counting.specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 3
-            assert counting.nnz[1] == counting.nnz[0]  # the order is kept, not inverted
-            assert not np.array_equal(perms[1], np.arange(perms[1].size))
-            # one row per intact pair: the plus member's, with the minus member left out
-            assert perms[0].size == prog.n - prog.pairs.shape[1] + prog.m
-            # w-_2 takes the row of its dropped partner, in its place in the order
-            assert perms[2].size == perms[1].size
-            assert counting.nnz[2] == counting.nnz[1]
-            # dropping both members pins the row: the size and the fill stay
-            assert perms[3].size == perms[2].size
-            assert counting.nnz[3] == counting.nnz[2]
+            assert len(orders) == 1  # the order is found once
+            # one band for every factor, the pinned rows' included
+            assert len(bands) == 4 and len({band.shape for band in bands}) == 1
+            if prog is paired:
+                # one unknown per w pair; the (d+, d-) slack pairs leave with their
+                # 24 difference rows, and the 5 budget rows border K
+                assert ctx.rows.size == 32 and ctx.B.size == 5
+            else:
+                assert ctx.rows.size == prog.n and ctx.B.size == prog.m
 
-    def test_split_pairs_shrink_the_first_factor(self, monkeypatch):
-        # the benchmark's 40 x 12 portfolio; 163,226 nonzeros without pairs
-        counting = CountingSpla()
-        monkeypatch.setattr(ippmm, "spla", counting)
+    def test_split_pairs_shrink_the_first_factor(self):
+        # the benchmark's 40 x 12 portfolio: K holds w alone, one unknown per
+        # asset and period, with half-bandwidth at most s = 40
         prog = build_portfolio_qp(gen_portfolio(40, 12, 1))
-        factored(SaddleMatrix, initial_state(prog, SolverOptions()), prog)
-        assert counting.nnz[0] <= 50_000
+        system = factored(SaddleMatrix, initial_state(prog, SolverOptions()), prog)
+        assert system.rows.size == 480 and system.B.size == 13
+        assert system.bw <= 40 and system.L.shape == (system.bw + 1, 480)
+
+    @pytest.mark.parametrize("drop", [
+        "none", "w member", "w pair", "slack member", "slack pair", "border row"])
+    def test_reduced_step_matches_dense_unreduced_solve(self, drop):
+        prog = build_portfolio_qp(make_portfolio())  # 4 assets, 3 periods
+        n = 12  # x = [w+; w-; d+; d-], with 8 (d+, d-) pairs from x[24]
+        st = random_state(prog, seed=47)
+        st.dropped[{"none": [], "w member": [2], "w pair": [5, n + 5],
+                    "slack member": [2 * n + 1], "slack pair": [2 * n + 2, 2 * n + 10],
+                    # every column of the initial-budget row: w+ and w- of period 1
+                    "border row": [0, 1, 2, 3, n, n + 1, n + 2, n + 3]}[drop]] = True
+        system = factored(SaddleMatrix, st, prog)
+        assert system.R.size == 8 and system.B.size == 4
+        assert_dense_step(system, st, prog)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_pair_elimination_keeps_the_iterates(self, seed):
@@ -389,43 +416,64 @@ class TestDirectPath:
             solve(bad, SolverOptions())
 
     def test_wrong_inertia_is_numerical_failure(self, monkeypatch):
-        class Flipped:
-            """A factor whose pivots all have the opposite sign."""
-
-            def __init__(self, lu):
-                self.U = -lu.U
-                self._lu = lu
-
-            def __getattr__(self, name):
-                return getattr(self._lu, name)
-
-        monkeypatch.setattr(ippmm, "spla", CountingSpla(Flipped))
+        # K with its sign flipped: the banded Cholesky factor breaks down
+        bands = record_calls(monkeypatch, scipy.linalg, "cholesky_banded",
+                             lambda band: -band)
         prog = build_portfolio_qp(gen_portfolio(8, 4, 0))
         _, rep = solve(prog, SolverOptions())
         assert rep.status == "numerical-failure"
-        assert rep.iterations == 0
+        assert rep.iterations == 0 and len(bands) == 1
+        assert json.loads(rep.to_json())["status"] == "numerical-failure"
+
+    def test_border_breakdown_is_numerical_failure(self, monkeypatch):
+        # δI + A_B K^-1 A_B' with its sign flipped: the dense factor breaks down
+        borders = record_calls(monkeypatch, scipy.linalg, "cho_factor", lambda S: -S)
+        prog = build_portfolio_qp(gen_portfolio(8, 4, 0))
+        _, rep = solve(prog, SolverOptions())
+        assert rep.status == "numerical-failure"
+        assert rep.iterations == 0 and len(borders) == 1
+        assert json.loads(rep.to_json())["status"] == "numerical-failure"
+
+    def test_infinite_diagonal_raises_before_the_factor(self, monkeypatch):
+        bands = record_calls(monkeypatch, scipy.linalg, "cholesky_banded")
+        prog = dataclasses.replace(build_portfolio_qp(gen_portfolio(8, 4, 0)), pairs=None)
+        st = random_state(prog, seed=41)
+        st.x[0] = 0.0  # Θ = z/x is infinite on an unpaired variable
+        with np.errstate(divide="ignore"), pytest.raises(np.linalg.LinAlgError):
+            factored(SaddleMatrix, st, prog)
+        assert bands == []
 
     def test_dropping_solve_orders_once(self, monkeypatch):
-        counting = CountingSpla()
-        monkeypatch.setattr(ippmm, "spla", counting)
+        orders = record_calls(monkeypatch, scipy.sparse.csgraph, "reverse_cuthill_mckee")
+        bands = record_calls(monkeypatch, scipy.linalg, "cholesky_banded")
         prog = build_portfolio_qp(gen_portfolio(8, 4, 0))
         _, rep = solve(prog, SolverOptions(dropping=True, eps_drop=1e-4))
         assert rep.status == "optimal" and rep.drop_audit["dropped"]
-        assert counting.specs.count("MMD_AT_PLUS_A") == 1
-        assert counting.specs[0] == "MMD_AT_PLUS_A"
-        # one pattern per solve: every NATURAL factor has the same fill
-        assert set(counting.nnz[1:]) == {counting.nnz[1]}
+        assert len(orders) == 1
+        # one pattern per solve: every factor has the same band
+        assert len({band.shape for band in bands}) == 1
 
     @pytest.mark.parametrize("dropping", [False, True])
-    def test_every_factorization_goes_through_ippmm_splu(self, monkeypatch,
-                                                        dropping):
-        # the benchmark's ippmm.lu_factor layer is traced on this name
-        counting = CountingSpla()
-        monkeypatch.setattr(ippmm, "spla", counting)
+    def test_one_banded_factor_per_outer_iteration(self, monkeypatch, dropping):
+        bands = record_calls(monkeypatch, scipy.linalg, "cholesky_banded")
+        lus = record_calls(monkeypatch, scipy.sparse.linalg, "splu")
         prog = build_portfolio_qp(gen_portfolio(8, 4, 1))
         _, rep = solve(prog, SolverOptions(dropping=dropping, eps_drop=1e-4))
         assert rep.status == "optimal"
-        assert len(counting.specs) == rep.iterations
+        assert len(bands) == rep.iterations
+        assert lus == []  # no SuperLU factor on the direct path
+
+    def test_fmri_direct_reaches_the_pcg_optimum(self):
+        with pytest.warns(UserWarning, match="more samples than features"):
+            inst, _ = gen_fused_lasso(10, (3, 3), 0)
+        prog = build_fused_lasso_ls(inst)
+        # at 1e-9 every path stalls on this program with the dual residual near 2e-9
+        reports = [solve(prog, SolverOptions(tol=1e-8, linear_solver=path))[1]
+                   for path in ("pcg-normal", "direct-augmented")]
+        assert [rep.status for rep in reports] == ["optimal", "optimal"]
+        pcg_rep, direct_rep = reports
+        assert direct_rep.final_objective == pytest.approx(pcg_rep.final_objective,
+                                                           rel=1e-7)
 
 
 class TestSolveBehavior:
