@@ -13,14 +13,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from . import dropping as dropmod
 from . import precond as precondmod
-from .krylov import NotPositiveDefiniteError, minres, pcg
+from .krylov import BorderedBand, NotPositiveDefiniteError, minres, pcg
 from .problems import ConvexProgram
 
 
@@ -49,7 +47,7 @@ class SolverOptions:
     tol: float = 1e-6
     max_iter: int = 100
     linear_solver: str = "direct-augmented"  # | pcg-normal | minres-augmented
-    precond: str = "auto"                    # auto | identity | fmri-block | aug-block
+    precond: str = "auto"                    # | fmri-block
     htilde_choice: str = "u-squared"         # | diag-h
     dropping: bool = False
     eps_drop: float = 1e-4
@@ -64,7 +62,8 @@ class SolverOptions:
             raise ValueError("dropping needs a positive eps_drop")
         if self.htilde_choice not in ("u-squared", "diag-h"):
             raise ValueError(f"unknown htilde_choice {self.htilde_choice!r}")
-        if self.precond not in ("auto", *_PRECONDS[self.linear_solver]):
+        if self.precond != "auto" and (self.linear_solver, self.precond) != (
+                "pcg-normal", "fmri-block"):
             raise ValueError(f"preconditioner {self.precond!r} does not apply to "
                              f"{self.linear_solver}")
 
@@ -310,8 +309,9 @@ class AugmentedSystem(NewtonSystem):
     MINRES runs on [[-K, A_B'], [A_B, δI]] over the other active variables,
     with K = H + Θ + ρI + A_R' E^-1 A_R and A_B the rows without a slack
     pair; dy_R and the pair steps follow in closed form. The preconditioner
-    is blockdiag(P, δI + A_B P^-1 A_B'), with P = K and H~ in place of H.
-    Without slack pairs this is the whole active-set system.
+    is blockdiag(P, δI + A_B P^-1 A_B'), with P = K and H~ in place of H,
+    factored as a ``krylov.BorderedBand`` built again whenever the columns
+    are cut again. Without slack pairs this is the whole active-set system.
     """
 
     def __init__(self, program: ConvexProgram, options: SolverOptions):
@@ -325,18 +325,20 @@ class AugmentedSystem(NewtonSystem):
 
     def factor(self, state: IpPmmState):
         if self._refresh(state):
-            self.cols = self.active[self.rest[self.active]]  # unknowns besides dy_B
-            self.na = self.cols.size
-            A = self.program.A[:, self.cols]
-            self.A_act, self.A_R = sp.csc_matrix(A[self.B]), A[self.R]  # A_B, A_R
+            cols = self.active[self.rest[self.active]]  # unknowns besides dy_B
+            A = self.program.A[:, cols]
+            self.band = BorderedBand(None, A[self.R], A[self.B])
+            self.cols, self.na = cols[self.band.order], cols.size  # in band order
+            self.A_act = sp.csc_matrix(A[self.B][:, self.band.order])  # A_B
+            self.A_R = self.band.A_R
             self._A_act_T = self.A_act.T
         self.E = self._slack_diagonal()
         self.diag_shift = self.xi[self.cols] + state.rho
         self.K_R = self.A_R.T @ sp.diags(1.0 / self.E[self.R]) @ self.A_R
         self._hess = self.program.hess_action(state.x)
-        self.precond = precondmod.build_aug_block_diag_precond(
-            self.K_R + sp.diags(self.chooser(state.x)[self.cols] + self.diag_shift),
-            self.A_act, state.delta)
+        self.band.factor(self.chooser(state.x)[self.cols] + self.diag_shift,
+                         1.0 / self.E[self.R], state.delta)
+        self.precond = precondmod.build_aug_block_diag_precond(self.band)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         na = self.na
@@ -371,14 +373,9 @@ class SaddleMatrix(NewtonSystem):
     Each other split pair (x+, x-) of ``program.pairs`` is reduced to its
     plus member's unknown u = dx+ - dx-, with diagonal 1/(e+ + e-); an
     unpaired variable has 1/e. That leaves [[-K, A_B'], [A_B, δI]] with
-    K = Q_u + D~ + A_R' E^-1 A_R. K = LL' is factored by banded Cholesky in
-    the reverse Cuthill-McKee order found once per solve, and the rows B
-    through the dense Cholesky factor of δI + Z'Z with Z = L^-1 A_B'. The
-    band's pattern is fixed for the solve: its Q part is written once, and
-    A_R' E^-1 A_R is added as one sparse product per factor. A row of K
-    with no active variable left is pinned: unit diagonal, zero
-    off-diagonals and zero rhs, and its column leaves A_B and A_R, so its
-    step is exactly 0.
+    K = Q_u + D~ + A_R' E^-1 A_R, factored as a ``krylov.BorderedBand``
+    whose order is found once per solve. A row of K with no active variable
+    left is pinned (``BorderedBand.pin``), so its step is exactly 0.
     """
 
     def __init__(self, program: ConvexProgram, options: SolverOptions):
@@ -392,98 +389,40 @@ class SaddleMatrix(NewtonSystem):
         self._find_slack_pairs(program)
         split = self.rest[p]  # pairs that are not slack pairs
         self.p, self.q = p[split], q[split]
-        keep = self.rest.copy()
-        keep[self.q] = False
-        rows = np.flatnonzero(keep)
-        Qu, A = program.Q[rows][:, rows].tocoo(), program.A[:, rows]
-        A_R = abs(A[self.R])
-        order = scipy.sparse.csgraph.reverse_cuthill_mckee(
-            (abs(Qu) + A_R.T @ A_R).tocsr(), symmetric_mode=True)
-        self.rows, N = rows[order], rows.size  # K's unknowns, in band order
-        where = np.empty(program.n, dtype=int)
-        where[self.rows] = np.arange(N)
-        self.kp = where[self.p]  # the u of each split pair
-        A = sp.csr_matrix(A[:, order])
-        self.A_R, self.A_Bt = A[self.R], A[self.B].T.toarray()
-        # K's entries on and below the diagonal, in lower band storage [i - j, j]:
-        # Q_u's are written once, and entry (i, j) of A_R' E^-1 A_R is row
-        # (i, j) of W @ (1/E_R), summing A_R[r, i] A_R[r, j] / E_r over the rows r
-        lens = np.diff(self.A_R.indptr)
-        sq = lens ** 2
-        t = np.arange(sq.sum()) - np.repeat(np.cumsum(sq) - sq, sq)
-        start, per = np.repeat(self.A_R.indptr[:-1], sq), np.repeat(lens, sq)
-        k, l = start + t // per, start + t % per
-        i, j = self.A_R.indices[k], self.A_R.indices[l]
-        low = i >= j
-        qi, qj = where[rows[Qu.row]], where[rows[Qu.col]]
-        qlow = qi >= qj
-        self.bw = int(max((i - j)[low].max(initial=0), (qi - qj)[qlow].max(initial=0)))
-        self.band_q = np.zeros((self.bw + 1, N))
-        self.band_q[(qi - qj)[qlow], qj[qlow]] = Qu.data[qlow]
-        self.pos, slot = np.unique(((i - j) * N + j)[low], return_inverse=True)
-        self.W = sp.csr_matrix(
-            ((self.A_R.data[k] * self.A_R.data[l])[low],
-             (slot, np.repeat(np.arange(lens.size), sq)[low])),
-            shape=(self.pos.size, lens.size))
-        self.pin = np.zeros(N, dtype=bool)
+        rows = np.setdiff1d(np.flatnonzero(self.rest), self.q)
+        A = program.A[:, rows]
+        self.band = BorderedBand(program.Q[rows][:, rows], A[self.R], A[self.B])
+        self.rows = rows[self.band.order]  # K's unknowns, in band order
+        # the band position of each split pair's u
+        self.kp = np.argsort(self.band.order)[np.searchsorted(rows, self.p)]
 
     def factor(self, state: IpPmmState):
-        """Write the values of ``state`` and factor; a band that is not
-        finite, or a Cholesky breakdown of the band or the border, raises
-        LinAlgError."""
         if self._refresh(state):
             live = ~state.dropped
             live[self.p] |= live[self.q]  # a pair's row lives while either member does
-            self._pin(~live[self.rows])
+            self.band.pin(~live[self.rows])
         self.E = self._slack_diagonal()
         esum = self.e.copy()
         esum[self.p] += self.e[self.q]
         self.dt = np.divide(1.0, esum[self.rows], out=np.ones(self.rows.size),
-                            where=~self.pin)
-        band = self.band_q.copy()
-        band.ravel()[self.pos] += self.W @ (1.0 / self.E[self.R])
-        band[0] += self.dt
-        if not np.all(np.isfinite(band)):  # an infinite Θ, say
-            raise np.linalg.LinAlgError("the Newton matrix is not finite")
-        self.L = scipy.linalg.cholesky_banded(band, lower=True, check_finite=False)
-        self.Z = self._tri(self.A_Bt, "N")
-        S = self.Z.T @ self.Z + state.delta * np.eye(self.B.size)
-        self.S = scipy.linalg.cho_factor(S, lower=True, check_finite=False)
-
-    def _tri(self, b: np.ndarray, trans: str) -> np.ndarray:
-        """L^-1 b, or L'^-1 b with ``trans`` "T"."""
-        return scipy.linalg.lapack.dtbtrs(self.L, b, uplo="L", trans=trans)[0]
-
-    def _pin(self, pin: np.ndarray):
-        """Pin the rows of ``pin``: the entries of each row not pinned yet
-        leave the band, A_B and A_R. Pins are never lifted."""
-        new, self.pin = pin & ~self.pin, pin
-        d, j = np.divmod(self.pos, pin.size)
-        kept = ~(new[j] | new[j + d])
-        self.pos, self.W = self.pos[kept], self.W[kept]
-        off = np.arange(self.bw + 1)[:, None]
-        cols = np.flatnonzero(new) - off  # the band entries of each new row, by offset
-        self.band_q[np.broadcast_to(off, cols.shape)[cols >= 0], cols[cols >= 0]] = 0.0
-        self.band_q[:, new] = 0.0  # and of its column
-        self.A_Bt[new] = 0.0
-        self.A_R.data[new[self.A_R.indices]] = 0.0
+                            where=~self.band.pinned)
+        self.band.factor(self.dt, 1.0 / self.E[self.R], state.delta)
 
     def solve(self, r1: np.ndarray, r2: np.ndarray):
-        p, q, e, kp = self.p, self.q, self.e, self.kp
+        p, q, e, kp, band = self.p, self.q, self.e, self.kp, self.band
         u = self._slack_rhs(r1, r2)
         rt = r1[self.rows]
         rt[kp] = self.dt[kp] * (e[p] * r1[p] - e[q] * r1[q])
-        rt[self.pin] = 0.0
+        rt[band.pinned] = 0.0
         # -K dx + A_B' dy_B = rt - A_R' u and A_B dx + δ dy_B = r2_B, with K = LL'
-        h = self._tri(rt - self.A_R.T @ u, "N")
-        dyB = scipy.linalg.cho_solve(self.S, r2[self.B] + self.Z.T @ h,
-                                     check_finite=False)
-        xu = self._tri(self.Z @ dyB - h, "T")
+        h = band.tri(rt - band.A_R.T @ u, "N")
+        dyB = band.schur_solve(r2[self.B] + band.Z.T @ h)
+        xu = band.tri(band.Z @ dyB - h, "T")
         dx = np.zeros(e.size)
         dx[self.rows] = xu
         dy = np.empty(r2.size)
         dy[self.B] = dyB
-        self._slack_steps(dx, dy, r1, u, self.A_R @ xu)
+        self._slack_steps(dx, dy, r1, u, band.A_R @ xu)
         gp = self.dt[kp] * xu[kp] + rt[kp]  # recover the pair from its u
         dx[p] = (gp - r1[p]) * e[p]
         dx[q] = -(gp + r1[q]) * e[q]
@@ -492,25 +431,24 @@ class SaddleMatrix(NewtonSystem):
 
 class NormalEquations(NewtonSystem):
     """PCG path: the SPD operator dy -> (A G^-1 A' + delta I) dy with G
-    diagonal, and its preconditioner."""
+    diagonal, and its preconditioner: fmri-block on a program with a
+    ``row_split``, none on any other."""
 
     def __init__(self, program: ConvexProgram, options: SolverOptions):
         if not program.hessian_is_diagonal:
             raise UnsupportedStructureError(
                 "normal equations need a diagonal Hessian; use the augmented path")
         self.program = program
-        self.kind = options.precond
-        if self.kind == "auto":
-            self.kind = "fmri-block" if program.row_split is not None else "identity"
 
     def factor(self, state: IpPmmState):
+        split = self.program.row_split
         if self._refresh(state):
             self.A_act = sp.csc_matrix(self.program.A[:, self.active])
-            if self.kind == "fmri-block":
-                self.blocks = precondmod.fmri_row_blocks(self.A_act, self.program.row_split)
+            if split is not None:
+                self.blocks = precondmod.fmri_row_blocks(self.A_act, split)
         self.gdiag = (self.program.hess_diag(state.x)[self.active]
                       + self.xi[self.active] + state.rho)
-        if self.kind == "fmri-block":
+        if split is not None:
             self.precond = precondmod.build_fmri_normal_precond(
                 self.gdiag, *self.blocks, state.delta)
         else:
@@ -535,9 +473,6 @@ _CONTEXTS = {
     "pcg-normal": NormalEquations.at,
     "minres-augmented": AugmentedSystem.at,
 }
-# preconditioners each path accepts besides "auto"
-_PRECONDS = {"direct-augmented": (), "pcg-normal": ("identity", "fmri-block"),
-             "minres-augmented": ("aug-block",)}
 
 
 # ---------------------------------------------------------------------------

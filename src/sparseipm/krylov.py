@@ -8,6 +8,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.csgraph
 import scipy.sparse.linalg as spla
 
 # SuperLU reserves 10-20 MB blocks per factorization and touches little of
@@ -38,34 +39,24 @@ class KrylovOutcome:
     breakdown_reason: Optional[str] = None
 
 
-def ldl_factor(M):
-    """Sparse LDL' of an SPD matrix under a minimum-degree order on A + A'.
-
-    An SPD matrix factors under any symmetric order without pivoting, so
-    SuperLU runs in symmetric mode with no diagonal pivoting. A pivot that is
-    not positive, or not finite, raises ``NotPositiveDefiniteError``.
-    """
-    lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   options=dict(SymmetricMode=True))
-    pivots = np.real(lu.U.diagonal())
-    bad = np.flatnonzero(~((pivots > 0) & np.isfinite(pivots)))
-    if bad.size:
-        raise NotPositiveDefiniteError(bad[0])
-    return lu
-
-
 class CholeskyFactor:
-    """Reusable SPD factorization; dense via LAPACK, sparse via ``ldl_factor``
-    with a fresh minimum-degree order on A + A'."""
+    """Reusable SPD factorization: dense by LAPACK, sparse by SuperLU under a
+    fresh minimum-degree order on A + A'. An SPD matrix factors under any
+    symmetric order without pivoting, so SuperLU runs in symmetric mode with
+    no diagonal pivoting. A pivot that is not positive, or not finite,
+    raises ``NotPositiveDefiniteError``."""
 
     def __init__(self, M):
-        if sp.issparse(M):
-            self.is_sparse = True
-            self._lu = ldl_factor(sp.csc_matrix(M))
+        self.is_sparse = sp.issparse(M)
+        if self.is_sparse:
+            self._lu = spla.splu(sp.csc_matrix(M), permc_spec="MMD_AT_PLUS_A",
+                                 diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+            pivots = np.real(self._lu.U.diagonal())
+            bad = np.flatnonzero(~((pivots > 0) & np.isfinite(pivots)))
+            if bad.size:
+                raise NotPositiveDefiniteError(bad[0])
         else:
-            self.is_sparse = False
-            M = np.asarray(M, dtype=float)
-            c, info = scipy.linalg.lapack.dpotrf(M, lower=1)
+            c, info = scipy.linalg.lapack.dpotrf(np.asarray(M, dtype=float), lower=1)
             if info > 0:
                 raise NotPositiveDefiniteError(info - 1)
             if info < 0:
@@ -80,6 +71,95 @@ class CholeskyFactor:
         if info != 0:
             raise ValueError(f"dpotrs failed with info={info}")
         return x
+
+
+class BorderedBand:
+    """The SPD K = C + diag(d) + A_R' diag(w) A_R as a band, and the dense
+    border δI + A_B K^-1 A_B', both factored by Cholesky.
+
+    The pattern is fixed at construction: the reverse Cuthill-McKee order of
+    |C| + |A_R|'|A_R|, C's lower band, and the band positions into which
+    A_R' diag(w) A_R = W @ w is added per factor. Vectors over K's unknowns
+    are in band order: unknown k is column ``order[k]`` of C, A_R and A_B.
+    """
+
+    def __init__(self, C, A_R, A_B):
+        N = A_R.shape[1]
+        C = sp.coo_matrix((N, N)) if C is None else C.tocoo()
+        self.order = scipy.sparse.csgraph.reverse_cuthill_mckee(
+            (abs(C) + abs(A_R).T @ abs(A_R)).tocsr(), symmetric_mode=True)
+        where = np.argsort(self.order)  # the band position of each unknown
+        self.A_R = sp.csr_matrix(A_R[:, self.order])
+        self.A_Bt = A_B[:, self.order].T.toarray()
+        # K's entries on and below the diagonal, in lower band storage [i - j, j]:
+        # C's are written once, and entry (i, j) of A_R' diag(w) A_R is row
+        # (i, j) of W @ w, summing A_R[r, i] A_R[r, j] w_r over the rows r
+        lens = np.diff(self.A_R.indptr)
+        sq = lens ** 2
+        t = np.arange(sq.sum()) - np.repeat(np.cumsum(sq) - sq, sq)
+        start, per = np.repeat(self.A_R.indptr[:-1], sq), np.repeat(lens, sq)
+        k, l = start + t // per, start + t % per
+        i, j = self.A_R.indices[k], self.A_R.indices[l]
+        low = i >= j
+        ci, cj = where[C.row], where[C.col]
+        clow = ci >= cj
+        self.bw = int(max((i - j)[low].max(initial=0), (ci - cj)[clow].max(initial=0)))
+        self.band_c = np.zeros((self.bw + 1, N))
+        self.band_c[(ci - cj)[clow], cj[clow]] = C.data[clow]
+        self.pos, slot = np.unique(((i - j) * N + j)[low], return_inverse=True)
+        self.W = sp.csr_matrix(
+            ((self.A_R.data[k] * self.A_R.data[l])[low],
+             (slot, np.repeat(np.arange(lens.size), sq)[low])),
+            shape=(self.pos.size, lens.size))
+        self.pinned = np.zeros(N, dtype=bool)
+
+    def pin(self, pin: np.ndarray):
+        """Pin the unknowns of ``pin``: the entries of each one not pinned
+        yet leave the band, A_B and A_R, so with a unit ``d`` and a zero rhs
+        its solution is exactly 0. Pins are never lifted."""
+        new, self.pinned = pin & ~self.pinned, pin
+        d, j = np.divmod(self.pos, pin.size)
+        kept = ~(new[j] | new[j + d])
+        self.pos, self.W = self.pos[kept], self.W[kept]
+        off = np.arange(self.bw + 1)[:, None]
+        cols = np.flatnonzero(new) - off  # the band entries of each new row, by offset
+        self.band_c[np.broadcast_to(off, cols.shape)[cols >= 0], cols[cols >= 0]] = 0.0
+        self.band_c[:, new] = 0.0  # and of its column
+        self.A_Bt[new] = 0.0
+        self.A_R.data[new[self.A_R.indices]] = 0.0
+
+    def factor(self, d: np.ndarray, w: np.ndarray, delta: float):
+        """K = LL' for ``d`` (band order) and ``w`` (one per row of A_R), and
+        the border as δI + Z'Z with Z = L^-1 A_B'. A band that is not finite,
+        or a Cholesky breakdown of the band or the border, raises
+        LinAlgError."""
+        band = self.band_c.copy()
+        band.ravel()[self.pos] += self.W @ w
+        band[0] += d
+        if not np.all(np.isfinite(band)):  # an infinite Θ, say
+            raise np.linalg.LinAlgError("the Newton matrix is not finite")
+        self.L = scipy.linalg.cholesky_banded(band, lower=True, check_finite=False)
+        self.Z = self.tri(self.A_Bt, "N")
+        if self.Z.shape[1]:  # without border rows LAPACK gets no empty matrix
+            S = self.Z.T @ self.Z + delta * np.eye(self.Z.shape[1])
+            self.S = scipy.linalg.cho_factor(S, lower=True, check_finite=False)[0]
+
+    def tri(self, b: np.ndarray, trans: str) -> np.ndarray:
+        """L^-1 b, or L'^-1 b with ``trans`` "T"; an empty b is returned as
+        it is, since LAPACK's dtbtrs corrupts the heap on one."""
+        if not b.size:
+            return b
+        return scipy.linalg.lapack.dtbtrs(self.L, b, uplo="L", trans=trans)[0]
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """K^-1 r, in band order."""
+        return self.tri(self.tri(r, "N"), "T")
+
+    def schur_solve(self, r: np.ndarray) -> np.ndarray:
+        """(δI + A_B K^-1 A_B')^-1 r."""
+        if not r.size:
+            return r
+        return scipy.linalg.lapack.dpotrs(self.S, r, lower=1)[0]
 
 
 def _as_matvec(M) -> Callable[[np.ndarray], np.ndarray]:

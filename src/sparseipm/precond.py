@@ -63,35 +63,17 @@ def build_fmri_normal_precond(g_diag: np.ndarray, cols: np.ndarray, A1: np.ndarr
     return Preconditioner(apply_inverse=apply_inverse)
 
 
-def build_aug_block_diag_precond(P, A, delta: float) -> Preconditioner:
-    """blockdiag(P, A P^-1 A' + delta I) for the augmented (saddle) system.
-
-    ``P`` is the SPD approximation of the full (1,1) block: H~ with the
-    complementarity and proximal diagonals, plus A_R' E^-1 A_R where rows
-    were eliminated with their slack pairs (``ippmm.AugmentedSystem``). A
-    diagonal P is applied by division and gives a sparse Schur block; any
-    other P gets a sparse Cholesky factor, and the Schur block takes one P
-    solve per row of A (one on Poisson: the intensity budget). Without rows
-    (on logistic every row was eliminated) there is no Schur block.
-    """
-    P = sp.csr_matrix(P)
-    A = sp.csr_matrix(A)
-    p = P.diagonal()
-    if np.any(p <= 0):
-        raise ValueError("diagonal approximation must be strictly positive")
-    diagonal = P.nnz == p.size  # then P^-1 r = r / p
-    solve_p = p.__rtruediv__ if diagonal else CholeskyFactor(P.tocsc()).solve
-    if A.shape[0] == 0:
-        return Preconditioner(apply_inverse=solve_p)
-    AP = (A @ sp.diags(1.0 / p) if diagonal
-          else sp.csr_matrix(solve_p(A.T.toarray()).T))
-    solve_s = CholeskyFactor((AP @ A.T + delta * sp.eye(A.shape[0])).tocsc()).solve
-    na = p.size
+def build_aug_block_diag_precond(band) -> Preconditioner:
+    """blockdiag(P, δI + A_B P^-1 A_B') for the augmented (saddle) system,
+    from ``band``, a factored ``krylov.BorderedBand`` whose K is P; P's
+    unknowns come first, in band order. P = H~ + Θ + ρI + A_R' E^-1 A_R
+    approximates the (1,1) block (``ippmm.AugmentedSystem``)."""
+    na = band.order.size
 
     def apply_inverse(r):
         out = np.empty_like(r)
-        out[:na] = solve_p(r[:na])
-        out[na:] = solve_s(r[na:])
+        out[:na] = band.solve(r[:na])
+        out[na:] = band.schur_solve(r[na:])
         return out
 
     return Preconditioner(apply_inverse=apply_inverse)

@@ -10,7 +10,7 @@ import numpy as np
 from sparseipm.problems import quadratic_program
 
 STRUCTURES = ("plain", "degenerate", "ill-conditioned", "diagonal", "free",
-              "rank-deficient", "slack")
+              "rank-deficient", "slack", "all-slack")
 
 
 def planted_qp(structure: str, n: int, m: int, seed: int):
@@ -26,7 +26,9 @@ def planted_qp(structure: str, n: int, m: int, seed: int):
     ``slack``: 4 more rows of A, each with its own declared split pairs
     (x+, x-), whose columns are a e_i and -a e_i and which Q does not touch;
     the last row holds two pairs. Each x+ is basic and each x- is not. The
-    program then has m + 4 rows and n + 10 columns.
+    program then has m + 4 rows and n + 10 columns;
+    ``all-slack``: the same with one pair in each of the m rows of A and no
+    rows added, so every row holds a slack pair: n + 2m columns.
     """
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
@@ -55,14 +57,16 @@ def planted_qp(structure: str, n: int, m: int, seed: int):
         x[free] = rng.standard_normal(free.size)
         nonneg = np.setdiff1d(nonneg, free)
     pairs = None
-    if structure == "slack":
-        rows = m + np.array([0, 1, 2, 3, 3])
+    if structure in ("slack", "all-slack"):
+        rows = m + np.array([0, 1, 2, 3, 3]) if structure == "slack" else np.arange(m)
         k = rows.size
         a = rng.uniform(0.5, 2.0, k) * rng.choice([-1.0, 1.0], k)
-        slack = np.zeros((m + 4, 2 * k))
+        if structure == "slack":
+            A = np.vstack([A, rng.standard_normal((4, n))])
+        slack = np.zeros((A.shape[0], 2 * k))
         slack[rows, np.arange(k)] = a
         slack[rows, k + np.arange(k)] = -a
-        A = np.hstack([np.vstack([A, rng.standard_normal((4, n))]), slack])
+        A = np.hstack([A, slack])
         Q = np.pad(Q, (0, 2 * k))
         x = np.concatenate([x, rng.uniform(0.5, 2.0, k), np.zeros(k)])
         z = np.concatenate([z, np.zeros(k), rng.uniform(0.5, 2.0, k)])

@@ -218,7 +218,9 @@ class TestSystemAssembly:
         prog = self._program(diag=False)
         st = random_state(prog, seed=8)
         system = factored(AugmentedSystem, st, prog)
-        matrix = direct_matrix(st, prog)
+        # the system's unknowns: the columns in its band order, then dy
+        order = np.concatenate([system.cols, prog.n + np.arange(prog.m)])
+        matrix = direct_matrix(st, prog)[np.ix_(order, order)]
         v = np.random.default_rng(9).standard_normal(6)
         np.testing.assert_allclose(system.matvec(v), matrix @ v,
                                    atol=1e-10)
@@ -377,7 +379,8 @@ class TestDirectPath:
         prog = build_portfolio_qp(gen_portfolio(40, 12, 1))
         system = factored(SaddleMatrix, initial_state(prog, SolverOptions()), prog)
         assert system.rows.size == 480 and system.B.size == 13
-        assert system.bw <= 40 and system.L.shape == (system.bw + 1, 480)
+        band = system.band
+        assert band.bw <= 40 and band.L.shape == (band.bw + 1, 480)
 
     @pytest.mark.parametrize("drop", [
         "none", "w member", "w pair", "slack member", "slack pair", "border row"])
@@ -519,8 +522,7 @@ class TestSolveBehavior:
         prog = quadratic_program(Q, rng.standard_normal(n), A, A @ x_feas)
         sols = {}
         for path in ("direct-augmented", "pcg-normal", "minres-augmented"):
-            opts = SolverOptions(tol=1e-8, linear_solver=path,
-                                 precond="identity" if path == "pcg-normal" else "auto")
+            opts = SolverOptions(tol=1e-8, linear_solver=path)
             (x, _, _), rep = solve(prog, opts)
             assert rep.status == "optimal", path
             sols[path] = prog.objective(x)
@@ -693,21 +695,15 @@ class TestSlackPairElimination:
         assert_dense_step(system, st, prog)
 
     def test_logistic_builds_no_schur_factor(self, monkeypatch):
-        # every logistic row holds a slack pair, so A_B has no rows
-        from sparseipm import precond
-        built = []
-        factor = precond.CholeskyFactor
-
-        def counted(M):
-            built.append(M)
-            return factor(M)
-
-        monkeypatch.setattr(precond, "CholeskyFactor", counted)
+        # every logistic row holds a slack pair, so A_B has no rows and the
+        # preconditioner is the band of P alone
+        bands = record_calls(monkeypatch, scipy.linalg, "cholesky_banded")
+        borders = record_calls(monkeypatch, scipy.linalg, "cho_factor")
         inst, _, _ = gen_classification(200, 40, 2.0, 0.1, 0)
         _, rep = solve(build_logistic_l1(inst), SolverOptions(
             linear_solver="minres-augmented", htilde_choice="diag-h"))
-        assert built == []
-        # the status and counts of the same solve with a 0 x 0 Schur factor
+        assert borders == [] and len(bands) == rep.iterations
+        assert {band.shape[0] for band in bands} == {1}  # P is diagonal
         assert (rep.status, rep.iterations, rep.inner_iterations) == ("optimal", 9, 172)
 
     def test_planted_slack_rows_are_eliminated(self):
@@ -725,11 +721,13 @@ class TestSlackPairElimination:
             return minres(M, rhs, *args, **kwargs)
 
         monkeypatch.setattr(ippmm, "minres", recorded)
+        lus = record_calls(monkeypatch, scipy.sparse.linalg, "splu")
         prog = build_poisson_tv(make_poisson(size=8))
         _, rep = solve(prog, SolverOptions(linear_solver="minres-augmented",
                                            max_iter=3))
         assert rep.iterations == 3
         assert sizes == [64 + 1] * 6
+        assert lus == []  # the preconditioner factors no SuperLU either
 
 
 class TestLifecycle:
@@ -856,6 +854,16 @@ class TestMinresPath:
         assert rep.iterations == 5
         assert rep.inner_iterations > 2 * rep.iterations
         assert len(built) == rep.iterations
+
+    @pytest.mark.parametrize("name", ["cholesky_banded", "cho_factor"])
+    def test_factor_breakdown_is_numerical_failure(self, monkeypatch, name):
+        # P's band, or the border δI + A_B P^-1 A_B' of the budget row, with
+        # its sign flipped: its Cholesky factor breaks down
+        calls = record_calls(monkeypatch, scipy.linalg, name, lambda M: -M)
+        _, rep = solve(self.program(), SolverOptions(linear_solver="minres-augmented"))
+        assert rep.status == "numerical-failure"
+        assert rep.iterations == 0 and len(calls) == 1
+        assert json.loads(rep.to_json())["status"] == "numerical-failure"
 
     def test_report_counts_unconverged_inner_solves(self, monkeypatch):
         import json

@@ -4,7 +4,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from sparseipm import precond
-from sparseipm.krylov import NotPositiveDefiniteError, minres, pcg
+from sparseipm.krylov import BorderedBand, minres, pcg
 from sparseipm.precond import (aug_spectral_report, augmented_matrix,
                                build_aug_block_diag_precond,
                                build_fmri_normal_precond, fmri_row_blocks,
@@ -44,6 +44,25 @@ def aug_block_matrix(htilde, A, delta):
     return scipy.linalg.block_diag(np.diag(htilde), S.toarray())
 
 
+def aug_block_precond(d, A_B, delta, A_R=None, w=()):
+    """The aug-block preconditioner of P = diag(d) + A_R' diag(w) A_R and the
+    rows A_B, applied from a factored ``BorderedBand`` to vectors in the
+    order of d; no A_R means P is diagonal."""
+    if A_R is None:
+        A_R = sp.csr_matrix((0, d.size))
+    band = BorderedBand(None, sp.csr_matrix(A_R), sp.csr_matrix(A_B))
+    band.factor(d[band.order], np.asarray(w, dtype=float), delta)
+    apply = build_aug_block_diag_precond(band).apply_inverse
+    order = np.concatenate([band.order, np.arange(d.size, d.size + A_B.shape[0])])
+
+    def apply_inverse(r):
+        out = np.empty_like(r)
+        out[order] = apply(r[order])
+        return out
+
+    return apply_inverse
+
+
 class TestFmriNormalPrecond:
     def test_apply_matches_block_inverse(self):
         A, g, s, ell, _ = random_fused_lasso_layout(0)
@@ -78,62 +97,64 @@ class TestAugBlockDiagPrecond:
     def test_apply_matches_dense_inverse(self):
         A, g, s, ell, _ = random_fused_lasso_layout(6)
         htilde = g + 0.5
-        P = build_aug_block_diag_precond(sp.diags(htilde), A, 1e-3)
+        P = aug_block_precond(htilde, A, 1e-3)
         dense = aug_block_matrix(htilde, A, 1e-3)
         r = np.random.default_rng(7).standard_normal(dense.shape[0])
-        np.testing.assert_allclose(P.apply_inverse(r),
+        np.testing.assert_allclose(P(r),
                                    np.linalg.solve(dense, r), rtol=1e-9,
                                    atol=1e-10)
 
     def test_rejects_nonpositive_diagonal(self):
+        # the band factor breaks down on the negative pivot
         A, g, _, _, _ = random_fused_lasso_layout(8)
         g[0] = -1.0
-        with pytest.raises(ValueError):
-            build_aug_block_diag_precond(sp.diags(g), A, 1e-3)
+        with pytest.raises(np.linalg.LinAlgError):
+            aug_block_precond(g, A, 1e-3)
 
     @staticmethod
     def poisson_layout():
-        """P and A_B of a small Poisson program with its slack pairs and their
-        rows eliminated: P = H~ + A_R' E^-1 A_R is a 5-point pixel matrix, and
-        A_B is the intensity-budget row, dense over the pixels."""
+        """The diagonal d, the rows A_R with weights w = 1/E and the row A_B
+        of a small Poisson program with its slack pairs and their rows
+        eliminated, and P = diag(d) + A_R' E^-1 A_R dense: P is a 5-point
+        pixel matrix, and A_B is the intensity-budget row, dense over the
+        pixels."""
         from test_problems import make_poisson
         prog = build_poisson_tv(make_poisson(size=6))
         pixels = 36
         rng = np.random.default_rng(13)
         A_R = prog.A[1:, :pixels]
         E = rng.uniform(0.1, 10.0, size=A_R.shape[0])
-        P = (sp.diags(rng.uniform(0.1, 10.0, size=pixels))
-             + A_R.T @ sp.diags(1.0 / E) @ A_R)
-        return P, prog.A[:1, :pixels]
+        d = rng.uniform(0.1, 10.0, size=pixels)
+        P = np.diag(d) + (A_R.T @ sp.diags(1.0 / E) @ A_R).toarray()
+        return d, A_R, 1.0 / E, prog.A[:1, :pixels], P
 
     @pytest.mark.parametrize("delta", [1.0, 1e-8])
     def test_eliminated_rows_match_dense_inverse(self, delta):
-        P, A = self.poisson_layout()
-        pre = build_aug_block_diag_precond(P, A, delta)
-        P = P.toarray()
+        d, A_R, w, A, P = self.poisson_layout()
+        pre = aug_block_precond(d, A, delta, A_R, w)
         schur = A @ np.linalg.solve(P, A.T.toarray()) + delta
         r = np.random.default_rng(14).standard_normal(P.shape[0] + 1)
         expected = np.linalg.solve(scipy.linalg.block_diag(P, schur), r)
-        err = np.linalg.norm(pre.apply_inverse(r) - expected)
+        err = np.linalg.norm(pre(r) - expected)
         assert err <= 1e-10 * np.linalg.norm(expected)
 
     def test_raises_on_indefinite_schur_block(self):
         # P is positive definite and delta + A_B P^-1 A_B' is not, so the
-        # Schur block of the budget row is the factor that must fail
-        P, A = self.poisson_layout()
-        budget = (A @ np.linalg.solve(P.toarray(), A.T.toarray())).item()
+        # border factor of the budget row is the factor that must fail
+        d, A_R, w, A, P = self.poisson_layout()
+        budget = (A @ np.linalg.solve(P, A.T.toarray())).item()
         assert budget > 0
-        with pytest.raises(NotPositiveDefiniteError):
-            build_aug_block_diag_precond(P, A, -2.0 * budget)
+        with pytest.raises(np.linalg.LinAlgError):
+            aug_block_precond(d, A, -2.0 * budget, A_R, w)
 
     def test_minres_with_precond_converges(self):
         A, g, s, ell, _ = random_fused_lasso_layout(9)
         delta = 1e-3
         H = np.diag(g)
         K = augmented_matrix(H, A, delta)
-        P = build_aug_block_diag_precond(sp.diags(g), A, delta)
+        P = aug_block_precond(g, A, delta)
         b = np.random.default_rng(10).standard_normal(K.shape[0])
-        out = minres(K, b, precond=P.apply_inverse, tol=1e-8, maxit=100)
+        out = minres(K, b, precond=P, tol=1e-8, maxit=100)
         assert out.converged
         np.testing.assert_allclose(K @ out.solution, b, atol=1e-5)
 
