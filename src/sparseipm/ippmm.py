@@ -34,6 +34,7 @@ ESTIMATE_DECREASE = 0.95           # residual decrease that refreshes the estima
 DROP_ACTIVATION = 1e-2             # dropping scans only once mu <= this * mu0
 FORCING, INNER_MAXIT = 0.1, 500    # inner Krylov solves: tolerance per residual, cap
 INNER_TOL_MIN, INNER_TOL_MAX = 1e-10, 1e-2  # bounds on the inner relative tolerance
+ELIMINATION_LOSS = 1e4             # largest (A_u D A_u')_rr / E_r of an eliminated TV row
 
 
 class UnsupportedStructureError(ValueError):
@@ -432,30 +433,68 @@ class SaddleMatrix(NewtonSystem):
 class NormalEquations(NewtonSystem):
     """PCG path: the SPD operator dy -> (A G^-1 A' + delta I) dy with G
     diagonal, and its preconditioner: fmri-block on a program with a
-    ``row_split``, none on any other."""
+    ``row_split``, none on any other.
+
+    fmri-block's TV block is M3 = E + A_u D A_u', with the slack pairs of
+    the TV rows (``_find_slack_pairs``) in their diagonal E and each other
+    split pair reduced to one unknown with D = e+ + e-, as on the direct
+    path. M3 is solved through the ``krylov.BorderedBand``
+    K = D^-1 + A_R' E^-1 A_R, built once per solve, in which an unknown with
+    no active variable left is pinned. A row whose (A_u D A_u')_rr exceeds
+    ``ELIMINATION_LOSS`` E_r would lose that factor in accuracy to its
+    elimination, so it borders K instead; the band is built again when those
+    rows change.
+    """
 
     def __init__(self, program: ConvexProgram, options: SolverOptions):
         if not program.hessian_is_diagonal:
             raise UnsupportedStructureError(
                 "normal equations need a diagonal Hessian; use the augmented path")
         self.program = program
+        if program.row_split is not None:
+            self._find_slack_pairs(program)
+            A2 = program.A[program.row_split:]
+            touched = self.rest & (A2.getnnz(axis=0) > 0)  # TV columns, no slack pair
+            p, q = program.pairs
+            self.q = q[touched[p]]
+            self.cols = np.setdiff1d(np.flatnonzero(touched), self.q)  # K's unknowns
+            self.kp = np.searchsorted(self.cols, p[touched[p]])  # the unknown of each pair
+            self.A_u = A2[:, self.cols]
+            self.A_u2 = self.A_u.power(2)
+            self.border = np.zeros(A2.shape[0], dtype=bool)
+            self.band = BorderedBand(None, self.A_u, self.A_u[:0])
 
     def factor(self, state: IpPmmState):
         split = self.program.row_split
-        if self._refresh(state):
+        shrank = self._refresh(state)
+        if shrank:
             self.A_act = sp.csc_matrix(self.program.A[:, self.active])
-            if split is not None:
-                self.blocks = precondmod.fmri_row_blocks(self.A_act, split)
+            self._A_act_T = self.A_act.T
         self.gdiag = (self.program.hess_diag(state.x)[self.active]
                       + self.xi[self.active] + state.rho)
-        if split is not None:
-            self.precond = precondmod.build_fmri_normal_precond(
-                self.gdiag, *self.blocks, state.delta)
-        else:
+        if split is None:
             self.precond = precondmod.identity_preconditioner()
+            return
+        if shrank:
+            self.blocks = precondmod.fmri_row_blocks(self.A_act, split)
+        self.e[self.active] = 1.0 / self.gdiag  # 1/G, the Hessian's diagonal included
+        D = self.e[self.cols]  # 0 on an unknown with no active variable
+        D[self.kp] += self.e[self.q]
+        E = self._slack_diagonal()[split:]
+        border = self.A_u2 @ D > ELIMINATION_LOSS * E
+        rebuilt = not np.array_equal(border, self.border)
+        if rebuilt:
+            self.border = border
+            self.band = BorderedBand(None, self.A_u[~border], self.A_u[border])
+        D = D[self.band.order]
+        if shrank or rebuilt:
+            self.band.pin(D == 0)
+        d = np.divide(1.0, D, out=np.ones(D.size), where=~self.band.pinned)
+        self.precond = precondmod.build_fmri_normal_precond(
+            self.gdiag, *self.blocks, self.band, d, E, border, state.delta)
 
     def matvec(self, dy: np.ndarray) -> np.ndarray:
-        return self.A_act @ ((self.A_act.T @ dy) / self.gdiag) + self.delta * dy
+        return self.A_act @ ((self._A_act_T @ dy) / self.gdiag) + self.delta * dy
 
     def rhs(self, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
         return r2 + self.A_act @ (r1[self.active] / self.gdiag)
@@ -464,7 +503,7 @@ class NormalEquations(NewtonSystem):
         dy = self._count(pcg(self.matvec, self.rhs(r1, r2), self.precond.apply_inverse,
                              tol=self.tol, maxit=INNER_MAXIT))
         dx = np.zeros(r1.size)
-        dx[self.active] = (self.A_act.T @ dy - r1[self.active]) / self.gdiag
+        dx[self.active] = (self._A_act_T @ dy - r1[self.active]) / self.gdiag
         return dx, dy
 
 

@@ -75,7 +75,8 @@ class CholeskyFactor:
 
 class BorderedBand:
     """The SPD K = C + diag(d) + A_R' diag(w) A_R as a band, and the dense
-    border δI + A_B K^-1 A_B', both factored by Cholesky.
+    border δ + A_B K^-1 A_B', both factored by Cholesky; δ is a scalar or a
+    diagonal, one entry per border row.
 
     The pattern is fixed at construction: the reverse Cuthill-McKee order of
     |C| + |A_R|'|A_R|, C's lower band, and the band positions into which
@@ -128,9 +129,9 @@ class BorderedBand:
         self.A_Bt[new] = 0.0
         self.A_R.data[new[self.A_R.indices]] = 0.0
 
-    def factor(self, d: np.ndarray, w: np.ndarray, delta: float):
+    def factor(self, d: np.ndarray, w: np.ndarray, delta: float | np.ndarray):
         """K = LL' for ``d`` (band order) and ``w`` (one per row of A_R), and
-        the border as δI + Z'Z with Z = L^-1 A_B'. A band that is not finite,
+        the border as δ + Z'Z with Z = L^-1 A_B'. A band that is not finite,
         or a Cholesky breakdown of the band or the border, raises
         LinAlgError."""
         band = self.band_c.copy()
@@ -141,7 +142,8 @@ class BorderedBand:
         self.L = scipy.linalg.cholesky_banded(band, lower=True, check_finite=False)
         self.Z = self.tri(self.A_Bt, "N")
         if self.Z.shape[1]:  # without border rows LAPACK gets no empty matrix
-            S = self.Z.T @ self.Z + delta * np.eye(self.Z.shape[1])
+            S = self.Z.T @ self.Z
+            S[np.diag_indices_from(S)] += delta
             self.S = scipy.linalg.cho_factor(S, lower=True, check_finite=False)[0]
 
     def tri(self, b: np.ndarray, trans: str) -> np.ndarray:
@@ -156,7 +158,7 @@ class BorderedBand:
         return self.tri(self.tri(r, "N"), "T")
 
     def schur_solve(self, r: np.ndarray) -> np.ndarray:
-        """(δI + A_B K^-1 A_B')^-1 r."""
+        """(δ + A_B K^-1 A_B')^-1 r."""
         if not r.size:
             return r
         return scipy.linalg.lapack.dpotrs(self.S, r, lower=1)[0]

@@ -24,40 +24,51 @@ def identity_preconditioner() -> Preconditioner:
 
 
 def fmri_row_blocks(A, split: int):
-    """The row blocks of A that the fmri-block preconditioner reads: the
-    columns the leading ``split`` rows touch, those rows as a dense array over
-    these columns, and the remaining rows in CSR. They depend on A alone, so
-    a caller cuts them once per active set."""
+    """The data rows of the fmri-block preconditioner: the columns the
+    leading ``split`` rows touch and those rows as a dense array over these
+    columns. They depend on A alone, so a caller cuts them once per active
+    set."""
     A = sp.csr_matrix(A)
     if split > A.shape[0]:
         raise ValueError("split exceeds row count")
     cols = np.flatnonzero(A[:split].getnnz(axis=0))
-    return cols, A[:split, cols].toarray(), A[split:]
+    return cols, A[:split, cols].toarray()
 
 
 def build_fmri_normal_precond(g_diag: np.ndarray, cols: np.ndarray, A1: np.ndarray,
-                              A2, delta: float) -> Preconditioner:
-    """blockdiag(M1, M3) of A G^-1 A' + delta I for fused-lasso LS, from the
-    row blocks of ``fmri_row_blocks``.
+                              band, d: np.ndarray, E: np.ndarray, border: np.ndarray,
+                              delta: float) -> Preconditioner:
+    """blockdiag(M1, M3) of A G^-1 A' + delta I for fused-lasso LS.
 
-    The data block M1 = A1 G^-1 A1' + delta I is one dense product over the
-    columns ``cols`` and gets a dense Cholesky factor; the TV block
-    M3 = A2 G^-1 A2' + delta I gets a sparse one. Both are formed at every
-    interior point iteration, since G changes.
+    M1 = A1 G^-1 A1' + delta I, over the columns ``cols`` of
+    ``fmri_row_blocks``, is one dense product with a dense Cholesky factor.
+    M3 = E + A_u D A_u' (``ippmm.NormalEquations``) is solved through
+    ``band``, a ``krylov.BorderedBand`` whose A_R holds the TV rows outside
+    ``border`` and whose border A_B holds those in it: with
+    K = diag(d) + A_R' E^-1 A_R (``d`` = D^-1 in band order),
+    x = K^-1 (A_R' E^-1 r_R + A_B' y_B), y_R = E^-1 (r_R - A_R x), and y_B
+    comes from the border E_B + A_B K^-1 A_B'. Both blocks are factored at
+    every interior point iteration, since G changes.
     """
     g_diag = np.asarray(g_diag, dtype=float)
     if np.any(g_diag <= 0):
         raise ValueError("diagonal weights must be positive")
     split = A1.shape[0]
     M1 = (A1 / g_diag[cols]) @ A1.T + delta * np.eye(split)
-    M3 = (A2 @ sp.diags(1.0 / g_diag) @ A2.T + delta * sp.eye(A2.shape[0])).tocsc()
     f1 = CholeskyFactor(M1)
-    f3 = CholeskyFactor(M3)
+    R, B = split + np.flatnonzero(~border), split + np.flatnonzero(border)
+    E_R = E[~border]
+    band.factor(d, 1.0 / E_R, E[border])
+    A_R, A_Rt = band.A_R, band.A_R.T
 
     def apply_inverse(r):
         out = np.empty_like(r)
         out[:split] = f1.solve(r[:split])
-        out[split:] = f3.solve(r[split:])
+        t = r[R] / E_R
+        h = band.tri(A_Rt @ t, "N")
+        out[B] = yB = band.schur_solve(r[B] - band.Z.T @ h)
+        x = band.tri(h + band.Z @ yB, "T")
+        out[R] = t - (A_R @ x) / E_R
         return out
 
     return Preconditioner(apply_inverse=apply_inverse)

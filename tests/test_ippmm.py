@@ -794,25 +794,81 @@ class TestLifecycle:
         assert rep.status == "numerical-failure" and rep.iterations == 1
         assert rep.inner_iterations == sum(out.iterations for out in outcomes) > 0
 
-    def test_fmri_blocks_follow_the_active_set_as_it_shrinks(self):
+    @staticmethod
+    def fmri_program(pairs=True):
         inst, _ = gen_fused_lasso(10, (4, 4), 0)
         prog = build_fused_lasso_ls(inst)
-        (s, q), ell = inst.data.shape, inst.tv.rows
+        return (prog if pairs else dataclasses.replace(prog, pairs=None)), inst
+
+    @staticmethod
+    def assert_fmri_blocks_follow(prog, s, drops):
+        """After each drop of ``drops``, the fmri-block preconditioner is the
+        dense blockdiag(M1, M3) inverse on the active set, at δ = 1e-2 and
+        1e-8, and the step is the dense one. Returns the system and the
+        number of TV rows that border K at each factor."""
         st = random_state(prog, seed=45)
         st.inner_tol = 1e-12
         system = NormalEquations(prog, SolverOptions(linear_solver="pcg-normal",
                                                      precond="fmri-block"))
         r = np.random.default_rng(46).standard_normal(prog.m)
-        # all active, then a w member, then a whole (d+, d-) pair
-        for drop in ([], [s + 3], [s + 2 * q + 5, s + 2 * q + ell + 5]):
+        borders = []
+        for drop in drops:
             st.dropped[drop] = True
-            system.factor(st)
             act = st.active_indices()
-            g = prog.hess_diag(st.x)[act] + st.xi_diag()[act] + st.rho
-            P = fmri_block_matrix(g, prog.A[:, act], s, st.delta)
-            np.testing.assert_allclose(system.precond.apply_inverse(r),
-                                       np.linalg.solve(P, r), rtol=1e-9, atol=1e-12)
-            assert_dense_step(system, st, prog)
+            for st.delta in (1e-2, 1e-8):
+                system.factor(st)
+                borders.append(int(system.border.sum()))
+                g = prog.hess_diag(st.x)[act] + st.xi_diag()[act] + st.rho
+                P = fmri_block_matrix(g, prog.A[:, act], s, st.delta)
+                np.testing.assert_allclose(system.precond.apply_inverse(r),
+                                           np.linalg.solve(P, r), rtol=1e-9, atol=1e-12)
+                assert_dense_step(system, st, prog)
+        return system, borders
+
+    def test_fmri_blocks_follow_the_active_set_as_it_shrinks(self):
+        prog, inst = self.fmri_program()
+        (s, q), ell = inst.data.shape, inst.tv.rows
+        # all active, then a w member, a whole (w+, w-) pair, whose unknown
+        # of the TV block's band is pinned, and a whole (d+, d-) pair
+        system, borders = self.assert_fmri_blocks_follow(prog, s, (
+            [], [s + 3], [s + 7, s + q + 7], [s + 2 * q + 5, s + 2 * q + ell + 5]))
+        # one unknown per w pair; the (d+, d-) pairs leave with E
+        assert system.cols.size == q and system.R.size == ell
+        assert np.flatnonzero(system.band.pinned).size == 1
+        # the row of the dropped (d+, d-) pair keeps E = δ, which at 1e-8 is
+        # too small to eliminate it
+        assert borders == [0, 0, 0, 0, 0, 0, 0, 1]
+
+    def test_fmri_blocks_without_pairs(self):
+        # every TV column is an unknown of the band, and E = δ on every row
+        prog, inst = self.fmri_program(pairs=False)
+        (s, q), ell = inst.data.shape, inst.tv.rows
+        system, borders = self.assert_fmri_blocks_follow(prog, s, (
+            [], [s + 3], [s + 2 * q + 5, s + 2 * q + ell + 5]))
+        assert system.cols.size == 2 * q + 2 * ell and system.R.size == 0
+        assert np.flatnonzero(system.band.pinned).size == 3
+        # at δ = 1e-8 every row borders K
+        assert borders == [0, ell] * 3
+
+    def test_fmri_solve_factors_no_superlu(self, monkeypatch):
+        lus = record_calls(monkeypatch, scipy.sparse.linalg, "splu")
+        bands = record_calls(monkeypatch, scipy.linalg, "cholesky_banded")
+        prog, _ = self.fmri_program()
+        _, rep = solve(prog, SolverOptions(linear_solver="pcg-normal",
+                                           precond="fmri-block", dropping=True))
+        assert rep.status == "optimal"
+        assert lus == [] and len(bands) == rep.iterations
+
+    def test_fmri_band_breakdown_is_numerical_failure(self, monkeypatch):
+        # M3's band K with its sign flipped: its Cholesky factor breaks down
+        bands = record_calls(monkeypatch, scipy.linalg, "cholesky_banded",
+                             lambda band: -band)
+        prog, _ = self.fmri_program()
+        _, rep = solve(prog, SolverOptions(linear_solver="pcg-normal",
+                                           precond="fmri-block"))
+        assert rep.status == "numerical-failure"
+        assert rep.iterations == 0 and len(bands) == 1
+        assert json.loads(rep.to_json())["status"] == "numerical-failure"
 
     def test_report_times_the_linear_algebra_of_a_failed_iteration(self, monkeypatch):
         def failing(self, r1, r2):

@@ -38,6 +38,23 @@ def fmri_block_matrix(g, A, split, delta):
     return P
 
 
+def fmri_block_precond(g, A, split, delta, q, border=None):
+    """The fmri-block preconditioner of ``random_fused_lasso_layout``, with
+    its TV block's inputs formed by hand: each (d+, d-) pair leaves
+    E = delta + 1/g+ + 1/g- on its row, and each (w+, w-) pair is one
+    unknown of K with d = 1/(1/g+ + 1/g-), whose TV column is the w+ one.
+    The TV rows of ``border`` border K; by default none do."""
+    ell = A.shape[0] - split
+    border = np.zeros(ell, dtype=bool) if border is None else border
+    w, dp = split + np.arange(q), split + 2 * q + np.arange(ell)
+    E = delta + 1.0 / g[dp] + 1.0 / g[dp + ell]
+    A_u = A[split:, w]
+    band = BorderedBand(None, A_u[~border], A_u[border])
+    d = 1.0 / (1.0 / g[w] + 1.0 / g[w + q])
+    return build_fmri_normal_precond(g, *fmri_row_blocks(A, split), band,
+                                     d[band.order], E, border, delta)
+
+
 def aug_block_matrix(htilde, A, delta):
     """The aug-block preconditioner as a matrix: blockdiag(H~, A H~^-1 A' + delta I)."""
     S = A @ sp.diags(1.0 / htilde) @ A.T + delta * sp.eye(A.shape[0])
@@ -65,28 +82,28 @@ def aug_block_precond(d, A_B, delta, A_R=None, w=()):
 
 class TestFmriNormalPrecond:
     def test_apply_matches_block_inverse(self):
-        A, g, s, ell, _ = random_fused_lasso_layout(0)
-        delta = 1e-3
-        P = build_fmri_normal_precond(g, *fmri_row_blocks(A, s), delta)
-        dense = fmri_block_matrix(g, A, s, delta)
-        rng = np.random.default_rng(1)
-        r = rng.standard_normal(s + ell)
-        np.testing.assert_allclose(P.apply_inverse(r),
-                                   np.linalg.solve(dense, r), rtol=1e-9,
-                                   atol=1e-10)
+        A, g, s, ell, D = random_fused_lasso_layout(0)
+        r = np.random.default_rng(1).standard_normal(s + ell)
+        # every TV row eliminated, then every third one bordering K instead
+        for delta, border in [(1e-3, None), (1e-8, None), (1e-3, np.arange(ell) % 3 == 0)]:
+            P = fmri_block_precond(g, A, s, delta, D.shape[1], border)
+            dense = fmri_block_matrix(g, A, s, delta)
+            np.testing.assert_allclose(P.apply_inverse(r),
+                                       np.linalg.solve(dense, r), rtol=1e-9,
+                                       atol=1e-10)
 
     def test_requires_positive_weights(self):
-        A, g, s, _, _ = random_fused_lasso_layout(2)
+        A, g, s, _, D = random_fused_lasso_layout(2)
         g[3] = 0.0
         with pytest.raises(ValueError):
-            build_fmri_normal_precond(g, *fmri_row_blocks(A, s), 1e-3)
+            fmri_block_precond(g, A, s, 1e-3, D.shape[1])
 
     def test_pcg_converges_fast_with_block_precond(self):
-        A, g, s, ell, _ = random_fused_lasso_layout(3)
+        A, g, s, ell, D = random_fused_lasso_layout(3)
         delta = 1e-3
         M = normal_equations_matrix(g, A, delta)
         b = np.random.default_rng(4).standard_normal(s + ell)
-        P = build_fmri_normal_precond(g, *fmri_row_blocks(A, s), delta)
+        P = fmri_block_precond(g, A, s, delta, D.shape[1])
         plain = pcg(M, b, tol=1e-8, maxit=2000)
         blocked = pcg(M, b, precond=P.apply_inverse, tol=1e-8, maxit=2000)
         assert blocked.converged
