@@ -224,9 +224,10 @@ def newton_rhs(state: IpPmmState, rp: np.ndarray, gy: np.ndarray, sigma: float,
 
 
 class NewtonSystem:
-    """What the three paths share: the Krylov counters of the solve and the
-    active set. A dropped variable never returns, so the active set only
-    shrinks, and a path cuts its columns of A again only when it does."""
+    """What the three paths share: the Krylov counters of the solve, the
+    active set and the checks and eliminations of ``program.pairs``. A
+    dropped variable never returns, so the active set only shrinks, and the
+    MINRES path cuts its columns of A again only when it does."""
 
     inner_iterations = inner_capped = 0  # Krylov iterations, unconverged solves
     active = None  # active variables of the last factor
@@ -252,16 +253,27 @@ class NewtonSystem:
         self.delta, self.tol = state.delta, state.inner_tol
         return shrank
 
-    def _find_slack_pairs(self, program: ConvexProgram):
+    @staticmethod
+    def _check_pairs(program: ConvexProgram, *blocks):
+        """Raise ValueError unless the two columns of each pair of
+        ``program.pairs`` are exact negatives in each CSC matrix of
+        ``blocks``."""
+        p, q = program.pairs
+        for M in blocks:
+            if (M[:, p] + M[:, q]).count_nonzero():
+                raise ValueError("the A and Q columns of each pair must be exact negatives")
+
+    def _find_slack_pairs(self, program: ConvexProgram, A):
         """Find the slack pairs: the pairs of ``program.pairs`` whose two
-        columns each hold one entry of A, both in the same row, and that the
-        Hessian does not touch. Keeps their members, each member's row and
-        entry of A, the rows R that hold slack pairs and the rows B that do
-        not, and ``rest``, which marks the variables that are not members."""
-        n, A = program.n, program.A.tocoo()
-        count = np.bincount(A.col, minlength=n)
-        row, val = np.full(n, -1), np.zeros(n)  # of a column's (last) entry
-        row[A.col], val[A.col] = A.row, A.data
+        columns each hold one entry of A (``program.A`` in CSC), both in the
+        same row, and that the Hessian does not touch. Keeps their members,
+        each member's row and entry of A, the rows R that hold slack pairs
+        and the rows B that do not, and ``rest``, which marks the variables
+        that are not members."""
+        n = program.n
+        count = np.diff(A.indptr)
+        head = A.indptr[:-1]  # a column's first entry, if it has one
+        row, val = np.append(A.indices, -1)[head], np.append(A.data, 0.0)[head]
         p, q = program.pairs
         slack = (count[p] == 1) & (count[q] == 1) & (row[p] == row[q])
         if program.Q is not None:
@@ -322,7 +334,7 @@ class AugmentedSystem(NewtonSystem):
             raise UnsupportedStructureError(
                 f"program provides no diagonal for {options.htilde_choice}")
         self.program = program
-        self._find_slack_pairs(program)
+        self._find_slack_pairs(program, program.A.tocsc())
 
     def factor(self, state: IpPmmState):
         if self._refresh(state):
@@ -383,11 +395,10 @@ class SaddleMatrix(NewtonSystem):
         if program.Q is None:
             raise UnsupportedStructureError(
                 "direct path needs an explicit quadratic Hessian")
+        A = program.A.tocsc()
+        self._check_pairs(program, A, program.Q.tocsc())
+        self._find_slack_pairs(program, A)
         p, q = program.pairs
-        for M in (program.A.tocsc(), program.Q.tocsc()):
-            if (M[:, p] + M[:, q]).count_nonzero():
-                raise ValueError("the A and Q columns of each pair must be exact negatives")
-        self._find_slack_pairs(program)
         split = self.rest[p]  # pairs that are not slack pairs
         self.p, self.q = p[split], q[split]
         rows = np.setdiff1d(np.flatnonzero(self.rest), self.q)
@@ -435,15 +446,22 @@ class NormalEquations(NewtonSystem):
     diagonal, and its preconditioner: fmri-block on a program with a
     ``row_split``, none on any other.
 
-    fmri-block's TV block is M3 = E + A_u D A_u', with the slack pairs of
-    the TV rows (``_find_slack_pairs``) in their diagonal E and each other
-    split pair reduced to one unknown with D = e+ + e-, as on the direct
-    path. M3 is solved through the ``krylov.BorderedBand``
-    K = D^-1 + A_R' E^-1 A_R, built once per solve, in which an unknown with
-    no active variable left is pinned. A row whose (A_u D A_u')_rr exceeds
-    ``ELIMINATION_LOSS`` E_r would lose that factor in accuracy to its
-    elimination, so it borders K instead; the band is built again when those
-    rows change.
+    The two columns of each pair of ``program.pairs`` are exact negatives,
+    so the operator sums them as one: it is applied through A_k, built once
+    per solve, with one column per pair (the plus member's) of weight
+    w = e+ + e- and one per unpaired variable of weight w = e, where
+    e = 1/G on the active set and 0 on dropped variables. A dropped
+    variable only zeroes its weight, so A_k is never cut again.
+
+    fmri-block's data block M1 is formed over the columns of A_k that the
+    leading rows touch. Its TV block is M3 = E + A_u D A_u', with the slack
+    pairs of the TV rows (``_find_slack_pairs``) in their diagonal E and
+    D = w on the other TV columns of A_k. M3 is solved through the
+    ``krylov.BorderedBand`` K = D^-1 + A_R' E^-1 A_R, built once per solve,
+    in which an unknown with no active variable left is pinned. A row whose
+    (A_u D A_u')_rr exceeds ``ELIMINATION_LOSS`` E_r would lose that factor
+    in accuracy to its elimination, so it borders K instead; the band is
+    built again when those rows change.
     """
 
     def __init__(self, program: ConvexProgram, options: SolverOptions):
@@ -451,15 +469,23 @@ class NormalEquations(NewtonSystem):
             raise UnsupportedStructureError(
                 "normal equations need a diagonal Hessian; use the augmented path")
         self.program = program
-        if program.row_split is not None:
-            self._find_slack_pairs(program)
-            A2 = program.A[program.row_split:]
-            touched = self.rest & (A2.getnnz(axis=0) > 0)  # TV columns, no slack pair
-            p, q = program.pairs
-            self.q = q[touched[p]]
-            self.cols = np.setdiff1d(np.flatnonzero(touched), self.q)  # K's unknowns
-            self.kp = np.searchsorted(self.cols, p[touched[p]])  # the unknown of each pair
-            self.A_u = A2[:, self.cols]
+        A = program.A.tocsc()
+        self._check_pairs(program, A)
+        p, self.q = program.pairs
+        keep = np.ones(program.n, dtype=bool)
+        keep[self.q] = False
+        self.kcols = np.flatnonzero(keep)  # the variable of each column of A_k
+        self.kp = np.searchsorted(self.kcols, p)  # the column of each pair
+        self.A_k = A[:, self.kcols]
+        self.A_kt = self.A_k.T
+        split = program.row_split
+        if split is not None:
+            self.blocks = precondmod.fmri_row_blocks(self.A_k, split)
+            self._find_slack_pairs(program, A)
+            A2 = program.A[split:]
+            touched = self.rest & keep & (A2.getnnz(axis=0) > 0)  # TV columns of A_k
+            self.cols = np.searchsorted(self.kcols, np.flatnonzero(touched))  # K's unknowns
+            self.A_u = A2[:, touched]
             self.A_u2 = self.A_u.power(2)
             self.border = np.zeros(A2.shape[0], dtype=bool)
             self.band = BorderedBand(None, self.A_u, self.A_u[:0])
@@ -467,19 +493,17 @@ class NormalEquations(NewtonSystem):
     def factor(self, state: IpPmmState):
         split = self.program.row_split
         shrank = self._refresh(state)
-        if shrank:
-            self.A_act = sp.csc_matrix(self.program.A[:, self.active])
-            self._A_act_T = self.A_act.T
-        self.gdiag = (self.program.hess_diag(state.x)[self.active]
-                      + self.xi[self.active] + state.rho)
+        act = self.active
+        g = self.program.hess_diag(state.x)[act] + self.xi[act] + state.rho
+        if np.any(g <= 0):
+            raise ValueError("diagonal weights must be positive")
+        self.e[act] = 1.0 / g  # 1/G, the Hessian's diagonal included
+        self.w = self.e[self.kcols]
+        self.w[self.kp] += self.e[self.q]
         if split is None:
             self.precond = precondmod.identity_preconditioner()
             return
-        if shrank:
-            self.blocks = precondmod.fmri_row_blocks(self.A_act, split)
-        self.e[self.active] = 1.0 / self.gdiag  # 1/G, the Hessian's diagonal included
-        D = self.e[self.cols]  # 0 on an unknown with no active variable
-        D[self.kp] += self.e[self.q]
+        D = self.w[self.cols]  # 0 on an unknown with no active variable
         E = self._slack_diagonal()[split:]
         border = self.A_u2 @ D > ELIMINATION_LOSS * E
         rebuilt = not np.array_equal(border, self.border)
@@ -491,20 +515,26 @@ class NormalEquations(NewtonSystem):
             self.band.pin(D == 0)
         d = np.divide(1.0, D, out=np.ones(D.size), where=~self.band.pinned)
         self.precond = precondmod.build_fmri_normal_precond(
-            self.gdiag, *self.blocks, self.band, d, E, border, state.delta)
+            self.w, *self.blocks, self.band, d, E, border, state.delta)
 
     def matvec(self, dy: np.ndarray) -> np.ndarray:
-        return self.A_act @ ((self._A_act_T @ dy) / self.gdiag) + self.delta * dy
+        return self.A_k @ (self.w * (self.A_kt @ dy)) + self.delta * dy
 
     def rhs(self, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
-        return r2 + self.A_act @ (r1[self.active] / self.gdiag)
+        """r2 + A G^-1 r1, each pair's r1 folded into its column of A_k."""
+        er = self.e * r1
+        v = er[self.kcols]
+        v[self.kp] -= er[self.q]
+        return r2 + self.A_k @ v
 
     def solve(self, r1: np.ndarray, r2: np.ndarray):
         dy = self._count(pcg(self.matvec, self.rhs(r1, r2), self.precond.apply_inverse,
                              tol=self.tol, maxit=INNER_MAXIT))
-        dx = np.zeros(r1.size)
-        dx[self.active] = (self._A_act_T @ dy - r1[self.active]) / self.gdiag
-        return dx, dy
+        t = self.A_kt @ dy  # A'dy, each pair's minus member's entry the negative
+        dx = np.empty(r1.size)
+        dx[self.kcols] = t
+        dx[self.q] = -t[self.kp]
+        return self.e * (dx - r1), dy
 
 
 _CONTEXTS = {

@@ -188,6 +188,10 @@ def pcg(M, rhs, precond=None, tol: float = 1e-8, maxit: int = 1000) -> KrylovOut
     if norm0 == 0.0:
         return KrylovOutcome(x, 0, 0.0, True)
     p = s.copy()
+    # Buffers owned by the loop, updated in place. s, and the matvec result,
+    # come from callbacks and may alias their argument (an identity
+    # preconditioner returns it), so they are only ever read.
+    tmp = np.empty_like(b)
     breakdown = None
     rel = 1.0
     it = 0
@@ -199,8 +203,10 @@ def pcg(M, rhs, precond=None, tol: float = 1e-8, maxit: int = 1000) -> KrylovOut
             it -= 1
             break
         alpha = rs / pMp
-        x = x + alpha * p
-        r = r - alpha * Mp
+        np.multiply(p, alpha, out=tmp)
+        np.add(x, tmp, out=x)
+        np.multiply(Mp, alpha, out=tmp)
+        np.subtract(r, tmp, out=r)
         s = pinv(r)
         rs_new = float(r @ s)
         if rs_new < 0:
@@ -209,7 +215,8 @@ def pcg(M, rhs, precond=None, tol: float = 1e-8, maxit: int = 1000) -> KrylovOut
         rel = np.sqrt(rs_new) / norm0
         if rel <= tol:
             return KrylovOutcome(x, it, rel, True)
-        p = s + (rs_new / rs) * p
+        np.multiply(p, rs_new / rs, out=p)
+        np.add(s, p, out=p)
         rs = rs_new
     return KrylovOutcome(x, it, rel, False, breakdown_reason=breakdown)
 

@@ -26,21 +26,23 @@ def identity_preconditioner() -> Preconditioner:
 def fmri_row_blocks(A, split: int):
     """The data rows of the fmri-block preconditioner: the columns the
     leading ``split`` rows touch and those rows as a dense array over these
-    columns. They depend on A alone, so a caller cuts them once per active
-    set."""
-    A = sp.csr_matrix(A)
+    columns of the sparse A. They depend on A alone, so a caller cuts them
+    once per solve."""
     if split > A.shape[0]:
         raise ValueError("split exceeds row count")
-    cols = np.flatnonzero(A[:split].getnnz(axis=0))
-    return cols, A[:split, cols].toarray()
+    A1 = A[:split]
+    cols = np.flatnonzero(A1.getnnz(axis=0))
+    return cols, A1[:, cols].toarray()
 
 
-def build_fmri_normal_precond(g_diag: np.ndarray, cols: np.ndarray, A1: np.ndarray,
+def build_fmri_normal_precond(weights: np.ndarray, cols: np.ndarray, A1: np.ndarray,
                               band, d: np.ndarray, E: np.ndarray, border: np.ndarray,
                               delta: float) -> Preconditioner:
-    """blockdiag(M1, M3) of A G^-1 A' + delta I for fused-lasso LS.
+    """blockdiag(M1, M3) of A W A' + delta I for fused-lasso LS, with W =
+    diag(``weights``) (``ippmm.NormalEquations`` passes its pair-reduced A
+    and weights, so A W A' = A G^-1 A').
 
-    M1 = A1 G^-1 A1' + delta I, over the columns ``cols`` of
+    M1 = A1 W A1' + delta I, over the columns ``cols`` of
     ``fmri_row_blocks``, is one dense product with a dense Cholesky factor.
     M3 = E + A_u D A_u' (``ippmm.NormalEquations``) is solved through
     ``band``, a ``krylov.BorderedBand`` whose A_R holds the TV rows outside
@@ -48,13 +50,10 @@ def build_fmri_normal_precond(g_diag: np.ndarray, cols: np.ndarray, A1: np.ndarr
     K = diag(d) + A_R' E^-1 A_R (``d`` = D^-1 in band order),
     x = K^-1 (A_R' E^-1 r_R + A_B' y_B), y_R = E^-1 (r_R - A_R x), and y_B
     comes from the border E_B + A_B K^-1 A_B'. Both blocks are factored at
-    every interior point iteration, since G changes.
+    every interior point iteration, since W changes.
     """
-    g_diag = np.asarray(g_diag, dtype=float)
-    if np.any(g_diag <= 0):
-        raise ValueError("diagonal weights must be positive")
     split = A1.shape[0]
-    M1 = (A1 / g_diag[cols]) @ A1.T + delta * np.eye(split)
+    M1 = (A1 * weights[cols]) @ A1.T + delta * np.eye(split)
     f1 = CholeskyFactor(M1)
     R, B = split + np.flatnonzero(~border), split + np.flatnonzero(border)
     E_R = E[~border]
