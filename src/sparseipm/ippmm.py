@@ -453,15 +453,16 @@ class NormalEquations(NewtonSystem):
     e = 1/G on the active set and 0 on dropped variables. A dropped
     variable only zeroes its weight, so A_k is never cut again.
 
-    fmri-block's data block M1 is formed over the columns of A_k that the
-    leading rows touch. Its TV block is M3 = E + A_u D A_u', with the slack
-    pairs of the TV rows (``_find_slack_pairs``) in their diagonal E and
-    D = w on the other TV columns of A_k. M3 is solved through the
-    ``krylov.BorderedBand`` K = D^-1 + A_R' E^-1 A_R, built once per solve,
-    in which an unknown with no active variable left is pinned. A row whose
-    (A_u D A_u')_rr exceeds ``ELIMINATION_LOSS`` E_r would lose that factor
-    in accuracy to its elimination, so it borders K instead; the band is
-    built again when those rows change.
+    fmri-block is the operator's exact inverse. Each slack pair
+    (``_find_slack_pairs``) goes into its row's diagonal E, so the operator
+    is E + A_u D A_u', with D = w on the other columns of A_k (on fused
+    lasso, the residuals and one per voxel). Its rows are eliminated into
+    the ``krylov.BorderedBand`` K = D^-1 + A_R' E^-1 A_R, built once per
+    solve, in which an unknown with no active variable left is pinned. The
+    leading ``row_split`` rows, dense on fused lasso, border K; so does a
+    row whose (A_u D A_u')_rr exceeds ``ELIMINATION_LOSS`` E_r, which would
+    lose that factor in accuracy to its elimination. The band is built
+    again when those rows change.
     """
 
     def __init__(self, program: ConvexProgram, options: SolverOptions):
@@ -478,20 +479,14 @@ class NormalEquations(NewtonSystem):
         self.kp = np.searchsorted(self.kcols, p)  # the column of each pair
         self.A_k = A[:, self.kcols]
         self.A_kt = self.A_k.T
-        split = program.row_split
-        if split is not None:
-            self.blocks = precondmod.fmri_row_blocks(self.A_k, split)
+        if program.row_split is not None:
             self._find_slack_pairs(program, A)
-            A2 = program.A[split:]
-            touched = self.rest & keep & (A2.getnnz(axis=0) > 0)  # TV columns of A_k
-            self.cols = np.searchsorted(self.kcols, np.flatnonzero(touched))  # K's unknowns
-            self.A_u = A2[:, touched]
+            self.cols = np.flatnonzero(self.rest[self.kcols])  # K's unknowns
+            self.A_u = sp.csr_matrix(self.A_k[:, self.cols])
             self.A_u2 = self.A_u.power(2)
-            self.border = np.zeros(A2.shape[0], dtype=bool)
-            self.band = BorderedBand(None, self.A_u, self.A_u[:0])
+            self.border = None  # the rows that border K; the first factor builds the band
 
     def factor(self, state: IpPmmState):
-        split = self.program.row_split
         shrank = self._refresh(state)
         act = self.active
         g = self.program.hess_diag(state.x)[act] + self.xi[act] + state.rho
@@ -500,12 +495,13 @@ class NormalEquations(NewtonSystem):
         self.e[act] = 1.0 / g  # 1/G, the Hessian's diagonal included
         self.w = self.e[self.kcols]
         self.w[self.kp] += self.e[self.q]
-        if split is None:
+        if self.program.row_split is None:
             self.precond = precondmod.identity_preconditioner()
             return
         D = self.w[self.cols]  # 0 on an unknown with no active variable
-        E = self._slack_diagonal()[split:]
+        E = self._slack_diagonal()
         border = self.A_u2 @ D > ELIMINATION_LOSS * E
+        border[:self.program.row_split] = True
         rebuilt = not np.array_equal(border, self.border)
         if rebuilt:
             self.border = border
@@ -514,8 +510,7 @@ class NormalEquations(NewtonSystem):
         if shrank or rebuilt:
             self.band.pin(D == 0)
         d = np.divide(1.0, D, out=np.ones(D.size), where=~self.band.pinned)
-        self.precond = precondmod.build_fmri_normal_precond(
-            self.w, *self.blocks, self.band, d, E, border, state.delta)
+        self.precond = precondmod.build_fmri_normal_precond(self.band, d, E, border)
 
     def matvec(self, dy: np.ndarray) -> np.ndarray:
         return self.A_k @ (self.w * (self.A_kt @ dy)) + self.delta * dy

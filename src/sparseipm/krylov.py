@@ -40,11 +40,12 @@ class KrylovOutcome:
 
 
 class CholeskyFactor:
-    """Reusable SPD factorization: dense by LAPACK, sparse by SuperLU under a
-    fresh minimum-degree order on A + A'. An SPD matrix factors under any
-    symmetric order without pivoting, so SuperLU runs in symmetric mode with
-    no diagonal pivoting. A pivot that is not positive, or not finite,
-    raises ``NotPositiveDefiniteError``."""
+    """Reusable SPD factorization of the ASB baseline (no solver path uses
+    it): dense by LAPACK, sparse by SuperLU under a fresh minimum-degree
+    order on A + A'. An SPD matrix factors under any symmetric order without
+    pivoting, so SuperLU runs in symmetric mode with no diagonal pivoting. A
+    pivot that is not positive, or not finite, raises
+    ``NotPositiveDefiniteError``."""
 
     def __init__(self, M):
         self.is_sparse = sp.issparse(M)

@@ -1,5 +1,11 @@
-"""Block-diagonal preconditioners for the normal-equations and augmented
-solver paths, plus dense spectral verification utilities."""
+"""Preconditioners for the normal-equations and augmented solver paths, both
+applied through a factored ``krylov.BorderedBand``, plus dense spectral
+verification utilities.
+
+fmri-block is the exact inverse of the normal matrix: the data rows border
+the band over the voxels. The spectral checks build the paper's
+blockdiag(M1, M3) from its definition to test its eigenvalue bounds; no
+solver path applies that matrix."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -9,7 +15,11 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .krylov import CholeskyFactor
+from . import krylov
+
+# Read only by perfbench/tracing.py, whose krylov.chol span wraps it; no
+# preconditioner factors through it.
+CholeskyFactor = krylov.CholeskyFactor
 
 
 @dataclass
@@ -23,46 +33,26 @@ def identity_preconditioner() -> Preconditioner:
     return Preconditioner(apply_inverse=lambda v: v)
 
 
-def fmri_row_blocks(A, split: int):
-    """The data rows of the fmri-block preconditioner: the columns the
-    leading ``split`` rows touch and those rows as a dense array over these
-    columns of the sparse A. They depend on A alone, so a caller cuts them
-    once per solve."""
-    if split > A.shape[0]:
-        raise ValueError("split exceeds row count")
-    A1 = A[:split]
-    cols = np.flatnonzero(A1.getnnz(axis=0))
-    return cols, A1[:, cols].toarray()
+def build_fmri_normal_precond(band, d: np.ndarray, E: np.ndarray,
+                              border: np.ndarray) -> Preconditioner:
+    """The exact (E + A_u D A_u')^-1 of ``ippmm.NormalEquations``, which is
+    its normal matrix A W A' + delta I with each slack pair folded into its
+    row's diagonal E; the columns A_u and weights D are the others.
 
-
-def build_fmri_normal_precond(weights: np.ndarray, cols: np.ndarray, A1: np.ndarray,
-                              band, d: np.ndarray, E: np.ndarray, border: np.ndarray,
-                              delta: float) -> Preconditioner:
-    """blockdiag(M1, M3) of A W A' + delta I for fused-lasso LS, with W =
-    diag(``weights``) (``ippmm.NormalEquations`` passes its pair-reduced A
-    and weights, so A W A' = A G^-1 A').
-
-    M1 = A1 W A1' + delta I, over the columns ``cols`` of
-    ``fmri_row_blocks``, is one dense product with a dense Cholesky factor.
-    M3 = E + A_u D A_u' (``ippmm.NormalEquations``) is solved through
-    ``band``, a ``krylov.BorderedBand`` whose A_R holds the TV rows outside
-    ``border`` and whose border A_B holds those in it: with
-    K = diag(d) + A_R' E^-1 A_R (``d`` = D^-1 in band order),
-    x = K^-1 (A_R' E^-1 r_R + A_B' y_B), y_R = E^-1 (r_R - A_R x), and y_B
-    comes from the border E_B + A_B K^-1 A_B'. Both blocks are factored at
-    every interior point iteration, since W changes.
+    ``band`` is a ``krylov.BorderedBand`` whose A_R holds the rows outside
+    ``border`` and whose border A_B holds those in it (the data rows among
+    them): with K = diag(d) + A_R' E_R^-1 A_R (``d`` = D^-1 in band order),
+    x = K^-1 (A_R' E_R^-1 r_R + A_B' y_B), y_R = E_R^-1 (r_R - A_R x), and
+    y_B comes from the border E_B + A_B K^-1 A_B'. It is factored at every
+    interior point iteration, since W changes.
     """
-    split = A1.shape[0]
-    M1 = (A1 * weights[cols]) @ A1.T + delta * np.eye(split)
-    f1 = CholeskyFactor(M1)
-    R, B = split + np.flatnonzero(~border), split + np.flatnonzero(border)
-    E_R = E[~border]
-    band.factor(d, 1.0 / E_R, E[border])
+    R, B = np.flatnonzero(~border), np.flatnonzero(border)
+    E_R = E[R]
+    band.factor(d, 1.0 / E_R, E[B])
     A_R, A_Rt = band.A_R, band.A_R.T
 
     def apply_inverse(r):
         out = np.empty_like(r)
-        out[:split] = f1.solve(r[:split])
         t = r[R] / E_R
         h = band.tri(A_Rt @ t, "N")
         out[B] = yB = band.schur_solve(r[B] - band.Z.T @ h)

@@ -46,7 +46,7 @@ class ConvexProgram:
     hess_diag: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hess_diag_cheap: Optional[Callable[[np.ndarray], np.ndarray]] = None
     Q: Optional[sp.csr_matrix] = None
-    row_split: Optional[int] = None  # leading-block row count for the preconditioners
+    row_split: Optional[int] = None  # leading dense rows, which border fmri-block's band
     extract: Optional[Callable[[np.ndarray], np.ndarray]] = None  # split x -> original w
     pairs: Optional[np.ndarray] = None  # 2 x p split pairs (x+, x-)
 

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
-from sparseipm import baselines, ippmm
+from sparseipm import baselines, ippmm, precond
 from sparseipm.ippmm import (AugmentedSystem, IpPmmState, NormalEquations,
                              SaddleMatrix, SolverOptions, UnsupportedStructureError,
                              check_termination, initial_state, kkt_residuals,
@@ -20,7 +20,7 @@ from sparseipm.problems import (LogisticInstance, build_fused_lasso_ls,
                                 build_logistic_l1, build_poisson_tv,
                                 build_portfolio_qp, quadratic_program)
 from planted import planted_qp
-from test_precond import fmri_block_matrix, random_fused_lasso_layout
+from test_precond import random_fused_lasso_layout
 from test_problems import make_poisson, make_portfolio
 
 
@@ -642,21 +642,15 @@ class TestSolveBehavior:
             solve(prog, SolverOptions(x0=x0))
 
     def test_cholesky_breakdown_is_numerical_failure(self, monkeypatch):
-        from sparseipm import precond
-        from sparseipm.harness import gen_fused_lasso
-        from sparseipm.krylov import NotPositiveDefiniteError
-        from sparseipm.problems import build_fused_lasso_ls
-
-        def breakdown(M):
-            raise NotPositiveDefiniteError(0)
-
+        # the data rows' border with its sign flipped: its Cholesky factor
+        # breaks down
+        borders = record_calls(monkeypatch, scipy.linalg, "cho_factor", lambda S: -S)
         inst, _ = gen_fused_lasso(10, (4, 4), 0)
         prog = build_fused_lasso_ls(inst)
-        monkeypatch.setattr(precond, "CholeskyFactor", breakdown)
         _, rep = solve(prog, SolverOptions(linear_solver="pcg-normal",
                                            precond="fmri-block"))
         assert rep.status == "numerical-failure"
-        assert rep.iterations == 0
+        assert rep.iterations == 0 and len(borders) == 1
 
 
 def assert_dense_step(system, st, prog):
@@ -824,11 +818,11 @@ class TestLifecycle:
         return (prog if pairs else dataclasses.replace(prog, pairs=None)), inst
 
     @staticmethod
-    def assert_fmri_blocks_follow(prog, s, drops):
+    def assert_fmri_blocks_follow(prog, drops):
         """After each drop of ``drops``, the fmri-block preconditioner is the
-        dense blockdiag(M1, M3) inverse on the active set, at δ = 1e-2 and
-        1e-8, and the step is the dense one. Returns the system and the
-        number of TV rows that border K at each factor."""
+        inverse of the dense normal matrix on the active set, at δ = 1e-2
+        and 1e-8, and the step is the dense one. Returns the system and the
+        number of rows that border K at each factor."""
         st = random_state(prog, seed=45)
         st.inner_tol = 1e-12
         system = NormalEquations(prog, SolverOptions(linear_solver="pcg-normal",
@@ -842,7 +836,7 @@ class TestLifecycle:
                 system.factor(st)
                 borders.append(int(system.border.sum()))
                 g = prog.hess_diag(st.x)[act] + st.xi_diag()[act] + st.rho
-                P = fmri_block_matrix(g, prog.A[:, act], s, st.delta)
+                P = precond.normal_equations_matrix(g, prog.A[:, act], st.delta)
                 np.testing.assert_allclose(system.precond.apply_inverse(r),
                                            np.linalg.solve(P, r), rtol=1e-9, atol=1e-12)
                 assert_dense_step(system, st, prog)
@@ -852,26 +846,26 @@ class TestLifecycle:
         prog, inst = self.fmri_program()
         (s, q), ell = inst.data.shape, inst.tv.rows
         # all active, then a w member, a whole (w+, w-) pair, whose unknown
-        # of the TV block's band is pinned, and a whole (d+, d-) pair
-        system, borders = self.assert_fmri_blocks_follow(prog, s, (
+        # of the band is pinned, and a whole (d+, d-) pair
+        system, borders = self.assert_fmri_blocks_follow(prog, (
             [], [s + 3], [s + 7, s + q + 7], [s + 2 * q + 5, s + 2 * q + ell + 5]))
-        # one unknown per w pair; the (d+, d-) pairs leave with E
-        assert system.cols.size == q and system.R.size == ell
+        # one unknown per residual and per w pair; the (d+, d-) pairs leave with E
+        assert system.cols.size == s + q and system.R.size == ell
         assert np.flatnonzero(system.band.pinned).size == 1
-        # the row of the dropped (d+, d-) pair keeps E = δ, which at 1e-8 is
-        # too small to eliminate it
-        assert borders == [0, 0, 0, 0, 0, 0, 0, 1]
+        # the data rows always border K; the row of the dropped (d+, d-)
+        # pair keeps E = δ, which at 1e-8 is too small to eliminate it
+        assert borders == [s] * 7 + [s + 1]
 
     def test_fmri_blocks_without_pairs(self):
-        # every TV column is an unknown of the band, and E = δ on every row
+        # every column is an unknown of the band, and E = δ on every row
         prog, inst = self.fmri_program(pairs=False)
         (s, q), ell = inst.data.shape, inst.tv.rows
-        system, borders = self.assert_fmri_blocks_follow(prog, s, (
+        system, borders = self.assert_fmri_blocks_follow(prog, (
             [], [s + 3], [s + 2 * q + 5, s + 2 * q + ell + 5]))
-        assert system.cols.size == 2 * q + 2 * ell and system.R.size == 0
+        assert system.cols.size == s + 2 * q + 2 * ell and system.R.size == 0
         assert np.flatnonzero(system.band.pinned).size == 3
-        # at δ = 1e-8 every row borders K
-        assert borders == [0, ell] * 3
+        # the data rows always border K, and at δ = 1e-8 every TV row does too
+        assert borders == [s, s + ell] * 3
 
     def test_fmri_solve_factors_no_superlu(self, monkeypatch):
         lus = record_calls(monkeypatch, scipy.sparse.linalg, "splu")
@@ -882,8 +876,28 @@ class TestLifecycle:
         assert rep.status == "optimal"
         assert lus == [] and len(bands) == rep.iterations
 
+    def test_fmri_pcg_takes_at_most_two_iterations_per_newton_solve(self):
+        # the preconditioner is the normal matrix's exact inverse
+        prog, _ = self.fmri_program()
+        _, rep = solve(prog, SolverOptions(linear_solver="pcg-normal",
+                                           precond="fmri-block", dropping=True))
+        assert rep.status == "optimal"
+        assert rep.inner_iterations <= 2 * 2 * rep.iterations  # predictor and corrector
+
+    @pytest.mark.filterwarnings("ignore:more samples than features")
+    @pytest.mark.parametrize("s, seed, tau1, tau2", [(200, 0, 1e-3, 1e-2),
+                                                     (300, 2, 1e-4, 1e-3)])
+    def test_fmri_pcg_converges_where_w_is_nonzero(self, s, seed, tau1, tau2):
+        prog = build_fused_lasso_ls(gen_fused_lasso(s, (6, 6, 6), seed, tau1, tau2)[0])
+        (x, _, _), rep = solve(prog, SolverOptions(linear_solver="pcg-normal",
+                                                   precond="fmri-block"))
+        _, direct = solve(prog, SolverOptions())
+        assert rep.status == direct.status == "optimal"
+        assert np.abs(prog.extract(x)).max() > 1e-3
+        assert rep.final_objective == pytest.approx(direct.final_objective, rel=1e-7)
+
     def test_fmri_band_breakdown_is_numerical_failure(self, monkeypatch):
-        # M3's band K with its sign flipped: its Cholesky factor breaks down
+        # the band K with its sign flipped: its Cholesky factor breaks down
         bands = record_calls(monkeypatch, scipy.linalg, "cholesky_banded",
                              lambda band: -band)
         prog, _ = self.fmri_program()
