@@ -3,7 +3,7 @@ verify multiplier signs post-hoc, both from residuals that
 ``ippmm.kkt_residuals`` formed."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,19 +14,19 @@ XI = 1e2  # a dropped variable's dual must be at least XI * eps_drop
 class DropAudit:
     """Post-solve audit of the dropped index set V."""
 
-    dropped: list = field(default_factory=list)      # (index, evaluation) pairs
-    multipliers: np.ndarray = field(default_factory=lambda: np.zeros(0))  # recovered z on V
-    violated: list = field(default_factory=list)     # indices with multiplier <= 0
+    dropped: np.ndarray      # (index, evaluation) rows
+    multipliers: np.ndarray  # recovered z on V
+    violated: list           # indices with multiplier <= 0
 
     def to_dict(self):
         return {
-            "dropped": [list(pair) for pair in self.dropped],
+            "dropped": self.dropped.tolist(),
             "multipliers": self.multipliers.tolist(),
             "violated": list(self.violated),
         }
 
 
-def scan_and_drop(state, rd: np.ndarray, eps_drop: float) -> list:
+def scan_and_drop(state, rd: np.ndarray, eps_drop: float) -> np.ndarray:
     """Move near-zero variables with well-separated duals into the dropped set.
 
     A non-negative, still-active variable j is dropped when x_j <= eps_drop,
@@ -42,8 +42,8 @@ def scan_and_drop(state, rd: np.ndarray, eps_drop: float) -> list:
     state.dropped[newly] = True
     state.x[newly] = 0.0
     state.z[newly] = 0.0
-    newly = newly.tolist()
-    state.drop_log += [(j, state.k) for j in newly]
+    state.drop_log = np.concatenate(
+        [state.drop_log, np.column_stack([newly, np.full(newly.size, state.k)])])
     return newly
 
 
@@ -53,8 +53,6 @@ def verify_dropped(gy: np.ndarray, drop_log) -> DropAudit:
     ``gy`` is grad f(x*) - A'y* at the returned iterate, whose x* is zero on
     V, so z_V = gy_V; for quadratics this is c_V + (Q x*)_V - (A_{:,V})' y*.
     """
-    audit = DropAudit(dropped=list(drop_log))
-    V = np.array(drop_log, dtype=int).reshape(-1, 2)[:, 0]
-    audit.multipliers = gy[V]
-    audit.violated = V[audit.multipliers <= 0].tolist()
-    return audit
+    dropped = np.asarray(drop_log, dtype=int).reshape(-1, 2)
+    V = dropped[:, 0]
+    return DropAudit(dropped, gy[V], V[gy[V] <= 0].tolist())

@@ -476,7 +476,7 @@ def _cmd_spectest(args) -> int:
         prog = build_fused_lasso_ls(inst)
         x = np.ones(prog.n)
         gdiag = prog.hess_diag(x) + 1.0 + rho  # unit point: z/x = 1
-        rep = precond.fmri_spectral_report(gdiag, prog.A, prog.row_split,
+        rep = precond.fmri_spectral_report(gdiag, prog.A, inst.data.shape[0],
                                            rho, delta)
         eigs = rep.eigenvalues
         ok = eigs.min() >= rep.chi - 1e-10 and eigs.max() <= 2.0 + 1e-10

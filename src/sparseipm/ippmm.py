@@ -18,7 +18,7 @@ import scipy.sparse.linalg
 
 from . import dropping as dropmod
 from . import precond as precondmod
-from .krylov import BorderedBand, NotPositiveDefiniteError, minres, pcg
+from .krylov import BorderedBand, minres, pcg
 from .problems import ConvexProgram
 
 
@@ -34,7 +34,7 @@ ESTIMATE_DECREASE = 0.95           # residual decrease that refreshes the estima
 DROP_ACTIVATION = 1e-2             # dropping scans only once mu <= this * mu0
 FORCING, INNER_MAXIT = 0.1, 500    # inner Krylov solves: tolerance per residual, cap
 INNER_TOL_MIN, INNER_TOL_MAX = 1e-10, 1e-2  # bounds on the inner relative tolerance
-ELIMINATION_LOSS = 1e4             # largest (A_u D A_u')_rr / E_r of an eliminated TV row
+ELIMINATION_LOSS = 1e4             # largest (A_u D A_u')_rr / E_r of an eliminated row
 
 
 class UnsupportedStructureError(ValueError):
@@ -84,7 +84,7 @@ class IpPmmState:
     nonneg: np.ndarray
     dropped: np.ndarray
     k: int = 0
-    drop_log: list = field(default_factory=list)
+    drop_log: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=int))
     last_primal_norm: float = np.inf
     last_dual_norm: float = np.inf
     inner_tol: float = INNER_TOL_MAX  # relative tolerance of this iteration's Krylov solves
@@ -179,7 +179,7 @@ def kkt_residuals(state: IpPmmState, program: ConvexProgram,
         rp = program.b - program.A @ state.x
         gy = g - program.A.T @ state.y
         rd = gy - state.z
-        if eps_drop is None or not dropmod.scan_and_drop(state, rd, eps_drop):
+        if eps_drop is None or not dropmod.scan_and_drop(state, rd, eps_drop).size:
             break
         eps_drop = None
     act = state.active_indices()
@@ -426,10 +426,8 @@ class SaddleMatrix(NewtonSystem):
         rt = r1[self.rows]
         rt[kp] = self.dt[kp] * (e[p] * r1[p] - e[q] * r1[q])
         rt[band.pinned] = 0.0
-        # -K dx + A_B' dy_B = rt - A_R' u and A_B dx + δ dy_B = r2_B, with K = LL'
-        h = band.tri(rt - band.A_R.T @ u, "N")
-        dyB = band.schur_solve(r2[self.B] + band.Z.T @ h)
-        xu = band.tri(band.Z @ dyB - h, "T")
+        # -K dx + A_B' dy_B = rt - A_R' u and A_B dx + δ dy_B = r2_B
+        xu, dyB = band.solve_bordered(band.A_R.T @ u - rt, r2[self.B])
         dx = np.zeros(e.size)
         dx[self.rows] = xu
         dy = np.empty(r2.size)
@@ -443,8 +441,7 @@ class SaddleMatrix(NewtonSystem):
 
 class NormalEquations(NewtonSystem):
     """PCG path: the SPD operator dy -> (A G^-1 A' + delta I) dy with G
-    diagonal, and its preconditioner: fmri-block on a program with a
-    ``row_split``, none on any other.
+    diagonal, preconditioned by its exact inverse.
 
     The two columns of each pair of ``program.pairs`` are exact negatives,
     so the operator sums them as one: it is applied through A_k, built once
@@ -453,16 +450,16 @@ class NormalEquations(NewtonSystem):
     e = 1/G on the active set and 0 on dropped variables. A dropped
     variable only zeroes its weight, so A_k is never cut again.
 
-    fmri-block is the operator's exact inverse. Each slack pair
-    (``_find_slack_pairs``) goes into its row's diagonal E, so the operator
-    is E + A_u D A_u', with D = w on the other columns of A_k (on fused
-    lasso, the residuals and one per voxel). Its rows are eliminated into
-    the ``krylov.BorderedBand`` K = D^-1 + A_R' E^-1 A_R, built once per
-    solve, in which an unknown with no active variable left is pinned. The
-    leading ``row_split`` rows, dense on fused lasso, border K; so does a
-    row whose (A_u D A_u')_rr exceeds ``ELIMINATION_LOSS`` E_r, which would
-    lose that factor in accuracy to its elimination. The band is built
-    again when those rows change.
+    As on the other paths, a row is eliminated only through its slack pairs
+    (``_find_slack_pairs``). Each goes into its row's diagonal E, so the
+    operator is E + A_u D A_u', with D = w on the other columns of A_k (on
+    fused lasso, the residuals and one per voxel). Its rows are eliminated
+    into the ``krylov.BorderedBand`` K = D^-1 + A_R' E^-1 A_R, built once
+    per solve, in which an unknown with no active variable left is pinned.
+    The rows B without a slack pair (on fused lasso, the data rows) border
+    K; so does a slack row whose (A_u D A_u')_rr exceeds
+    ``ELIMINATION_LOSS`` E_r, which would lose that factor in accuracy to
+    its elimination. The band is built again when the border changes.
     """
 
     def __init__(self, program: ConvexProgram, options: SolverOptions):
@@ -479,12 +476,11 @@ class NormalEquations(NewtonSystem):
         self.kp = np.searchsorted(self.kcols, p)  # the column of each pair
         self.A_k = A[:, self.kcols]
         self.A_kt = self.A_k.T
-        if program.row_split is not None:
-            self._find_slack_pairs(program, A)
-            self.cols = np.flatnonzero(self.rest[self.kcols])  # K's unknowns
-            self.A_u = sp.csr_matrix(self.A_k[:, self.cols])
-            self.A_u2 = self.A_u.power(2)
-            self.border = None  # the rows that border K; the first factor builds the band
+        self._find_slack_pairs(program, A)
+        self.cols = np.flatnonzero(self.rest[self.kcols])  # K's unknowns
+        self.A_u = sp.csr_matrix(self.A_k[:, self.cols])
+        self.A_u2 = self.A_u.power(2)
+        self.border = None  # the rows that border K; the first factor builds the band
 
     def factor(self, state: IpPmmState):
         shrank = self._refresh(state)
@@ -495,13 +491,10 @@ class NormalEquations(NewtonSystem):
         self.e[act] = 1.0 / g  # 1/G, the Hessian's diagonal included
         self.w = self.e[self.kcols]
         self.w[self.kp] += self.e[self.q]
-        if self.program.row_split is None:
-            self.precond = precondmod.identity_preconditioner()
-            return
         D = self.w[self.cols]  # 0 on an unknown with no active variable
         E = self._slack_diagonal()
         border = self.A_u2 @ D > ELIMINATION_LOSS * E
-        border[:self.program.row_split] = True
+        border[self.B] = True
         rebuilt = not np.array_equal(border, self.border)
         if rebuilt:
             self.border = border
@@ -611,8 +604,6 @@ def update_penalties_and_estimates(state: IpPmmState, primal_norm: float,
 def solve(program: ConvexProgram, options: Optional[SolverOptions] = None):
     """Run IP-PMM; returns ((x, y, z), SolveReport)."""
     options = options or SolverOptions()
-    if options.precond == "fmri-block" and program.row_split is None:
-        raise ValueError("fmri-block needs a program with a row_split")
     t_start = time.perf_counter()
     t_linalg = 0.0
     state = initial_state(program, options)
@@ -645,7 +636,7 @@ def solve(program: ConvexProgram, options: Optional[SolverOptions] = None):
         try:
             ctx = _CONTEXTS[options.linear_solver](state, program, options)
             dx, dy, dz = predictor_corrector_step(state, ctx, rp, gy)
-        except (RuntimeError, np.linalg.LinAlgError, NotPositiveDefiniteError):
+        except (RuntimeError, np.linalg.LinAlgError):
             status = "numerical-failure"
             break
         finally:  # a failed iteration's linear algebra counts too

@@ -164,6 +164,13 @@ class BorderedBand:
             return r
         return scipy.linalg.lapack.dpotrs(self.S, r, lower=1)[0]
 
+    def solve_bordered(self, f: np.ndarray, g: np.ndarray):
+        """(x, y) with K x - A_B' y = f and A_B x + δ y = g, x in band order:
+        h = L^-1 f, y = S^-1 (g - Z'h) and x = L'^-1 (h + Z y)."""
+        h = self.tri(f, "N")
+        y = self.schur_solve(g - self.Z.T @ h)
+        return self.tri(h + self.Z @ y, "T"), y
+
 
 def _as_matvec(M) -> Callable[[np.ndarray], np.ndarray]:
     if callable(M):

@@ -2,10 +2,10 @@
 applied through a factored ``krylov.BorderedBand``, plus dense spectral
 verification utilities.
 
-fmri-block is the exact inverse of the normal matrix: the data rows border
-the band over the voxels. The spectral checks build the paper's
-blockdiag(M1, M3) from its definition to test its eigenvalue bounds; no
-solver path applies that matrix."""
+fmri-block, the PCG path's one preconditioner, is the exact inverse of the
+normal matrix: the rows without a slack pair border the band. The spectral
+checks build the paper's blockdiag(M1, M3) from its definition to test its
+eigenvalue bounds; no solver path applies that matrix."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -29,6 +29,8 @@ class Preconditioner:
     apply_inverse: Callable[[np.ndarray], np.ndarray]
 
 
+# Read only by perfbench/tracing.py, whose precond.build span wraps it; no
+# solver path runs without a preconditioner.
 def identity_preconditioner() -> Preconditioner:
     return Preconditioner(apply_inverse=lambda v: v)
 
@@ -40,11 +42,12 @@ def build_fmri_normal_precond(band, d: np.ndarray, E: np.ndarray,
     row's diagonal E; the columns A_u and weights D are the others.
 
     ``band`` is a ``krylov.BorderedBand`` whose A_R holds the rows outside
-    ``border`` and whose border A_B holds those in it (the data rows among
-    them): with K = diag(d) + A_R' E_R^-1 A_R (``d`` = D^-1 in band order),
-    x = K^-1 (A_R' E_R^-1 r_R + A_B' y_B), y_R = E_R^-1 (r_R - A_R x), and
-    y_B comes from the border E_B + A_B K^-1 A_B'. It is factored at every
-    interior point iteration, since W changes.
+    ``border`` and whose border A_B holds those in it (the rows without a
+    slack pair among them): with K = diag(d) + A_R' E_R^-1 A_R (``d`` =
+    D^-1 in band order), ``band.solve_bordered`` gives
+    x = K^-1 (A_R' E_R^-1 r_R + A_B' y_B) and y_B from the border
+    E_B + A_B K^-1 A_B', and y_R = E_R^-1 (r_R - A_R x). It is factored at
+    every interior point iteration, since W changes.
     """
     R, B = np.flatnonzero(~border), np.flatnonzero(border)
     E_R = E[R]
@@ -54,9 +57,7 @@ def build_fmri_normal_precond(band, d: np.ndarray, E: np.ndarray,
     def apply_inverse(r):
         out = np.empty_like(r)
         t = r[R] / E_R
-        h = band.tri(A_Rt @ t, "N")
-        out[B] = yB = band.schur_solve(r[B] - band.Z.T @ h)
-        x = band.tri(h + band.Z @ yB, "T")
+        x, out[B] = band.solve_bordered(A_Rt @ t, r[B])
         out[R] = t - (A_R @ x) / E_R
         return out
 

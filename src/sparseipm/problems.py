@@ -31,10 +31,10 @@ class ConvexProgram:
     2 x p index array ``pairs`` names a split pair of non-negative
     coordinates whose columns in ``A`` and ``Q`` are exact negatives. Without
     ``Q``, the Hessian of f must vanish on pair coordinates (f is at most
-    linear in them). The direct and MINRES paths eliminate each slack pair,
-    one whose two columns each hold a single entry of ``A`` in the same row,
-    and that row with it; the direct path reduces every other pair to one
-    unknown inside its Newton solve.
+    linear in them). Every solver path eliminates each slack pair, one whose
+    two columns each hold a single entry of ``A`` in the same row, and that
+    row with it, and no other row; the direct and PCG paths reduce every
+    other pair to one unknown inside their Newton solve.
     """
 
     A: sp.csr_matrix
@@ -46,7 +46,6 @@ class ConvexProgram:
     hess_diag: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hess_diag_cheap: Optional[Callable[[np.ndarray], np.ndarray]] = None
     Q: Optional[sp.csr_matrix] = None
-    row_split: Optional[int] = None  # leading dense rows, which border fmri-block's band
     extract: Optional[Callable[[np.ndarray], np.ndarray]] = None  # split x -> original w
     pairs: Optional[np.ndarray] = None  # 2 x p split pairs (x+, x-)
 
@@ -286,7 +285,7 @@ def build_fused_lasso_ls(inst: FusedLassoLsInstance) -> ConvexProgram:
         np.full(2 * l, inst.tau2),
     ])
     w, d = s + np.arange(q), s + 2 * q + np.arange(l)
-    prog = quadratic_program(Q, c, A, b, nonneg=np.arange(s, n), row_split=s,
+    prog = quadratic_program(Q, c, A, b, nonneg=np.arange(s, n),
                              pairs=np.array([np.r_[w, d], np.r_[w + q, d + l]]))
     prog.extract = lambda x: x[s:s + q] - x[s + q:s + 2 * q]
     # carry the constant ||y||^2/(2s) so values match the unsplit model

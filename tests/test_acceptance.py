@@ -84,9 +84,8 @@ def test_criterion_02_normal_preconditioner_spectra():
         theta_inv = np.zeros(prog.n)
         theta_inv[prog.nonneg] = rng.uniform(0.1, 10.0, prog.nonneg.size)
         g = prog.hess_diag(x) + theta_inv + rho
-        rep = precond.fmri_spectral_report(g, prog.A, prog.row_split, rho,
-                                           delta)
-        ell = prog.m - prog.row_split
+        rep = precond.fmri_spectral_report(g, prog.A, s, rho, delta)
+        ell = prog.m - s
         rank = np.linalg.matrix_rank(inst.data)
         ok &= rep.eigenvalues.min() > rep.chi - 1e-10
         ok &= rep.eigenvalues.max() < 2.0 + 1e-10

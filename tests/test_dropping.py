@@ -44,27 +44,27 @@ class TestScanAndDrop:
         # residual grad - A'y - z = 1 - 0.5 - 0.5 = 0 on both coordinates
         st = make_state(prog, [1e-5, 1.0], z, y=y, k=7)
         newly = scan_and_drop(st, dual_residual(st, prog), eps_drop=1e-4)
-        assert newly == [0]
+        assert newly.tolist() == [0]
         assert st.x[0] == 0.0 and st.z[0] == 0.0
-        assert st.drop_log == [(0, 7)]
+        assert st.drop_log.tolist() == [[0, 7]]
         assert st.dropped[0] and not st.dropped[1]
 
     def test_small_dual_blocks_drop(self):
         prog = lp([1.0, 1.0], [[1.0, 1.0]], [1.0])
         st = make_state(prog, [1e-5, 1.0], [1e-3, 1.0], y=np.array([0.0]))
         # z = 1e-3 < XI * eps_drop = 1e-2
-        assert scan_and_drop(st, dual_residual(st, prog), eps_drop=1e-4) == []
+        assert scan_and_drop(st, dual_residual(st, prog), eps_drop=1e-4).size == 0
 
     def test_dual_residual_blocks_drop(self):
         prog = lp([1.0, 1.0], [[1.0, 1.0]], [1.0])
         st = make_state(prog, [1e-5, 1.0], [0.5, 0.5], y=np.array([5.0]))
         # residual = 1 - 5 - 0.5 far from zero
-        assert scan_and_drop(st, dual_residual(st, prog), eps_drop=1e-4) == []
+        assert scan_and_drop(st, dual_residual(st, prog), eps_drop=1e-4).size == 0
 
     def test_noop_when_away_from_bound(self):
         prog = lp([1.0, 1.0], [[1.0, 1.0]], [2.0])
         st = make_state(prog, [1.0, 1.0], [0.5, 0.5], y=np.array([0.5]))
-        assert scan_and_drop(st, dual_residual(st, prog), eps_drop=1e-4) == []
+        assert scan_and_drop(st, dual_residual(st, prog), eps_drop=1e-4).size == 0
         assert not st.dropped.any()
 
     def test_monotone_growth(self):
@@ -79,7 +79,7 @@ class TestScanAndDrop:
         prog = lp([1.0, 1.0], [[1.0, 1.0]], [1.0])
         st = make_state(prog, [1e-5, 1.0], [0.5, 0.5], y=np.array([0.5]), k=4)
         evaluated = kkt_residuals(st, prog, eps_drop=1e-4)
-        assert st.drop_log == [(0, 4)] and st.x[0] == 0.0
+        assert st.drop_log.tolist() == [[0, 4]] and st.x[0] == 0.0
         for got, fresh in zip(evaluated, kkt_residuals(st, prog)):
             np.testing.assert_array_equal(got, fresh)
 
@@ -93,7 +93,7 @@ def reference_scan_and_drop(state, rd, eps_drop):
             state.dropped[j] = True
             state.x[j] = 0.0
             state.z[j] = 0.0
-            state.drop_log.append((int(j), int(state.k)))
+            state.drop_log = np.vstack([state.drop_log, [j, state.k]])
             newly.append(int(j))
     return newly
 
@@ -108,13 +108,13 @@ def test_array_drop_rule_matches_the_reference_loop():
     states = [make_state(prog, x.copy(), z.copy(), k=9) for _ in range(2)]
     for st in states:
         st.dropped[:5] = True
-        st.drop_log = [(j, 3) for j in range(5)]
+        st.drop_log = np.array([(j, 3) for j in range(5)])
     got = scan_and_drop(states[0], rd, 1e-4)
     want = reference_scan_and_drop(states[1], rd, 1e-4)
-    assert got == want and len(got) > 5
+    assert got.tolist() == want and len(got) > 5
     for name in ("dropped", "x", "z"):
         np.testing.assert_array_equal(getattr(states[0], name), getattr(states[1], name))
-    assert states[0].drop_log == states[1].drop_log
+    np.testing.assert_array_equal(states[0].drop_log, states[1].drop_log)
     gy = rng.standard_normal(n)
     audit = verify_dropped(gy, states[0].drop_log)
     V = [j for j, _ in states[0].drop_log]
@@ -129,7 +129,7 @@ class TestVerifyDropped:
     def test_empty_audit(self):
         prog = lp([1.0], [[1.0]], [1.0])
         audit = verify_dropped(grad_minus_aty(prog, [1.0], [1.0]), [])
-        assert audit.dropped == [] and audit.violated == []
+        assert audit.dropped.size == 0 and audit.violated == []
         assert audit.multipliers.size == 0
 
     def test_correct_drop_positive_multiplier(self):

@@ -1,4 +1,4 @@
-"""Six small ``ast`` checks in place of a linter, and one on the README.
+"""Seven small ``ast`` checks in place of a linter, and one on the README.
 
 - Every name a ``sparseipm`` module imports is used in that module: it appears
   as a name anywhere in the module, or in ``__all__``.
@@ -9,6 +9,9 @@
 - Every ``SolverOptions`` field is set somewhere in ``src/`` or
   ``perfbench/``: it appears there as a keyword argument or a string constant
   (``setattr`` by name). An option that only tests set is not a caller setting.
+- Every ``ConvexProgram`` field is read as an attribute somewhere in
+  ``src/sparseipm`` outside its own class: an input no solver code reads is
+  not an input.
 - No ``sparseipm`` function imports inside its body: every dependency of a
   module shows at its top.
 - Every defaulted parameter of a ``sparseipm`` function or method, public or
@@ -32,6 +35,7 @@ import pytest
 
 import sparseipm
 from sparseipm.ippmm import SolverOptions
+from sparseipm.problems import ConvexProgram
 
 MODULES = sorted(Path(sparseipm.__file__).parent.glob("*.py"))
 PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
@@ -138,6 +142,32 @@ def test_checker_flags_an_unset_option():
 def test_every_solver_option_has_a_caller():
     fields = [f.name for f in dataclasses.fields(SolverOptions)]
     assert unset_options(fields, [p.read_text() for p in MODULES + PERFBENCH]) == []
+
+
+def unread_fields(cls: str, fields, sources) -> list:
+    """Fields that no source reads as an attribute outside class ``cls``."""
+    read = set()
+    for source in sources:
+        tree = ast.parse(source)
+        inside = {id(node) for top in ast.walk(tree)
+                  if isinstance(top, ast.ClassDef) and top.name == cls
+                  for node in ast.walk(top)}
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and id(node) not in inside)
+    return sorted(set(fields) - read)
+
+
+def test_checker_flags_an_unread_field():
+    sources = ["class P:\n    a: int\n    b: int\n    c: int\n"
+               "    def f(self):\n        return self.c\n",
+               "def g(p):\n    p.b = 1\n    return p.a\n"]
+    assert unread_fields("P", ["a", "b", "c"], sources) == ["b", "c"]
+
+
+def test_every_program_field_is_read():
+    fields = [f.name for f in dataclasses.fields(ConvexProgram)]
+    assert unread_fields("ConvexProgram", fields, [p.read_text() for p in MODULES]) == []
 
 
 def function_local_imports(source: str) -> list:

@@ -618,13 +618,11 @@ class TestSolveBehavior:
                                     {"dropping": True, "eps_drop": 0.0},
                                     {"precond": "bogus"},
                                     {"htilde_choice": "u_squared"},
-                                    {"linear_solver": "pcg-normal",
-                                     "precond": "fmri-block"},
+                                    {"precond": "fmri-block"},
                                     {"linear_solver": "minres-augmented",
                                      "precond": "identity"}])
     def test_invalid_options_rejected(self, kw):
-        # max_iter=1 ends before dropping would scan: the check is up front;
-        # the program has no row_split for fmri-block
+        # max_iter=1 ends before dropping would scan: the check is up front
         kw = {"max_iter": 1, **kw}
         prog = quadratic_program(np.eye(1), np.zeros(1), np.zeros((0, 1)),
                                  np.zeros(0))
@@ -864,8 +862,8 @@ class TestLifecycle:
             [], [s + 3], [s + 2 * q + 5, s + 2 * q + ell + 5]))
         assert system.cols.size == s + 2 * q + 2 * ell and system.R.size == 0
         assert np.flatnonzero(system.band.pinned).size == 3
-        # the data rows always border K, and at δ = 1e-8 every TV row does too
-        assert borders == [s, s + ell] * 3
+        # without a slack pair no row is eliminated: every row borders K
+        assert borders == [s + ell] * 6
 
     def test_fmri_solve_factors_no_superlu(self, monkeypatch):
         lus = record_calls(monkeypatch, scipy.sparse.linalg, "splu")
@@ -877,12 +875,16 @@ class TestLifecycle:
         assert lus == [] and len(bands) == rep.iterations
 
     def test_fmri_pcg_takes_at_most_two_iterations_per_newton_solve(self):
-        # the preconditioner is the normal matrix's exact inverse
-        prog, _ = self.fmri_program()
-        _, rep = solve(prog, SolverOptions(linear_solver="pcg-normal",
-                                           precond="fmri-block", dropping=True))
-        assert rep.status == "optimal"
-        assert rep.inner_iterations <= 2 * 2 * rep.iterations  # predictor and corrector
+        # the preconditioner is the normal matrix's exact inverse, on a
+        # program with slack pairs and on one without
+        runs = [(self.fmri_program()[0], SolverOptions(
+                    linear_solver="pcg-normal", precond="fmri-block", dropping=True)),
+                (planted_qp("diagonal", 60, 20, 0)[0], SolverOptions(
+                    tol=1e-9, linear_solver="pcg-normal"))]
+        for prog, options in runs:
+            _, rep = solve(prog, options)
+            assert rep.status == "optimal"
+            assert rep.inner_iterations <= 2 * 2 * rep.iterations  # predictor and corrector
 
     @pytest.mark.filterwarnings("ignore:more samples than features")
     @pytest.mark.parametrize("s, seed, tau1, tau2", [(200, 0, 1e-3, 1e-2),
@@ -927,7 +929,7 @@ class TestNormalOperator:
     def program(qdiag=None, seed=20):
         """A fused-lasso-like program on ``random_fused_lasso_layout``:
         x = [r; w+; w-; d+; d-], Q = I on r (or ``qdiag``), with its
-        (w+, w-) and (d+, d-) pairs and its s data rows as the row split."""
+        (w+, w-) and (d+, d-) pairs; its s data rows hold no slack pair."""
         A, _, s, ell, D = random_fused_lasso_layout(seed)
         q, n = D.shape[1], A.shape[1]
         rng = np.random.default_rng(seed + 1)
@@ -935,7 +937,7 @@ class TestNormalOperator:
         w, d = s + np.arange(q), s + 2 * q + np.arange(ell)
         prog = quadratic_program(sp.diags(qdiag), rng.standard_normal(n), A,
                                  rng.standard_normal(A.shape[0]),
-                                 nonneg=np.arange(s, n), row_split=s,
+                                 nonneg=np.arange(s, n),
                                  pairs=np.array([np.r_[w, d], np.r_[w + q, d + ell]]))
         return prog, s, q, ell
 

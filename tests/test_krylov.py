@@ -2,9 +2,10 @@ import ctypes
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
-from sparseipm.krylov import (CholeskyFactor, NotPositiveDefiniteError,
+from sparseipm.krylov import (BorderedBand, CholeskyFactor, NotPositiveDefiniteError,
                               minres, pcg)
 
 
@@ -267,3 +268,84 @@ def test_minres_is_bit_identical_to_reference_loop(case):
     assert out.iterations == it
     assert out.final_relative_residual == rel
     np.testing.assert_array_equal(out.solution, x)
+
+
+class TestBorderedBand:
+    """The band-and-border factor against a dense solve of
+    [[K, -A_B'], [A_B, δ]] with K = C + diag(d) + A_R' diag(w) A_R."""
+
+    @staticmethod
+    def system(with_c=True, nb=4, scalar_delta=True, pinned=None, n=15, nr=8, seed=60):
+        """The factored band, with K, A_B and δ densely in the columns'
+        own order; column ``pinned``, if given, is pinned with a unit d."""
+        rng = np.random.default_rng(seed)
+        G = sp.random(n, n, density=0.15, random_state=seed)
+        C = sp.csr_matrix(G @ G.T) if with_c else None
+        A_R = sp.random(nr, n, density=0.25, random_state=seed + 1, format="csr")
+        A_B = sp.random(nb, n, density=0.3, random_state=seed + 2, format="csr")
+        d, w = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, nr)
+        delta = 1e-2 if scalar_delta else rng.uniform(1e-3, 1e-1, nb)
+        band = BorderedBand(C, A_R, A_B)
+        if pinned is not None:
+            band.pin(band.order == pinned)
+            d[pinned] = 1.0
+        band.factor(d[band.order], w, delta)
+        K = np.diag(d) + A_R.T.toarray() @ np.diag(w) @ A_R.toarray()
+        if C is not None:
+            K += C.toarray()
+        return band, K, A_B.toarray(), np.broadcast_to(delta, nb) * np.eye(nb)
+
+    @pytest.mark.parametrize("scalar_delta", [True, False], ids=["scalar", "per-row"])
+    @pytest.mark.parametrize("with_c", [True, False], ids=["C", "no-C"])
+    def test_solves_match_dense(self, with_c, scalar_delta):
+        band, K, A_B, Delta = self.system(with_c, scalar_delta=scalar_delta)
+        order = band.order
+        rng = np.random.default_rng(61)
+        f, g = rng.standard_normal(K.shape[0]), rng.standard_normal(A_B.shape[0])
+        M = np.block([[K, -A_B.T], [A_B, Delta]])
+        want = np.linalg.solve(M, np.r_[f, g])
+        x, y = band.solve_bordered(f[order], g)
+        np.testing.assert_allclose(np.r_[x, y], np.r_[want[:f.size][order], want[f.size:]],
+                                   rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(band.solve(f[order]), np.linalg.solve(K, f)[order],
+                                   rtol=1e-10, atol=1e-12)
+        S = Delta + A_B @ np.linalg.solve(K, A_B.T)
+        np.testing.assert_allclose(band.schur_solve(g), np.linalg.solve(S, g),
+                                   rtol=1e-10, atol=1e-12)
+
+    def test_empty_border_makes_no_lapack_call_on_an_empty_matrix(self, monkeypatch):
+        shapes = []
+        for owner, name in [(scipy.linalg.lapack, "dtbtrs"), (scipy.linalg.lapack, "dpotrs"),
+                            (scipy.linalg, "cho_factor"), (scipy.linalg, "cholesky_banded")]:
+            original = getattr(owner, name)
+
+            def recorded(a, b=None, *args, _original=original, **kwargs):
+                shapes.extend(np.shape(v) for v in (a, b) if v is not None)
+                return _original(a, *([] if b is None else [b]), *args, **kwargs)
+
+            monkeypatch.setattr(owner, name, recorded)
+        band, K, _, _ = self.system(nb=0)
+        f = np.random.default_rng(62).standard_normal(K.shape[0])
+        x, y = band.solve_bordered(f[band.order], np.zeros(0))
+        np.testing.assert_allclose(x, np.linalg.solve(K, f)[band.order], rtol=1e-10)
+        assert y.size == 0 and band.schur_solve(np.zeros(0)).size == 0
+        assert shapes and all(np.prod(shape) > 0 for shape in shapes)
+
+    def test_pinned_unknown_is_exactly_zero(self):
+        _, K, A_B, _ = self.system()
+        k = int(np.argmax(np.count_nonzero(K, axis=0) + np.count_nonzero(A_B, axis=0)))
+        band, K, A_B, Delta = self.system(pinned=k)  # the most coupled column
+        order, n = band.order, K.shape[0]
+        assert np.count_nonzero(K[k]) > 1 and np.count_nonzero(A_B[:, k])
+        rng = np.random.default_rng(63)
+        f, g = rng.standard_normal(n), rng.standard_normal(A_B.shape[0])
+        f[k] = 0.0
+        x, y = band.solve_bordered(f[order], g)
+        assert x[order == k] == 0.0
+        # the other unknowns solve the system without column k
+        keep = np.flatnonzero(np.arange(n) != k)
+        M = np.block([[K[np.ix_(keep, keep)], -A_B[:, keep].T], [A_B[:, keep], Delta]])
+        want = np.linalg.solve(M, np.r_[f[keep], g])
+        got = np.empty(n)
+        got[order] = x
+        np.testing.assert_allclose(np.r_[got[keep], y], want, rtol=1e-10, atol=1e-12)

@@ -187,7 +187,6 @@ class TestFusedLassoLs:
         ell = make_tv_operator((2, 4)).rows
         assert prog.n == 6 + 2 * 8 + 2 * ell
         assert prog.m == 6 + ell
-        assert prog.row_split == 6
         assert prog.hessian_is_diagonal
 
     def test_objective_matches_original_on_feasible_split(self):
