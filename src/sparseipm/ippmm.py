@@ -224,13 +224,24 @@ def newton_rhs(state: IpPmmState, rp: np.ndarray, gy: np.ndarray, sigma: float,
 
 
 class NewtonSystem:
-    """What the three paths share: the Krylov counters of the solve, the
-    active set and the checks and eliminations of ``program.pairs``. A
-    dropped variable never returns, so the active set only shrinks, and the
-    MINRES path cuts its columns of A again only when it does."""
+    """The reduced Newton system that the three paths share, built once per
+    solve, and the Krylov counters of the solve.
+
+    ``_reduce`` finds the slack pairs (``_find_slack_pairs``), which leave
+    with their rows, and reduces every other split pair (x+, x-) of
+    ``program.pairs`` to its plus member's unknown u = dx+ - dx-. With
+    e = 1/(Θ + ρ) (0 on dropped variables), an unknown's diagonal is
+    dt = 1/(e+ + e-) for a u and 1/e for an unpaired variable. That leaves
+    [[-K, A_B'], [A_B, E_B]] over the unknowns and the border rows B, with
+    K = C + diag(dt) + A_R' E_R^-1 A_R, C the Hessian over the unknowns and
+    E = δ + Σ a²(e+ + e-) of each row over its slack pairs (δ on a row
+    without one). ``_build_band`` builds its ``krylov.BorderedBand``. A
+    dropped variable never returns, and every factor pins each unknown with
+    no live member left (``_pin``), so its step is exactly 0.
+    """
 
     inner_iterations = inner_capped = 0  # Krylov iterations, unconverged solves
-    active = None  # active variables of the last factor
+    border = None  # the rows that border K; the others are eliminated into it
 
     @classmethod
     def at(cls, state: IpPmmState, program: ConvexProgram, options: SolverOptions):
@@ -240,28 +251,23 @@ class NewtonSystem:
         state.system.factor(state)
         return state.system
 
-    def _refresh(self, state: IpPmmState) -> bool:
-        """Take the active set, Θ = ``state.xi_diag()``, e = 1/(Θ + ρ) on the
-        active set (0 on dropped variables), δ and the inner tolerance from
-        ``state``; True when the active set shrank."""
-        active = state.active_indices()
-        shrank = self.active is None or active.size < self.active.size
-        self.active = active
-        self.xi = state.xi_diag()
-        self.e = np.zeros(state.x.size)
-        self.e[active] = 1.0 / (self.xi[active] + state.rho)
-        self.delta, self.tol = state.delta, state.inner_tol
-        return shrank
-
-    @staticmethod
-    def _check_pairs(program: ConvexProgram, *blocks):
-        """Raise ValueError unless the two columns of each pair of
-        ``program.pairs`` are exact negatives in each CSC matrix of
-        ``blocks``."""
+    def _reduce(self, program: ConvexProgram):
+        """Check that the two columns of each pair are exact negatives in A,
+        and in Q when it is given (raises ValueError), find the slack pairs
+        and keep the other unknowns (sorted), A over them and each u's
+        position among them. Returns A in CSC."""
+        A = program.A.tocsc()
         p, q = program.pairs
-        for M in blocks:
-            if (M[:, p] + M[:, q]).count_nonzero():
-                raise ValueError("the A and Q columns of each pair must be exact negatives")
+        blocks = [A] if program.Q is None else [A, program.Q.tocsc()]
+        if any((M[:, p] + M[:, q]).count_nonzero() for M in blocks):
+            raise ValueError("the A and Q columns of each pair must be exact negatives")
+        self._find_slack_pairs(program, A)
+        split = self.rest[p]  # pairs that are not slack pairs
+        self.p, self.q = p[split], q[split]
+        self.unknowns = np.setdiff1d(np.flatnonzero(self.rest), self.q)
+        self.upos = np.searchsorted(self.unknowns, self.p)
+        self.A_u = program.A[:, self.unknowns]
+        return A
 
     def _find_slack_pairs(self, program: ConvexProgram, A):
         """Find the slack pairs: the pairs of ``program.pairs`` whose two
@@ -287,24 +293,79 @@ class NewtonSystem:
         self.rest = np.ones(n, dtype=bool)
         self.rest[self.pairs] = False
 
-    def _slack_diagonal(self) -> np.ndarray:
-        """E = δ + Σ a²(e+ + e-) of each row over its slack pairs: the
-        diagonal a slack row keeps once its pairs are eliminated."""
-        return self.delta + np.bincount(self.prow, self.pval ** 2 * self.e[self.pairs],
-                                        minlength=self.R.size + self.B.size)
+    def _build_band(self, border: np.ndarray, C=None):
+        """Build the band of K over the unknowns, with the rows ``border``
+        (sorted) bordering it and the others eliminated into it; C is the
+        Hessian block over the unknowns, or None. Keeps the unknowns in
+        band order (``rows``) and each u's band position."""
+        self.border = border
+        self.elim = np.setdiff1d(np.arange(self.A_u.shape[0]), border)
+        self.band = BorderedBand(C, self.A_u[self.elim], self.A_u[border])
+        self.A_Rt = self.band.A_R.T  # shares A_R's data, which a pin zeroes in place
+        self.rows = self.unknowns[self.band.order]
+        self.kp = np.argsort(self.band.order)[self.upos]
 
-    def _slack_rhs(self, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
-        """Row R's rhs after its pairs are eliminated, over E: dy_R is this
-        minus E^-1 A_R dx."""
-        c, e = self.pairs, self.e
-        return (r2 + np.bincount(self.prow, self.pval * e[c] * r1[c],
-                                 minlength=r2.size))[self.R] / self.E[self.R]
+    def _refresh(self, state: IpPmmState, h=0.0):
+        """Take Θ = ``state.xi_diag()``, e = 1/(h + Θ + ρ) on the active set
+        (0 on dropped variables), each row's E, δ and the inner tolerance
+        from ``state``; ``h`` is a Hessian diagonal folded into e. A weight
+        h + Θ + ρ that is not positive raises LinAlgError."""
+        active = state.active_indices()
+        self.xi = state.xi_diag()
+        g = (h + self.xi + state.rho)[active]
+        if np.any(g <= 0):
+            raise np.linalg.LinAlgError("diagonal weights must be positive")
+        self.e = np.zeros(state.x.size)
+        self.e[active] = 1.0 / g
+        self.esum = self.e.copy()  # an unknown's e: e+ + e- on a u
+        self.esum[self.p] += self.e[self.q]
+        self.delta, self.tol = state.delta, state.inner_tol
+        self.E = self.delta + np.bincount(self.prow, self.pval ** 2 * self.e[self.pairs],
+                                          minlength=self.A_u.shape[0])
 
-    def _slack_steps(self, dx, dy, r1, u, A_R_dx):
-        """Write dy_R and the steps of the slack members, 0 on dropped ones."""
-        dy[self.R] = u - A_R_dx / self.E[self.R]
-        c, e = self.pairs, self.e
+    def _pin(self, state: IpPmmState):
+        """Pin each unknown with no live member left (``BorderedBand.pin``),
+        and take dt in band order, 1 on a pinned unknown, and the
+        eliminated rows' E."""
+        live = ~state.dropped
+        live[self.p] |= live[self.q]  # a pair's unknown lives while either member does
+        self.band.pin(~live[self.rows])
+        self.dt = np.divide(1.0, self.esum[self.rows], out=np.ones(self.rows.size),
+                            where=~self.band.pinned)
+        self.E_elim = self.E[self.elim]
+
+    def _reduced_rhs(self, r1: np.ndarray, r2: np.ndarray):
+        """The reduced system's rhs from the full-length one: rt over the
+        unknowns (band order; dt (e+ r1+ - e- r1-) on a u, 0 on a pinned
+        unknown), and each row's rhs with its slack pairs' r1 folded in,
+        over E on the eliminated rows (u, which dy is minus E^-1 A_R dx)
+        and as it is on the border rows (g)."""
+        c, e, p, q, kp = self.pairs, self.e, self.p, self.q, self.kp
+        rs = r2 + np.bincount(self.prow, self.pval * e[c] * r1[c], minlength=r2.size)
+        rt = r1[self.rows]
+        rt[kp] = self.dt[kp] * (e[p] * r1[p] - e[q] * r1[q])
+        rt[self.band.pinned] = 0.0
+        return rt, rs[self.elim] / self.E_elim, rs[self.border]
+
+    def _dy(self, u: np.ndarray, xu: np.ndarray, yb: np.ndarray) -> np.ndarray:
+        """dy from u, the unknowns' step ``xu`` and the border rows' ``yb``."""
+        dy = np.empty(u.size + yb.size)
+        dy[self.border] = yb
+        dy[self.elim] = u - (self.band.A_R @ xu) / self.E_elim
+        return dy
+
+    def _expand(self, r1, rt, u, xu, yb):
+        """The full-length (dx, dy) of the reduced solution (xu, yb): dx is
+        0 on dropped variables."""
+        c, e, p, q, kp = self.pairs, self.e, self.p, self.q, self.kp
+        dx = np.zeros(e.size)
+        dx[self.rows] = xu
+        dy = self._dy(u, xu, yb)
         dx[c] = e[c] * (self.pval * dy[self.prow] - r1[c])
+        gp = self.dt[kp] * xu[kp] + rt[kp]  # recover each pair from its u
+        dx[p] = (gp - r1[p]) * e[p]
+        dx[q] = -(gp + r1[q]) * e[q]
+        return dx, dy
 
     def _count(self, out) -> np.ndarray:
         """Add one Krylov solve to the counters; returns its solution."""
@@ -314,17 +375,15 @@ class NewtonSystem:
 
 
 class AugmentedSystem(NewtonSystem):
-    """MINRES path: the symmetric indefinite 2x2 block operator on the active
-    coordinates with their slack pairs eliminated, and the block-diagonal
-    preconditioner built from H~.
+    """MINRES path: the reduced system of ``NewtonSystem`` with C = H, by
+    MINRES under the block-diagonal preconditioner built from H~.
 
-    With the slack rows R eliminated (``NewtonSystem._find_slack_pairs``),
-    MINRES runs on [[-K, A_B'], [A_B, δI]] over the other active variables,
-    with K = H + Θ + ρI + A_R' E^-1 A_R and A_B the rows without a slack
-    pair; dy_R and the pair steps follow in closed form. The preconditioner
-    is blockdiag(P, δI + A_B P^-1 A_B'), with P = K and H~ in place of H,
-    factored as a ``krylov.BorderedBand`` built again whenever the columns
-    are cut again. Without slack pairs this is the whole active-set system.
+    MINRES runs on [[-K, A_B'], [A_B, δI]] over the unknowns and the rows
+    without a slack pair, with K = H + Θ + ρI + A_R' E^-1 A_R (Θ + ρ read
+    as dt on a u); dy_R and the pair steps follow in closed form. A pinned
+    unknown's row of the operator is -1 on the diagonal and 0 elsewhere.
+    The preconditioner is blockdiag(P, δI + A_B P^-1 A_B'), with P = K and
+    H~ in place of H, factored in the band built once per solve.
     """
 
     def __init__(self, program: ConvexProgram, options: SolverOptions):
@@ -334,109 +393,69 @@ class AugmentedSystem(NewtonSystem):
             raise UnsupportedStructureError(
                 f"program provides no diagonal for {options.htilde_choice}")
         self.program = program
-        self._find_slack_pairs(program, program.A.tocsc())
+        self._reduce(program)
+        self._build_band(self.B)
+        self.na = self.rows.size
+        self.A_B = sp.csc_matrix(self.A_u[self.B][:, self.band.order])
+        self._A_Bt = self.A_B.T
 
     def factor(self, state: IpPmmState):
-        if self._refresh(state):
-            cols = self.active[self.rest[self.active]]  # unknowns besides dy_B
-            A = self.program.A[:, cols]
-            self.band = BorderedBand(None, A[self.R], A[self.B])
-            self.cols, self.na = cols[self.band.order], cols.size  # in band order
-            self.A_act = sp.csc_matrix(A[self.B][:, self.band.order])  # A_B
-            self.A_R = self.band.A_R
-            self._A_act_T = self.A_act.T
-        self.E = self._slack_diagonal()
-        self.diag_shift = self.xi[self.cols] + state.rho
-        self.K_R = self.A_R.T @ sp.diags(1.0 / self.E[self.R]) @ self.A_R
+        self._refresh(state)
+        self._pin(state)
+        # Θ + ρ as it is on an unpaired unknown; 1/(1/(Θ + ρ)) may round differently
+        self.diag_shift = self.xi[self.rows] + state.rho
+        self.diag_shift[self.kp] = self.dt[self.kp]
+        self.live = (~self.band.pinned).astype(float)
+        self.pins = np.flatnonzero(self.band.pinned)
+        self.K_R = self.A_Rt @ sp.diags(1.0 / self.E_elim) @ self.band.A_R
         self._hess = self.program.hess_action(state.x)
-        self.band.factor(self.chooser(state.x)[self.cols] + self.diag_shift,
-                         1.0 / self.E[self.R], state.delta)
+        self.band.factor(self.chooser(state.x)[self.rows] + self.diag_shift,
+                         1.0 / self.E_elim, self.E[self.border])
         self.precond = precondmod.build_aug_block_diag_precond(self.band)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         na = self.na
-        v1, v2 = v[:na], v[na:]
+        v1, v2 = v[:na] * self.live, v[na:]
         full = np.zeros(self.e.size)
-        full[self.cols] = v1
-        hv = self._hess(full)[self.cols]
+        full[self.rows] = v1
+        hv = self._hess(full)[self.rows]
         out = np.empty(v.size)
-        np.subtract(self._A_act_T @ v2, hv + self.diag_shift * v1 + self.K_R @ v1,
+        np.subtract(self._A_Bt @ v2, hv + self.diag_shift * v1 + self.K_R @ v1,
                     out=out[:na])
-        np.add(self.A_act @ v1, self.delta * v2, out=out[na:])
+        np.add(self.A_B @ v1, self.delta * v2, out=out[na:])
+        out[self.pins] = -v[self.pins]
         return out
 
     def solve(self, r1: np.ndarray, r2: np.ndarray):
-        u = self._slack_rhs(r1, r2)
-        rhs = np.concatenate([r1[self.cols] - self.A_R.T @ u, r2[self.B]])
-        sol = self._count(minres(self.matvec, rhs, self.precond.apply_inverse,
-                                 tol=self.tol, maxit=INNER_MAXIT))
-        dx = np.zeros(self.e.size)
-        dx[self.cols] = sol[:self.na]
-        dy = np.empty(r2.size)
-        dy[self.B] = sol[self.na:]
-        self._slack_steps(dx, dy, r1, u, self.A_R @ dx[self.cols])
-        return dx, dy
+        rt, u, g = self._reduced_rhs(r1, r2)
+        sol = self._count(minres(self.matvec, np.concatenate([rt - self.A_Rt @ u, g]),
+                                 self.precond.apply_inverse, tol=self.tol,
+                                 maxit=INNER_MAXIT))
+        return self._expand(r1, rt, u, sol[:self.na], sol[self.na:])
 
 
 class SaddleMatrix(NewtonSystem):
-    """Direct path: the quasi-definite system [[-(Q + Θ + ρI), A'], [A, δI]]
-    reduced to an SPD band K and a dense border, both factored by Cholesky.
-
-    The slack rows R are eliminated with their pairs, as on the MINRES path.
-    Each other split pair (x+, x-) of ``program.pairs`` is reduced to its
-    plus member's unknown u = dx+ - dx-, with diagonal 1/(e+ + e-); an
-    unpaired variable has 1/e. That leaves [[-K, A_B'], [A_B, δI]] with
-    K = Q_u + D~ + A_R' E^-1 A_R, factored as a ``krylov.BorderedBand``
-    whose order is found once per solve. A row of K with no active variable
-    left is pinned (``BorderedBand.pin``), so its step is exactly 0.
+    """Direct path: the reduced system of ``NewtonSystem`` with C = Q over
+    the unknowns, factored by Cholesky: the band K in the order found once
+    per solve, and the dense border δI + A_B K^-1 A_B'.
     """
 
     def __init__(self, program: ConvexProgram, options: SolverOptions):
         if program.Q is None:
             raise UnsupportedStructureError(
                 "direct path needs an explicit quadratic Hessian")
-        A = program.A.tocsc()
-        self._check_pairs(program, A, program.Q.tocsc())
-        self._find_slack_pairs(program, A)
-        p, q = program.pairs
-        split = self.rest[p]  # pairs that are not slack pairs
-        self.p, self.q = p[split], q[split]
-        rows = np.setdiff1d(np.flatnonzero(self.rest), self.q)
-        A = program.A[:, rows]
-        self.band = BorderedBand(program.Q[rows][:, rows], A[self.R], A[self.B])
-        self.rows = rows[self.band.order]  # K's unknowns, in band order
-        # the band position of each split pair's u
-        self.kp = np.argsort(self.band.order)[np.searchsorted(rows, self.p)]
+        self._reduce(program)
+        self._build_band(self.B, program.Q[self.unknowns][:, self.unknowns])
 
     def factor(self, state: IpPmmState):
-        if self._refresh(state):
-            live = ~state.dropped
-            live[self.p] |= live[self.q]  # a pair's row lives while either member does
-            self.band.pin(~live[self.rows])
-        self.E = self._slack_diagonal()
-        esum = self.e.copy()
-        esum[self.p] += self.e[self.q]
-        self.dt = np.divide(1.0, esum[self.rows], out=np.ones(self.rows.size),
-                            where=~self.band.pinned)
-        self.band.factor(self.dt, 1.0 / self.E[self.R], state.delta)
+        self._refresh(state)
+        self._pin(state)
+        self.band.factor(self.dt, 1.0 / self.E_elim, self.E[self.border])
 
     def solve(self, r1: np.ndarray, r2: np.ndarray):
-        p, q, e, kp, band = self.p, self.q, self.e, self.kp, self.band
-        u = self._slack_rhs(r1, r2)
-        rt = r1[self.rows]
-        rt[kp] = self.dt[kp] * (e[p] * r1[p] - e[q] * r1[q])
-        rt[band.pinned] = 0.0
-        # -K dx + A_B' dy_B = rt - A_R' u and A_B dx + δ dy_B = r2_B
-        xu, dyB = band.solve_bordered(band.A_R.T @ u - rt, r2[self.B])
-        dx = np.zeros(e.size)
-        dx[self.rows] = xu
-        dy = np.empty(r2.size)
-        dy[self.B] = dyB
-        self._slack_steps(dx, dy, r1, u, band.A_R @ xu)
-        gp = self.dt[kp] * xu[kp] + rt[kp]  # recover the pair from its u
-        dx[p] = (gp - r1[p]) * e[p]
-        dx[q] = -(gp + r1[q]) * e[q]
-        return dx, dy
+        rt, u, g = self._reduced_rhs(r1, r2)
+        # -K dx + A_B' dy_B = rt - A_R' u and A_B dx + δ dy_B = g
+        return self._expand(r1, rt, u, *self.band.solve_bordered(self.A_Rt @ u - rt, g))
 
 
 class NormalEquations(NewtonSystem):
@@ -450,16 +469,13 @@ class NormalEquations(NewtonSystem):
     e = 1/G on the active set and 0 on dropped variables. A dropped
     variable only zeroes its weight, so A_k is never cut again.
 
-    As on the other paths, a row is eliminated only through its slack pairs
-    (``_find_slack_pairs``). Each goes into its row's diagonal E, so the
-    operator is E + A_u D A_u', with D = w on the other columns of A_k (on
-    fused lasso, the residuals and one per voxel). Its rows are eliminated
-    into the ``krylov.BorderedBand`` K = D^-1 + A_R' E^-1 A_R, built once
-    per solve, in which an unknown with no active variable left is pinned.
-    The rows B without a slack pair (on fused lasso, the data rows) border
-    K; so does a slack row whose (A_u D A_u')_rr exceeds
-    ``ELIMINATION_LOSS`` E_r, which would lose that factor in accuracy to
-    its elimination. The band is built again when the border changes.
+    The preconditioner applies the inverse through the reduced system of
+    ``NewtonSystem`` with G's Hessian diagonal folded into e and C = None:
+    at r1 = 0 its dy is (A G^-1 A' + δI)^-1 r2. The rows B without a slack
+    pair (on fused lasso, the data rows) border K; so does a slack row whose
+    (A_u D A_u')_rr exceeds ``ELIMINATION_LOSS`` E_r, with A_u the columns
+    of the unknowns and D their e, which would lose that factor in accuracy
+    to its elimination. The band is built again when the border changes.
     """
 
     def __init__(self, program: ConvexProgram, options: SolverOptions):
@@ -467,43 +483,32 @@ class NormalEquations(NewtonSystem):
             raise UnsupportedStructureError(
                 "normal equations need a diagonal Hessian; use the augmented path")
         self.program = program
-        A = program.A.tocsc()
-        self._check_pairs(program, A)
-        p, self.q = program.pairs
+        A = self._reduce(program)
+        p, self.minus = program.pairs
         keep = np.ones(program.n, dtype=bool)
-        keep[self.q] = False
+        keep[self.minus] = False
         self.kcols = np.flatnonzero(keep)  # the variable of each column of A_k
-        self.kp = np.searchsorted(self.kcols, p)  # the column of each pair
+        self.kplus = np.searchsorted(self.kcols, p)  # the column of each pair
         self.A_k = A[:, self.kcols]
         self.A_kt = self.A_k.T
-        self._find_slack_pairs(program, A)
-        self.cols = np.flatnonzero(self.rest[self.kcols])  # K's unknowns
-        self.A_u = sp.csr_matrix(self.A_k[:, self.cols])
         self.A_u2 = self.A_u.power(2)
-        self.border = None  # the rows that border K; the first factor builds the band
 
     def factor(self, state: IpPmmState):
-        shrank = self._refresh(state)
-        act = self.active
-        g = self.program.hess_diag(state.x)[act] + self.xi[act] + state.rho
-        if np.any(g <= 0):
-            raise ValueError("diagonal weights must be positive")
-        self.e[act] = 1.0 / g  # 1/G, the Hessian's diagonal included
+        self._refresh(state, self.program.hess_diag(state.x))
         self.w = self.e[self.kcols]
-        self.w[self.kp] += self.e[self.q]
-        D = self.w[self.cols]  # 0 on an unknown with no active variable
-        E = self._slack_diagonal()
-        border = self.A_u2 @ D > ELIMINATION_LOSS * E
+        self.w[self.kplus] += self.e[self.minus]
+        border = self.A_u2 @ self.esum[self.unknowns] > ELIMINATION_LOSS * self.E
         border[self.B] = True
-        rebuilt = not np.array_equal(border, self.border)
-        if rebuilt:
-            self.border = border
-            self.band = BorderedBand(None, self.A_u[~border], self.A_u[border])
-        D = D[self.band.order]
-        if shrank or rebuilt:
-            self.band.pin(D == 0)
-        d = np.divide(1.0, D, out=np.ones(D.size), where=~self.band.pinned)
-        self.precond = precondmod.build_fmri_normal_precond(self.band, d, E, border)
+        border = np.flatnonzero(border)
+        if not np.array_equal(border, self.border):
+            self._build_band(border)
+        self._pin(state)
+        self.band.factor(self.dt, 1.0 / self.E_elim, self.E[self.border])
+
+    def _apply_inverse(self, r: np.ndarray) -> np.ndarray:
+        """(A G^-1 A' + δI)^-1 r: the reduced system's dy at r1 = 0."""
+        u = r[self.elim] / self.E_elim
+        return self._dy(u, *self.band.solve_bordered(self.A_Rt @ u, r[self.border]))
 
     def matvec(self, dy: np.ndarray) -> np.ndarray:
         return self.A_k @ (self.w * (self.A_kt @ dy)) + self.delta * dy
@@ -512,16 +517,19 @@ class NormalEquations(NewtonSystem):
         """r2 + A G^-1 r1, each pair's r1 folded into its column of A_k."""
         er = self.e * r1
         v = er[self.kcols]
-        v[self.kp] -= er[self.q]
+        v[self.kplus] -= er[self.minus]
         return r2 + self.A_k @ v
 
     def solve(self, r1: np.ndarray, r2: np.ndarray):
-        dy = self._count(pcg(self.matvec, self.rhs(r1, r2), self.precond.apply_inverse,
+        # built per solve: kept on the system, it would make a reference cycle
+        # that holds each solve's system until a full garbage collection
+        precond = precondmod.build_fmri_normal_precond(self._apply_inverse)
+        dy = self._count(pcg(self.matvec, self.rhs(r1, r2), precond.apply_inverse,
                              tol=self.tol, maxit=INNER_MAXIT))
         t = self.A_kt @ dy  # A'dy, each pair's minus member's entry the negative
         dx = np.empty(r1.size)
         dx[self.kcols] = t
-        dx[self.q] = -t[self.kp]
+        dx[self.minus] = -t[self.kplus]
         return self.e * (dx - r1), dy
 
 

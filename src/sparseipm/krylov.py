@@ -40,38 +40,24 @@ class KrylovOutcome:
 
 
 class CholeskyFactor:
-    """Reusable SPD factorization of the ASB baseline (no solver path uses
-    it): dense by LAPACK, sparse by SuperLU under a fresh minimum-degree
-    order on A + A'. An SPD matrix factors under any symmetric order without
-    pivoting, so SuperLU runs in symmetric mode with no diagonal pivoting. A
-    pivot that is not positive, or not finite, raises
-    ``NotPositiveDefiniteError``."""
+    """Reusable sparse SPD factorization of the ASB baseline (no solver path
+    uses it), by SuperLU under a fresh minimum-degree order on A + A'. An
+    SPD matrix factors under any symmetric order without pivoting, so
+    SuperLU runs in symmetric mode with no diagonal pivoting. A pivot that
+    is not positive, or not finite, raises ``NotPositiveDefiniteError``."""
+
+    is_sparse = True  # read by perfbench/tracing.py when it counts the factor's nonzeros
 
     def __init__(self, M):
-        self.is_sparse = sp.issparse(M)
-        if self.is_sparse:
-            self._lu = spla.splu(sp.csc_matrix(M), permc_spec="MMD_AT_PLUS_A",
-                                 diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-            pivots = np.real(self._lu.U.diagonal())
-            bad = np.flatnonzero(~((pivots > 0) & np.isfinite(pivots)))
-            if bad.size:
-                raise NotPositiveDefiniteError(bad[0])
-        else:
-            c, info = scipy.linalg.lapack.dpotrf(np.asarray(M, dtype=float), lower=1)
-            if info > 0:
-                raise NotPositiveDefiniteError(info - 1)
-            if info < 0:
-                raise ValueError(f"illegal argument {-info} to dpotrf")
-            self._c = c
+        self._lu = spla.splu(sp.csc_matrix(M), permc_spec="MMD_AT_PLUS_A",
+                             diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+        pivots = np.real(self._lu.U.diagonal())
+        bad = np.flatnonzero(~((pivots > 0) & np.isfinite(pivots)))
+        if bad.size:
+            raise NotPositiveDefiniteError(bad[0])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(rhs, dtype=float)
-        if self.is_sparse:
-            return self._lu.solve(rhs)
-        x, info = scipy.linalg.lapack.dpotrs(self._c, rhs, lower=1)
-        if info != 0:
-            raise ValueError(f"dpotrs failed with info={info}")
-        return x
+        return self._lu.solve(np.asarray(rhs, dtype=float))
 
 
 class BorderedBand:
@@ -118,8 +104,12 @@ class BorderedBand:
     def pin(self, pin: np.ndarray):
         """Pin the unknowns of ``pin``: the entries of each one not pinned
         yet leave the band, A_B and A_R, so with a unit ``d`` and a zero rhs
-        its solution is exactly 0. Pins are never lifted."""
-        new, self.pinned = pin & ~self.pinned, pin
+        its solution is exactly 0. Pins are never lifted, and a call that
+        pins nothing new returns at once."""
+        new = pin & ~self.pinned
+        if not new.any():
+            return
+        self.pinned = pin
         d, j = np.divmod(self.pos, pin.size)
         kept = ~(new[j] | new[j + d])
         self.pos, self.W = self.pos[kept], self.W[kept]

@@ -1,11 +1,12 @@
-"""Preconditioners for the normal-equations and augmented solver paths, both
-applied through a factored ``krylov.BorderedBand``, plus dense spectral
-verification utilities.
+"""Preconditioners for the normal-equations and augmented solver paths, plus
+dense spectral verification utilities.
 
 fmri-block, the PCG path's one preconditioner, is the exact inverse of the
-normal matrix: the rows without a slack pair border the band. The spectral
-checks build the paper's blockdiag(M1, M3) from its definition to test its
-eigenvalue bounds; no solver path applies that matrix."""
+normal matrix, applied through the reduced Newton system of
+``ippmm.NewtonSystem`` at r1 = 0. aug-block, the MINRES path's, is applied
+through a factored ``krylov.BorderedBand``. The spectral checks build the
+paper's blockdiag(M1, M3) from its definition to test its eigenvalue
+bounds; no solver path applies that matrix."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -35,32 +36,12 @@ def identity_preconditioner() -> Preconditioner:
     return Preconditioner(apply_inverse=lambda v: v)
 
 
-def build_fmri_normal_precond(band, d: np.ndarray, E: np.ndarray,
-                              border: np.ndarray) -> Preconditioner:
-    """The exact (E + A_u D A_u')^-1 of ``ippmm.NormalEquations``, which is
-    its normal matrix A W A' + delta I with each slack pair folded into its
-    row's diagonal E; the columns A_u and weights D are the others.
-
-    ``band`` is a ``krylov.BorderedBand`` whose A_R holds the rows outside
-    ``border`` and whose border A_B holds those in it (the rows without a
-    slack pair among them): with K = diag(d) + A_R' E_R^-1 A_R (``d`` =
-    D^-1 in band order), ``band.solve_bordered`` gives
-    x = K^-1 (A_R' E_R^-1 r_R + A_B' y_B) and y_B from the border
-    E_B + A_B K^-1 A_B', and y_R = E_R^-1 (r_R - A_R x). It is factored at
-    every interior point iteration, since W changes.
-    """
-    R, B = np.flatnonzero(~border), np.flatnonzero(border)
-    E_R = E[R]
-    band.factor(d, 1.0 / E_R, E[B])
-    A_R, A_Rt = band.A_R, band.A_R.T
-
-    def apply_inverse(r):
-        out = np.empty_like(r)
-        t = r[R] / E_R
-        x, out[B] = band.solve_bordered(A_Rt @ t, r[B])
-        out[R] = t - (A_R @ x) / E_R
-        return out
-
+# Read by perfbench/tracing.py, whose precond.build span wraps it.
+def build_fmri_normal_precond(apply_inverse: Callable[[np.ndarray], np.ndarray]
+                              ) -> Preconditioner:
+    """fmri-block, the exact (A G^-1 A' + delta I)^-1 of
+    ``ippmm.NormalEquations``, from its factored reduced system's
+    ``apply_inverse``."""
     return Preconditioner(apply_inverse=apply_inverse)
 
 

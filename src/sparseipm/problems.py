@@ -33,8 +33,8 @@ class ConvexProgram:
     ``Q``, the Hessian of f must vanish on pair coordinates (f is at most
     linear in them). Every solver path eliminates each slack pair, one whose
     two columns each hold a single entry of ``A`` in the same row, and that
-    row with it, and no other row; the direct and PCG paths reduce every
-    other pair to one unknown inside their Newton solve.
+    row with it, and no other row, and reduces every other pair to one
+    unknown inside its Newton solve.
     """
 
     A: sp.csr_matrix

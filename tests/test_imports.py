@@ -1,4 +1,4 @@
-"""Seven small ``ast`` checks in place of a linter, and one on the README.
+"""Eight small ``ast`` checks in place of a linter, and one on the README.
 
 - Every name a ``sparseipm`` module imports is used in that module: it appears
   as a name anywhere in the module, or in ``__all__``.
@@ -22,6 +22,9 @@
   parameter.
 - Within ``src/sparseipm`` only ``quadratic_program`` and ``split_l1_program``
   construct a ``ConvexProgram``, so every builder shares their oracle padding.
+- Within ``src/sparseipm`` outside ``krylov`` only ``ippmm.NewtonSystem``
+  constructs a ``BorderedBand``, so the three solver paths share its one
+  reduced Newton system.
 - Every backticked ``<module>.<Name>`` of a ``sparseipm`` module that
   ``README.md`` cites, such as ``dropping.XI``, names a real attribute.
 """
@@ -279,15 +282,15 @@ def test_every_defaulted_parameter_has_a_caller():
 PROGRAM_CONSTRUCTORS = {"quadratic_program", "split_l1_program"}
 
 
-def program_constructions(source: str) -> list:
-    """(top-level definition, line) of each ``ConvexProgram(...)`` call."""
+def constructions(source: str, cls: str) -> list:
+    """(top-level definition, line) of each ``cls(...)`` call."""
     out = []
     for top in ast.parse(source).body:
         name = getattr(top, "name", "<module>")
         out.extend((name, node.lineno) for node in ast.walk(top)
                    if isinstance(node, ast.Call)
-                   and "ConvexProgram" in (getattr(node.func, "id", None),
-                                           getattr(node.func, "attr", None)))
+                   and cls in (getattr(node.func, "id", None),
+                               getattr(node.func, "attr", None)))
     return out
 
 
@@ -296,14 +299,31 @@ def test_checker_finds_program_constructions():
               "def b():\n    def inner():\n        return problems.ConvexProgram()\n"
               "class C:\n    def m(self):\n        ConvexProgram()\n"
               "prog = ConvexProgram()\nConvexProgram.__doc__\n")
-    assert program_constructions(source) == [("a", 2), ("b", 5), ("C", 8),
-                                             ("<module>", 9)]
+    assert constructions(source, "ConvexProgram") == [("a", 2), ("b", 5), ("C", 8),
+                                                      ("<module>", 9)]
 
 
 def test_only_the_shared_builders_construct_programs():
     found = [(path.name, name, line) for path in MODULES
-             for name, line in program_constructions(path.read_text())
+             for name, line in constructions(path.read_text(), "ConvexProgram")
              if name not in PROGRAM_CONSTRUCTORS]
+    assert found == []
+
+
+def test_checker_finds_band_constructions():
+    source = ("class NewtonSystem:\n    def _build_band(self):\n"
+              "        self.band = BorderedBand(None, A, B)\n"
+              "class SaddleMatrix(NewtonSystem):\n    def factor(self):\n"
+              "        krylov.BorderedBand(C, A, B).factor(d, w, 1.0)\n"
+              "band = BorderedBand\n")
+    assert constructions(source, "BorderedBand") == [("NewtonSystem", 3),
+                                                     ("SaddleMatrix", 6)]
+
+
+def test_only_the_newton_system_builds_bands():
+    found = [(path.name, name, line) for path in MODULES if path.stem != "krylov"
+             for name, line in constructions(path.read_text(), "BorderedBand")
+             if (path.stem, name) != ("ippmm", "NewtonSystem")]
     assert found == []
 
 

@@ -219,7 +219,7 @@ class TestSystemAssembly:
         st = random_state(prog, seed=8)
         system = factored(AugmentedSystem, st, prog)
         # the system's unknowns: the columns in its band order, then dy
-        order = np.concatenate([system.cols, prog.n + np.arange(prog.m)])
+        order = np.concatenate([system.rows, prog.n + np.arange(prog.m)])
         matrix = direct_matrix(st, prog)[np.ix_(order, order)]
         v = np.random.default_rng(9).standard_normal(6)
         np.testing.assert_allclose(system.matvec(v), matrix @ v,
@@ -231,14 +231,20 @@ class TestSystemAssembly:
         st = random_state(prog, seed=31)
         st.dropped[dropped] = True
         system = factored(AugmentedSystem, st, prog)
+        assert system.na == prog.n  # a dropped variable's unknown is pinned
+        pinned = np.isin(system.rows, dropped)
+        assert np.array_equal(system.band.pinned, pinned)
         v = np.random.default_rng(32).standard_normal(system.na + prog.m)
-        # the scatter, gather and concatenation the matvec used to do
+        # the scatter, gather and concatenation the matvec used to do, on
+        # the live unknowns; a pinned unknown's row is -v1
         v1, v2 = v[:system.na], v[system.na:]
+        live = np.where(pinned, 0.0, v1)
         full = np.zeros(prog.n)
-        full[system.cols] = v1
-        hv = prog.hess_action(st.x)(full)[system.cols]
-        top = -(hv + system.diag_shift * v1) + system.A_act.T @ v2
-        bottom = system.A_act @ v1 + system.delta * v2
+        full[system.rows] = live
+        hv = prog.hess_action(st.x)(full)[system.rows]
+        top = -(hv + system.diag_shift * live) + system.A_B.T @ v2
+        top[pinned] = -v1[pinned]
+        bottom = system.A_B @ live + system.delta * v2
         assert np.array_equal(system.matvec(v), np.concatenate([top, bottom]))
 
     def test_normal_equations_identity_case(self):
@@ -382,18 +388,23 @@ class TestDirectPath:
         band = system.band
         assert band.bw <= 40 and band.L.shape == (band.bw + 1, 480)
 
-    @pytest.mark.parametrize("drop", [
-        "none", "w member", "w pair", "slack member", "slack pair", "border row"])
-    def test_reduced_step_matches_dense_unreduced_solve(self, drop):
+    @pytest.mark.parametrize("drop,cls", [
+        pytest.param(drop, cls, id=prefix + drop)
+        for prefix, cls in (("", SaddleMatrix), ("minres-", AugmentedSystem))
+        for drop in ("none", "w member", "w pair", "slack member", "slack pair",
+                     "border row")])
+    def test_reduced_step_matches_dense_unreduced_solve(self, drop, cls):
         prog = build_portfolio_qp(make_portfolio())  # 4 assets, 3 periods
         n = 12  # x = [w+; w-; d+; d-], with 8 (d+, d-) pairs from x[24]
         st = random_state(prog, seed=47)
+        st.inner_tol = 1e-12
         st.dropped[{"none": [], "w member": [2], "w pair": [5, n + 5],
                     "slack member": [2 * n + 1], "slack pair": [2 * n + 2, 2 * n + 10],
                     # every column of the initial-budget row: w+ and w- of period 1
                     "border row": [0, 1, 2, 3, n, n + 1, n + 2, n + 3]}[drop]] = True
-        system = factored(SaddleMatrix, st, prog)
-        assert system.R.size == 8 and system.B.size == 4
+        system = factored(cls, st, prog)
+        # one unknown per w pair
+        assert system.rows.size == n and system.R.size == 8 and system.B.size == 4
         assert_dense_step(system, st, prog)
 
     @pytest.mark.parametrize("drop", ["slack member", "slack pair"])
@@ -419,14 +430,17 @@ class TestDirectPath:
         assert paired.final_objective == pytest.approx(plain.final_objective,
                                                        rel=1e-12)
 
-    @pytest.mark.parametrize("block", ["A", "Q"])
-    def test_pair_columns_must_be_exact_negatives(self, block):
+    @pytest.mark.parametrize("block,path", [
+        pytest.param(block, path, id=block + suffix)
+        for suffix, path in (("", "direct-augmented"), ("-minres", "minres-augmented"))
+        for block in ("A", "Q")])
+    def test_pair_columns_must_be_exact_negatives(self, block, path):
         prog = build_portfolio_qp(gen_portfolio(8, 4, 0))
         M = getattr(prog, block).tolil()
         M[0, 0] += 1e-12  # column 0 is w+_0; Q stays symmetric
         bad = dataclasses.replace(prog, **{block: M.tocsr()})
         with pytest.raises(ValueError, match="exact negatives"):
-            solve(bad, SolverOptions())
+            solve(bad, SolverOptions(linear_solver=path))
 
     def test_wrong_inertia_is_numerical_failure(self, monkeypatch):
         # K with its sign flipped: the banded Cholesky factor breaks down
@@ -456,11 +470,13 @@ class TestDirectPath:
             factored(SaddleMatrix, st, prog)
         assert bands == []
 
-    def test_dropping_solve_orders_once(self, monkeypatch):
+    @pytest.mark.parametrize("path", ["direct-augmented", "minres-augmented"])
+    def test_dropping_solve_orders_once(self, monkeypatch, path):
         orders = record_calls(monkeypatch, scipy.sparse.csgraph, "reverse_cuthill_mckee")
         bands = record_calls(monkeypatch, scipy.linalg, "cholesky_banded")
         prog = build_portfolio_qp(gen_portfolio(8, 4, 0))
-        _, rep = solve(prog, SolverOptions(dropping=True, eps_drop=1e-4))
+        _, rep = solve(prog, SolverOptions(linear_solver=path, dropping=True,
+                                           eps_drop=1e-4))
         assert rep.status == "optimal" and rep.drop_audit["dropped"]
         assert len(orders) == 1
         # one pattern per solve: every factor has the same band
@@ -639,6 +655,21 @@ class TestSolveBehavior:
         with pytest.raises(ValueError, match="starting point"):
             solve(prog, SolverOptions(x0=x0))
 
+    @pytest.mark.parametrize("path", ["direct-augmented", "pcg-normal",
+                                      "minres-augmented"])
+    def test_negative_hessian_diagonal_is_numerical_failure(self, path):
+        # Q_00 = -5 on a free x_0: G = Q + Θ + ρ is negative there, which the
+        # PCG path's weights and the augmented paths' Cholesky factors meet
+        rng = np.random.default_rng(51)
+        n, m = 12, 4
+        qdiag = rng.uniform(0.5, 2.0, n)
+        qdiag[0] = -5.0
+        prog = quadratic_program(np.diag(qdiag), rng.standard_normal(n),
+                                 rng.standard_normal((m, n)), rng.standard_normal(m),
+                                 nonneg=np.arange(1, n))
+        _, rep = solve(prog, SolverOptions(linear_solver=path))
+        assert rep.status == "numerical-failure" and rep.iterations == 0
+
     def test_cholesky_breakdown_is_numerical_failure(self, monkeypatch):
         # the data rows' border with its sign flipped: its Cholesky factor
         # breaks down
@@ -725,7 +756,7 @@ class TestSlackPairElimination:
         prog, _ = planted_qp("slack", 30, 10, 0)
         system = factored(AugmentedSystem, random_state(prog, seed=43), prog)
         assert system.pairs.size == 10 and system.R.size == 4
-        assert system.na == 30 and system.A_act.shape == (10, 30)
+        assert system.na == 30 and system.A_B.shape == (10, 30)
 
     def test_poisson_minres_runs_over_pixels_and_the_budget_row(self, monkeypatch):
         sizes = []
@@ -832,10 +863,10 @@ class TestLifecycle:
             act = st.active_indices()
             for st.delta in (1e-2, 1e-8):
                 system.factor(st)
-                borders.append(int(system.border.sum()))
+                borders.append(system.border.size)
                 g = prog.hess_diag(st.x)[act] + st.xi_diag()[act] + st.rho
                 P = precond.normal_equations_matrix(g, prog.A[:, act], st.delta)
-                np.testing.assert_allclose(system.precond.apply_inverse(r),
+                np.testing.assert_allclose(system._apply_inverse(r),
                                            np.linalg.solve(P, r), rtol=1e-9, atol=1e-12)
                 assert_dense_step(system, st, prog)
         return system, borders
@@ -848,7 +879,7 @@ class TestLifecycle:
         system, borders = self.assert_fmri_blocks_follow(prog, (
             [], [s + 3], [s + 7, s + q + 7], [s + 2 * q + 5, s + 2 * q + ell + 5]))
         # one unknown per residual and per w pair; the (d+, d-) pairs leave with E
-        assert system.cols.size == s + q and system.R.size == ell
+        assert system.rows.size == s + q and system.R.size == ell
         assert np.flatnonzero(system.band.pinned).size == 1
         # the data rows always border K; the row of the dropped (d+, d-)
         # pair keeps E = δ, which at 1e-8 is too small to eliminate it
@@ -860,7 +891,7 @@ class TestLifecycle:
         (s, q), ell = inst.data.shape, inst.tv.rows
         system, borders = self.assert_fmri_blocks_follow(prog, (
             [], [s + 3], [s + 2 * q + 5, s + 2 * q + ell + 5]))
-        assert system.cols.size == s + 2 * q + 2 * ell and system.R.size == 0
+        assert system.rows.size == s + 2 * q + 2 * ell and system.R.size == 0
         assert np.flatnonzero(system.band.pinned).size == 3
         # without a slack pair no row is eliminated: every row borders K
         assert borders == [s + ell] * 6

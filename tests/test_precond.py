@@ -4,13 +4,14 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from sparseipm import precond
+from sparseipm.ippmm import NormalEquations, SolverOptions, initial_state
 from sparseipm.krylov import BorderedBand, minres, pcg
 from sparseipm.precond import (aug_spectral_report, augmented_matrix,
                                build_aug_block_diag_precond,
                                build_fmri_normal_precond,
                                identity_preconditioner,
                                normal_equations_matrix, spectral_check)
-from sparseipm.problems import build_poisson_tv
+from sparseipm.problems import build_poisson_tv, quadratic_program
 
 
 def random_fused_lasso_layout(seed, s=4, q=9, grid=(3, 3)):
@@ -29,22 +30,24 @@ def random_fused_lasso_layout(seed, s=4, q=9, grid=(3, 3)):
     return A, g, s, ell, D
 
 
-def fmri_block_precond(g, A, split, delta, q, border=None):
-    """The fmri-block preconditioner of ``random_fused_lasso_layout``, with
-    its inputs formed by hand. The unknowns of its band are the r columns,
-    with d = g, and one per (w+, w-) pair, with d = 1/(1/g+ + 1/g-), whose
-    column is the w+ one. Each (d+, d-) pair leaves E = delta + 1/g+ + 1/g-
-    on its TV row, and a data row has E = delta. The data rows border the
-    band, and so do the TV rows of ``border``; by default no others do."""
+def fmri_block_precond(g, A, split, delta, q, dropped=()):
+    """The fmri-block preconditioner of ``random_fused_lasso_layout``, built
+    by ``ippmm.NormalEquations`` on the program over x = [r; w+; w-; d+; d-]
+    with its (w+, w-) and (d+, d-) pairs and no Hessian, at a point where
+    G = g (x = 1, z = g, rho = 0) and the variables ``dropped`` are dropped.
+    The data rows border its band, and so does a TV row whose (d+, d-) pair
+    is dropped at a small delta. Returns the preconditioner and the system."""
     ell = A.shape[0] - split
-    border = np.zeros(ell, dtype=bool) if border is None else border
-    border = np.r_[np.ones(split, dtype=bool), border]
-    w, dp = split + np.arange(q), split + 2 * q + np.arange(ell)
-    E = np.r_[np.full(split, delta), delta + 1.0 / g[dp] + 1.0 / g[dp + ell]]
-    A_u = sp.csr_matrix(A[:, np.r_[:split, w]])
-    band = BorderedBand(None, A_u[~border], A_u[border])
-    d = np.r_[g[:split], 1.0 / (1.0 / g[w] + 1.0 / g[w + q])]
-    return build_fmri_normal_precond(band, d[band.order], E, border)
+    n = A.shape[1]
+    w, d = split + np.arange(q), split + 2 * q + np.arange(ell)
+    prog = quadratic_program(sp.csr_matrix((n, n)), np.zeros(n), A, np.zeros(A.shape[0]),
+                             pairs=np.array([np.r_[w, d], np.r_[w + q, d + ell]]))
+    st = initial_state(prog, SolverOptions())
+    st.x, st.z, st.rho, st.delta = np.ones(n), g.copy(), 0.0, delta
+    st.dropped[list(dropped)] = True
+    system = NormalEquations(prog, SolverOptions(linear_solver="pcg-normal"))
+    system.factor(st)
+    return build_fmri_normal_precond(system._apply_inverse), system
 
 
 def aug_block_matrix(htilde, A, delta):
@@ -75,11 +78,16 @@ def aug_block_precond(d, A_B, delta, A_R=None, w=()):
 class TestFmriNormalPrecond:
     def test_apply_matches_block_inverse(self):
         A, g, s, ell, D = random_fused_lasso_layout(0)
+        q = D.shape[1]
         r = np.random.default_rng(1).standard_normal(s + ell)
-        # every TV row eliminated, then every third one bordering K too
-        for delta, border in [(1e-3, None), (1e-8, None), (1e-3, np.arange(ell) % 3 == 0)]:
-            P = fmri_block_precond(g, A, s, delta, D.shape[1], border)
-            dense = normal_equations_matrix(g, A, delta)
+        # every TV row eliminated, then every third one bordering K too: its
+        # (d+, d-) pair dropped leaves E = delta = 1e-8
+        third = s + 2 * q + np.arange(0, ell, 3)
+        for delta, dropped in [(1e-3, []), (1e-8, []), (1e-8, np.r_[third, third + ell])]:
+            P, system = fmri_block_precond(g, A, s, delta, q, dropped)
+            assert system.border.size == s + len(dropped) // 2
+            act = np.setdiff1d(np.arange(A.shape[1]), dropped)
+            dense = normal_equations_matrix(g[act], A[:, act], delta)
             np.testing.assert_allclose(P.apply_inverse(r),
                                        np.linalg.solve(dense, r), rtol=1e-9,
                                        atol=1e-10)
@@ -89,7 +97,7 @@ class TestFmriNormalPrecond:
         delta = 1e-3
         M = normal_equations_matrix(g, A, delta)
         b = np.random.default_rng(4).standard_normal(s + ell)
-        P = fmri_block_precond(g, A, s, delta, D.shape[1])
+        P, _ = fmri_block_precond(g, A, s, delta, D.shape[1])
         blocked = pcg(M, b, precond=P.apply_inverse, tol=1e-8, maxit=2000)
         assert blocked.converged and blocked.iterations <= 2
 
