@@ -237,7 +237,9 @@ class NewtonSystem:
     E = δ + Σ a²(e+ + e-) of each row over its slack pairs (δ on a row
     without one). ``_build_band`` builds its ``krylov.BorderedBand``. A
     dropped variable never returns, and every factor pins each unknown with
-    no live member left (``_pin``), so its step is exactly 0.
+    no live member left (``_pin``), so its step is exactly 0. ``_direct``
+    solves the factored system: the direct path's step, and at r1 = 0 the
+    PCG path's preconditioner.
     """
 
     inner_iterations = inner_capped = 0  # Krylov iterations, unconverged solves
@@ -255,7 +257,7 @@ class NewtonSystem:
         """Check that the two columns of each pair are exact negatives in A,
         and in Q when it is given (raises ValueError), find the slack pairs
         and keep the other unknowns (sorted), A over them and each u's
-        position among them. Returns A in CSC."""
+        position among them."""
         A = program.A.tocsc()
         p, q = program.pairs
         blocks = [A] if program.Q is None else [A, program.Q.tocsc()]
@@ -267,7 +269,6 @@ class NewtonSystem:
         self.unknowns = np.setdiff1d(np.flatnonzero(self.rest), self.q)
         self.upos = np.searchsorted(self.unknowns, self.p)
         self.A_u = program.A[:, self.unknowns]
-        return A
 
     def _find_slack_pairs(self, program: ConvexProgram, A):
         """Find the slack pairs: the pairs of ``program.pairs`` whose two
@@ -297,13 +298,15 @@ class NewtonSystem:
         """Build the band of K over the unknowns, with the rows ``border``
         (sorted) bordering it and the others eliminated into it; C is the
         Hessian block over the unknowns, or None. Keeps the unknowns in
-        band order (``rows``) and each u's band position."""
+        band order (``rows``), each unknown's band position (``where``)
+        and each u's."""
         self.border = border
         self.elim = np.setdiff1d(np.arange(self.A_u.shape[0]), border)
         self.band = BorderedBand(C, self.A_u[self.elim], self.A_u[border])
         self.A_Rt = self.band.A_R.T  # shares A_R's data, which a pin zeroes in place
         self.rows = self.unknowns[self.band.order]
-        self.kp = np.argsort(self.band.order)[self.upos]
+        self.where = np.argsort(self.band.order)
+        self.kp = self.where[self.upos]
 
     def _refresh(self, state: IpPmmState, h=0.0):
         """Take Θ = ``state.xi_diag()``, e = 1/(h + Θ + ρ) on the active set
@@ -337,30 +340,36 @@ class NewtonSystem:
     def _reduced_rhs(self, r1: np.ndarray, r2: np.ndarray):
         """The reduced system's rhs from the full-length one: rt over the
         unknowns (band order; dt (e+ r1+ - e- r1-) on a u, 0 on a pinned
-        unknown), and each row's rhs with its slack pairs' r1 folded in,
-        over E on the eliminated rows (u, which dy is minus E^-1 A_R dx)
-        and as it is on the border rows (g)."""
+        unknown) and rs over the rows, each row's r2 with its slack pairs'
+        r1 folded in."""
         c, e, p, q, kp = self.pairs, self.e, self.p, self.q, self.kp
         rs = r2 + np.bincount(self.prow, self.pval * e[c] * r1[c], minlength=r2.size)
         rt = r1[self.rows]
         rt[kp] = self.dt[kp] * (e[p] * r1[p] - e[q] * r1[q])
         rt[self.band.pinned] = 0.0
-        return rt, rs[self.elim] / self.E_elim, rs[self.border]
+        return rt, rs
 
     def _dy(self, u: np.ndarray, xu: np.ndarray, yb: np.ndarray) -> np.ndarray:
-        """dy from u, the unknowns' step ``xu`` and the border rows' ``yb``."""
+        """dy from u = rs/E (eliminated rows), ``xu`` and the border's ``yb``."""
         dy = np.empty(u.size + yb.size)
         dy[self.border] = yb
         dy[self.elim] = u - (self.band.A_R @ xu) / self.E_elim
         return dy
 
-    def _expand(self, r1, rt, u, xu, yb):
-        """The full-length (dx, dy) of the reduced solution (xu, yb): dx is
+    def _direct(self, rt, rs):
+        """(xu, dy) of the factored reduced system at the rhs (rt, rs):
+        -K xu + A_B' dy_B = rt - A_R' u and A_B xu + E_B dy_B = rs_B,
+        with u = rs/E on the eliminated rows."""
+        u = rs[self.elim] / self.E_elim
+        xu, yb = self.band.solve_bordered(self.A_Rt @ u - rt, rs[self.border])
+        return xu, self._dy(u, xu, yb)
+
+    def _expand(self, r1, rt, xu, dy):
+        """The full-length (dx, dy) of the reduced solution (xu, dy): dx is
         0 on dropped variables."""
         c, e, p, q, kp = self.pairs, self.e, self.p, self.q, self.kp
         dx = np.zeros(e.size)
         dx[self.rows] = xu
-        dy = self._dy(u, xu, yb)
         dx[c] = e[c] * (self.pval * dy[self.prow] - r1[c])
         gp = self.dt[kp] * xu[kp] + rt[kp]  # recover each pair from its u
         dx[p] = (gp - r1[p]) * e[p]
@@ -427,11 +436,13 @@ class AugmentedSystem(NewtonSystem):
         return out
 
     def solve(self, r1: np.ndarray, r2: np.ndarray):
-        rt, u, g = self._reduced_rhs(r1, r2)
-        sol = self._count(minres(self.matvec, np.concatenate([rt - self.A_Rt @ u, g]),
-                                 self.precond.apply_inverse, tol=self.tol,
-                                 maxit=INNER_MAXIT))
-        return self._expand(r1, rt, u, sol[:self.na], sol[self.na:])
+        rt, rs = self._reduced_rhs(r1, r2)
+        u = rs[self.elim] / self.E_elim
+        f = np.concatenate([rt - self.A_Rt @ u, rs[self.border]])
+        sol = self._count(minres(self.matvec, f, self.precond.apply_inverse,
+                                 tol=self.tol, maxit=INNER_MAXIT))
+        xu = sol[:self.na]
+        return self._expand(r1, rt, xu, self._dy(u, xu, sol[self.na:]))
 
 
 class SaddleMatrix(NewtonSystem):
@@ -453,29 +464,24 @@ class SaddleMatrix(NewtonSystem):
         self.band.factor(self.dt, 1.0 / self.E_elim, self.E[self.border])
 
     def solve(self, r1: np.ndarray, r2: np.ndarray):
-        rt, u, g = self._reduced_rhs(r1, r2)
-        # -K dx + A_B' dy_B = rt - A_R' u and A_B dx + δ dy_B = g
-        return self._expand(r1, rt, u, *self.band.solve_bordered(self.A_Rt @ u - rt, g))
+        rt, rs = self._reduced_rhs(r1, r2)
+        return self._expand(r1, rt, *self._direct(rt, rs))
 
 
 class NormalEquations(NewtonSystem):
-    """PCG path: the SPD operator dy -> (A G^-1 A' + delta I) dy with G
-    diagonal, preconditioned by its exact inverse.
+    """PCG path: the normal equations of the reduced system of
+    ``NewtonSystem``, with G's Hessian diagonal folded into e and C = None,
+    over all m rows: (A_u D A_u' + diag(E)) dy = rs + A_u D rt, with A_u
+    the columns of the unknowns and D their e (e+ + e- on a u, 0 on a
+    pinned unknown). That is A G^-1 A' + δI with G diagonal; a drop only
+    zeroes a weight.
 
-    The two columns of each pair of ``program.pairs`` are exact negatives,
-    so the operator sums them as one: it is applied through A_k, built once
-    per solve, with one column per pair (the plus member's) of weight
-    w = e+ + e- and one per unpaired variable of weight w = e, where
-    e = 1/G on the active set and 0 on dropped variables. A dropped
-    variable only zeroes its weight, so A_k is never cut again.
-
-    The preconditioner applies the inverse through the reduced system of
-    ``NewtonSystem`` with G's Hessian diagonal folded into e and C = None:
-    at r1 = 0 its dy is (A G^-1 A' + δI)^-1 r2. The rows B without a slack
-    pair (on fused lasso, the data rows) border K; so does a slack row whose
-    (A_u D A_u')_rr exceeds ``ELIMINATION_LOSS`` E_r, with A_u the columns
-    of the unknowns and D their e, which would lose that factor in accuracy
-    to its elimination. The band is built again when the border changes.
+    PCG runs under its exact inverse: the direct path's bordered solve
+    (``NewtonSystem._direct``) at r1 = 0. The rows B without a slack pair
+    (on fused lasso, the data rows) border K; so does a slack row whose
+    (A_u D A_u')_rr exceeds ``ELIMINATION_LOSS`` E_r, which would lose
+    that factor in accuracy to its elimination. The band is built again
+    when the border changes.
     """
 
     def __init__(self, program: ConvexProgram, options: SolverOptions):
@@ -483,21 +489,14 @@ class NormalEquations(NewtonSystem):
             raise UnsupportedStructureError(
                 "normal equations need a diagonal Hessian; use the augmented path")
         self.program = program
-        A = self._reduce(program)
-        p, self.minus = program.pairs
-        keep = np.ones(program.n, dtype=bool)
-        keep[self.minus] = False
-        self.kcols = np.flatnonzero(keep)  # the variable of each column of A_k
-        self.kplus = np.searchsorted(self.kcols, p)  # the column of each pair
-        self.A_k = A[:, self.kcols]
-        self.A_kt = self.A_k.T
+        self._reduce(program)
+        self.A_ut = self.A_u.T
         self.A_u2 = self.A_u.power(2)
 
     def factor(self, state: IpPmmState):
         self._refresh(state, self.program.hess_diag(state.x))
-        self.w = self.e[self.kcols]
-        self.w[self.kplus] += self.e[self.minus]
-        border = self.A_u2 @ self.esum[self.unknowns] > ELIMINATION_LOSS * self.E
+        self.D = self.esum[self.unknowns]
+        border = self.A_u2 @ self.D > ELIMINATION_LOSS * self.E
         border[self.B] = True
         border = np.flatnonzero(border)
         if not np.array_equal(border, self.border):
@@ -507,18 +506,15 @@ class NormalEquations(NewtonSystem):
 
     def _apply_inverse(self, r: np.ndarray) -> np.ndarray:
         """(A G^-1 A' + δI)^-1 r: the reduced system's dy at r1 = 0."""
-        u = r[self.elim] / self.E_elim
-        return self._dy(u, *self.band.solve_bordered(self.A_Rt @ u, r[self.border]))
+        return self._direct(0.0, r)[1]
 
     def matvec(self, dy: np.ndarray) -> np.ndarray:
-        return self.A_k @ (self.w * (self.A_kt @ dy)) + self.delta * dy
+        return self.A_u @ (self.D * (self.A_ut @ dy)) + self.E * dy
 
     def rhs(self, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
-        """r2 + A G^-1 r1, each pair's r1 folded into its column of A_k."""
-        er = self.e * r1
-        v = er[self.kcols]
-        v[self.kplus] -= er[self.minus]
-        return r2 + self.A_k @ v
+        """rs + A_u D rt of the reduced rhs (rt, rs): r2 + A G^-1 r1."""
+        rt, rs = self._reduced_rhs(r1, r2)
+        return rs + self.A_u @ (self.D * rt[self.where])
 
     def solve(self, r1: np.ndarray, r2: np.ndarray):
         # built per solve: kept on the system, it would make a reference cycle
@@ -526,11 +522,11 @@ class NormalEquations(NewtonSystem):
         precond = precondmod.build_fmri_normal_precond(self._apply_inverse)
         dy = self._count(pcg(self.matvec, self.rhs(r1, r2), precond.apply_inverse,
                              tol=self.tol, maxit=INNER_MAXIT))
-        t = self.A_kt @ dy  # A'dy, each pair's minus member's entry the negative
-        dx = np.empty(r1.size)
-        dx[self.kcols] = t
-        dx[self.minus] = -t[self.kplus]
-        return self.e * (dx - r1), dy
+        t = np.empty(r1.size)  # A'dy
+        t[self.unknowns] = self.A_ut @ dy
+        t[self.q] = -t[self.p]
+        t[self.pairs] = self.pval * dy[self.prow]
+        return self.e * (t - r1), dy
 
 
 _CONTEXTS = {

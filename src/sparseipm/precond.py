@@ -2,9 +2,9 @@
 dense spectral verification utilities.
 
 fmri-block, the PCG path's one preconditioner, is the exact inverse of the
-normal matrix, applied through the reduced Newton system of
-``ippmm.NewtonSystem`` at r1 = 0. aug-block, the MINRES path's, is applied
-through a factored ``krylov.BorderedBand``. The spectral checks build the
+normal matrix: the direct path's bordered solve of the reduced Newton
+system of ``ippmm.NewtonSystem`` at r1 = 0. aug-block, the MINRES path's,
+is applied through a factored ``krylov.BorderedBand``. The spectral checks build the
 paper's blockdiag(M1, M3) from its definition to test its eigenvalue
 bounds; no solver path applies that matrix."""
 from __future__ import annotations
@@ -40,8 +40,8 @@ def identity_preconditioner() -> Preconditioner:
 def build_fmri_normal_precond(apply_inverse: Callable[[np.ndarray], np.ndarray]
                               ) -> Preconditioner:
     """fmri-block, the exact (A G^-1 A' + delta I)^-1 of
-    ``ippmm.NormalEquations``, from its factored reduced system's
-    ``apply_inverse``."""
+    ``ippmm.NormalEquations``: ``apply_inverse`` is the bordered solve of
+    its factored reduced system at r1 = 0."""
     return Preconditioner(apply_inverse=apply_inverse)
 
 

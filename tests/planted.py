@@ -10,7 +10,7 @@ import numpy as np
 from sparseipm.problems import quadratic_program
 
 STRUCTURES = ("plain", "degenerate", "ill-conditioned", "diagonal", "free",
-              "rank-deficient", "slack", "all-slack")
+              "rank-deficient", "slack", "all-slack", "diagonal-pairs")
 
 
 def planted_qp(structure: str, n: int, m: int, seed: int):
@@ -28,13 +28,16 @@ def planted_qp(structure: str, n: int, m: int, seed: int):
     the last row holds two pairs. Each x+ is basic and each x- is not. The
     program then has m + 4 rows and n + 10 columns;
     ``all-slack``: the same with one pair in each of the m rows of A and no
-    rows added, so every row holds a slack pair: n + 2m columns.
+    rows added, so every row holds a slack pair: n + 2m columns;
+    ``diagonal-pairs``: ``diagonal`` with ``slack``'s rows and pairs, and 3
+    more split pairs whose columns are S and -S, dense, which Q does not
+    touch; each x+ is basic and each x- is not: m + 4 rows, n + 16 columns.
     """
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
     if structure == "rank-deficient":
         A[-5:] = A[:5]
-    if structure == "diagonal":
+    if structure in ("diagonal", "diagonal-pairs"):
         Q = np.diag(rng.uniform(0.5, 2.0, n) * (rng.random(n) < 0.5))
     elif structure == "ill-conditioned":
         U, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -56,22 +59,28 @@ def planted_qp(structure: str, n: int, m: int, seed: int):
         free = basic[:int(0.2 * n)]
         x[free] = rng.standard_normal(free.size)
         nonneg = np.setdiff1d(nonneg, free)
-    pairs = None
-    if structure in ("slack", "all-slack"):
-        rows = m + np.array([0, 1, 2, 3, 3]) if structure == "slack" else np.arange(m)
+    pairs = np.zeros((2, 0), dtype=int)
+    if structure in ("slack", "all-slack", "diagonal-pairs"):
+        rows = np.arange(m) if structure == "all-slack" else m + np.array([0, 1, 2, 3, 3])
         k = rows.size
         a = rng.uniform(0.5, 2.0, k) * rng.choice([-1.0, 1.0], k)
-        if structure == "slack":
+        if structure != "all-slack":
             A = np.vstack([A, rng.standard_normal((4, n))])
         slack = np.zeros((A.shape[0], 2 * k))
         slack[rows, np.arange(k)] = a
         slack[rows, k + np.arange(k)] = -a
-        A = np.hstack([A, slack])
-        Q = np.pad(Q, (0, 2 * k))
-        x = np.concatenate([x, rng.uniform(0.5, 2.0, k), np.zeros(k)])
-        z = np.concatenate([z, np.zeros(k), rng.uniform(0.5, 2.0, k)])
-        pairs = n + np.arange(2 * k).reshape(2, k)
-        nonneg = np.arange(n + 2 * k)
+        columns = [slack]
+        if structure == "diagonal-pairs":
+            S = rng.standard_normal((A.shape[0], 3))
+            columns.append(np.hstack([S, -S]))
+        for block in columns:  # each block: k plus members, then their k minus members
+            k, first = block.shape[1] // 2, A.shape[1]
+            A = np.hstack([A, block])
+            Q = np.pad(Q, (0, 2 * k))
+            x = np.concatenate([x, rng.uniform(0.5, 2.0, k), np.zeros(k)])
+            z = np.concatenate([z, np.zeros(k), rng.uniform(0.5, 2.0, k)])
+            pairs = np.hstack([pairs, first + np.arange(2 * k).reshape(2, k)])
+        nonneg = np.arange(A.shape[1])
     c = -Q @ x + A.T @ rng.standard_normal(A.shape[0]) + z
     prog = quadratic_program(Q, c, A, A @ x, nonneg=nonneg, pairs=pairs)
     return prog, prog.objective(x)

@@ -1,4 +1,4 @@
-"""Eight small ``ast`` checks in place of a linter, and one on the README.
+"""Nine small ``ast`` checks in place of a linter, and one on the README.
 
 - Every name a ``sparseipm`` module imports is used in that module: it appears
   as a name anywhere in the module, or in ``__all__``.
@@ -25,6 +25,9 @@
 - Within ``src/sparseipm`` outside ``krylov`` only ``ippmm.NewtonSystem``
   constructs a ``BorderedBand``, so the three solver paths share its one
   reduced Newton system.
+- Within ``ippmm`` only ``kkt_residuals`` and ``NewtonSystem``'s own
+  ``_reduce`` and ``_find_slack_pairs`` read ``program.A`` or
+  ``program.pairs``, so no path reduces the pairs a second time.
 - Every backticked ``<module>.<Name>`` of a ``sparseipm`` module that
   ``README.md`` cites, such as ``dropping.XI``, names a real attribute.
 """
@@ -325,6 +328,42 @@ def test_only_the_newton_system_builds_bands():
              for name, line in constructions(path.read_text(), "BorderedBand")
              if (path.stem, name) != ("ippmm", "NewtonSystem")]
     assert found == []
+
+
+def program_reads(source: str, fields=("A", "pairs")) -> list:
+    """(function, field, line) of each read of ``program.<field>`` or
+    ``self.program.<field>``; a method is named ``Class.method``."""
+    out = []
+    for top in ast.parse(source).body:
+        scopes = [(top.name, top)] if isinstance(top, ast.FunctionDef) else [
+            (f"{top.name}.{node.name}", node) for node in getattr(top, "body", ())
+            if isinstance(node, ast.FunctionDef)]
+        for name, scope in scopes:
+            out.extend((name, node.attr, node.lineno) for node in ast.walk(scope)
+                       if isinstance(node, ast.Attribute) and node.attr in fields
+                       and isinstance(node.ctx, ast.Load)
+                       and "program" in (getattr(node.value, "id", None),
+                                         getattr(node.value, "attr", None)))
+    return out
+
+
+def test_checker_finds_program_reads():
+    source = ("def kkt_residuals(program):\n    return program.A @ program.x\n"
+              "class NewtonSystem:\n    def _reduce(self, program):\n"
+              "        p, q = program.pairs\n"
+              "class NormalEquations(NewtonSystem):\n"
+              "    def __init__(self, program):\n        self.p = program.pairs[0]\n"
+              "    def factor(self):\n        return self.program.A, self.A\n")
+    assert program_reads(source) == [("kkt_residuals", "A", 2),
+                                     ("NewtonSystem._reduce", "pairs", 5),
+                                     ("NormalEquations.__init__", "pairs", 8),
+                                     ("NormalEquations.factor", "A", 10)]
+
+
+def test_only_the_newton_system_reduces_the_program():
+    source = (Path(sparseipm.__file__).parent / "ippmm.py").read_text()
+    allowed = {"kkt_residuals", "NewtonSystem._reduce", "NewtonSystem._find_slack_pairs"}
+    assert [read for read in program_reads(source) if read[0] not in allowed] == []
 
 
 def unresolved_citations(text: str, namespaces: dict) -> list:

@@ -953,7 +953,8 @@ class TestLifecycle:
 
 
 class TestNormalOperator:
-    """The PCG path applies A G^-1 A' + δI through the pair-reduced A_k; its
+    """The PCG path applies A G^-1 A' + δI as A_u D A_u' + diag(E), the
+    normal matrix of the reduced system over the unknowns' columns A_u; its
     operator, rhs and step must be those of the unreduced A_act."""
 
     @staticmethod
@@ -981,7 +982,7 @@ class TestNormalOperator:
                     "slack pair": [s + 2 * q + 3, s + 2 * q + ell + 3]}[drop]] = True
         st.inner_tol = 1e-12
         system = factored(NormalEquations, st, prog)
-        assert system.A_k.shape == (prog.m, s + q + ell)  # one column per pair
+        assert system.A_u.shape == (prog.m, s + q)  # one column per unknown
         act = st.active_indices()
         g = prog.hess_diag(st.x)[act] + st.xi_diag()[act] + st.rho
         A = prog.A[:, act].toarray()
@@ -992,7 +993,7 @@ class TestNormalOperator:
         r1, r2 = rng.standard_normal(prog.n), rng.standard_normal(prog.m)
         np.testing.assert_allclose(system.rhs(r1, r2), r2 + A @ (r1[act] / g),
                                    rtol=1e-13, atol=1e-13)
-        # the step of A_k: dx from the returned dy by the unreduced formula
+        # the step: dx from the returned dy by the unreduced formula
         dx, dy = system.solve(r1, r2)
         np.testing.assert_allclose(dx[act], (A.T @ dy - r1[act]) / g, rtol=1e-13,
                                    atol=1e-13 * np.abs(dx).max())

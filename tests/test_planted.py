@@ -9,7 +9,7 @@ from sparseipm.ippmm import SolverOptions, solve
 def paths(structure):
     """The paths that apply: the normal equations need a diagonal Q."""
     out = ["direct-augmented", "minres-augmented"]
-    return out + ["pcg-normal"] if structure == "diagonal" else out
+    return out + ["pcg-normal"] if structure.startswith("diagonal") else out
 
 
 CASES = [(structure, path, seed) for structure in STRUCTURES
