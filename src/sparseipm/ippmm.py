@@ -589,8 +589,9 @@ def predictor_corrector_step(state: IpPmmState, ctx, rp: np.ndarray,
 
 def update_penalties_and_estimates(state: IpPmmState, primal_norm: float,
                                    dual_norm: float):
-    """Shrink penalties at the rate of mu; refresh proximal estimates when the
-    residuals have decreased sufficiently since the last refresh."""
+    """Shrink penalties at the rate of mu; refresh both proximal estimates (and
+    both reference norms) when either residual has fallen to ESTIMATE_DECREASE
+    times its value at the last refresh."""
     mu_new = state.complementarity()
     if state.mu > 0 and mu_new >= 0:
         ratio = min(1.0, mu_new / state.mu)
@@ -598,7 +599,7 @@ def update_penalties_and_estimates(state: IpPmmState, primal_norm: float,
         state.delta = max(PENALTY_FLOOR, state.delta * ratio)
     state.mu = mu_new
     if (primal_norm <= ESTIMATE_DECREASE * state.last_primal_norm
-            and dual_norm <= ESTIMATE_DECREASE * state.last_dual_norm):
+            or dual_norm <= ESTIMATE_DECREASE * state.last_dual_norm):
         state.zeta = state.x.copy()
         state.eta = state.y.copy()
         state.last_primal_norm = primal_norm

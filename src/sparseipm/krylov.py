@@ -145,8 +145,11 @@ class BorderedBand:
         return scipy.linalg.lapack.dtbtrs(self.L, b, uplo="L", trans=trans)[0]
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        """K^-1 r, in band order."""
-        return self.tri(self.tri(r, "N"), "T")
+        """K^-1 r, in band order, by one LAPACK dpbtrs call; an empty r is
+        returned as it is, as in ``tri``."""
+        if not r.size:
+            return r
+        return scipy.linalg.lapack.dpbtrs(self.L, r, lower=1)[0]
 
     def schur_solve(self, r: np.ndarray) -> np.ndarray:
         """(δ + A_B K^-1 A_B')^-1 r."""

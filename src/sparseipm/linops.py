@@ -165,6 +165,7 @@ class BccbOperator:
         self.rows = self.cols = n1 * n2
         self.grid = (n1, n2)
         self.eigenvalues = scipy.fft.rfft2(psf)
+        self.conj_eigenvalues = np.conj(self.eigenvalues)
 
     def _spectral_apply(self, v, eigs):
         img = np.asarray(v, dtype=float).reshape(self.grid)
@@ -174,7 +175,7 @@ class BccbOperator:
         return self._spectral_apply(v, self.eigenvalues)
 
     def apply_transpose(self, u):
-        return self._spectral_apply(u, np.conj(self.eigenvalues))
+        return self._spectral_apply(u, self.conj_eigenvalues)
 
     def squared_kernel_operator(self) -> "BccbOperator":
         """Operator whose kernel weights are the element-wise squared PSF.
@@ -185,5 +186,6 @@ class BccbOperator:
         out = copy.copy(self)
         out.eigenvalues = scipy.fft.rfft2(
             scipy.fft.irfft2(self.eigenvalues, s=self.grid) ** 2)
+        out.conj_eigenvalues = np.conj(out.eigenvalues)
         return out
 

@@ -264,6 +264,13 @@ class TestCli:
         assert report["status"] == "optimal"
         assert report["inner_capped"] == 0
 
+    @pytest.mark.parametrize("seed", ["2", "3", "4"])
+    def test_fmri_defaults_reach_optimal(self, tmp_path, seed):
+        # the CLI defaults: 30 samples on 4x4x4, pcg-normal, dropping on at 1e-6
+        assert run_cli(["fmri", "--seed", seed, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report_ippmm.json").read_text())
+        assert report["status"] == "optimal"
+
     def test_baselines_are_scored_at_the_drop_level(self, tmp_path):
         # every baseline's w is below fmri's drop level 1e-6 here, as IP-PMM's is
         code = run_cli(["fmri", "--solver", "ippmm,fista,admm", "--s", "10",

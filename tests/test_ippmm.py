@@ -164,6 +164,14 @@ class TestPenaltyUpdates:
         update_penalties_and_estimates(st, 0.5, 0.5)
         np.testing.assert_array_equal(st.zeta, st.x)
         np.testing.assert_array_equal(st.eta, st.y)
+        # one residual falling is enough, whichever it is: a residual at
+        # roundoff must not hold the estimates back
+        for primal, dual in [(0.45, 0.9), (0.9, 0.45)]:
+            st.x, st.y = st.x + 1.0, st.y + 1.0
+            update_penalties_and_estimates(st, primal, dual)
+            np.testing.assert_array_equal(st.zeta, st.x)
+            np.testing.assert_array_equal(st.eta, st.y)
+            assert (st.last_primal_norm, st.last_dual_norm) == (primal, dual)
 
 
 class TestSystemAssembly:
@@ -496,7 +504,6 @@ class TestDirectPath:
         with pytest.warns(UserWarning, match="more samples than features"):
             inst, _ = gen_fused_lasso(10, (3, 3), 0)
         prog = build_fused_lasso_ls(inst)
-        # at 1e-9 every path stalls on this program with the dual residual near 2e-9
         reports = [solve(prog, SolverOptions(tol=1e-8, linear_solver=path))[1]
                    for path in ("pcg-normal", "direct-augmented")]
         assert [rep.status for rep in reports] == ["optimal", "optimal"]
@@ -554,6 +561,26 @@ class TestSolveBehavior:
             sols[path] = prog.objective(x)
         vals = list(sols.values())
         assert max(vals) - min(vals) <= 1e-6 * (1 + abs(vals[0]))
+
+    @pytest.mark.filterwarnings("ignore:more samples than features")
+    @pytest.mark.parametrize("path", ["direct-augmented", "minres-augmented",
+                                      "pcg-normal"])
+    @pytest.mark.parametrize("s, grid, seed, taus, tol", [
+        (200, (6, 6, 6), 0, (1e-3, 1e-2), 1e-8),
+        (100, (6, 6, 6), 1, (1e-3, 1e-3), 1e-8),
+        (300, (6, 6, 6), 2, (1e-4, 1e-3), 1e-8),
+        (10, (3, 3), 0, (), 1e-9),
+        (10, (3, 3), 1, (), 1e-9),
+        (10, (3, 3), 2, (), 1e-9)],
+        ids=["6x6x6-s200-0", "6x6x6-s100-1", "6x6x6-s300-2", "3x3-0", "3x3-1", "3x3-2"])
+    def test_fused_lasso_does_not_stall(self, path, s, grid, seed, taus, tol):
+        # with the primal residual at roundoff, stale proximal estimates held
+        # the dual residual above tol on each of these programs
+        prog = build_fused_lasso_ls(gen_fused_lasso(s, grid, seed, *taus)[0])
+        precond = "fmri-block" if path == "pcg-normal" else "auto"
+        _, rep = solve(prog, SolverOptions(tol=tol, linear_solver=path,
+                                           precond=precond))
+        assert rep.status == "optimal"
 
     def test_fused_lasso_qp_matches_asb_oracle(self):
         # random portfolio model solved independently by split Bregman
@@ -750,7 +777,7 @@ class TestSlackPairElimination:
             linear_solver="minres-augmented", htilde_choice="diag-h"))
         assert borders == [] and len(bands) == rep.iterations
         assert {band.shape[0] for band in bands} == {1}  # P is diagonal
-        assert (rep.status, rep.iterations, rep.inner_iterations) == ("optimal", 9, 172)
+        assert (rep.status, rep.iterations, rep.inner_iterations) == ("optimal", 9, 171)
 
     def test_planted_slack_rows_are_eliminated(self):
         prog, _ = planted_qp("slack", 30, 10, 0)
