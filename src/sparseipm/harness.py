@@ -211,6 +211,8 @@ def read_pgm(path):
             raise ParseError(f"{path}: truncated pixel data at byte {pos}")
         raw = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
         img = raw.astype(float)
+    if np.any(img < 0):
+        raise ParseError(f"{path}: pixel value below 0")
     if np.any(img > maxval):
         raise ParseError(f"{path}: pixel value exceeds maxval {maxval}")
     return img.reshape(height, width), maxval

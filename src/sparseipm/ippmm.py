@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from . import dropping as dropmod
@@ -236,10 +235,10 @@ class NewtonSystem:
     K = C + diag(dt) + A_R' E_R^-1 A_R, C the Hessian over the unknowns and
     E = δ + Σ a²(e+ + e-) of each row over its slack pairs (δ on a row
     without one). ``_build_band`` builds its ``krylov.BorderedBand``. A
-    dropped variable never returns, and every factor pins each unknown with
-    no live member left (``_pin``), so its step is exactly 0. ``_direct``
-    solves the factored system: the direct path's step, and at r1 = 0 the
-    PCG path's preconditioner.
+    dropped variable never returns, and ``_factor_band``, the one factor
+    call of every path, pins each unknown with no live member left, so its
+    step is exactly 0. ``_direct`` solves the factored system: the direct
+    path's step, and at r1 = 0 the PCG path's preconditioner.
     """
 
     inner_iterations = inner_capped = 0  # Krylov iterations, unconverged solves
@@ -314,8 +313,7 @@ class NewtonSystem:
         from ``state``; ``h`` is a Hessian diagonal folded into e. A weight
         h + Θ + ρ that is not positive raises LinAlgError."""
         active = state.active_indices()
-        self.xi = state.xi_diag()
-        g = (h + self.xi + state.rho)[active]
+        g = (h + state.xi_diag() + state.rho)[active]
         if np.any(g <= 0):
             raise np.linalg.LinAlgError("diagonal weights must be positive")
         self.e = np.zeros(state.x.size)
@@ -326,16 +324,17 @@ class NewtonSystem:
         self.E = self.delta + np.bincount(self.prow, self.pval ** 2 * self.e[self.pairs],
                                           minlength=self.A_u.shape[0])
 
-    def _pin(self, state: IpPmmState):
+    def _factor_band(self, state: IpPmmState, extra=0.0):
         """Pin each unknown with no live member left (``BorderedBand.pin``),
-        and take dt in band order, 1 on a pinned unknown, and the
-        eliminated rows' E."""
+        take dt in band order, 1 on a pinned unknown, and the eliminated
+        rows' E, and factor the band with dt + ``extra`` on its diagonal."""
         live = ~state.dropped
         live[self.p] |= live[self.q]  # a pair's unknown lives while either member does
         self.band.pin(~live[self.rows])
         self.dt = np.divide(1.0, self.esum[self.rows], out=np.ones(self.rows.size),
                             where=~self.band.pinned)
         self.E_elim = self.E[self.elim]
+        self.band.factor(self.dt + extra, 1.0 / self.E_elim, self.E[self.border])
 
     def _reduced_rhs(self, r1: np.ndarray, r2: np.ndarray):
         """The reduced system's rhs from the full-length one: rt over the
@@ -388,8 +387,9 @@ class AugmentedSystem(NewtonSystem):
     MINRES under the block-diagonal preconditioner built from H~.
 
     MINRES runs on [[-K, A_B'], [A_B, δI]] over the unknowns and the rows
-    without a slack pair, with K = H + Θ + ρI + A_R' E^-1 A_R (Θ + ρ read
-    as dt on a u); dy_R and the pair steps follow in closed form. A pinned
+    without a slack pair, with K = H + diag(dt) + A_R' E^-1 A_R; dy_R and
+    the pair steps follow in closed form. The operator reads A_B and A_R
+    from the band and applies A_R' E^-1 A_R in factored form. A pinned
     unknown's row of the operator is -1 on the diagonal and 0 elsewhere.
     The preconditioner is blockdiag(P, δI + A_B P^-1 A_B'), with P = K and
     H~ in place of H, factored in the band built once per solve.
@@ -405,21 +405,13 @@ class AugmentedSystem(NewtonSystem):
         self._reduce(program)
         self._build_band(self.B)
         self.na = self.rows.size
-        self.A_B = sp.csc_matrix(self.A_u[self.B][:, self.band.order])
-        self._A_Bt = self.A_B.T
 
     def factor(self, state: IpPmmState):
         self._refresh(state)
-        self._pin(state)
-        # Θ + ρ as it is on an unpaired unknown; 1/(1/(Θ + ρ)) may round differently
-        self.diag_shift = self.xi[self.rows] + state.rho
-        self.diag_shift[self.kp] = self.dt[self.kp]
+        self._hess = self.program.hess_action(state.x)
+        self._factor_band(state, self.chooser(state.x)[self.rows])
         self.live = (~self.band.pinned).astype(float)
         self.pins = np.flatnonzero(self.band.pinned)
-        self.K_R = self.A_Rt @ sp.diags(1.0 / self.E_elim) @ self.band.A_R
-        self._hess = self.program.hess_action(state.x)
-        self.band.factor(self.chooser(state.x)[self.rows] + self.diag_shift,
-                         1.0 / self.E_elim, self.E[self.border])
         self.precond = precondmod.build_aug_block_diag_precond(self.band)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
@@ -429,9 +421,10 @@ class AugmentedSystem(NewtonSystem):
         full[self.rows] = v1
         hv = self._hess(full)[self.rows]
         out = np.empty(v.size)
-        np.subtract(self._A_Bt @ v2, hv + self.diag_shift * v1 + self.K_R @ v1,
+        np.subtract(self.band.A_Bt @ v2,
+                    hv + self.dt * v1 + self.A_Rt @ ((self.band.A_R @ v1) / self.E_elim),
                     out=out[:na])
-        np.add(self.A_B @ v1, self.delta * v2, out=out[na:])
+        np.add(v1 @ self.band.A_Bt, self.delta * v2, out=out[na:])
         out[self.pins] = -v[self.pins]
         return out
 
@@ -460,8 +453,7 @@ class SaddleMatrix(NewtonSystem):
 
     def factor(self, state: IpPmmState):
         self._refresh(state)
-        self._pin(state)
-        self.band.factor(self.dt, 1.0 / self.E_elim, self.E[self.border])
+        self._factor_band(state)
 
     def solve(self, r1: np.ndarray, r2: np.ndarray):
         rt, rs = self._reduced_rhs(r1, r2)
@@ -501,8 +493,7 @@ class NormalEquations(NewtonSystem):
         border = np.flatnonzero(border)
         if not np.array_equal(border, self.border):
             self._build_band(border)
-        self._pin(state)
-        self.band.factor(self.dt, 1.0 / self.E_elim, self.E[self.border])
+        self._factor_band(state)
 
     def _apply_inverse(self, r: np.ndarray) -> np.ndarray:
         """(A G^-1 A' + δI)^-1 r: the reduced system's dy at r1 = 0."""

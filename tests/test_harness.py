@@ -227,6 +227,12 @@ class TestPgm:
         with pytest.raises(ParseError, match="exceeds"):
             read_pgm(path)
 
+    def test_values_below_zero(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P2\n2 2\n255\n0 -5 10 255\n")
+        with pytest.raises(ParseError, match="img.pgm: pixel value below 0"):
+            read_pgm(path)
+
 
 class TestCli:
     def test_portfolio_writes_outputs(self, tmp_path):
@@ -507,18 +513,22 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [["restore", "--image", b"P2\n0 0\n255\n"],
                                       ["restore", "--image", b"P2\n-3 2\n255\n1 2 3\n"],
+                                      ["restore", "--image", b"P2\n2 2\n255\n0 -5 10 255\n"],
                                       ["fmri", "--s", "0"],
                                       ["spectest", "--family", "fmri", "--s", "0"]],
-                             ids=["pgm 0x0", "pgm width -3", "fmri s 0", "spectest s 0"])
+                             ids=["pgm 0x0", "pgm width -3", "pgm sample -5", "fmri s 0",
+                                  "spectest s 0"])
     def test_empty_input_ends_in_an_error_line(self, tmp_path, capsys, argv):
-        """An image without pixels or a data set without samples exits 1 with
-        the CLI's error line, not a traceback."""
+        """An image without pixels or with a negative sample, or a data set
+        without samples, exits 1 with the CLI's error line, not a traceback,
+        and writes no output directory."""
         if isinstance(argv[-1], bytes):  # the image file's contents
             pgm = tmp_path / "img.pgm"
             pgm.write_bytes(argv[-1])
             argv = [*argv[:-1], str(pgm)]
         assert run_cli([*argv, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
     def test_kernel_flags_reach_their_kernel(self, tmp_path):
         """A kernel flag at its default gives the default run; another value

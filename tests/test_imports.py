@@ -1,4 +1,4 @@
-"""Nine small ``ast`` checks in place of a linter, and one on the README.
+"""Ten small ``ast`` checks in place of a linter, and one on the README.
 
 - Every name a ``sparseipm`` module imports is used in that module: it appears
   as a name anywhere in the module, or in ``__all__``.
@@ -25,6 +25,8 @@
 - Within ``src/sparseipm`` outside ``krylov`` only ``ippmm.NewtonSystem``
   constructs a ``BorderedBand``, so the three solver paths share its one
   reduced Newton system.
+- Within ``src/sparseipm`` only ``ippmm.NewtonSystem._factor_band`` calls
+  ``.factor(`` on a ``band``, so every path pins and factors it one way.
 - Within ``ippmm`` only ``kkt_residuals`` and ``NewtonSystem``'s own
   ``_reduce`` and ``_find_slack_pairs`` read ``program.A`` or
   ``program.pairs``, so no path reduces the pairs a second time.
@@ -327,6 +329,41 @@ def test_only_the_newton_system_builds_bands():
     found = [(path.name, name, line) for path in MODULES if path.stem != "krylov"
              for name, line in constructions(path.read_text(), "BorderedBand")
              if (path.stem, name) != ("ippmm", "NewtonSystem")]
+    assert found == []
+
+
+def band_factor_calls(source: str) -> list:
+    """(function, line) of each ``.factor(...)`` call on ``band`` or on a
+    ``band`` attribute; a method is named ``Class.method``."""
+    out = []
+    for top in ast.parse(source).body:
+        scopes = [(top.name, top)] if isinstance(top, ast.FunctionDef) else [
+            (f"{top.name}.{node.name}", node) for node in getattr(top, "body", ())
+            if isinstance(node, ast.FunctionDef)]
+        for name, scope in scopes:
+            out.extend((name, node.lineno) for node in ast.walk(scope)
+                       if isinstance(node, ast.Call)
+                       and isinstance(node.func, ast.Attribute) and node.func.attr == "factor"
+                       and "band" in (getattr(node.func.value, "id", None),
+                                      getattr(node.func.value, "attr", None)))
+    return out
+
+
+def test_checker_finds_band_factor_calls():
+    source = ("class NewtonSystem:\n    def _factor_band(self):\n"
+              "        self.band.factor(d, w, delta)\n"
+              "class SaddleMatrix(NewtonSystem):\n    def factor(self):\n"
+              "        band = self.band\n        band.factor(d, w, delta)\n"
+              "def f(system):\n    system.band.factor(d, w, 1.0)\n"
+              "    return system.factor(state), band.solve(r)\n")
+    assert band_factor_calls(source) == [("NewtonSystem._factor_band", 3),
+                                         ("SaddleMatrix.factor", 7), ("f", 9)]
+
+
+def test_only_the_newton_system_factors_bands():
+    found = [(path.name, name, line) for path in MODULES
+             for name, line in band_factor_calls(path.read_text())
+             if (path.stem, name) != ("ippmm", "NewtonSystem._factor_band")]
     assert found == []
 
 

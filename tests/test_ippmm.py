@@ -233,27 +233,39 @@ class TestSystemAssembly:
         np.testing.assert_allclose(system.matvec(v), matrix @ v,
                                    atol=1e-10)
 
-    @pytest.mark.parametrize("dropped", [[], [1, 4, 7]], ids=["all-active", "dropped"])
+    # dropped: unpaired unknowns 1, 4 and 7, a slack pair's plus member 10,
+    # one member of the pair (20, 23) and both of the pair (21, 24)
+    @pytest.mark.parametrize("dropped", [[], [1, 4, 7, 10, 20, 21, 24]],
+                             ids=["all-active", "dropped"])
     def test_matvec_is_bit_identical_to_scatter_gather(self, dropped):
-        prog = self._program(seed=30, n=10, m=4, diag=False)
+        # the MINRES operator against the dense reduced matrix
+        # [[-K, A_B'], [A_B, δI]] from its definition, K = Q + diag(1/e) +
+        # A_R' E_R^-1 A_R over the live unknowns (e = e+ + e- on a u); a
+        # pinned unknown's row is exactly -v
+        prog, _ = planted_qp("diagonal-pairs", 10, 4, 30)
         st = random_state(prog, seed=31)
         st.dropped[dropped] = True
         system = factored(AugmentedSystem, st, prog)
-        assert system.na == prog.n  # a dropped variable's unknown is pinned
-        pinned = np.isin(system.rows, dropped)
-        assert np.array_equal(system.band.pinned, pinned)
-        v = np.random.default_rng(32).standard_normal(system.na + prog.m)
-        # the scatter, gather and concatenation the matvec used to do, on
-        # the live unknowns; a pinned unknown's row is -v1
-        v1, v2 = v[:system.na], v[system.na:]
-        live = np.where(pinned, 0.0, v1)
-        full = np.zeros(prog.n)
-        full[system.rows] = live
-        hv = prog.hess_action(st.x)(full)[system.rows]
-        top = -(hv + system.diag_shift * live) + system.A_B.T @ v2
-        top[pinned] = -v1[pinned]
-        bottom = system.A_B @ live + system.delta * v2
-        assert np.array_equal(system.matvec(v), np.concatenate([top, bottom]))
+        (sp_, sq), (up, uq) = prog.pairs[:, :5], prog.pairs[:, 5:]  # slack pairs, u's
+        R, B = np.arange(4, 8), np.arange(4)
+        assert system.pairs.size == 10 and np.array_equal(system.R, R)
+        A, rows = prog.A.toarray(), system.rows
+        e = np.where(st.dropped, 0.0, 1.0 / (st.xi_diag() + st.rho))
+        E = st.delta + A[:, sp_] ** 2 @ (e[sp_] + e[sq])
+        e[up] += e[uq]
+        live = e[rows] > 0
+        assert np.array_equal(system.band.pinned, ~live)
+        assert (~live).sum() == (0 if not dropped else 4)
+        A_u = A[:, rows]
+        K = (prog.Q.toarray()[np.ix_(rows, rows)] + np.diag(1.0 / np.where(live, e[rows], 1.0))
+             + A_u[R].T @ (A_u[R] / E[R, None]))
+        matrix = np.block([[-K, A_u[B].T], [A_u[B], st.delta * np.eye(B.size)]])
+        v = np.random.default_rng(32).standard_normal(system.na + prog.m - R.size)
+        out = system.matvec(v)
+        keep = np.concatenate([live, np.ones(B.size, dtype=bool)])
+        np.testing.assert_allclose(out[keep], matrix[np.ix_(keep, keep)] @ v[keep],
+                                   rtol=1e-12, atol=1e-12)
+        assert np.array_equal(out[:system.na][~live], -v[:system.na][~live])
 
     def test_normal_equations_identity_case(self):
         prog = quadratic_program(np.eye(3) * 0.0, np.zeros(3), np.eye(3),
@@ -754,18 +766,25 @@ class TestSlackPairElimination:
         assert system.pairs.size == prog.pairs.size  # every declared pair is slack
         assert_dense_step(system, st, prog)
 
-    @pytest.mark.parametrize("family", [pytest.param("poisson", marks=pytest.mark.xfail(
-        strict=True, reason="the elimination of a row with E = δ = 1e-8 loses about "
-        "1e-9 in relative accuracy (7e-10 with an exact inner solve, 1.1e-9 with "
-        "MINRES); the MINRES path keeps eliminating that row")), "logistic"])
-    def test_reduced_step_at_small_delta(self, family):
-        # the row of a slack pair dropped whole keeps E = δ, which divides dy_R
+    LOSS = pytest.mark.xfail(strict=True, reason="the elimination of a row with "
+                             "E = δ = 1e-8 loses about 1e-9 in relative accuracy (up to "
+                             "1.7e-9 on Poisson and 1.5e-9 on logistic over seeds 41-50); "
+                             "the MINRES path keeps eliminating that row")
+
+    @pytest.mark.parametrize("family,seeds", [
+        pytest.param("poisson", range(41, 51), marks=LOSS, id="poisson"),
+        pytest.param("logistic", [41], id="logistic"),
+        pytest.param("logistic", range(41, 51), marks=LOSS, id="logistic-seeds-41-50")])
+    def test_reduced_step_at_small_delta(self, family, seeds):
+        # the row of a slack pair dropped whole keeps E = δ, which divides
+        # dy_R; every seed must pass, so the worst error over them is judged
         prog = self.program(family)
-        st = random_state(prog, seed=41, delta=1e-8)
         p, q = prog.pairs
-        st.dropped[[p[1], q[1]]] = True
-        st.inner_tol = 1e-12
-        assert_dense_step(factored(AugmentedSystem, st, prog), st, prog)
+        for seed in seeds:
+            st = random_state(prog, seed=seed, delta=1e-8)
+            st.dropped[[p[1], q[1]]] = True
+            st.inner_tol = 1e-12
+            assert_dense_step(factored(AugmentedSystem, st, prog), st, prog)
 
     def test_logistic_builds_no_schur_factor(self, monkeypatch):
         # every logistic row holds a slack pair, so A_B has no rows and the
@@ -783,7 +802,7 @@ class TestSlackPairElimination:
         prog, _ = planted_qp("slack", 30, 10, 0)
         system = factored(AugmentedSystem, random_state(prog, seed=43), prog)
         assert system.pairs.size == 10 and system.R.size == 4
-        assert system.na == 30 and system.A_B.shape == (10, 30)
+        assert system.na == 30 and system.band.A_Bt.shape == (30, 10)
 
     def test_poisson_minres_runs_over_pixels_and_the_budget_row(self, monkeypatch):
         sizes = []

@@ -326,11 +326,15 @@ class TestBorderedBand:
         assert shapes and all(np.prod(shape) > 0 for shape in shapes)
 
     def test_pinned_unknown_is_exactly_zero(self):
-        _, K, A_B, _ = self.system()
+        free, K, A_B, _ = self.system()
         k = int(np.argmax(np.count_nonzero(K, axis=0) + np.count_nonzero(A_B, axis=0)))
         band, K, A_B, Delta = self.system(pinned=k)  # the most coupled column
         order, n = band.order, K.shape[0]
         assert np.count_nonzero(K[k]) > 1 and np.count_nonzero(A_B[:, k])
+        # the pin zeroes its column of A_R and its row of A_B', which the
+        # MINRES operator reads
+        assert free.A_R[:, free.order == k].count_nonzero()
+        assert not band.A_R[:, order == k].count_nonzero() and not band.A_Bt[order == k].any()
         rng = np.random.default_rng(63)
         f, g = rng.standard_normal(n), rng.standard_normal(A_B.shape[0])
         f[k] = 0.0
