@@ -1,16 +1,19 @@
-"""Linear operators: explicit sparse matrices, finite differences, FFT-applied convolutions.
+"""Linear operators: explicit sparse matrices, finite differences, circulant convolutions.
 
 All operators expose ``apply`` / ``apply_transpose`` and are immutable after
 construction, so they can be shared freely between solver invocations.
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft
 import scipy.sparse as sp
+
+# the Kronecker form applies a PSF of rank r on an (n1, n2) grid where
+# r * max(n1, n2) is at most this; above it the real FFT is as fast or faster
+KRONECKER_MAX = 128
 
 
 class MatrixOperator:
@@ -27,11 +30,23 @@ class MatrixOperator:
         return self.matrix.T @ np.asarray(u, dtype=float)
 
 
-def _chain_difference(q: int) -> sp.csr_matrix:
-    """(q-1) x q forward-difference matrix [-1, 1] on a 1d chain."""
-    if q < 2:
-        raise ValueError(f"chain length must be >= 2, got {q}")
-    return sp.diags([-1.0, 1.0], [0, 1], shape=(q - 1, q), format="csr")
+def _forward_differences(grid, axes) -> sp.csr_matrix:
+    """Forward differences x[.., k + 1, ..] - x[.., k, ..] along each of
+    ``axes`` of a C-order vector on ``grid``, stacked axis by axis.
+
+    Each row holds -1 at its tail and +1 at its head, one stride further on;
+    the rows of an axis run in the C order of the grid shortened along it.
+    """
+    index = np.arange(int(np.prod(grid, dtype=int))).reshape(grid)
+    tails, heads = [], []
+    for axis in axes:
+        tail = np.delete(index, -1, axis=axis).ravel()
+        tails.append(tail)
+        heads.append(tail + int(np.prod(grid[axis + 1:], dtype=int)))
+    tail, head = np.concatenate(tails), np.concatenate(heads)
+    rows = tail.size
+    return sp.csr_matrix((np.tile([-1.0, 1.0], rows), np.column_stack([tail, head]).ravel(),
+                          np.arange(0, 2 * rows + 1, 2)), shape=(rows, index.size))
 
 
 def make_difference_operator(num_periods: int, num_assets: int) -> MatrixOperator:
@@ -44,8 +59,7 @@ def make_difference_operator(num_periods: int, num_assets: int) -> MatrixOperato
         raise ValueError(f"need at least 2 periods, got {num_periods}")
     if num_assets < 1:
         raise ValueError(f"need at least 1 asset, got {num_assets}")
-    L = sp.kron(_chain_difference(num_periods), sp.eye(num_assets), format="csr")
-    return MatrixOperator(L)
+    return MatrixOperator(_forward_differences((num_periods, num_assets), (0,)))
 
 
 def make_tv_operator(grid) -> MatrixOperator:
@@ -58,18 +72,16 @@ def make_tv_operator(grid) -> MatrixOperator:
     grid = tuple(int(q) for q in np.atleast_1d(grid))
     if any(q < 2 for q in grid):
         raise ValueError(f"every grid dimension must be >= 2, got {grid}")
-    blocks = []
-    for axis, q in enumerate(grid):
-        left = sp.eye(int(np.prod(grid[:axis], dtype=int)))
-        right = sp.eye(int(np.prod(grid[axis + 1:], dtype=int)))
-        blocks.append(sp.kron(sp.kron(left, _chain_difference(q)), right))
-    L = sp.vstack(blocks, format="csr")
-    return MatrixOperator(L)
+    return MatrixOperator(_forward_differences(grid, range(len(grid))))
 
 
 # each blur family's parameters with their defaults
 BLUR_PARAMETERS = {"gaussian": {"sigma": 1.0}, "motion": {"length": 5.0, "angle": 0.0},
                    "out-of-focus": {"radius": 2.0}, "identity": {}}
+# each blur parameter's least value and whether that value is excluded; every
+# parameter must also be finite
+_PARAMETER_FLOORS = {"sigma": (0.0, True), "radius": (0.0, True), "length": (1.0, False),
+                     "angle": (-np.inf, False)}
 
 
 @dataclass(frozen=True)
@@ -90,6 +102,13 @@ class BlurKernel:
             takes = ", ".join(defaults) or "no parameters"
             raise ValueError(f"{self.family} blur takes {takes}, not {', '.join(unknown)}")
         object.__setattr__(self, "parameters", {**defaults, **self.parameters})
+        for name, value in self.parameters.items():
+            floor, strict = _PARAMETER_FLOORS[name]
+            value = float(value)
+            if not (np.isfinite(value) and (value > floor if strict else value >= floor)):
+                bound = "" if floor == -np.inf else f" and {'>' if strict else '>='} {floor:g}"
+                raise ValueError(f"{self.family} blur {name} must be finite{bound}, "
+                                 f"got {value}")
 
     def psf(self) -> np.ndarray:
         """PSF embedded in the full grid with its center wrapped to pixel (0, 0)."""
@@ -108,8 +127,6 @@ class BlurKernel:
             return np.ones((1, 1))
         if self.family == "gaussian":
             sigma = float(self.parameters["sigma"])
-            if sigma <= 0:
-                raise ValueError("sigma must be positive")
             r = max(1, int(np.ceil(4.0 * sigma)))
             ax = np.arange(-r, r + 1)
             g = np.exp(-0.5 * (ax / sigma) ** 2)
@@ -117,8 +134,6 @@ class BlurKernel:
         elif self.family == "motion":
             length = float(self.parameters["length"])
             angle = np.deg2rad(float(self.parameters["angle"]))
-            if length < 1:
-                raise ValueError("motion length must be >= 1 pixel")
             r = int(np.ceil(length / 2)) + 1
             size = 2 * r + 1
             k = np.zeros((size, size))
@@ -136,8 +151,6 @@ class BlurKernel:
                 k[i0 + 1, j0 + 1] += fy * fx
         else:  # out-of-focus
             radius = float(self.parameters["radius"])
-            if radius <= 0:
-                raise ValueError("radius must be positive")
             r = int(np.ceil(radius)) + 1
             ax = np.arange(-r, r + 1)
             dist = np.hypot(*np.meshgrid(ax, ax, indexing="ij"))
@@ -147,12 +160,37 @@ class BlurKernel:
         return k / k.sum()
 
 
-class BccbOperator:
-    """Block-circulant-with-circulant-blocks convolution, applied via the 2d FFT.
+def _kronecker_factors(psf):
+    """The (left, right) stacks of apply, (C1, C2^T), and of apply_transpose,
+    (C1^T, C2), where the BCCB matrix of ``psf`` is sum_r kron(C1[r], C2[r]);
+    None where r * max(n1, n2) > KRONECKER_MAX.
 
-    Only the half spectrum of the real PSF (its 2d real FFT) is stored; apply
-    and apply_transpose are a forward real FFT, a spectral multiply (conjugated
-    for the transpose) and an inverse real FFT back onto the grid.
+    P = sum_r a_r b_r^T from the SVD of the full-grid PSF, at the rank
+    ``numpy.linalg.matrix_rank`` would give; C1[r][m, j] = a_r[(m - j) mod n1]
+    and C2[r] likewise from b_r.
+    """
+    n = max(psf.shape)
+    if n > KRONECKER_MAX:
+        return None
+    u, s, vt = np.linalg.svd(psf)
+    rank = int(np.sum(s > s[0] * n * np.finfo(float).eps))
+    if rank * n > KRONECKER_MAX:
+        return None
+    root = np.sqrt(s[:rank])
+    c1, c2 = ((factor * root).T[:, (np.arange(q)[:, None] - np.arange(q)) % q]
+              for factor, q in ((u[:, :rank], psf.shape[0]), (vt[:rank].T, psf.shape[1])))
+    c1t, c2t = (np.ascontiguousarray(c.transpose(0, 2, 1)) for c in (c1, c2))
+    return (c1, c2t), (c1t, c2)
+
+
+class BccbOperator:
+    """Block-circulant-with-circulant-blocks convolution of a real PSF.
+
+    The half spectrum of the PSF (its 2d real FFT) is always stored. Where the
+    PSF has a small rank r on a small grid (``_kronecker_factors``), apply is
+    sum_r C1_r V C2_r^T on the grid image V, one batched matmul; otherwise it
+    is a forward real FFT, a spectral multiply (conjugated for the transpose)
+    and an inverse real FFT back onto the grid.
     """
 
     def __init__(self, kernel: BlurKernel):
@@ -161,31 +199,38 @@ class BccbOperator:
             raise ValueError("kernel weights must be non-negative")
         if abs(psf.sum() - 1.0) > 1e-10:
             raise ValueError("kernel weights must sum to 1")
-        n1, n2 = kernel.grid
-        self.rows = self.cols = n1 * n2
-        self.grid = (n1, n2)
+        self._set_psf(psf)
+
+    def _set_psf(self, psf):
+        self.psf = psf
+        self.grid = psf.shape
+        self.rows = self.cols = psf.size
         self.eigenvalues = scipy.fft.rfft2(psf)
         self.conj_eigenvalues = np.conj(self.eigenvalues)
+        self._factors = _kronecker_factors(psf)
 
-    def _spectral_apply(self, v, eigs):
+    def _apply(self, v, side, eigs):
+        """The Kronecker form's ``side`` stacks (0 for apply, 1 for the
+        transpose) on the grid image of v, or the spectral multiply by eigs."""
         img = np.asarray(v, dtype=float).reshape(self.grid)
-        return scipy.fft.irfft2(scipy.fft.rfft2(img) * eigs, s=self.grid).ravel()
+        if self._factors is None:
+            return scipy.fft.irfft2(scipy.fft.rfft2(img) * eigs, s=self.grid).ravel()
+        left, right = self._factors[side]
+        return (left @ img @ right).sum(axis=0).ravel()
 
     def apply(self, v):
-        return self._spectral_apply(v, self.eigenvalues)
+        return self._apply(v, 0, self.eigenvalues)
 
     def apply_transpose(self, u):
-        return self._spectral_apply(u, self.conj_eigenvalues)
+        return self._apply(u, 1, self.conj_eigenvalues)
 
     def squared_kernel_operator(self) -> "BccbOperator":
         """Operator whose kernel weights are the element-wise squared PSF.
 
         Its transpose applied to u gives sum_i u_i * d_ij^2, i.e. the exact
         diagonal of D^T diag(u) D; used for diagonal Hessian approximations.
+        It factors the squared PSF afresh: its rank is not the PSF's.
         """
-        out = copy.copy(self)
-        out.eigenvalues = scipy.fft.rfft2(
-            scipy.fft.irfft2(self.eigenvalues, s=self.grid) ** 2)
-        out.conj_eigenvalues = np.conj(out.eigenvalues)
+        out = object.__new__(BccbOperator)
+        out._set_psf(self.psf ** 2)
         return out
-

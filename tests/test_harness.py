@@ -497,6 +497,21 @@ class TestCli:
         assert not out.exists()
         assert "non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, name", [
+        (["--blur", "gaussian", "--sigma", "inf"], "sigma"),
+        (["--blur", "gaussian", "--sigma", "nan"], "sigma"),
+        (["--blur", "out-of-focus", "--radius", "inf"], "radius"),
+        (["--blur", "motion", "--len", "inf"], "length"),
+        (["--blur", "motion", "--angle", "nan"], "angle")],
+        ids=lambda a: " ".join(a) if isinstance(a, list) else a)
+    def test_non_finite_kernel_parameter_ends_in_an_error_line(self, tmp_path, capsys,
+                                                                argv, name):
+        out = tmp_path / "out"
+        assert run_cli(["restore", "--size", "8", *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{name} must be finite" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [["restore", "--blur", "motion", "--sigma", "3"],
                                       ["restore", "--blur", "identity", "--radius", "2"],
                                       ["restore", "--image", "PGM", "--size", "16"],

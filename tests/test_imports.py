@@ -1,4 +1,4 @@
-"""Ten small ``ast`` checks in place of a linter, and one on the README.
+"""Eleven small ``ast`` checks in place of a linter, and one on the README.
 
 - Every name a ``sparseipm`` module imports is used in that module: it appears
   as a name anywhere in the module, or in ``__all__``.
@@ -30,6 +30,8 @@
 - Within ``ippmm`` only ``kkt_residuals`` and ``NewtonSystem``'s own
   ``_reduce`` and ``_find_slack_pairs`` read ``program.A`` or
   ``program.pairs``, so no path reduces the pairs a second time.
+- Within ``src/sparseipm`` only ``linops`` imports or names ``scipy.fft``,
+  so the choice between a blur's Kronecker and FFT forms stays in one module.
 - Every backticked ``<module>.<Name>`` of a ``sparseipm`` module that
   ``README.md`` cites, such as ``dropping.XI``, names a real attribute.
 """
@@ -401,6 +403,41 @@ def test_only_the_newton_system_reduces_the_program():
     source = (Path(sparseipm.__file__).parent / "ippmm.py").read_text()
     allowed = {"kkt_residuals", "NewtonSystem._reduce", "NewtonSystem._find_slack_pairs"}
     assert [read for read in program_reads(source) if read[0] not in allowed] == []
+
+
+def scipy_fft_uses(source: str) -> list:
+    """Line numbers that import ``scipy.fft`` (or a name from it) or name it
+    as the attribute ``scipy.fft``."""
+    def is_fft(module):
+        return module == "scipy.fft" or module.startswith("scipy.fft.")
+
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found = any(is_fft(alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found = is_fft(node.module or "") or (
+                node.module == "scipy" and any(alias.name == "fft" for alias in node.names))
+        else:
+            found = (isinstance(node, ast.Attribute) and node.attr == "fft"
+                     and getattr(node.value, "id", None) == "scipy")
+        if found:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_checker_finds_scipy_fft_uses():
+    source = ("import scipy.fft\nfrom scipy import fft, linalg\n"
+              "from scipy.fft import rfft2\nimport scipy\n"
+              "y = scipy.fft.rfft2(x)\nimport numpy.fft\nfrom scipy import linalg\n"
+              "z = np.fft.rfft2(x)\nimport scipy.fft as F\n")
+    assert scipy_fft_uses(source) == [1, 2, 3, 5, 9]
+
+
+def test_only_linops_uses_scipy_fft():
+    found = [(path.name, line) for path in MODULES if path.stem != "linops"
+             for line in scipy_fft_uses(path.read_text())]
+    assert found == []
 
 
 def unresolved_citations(text: str, namespaces: dict) -> list:

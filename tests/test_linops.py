@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from sparseipm.linops import (BccbOperator, BlurKernel,
                               make_difference_operator, make_tv_operator)
@@ -13,6 +14,26 @@ def adjoint_probe(op, rng, trials=5, tol=1e-10):
         lhs = float(u @ op.apply(v))
         rhs = float(v @ op.apply_transpose(u))
         assert abs(lhs - rhs) <= tol * (1 + abs(lhs))
+
+
+def chain_difference(q):
+    return sp.diags([-1.0, 1.0], [0, 1], shape=(q - 1, q), format="csr")
+
+
+def kron_tv(grid):
+    """The TV operator assembled from Kronecker products of chain
+    differences and identities: the reference of the direct build."""
+    blocks = [sp.kron(sp.kron(sp.eye(int(np.prod(grid[:axis], dtype=int))),
+                              chain_difference(q)),
+                      sp.eye(int(np.prod(grid[axis + 1:], dtype=int))))
+              for axis, q in enumerate(grid)]
+    return sp.vstack(blocks, format="csr")
+
+
+def assert_same_arrays(a, b):
+    assert a.shape == b.shape
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 class TestDifferenceOperator:
@@ -42,6 +63,12 @@ class TestDifferenceOperator:
 
     def test_adjoint(self):
         adjoint_probe(make_difference_operator(4, 5), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("periods, assets", [(40, 12), (5, 1), (2, 3)])
+    def test_arrays_match_kronecker_construction(self, periods, assets):
+        # (40, 12) is the portfolio-direct benchmark's operator
+        assert_same_arrays(make_difference_operator(periods, assets).matrix,
+                           sp.kron(chain_difference(periods), sp.eye(assets), format="csr"))
 
 
 class TestTvOperator:
@@ -74,6 +101,18 @@ class TestTvOperator:
         with pytest.raises(ValueError):
             make_tv_operator((1, 5))
 
+    @pytest.mark.parametrize("grid", [(2,), (5,), (2, 7), (6, 9), (2, 2, 2), (3, 4, 5),
+                                      (2, 3, 4)], ids=str)
+    def test_values_match_kronecker_construction(self, grid):
+        L = make_tv_operator(grid).matrix
+        np.testing.assert_array_equal(L.toarray(), kron_tv(grid).toarray())
+        assert np.all(L.data != 0)  # no explicit zeros stored
+
+    @pytest.mark.parametrize("grid", [(32, 32), (8, 8, 8)], ids=str)
+    def test_arrays_match_kronecker_construction(self, grid):
+        # the poisson-minres and fmri-pcg benchmark grids
+        assert_same_arrays(make_tv_operator(grid).matrix, kron_tv(grid))
+
 
 class TestBlurKernels:
     @pytest.mark.parametrize("kernel", [
@@ -101,6 +140,20 @@ class TestBlurKernels:
         with pytest.raises(ValueError):
             BlurKernel("gaussian", (8, 8), {"sigma": -1}).psf()
 
+    @pytest.mark.parametrize("family, name, value", [
+        ("gaussian", "sigma", 0.0), ("gaussian", "sigma", np.inf), ("gaussian", "sigma", np.nan),
+        ("out-of-focus", "radius", -1.0), ("out-of-focus", "radius", np.inf),
+        ("out-of-focus", "radius", np.nan), ("motion", "length", 0.5),
+        ("motion", "length", np.inf), ("motion", "length", np.nan),
+        ("motion", "angle", np.inf), ("motion", "angle", -np.inf), ("motion", "angle", np.nan)])
+    def test_rejects_a_non_finite_or_out_of_range_parameter(self, family, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            BlurKernel(family, (8, 8), {name: value})
+
+    def test_accepts_a_parameter_at_its_floor(self):
+        assert BlurKernel("motion", (8, 8), {"length": 1, "angle": -400.0}).psf().sum() \
+            == pytest.approx(1.0)
+
     def test_defaults_fill_the_family_parameters(self):
         np.testing.assert_array_equal(BlurKernel("gaussian", (8, 8)).psf(),
                                       BlurKernel("gaussian", (8, 8), {"sigma": 1.0}).psf())
@@ -116,7 +169,64 @@ class TestBlurKernels:
             BlurKernel(family, (8, 8), params)
 
 
+def dense_circulant(psf):
+    """The BCCB matrix of ``psf``: column j is the PSF cyclically shifted to
+    pixel j."""
+    n1, n2 = psf.shape
+    dense = np.empty((n1 * n2, n1 * n2))
+    for i in range(n1):
+        for j in range(n2):
+            dense[:, i * n2 + j] = np.roll(np.roll(psf, i, axis=0), j, axis=1).ravel()
+    return dense
+
+
+def shifted_sums(psf, v, sign):
+    """Periodic convolution of the image ``v`` with ``psf`` (sign +1), or its
+    transpose (sign -1), as a sum of shifted copies of the image."""
+    img = v.reshape(psf.shape)
+    out = np.zeros(psf.shape)
+    for i, j in zip(*np.nonzero(psf)):
+        out += psf[i, j] * np.roll(img, (sign * i, sign * j), axis=(0, 1))
+    return out.ravel()
+
+
+def reference_blur(psf, v, sign):
+    if psf.size <= 1600:
+        dense = dense_circulant(psf)
+        return (dense if sign > 0 else dense.T) @ v
+    return shifted_sums(psf, v, sign)
+
+
+# both sides of the rule: (kernel, whether the operator takes the Kronecker form)
+FORMS = [
+    (BlurKernel("gaussian", (32, 32), {"sigma": 1.0}), True),
+    (BlurKernel("gaussian", (160, 160), {"sigma": 1.0}), False),
+    (BlurKernel("out-of-focus", (64, 64), {"radius": 2.0}), False),
+    (BlurKernel("gaussian", (4, 4), {"sigma": 1.0}), True),  # grid smaller than the 9x9 PSF
+    (BlurKernel("gaussian", (6, 9), {"sigma": 2.0}), True),
+    (BlurKernel("motion", (16, 40), {"length": 5.0, "angle": 30.0}), True),
+    (BlurKernel("out-of-focus", (48, 72), {"radius": 2.0}), False),
+]
+
+
 class TestBccbOperator:
+    @pytest.mark.parametrize("kernel, kronecker", FORMS,
+                             ids=lambda k: f"{k.family}-{k.grid}" if isinstance(k, BlurKernel)
+                             else ("kron" if k else "fft"))
+    def test_both_forms_match_a_reference(self, kernel, kronecker):
+        """Each form, and the squared-kernel operator built from it, applies
+        its own PSF; a squared operator sharing the PSF's factors fails."""
+        rng = np.random.default_rng(6)
+        op = BccbOperator(kernel)
+        for oper, psf in ((op, kernel.psf()), (op.squared_kernel_operator(), kernel.psf() ** 2)):
+            assert (oper._factors is not None) == kronecker
+            for sign, apply in ((1, oper.apply), (-1, oper.apply_transpose)):
+                v = rng.standard_normal(oper.cols)
+                expected = reference_blur(psf, v, sign)
+                np.testing.assert_allclose(apply(v), expected, rtol=1e-12,
+                                           atol=1e-13 * np.abs(expected).max())
+            adjoint_probe(oper, rng)
+
     @pytest.mark.parametrize("kernel", [
         BlurKernel("gaussian", (16, 16), {"sigma": 2.0}),
         BlurKernel("motion", (16, 16), {"length": 7, "angle": 45.0}),
@@ -126,14 +236,8 @@ class TestBccbOperator:
     ])
     def test_matches_dense_circulant(self, kernel):
         op = BccbOperator(kernel)
-        psf = kernel.psf()
         n1, n2 = kernel.grid
-        # column j of the BCCB matrix is the PSF cyclically shifted to pixel j
-        dense = np.empty((n1 * n2, n1 * n2))
-        for i in range(n1):
-            for j in range(n2):
-                dense[:, i * n2 + j] = np.roll(np.roll(psf, i, axis=0),
-                                               j, axis=1).ravel()
+        dense = dense_circulant(kernel.psf())
         rng = np.random.default_rng(2)
         v = rng.standard_normal(n1 * n2)
         np.testing.assert_allclose(op.apply(v), dense @ v,
