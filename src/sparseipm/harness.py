@@ -384,13 +384,10 @@ FAMILIES = {
                Flag("--angle", float, None), Flag("--radius", float, None),
                Flag("--peak", float, 100.0), Flag("--background", float, 1.0),
                Flag("--lambda", float, 5e-3, {"dest": "lam"}),
-               Flag("--htilde", str, "u-squared",
-                    {"choices": ["u-squared", "diag-h"]}),
                Flag("--no-noise", bool, False)),
         make=_make_restore,
         build=build_poisson_tv,
-        ippmm=lambda a, inst: dict(linear_solver="minres-augmented",
-                                   htilde_choice=a.htilde, eps_drop=1e-6,
+        ippmm=lambda a, inst: dict(linear_solver="minres-augmented", eps_drop=1e-6,
                                    x0=_poisson_start(inst)),
         baselines={},
         header=("rmse", "psnr_db", "mssim"),

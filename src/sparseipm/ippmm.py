@@ -42,7 +42,9 @@ class UnsupportedStructureError(ValueError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """A caller's settings; an invalid value raises ValueError on construction."""
+    """A caller's settings; an invalid value raises ValueError on construction.
+    ``precond`` and ``htilde_choice`` are only checked: each path has one
+    preconditioner, and the MINRES path takes H~ from the program."""
 
     tol: float = 1e-6
     max_iter: int = 100
@@ -293,18 +295,19 @@ class NewtonSystem:
         self.rest = np.ones(n, dtype=bool)
         self.rest[self.pairs] = False
 
-    def _build_band(self, border: np.ndarray, C=None):
+    def _build_band(self, border: np.ndarray, C=None, couplings=None):
         """Build the band of K over the unknowns, with the rows ``border``
         (sorted) bordering it and the others eliminated into it; C is the
-        Hessian block over the unknowns, or None. Keeps the unknowns in
-        band order (``rows``), each unknown's band position (``where``)
-        and each u's."""
+        Hessian block over the unknowns, or None, and ``couplings`` the
+        pairs of unknowns (positions among them) whose entries each factor
+        gives, or None. Keeps the unknowns in band order (``rows``), each
+        unknown's band position (``where``) and each u's."""
         self.border = border
         self.elim = np.setdiff1d(np.arange(self.A_u.shape[0]), border)
-        self.band = BorderedBand(C, self.A_u[self.elim], self.A_u[border])
+        self.band = BorderedBand(C, self.A_u[self.elim], self.A_u[border], couplings)
         self.A_Rt = self.band.A_R.T  # shares A_R's data, which a pin zeroes in place
         self.rows = self.unknowns[self.band.order]
-        self.where = np.argsort(self.band.order)
+        self.where = self.band.where
         self.kp = self.where[self.upos]
 
     def _refresh(self, state: IpPmmState, h=0.0):
@@ -324,17 +327,19 @@ class NewtonSystem:
         self.E = self.delta + np.bincount(self.prow, self.pval ** 2 * self.e[self.pairs],
                                           minlength=self.A_u.shape[0])
 
-    def _factor_band(self, state: IpPmmState, extra=0.0):
+    def _factor_band(self, state: IpPmmState, h=0.0, c=None):
         """Pin each unknown with no live member left (``BorderedBand.pin``),
         take dt in band order, 1 on a pinned unknown, and the eliminated
-        rows' E, and factor the band with dt + ``extra`` on its diagonal."""
+        rows' E, and factor the band with dt + ``h`` on its diagonal and the
+        values ``c`` of its couplings; a pinned unknown keeps a unit row."""
         live = ~state.dropped
         live[self.p] |= live[self.q]  # a pair's unknown lives while either member does
         self.band.pin(~live[self.rows])
         self.dt = np.divide(1.0, self.esum[self.rows], out=np.ones(self.rows.size),
                             where=~self.band.pinned)
         self.E_elim = self.E[self.elim]
-        self.band.factor(self.dt + extra, 1.0 / self.E_elim, self.E[self.border])
+        self.band.factor(np.where(self.band.pinned, 1.0, self.dt + h), 1.0 / self.E_elim,
+                         self.E[self.border], c)
 
     def _reduced_rhs(self, r1: np.ndarray, r2: np.ndarray):
         """The reduced system's rhs from the full-length one: rt over the
@@ -392,24 +397,28 @@ class AugmentedSystem(NewtonSystem):
     from the band and applies A_R' E^-1 A_R in factored form. A pinned
     unknown's row of the operator is -1 on the diagonal and 0 elsewhere.
     The preconditioner is blockdiag(P, δI + A_B P^-1 A_B'), with P = K and
-    H~ in place of H, factored in the band built once per solve.
+    H~ (the program's ``hess_approx``) in place of H, factored in the band
+    built once per solve: H~'s diagonal joins dt, and its couplings, which
+    must join unknowns within the band (on Poisson the TV's pixel pairs),
+    are added into the band at each factor.
     """
 
     def __init__(self, program: ConvexProgram, options: SolverOptions):
-        self.chooser = (program.hess_diag_cheap if options.htilde_choice == "u-squared"
-                        else program.hess_diag)
-        if self.chooser is None:
-            raise UnsupportedStructureError(
-                f"program provides no diagonal for {options.htilde_choice}")
         self.program = program
         self._reduce(program)
-        self._build_band(self.B)
+        column = np.full(program.n, -1)  # each unknown's position among them
+        column[self.unknowns] = np.arange(self.unknowns.size)
+        couplings = column[program.couplings]
+        if np.any(couplings < 0):
+            raise UnsupportedStructureError("H~ may couple only the reduced unknowns")
+        self._build_band(self.B, couplings=couplings)
         self.na = self.rows.size
 
     def factor(self, state: IpPmmState):
         self._refresh(state)
         self._hess = self.program.hess_action(state.x)
-        self._factor_band(state, self.chooser(state.x)[self.rows])
+        htilde = self.program.hess_approx(state.x)  # its diagonal, then its couplings
+        self._factor_band(state, htilde[self.rows], htilde[self.program.n:])
         self.live = (~self.band.pinned).astype(float)
         self.pins = np.flatnonzero(self.band.pinned)
         self.precond = precondmod.build_aug_block_diag_precond(self.band)

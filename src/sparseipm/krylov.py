@@ -66,17 +66,20 @@ class BorderedBand:
     diagonal, one entry per border row.
 
     The pattern is fixed at construction: the reverse Cuthill-McKee order of
-    |C| + |A_R|'|A_R|, C's lower band, and the band positions into which
-    A_R' diag(w) A_R = W @ w is added per factor. Vectors over K's unknowns
-    are in band order: unknown k is column ``order[k]`` of C, A_R and A_B.
+    |C| + |A_R|'|A_R|, C's lower band, the band positions into which
+    A_R' diag(w) A_R = W @ w is added per factor, and those of the pairs
+    of unknowns in ``couplings`` (2 x c, each pair once), whose entries of
+    K each factor also adds; they must lie within the band. Vectors over
+    K's unknowns are in band order: unknown k is column ``order[k]`` of C,
+    A_R and A_B, and ``couplings`` name unknowns by those columns.
     """
 
-    def __init__(self, C, A_R, A_B):
+    def __init__(self, C, A_R, A_B, couplings=None):
         N = A_R.shape[1]
         C = sp.coo_matrix((N, N)) if C is None else C.tocoo()
         self.order = scipy.sparse.csgraph.reverse_cuthill_mckee(
             (abs(C) + abs(A_R).T @ abs(A_R)).tocsr(), symmetric_mode=True)
-        where = np.argsort(self.order)  # the band position of each unknown
+        self.where = where = np.argsort(self.order)  # the band position of each unknown
         self.A_R = sp.csr_matrix(A_R[:, self.order])
         self.A_Bt = A_B[:, self.order].T.toarray()
         # K's entries on and below the diagonal, in lower band storage [i - j, j]:
@@ -99,6 +102,11 @@ class BorderedBand:
             ((self.A_R.data[k] * self.A_R.data[l])[low],
              (slot, np.repeat(np.arange(lens.size), sq)[low])),
             shape=(self.pos.size, lens.size))
+        ci, cj = where[np.empty((2, 0), dtype=int) if couplings is None else couplings]
+        low, off = np.minimum(ci, cj), np.abs(ci - cj)
+        if np.any(off > self.bw):
+            raise ValueError("a coupling lies outside the band")
+        self.cpos, self.csel = off * N + low, np.arange(ci.size)
         self.pinned = np.zeros(N, dtype=bool)
 
     def pin(self, pin: np.ndarray):
@@ -110,9 +118,15 @@ class BorderedBand:
         if not new.any():
             return
         self.pinned = pin
-        d, j = np.divmod(self.pos, pin.size)
-        kept = ~(new[j] | new[j + d])
-        self.pos, self.W = self.pos[kept], self.W[kept]
+
+        def kept(pos):  # the band positions that no new pin touches
+            d, j = np.divmod(pos, pin.size)
+            return ~(new[j] | new[j + d])
+
+        keep = kept(self.pos)
+        self.pos, self.W = self.pos[keep], self.W[keep]
+        keep = kept(self.cpos)
+        self.cpos, self.csel = self.cpos[keep], self.csel[keep]
         off = np.arange(self.bw + 1)[:, None]
         cols = np.flatnonzero(new) - off  # the band entries of each new row, by offset
         self.band_c[np.broadcast_to(off, cols.shape)[cols >= 0], cols[cols >= 0]] = 0.0
@@ -120,13 +134,16 @@ class BorderedBand:
         self.A_Bt[new] = 0.0
         self.A_R.data[new[self.A_R.indices]] = 0.0
 
-    def factor(self, d: np.ndarray, w: np.ndarray, delta: float | np.ndarray):
-        """K = LL' for ``d`` (band order) and ``w`` (one per row of A_R), and
-        the border as δ + Z'Z with Z = L^-1 A_B'. A band that is not finite,
-        or a Cholesky breakdown of the band or the border, raises
-        LinAlgError."""
+    def factor(self, d: np.ndarray, w: np.ndarray, delta: float | np.ndarray, c=None):
+        """K = LL' for ``d`` (band order), ``w`` (one per row of A_R) and,
+        when given, ``c`` (one value per pair of ``couplings``, a pinned
+        unknown's left out), and the border as δ + Z'Z with Z = L^-1 A_B'.
+        A band that is not finite, or a Cholesky breakdown of the band or the
+        border, raises LinAlgError."""
         band = self.band_c.copy()
         band.ravel()[self.pos] += self.W @ w
+        if c is not None:
+            band.ravel()[self.cpos] += c[self.csel]
         band[0] += d
         if not np.all(np.isfinite(band)):  # an infinite Θ, say
             raise np.linalg.LinAlgError("the Newton matrix is not finite")

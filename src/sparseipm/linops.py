@@ -5,6 +5,7 @@ construction, so they can be shared freely between solver invocations.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,6 +224,25 @@ class BccbOperator:
 
     def apply_transpose(self, u):
         return self._apply(u, 1, self.conj_eigenvalues)
+
+    def couplings(self, weights):
+        """H[j, j + e_a] of H = K' diag(weights) K for every pixel j and both
+        axes a, the neighbour taken periodically, as a (2, n1, n2) stack.
+
+        With K[i, j] = psf[i - j], entry a at j is the sum over i of
+        weights[i] psf[i - j] psf[i - j - e_a]: the correlation of the
+        weights with psf * shift_a(psf), by one forward and one batched
+        inverse real FFT.
+        """
+        spectrum = scipy.fft.rfft2(np.asarray(weights, dtype=float).reshape(self.grid))
+        return scipy.fft.irfft2(spectrum * self._coupling_conj, s=self.grid)
+
+    @functools.cached_property
+    def _coupling_conj(self):
+        """The conjugate half spectra of psf * shift_a(psf), a = 0, 1, found
+        on the first call of ``couplings``, since set-up needs none."""
+        return np.conj(scipy.fft.rfft2(
+            [self.psf * np.roll(self.psf, 1, axis=axis) for axis in (0, 1)]))
 
     def squared_kernel_operator(self) -> "BccbOperator":
         """Operator whose kernel weights are the element-wise squared PSF.

@@ -49,7 +49,9 @@ def build_aug_block_diag_precond(band) -> Preconditioner:
     """blockdiag(P, δI + A_B P^-1 A_B') for the augmented (saddle) system,
     from ``band``, a factored ``krylov.BorderedBand`` whose K is P; P's
     unknowns come first, in band order. P = H~ + Θ + ρI + A_R' E^-1 A_R
-    approximates the (1,1) block (``ippmm.AugmentedSystem``)."""
+    approximates the (1,1) block (``ippmm.AugmentedSystem``), with H~ the
+    program's ``hess_approx``: on Poisson H's couplings of the TV's pixel
+    pairs, the rest of each row lumped onto its diagonal, so H~ >= H."""
     na = band.order.size
 
     def apply_inverse(r):
@@ -127,17 +129,18 @@ def augmented_matrix(H, A, delta: float) -> np.ndarray:
 
 def aug_spectral_report(H, A, htilde, delta: float) -> SpectralReport:
     """Eigenvalues of the block-preconditioned saddle matrix together with the
-    extremal eigenvalues (alpha_H, beta_H) of H~^-1/2 H H~^-1/2."""
+    extremal eigenvalues (alpha_H, beta_H) of H~^-1/2 H H~^-1/2, those of the
+    pencil (H, H~); ``htilde`` is an SPD matrix, or a vector for a diagonal."""
     H = np.asarray(H, dtype=float)
     htilde = np.asarray(htilde, dtype=float)
+    if htilde.ndim == 1:
+        htilde = np.diag(htilde)
     M = augmented_matrix(H, A, delta)
-    A = sp.csr_matrix(A)
-    S = A @ sp.diags(1.0 / htilde) @ A.T + delta * sp.eye(A.shape[0])
-    P = scipy.linalg.block_diag(np.diag(htilde), S.toarray())  # blockdiag(H~, S)
+    A = M[len(H):, :len(H)]
+    S = A @ np.linalg.solve(htilde, A.T) + delta * np.eye(A.shape[0])
+    P = scipy.linalg.block_diag(htilde, S)  # blockdiag(H~, S)
     rep = spectral_check(M, P)
-    scale = 1.0 / np.sqrt(htilde)
-    Hhat = scale[:, None] * H * scale[None, :]
-    hev = scipy.linalg.eigh(Hhat, eigvals_only=True)
+    hev = scipy.linalg.eigh(H, htilde, eigvals_only=True)
     rep.alpha_h = float(hev[0])
     rep.beta_h = float(hev[-1])
     rep.kappa_h = rep.beta_h / rep.alpha_h

@@ -2,6 +2,7 @@
 program via the split-variable reformulation, plus the objective oracles."""
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 import warnings
@@ -25,9 +26,12 @@ class ConvexProgram:
     true when the explicit Hessian ``Q`` is given and diagonal, which enables
     the normal-equations solver path. ``hess_action(x)`` returns the action
     v -> Hessian(x) v, so that work shared by all products at one point is done
-    once per point. ``hess_diag_cheap`` is an optional
-    inexpensive diagonal approximation of the f-Hessian used by the
-    block-diagonal augmented preconditioner. Each column (x+, x-) of the
+    once per point. ``hess_approx(x)`` returns H~, the approximation of the
+    f-Hessian H that the MINRES preconditioner factors, as one vector: its
+    diagonal, then its value on each column (i, j) of the 2 x c index array
+    ``couplings``, the pairs of coordinates it couples (each once; none by
+    default), a pattern fixed per program. ``hess_diag_cheap`` is an
+    optional inexpensive diagonal approximation of H. Each column (x+, x-) of the
     2 x p index array ``pairs`` names a split pair of non-negative
     coordinates whose columns in ``A`` and ``Q`` are exact negatives. Without
     ``Q``, the Hessian of f must vanish on pair coordinates (f is at most
@@ -43,11 +47,13 @@ class ConvexProgram:
     objective: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     hess_action: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
+    hess_approx: Callable[[np.ndarray], np.ndarray]
     hess_diag: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hess_diag_cheap: Optional[Callable[[np.ndarray], np.ndarray]] = None
     Q: Optional[sp.csr_matrix] = None
     extract: Optional[Callable[[np.ndarray], np.ndarray]] = None  # split x -> original w
     pairs: Optional[np.ndarray] = None  # 2 x p split pairs (x+, x-)
+    couplings: Optional[np.ndarray] = None  # 2 x c coordinate pairs that H~ couples
 
     def __post_init__(self):
         self.m, self.n = self.A.shape
@@ -59,11 +65,7 @@ class ConvexProgram:
         if np.count_nonzero(free) != self.n - self.nonneg.size:
             raise ValueError("nonneg indices must not repeat")
         self.free = np.flatnonzero(free)
-        self.pairs = np.asarray(np.empty((2, 0)) if self.pairs is None else self.pairs,
-                                dtype=int)
-        if (self.pairs.ndim != 2 or len(self.pairs) != 2
-                or np.any((self.pairs < 0) | (self.pairs >= self.n))):
-            raise ValueError("pairs must be a 2 x p array of indices in {0..n-1}")
+        self.pairs, self.couplings = map(self._index_pairs, ("pairs", "couplings"))
         paired = np.zeros(self.n, dtype=bool)
         paired[self.pairs] = True
         if np.count_nonzero(paired) != self.pairs.size:
@@ -72,6 +74,15 @@ class ConvexProgram:
             raise ValueError("pair indices must be non-negative coordinates")
         self.hessian_is_diagonal = (
             self.Q is not None and (self.Q - sp.diags(self.Q.diagonal())).nnz == 0)
+
+    def _index_pairs(self, name):
+        """The field ``name`` as a 2 x p integer array of coordinates; None is
+        empty."""
+        value = getattr(self, name)
+        value = np.asarray(np.empty((2, 0)) if value is None else value, dtype=int)
+        if value.ndim != 2 or len(value) != 2 or np.any((value < 0) | (value >= self.n)):
+            raise ValueError(f"{name} must be a 2 x p array of indices in {{0..n-1}}")
+        return value
 
 
 def quadratic_program(Q, c, A, b, nonneg=None, **kw) -> ConvexProgram:
@@ -87,17 +98,19 @@ def quadratic_program(Q, c, A, b, nonneg=None, **kw) -> ConvexProgram:
         objective=lambda x: 0.5 * float(x @ (Q @ x)) + float(c @ x),
         gradient=lambda x: Q @ x + c,
         hess_action=lambda x: lambda v: Q @ v,
+        hess_approx=(lambda x: qdiag),
         hess_diag=(lambda x: qdiag),
         hess_diag_cheap=(lambda x: qdiag),
         Q=Q, **kw,
     )
 
 
-def split_l1_program(A, b, k, lam, nonneg, value, gradient, hess_action, hess_diag,
-                     hess_diag_cheap) -> ConvexProgram:
+def split_l1_program(A, b, k, lam, nonneg, value, gradient, hess_action, hess_approx,
+                     hess_diag, hess_diag_cheap, couplings=None) -> ConvexProgram:
     """Build a ConvexProgram for f(x) = phi(w) + lam * sum(x[k:]) with
-    x = [w; d+; d-] and w = x[:k], from phi's oracles as functions of w; the
-    gradient is lam and the Hessian action and diagonals are zero on the pairs."""
+    x = [w; d+; d-] and w = x[:k], from phi's oracles as functions of w (H~
+    coupling the coordinates of ``couplings``); the gradient is lam and the
+    Hessian action, H~ and the diagonals are zero on the pairs."""
     n = A.shape[1]
     zeros = np.zeros(n - k)
 
@@ -105,14 +118,18 @@ def split_l1_program(A, b, k, lam, nonneg, value, gradient, hess_action, hess_di
         action = hess_action(x[:k])
         return lambda v: np.concatenate([action(v[:k]), zeros])
 
+    def padded_approx(x):
+        htilde = hess_approx(x[:k])
+        return np.concatenate([htilde[:k], zeros, htilde[k:]])
+
     return ConvexProgram(
         A=A, b=b, nonneg=nonneg,
         objective=lambda x: value(x[:k]) + lam * float(np.sum(x[k:])),
         gradient=lambda x: np.concatenate([gradient(x[:k]), np.full(n - k, lam)]),
-        hess_action=padded_action,
+        hess_action=padded_action, hess_approx=padded_approx,
         hess_diag=lambda x: np.concatenate([hess_diag(x[:k]), zeros]),
         hess_diag_cheap=lambda x: np.concatenate([hess_diag_cheap(x[:k]), zeros]),
-        pairs=np.arange(k, n).reshape(2, -1), extract=lambda x: x[:k])
+        pairs=np.arange(k, n).reshape(2, -1), couplings=couplings, extract=lambda x: x[:k])
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +388,29 @@ def build_poisson_tv(inst: PoissonTvInstance) -> ConvexProgram:
         weights = u2(w)
         return lambda v: inst.blur.apply_transpose(weights * inst.blur.apply(v))
 
-    # diag(D' U^2 D)_j = sum_i u2_i d_ij^2, via the squared-kernel operator
-    blur_sq = inst.blur.squared_kernel_operator()
+    # H~ keeps H's couplings of the pixel pairs (j, j + e_a) of the TV rows,
+    # which the band of the MINRES preconditioner holds already, and lumps
+    # the rest of each row onto its diagonal: H1 = D'u2 since D1 = 1. Every
+    # entry of H is >= 0, so H~ - H is diagonally dominant and H~ >= H.
+    pixels = L.indices.reshape(-1, 2).T  # each TV row's (j, j + e_a), in its CSR order
+    axis = (pixels[1] - pixels[0] == 1).astype(int)  # a = 1 has stride 1
+    ends = pixels.ravel()
+
+    def hess_approx(w):
+        weights = u2(w)
+        h = inst.blur.couplings(weights).reshape(2, -1)[axis, pixels[0]]
+        lumped = np.bincount(ends, np.tile(h, 2), minlength=n)
+        return np.concatenate([inst.blur.apply_transpose(weights) - lumped, h])
+
+    # diag(D' U^2 D)_j = sum_i u2_i d_ij^2, via the squared-kernel operator,
+    # built on the first call: no solver path needs it on Poisson
+    blur_sq = functools.cache(inst.blur.squared_kernel_operator)
     return split_l1_program(
         A, np.concatenate([[r], np.zeros(l)]), n, inst.lam, np.arange(n + 2 * l),
         value=lambda w: kl_value(w, inst), gradient=lambda w: kl_gradient(w, inst),
-        hess_action=hess_action, hess_diag=lambda w: blur_sq.apply_transpose(u2(w)),
-        hess_diag_cheap=u2)
+        hess_action=hess_action, hess_approx=hess_approx,
+        hess_diag=lambda w: blur_sq().apply_transpose(u2(w)), hess_diag_cheap=u2,
+        couplings=pixels)
 
 
 # ---------------------------------------------------------------------------
@@ -453,4 +486,5 @@ def build_logistic_l1(inst: LogisticInstance) -> ConvexProgram:
         A, np.zeros(s), s, inst.tau, np.arange(s, 3 * s),
         value=lambda w: logistic_loss(D, g, w),
         gradient=lambda w: logistic_oracle(D, g, w)[0],
-        hess_action=hess_action, hess_diag=hess_diag, hess_diag_cheap=hess_diag)
+        hess_action=hess_action, hess_approx=hess_diag, hess_diag=hess_diag,
+        hess_diag_cheap=hess_diag)

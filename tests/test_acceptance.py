@@ -27,6 +27,7 @@ from sparseipm.problems import (build_fused_lasso_ls, build_logistic_l1,
                                 kl_gradient, kl_value, logistic_loss,
                                 logistic_oracle, quadratic_program)
 from test_ippmm import direct_matrix, direct_step, factored, random_state
+from test_problems import dense_htilde
 
 
 def _report(num, title, ok):
@@ -103,6 +104,8 @@ def _aug_interval_ok(prog, x, theta_inv, rho, delta, htilde_choice):
         + np.diag(shift)
     if htilde_choice == "diag-h":
         htilde = np.diag(H).copy()
+    elif htilde_choice == "solver":  # the MINRES path's H~, couplings and all
+        htilde = dense_htilde(prog, x) + np.diag(shift)
     else:
         htilde = prog.hess_diag_cheap(x) + shift
     rep = precond.aug_spectral_report(H, prog.A, htilde, delta)
@@ -115,6 +118,8 @@ def _aug_interval_ok(prog, x, theta_inv, rho, delta, htilde_choice):
               and np.all(pos <= 1.0 + tol))
     if htilde_choice == "diag-h":
         ok &= rep.alpha_h <= 1.0 + tol and rep.beta_h >= 1.0 - tol
+    if htilde_choice == "solver":  # H~ >= H
+        ok &= rep.beta_h <= 1.0 + tol
     return ok
 
 
@@ -132,7 +137,7 @@ def test_criterion_03_augmented_preconditioner_spectra():
         x = rng.uniform(0.5, 5.0, prog.n)
         theta_inv = np.zeros(prog.n)
         theta_inv[prog.nonneg] = rng.uniform(0.1, 10.0, prog.nonneg.size)
-        for choice in ("u-squared", "diag-h"):
+        for choice in ("u-squared", "diag-h", "solver"):
             ok &= _aug_interval_ok(prog, x, theta_inv, rho, delta, choice)
     for k in range(5):
         inst, _, _ = gen_classification(30, 12, seed=300 + k)

@@ -1,4 +1,4 @@
-"""Eleven small ``ast`` checks in place of a linter, and one on the README.
+"""Twelve small ``ast`` checks in place of a linter, and one on the README.
 
 - Every name a ``sparseipm`` module imports is used in that module: it appears
   as a name anywhere in the module, or in ``__all__``.
@@ -32,6 +32,11 @@
   ``program.pairs``, so no path reduces the pairs a second time.
 - Within ``src/sparseipm`` only ``linops`` imports or names ``scipy.fft``,
   so the choice between a blur's Kronecker and FFT forms stays in one module.
+- ``ippmm`` reads every ``SolverOptions`` field from its ``options`` outside
+  ``SolverOptions.__post_init__`` except ``precond`` and ``htilde_choice``,
+  which are only checked: each path has one preconditioner and takes H~
+  from the program, so no other field may become a setting that selects
+  nothing.
 - Every backticked ``<module>.<Name>`` of a ``sparseipm`` module that
   ``README.md`` cites, such as ``dropping.XI``, names a real attribute.
 """
@@ -438,6 +443,36 @@ def test_only_linops_uses_scipy_fft():
     found = [(path.name, line) for path in MODULES if path.stem != "linops"
              for line in scipy_fft_uses(path.read_text())]
     assert found == []
+
+
+def unread_options(source: str, fields) -> list:
+    """Fields that ``source`` never reads from an ``options`` (a name or an
+    attribute) outside ``SolverOptions.__post_init__``."""
+    tree = ast.parse(source)
+    checks = {id(node) for top in ast.walk(tree)
+              if isinstance(top, ast.ClassDef) and top.name == "SolverOptions"
+              for method in top.body
+              if isinstance(method, ast.FunctionDef) and method.name == "__post_init__"
+              for node in ast.walk(method)}
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and id(node) not in checks
+            and "options" in (getattr(node.value, "id", None), getattr(node.value, "attr", None))}
+    return sorted(set(fields) - read)
+
+
+def test_checker_finds_unread_options():
+    source = ("class SolverOptions:\n    def __post_init__(self):\n"
+              "        return self.a, options.b\n"
+              "def f(options, self):\n    return options.c, self.options.d, self.e\n"
+              "def g(self):\n    self.options.a = 1\n")
+    assert unread_options(source, ["a", "b", "c", "d", "e"]) == ["a", "b", "e"]
+
+
+def test_only_precond_and_htilde_choice_select_nothing():
+    source = (Path(sparseipm.__file__).parent / "ippmm.py").read_text()
+    fields = [f.name for f in dataclasses.fields(SolverOptions)]
+    assert unread_options(source, fields) == ["htilde_choice", "precond"]
 
 
 def unresolved_citations(text: str, namespaces: dict) -> list:

@@ -269,9 +269,11 @@ class TestBorderedBand:
     [[K, -A_B'], [A_B, δ]] with K = C + diag(d) + A_R' diag(w) A_R."""
 
     @staticmethod
-    def system(with_c=True, nb=4, scalar_delta=True, pinned=None, n=15, nr=8, seed=60):
+    def system(with_c=True, nb=4, scalar_delta=True, pinned=None, n=15, nr=8, seed=60,
+               coupled=False):
         """The factored band, with K, A_B and δ densely in the columns'
-        own order; column ``pinned``, if given, is pinned with a unit d."""
+        own order; column ``pinned``, if given, is pinned with a unit d.
+        ``coupled`` adds per-factor couplings on the pairs that A_R couples."""
         rng = np.random.default_rng(seed)
         G = sp.random(n, n, density=0.15, random_state=seed)
         C = sp.csr_matrix(G @ G.T) if with_c else None
@@ -279,14 +281,22 @@ class TestBorderedBand:
         A_B = sp.random(nb, n, density=0.3, random_state=seed + 2, format="csr")
         d, w = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, nr)
         delta = 1e-2 if scalar_delta else rng.uniform(1e-3, 1e-1, nb)
-        band = BorderedBand(C, A_R, A_B)
+        pairs = c = None
+        if coupled:
+            pairs = np.array(sp.triu(A_R.T @ A_R, 1).nonzero())
+            c = rng.uniform(-0.05, 0.05, pairs.shape[1])
+        band = BorderedBand(C, A_R, A_B, pairs)
         if pinned is not None:
             band.pin(band.order == pinned)
             d[pinned] = 1.0
-        band.factor(d[band.order], w, delta)
+        band.factor(d[band.order], w, delta, c)
         K = np.diag(d) + A_R.T.toarray() @ np.diag(w) @ A_R.toarray()
         if C is not None:
             K += C.toarray()
+        if coupled:
+            i, j = pairs
+            K[i, j] += c
+            K[j, i] += c
         return band, K, A_B.toarray(), np.broadcast_to(delta, nb) * np.eye(nb)
 
     @pytest.mark.parametrize("scalar_delta", [True, False], ids=["scalar", "per-row"])
@@ -324,6 +334,32 @@ class TestBorderedBand:
         np.testing.assert_allclose(x, np.linalg.solve(K, f)[band.order], rtol=1e-10)
         assert y.size == 0 and band.schur_solve(np.zeros(0)).size == 0
         assert shapes and all(np.prod(shape) > 0 for shape in shapes)
+
+    @pytest.mark.parametrize("pinned", [None, 3], ids=["free", "pinned"])
+    def test_couplings_enter_each_factor(self, pinned):
+        """Per-factor couplings are entries of K, but none of a pinned
+        unknown, whose solution stays exactly 0."""
+        band, K, A_B, Delta = self.system(coupled=True, pinned=pinned)
+        order, n = band.order, K.shape[0]
+        assert band.csel.size
+        rng = np.random.default_rng(64)
+        f, g = rng.standard_normal(n), rng.standard_normal(A_B.shape[0])
+        keep = np.flatnonzero(np.arange(n) != pinned)
+        f[np.setdiff1d(np.arange(n), keep)] = 0.0
+        x, y = band.solve_bordered(f[order], g)
+        got = np.empty(n)
+        got[order] = x
+        M = np.block([[K[np.ix_(keep, keep)], -A_B[:, keep].T], [A_B[:, keep], Delta]])
+        want = np.linalg.solve(M, np.r_[f[keep], g])
+        np.testing.assert_allclose(np.r_[got[keep], y], want, rtol=1e-10, atol=1e-12)
+        if pinned is not None:
+            assert got[pinned] == 0.0
+
+    def test_a_coupling_outside_the_band_raises(self):
+        # a chain of differences has half-bandwidth 1; its two ends are far apart
+        A_R = sp.diags([-1.0, 1.0], [0, 1], shape=(5, 6), format="csr")
+        with pytest.raises(ValueError, match="outside the band"):
+            BorderedBand(None, A_R, sp.csr_matrix((0, 6)), np.array([[0], [5]]))
 
     def test_pinned_unknown_is_exactly_zero(self):
         free, K, A_B, _ = self.system()

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from sparseipm.linops import (BccbOperator, BlurKernel,
+from sparseipm.linops import (BLUR_PARAMETERS, KRONECKER_MAX, BccbOperator, BlurKernel,
                               make_difference_operator, make_tv_operator)
 
 
@@ -269,3 +269,25 @@ class TestBccbOperator:
         np.testing.assert_allclose(sq.apply_transpose(u), expected,
                                    rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("family", sorted(BLUR_PARAMETERS))
+    @pytest.mark.parametrize("grid, kronecker", [((12, 16), True),
+                                                 ((8, KRONECKER_MAX + 8), False)])
+    def test_couplings_match_the_dense_weighted_hessian(self, family, grid, kronecker):
+        """Entry a at pixel j of ``couplings`` is H[j, j + e_a] of
+        H = D' diag(u) D, the neighbour taken periodically, on either form of
+        the operator, whose transpose gives H's row sums."""
+        op = BccbOperator(BlurKernel(family, grid))
+        assert (op._factors is not None) == kronecker
+        dense = dense_circulant(op.psf)
+        u = np.random.default_rng(7).uniform(0.1, 3.0, op.cols)
+        H = dense.T @ (u[:, None] * dense)
+        pixel = np.arange(op.cols).reshape(grid)
+        got = op.couplings(u)
+        assert got.shape == (2, *grid)
+        for axis in (0, 1):
+            neighbour = np.roll(pixel, -1, axis=axis)
+            np.testing.assert_allclose(got[axis].ravel(),
+                                       H[pixel.ravel(), neighbour.ravel()],
+                                       rtol=0, atol=1e-14 * np.abs(H).max())
+        np.testing.assert_allclose(op.apply_transpose(u), H.sum(axis=1),
+                                   rtol=1e-13, atol=1e-14 * np.abs(H).max())

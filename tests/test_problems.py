@@ -221,6 +221,15 @@ class TestFusedLassoLs:
         FusedLassoLsInstance(np.ones((2, 4)), np.ones(2), (4,), 0.0, 0.0)
 
 
+def dense_htilde(prog, x):
+    """The program's H~ at x, assembled dense from its diagonal and couplings."""
+    htilde = prog.hess_approx(x)
+    dense = np.diag(htilde[:prog.n])
+    i, j = prog.couplings
+    dense[i, j] = dense[j, i] = htilde[prog.n:]
+    return dense
+
+
 def make_poisson(size=8, seed=9, lam=1e-2):
     rng = np.random.default_rng(seed)
     kernel = BlurKernel("gaussian", (size, size), {"sigma": 1.0})
@@ -279,6 +288,33 @@ class TestPoissonTv:
         H = np.column_stack([prog.hess_action(x)(e) for e in np.eye(prog.n)])
         np.testing.assert_allclose(prog.hess_diag(x), np.diag(H),
                                    rtol=1e-9, atol=1e-10)
+
+    @pytest.mark.parametrize("family", ["gaussian", "motion", "out-of-focus", "identity"])
+    def test_hessian_approximation_dominates_the_hessian(self, family):
+        """H~ keeps H's couplings of the TV's pixel pairs and lumps the rest
+        of each row onto its diagonal, so H~ - H is PSD; with the identity
+        blur H is diagonal and H~ = H. H~ is zero on the pairs, and its rows
+        sum to those of H."""
+        inst = make_poisson(seed=12)
+        inst.blur = BccbOperator(BlurKernel(family, (8, 8)))
+        prog = build_poisson_tv(inst)
+        rng = np.random.default_rng(13)
+        x = np.concatenate([rng.uniform(1.0, 5.0, size=64),
+                            rng.uniform(0.1, 1.0, size=prog.n - 64)])
+        H = np.column_stack([prog.hess_action(x)(e) for e in np.eye(prog.n)])
+        Ht = dense_htilde(prog, x)
+        if family == "identity":
+            np.testing.assert_array_equal(Ht, H)
+        assert np.linalg.eigvalsh(Ht - H).min() >= -1e-12 * np.linalg.norm(H, 2)
+        np.testing.assert_allclose(Ht.sum(axis=1), H.sum(axis=1), rtol=1e-12,
+                                   atol=1e-13 * np.abs(H).max())
+        # the couplings are the TV's pixel pairs, each once
+        L = inst.tv.matrix
+        np.testing.assert_array_equal(
+            sp.csr_matrix((np.ones(prog.couplings.shape[1]), prog.couplings),
+                          shape=(64, 64)).toarray(),
+            np.triu(abs(L.T @ L).toarray() > 0, 1))
+        assert not np.any(Ht[64:])
 
     def test_intensity_budget_constraint(self):
         inst = make_poisson()
