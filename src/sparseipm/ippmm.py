@@ -3,7 +3,7 @@
 Each outer iteration applies a Mehrotra-type predictor-corrector step to the
 proximally regularized barrier subproblem; the Newton system is solved either
 directly (augmented form), by PCG on the normal equations (diagonal Hessians),
-or by preconditioned MINRES on the augmented system.
+or by MINRES on the split-preconditioned augmented system.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from . import dropping as dropmod
@@ -389,18 +390,23 @@ class NewtonSystem:
 
 class AugmentedSystem(NewtonSystem):
     """MINRES path: the reduced system of ``NewtonSystem`` with C = H, by
-    MINRES under the block-diagonal preconditioner built from H~.
+    MINRES in split form under the block-diagonal preconditioner built
+    from H~.
 
-    MINRES runs on [[-K, A_B'], [A_B, δI]] over the unknowns and the rows
-    without a slack pair, with K = H + diag(dt) + A_R' E^-1 A_R; dy_R and
-    the pair steps follow in closed form. The operator reads A_B and A_R
-    from the band and applies A_R' E^-1 A_R in factored form. A pinned
-    unknown's row of the operator is -1 on the diagonal and 0 elsewhere.
-    The preconditioner is blockdiag(P, δI + A_B P^-1 A_B'), with P = K and
-    H~ (the program's ``hess_approx``) in place of H, factored in the band
-    built once per solve: H~'s diagonal joins dt, and its couplings, which
-    must join unknowns within the band (on Poisson the TV's pixel pairs),
-    are added into the band at each factor.
+    The saddle matrix is M = [[-K, A_B'], [A_B, δI]] over the unknowns and
+    the rows without a slack pair, with K = H + diag(dt) + A_R' E^-1 A_R;
+    dy_R and the pair steps follow in closed form. Its preconditioner is
+    blockdiag(P, S), S = δI + A_B P^-1 A_B', with P = K and H~ (the
+    program's ``hess_approx``) in place of H, factored in the band built
+    once per solve: H~'s diagonal joins dt, and its couplings, which must
+    join unknowns within the band (on Poisson the TV's pixel pairs), are
+    added into the band at each factor. With P = LL' and S = L_S L_S',
+    MINRES runs on the split operator
+    blockdiag(L, L_S)^-1 M blockdiag(L, L_S)^-T (``BorderedBand.split``),
+    whose iterates are those of MINRES on M under blockdiag(P, S). Since
+    K = P + Δ on the live unknowns, Δ = H - H~, this system supplies only
+    Δw: A_R, E and dt never enter an iteration. A pinned unknown's row of
+    the operator is -1 on the diagonal and 0 elsewhere.
     """
 
     def __init__(self, program: ConvexProgram, options: SolverOptions):
@@ -413,38 +419,45 @@ class AugmentedSystem(NewtonSystem):
             raise UnsupportedStructureError("H~ may couple only the reduced unknowns")
         self._build_band(self.B, couplings=couplings)
         self.na = self.rows.size
+        self._full = np.zeros(program.n)  # the Hessian's argument, zero off the unknowns
+        # H~ over the unknowns in band order: its diagonal, then each coupling
+        # twice, at the positions ``hsel`` picks for the CSR's values
+        i, j = self.where[couplings]
+        diag = np.arange(self.na)
+        rows, cols = np.r_[diag, i, j], np.r_[diag, j, i]
+        self.hsel = np.lexsort((cols, rows))
+        self.htilde = sp.csr_matrix(
+            (np.zeros(rows.size), cols[self.hsel],
+             np.searchsorted(rows[self.hsel], np.arange(self.na + 1))),
+            shape=(self.na, self.na))
 
     def factor(self, state: IpPmmState):
         self._refresh(state)
         self._hess = self.program.hess_action(state.x)
         htilde = self.program.hess_approx(state.x)  # its diagonal, then its couplings
-        self._factor_band(state, htilde[self.rows], htilde[self.program.n:])
+        diag, c = htilde[self.rows], htilde[self.program.n:]
+        self._factor_band(state, diag, c)
+        self.band.split()
+        self.htilde.data[:] = np.concatenate([diag, c, c])[self.hsel]
         self.live = (~self.band.pinned).astype(float)
-        self.pins = np.flatnonzero(self.band.pinned)
-        self.precond = precondmod.build_aug_block_diag_precond(self.band)
+
+    def _gap(self, w: np.ndarray) -> np.ndarray:
+        """Δw = (H - H~) w over the unknowns (band order), with a pinned
+        unknown's row and column of Δ zero."""
+        w = w * self.live
+        self._full[self.rows] = w
+        return (self._hess(self._full)[self.rows] - self.htilde @ w) * self.live
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        na = self.na
-        v1, v2 = v[:na] * self.live, v[na:]
-        full = np.zeros(self.e.size)
-        full[self.rows] = v1
-        hv = self._hess(full)[self.rows]
-        out = np.empty(v.size)
-        np.subtract(self.band.A_Bt @ v2,
-                    hv + self.dt * v1 + self.A_Rt @ ((self.band.A_R @ v1) / self.E_elim),
-                    out=out[:na])
-        np.add(v1 @ self.band.A_Bt, self.delta * v2, out=out[na:])
-        out[self.pins] = -v[self.pins]
-        return out
+        return self.band.split_apply(v, self._gap)
 
     def solve(self, r1: np.ndarray, r2: np.ndarray):
         rt, rs = self._reduced_rhs(r1, r2)
         u = rs[self.elim] / self.E_elim
-        f = np.concatenate([rt - self.A_Rt @ u, rs[self.border]])
-        sol = self._count(minres(self.matvec, f, self.precond.apply_inverse,
-                                 tol=self.tol, maxit=INNER_MAXIT))
-        xu = sol[:self.na]
-        return self._expand(r1, rt, xu, self._dy(u, xu, sol[self.na:]))
+        f = self.band.split_rhs(rt - self.A_Rt @ u, rs[self.border])
+        xu, yb = self.band.unsplit(self._count(minres(self.matvec, f, tol=self.tol,
+                                                      maxit=INNER_MAXIT)))
+        return self._expand(r1, rt, xu, self._dy(u, xu, yb))
 
 
 class SaddleMatrix(NewtonSystem):

@@ -72,6 +72,10 @@ class BorderedBand:
     K each factor also adds; they must lie within the band. Vectors over
     K's unknowns are in band order: unknown k is column ``order[k]`` of C,
     A_R and A_B, and ``couplings`` name unknowns by those columns.
+
+    Both triangular sweeps, L^-1 b and L'^-1 b, run forward-style as one
+    BLAS dtbsv each, the second on L' kept in upper band storage. ``split``
+    forms the split form of the factored system for MINRES.
     """
 
     def __init__(self, C, A_R, A_B, couplings=None):
@@ -82,9 +86,11 @@ class BorderedBand:
         self.where = where = np.argsort(self.order)  # the band position of each unknown
         self.A_R = sp.csr_matrix(A_R[:, self.order])
         self.A_Bt = A_B[:, self.order].T.toarray()
-        # K's entries on and below the diagonal, in lower band storage [i - j, j]:
-        # C's are written once, and entry (i, j) of A_R' diag(w) A_R is row
-        # (i, j) of W @ w, summing A_R[r, i] A_R[r, j] w_r over the rows r
+        # K's entries on and below the diagonal, in lower band storage [i - j, j]
+        # in Fortran order, as LAPACK takes it, so entry (i, j) lies at
+        # j (bw + 1) + i - j: C's are written once, and entry (i, j) of
+        # A_R' diag(w) A_R is row (i, j) of W @ w, summing A_R[r, i] A_R[r, j] w_r
+        # over the rows r
         lens = np.diff(self.A_R.indptr)
         sq = lens ** 2
         t = np.arange(sq.sum()) - np.repeat(np.cumsum(sq) - sq, sq)
@@ -94,20 +100,27 @@ class BorderedBand:
         low = i >= j
         ci, cj = where[C.row], where[C.col]
         clow = ci >= cj
-        self.bw = int(max((i - j)[low].max(initial=0), (ci - cj)[clow].max(initial=0)))
-        self.band_c = np.zeros((self.bw + 1, N))
+        self.bw = bw = int(max((i - j)[low].max(initial=0), (ci - cj)[clow].max(initial=0)))
+        self.band_c = np.zeros((bw + 1, N), order="F")
         self.band_c[(ci - cj)[clow], cj[clow]] = C.data[clow]
-        self.pos, slot = np.unique(((i - j) * N + j)[low], return_inverse=True)
+        self.pos, slot = np.unique((j * (bw + 1) + i - j)[low], return_inverse=True)
         self.W = sp.csr_matrix(
             ((self.A_R.data[k] * self.A_R.data[l])[low],
              (slot, np.repeat(np.arange(lens.size), sq)[low])),
             shape=(self.pos.size, lens.size))
         ci, cj = where[np.empty((2, 0), dtype=int) if couplings is None else couplings]
         low, off = np.minimum(ci, cj), np.abs(ci - cj)
-        if np.any(off > self.bw):
+        if np.any(off > bw):
             raise ValueError("a coupling lies outside the band")
-        self.cpos, self.csel = off * N + low, np.arange(ci.size)
+        self.cpos, self.csel = low * (bw + 1) + off, np.arange(ci.size)
         self.pinned = np.zeros(N, dtype=bool)
+        # each factor writes K into L and factors it there, in place, behind
+        # bw² zeros in ``buf``: entry (t, j) of L' in upper band storage,
+        # L[bw - t, j - bw + t], then lies at t bw + j (bw + 1) of buf, and its
+        # unused upper-left corner on the zeros, so U is one strided copy
+        self.buf = np.zeros(bw * bw + self.band_c.size)
+        self.L = self.buf[bw * bw:].reshape(self.band_c.shape, order="F")
+        self.U = np.zeros_like(self.band_c)
 
     def pin(self, pin: np.ndarray):
         """Pin the unknowns of ``pin``: the entries of each one not pinned
@@ -120,7 +133,7 @@ class BorderedBand:
         self.pinned = pin
 
         def kept(pos):  # the band positions that no new pin touches
-            d, j = np.divmod(pos, pin.size)
+            j, d = np.divmod(pos, self.bw + 1)
             return ~(new[j] | new[j + d])
 
         keep = kept(self.pos)
@@ -140,33 +153,46 @@ class BorderedBand:
         unknown's left out), and the border as δ + Z'Z with Z = L^-1 A_B'.
         A band that is not finite, or a Cholesky breakdown of the band or the
         border, raises LinAlgError."""
-        band = self.band_c.copy()
-        band.ravel()[self.pos] += self.W @ w
+        band = self.L
+        band[...] = self.band_c
+        flat = band.reshape(-1, order="F")  # a view
+        flat[self.pos] += self.W @ w
         if c is not None:
-            band.ravel()[self.cpos] += c[self.csel]
+            flat[self.cpos] += c[self.csel]
         band[0] += d
         if not np.all(np.isfinite(band)):  # an infinite Θ, say
             raise np.linalg.LinAlgError("the Newton matrix is not finite")
-        self.L = scipy.linalg.cholesky_banded(band, lower=True, check_finite=False)
-        self.Z = self.tri(self.A_Bt, "N")
+        # LAPACK factors this Fortran-ordered band in place; U reads it there
+        band[...] = scipy.linalg.cholesky_banded(band, lower=True, overwrite_ab=True,
+                                                 check_finite=False)
+        step = self.buf.itemsize
+        np.copyto(self.U, np.lib.stride_tricks.as_strided(
+            self.buf, band.shape, (self.bw * step, (self.bw + 1) * step)))
+        self.Z, self.delta = self.A_Bt, delta
+        if self.Z.size:  # LAPACK's dtbtrs corrupts the heap on an empty matrix
+            self.Z = scipy.linalg.lapack.dtbtrs(self.L, self.A_Bt, uplo="L")[0]
         if self.Z.shape[1]:  # without border rows LAPACK gets no empty matrix
             S = self.Z.T @ self.Z
             S[np.diag_indices_from(S)] += delta
             self.S = scipy.linalg.cho_factor(S, lower=True, check_finite=False)[0]
 
-    def tri(self, b: np.ndarray, trans: str) -> np.ndarray:
-        """L^-1 b, or L'^-1 b with ``trans`` "T"; an empty b is returned as
-        it is, since LAPACK's dtbtrs corrupts the heap on one."""
+    def forward(self, b: np.ndarray) -> np.ndarray:
+        """L^-1 b by one BLAS dtbsv sweep; an empty b is returned as it is,
+        since dtbsv rejects one."""
         if not b.size:
             return b
-        return scipy.linalg.lapack.dtbtrs(self.L, b, uplo="L", trans=trans)[0]
+        return scipy.linalg.blas.dtbsv(self.bw, self.L, b, lower=1)
+
+    def back(self, b: np.ndarray) -> np.ndarray:
+        """L'^-1 b by one forward-style BLAS dtbsv sweep of L' in upper band
+        storage; an empty b is returned as it is, as in ``forward``."""
+        if not b.size:
+            return b
+        return scipy.linalg.blas.dtbsv(self.bw, self.U, b)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        """K^-1 r, in band order, by one LAPACK dpbtrs call; an empty r is
-        returned as it is, as in ``tri``."""
-        if not r.size:
-            return r
-        return scipy.linalg.lapack.dpbtrs(self.L, r, lower=1)[0]
+        """K^-1 r, in band order: L'^-1 L^-1 r."""
+        return self.back(self.forward(r))
 
     def schur_solve(self, r: np.ndarray) -> np.ndarray:
         """(δ + A_B K^-1 A_B')^-1 r."""
@@ -177,9 +203,45 @@ class BorderedBand:
     def solve_bordered(self, f: np.ndarray, g: np.ndarray):
         """(x, y) with K x - A_B' y = f and A_B x + δ y = g, x in band order:
         h = L^-1 f, y = S^-1 (g - Z'h) and x = L'^-1 (h + Z y)."""
-        h = self.tri(f, "N")
+        h = self.forward(f)
         y = self.schur_solve(g - self.Z.T @ h)
-        return self.tri(h + self.Z @ y, "T"), y
+        return self.back(h + self.Z @ y), y
+
+    def split(self):
+        """Form the split border of the factored system: with S = L_S L_S'
+        the border's factor, keep L_S^-1, Y = Z L_S^-T and G = L_S^-1 δ L_S^-T.
+        ``split_apply`` then applies blockdiag(L, L_S)^-1 M blockdiag(L, L_S)^-T
+        for M = [[-(K + Δ), A_B'], [A_B, δ]] and any symmetric Δ, and MINRES
+        on it runs the iterates of MINRES on M under the preconditioner
+        blockdiag(K, S)."""
+        nb = self.Z.shape[1]
+        self.Sinv = np.zeros((0, 0))
+        if nb:
+            self.Sinv = scipy.linalg.solve_triangular(self.S, np.eye(nb), lower=True,
+                                                      check_finite=False)
+        self.Y = self.Z @ self.Sinv.T
+        self.G = (self.Sinv * self.delta) @ self.Sinv.T
+
+    def split_rhs(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """The split rhs (L^-1 f, L_S^-1 g) of the saddle system's (f, g)."""
+        return np.concatenate([self.forward(f), self.Sinv @ g])
+
+    def split_apply(self, v: np.ndarray, gap) -> np.ndarray:
+        """T v for the split operator T = [[-(I + L^-1 Δ L^-T), Y], [Y', G]],
+        with ``gap(w)`` = Δw: one sweep each way and the border products."""
+        na = self.L.shape[1]
+        v1, v2 = v[:na], v[na:]
+        out = np.empty(v.size)
+        np.subtract(self.Y @ v2, v1, out=out[:na])
+        out[:na] -= self.forward(gap(self.back(v1)))
+        np.add(v1 @ self.Y, self.G @ v2, out=out[na:])
+        return out
+
+    def unsplit(self, x: np.ndarray):
+        """The saddle system's solution (L^-T x1, L_S^-T x2) from the split
+        one x = (x1, x2), x1 over the unknowns in band order."""
+        na = self.L.shape[1]
+        return self.back(x[:na]), self.Sinv.T @ x[na:]
 
 
 def _as_matvec(M) -> Callable[[np.ndarray], np.ndarray]:
@@ -239,41 +301,32 @@ def pcg(M, rhs, precond=None, tol: float = 1e-8, maxit: int = 1000) -> KrylovOut
     return KrylovOutcome(x, it, rel, False, breakdown_reason=breakdown)
 
 
-def minres(M, rhs, precond=None, tol: float = 1e-8, maxit: int = 100) -> KrylovOutcome:
-    """Preconditioned MINRES for symmetric (possibly indefinite) systems.
-
-    The preconditioner must be SPD; a negative inner product in the Lanczos
-    process is reported as a breakdown and the best iterate so far returned.
-    """
+def minres(M, rhs, tol: float = 1e-8, maxit: int = 100) -> KrylovOutcome:
+    """MINRES for symmetric (possibly indefinite) systems, unpreconditioned:
+    a preconditioned system is passed in split form (``BorderedBand.split``).
+    Stops on the residual relative to the rhs norm."""
     matvec = _as_matvec(M)
-    pinv = _as_matvec(precond) if precond is not None else (lambda v: v)
     b = np.asarray(rhs, dtype=float)
     n = b.size
     x = np.zeros(n)
     r1 = b.copy()
-    y = pinv(r1)
-    beta1 = float(r1 @ y)
-    if beta1 < 0:
-        return KrylovOutcome(x, 0, 1.0, False, breakdown_reason="non-spd-preconditioner")
-    beta1 = np.sqrt(beta1)
+    beta1 = np.sqrt(float(r1 @ r1))
     if beta1 == 0.0:
         return KrylovOutcome(x, 0, 0.0, True)
 
     oldb, beta = 0.0, beta1
     dbar, epsln, phibar = 0.0, 0.0, beta1
     cs, sn = -1.0, 0.0
-    # Buffers owned by the loop, updated in place. y, and the matvec result,
-    # come from callbacks and may alias their argument (an identity
-    # preconditioner returns it), so they are only ever read.
+    # Buffers owned by the loop, updated in place. The matvec result comes
+    # from a callback and may alias its argument, so it is only ever read.
     v = np.empty(n)
     w, w1, w2 = np.zeros(n), np.zeros(n), np.zeros(n)
     r2 = r1.copy()
     tmp = np.empty(n)
     rel = 1.0
-    breakdown = None
     it = 0
     for it in range(1, maxit + 1):
-        np.divide(y, beta, out=v)
+        np.divide(r2, beta, out=v)
         y = matvec(v)
         if it >= 2:
             np.multiply(r1, beta / oldb, out=tmp)
@@ -282,13 +335,8 @@ def minres(M, rhs, precond=None, tol: float = 1e-8, maxit: int = 100) -> KrylovO
         np.multiply(r2, alfa / beta, out=tmp)
         # the new Lanczos vector goes into r1's buffer, whose content is spent
         r1, r2 = r2, np.subtract(y, tmp, out=r1)
-        y = pinv(r2)
         oldb = beta
-        betasq = float(r2 @ y)
-        if betasq < 0:
-            breakdown = "non-spd-preconditioner"
-            break
-        beta = np.sqrt(betasq)
+        beta = np.sqrt(float(r2 @ r2))
 
         oldeps = epsln
         delta = cs * dbar + sn * alfa
@@ -315,4 +363,4 @@ def minres(M, rhs, precond=None, tol: float = 1e-8, maxit: int = 100) -> KrylovO
         rel = phibar / beta1
         if rel <= tol:
             return KrylovOutcome(x, it, rel, True)
-    return KrylovOutcome(x, it, rel, False, breakdown_reason=breakdown)
+    return KrylovOutcome(x, it, rel, False)

@@ -4,9 +4,10 @@ dense spectral verification utilities.
 fmri-block, the PCG path's one preconditioner, is the exact inverse of the
 normal matrix: the direct path's bordered solve of the reduced Newton
 system of ``ippmm.NewtonSystem`` at r1 = 0. aug-block, the MINRES path's,
-is applied through a factored ``krylov.BorderedBand``. The spectral checks build the
-paper's blockdiag(M1, M3) from its definition to test its eigenvalue
-bounds; no solver path applies that matrix."""
+is not applied as a preconditioner: MINRES runs on the split operator of
+its factors (``krylov.BorderedBand.split``), with the same iterates. The
+spectral checks build the paper's blockdiag(M1, M3) from its definition to
+test its eigenvalue bounds; no solver path applies that matrix."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -45,6 +46,8 @@ def build_fmri_normal_precond(apply_inverse: Callable[[np.ndarray], np.ndarray]
     return Preconditioner(apply_inverse=apply_inverse)
 
 
+# Read only by perfbench/tracing.py, whose precond.build span wraps it; the
+# MINRES path splits this preconditioner into its operator instead.
 def build_aug_block_diag_precond(band) -> Preconditioner:
     """blockdiag(P, δI + A_B P^-1 A_B') for the augmented (saddle) system,
     from ``band``, a factored ``krylov.BorderedBand`` whose K is P; P's

@@ -1,4 +1,4 @@
-"""Twelve small ``ast`` checks in place of a linter, and one on the README.
+"""Thirteen small ``ast`` checks in place of a linter, and one on the README.
 
 - Every name a ``sparseipm`` module imports is used in that module: it appears
   as a name anywhere in the module, or in ``__all__``.
@@ -32,6 +32,10 @@
   ``program.pairs``, so no path reduces the pairs a second time.
 - Within ``src/sparseipm`` only ``linops`` imports or names ``scipy.fft``,
   so the choice between a blur's Kronecker and FFT forms stays in one module.
+- Within ``src/sparseipm`` only ``krylov`` imports or names
+  ``scipy.linalg.lapack``, ``scipy.linalg.blas`` or ``cholesky_banded``, so
+  every factor and triangular sweep of a solver path stays behind
+  ``krylov.BorderedBand``.
 - ``ippmm`` reads every ``SolverOptions`` field from its ``options`` outside
   ``SolverOptions.__post_init__`` except ``precond`` and ``htilde_choice``,
   which are only checked: each path has one preconditioner and takes H~
@@ -442,6 +446,49 @@ def test_checker_finds_scipy_fft_uses():
 def test_only_linops_uses_scipy_fft():
     found = [(path.name, line) for path in MODULES if path.stem != "linops"
              for line in scipy_fft_uses(path.read_text())]
+    assert found == []
+
+
+LOW_LEVEL = ("lapack", "blas", "cholesky_banded")
+
+
+def lapack_uses(source: str) -> list:
+    """Line numbers that import ``scipy.linalg.lapack`` or
+    ``scipy.linalg.blas`` (or a name from either), import or name
+    ``cholesky_banded``, or name an attribute ``lapack`` or ``blas``."""
+    def is_low(module):
+        parts = module.split(".")
+        return parts[:2] == ["scipy", "linalg"] and len(parts) > 2 and parts[2] in LOW_LEVEL
+
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found = any(is_low(alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found = is_low(node.module or "") or (
+                node.module in ("scipy", "scipy.linalg")
+                and any(alias.name in LOW_LEVEL for alias in node.names))
+        else:
+            found = (isinstance(node, ast.Attribute) and node.attr in LOW_LEVEL
+                     or isinstance(node, ast.Name) and node.id == "cholesky_banded")
+        if found:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_checker_finds_lapack_uses():
+    source = ("import scipy.linalg.lapack\nfrom scipy.linalg import blas, eigh\n"
+              "from scipy.linalg.lapack import dtbtrs\nimport scipy.linalg\n"
+              "L = scipy.linalg.cholesky_banded(band)\nx = linalg.blas.dtbsv(k, L, b)\n"
+              "y = scipy.linalg.solve_triangular(S, b)\nf = cholesky_banded\n"
+              "from scipy.linalg import cholesky_banded as chol\nimport scipy.linalg.blas as B\n"
+              "z = np.linalg.lapack_lite\n")
+    assert lapack_uses(source) == [1, 2, 3, 5, 6, 8, 9, 10]
+
+
+def test_only_krylov_calls_lapack_and_blas():
+    found = [(path.name, line) for path in MODULES if path.stem != "krylov"
+             for line in lapack_uses(path.read_text())]
     assert found == []
 
 

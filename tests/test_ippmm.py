@@ -20,6 +20,7 @@ from sparseipm.problems import (LogisticInstance, build_fused_lasso_ls,
                                 build_logistic_l1, build_poisson_tv,
                                 build_portfolio_qp, quadratic_program)
 from planted import planted_qp
+from test_krylov import reference_minres
 from test_precond import random_fused_lasso_layout
 from test_problems import make_poisson, make_portfolio
 
@@ -57,6 +58,16 @@ def direct_matrix(state, program):
 def direct_step(state, program, r1, r2):
     """The direct path's (dx, dy) at ``state``, concatenated."""
     return np.concatenate(factored(SaddleMatrix, state, program).solve(r1, r2))
+
+
+def split_operator(M, na, gap):
+    """blockdiag(L, L_S)^-1 M blockdiag(L, L_S)^-T of the dense saddle matrix
+    M = [[-K, A_B'], [A_B, E_B]] over na unknowns, from its definition:
+    P = LL' is K - ``gap`` and S = L_S L_S' = E_B + A_B P^-1 A_B'."""
+    P, A_B = -M[:na, :na] - gap, M[na:, :na]
+    S = M[na:, na:] + A_B @ np.linalg.solve(P, A_B.T)
+    L = scipy.linalg.block_diag(np.linalg.cholesky(P), np.linalg.cholesky(S))
+    return np.linalg.solve(L, np.linalg.solve(L, M).T).T
 
 
 class TestScalarProblems:
@@ -223,14 +234,18 @@ class TestSystemAssembly:
                                    rtol=1e-12, atol=1e-12)
 
     def test_matvec_agrees_with_matrix(self):
+        # the split operator of the dense saddle matrix: P is its (1,1) block
+        # with H~ = diag Q in place of Q, so Δ = Q - diag Q
         prog = self._program(diag=False)
         st = random_state(prog, seed=8)
         system = factored(AugmentedSystem, st, prog)
         # the system's unknowns: the columns in its band order, then dy
         order = np.concatenate([system.rows, prog.n + np.arange(prog.m)])
         matrix = direct_matrix(st, prog)[np.ix_(order, order)]
+        Q = prog.Q.toarray()[np.ix_(system.rows, system.rows)]
+        T = split_operator(matrix, system.na, Q - np.diag(np.diag(Q)))
         v = np.random.default_rng(9).standard_normal(6)
-        np.testing.assert_allclose(system.matvec(v), matrix @ v,
+        np.testing.assert_allclose(system.matvec(v), T @ v,
                                    atol=1e-10)
 
     # dropped: unpaired unknowns 1, 4 and 7, a slack pair's plus member 10,
@@ -238,10 +253,11 @@ class TestSystemAssembly:
     @pytest.mark.parametrize("dropped", [[], [1, 4, 7, 10, 20, 21, 24]],
                              ids=["all-active", "dropped"])
     def test_matvec_is_bit_identical_to_scatter_gather(self, dropped):
-        # the MINRES operator against the dense reduced matrix
-        # [[-K, A_B'], [A_B, δI]] from its definition, K = Q + diag(1/e) +
-        # A_R' E_R^-1 A_R over the live unknowns (e = e+ + e- on a u); a
-        # pinned unknown's row is exactly -v
+        # the MINRES operator against the split operator of the dense reduced
+        # matrix [[-K, A_B'], [A_B, δI]] from its definition, K = Q +
+        # diag(1/e) + A_R' E_R^-1 A_R over the live unknowns (e = e+ + e- on a
+        # u); Q is diagonal, so H~ = Q and P = K. A pinned unknown's row is
+        # exactly -v
         prog, _ = planted_qp("diagonal-pairs", 10, 4, 30)
         st = random_state(prog, seed=31)
         st.dropped[dropped] = True
@@ -263,8 +279,8 @@ class TestSystemAssembly:
         v = np.random.default_rng(32).standard_normal(system.na + prog.m - R.size)
         out = system.matvec(v)
         keep = np.concatenate([live, np.ones(B.size, dtype=bool)])
-        np.testing.assert_allclose(out[keep], matrix[np.ix_(keep, keep)] @ v[keep],
-                                   rtol=1e-12, atol=1e-12)
+        T = split_operator(matrix[np.ix_(keep, keep)], live.sum(), 0.0)
+        np.testing.assert_allclose(out[keep], T @ v[keep], rtol=1e-12, atol=1e-12)
         assert np.array_equal(out[:system.na][~live], -v[:system.na][~live])
 
     def test_normal_equations_identity_case(self):
@@ -842,6 +858,67 @@ class TestSlackPairElimination:
         assert rep.iterations == 3
         assert sizes == [64 + 1] * 6
         assert lus == []  # the preconditioner factors no SuperLU either
+
+
+def preconditioned_minres_step(system, r1, r2):
+    """(dx, dy) and the iteration count of MINRES on the saddle matrix
+    [[-K, A_B'], [A_B, δI]] of a factored ``AugmentedSystem``, by the
+    reference loop under the preconditioner blockdiag(P, S) from its band:
+    the MINRES step before the split form."""
+    band, na = system.band, system.na
+    pins = np.flatnonzero(band.pinned)
+
+    def matvec(v):
+        v1, v2 = v[:na] * system.live, v[na:]
+        full = np.zeros(system.e.size)
+        full[system.rows] = v1
+        K1 = (system._hess(full)[system.rows] + system.dt * v1
+              + system.A_Rt @ ((band.A_R @ v1) / system.E_elim))
+        out = np.concatenate([band.A_Bt @ v2 - K1, v1 @ band.A_Bt + system.delta * v2])
+        out[pins] = -v[pins]
+        return out
+
+    rt, rs = system._reduced_rhs(r1, r2)
+    u = rs[system.elim] / system.E_elim
+    f = np.concatenate([rt - system.A_Rt @ u, rs[system.border]])
+    sol, it, _ = reference_minres(
+        matvec, f, precond=precond.build_aug_block_diag_precond(band).apply_inverse,
+        tol=system.tol, maxit=ippmm.INNER_MAXIT)
+    xu = sol[:na]
+    return system._expand(r1, rt, xu, system._dy(u, xu, sol[na:])), it
+
+
+class TestSplitOperator:
+    """The MINRES path's operator blockdiag(L, L_S)^-1 M blockdiag(L, L_S)^-T."""
+
+    def test_a_dominating_htilde_keeps_the_first_block_in_minus_one_to_zero(self):
+        # at small shifts Θ + ρ, P is nearly H~ on the pixels, so the split
+        # block -(I + L^-1 (H - H~) L^-T) = -L^-1 K L^-T reaches below -1
+        # as soon as H~ does not dominate H
+        prog = build_poisson_tv(make_poisson(size=8))
+        st = random_state(prog, seed=45, rho=1e-6)
+        shift = np.random.default_rng(46).uniform(1e-4, 1e-2, prog.n)
+        st.z = (shift - st.rho) * st.x  # Θ + ρ = shift
+        system = factored(AugmentedSystem, st, prog)
+        na = system.na
+        T = np.column_stack([system.matvec(e)[:na] for e in np.eye(na + system.B.size)[:na]])
+        eigs = np.linalg.eigvalsh(0.5 * (T + T.T))
+        assert eigs.min() >= -1.0 - 1e-10 and eigs.max() < 0.0
+
+    @pytest.mark.parametrize("family", ["poisson", "diagonal-pairs"])
+    def test_solve_matches_the_preconditioned_minres_step(self, family):
+        prog = (build_poisson_tv(make_poisson(size=8)) if family == "poisson"
+                else planted_qp("diagonal-pairs", 10, 4, 30)[0])
+        st = random_state(prog, seed=48)
+        st.inner_tol = 1e-8
+        system = factored(AugmentedSystem, st, prog)
+        _, _, _, rp, gy, _ = kkt_residuals(st, prog)
+        r1, r2 = newton_rhs(st, rp, gy, 0.5)
+        got = np.concatenate(system.solve(r1, r2))
+        (dx, dy), it = preconditioned_minres_step(system, r1, r2)
+        expected = np.concatenate([dx, dy])
+        assert abs(system.inner_iterations - it) <= 1
+        assert np.linalg.norm(got - expected) <= 1e-9 * np.linalg.norm(expected)
 
 
 class TestLifecycle:

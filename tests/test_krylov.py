@@ -7,6 +7,8 @@ import scipy.sparse as sp
 
 from sparseipm.krylov import (BorderedBand, CholeskyFactor, NotPositiveDefiniteError,
                               minres, pcg)
+from sparseipm.linops import make_tv_operator
+from sparseipm.precond import identity_preconditioner
 
 
 def random_spd(n, rng, cond=10.0):
@@ -122,6 +124,8 @@ class TestMinres:
         np.testing.assert_allclose(K @ out.solution, b, atol=1e-7)
 
     def test_preconditioned(self):
+        # block-diagonal preconditioning in split form: MINRES on
+        # L^-1 K L^-T with P = LL' runs the preconditioned iterates
         rng = np.random.default_rng(8)
         H = np.diag(rng.uniform(1.0, 50.0, size=12))
         A = rng.standard_normal((5, 12))
@@ -131,10 +135,16 @@ class TestMinres:
         P = np.block([[H, np.zeros((12, 5))], [np.zeros((5, 12)), S]])
         Pinv = np.linalg.inv(P)
         b = rng.standard_normal(17)
-        out = minres(K, b, precond=lambda v: Pinv @ v, tol=1e-10, maxit=100)
+        L = np.linalg.cholesky(P)
+        out = minres(np.linalg.solve(L, np.linalg.solve(L, K).T), np.linalg.solve(L, b),
+                     tol=1e-10, maxit=100)
         # block-diagonal preconditioning clusters the spectrum: few iterations
         assert out.converged
         assert out.iterations < 17  # well under the dimension
+        x, it, _ = reference_minres(K, b, precond=lambda v: Pinv @ v, tol=1e-10, maxit=100)
+        np.testing.assert_allclose(np.linalg.solve(L.T, out.solution), x, rtol=1e-9,
+                                   atol=1e-9)
+        assert abs(out.iterations - it) <= 1
 
     def test_agrees_with_dense_solve(self):
         rng = np.random.default_rng(9)
@@ -148,12 +158,6 @@ class TestMinres:
     def test_zero_rhs(self):
         out = minres(np.eye(3), np.zeros(3))
         assert out.converged and out.iterations == 0
-
-    def test_non_spd_preconditioner_flagged(self):
-        M = np.diag([2.0, 3.0])
-        out = minres(M, np.array([1.0, 0.5]),
-                     precond=lambda v: np.array([-v[0], v[1]]), maxit=10)
-        assert out.breakdown_reason == "non-spd-preconditioner"
 
     def test_maxit_respected(self):
         rng = np.random.default_rng(10)
@@ -178,11 +182,17 @@ def test_capped_run_reports_its_final_residual(solver, preconditioned):
     K = _capped_system(solver, rng)
     b = rng.standard_normal(K.shape[0])
     d = np.abs(np.diag(K)) + 1.0 if preconditioned else np.ones(K.shape[0])
-    out = solver(K, b, precond=(lambda v: v / d) if preconditioned else None,
-                 tol=1e-14, maxit=4)
+    if solver is pcg:
+        out = solver(K, b, precond=(lambda v: v / d) if preconditioned else None,
+                     tol=1e-14, maxit=4)
+        x = out.solution
+    else:  # MINRES takes P = diag(d) in split form, D^-1/2 K D^-1/2
+        s = 1.0 / np.sqrt(d)
+        out = solver(s[:, None] * K * s, s * b, tol=1e-14, maxit=4)
+        x = s * out.solution
     assert out.iterations == 4 and not out.converged
     # the stopping ratio sqrt(r'P^-1 r) / sqrt(b'P^-1 b), from the true residual
-    r = b - K @ out.solution
+    r = b - K @ x
     expected = np.sqrt(r @ (r / d)) / np.sqrt(b @ (b / d))
     assert out.final_relative_residual == pytest.approx(expected, rel=1e-6)
 
@@ -246,22 +256,35 @@ def _saddle(rng, n=30, m=12):
 
 @pytest.mark.parametrize("case", ["diagonal-precond", "identity-precond", "capped"])
 def test_minres_is_bit_identical_to_reference_loop(case):
-    from sparseipm.precond import identity_preconditioner
+    """The in-place loop against the out-of-place one on one operator: the
+    saddle matrix K, or with "diagonal-precond" and "capped" its split form
+    D^-1/2 K D^-1/2 under P = D. The split run matches the reference loop
+    under the preconditioner D^-1, and MINRES under the identity
+    preconditioner is MINRES with none."""
     rng = np.random.default_rng(12)
     K = _saddle(rng)
     b = rng.standard_normal(K.shape[0])
     d = np.abs(np.diag(K)) + 0.5
-    precond = {"diagonal-precond": lambda v: v / d,
-               # returns its argument, which the loop must never write into
-               "identity-precond": identity_preconditioner().apply_inverse,
-               "capped": lambda v: v / d}[case]
+    s = np.ones(d.size) if case == "identity-precond" else 1.0 / np.sqrt(d)
+    T = s[:, None] * K * s
     tol, maxit = (1e-14, 7) if case == "capped" else (1e-10, 500)
-    out = minres(K, b, precond=precond, tol=tol, maxit=maxit)
-    x, it, rel = reference_minres(K, b, precond=precond, tol=tol, maxit=maxit)
+    out = minres(T, s * b, tol=tol, maxit=maxit)
+    x, it, rel = reference_minres(T, s * b, tol=tol, maxit=maxit)
     assert out.converged == (case != "capped")
     assert out.iterations == it
     assert out.final_relative_residual == rel
     np.testing.assert_array_equal(out.solution, x)
+    # the preconditioned reference: returns its argument under the identity,
+    # which the loop must never write into
+    precond = {"identity-precond": identity_preconditioner().apply_inverse}.get(
+        case, lambda v: v / d)
+    x, it, rel = reference_minres(K, b, precond=precond, tol=tol, maxit=maxit)
+    if case == "identity-precond":
+        assert out.iterations == it and out.final_relative_residual == rel
+        np.testing.assert_array_equal(out.solution, x)
+    else:
+        np.testing.assert_allclose(s * out.solution, x, rtol=1e-9, atol=1e-9)
+        assert abs(out.iterations - it) <= 1
 
 
 class TestBorderedBand:
@@ -320,12 +343,13 @@ class TestBorderedBand:
     def test_empty_border_makes_no_lapack_call_on_an_empty_matrix(self, monkeypatch):
         shapes = []
         for owner, name in [(scipy.linalg.lapack, "dtbtrs"), (scipy.linalg.lapack, "dpotrs"),
-                            (scipy.linalg, "cho_factor"), (scipy.linalg, "cholesky_banded")]:
+                            (scipy.linalg.blas, "dtbsv"), (scipy.linalg, "cho_factor"),
+                            (scipy.linalg, "cholesky_banded")]:
             original = getattr(owner, name)
 
-            def recorded(a, b=None, *args, _original=original, **kwargs):
-                shapes.extend(np.shape(v) for v in (a, b) if v is not None)
-                return _original(a, *([] if b is None else [b]), *args, **kwargs)
+            def recorded(*args, _original=original, **kwargs):
+                shapes.extend(np.shape(v) for v in args if isinstance(v, np.ndarray))
+                return _original(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, recorded)
         band, K, _, _ = self.system(nb=0)
@@ -334,6 +358,59 @@ class TestBorderedBand:
         np.testing.assert_allclose(x, np.linalg.solve(K, f)[band.order], rtol=1e-10)
         assert y.size == 0 and band.schur_solve(np.zeros(0)).size == 0
         assert shapes and all(np.prod(shape) > 0 for shape in shapes)
+
+    @staticmethod
+    def banded(width, pinned=()):
+        """A factored band of half-bandwidth ``width``: 0 (no rows), 1 (a
+        chain of differences) or 32 (the TV rows of a 32 x 32 grid), with C
+        and the band positions ``pinned`` pinned. Checks that the factor,
+        made in place, leaves C's band as it was."""
+        A_R = {0: sp.csr_matrix((0, 7)),
+               1: sp.diags([-1.0, 1.0], [0, 1], shape=(6, 7), format="csr"),
+               32: make_tv_operator((32, 32)).matrix}[width]
+        N = A_R.shape[1]
+        rng = np.random.default_rng(65)
+        C = sp.diags(rng.uniform(0.5, 2.0, N)) + 0.1 * A_R.T @ A_R
+        band = BorderedBand(C, A_R, sp.csr_matrix((0, N)))
+        assert band.bw == width
+        pin = np.zeros(N, dtype=bool)
+        pin[list(pinned)] = True
+        band.pin(pin)
+        band_c = band.band_c.copy()
+        band.factor(np.where(pin, 1.0, rng.uniform(0.5, 2.0, N)),
+                    rng.uniform(0.5, 2.0, A_R.shape[0]), 1e-2)
+        assert band_c.any() and np.array_equal(band.band_c, band_c)
+        return band
+
+    @pytest.mark.parametrize("pinned", [(), (2, 5)], ids=["free", "pinned"])
+    @pytest.mark.parametrize("width", [0, 1, 32])
+    def test_sweeps_match_dtbtrs_and_a_dense_solve(self, width, pinned):
+        band = self.banded(width, pinned)
+        N = band.L.shape[1]
+        L = np.zeros((N, N))  # L dense, from its lower band storage
+        for k in range(width + 1):
+            L[np.arange(k, N), np.arange(N - k)] = band.L[k, :N - k]
+        b = np.random.default_rng(66).standard_normal(N)
+        forward, back = band.forward(b), band.back(b)
+        lapack = scipy.linalg.lapack
+        np.testing.assert_allclose(forward, lapack.dtbtrs(band.L, b, uplo="L")[0],
+                                   rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(back, lapack.dtbtrs(band.L, b, uplo="L", trans="T")[0],
+                                   rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(band.solve(b), lapack.dpbtrs(band.L, b, lower=1)[0],
+                                   rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(forward, np.linalg.solve(L, b), rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(back, np.linalg.solve(L.T, b), rtol=1e-10, atol=1e-12)
+        # a pinned unknown's row and column of L are those of the identity
+        pinned = list(pinned)
+        assert np.array_equal(forward[pinned], b[pinned])
+        assert np.array_equal(back[pinned], b[pinned])
+
+    def test_empty_rhs_is_returned_as_it_is(self):
+        band = self.banded(1)
+        empty = np.zeros(0)
+        assert band.forward(empty) is empty and band.back(empty) is empty
+        assert band.solve(empty) is empty
 
     @pytest.mark.parametrize("pinned", [None, 3], ids=["free", "pinned"])
     def test_couplings_enter_each_factor(self, pinned):

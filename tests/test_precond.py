@@ -12,6 +12,7 @@ from sparseipm.precond import (aug_spectral_report, augmented_matrix,
                                identity_preconditioner,
                                normal_equations_matrix, spectral_check)
 from sparseipm.problems import build_poisson_tv, quadratic_program
+from test_krylov import reference_minres
 
 
 def random_fused_lasso_layout(seed, s=4, q=9, grid=(3, 3)):
@@ -157,15 +158,27 @@ class TestAugBlockDiagPrecond:
             aug_block_precond(d, A, -2.0 * budget, A_R, w)
 
     def test_minres_with_precond_converges(self):
+        # MINRES on the split operator of a band whose P = H is the (1,1)
+        # block exactly, so Δ = 0, runs the preconditioned iterates
         A, g, s, ell, _ = random_fused_lasso_layout(9)
         delta = 1e-3
         H = np.diag(g)
         K = augmented_matrix(H, A, delta)
         P = aug_block_precond(g, A, delta)
         b = np.random.default_rng(10).standard_normal(K.shape[0])
-        out = minres(K, b, precond=P, tol=1e-8, maxit=100)
+        band = BorderedBand(None, sp.csr_matrix((0, g.size)), sp.csr_matrix(A))
+        band.factor(g[band.order], np.zeros(0), delta)
+        band.split()
+        out = minres(lambda v: band.split_apply(v, np.zeros_like),
+                     band.split_rhs(b[:g.size][band.order], b[g.size:]), tol=1e-8, maxit=100)
         assert out.converged
-        np.testing.assert_allclose(K @ out.solution, b, atol=1e-5)
+        xu, y = band.unsplit(out.solution)
+        x = np.empty(K.shape[0])
+        x[band.order], x[g.size:] = xu, y
+        np.testing.assert_allclose(K @ x, b, atol=1e-5)
+        expected, it, _ = reference_minres(K, b, precond=P, tol=1e-8, maxit=100)
+        np.testing.assert_allclose(x, expected, rtol=1e-9, atol=1e-9)
+        assert abs(out.iterations - it) <= 1
 
 
 class TestSpectralCheck:
