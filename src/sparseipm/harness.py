@@ -264,6 +264,7 @@ class Family:
     baselines: dict    # solver name -> (instance, args) -> (w, report)
     header: tuple      # the family's scores.csv columns
     score: Callable    # (args, instance, truth, w) -> rows
+    prune: float = 0.0  # a solver's |w| at or below this is scored as 0
 
     @property
     def solvers(self) -> list:
@@ -354,11 +355,12 @@ FAMILIES = {
                Flag("--trans-eps", float, 1e-4), _BUDGET),
         make=lambda a: (gen_portfolio(a.s, a.m, a.seed, a.tau1, a.tau2), None),
         build=build_portfolio_qp,
-        ippmm=lambda a, inst: dict(linear_solver="direct-augmented", eps_drop=1e-4),
+        ippmm=lambda a, inst: dict(linear_solver="direct-augmented"),
         baselines={"asb": lambda inst, a: baselines.asb_chol_solve(
             inst, time_budget=a.budget_seconds, **_limits(a))},
         header=("ratio", "ratio_h", "ratio_t"),
-        score=_score_portfolio),
+        score=_score_portfolio,
+        prune=1e-4),
     "fmri": Family(
         help="fused-lasso least-squares classification",
         flags=(Flag("--s", int, 30), Flag("--grid", str, "4x4x4"),
@@ -366,14 +368,15 @@ FAMILIES = {
         make=lambda a: gen_fused_lasso(a.s, _parse_grid(a.grid), a.seed,
                                        a.tau1, a.tau2),
         build=build_fused_lasso_ls,
-        ippmm=lambda a, inst: dict(linear_solver="pcg-normal", eps_drop=1e-6),
+        ippmm=lambda a, inst: dict(linear_solver="pcg-normal"),
         baselines={
             "fista": lambda inst, a: baselines.fista_solve(
                 inst, time_budget=a.budget_seconds, **_limits(a)),
             "admm": lambda inst, a: baselines.admm_fused_lasso(
                 inst, time_budget=a.budget_seconds, **_limits(a))},
         header=("density_pct", "overlap"),
-        score=_score_fmri),
+        score=_score_fmri,
+        prune=1e-6),
     "restore": Family(
         help="Poisson image restoration",
         flags=(Flag("--image", str, "squares",
@@ -387,7 +390,7 @@ FAMILIES = {
                Flag("--no-noise", bool, False)),
         make=_make_restore,
         build=build_poisson_tv,
-        ippmm=lambda a, inst: dict(linear_solver="minres-augmented", eps_drop=1e-6,
+        ippmm=lambda a, inst: dict(linear_solver="minres-augmented",
                                    x0=_poisson_start(inst)),
         baselines={},
         header=("rmse", "psnr_db", "mssim"),
@@ -399,11 +402,12 @@ FAMILIES = {
                Flag("--test-fraction", float, 0.25), _BUDGET),
         make=_make_classify,
         build=build_logistic_l1,
-        ippmm=lambda a, inst: dict(linear_solver="minres-augmented", eps_drop=1e-6),
+        ippmm=lambda a, inst: dict(linear_solver="minres-augmented"),
         baselines={"admm": lambda inst, a: baselines.admm_logistic(
             inst, time_budget=a.budget_seconds, **_limits(a))},
         header=("split", "accuracy_pct", "density_pct", "support_recovery_pct"),
-        score=_score_classify),
+        score=_score_classify,
+        prune=1e-6),
 }
 
 
@@ -416,9 +420,9 @@ def _exit_code(status: str) -> int:
 
 
 def _solver_options(family: Family, args, inst) -> ippmm.SolverOptions:
-    overrides = {name: getattr(args, name) for name in ("tol", "max_iter", "eps_drop")
+    overrides = {name: getattr(args, name) for name in ("tol", "max_iter")
                  if getattr(args, name) is not None}
-    return ippmm.SolverOptions(dropping=True, **{**family.ippmm(args, inst), **overrides})
+    return ippmm.SolverOptions(**{**family.ippmm(args, inst), **overrides})
 
 
 def _limits(args) -> dict:
@@ -453,8 +457,7 @@ def _cmd_family(args) -> int:
         _write_text(Path(args.out) / f"report_{solver}.json", report.to_json())
         run = [solver, report.status, report.iterations, report.time_s,
                inst.original_objective(w)]
-        if solver != "ippmm":  # prune a baseline at the interior point drop level
-            w = np.where(np.abs(w) > opts.eps_drop, w, 0.0)
+        w = np.where(np.abs(w) > family.prune, w, 0.0)
         try:
             scores = family.score(args, inst, truth, w)
         except metrics.UndefinedMetricError as exc:
@@ -569,7 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p)
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-        p.add_argument("--eps-drop", dest="eps_drop", type=float, default=None)
         for flag in family.flags:
             kind = {"action": "store_true"} if flag.type is bool else {"type": flag.type}
             p.add_argument(flag.name, default=flag.default, **kind, **flag.kw)

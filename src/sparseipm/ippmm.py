@@ -16,7 +16,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from . import dropping as dropmod
 from . import precond as precondmod
 from .krylov import BorderedBand, minres, pcg
 from .problems import ConvexProgram
@@ -31,7 +30,6 @@ SIGMA_MIN, SIGMA_MAX = 0.05, 0.95  # bounds on Mehrotra's centering parameter
 BOUNDARY_FRACTION = 0.995          # fraction-to-the-boundary step rule
 PENALTY_FLOOR = 1e-8               # lower bound on the penalties rho and delta
 ESTIMATE_DECREASE = 0.95           # residual decrease that refreshes the estimates
-DROP_ACTIVATION = 1e-2             # dropping scans only once mu <= this * mu0
 FORCING, INNER_MAXIT = 0.1, 500    # inner Krylov solves: tolerance per residual, cap
 INNER_TOL_MIN, INNER_TOL_MAX = 1e-10, 1e-2  # bounds on the inner relative tolerance
 ELIMINATION_LOSS = 1e4             # largest (A_u D A_u')_rr / E_r of an eliminated row
@@ -44,8 +42,9 @@ class UnsupportedStructureError(ValueError):
 @dataclass(frozen=True)
 class SolverOptions:
     """A caller's settings; an invalid value raises ValueError on construction.
-    ``precond`` and ``htilde_choice`` are only checked: each path has one
-    preconditioner, and the MINRES path takes H~ from the program."""
+    ``precond``, ``htilde_choice``, ``dropping`` and ``eps_drop`` are only
+    checked: each path has one preconditioner, the MINRES path takes H~ from
+    the program, and the solver drops no variable."""
 
     tol: float = 1e-6
     max_iter: int = 100
@@ -84,30 +83,21 @@ class IpPmmState:
     rho: float
     delta: float
     nonneg: np.ndarray
-    dropped: np.ndarray
-    k: int = 0
-    drop_log: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=int))
     last_primal_norm: float = np.inf
     last_dual_norm: float = np.inf
     inner_tol: float = INNER_TOL_MAX  # relative tolerance of this iteration's Krylov solves
     system: Optional[NewtonSystem] = None  # the solve's linear-solver path
 
-    def nonneg_active(self) -> np.ndarray:
-        return self.nonneg[~self.dropped[self.nonneg]]
-
-    def active_indices(self) -> np.ndarray:
-        return np.flatnonzero(~self.dropped)
-
     def complementarity(self) -> float:
-        ia = self.nonneg_active()
+        ia = self.nonneg
         if ia.size == 0:
             return 0.0
         return float(self.x[ia] @ self.z[ia]) / ia.size
 
     def xi_diag(self) -> np.ndarray:
-        """Complementarity scaling z/x on active non-negative coordinates."""
+        """Complementarity scaling z/x on the non-negative coordinates."""
         xi = np.zeros(self.x.size)
-        ia = self.nonneg_active()
+        ia = self.nonneg
         xi[ia] = self.z[ia] / self.x[ia]
         return xi
 
@@ -124,10 +114,10 @@ class SolveReport:
     time_s: float = 0.0
     phase_times: dict = field(default_factory=dict)
     final_objective: float = np.nan
-    drop_audit: Optional[dict] = None
+    drop_audit: Optional[dict] = None  # always None: the solver drops no variable
 
     def to_json(self) -> str:
-        doc = {
+        return json.dumps({
             "status": self.status,
             "iters": self.iterations,
             "primal_inf": self.primal_inf_history,
@@ -138,10 +128,7 @@ class SolveReport:
             "inner_capped": self.inner_capped,
             "objective": None if np.isnan(self.final_objective) else self.final_objective,
             "phase_times": self.phase_times,
-        }
-        if self.drop_audit is not None:
-            doc["drop_audit"] = self.drop_audit
-        return json.dumps(doc, indent=2)
+        }, indent=2)
 
 
 def initial_state(program: ConvexProgram, options: SolverOptions) -> IpPmmState:
@@ -162,31 +149,22 @@ def initial_state(program: ConvexProgram, options: SolverOptions) -> IpPmmState:
     mu = float(x[ia] @ z[ia]) / ia.size if ia.size else 0.0
     reg = max(min(1.0, mu) if mu > 0 else 1.0, PENALTY_FLOOR)
     return IpPmmState(x=x, y=y, z=z, zeta=x.copy(), eta=y.copy(), mu=mu,
-                      rho=reg, delta=reg, nonneg=program.nonneg,
-                      dropped=np.zeros(n, dtype=bool))
+                      rho=reg, delta=reg, nonneg=program.nonneg)
 
 
 # ---------------------------------------------------------------------------
 # Residuals and right-hand side
 
 
-def kkt_residuals(state: IpPmmState, program: ConvexProgram,
-                  eps_drop: Optional[float] = None):
+def kkt_residuals(state: IpPmmState, program: ConvexProgram):
     """Scaled primal/dual infeasibility and average complementarity, with
-    b - Ax, grad - A'y and the dual residual grad - A'y - z. With
-    ``eps_drop`` the drop rule runs on that residual, and the residuals are
-    formed again if it changed ``state``."""
-    for _ in range(2):
-        g = program.gradient(state.x)
-        rp = program.b - program.A @ state.x
-        gy = g - program.A.T @ state.y
-        rd = gy - state.z
-        if eps_drop is None or not dropmod.scan_and_drop(state, rd, eps_drop).size:
-            break
-        eps_drop = None
-    act = state.active_indices()
+    b - Ax, grad - A'y and the dual residual grad - A'y - z."""
+    g = program.gradient(state.x)
+    rp = program.b - program.A @ state.x
+    gy = g - program.A.T @ state.y
+    rd = gy - state.z
     primal = float(np.linalg.norm(rp)) / (1.0 + np.linalg.norm(program.b))
-    dual = float(np.linalg.norm(rd[act])) / (1.0 + np.linalg.norm(g[act]))
+    dual = float(np.linalg.norm(rd)) / (1.0 + np.linalg.norm(g))
     return primal, dual, state.complementarity(), rp, gy, rd
 
 
@@ -205,7 +183,7 @@ def newton_rhs(state: IpPmmState, rp: np.ndarray, gy: np.ndarray, sigma: float,
     r1 = gy
     if sigma != 0.0:
         r1 = r1 + sigma * state.rho * (state.x - state.zeta)
-    ia = state.nonneg_active()
+    ia = state.nonneg
     if ia.size:
         barrier = np.zeros(state.x.size)
         if sigma != 0.0:
@@ -222,7 +200,7 @@ def newton_rhs(state: IpPmmState, rp: np.ndarray, gy: np.ndarray, sigma: float,
 # options, and ``factor(state)`` writes what depends on the iterate at every
 # outer iteration. Its ``solve(r1, r2)`` serves both the predictor and the
 # corrector: r1 is the full-length rhs of ``newton_rhs`` and dx comes back
-# full length, zero on dropped variables.
+# full length.
 
 
 class NewtonSystem:
@@ -232,16 +210,15 @@ class NewtonSystem:
     ``_reduce`` finds the slack pairs (``_find_slack_pairs``), which leave
     with their rows, and reduces every other split pair (x+, x-) of
     ``program.pairs`` to its plus member's unknown u = dx+ - dx-. With
-    e = 1/(Θ + ρ) (0 on dropped variables), an unknown's diagonal is
-    dt = 1/(e+ + e-) for a u and 1/e for an unpaired variable. That leaves
+    e = 1/(Θ + ρ), an unknown's diagonal is dt = 1/(e+ + e-) for a u and
+    1/e for an unpaired variable. That leaves
     [[-K, A_B'], [A_B, E_B]] over the unknowns and the border rows B, with
     K = C + diag(dt) + A_R' E_R^-1 A_R, C the Hessian over the unknowns and
     E = δ + Σ a²(e+ + e-) of each row over its slack pairs (δ on a row
-    without one). ``_build_band`` builds its ``krylov.BorderedBand``. A
-    dropped variable never returns, and ``_factor_band``, the one factor
-    call of every path, pins each unknown with no live member left, so its
-    step is exactly 0. ``_direct`` solves the factored system: the direct
-    path's step, and at r1 = 0 the PCG path's preconditioner.
+    without one). ``_build_band`` builds its ``krylov.BorderedBand``, and
+    ``_factor_band`` makes the one factor call of every path. ``_direct``
+    solves the factored system: the direct path's step, and at r1 = 0 the
+    PCG path's preconditioner.
     """
 
     inner_iterations = inner_capped = 0  # Krylov iterations, unconverged solves
@@ -306,52 +283,42 @@ class NewtonSystem:
         self.border = border
         self.elim = np.setdiff1d(np.arange(self.A_u.shape[0]), border)
         self.band = BorderedBand(C, self.A_u[self.elim], self.A_u[border], couplings)
-        self.A_Rt = self.band.A_R.T  # shares A_R's data, which a pin zeroes in place
+        self.A_Rt = self.band.A_R.T
         self.rows = self.unknowns[self.band.order]
         self.where = self.band.where
         self.kp = self.where[self.upos]
 
     def _refresh(self, state: IpPmmState, h=0.0):
-        """Take Θ = ``state.xi_diag()``, e = 1/(h + Θ + ρ) on the active set
-        (0 on dropped variables), each row's E, δ and the inner tolerance
-        from ``state``; ``h`` is a Hessian diagonal folded into e. A weight
-        h + Θ + ρ that is not positive raises LinAlgError."""
-        active = state.active_indices()
-        g = (h + state.xi_diag() + state.rho)[active]
+        """Take Θ = ``state.xi_diag()``, e = 1/(h + Θ + ρ), each row's E, δ
+        and the inner tolerance from ``state``; ``h`` is a Hessian diagonal
+        folded into e. A weight h + Θ + ρ that is not positive raises
+        LinAlgError."""
+        g = h + state.xi_diag() + state.rho
         if np.any(g <= 0):
             raise np.linalg.LinAlgError("diagonal weights must be positive")
-        self.e = np.zeros(state.x.size)
-        self.e[active] = 1.0 / g
+        self.e = 1.0 / g
         self.esum = self.e.copy()  # an unknown's e: e+ + e- on a u
         self.esum[self.p] += self.e[self.q]
         self.delta, self.tol = state.delta, state.inner_tol
         self.E = self.delta + np.bincount(self.prow, self.pval ** 2 * self.e[self.pairs],
                                           minlength=self.A_u.shape[0])
 
-    def _factor_band(self, state: IpPmmState, h=0.0, c=None):
-        """Pin each unknown with no live member left (``BorderedBand.pin``),
-        take dt in band order, 1 on a pinned unknown, and the eliminated
-        rows' E, and factor the band with dt + ``h`` on its diagonal and the
-        values ``c`` of its couplings; a pinned unknown keeps a unit row."""
-        live = ~state.dropped
-        live[self.p] |= live[self.q]  # a pair's unknown lives while either member does
-        self.band.pin(~live[self.rows])
-        self.dt = np.divide(1.0, self.esum[self.rows], out=np.ones(self.rows.size),
-                            where=~self.band.pinned)
+    def _factor_band(self, h=0.0, c=None):
+        """Take dt in band order and the eliminated rows' E, and factor the
+        band with dt + ``h`` on its diagonal and the values ``c`` of its
+        couplings."""
+        self.dt = 1.0 / self.esum[self.rows]
         self.E_elim = self.E[self.elim]
-        self.band.factor(np.where(self.band.pinned, 1.0, self.dt + h), 1.0 / self.E_elim,
-                         self.E[self.border], c)
+        self.band.factor(self.dt + h, 1.0 / self.E_elim, self.E[self.border], c)
 
     def _reduced_rhs(self, r1: np.ndarray, r2: np.ndarray):
         """The reduced system's rhs from the full-length one: rt over the
-        unknowns (band order; dt (e+ r1+ - e- r1-) on a u, 0 on a pinned
-        unknown) and rs over the rows, each row's r2 with its slack pairs'
-        r1 folded in."""
+        unknowns (band order; dt (e+ r1+ - e- r1-) on a u) and rs over the
+        rows, each row's r2 with its slack pairs' r1 folded in."""
         c, e, p, q, kp = self.pairs, self.e, self.p, self.q, self.kp
         rs = r2 + np.bincount(self.prow, self.pval * e[c] * r1[c], minlength=r2.size)
         rt = r1[self.rows]
         rt[kp] = self.dt[kp] * (e[p] * r1[p] - e[q] * r1[q])
-        rt[self.band.pinned] = 0.0
         return rt, rs
 
     def _dy(self, u: np.ndarray, xu: np.ndarray, yb: np.ndarray) -> np.ndarray:
@@ -370,8 +337,7 @@ class NewtonSystem:
         return xu, self._dy(u, xu, yb)
 
     def _expand(self, r1, rt, xu, dy):
-        """The full-length (dx, dy) of the reduced solution (xu, dy): dx is
-        0 on dropped variables."""
+        """The full-length (dx, dy) of the reduced solution (xu, dy)."""
         c, e, p, q, kp = self.pairs, self.e, self.p, self.q, self.kp
         dx = np.zeros(e.size)
         dx[self.rows] = xu
@@ -404,9 +370,8 @@ class AugmentedSystem(NewtonSystem):
     MINRES runs on the split operator
     blockdiag(L, L_S)^-1 M blockdiag(L, L_S)^-T (``BorderedBand.split``),
     whose iterates are those of MINRES on M under blockdiag(P, S). Since
-    K = P + Δ on the live unknowns, Δ = H - H~, this system supplies only
-    Δw: A_R, E and dt never enter an iteration. A pinned unknown's row of
-    the operator is -1 on the diagonal and 0 elsewhere.
+    K = P + Δ, Δ = H - H~, this system supplies only Δw: A_R, E and dt never
+    enter an iteration.
     """
 
     def __init__(self, program: ConvexProgram, options: SolverOptions):
@@ -436,17 +401,14 @@ class AugmentedSystem(NewtonSystem):
         self._hess = self.program.hess_action(state.x)
         htilde = self.program.hess_approx(state.x)  # its diagonal, then its couplings
         diag, c = htilde[self.rows], htilde[self.program.n:]
-        self._factor_band(state, diag, c)
+        self._factor_band(diag, c)
         self.band.split()
         self.htilde.data[:] = np.concatenate([diag, c, c])[self.hsel]
-        self.live = (~self.band.pinned).astype(float)
 
     def _gap(self, w: np.ndarray) -> np.ndarray:
-        """Δw = (H - H~) w over the unknowns (band order), with a pinned
-        unknown's row and column of Δ zero."""
-        w = w * self.live
+        """Δw = (H - H~) w over the unknowns (band order)."""
         self._full[self.rows] = w
-        return (self._hess(self._full)[self.rows] - self.htilde @ w) * self.live
+        return self._hess(self._full)[self.rows] - self.htilde @ w
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.band.split_apply(v, self._gap)
@@ -475,7 +437,7 @@ class SaddleMatrix(NewtonSystem):
 
     def factor(self, state: IpPmmState):
         self._refresh(state)
-        self._factor_band(state)
+        self._factor_band()
 
     def solve(self, r1: np.ndarray, r2: np.ndarray):
         rt, rs = self._reduced_rhs(r1, r2)
@@ -486,9 +448,8 @@ class NormalEquations(NewtonSystem):
     """PCG path: the normal equations of the reduced system of
     ``NewtonSystem``, with G's Hessian diagonal folded into e and C = None,
     over all m rows: (A_u D A_u' + diag(E)) dy = rs + A_u D rt, with A_u
-    the columns of the unknowns and D their e (e+ + e- on a u, 0 on a
-    pinned unknown). That is A G^-1 A' + δI with G diagonal; a drop only
-    zeroes a weight.
+    the columns of the unknowns and D their e (e+ + e- on a u). That is
+    A G^-1 A' + δI with G diagonal.
 
     PCG runs under its exact inverse: the direct path's bordered solve
     (``NewtonSystem._direct``) at r1 = 0. The rows B without a slack pair
@@ -515,7 +476,7 @@ class NormalEquations(NewtonSystem):
         border = np.flatnonzero(border)
         if not np.array_equal(border, self.border):
             self._build_band(border)
-        self._factor_band(state)
+        self._factor_band()
 
     def _apply_inverse(self, r: np.ndarray) -> np.ndarray:
         """(A G^-1 A' + δI)^-1 r: the reduced system's dy at r1 = 0."""
@@ -555,7 +516,7 @@ _CONTEXTS = {
 
 def step_lengths(state: IpPmmState, dx: np.ndarray, dz: np.ndarray):
     """Fraction-to-the-boundary primal and dual step lengths in (0, 1]."""
-    ia = state.nonneg_active()
+    ia = state.nonneg
 
     def max_step(v, dv):
         neg = dv < 0
@@ -567,9 +528,9 @@ def step_lengths(state: IpPmmState, dx: np.ndarray, dz: np.ndarray):
 
 
 def _dual_step(state, dx, rc):
-    """dz from dx and the complementarity rhs ``rc`` of the active
-    non-negative variables; 0 elsewhere."""
-    ia = state.nonneg_active()
+    """dz from dx and the complementarity rhs ``rc`` of the non-negative
+    variables; 0 elsewhere."""
+    ia = state.nonneg
     dz = np.zeros(state.x.size)
     dz[ia] = (rc - state.z[ia] * dx[ia]) / state.x[ia]
     return dz
@@ -578,7 +539,7 @@ def _dual_step(state, dx, rc):
 def predictor_corrector_step(state: IpPmmState, ctx, rp: np.ndarray,
                              gy: np.ndarray):
     """Affine predictor then centering-corrector solve with the same matrix."""
-    ia = state.nonneg_active()
+    ia = state.nonneg
 
     # predictor: sigma = 0, complementarity rhs -XZe
     dx_aff, _ = ctx.solve(*newton_rhs(state, rp, gy, sigma=0.0))
@@ -625,16 +586,12 @@ def solve(program: ConvexProgram, options: Optional[SolverOptions] = None):
     t_start = time.perf_counter()
     t_linalg = 0.0
     state = initial_state(program, options)
-    mu0 = max(state.mu, np.finfo(float).tiny)
     report = SolveReport()
     status = "max-iterations"
 
-    eps_drop = options.eps_drop if options.dropping else None
     # evaluation k is of the k-th iterate; the last one is of the returned point
     for k in range(options.max_iter + 1):
-        state.k = k
-        primal, dual, mu, rp, gy, rd = kkt_residuals(
-            state, program, eps_drop if state.mu <= DROP_ACTIVATION * mu0 else None)
+        primal, dual, mu, rp, gy, rd = kkt_residuals(state, program)
         report.primal_inf_history.append(primal)
         report.dual_inf_history.append(dual)
         report.mu_history.append(mu)
@@ -665,17 +622,12 @@ def solve(program: ConvexProgram, options: Optional[SolverOptions] = None):
         state.y = state.y + ad * dy
         state.z = state.z + ad * dz
         update_penalties_and_estimates(state, float(np.linalg.norm(rp)),
-                                       float(np.linalg.norm(rd[state.active_indices()])))
+                                       float(np.linalg.norm(rd)))
         report.iterations = k + 1
 
     if state.system is not None:  # the Krylov work of every iteration, a failed one too
         report.inner_iterations = state.system.inner_iterations
         report.inner_capped = state.system.inner_capped
-    if options.dropping:
-        audit = dropmod.verify_dropped(gy, state.drop_log)
-        report.drop_audit = audit.to_dict()
-        if audit.violated and status == "optimal":
-            status = "numerical-failure"
     report.status = status
     report.final_objective = float(program.objective(state.x))
     report.time_s = time.perf_counter() - t_start

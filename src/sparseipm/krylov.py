@@ -112,8 +112,7 @@ class BorderedBand:
         low, off = np.minimum(ci, cj), np.abs(ci - cj)
         if np.any(off > bw):
             raise ValueError("a coupling lies outside the band")
-        self.cpos, self.csel = low * (bw + 1) + off, np.arange(ci.size)
-        self.pinned = np.zeros(N, dtype=bool)
+        self.cpos = low * (bw + 1) + off
         # each factor writes K into L and factors it there, in place, behind
         # bw² zeros in ``buf``: entry (t, j) of L' in upper band storage,
         # L[bw - t, j - bw + t], then lies at t bw + j (bw + 1) of buf, and its
@@ -122,43 +121,17 @@ class BorderedBand:
         self.L = self.buf[bw * bw:].reshape(self.band_c.shape, order="F")
         self.U = np.zeros_like(self.band_c)
 
-    def pin(self, pin: np.ndarray):
-        """Pin the unknowns of ``pin``: the entries of each one not pinned
-        yet leave the band, A_B and A_R, so with a unit ``d`` and a zero rhs
-        its solution is exactly 0. Pins are never lifted, and a call that
-        pins nothing new returns at once."""
-        new = pin & ~self.pinned
-        if not new.any():
-            return
-        self.pinned = pin
-
-        def kept(pos):  # the band positions that no new pin touches
-            j, d = np.divmod(pos, self.bw + 1)
-            return ~(new[j] | new[j + d])
-
-        keep = kept(self.pos)
-        self.pos, self.W = self.pos[keep], self.W[keep]
-        keep = kept(self.cpos)
-        self.cpos, self.csel = self.cpos[keep], self.csel[keep]
-        off = np.arange(self.bw + 1)[:, None]
-        cols = np.flatnonzero(new) - off  # the band entries of each new row, by offset
-        self.band_c[np.broadcast_to(off, cols.shape)[cols >= 0], cols[cols >= 0]] = 0.0
-        self.band_c[:, new] = 0.0  # and of its column
-        self.A_Bt[new] = 0.0
-        self.A_R.data[new[self.A_R.indices]] = 0.0
-
     def factor(self, d: np.ndarray, w: np.ndarray, delta: float | np.ndarray, c=None):
         """K = LL' for ``d`` (band order), ``w`` (one per row of A_R) and,
-        when given, ``c`` (one value per pair of ``couplings``, a pinned
-        unknown's left out), and the border as δ + Z'Z with Z = L^-1 A_B'.
-        A band that is not finite, or a Cholesky breakdown of the band or the
-        border, raises LinAlgError."""
+        when given, ``c`` (one value per pair of ``couplings``), and the
+        border as δ + Z'Z with Z = L^-1 A_B'. A band that is not finite, or a
+        Cholesky breakdown of the band or the border, raises LinAlgError."""
         band = self.L
         band[...] = self.band_c
         flat = band.reshape(-1, order="F")  # a view
         flat[self.pos] += self.W @ w
         if c is not None:
-            flat[self.cpos] += c[self.csel]
+            flat[self.cpos] += c
         band[0] += d
         if not np.all(np.isfinite(band)):  # an infinite Θ, say
             raise np.linalg.LinAlgError("the Newton matrix is not finite")

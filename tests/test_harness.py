@@ -272,13 +272,13 @@ class TestCli:
 
     @pytest.mark.parametrize("seed", ["2", "3", "4"])
     def test_fmri_defaults_reach_optimal(self, tmp_path, seed):
-        # the CLI defaults: 30 samples on 4x4x4, pcg-normal, dropping on at 1e-6
+        # the CLI defaults: 30 samples on 4x4x4, pcg-normal
         assert run_cli(["fmri", "--seed", seed, "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "report_ippmm.json").read_text())
         assert report["status"] == "optimal"
 
-    def test_baselines_are_scored_at_the_drop_level(self, tmp_path):
-        # every baseline's w is below fmri's drop level 1e-6 here, as IP-PMM's is
+    def test_baselines_are_scored_at_the_prune_level(self, tmp_path):
+        # every solver's w is below fmri's prune level 1e-6 here, IP-PMM's too
         code = run_cli(["fmri", "--solver", "ippmm,fista,admm", "--s", "10",
                         "--grid", "3x3", "--tau1", "100", "--tau2", "100",
                         "--out", str(tmp_path)])
@@ -291,6 +291,45 @@ class TestCli:
         at_zero = inst.original_objective(np.zeros(9))
         for r in rows[1:]:  # the objective is of the unpruned w
             assert float(r[4]) != at_zero
+
+    @pytest.mark.parametrize("family,prune,argv", [
+        ("portfolio", 1e-4, ["--s", "5", "--m", "3"]),
+        ("fmri", 1e-6, ["--s", "10", "--grid", "3x3"]),
+        ("classify", 1e-6, ["--n", "60", "--s", "12"]),
+        ("restore", 0.0, ["--size", "16", "--peak", "50", "--max-iter", "8"])])
+    def test_every_solver_is_scored_at_the_family_prune_level(
+            self, monkeypatch, tmp_path, family, prune, argv):
+        # IP-PMM's w gets an entry at half the prune level and one at twice
+        # it: the first is scored as 0 and the second as it is
+        fam, raw, scored = FAMILIES[family], [], []
+        assert fam.prune == prune
+
+        def build(inst):
+            prog = fam.build(inst)
+            extract = prog.extract
+
+            def planted(x):
+                w = extract(x).copy()
+                w[:2] = 0.5 * prune, 2.0 * prune
+                raw.append(w)
+                return w
+
+            prog.extract = planted
+            return prog
+
+        def score(args, inst, truth, w):
+            scored.append(w)
+            return fam.score(args, inst, truth, w)
+
+        monkeypatch.setitem(FAMILIES, family, replace(fam, build=build, score=score))
+        every = ["--solver", ",".join(fam.solvers)] if fam.baselines else []
+        assert run_cli([family, *every, *argv, "--out", str(tmp_path)]) in (0, 2)
+        assert len(scored) == len(fam.solvers)
+        w, ippmm_w = raw[-1], scored[0]
+        assert ippmm_w[0] == 0.0 and ippmm_w[1] == 2.0 * prune
+        assert np.array_equal(ippmm_w, np.where(np.abs(w) > prune, w, 0.0))
+        for w in scored:  # the baselines' too
+            assert not np.any((w != 0.0) & (np.abs(w) <= prune))
 
     def test_classify_runs(self, tmp_path):
         code = run_cli(["classify", "--n", "60", "--s", "12", "--out",
@@ -470,13 +509,13 @@ class TestCli:
         code = run_cli(["fmri", "--grid", "3xbad", "--out", str(tmp_path)])
         assert code == 1
 
-    # one iteration ends before dropping would scan: the check is up front
+    # the checks run before any solve; --max-iter 1 would keep a missed one short
     @pytest.mark.parametrize("flags", [["--tol", "-1"], ["--max-iter", "-3"],
-                                       ["--eps-drop", "-1", "--max-iter", "1"],
-                                       ["--eps-drop", "0", "--max-iter", "1"],
+                                       ["--tol", "nan", "--max-iter", "1"],
+                                       ["--tol", "0", "--max-iter", "1"],
                                        ["--solver", "asb", "--tol", "0"],
                                        ["--solver", "asb,ippmm", "--max-iter", "0"],
-                                       ["--solver", "asb,ippmm", "--eps-drop", "-1"]])
+                                       ["--solver", "asb,ippmm", "--tol", "-1"]])
     def test_invalid_solver_options_rejected_before_solving(self, tmp_path,
                                                             flags):
         code = run_cli(["portfolio", "--s", "4", "--m", "3", *flags,

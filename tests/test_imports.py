@@ -1,4 +1,4 @@
-"""Thirteen small ``ast`` checks in place of a linter, and one on the README.
+"""Fourteen small ``ast`` checks in place of a linter, and one on the README.
 
 - Every name a ``sparseipm`` module imports is used in that module: it appears
   as a name anywhere in the module, or in ``__all__``.
@@ -37,12 +37,13 @@
   every factor and triangular sweep of a solver path stays behind
   ``krylov.BorderedBand``.
 - ``ippmm`` reads every ``SolverOptions`` field from its ``options`` outside
-  ``SolverOptions.__post_init__`` except ``precond`` and ``htilde_choice``,
-  which are only checked: each path has one preconditioner and takes H~
-  from the program, so no other field may become a setting that selects
-  nothing.
+  ``SolverOptions.__post_init__`` except the four of ``ONLY_CHECKED``, so no
+  other field may become a setting that selects nothing.
+- No ``sparseipm`` module imports ``dropping``, and ``dropping`` defines only
+  the names that ``perfbench/tracing.py`` binds on it, so the solver cannot
+  drop variables again through that module.
 - Every backticked ``<module>.<Name>`` of a ``sparseipm`` module that
-  ``README.md`` cites, such as ``dropping.XI``, names a real attribute.
+  ``README.md`` cites, such as ``ippmm.FORCING``, names a real attribute.
 """
 import ast
 import dataclasses
@@ -57,7 +58,8 @@ from sparseipm.ippmm import SolverOptions
 from sparseipm.problems import ConvexProgram
 
 MODULES = sorted(Path(sparseipm.__file__).parent.glob("*.py"))
-PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+PERFBENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+PERFBENCH = sorted(PERFBENCH_DIR.glob("*.py"))
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 # defaulted parameters kept without a caller passing them, with the reason
@@ -516,10 +518,91 @@ def test_checker_finds_unread_options():
     assert unread_options(source, ["a", "b", "c", "d", "e"]) == ["a", "b", "e"]
 
 
-def test_only_precond_and_htilde_choice_select_nothing():
+# SolverOptions fields that ippmm only checks, with the reason each stays:
+# perfbench/workloads.py sets all four, so they go with the benchmark's next
+# change
+ONLY_CHECKED = {
+    "precond": "each path has one preconditioner",
+    "htilde_choice": "the MINRES path takes H~ from the program",
+    "dropping": "the solver drops no variable",
+    "eps_drop": "the solver drops no variable",
+}
+
+
+def test_only_the_checked_options_select_nothing():
     source = (Path(sparseipm.__file__).parent / "ippmm.py").read_text()
     fields = [f.name for f in dataclasses.fields(SolverOptions)]
-    assert unread_options(source, fields) == ["htilde_choice", "precond"]
+    assert unread_options(source, fields) == sorted(ONLY_CHECKED)
+
+
+def module_imports(source: str, module: str) -> list:
+    """Line numbers that import the ``sparseipm`` module ``module``, or a
+    name from it, absolutely or relatively."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found = any(alias.name == f"sparseipm.{module}" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            found = base in (f".{module}", f"sparseipm.{module}") or (
+                base in (".", "sparseipm") and any(a.name == module for a in node.names))
+        else:
+            found = False
+        if found:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_checker_finds_module_imports():
+    source = ("from . import dropping as d\nfrom .dropping import f\n"
+              "import sparseipm.dropping\nfrom sparseipm import ippmm, dropping\n"
+              "from . import ippmm\nimport dropping\nfrom sparseipm.dropping import g\n")
+    assert module_imports(source, "dropping") == [1, 2, 3, 4, 7]
+
+
+def bound_names(source: str, owner: str) -> set:
+    """The strings that follow the name ``owner`` in a tuple of ``source``:
+    the attributes that ``perfbench/tracing.py`` wraps on ``owner``."""
+    return {node.elts[1].value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Tuple) and len(node.elts) > 1
+            and getattr(node.elts[0], "id", None) == owner
+            and isinstance(node.elts[1], ast.Constant)
+            and isinstance(node.elts[1].value, str)}
+
+
+def top_level_names(source: str) -> set:
+    """The names that ``source`` defines, assigns or imports at its top."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names
+                         if a.name != "annotations")
+    return names
+
+
+def test_checker_finds_bound_and_defined_names():
+    tracing = ("out.append((dropping, 'scan', 'dropping.scan', hook))\n"
+               "out.append((ippmm, 'solve', 'ippmm.solve', None))\n"
+               "pair = (dropping, 2)\n")
+    assert bound_names(tracing, "dropping") == {"scan"}
+    source = ("from __future__ import annotations\nimport numpy as np\n"
+              "XI = 1e2\nLIMIT: float = 1.0\ndef f(): pass\nclass C: pass\n")
+    assert top_level_names(source) == {"np", "XI", "LIMIT", "f", "C"}
+
+
+def test_dropping_holds_only_the_names_the_tracer_binds():
+    found = [(path.name, line) for path in MODULES if path.stem != "dropping"
+             for line in module_imports(path.read_text(), "dropping")]
+    assert found == []
+    bound = bound_names((PERFBENCH_DIR / "tracing.py").read_text(), "dropping")
+    assert bound == {"scan_and_drop", "verify_dropped"}
+    source = (Path(sparseipm.__file__).parent / "dropping.py").read_text()
+    assert top_level_names(source) == bound
 
 
 def unresolved_citations(text: str, namespaces: dict) -> list:

@@ -292,11 +292,10 @@ class TestBorderedBand:
     [[K, -A_B'], [A_B, δ]] with K = C + diag(d) + A_R' diag(w) A_R."""
 
     @staticmethod
-    def system(with_c=True, nb=4, scalar_delta=True, pinned=None, n=15, nr=8, seed=60,
-               coupled=False):
+    def system(with_c=True, nb=4, scalar_delta=True, n=15, nr=8, seed=60, coupled=False):
         """The factored band, with K, A_B and δ densely in the columns'
-        own order; column ``pinned``, if given, is pinned with a unit d.
-        ``coupled`` adds per-factor couplings on the pairs that A_R couples."""
+        own order. ``coupled`` adds per-factor couplings on the pairs that
+        A_R couples."""
         rng = np.random.default_rng(seed)
         G = sp.random(n, n, density=0.15, random_state=seed)
         C = sp.csr_matrix(G @ G.T) if with_c else None
@@ -309,9 +308,6 @@ class TestBorderedBand:
             pairs = np.array(sp.triu(A_R.T @ A_R, 1).nonzero())
             c = rng.uniform(-0.05, 0.05, pairs.shape[1])
         band = BorderedBand(C, A_R, A_B, pairs)
-        if pinned is not None:
-            band.pin(band.order == pinned)
-            d[pinned] = 1.0
         band.factor(d[band.order], w, delta, c)
         K = np.diag(d) + A_R.T.toarray() @ np.diag(w) @ A_R.toarray()
         if C is not None:
@@ -360,11 +356,10 @@ class TestBorderedBand:
         assert shapes and all(np.prod(shape) > 0 for shape in shapes)
 
     @staticmethod
-    def banded(width, pinned=()):
+    def banded(width):
         """A factored band of half-bandwidth ``width``: 0 (no rows), 1 (a
-        chain of differences) or 32 (the TV rows of a 32 x 32 grid), with C
-        and the band positions ``pinned`` pinned. Checks that the factor,
-        made in place, leaves C's band as it was."""
+        chain of differences) or 32 (the TV rows of a 32 x 32 grid), with C.
+        Checks that the factor, made in place, leaves C's band as it was."""
         A_R = {0: sp.csr_matrix((0, 7)),
                1: sp.diags([-1.0, 1.0], [0, 1], shape=(6, 7), format="csr"),
                32: make_tv_operator((32, 32)).matrix}[width]
@@ -373,19 +368,14 @@ class TestBorderedBand:
         C = sp.diags(rng.uniform(0.5, 2.0, N)) + 0.1 * A_R.T @ A_R
         band = BorderedBand(C, A_R, sp.csr_matrix((0, N)))
         assert band.bw == width
-        pin = np.zeros(N, dtype=bool)
-        pin[list(pinned)] = True
-        band.pin(pin)
         band_c = band.band_c.copy()
-        band.factor(np.where(pin, 1.0, rng.uniform(0.5, 2.0, N)),
-                    rng.uniform(0.5, 2.0, A_R.shape[0]), 1e-2)
+        band.factor(rng.uniform(0.5, 2.0, N), rng.uniform(0.5, 2.0, A_R.shape[0]), 1e-2)
         assert band_c.any() and np.array_equal(band.band_c, band_c)
         return band
 
-    @pytest.mark.parametrize("pinned", [(), (2, 5)], ids=["free", "pinned"])
     @pytest.mark.parametrize("width", [0, 1, 32])
-    def test_sweeps_match_dtbtrs_and_a_dense_solve(self, width, pinned):
-        band = self.banded(width, pinned)
+    def test_sweeps_match_dtbtrs_and_a_dense_solve(self, width):
+        band = self.banded(width)
         N = band.L.shape[1]
         L = np.zeros((N, N))  # L dense, from its lower band storage
         for k in range(width + 1):
@@ -401,10 +391,6 @@ class TestBorderedBand:
                                    rtol=1e-13, atol=1e-14)
         np.testing.assert_allclose(forward, np.linalg.solve(L, b), rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(back, np.linalg.solve(L.T, b), rtol=1e-10, atol=1e-12)
-        # a pinned unknown's row and column of L are those of the identity
-        pinned = list(pinned)
-        assert np.array_equal(forward[pinned], b[pinned])
-        assert np.array_equal(back[pinned], b[pinned])
 
     def test_empty_rhs_is_returned_as_it_is(self):
         band = self.banded(1)
@@ -412,51 +398,23 @@ class TestBorderedBand:
         assert band.forward(empty) is empty and band.back(empty) is empty
         assert band.solve(empty) is empty
 
-    @pytest.mark.parametrize("pinned", [None, 3], ids=["free", "pinned"])
-    def test_couplings_enter_each_factor(self, pinned):
-        """Per-factor couplings are entries of K, but none of a pinned
-        unknown, whose solution stays exactly 0."""
-        band, K, A_B, Delta = self.system(coupled=True, pinned=pinned)
+    @pytest.mark.parametrize("with_c", [True, False], ids=["C", "no-C"])
+    def test_couplings_enter_each_factor(self, with_c):
+        """Per-factor couplings are entries of K, with C's band or without."""
+        band, K, A_B, Delta = self.system(with_c, coupled=True)
         order, n = band.order, K.shape[0]
-        assert band.csel.size
+        assert band.cpos.size
         rng = np.random.default_rng(64)
         f, g = rng.standard_normal(n), rng.standard_normal(A_B.shape[0])
-        keep = np.flatnonzero(np.arange(n) != pinned)
-        f[np.setdiff1d(np.arange(n), keep)] = 0.0
         x, y = band.solve_bordered(f[order], g)
         got = np.empty(n)
         got[order] = x
-        M = np.block([[K[np.ix_(keep, keep)], -A_B[:, keep].T], [A_B[:, keep], Delta]])
-        want = np.linalg.solve(M, np.r_[f[keep], g])
-        np.testing.assert_allclose(np.r_[got[keep], y], want, rtol=1e-10, atol=1e-12)
-        if pinned is not None:
-            assert got[pinned] == 0.0
+        M = np.block([[K, -A_B.T], [A_B, Delta]])
+        want = np.linalg.solve(M, np.r_[f, g])
+        np.testing.assert_allclose(np.r_[got, y], want, rtol=1e-10, atol=1e-12)
 
     def test_a_coupling_outside_the_band_raises(self):
         # a chain of differences has half-bandwidth 1; its two ends are far apart
         A_R = sp.diags([-1.0, 1.0], [0, 1], shape=(5, 6), format="csr")
         with pytest.raises(ValueError, match="outside the band"):
             BorderedBand(None, A_R, sp.csr_matrix((0, 6)), np.array([[0], [5]]))
-
-    def test_pinned_unknown_is_exactly_zero(self):
-        free, K, A_B, _ = self.system()
-        k = int(np.argmax(np.count_nonzero(K, axis=0) + np.count_nonzero(A_B, axis=0)))
-        band, K, A_B, Delta = self.system(pinned=k)  # the most coupled column
-        order, n = band.order, K.shape[0]
-        assert np.count_nonzero(K[k]) > 1 and np.count_nonzero(A_B[:, k])
-        # the pin zeroes its column of A_R and its row of A_B', which the
-        # MINRES operator reads
-        assert free.A_R[:, free.order == k].count_nonzero()
-        assert not band.A_R[:, order == k].count_nonzero() and not band.A_Bt[order == k].any()
-        rng = np.random.default_rng(63)
-        f, g = rng.standard_normal(n), rng.standard_normal(A_B.shape[0])
-        f[k] = 0.0
-        x, y = band.solve_bordered(f[order], g)
-        assert x[order == k] == 0.0
-        # the other unknowns solve the system without column k
-        keep = np.flatnonzero(np.arange(n) != k)
-        M = np.block([[K[np.ix_(keep, keep)], -A_B[:, keep].T], [A_B[:, keep], Delta]])
-        want = np.linalg.solve(M, np.r_[f[keep], g])
-        got = np.empty(n)
-        got[order] = x
-        np.testing.assert_allclose(np.r_[got[keep], y], want, rtol=1e-10, atol=1e-12)

@@ -31,13 +31,14 @@ def random_fused_lasso_layout(seed, s=4, q=9, grid=(3, 3)):
     return A, g, s, ell, D
 
 
-def fmri_block_precond(g, A, split, delta, q, dropped=()):
+def fmri_block_precond(g, A, split, delta, q, at_bound=()):
     """The fmri-block preconditioner of ``random_fused_lasso_layout``, built
     by ``ippmm.NormalEquations`` on the program over x = [r; w+; w-; d+; d-]
     with its (w+, w-) and (d+, d-) pairs and no Hessian, at a point where
-    G = g (x = 1, z = g, rho = 0) and the variables ``dropped`` are dropped.
-    The data rows border its band, and so does a TV row whose (d+, d-) pair
-    is dropped at a small delta. Returns the preconditioner and the system."""
+    G = g (x = 1, z = g, rho = 0) but on the variables ``at_bound``, which
+    sit at x = 1e-6 with z = 1e6 (G = 1e12). The data rows border its band,
+    and so does a TV row whose (d+, d-) pair sits at its bound at a small
+    delta. Returns the preconditioner and the system."""
     ell = A.shape[0] - split
     n = A.shape[1]
     w, d = split + np.arange(q), split + 2 * q + np.arange(ell)
@@ -45,7 +46,7 @@ def fmri_block_precond(g, A, split, delta, q, dropped=()):
                              pairs=np.array([np.r_[w, d], np.r_[w + q, d + ell]]))
     st = initial_state(prog, SolverOptions())
     st.x, st.z, st.rho, st.delta = np.ones(n), g.copy(), 0.0, delta
-    st.dropped[list(dropped)] = True
+    st.x[list(at_bound)], st.z[list(at_bound)] = 1e-6, 1e6
     system = NormalEquations(prog, SolverOptions(linear_solver="pcg-normal"))
     system.factor(st)
     return build_fmri_normal_precond(system._apply_inverse), system
@@ -82,13 +83,14 @@ class TestFmriNormalPrecond:
         q = D.shape[1]
         r = np.random.default_rng(1).standard_normal(s + ell)
         # every TV row eliminated, then every third one bordering K too: its
-        # (d+, d-) pair dropped leaves E = delta = 1e-8
+        # (d+, d-) pair at its bound leaves E ≈ delta = 1e-8
         third = s + 2 * q + np.arange(0, ell, 3)
-        for delta, dropped in [(1e-3, []), (1e-8, []), (1e-8, np.r_[third, third + ell])]:
-            P, system = fmri_block_precond(g, A, s, delta, q, dropped)
-            assert system.border.size == s + len(dropped) // 2
-            act = np.setdiff1d(np.arange(A.shape[1]), dropped)
-            dense = normal_equations_matrix(g[act], A[:, act], delta)
+        for delta, at_bound in [(1e-3, []), (1e-8, []), (1e-8, np.r_[third, third + ell])]:
+            P, system = fmri_block_precond(g, A, s, delta, q, at_bound)
+            assert system.border.size == s + len(at_bound) // 2
+            G = g.copy()
+            G[at_bound] = 1e12
+            dense = normal_equations_matrix(G, A, delta)
             np.testing.assert_allclose(P.apply_inverse(r),
                                        np.linalg.solve(dense, r), rtol=1e-9,
                                        atol=1e-10)
