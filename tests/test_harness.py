@@ -91,10 +91,9 @@ class TestGenerators:
     def test_blur_validates_parameters(self):
         img = builtin_image("squares", 16)
         kernel = BlurKernel("identity", (16, 16), {})
-        with pytest.raises(ValueError):
-            gen_blur_instance(img, kernel, -1.0, 1.0, seed=0)
-        with pytest.raises(ValueError):
-            gen_blur_instance(img, kernel, 10.0, 0.0, seed=0)
+        for peak, background in ((-1.0, 1.0), (10.0, 0.0), (np.nan, 1.0), (10.0, np.nan)):
+            with pytest.raises(ValueError):
+                gen_blur_instance(img, kernel, peak, background, seed=0, noise=False)
 
 
 def test_instances_build_their_operators_once(monkeypatch):
@@ -535,6 +534,29 @@ class TestCli:
         assert run_cli([*argv, "--out", str(out)]) == 1
         assert not out.exists()
         assert "non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["restore", "--peak", "nan", "--no-noise"],
+                                      ["restore", "--background", "nan", "--no-noise"],
+                                      ["restore", "--background", "inf"],
+                                      ["classify", "--test-fraction", "-0.5"],
+                                      ["classify", "--test-fraction", "nan"],
+                                      ["portfolio", "--trans-eps", "nan"],
+                                      ["portfolio", "--solver", "asb", "--budget-seconds", "-1"],
+                                      ["portfolio", "--solver", "asb", "--budget-seconds", "nan"]],
+                             ids=" ".join)
+    def test_out_of_range_flag_rejected_before_solving(self, tmp_path, capsys, argv):
+        """A flag value out of range, NaN or infinite exits 1 before any
+        solve, with the flag named."""
+        out = tmp_path / "out"
+        assert run_cli([*argv, "--out", str(out)]) == 1
+        flag, value = argv[-3:-1] if argv[-1] == "--no-noise" else argv[-2:]
+        assert f"argument {flag}: must be" in capsys.readouterr().err
+        assert not out.exists()
+        cfg = tmp_path / "run.cfg"  # a config file's value is checked the same way
+        cfg.write_text(f"{flag[2:]} = {value}\n")
+        assert run_cli([argv[0], "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"bad value '{value}' for {flag[2:]}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, name", [
         (["--blur", "gaussian", "--sigma", "inf"], "sigma"),

@@ -1,4 +1,4 @@
-"""Fourteen small ``ast`` checks in place of a linter, and one on the README.
+"""Fifteen small ``ast`` checks in place of a linter, and one on the README.
 
 - Every name a ``sparseipm`` module imports is used in that module: it appears
   as a name anywhere in the module, or in ``__all__``.
@@ -26,7 +26,10 @@
   constructs a ``BorderedBand``, so the three solver paths share its one
   reduced Newton system.
 - Within ``src/sparseipm`` only ``ippmm.NewtonSystem._factor_band`` calls
-  ``.factor(`` on a ``band``, so every path pins and factors it one way.
+  ``.factor(`` on a ``band``, so every solver path factors it one way. The
+  one other site is ``krylov.CholeskyFactor.__init__``: the ASB baseline's
+  one factor, a band with no rows and no border, inside the module that owns
+  ``BorderedBand``.
 - Within ``ippmm`` only ``kkt_residuals`` and ``NewtonSystem``'s own
   ``_reduce`` and ``_find_slack_pairs`` read ``program.A`` or
   ``program.pairs``, so no path reduces the pairs a second time.
@@ -36,6 +39,10 @@
   ``scipy.linalg.lapack``, ``scipy.linalg.blas`` or ``cholesky_banded``, so
   every factor and triangular sweep of a solver path stays behind
   ``krylov.BorderedBand``.
+- Within ``src/sparseipm`` only ``ippmm`` names ``scipy.sparse.linalg``,
+  once to import it and once to bind the alias ``spla`` that
+  ``perfbench/tracing.py`` replaces, and no module names ``splu``, so no
+  SuperLU factor comes back.
 - ``ippmm`` reads every ``SolverOptions`` field from its ``options`` outside
   ``SolverOptions.__post_init__`` except the four of ``ONLY_CHECKED``, so no
   other field may become a setting that selects nothing.
@@ -373,10 +380,14 @@ def test_checker_finds_band_factor_calls():
                                          ("SaddleMatrix.factor", 7), ("f", 9)]
 
 
+BAND_FACTORS = {("ippmm", "NewtonSystem._factor_band"),
+                ("krylov", "CholeskyFactor.__init__")}  # the ASB baseline's one factor
+
+
 def test_only_the_newton_system_factors_bands():
     found = [(path.name, name, line) for path in MODULES
              for name, line in band_factor_calls(path.read_text())
-             if (path.stem, name) != ("ippmm", "NewtonSystem._factor_band")]
+             if (path.stem, name) not in BAND_FACTORS]
     assert found == []
 
 
@@ -492,6 +503,53 @@ def test_only_krylov_calls_lapack_and_blas():
     found = [(path.name, line) for path in MODULES if path.stem != "krylov"
              for line in lapack_uses(path.read_text())]
     assert found == []
+
+
+def sparse_linalg_uses(source: str) -> list:
+    """(line, stripped source line) of each line that imports
+    ``scipy.sparse.linalg`` or a name from it, imports ``linalg`` from
+    ``scipy.sparse``, names the attribute chain ``sparse.linalg`` or
+    ``sp.linalg``, or names ``splu`` or ``spla``, the alias it goes by."""
+    def is_sparse_linalg(module):
+        return module.split(".")[:3] == ["scipy", "sparse", "linalg"]
+
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found = any(is_sparse_linalg(alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            found = (is_sparse_linalg(node.module or "") or "splu" in names
+                     or node.module == "scipy.sparse" and "linalg" in names)
+        elif isinstance(node, ast.Attribute):
+            found = node.attr in ("splu", "spla") or node.attr == "linalg" and (
+                getattr(node.value, "attr", None) == "sparse"
+                or getattr(node.value, "id", None) == "sp")
+        else:
+            found = isinstance(node, ast.Name) and node.id in ("splu", "spla")
+        if found:
+            lines.add(node.lineno)
+    text = source.splitlines()
+    return [(line, text[line - 1].strip()) for line in sorted(lines)]
+
+
+def test_checker_finds_sparse_linalg_uses():
+    source = ("import scipy.sparse.linalg\nfrom scipy.sparse import linalg, csr_matrix\n"
+              "from scipy.sparse.linalg import splu\nimport scipy.sparse as sp\n"
+              "lu = scipy.sparse.linalg.splu(M)\nx = sp.linalg.spsolve(M, b)\n"
+              "spla = scipy.sparse.linalg\ny = np.linalg.solve(M, b)\n"
+              "z = scipy.linalg.cho_solve(c, b)\nf = spla.splu\n"
+              "import scipy.sparse.linalg as L\n"
+              "from scipy.sparse.csgraph import reverse_cuthill_mckee\n")
+    assert [line for line, _ in sparse_linalg_uses(source)] == [1, 2, 3, 5, 6, 7, 10, 11]
+    assert sparse_linalg_uses("x = 1\nlu = splu(M)\n") == [(2, "lu = splu(M)")]
+
+
+def test_only_ippmm_names_sparse_linalg_for_the_tracer():
+    found = [(path.stem, text) for path in MODULES
+             for _, text in sparse_linalg_uses(path.read_text())]
+    assert found == [("ippmm", "import scipy.sparse.linalg"),
+                     ("ippmm", "spla = scipy.sparse.linalg")]
 
 
 def unread_options(source: str, fields) -> list:

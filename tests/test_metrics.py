@@ -58,6 +58,8 @@ class TestCountTransactions:
     def test_eps_validation(self):
         with pytest.raises(ValueError):
             count_transactions(np.ones(4), 2, eps=0.0)
+        with pytest.raises(ValueError):
+            count_transactions(np.ones(4), 2, eps=float("nan"))
 
 
 class TestPortfolioRatios:

@@ -101,7 +101,7 @@ class TestFmriNormalPrecond:
         M = normal_equations_matrix(g, A, delta)
         b = np.random.default_rng(4).standard_normal(s + ell)
         P, _ = fmri_block_precond(g, A, s, delta, D.shape[1])
-        blocked = pcg(M, b, precond=P.apply_inverse, tol=1e-8, maxit=2000)
+        blocked = pcg(M.__matmul__, b, precond=P.apply_inverse, tol=1e-8, maxit=2000)
         assert blocked.converged and blocked.iterations <= 2
 
 
