@@ -253,9 +253,8 @@ class NewtonSystem:
         """Find the slack pairs: the pairs of ``program.pairs`` whose two
         columns each hold one entry of A (``program.A`` in CSC), both in the
         same row, and that the Hessian does not touch. Keeps their members,
-        each member's row and entry of A, the rows R that hold slack pairs
-        and the rows B that do not, and ``rest``, which marks the variables
-        that are not members."""
+        each member's row and entry of A, the rows B that hold no slack
+        pair, and ``rest``, which marks the variables that are not members."""
         n = program.n
         count = np.diff(A.indptr)
         head = A.indptr[:-1]  # a column's first entry, if it has one
@@ -269,7 +268,7 @@ class NewtonSystem:
         self.prow, self.pval = row[self.pairs], val[self.pairs]
         in_r = np.zeros(program.m, dtype=bool)
         in_r[self.prow] = True
-        self.R, self.B = np.flatnonzero(in_r), np.flatnonzero(~in_r)
+        self.B = np.flatnonzero(~in_r)
         self.rest = np.ones(n, dtype=bool)
         self.rest[self.pairs] = False
 
@@ -446,10 +445,11 @@ class SaddleMatrix(NewtonSystem):
 
 class NormalEquations(NewtonSystem):
     """PCG path: the normal equations of the reduced system of
-    ``NewtonSystem``, with G's Hessian diagonal folded into e and C = None,
-    over all m rows: (A_u D A_u' + diag(E)) dy = rs + A_u D rt, with A_u
-    the columns of the unknowns and D their e (e+ + e- on a u). That is
-    A G^-1 A' + δI with G diagonal.
+    ``NewtonSystem``, with G's Hessian diagonal, that of ``program.Q``,
+    folded into e and C = None, over all m rows:
+    (A_u D A_u' + diag(E)) dy = rs + A_u D rt, with A_u the columns of the
+    unknowns and D their e (e+ + e- on a u). That is A G^-1 A' + δI with G
+    diagonal.
 
     PCG runs under its exact inverse: the direct path's bordered solve
     (``NewtonSystem._direct``) at r1 = 0. The rows B without a slack pair
@@ -463,13 +463,13 @@ class NormalEquations(NewtonSystem):
         if not program.hessian_is_diagonal:
             raise UnsupportedStructureError(
                 "normal equations need a diagonal Hessian; use the augmented path")
-        self.program = program
+        self.hdiag = program.Q.diagonal()
         self._reduce(program)
         self.A_ut = self.A_u.T
         self.A_u2 = self.A_u.power(2)
 
     def factor(self, state: IpPmmState):
-        self._refresh(state, self.program.hess_diag(state.x))
+        self._refresh(state, self.hdiag)
         self.D = self.esum[self.unknowns]
         border = self.A_u2 @ self.D > ELIMINATION_LOSS * self.E
         border[self.B] = True

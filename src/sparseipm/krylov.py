@@ -210,17 +210,21 @@ def pcg(matvec, rhs, precond=None, tol: float = 1e-8, maxit: int = 1000) -> Kryl
 
     ``matvec`` applies the matrix; ``precond`` applies the inverse of an SPD
     preconditioner (identity when None). Stops on the preconditioned
-    residual relative to the preconditioned rhs norm.
+    residual relative to the preconditioned rhs norm. Only a zero rhs
+    converges at once; r'P^-1 r <= 0 at a nonzero one ends the solve
+    unconverged, as a non-SPD preconditioner.
     """
     pinv = precond if precond is not None else (lambda v: v)
     b = np.asarray(rhs, dtype=float)
     x = np.zeros_like(b)
+    if not np.any(b):
+        return KrylovOutcome(x, 0, 0.0, True)
     r = b.copy()
     s = pinv(r)
     rs = float(r @ s)
-    norm0 = np.sqrt(max(rs, 0.0))
-    if norm0 == 0.0:
-        return KrylovOutcome(x, 0, 0.0, True)
+    if rs <= 0:
+        return KrylovOutcome(x, 0, 1.0, False, breakdown_reason="non-spd-preconditioner")
+    norm0 = np.sqrt(rs)
     p = s.copy()
     # Buffers owned by the loop, updated in place. s, and the matvec result,
     # come from callbacks and may alias their argument (an identity

@@ -5,7 +5,6 @@ construction, so they can be shared freely between solver invocations.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,15 +199,13 @@ class BccbOperator:
             raise ValueError("kernel weights must be non-negative")
         if abs(psf.sum() - 1.0) > 1e-10:
             raise ValueError("kernel weights must sum to 1")
-        self._set_psf(psf)
-
-    def _set_psf(self, psf):
         self.psf = psf
         self.grid = psf.shape
         self.rows = self.cols = psf.size
         self.eigenvalues = scipy.fft.rfft2(psf)
         self.conj_eigenvalues = np.conj(self.eigenvalues)
         self._factors = _kronecker_factors(psf)
+        self._coupling_conj = None
 
     def _apply(self, v, side, eigs):
         """The Kronecker form's ``side`` stacks (0 for apply, 1 for the
@@ -232,25 +229,11 @@ class BccbOperator:
         With K[i, j] = psf[i - j], entry a at j is the sum over i of
         weights[i] psf[i - j] psf[i - j - e_a]: the correlation of the
         weights with psf * shift_a(psf), by one forward and one batched
-        inverse real FFT.
+        inverse real FFT. The conjugate half spectra of psf * shift_a(psf) are
+        found on the first call, since set-up needs none.
         """
+        if self._coupling_conj is None:
+            self._coupling_conj = np.conj(scipy.fft.rfft2(
+                [self.psf * np.roll(self.psf, 1, axis=axis) for axis in (0, 1)]))
         spectrum = scipy.fft.rfft2(np.asarray(weights, dtype=float).reshape(self.grid))
         return scipy.fft.irfft2(spectrum * self._coupling_conj, s=self.grid)
-
-    @functools.cached_property
-    def _coupling_conj(self):
-        """The conjugate half spectra of psf * shift_a(psf), a = 0, 1, found
-        on the first call of ``couplings``, since set-up needs none."""
-        return np.conj(scipy.fft.rfft2(
-            [self.psf * np.roll(self.psf, 1, axis=axis) for axis in (0, 1)]))
-
-    def squared_kernel_operator(self) -> "BccbOperator":
-        """Operator whose kernel weights are the element-wise squared PSF.
-
-        Its transpose applied to u gives sum_i u_i * d_ij^2, i.e. the exact
-        diagonal of D^T diag(u) D; used for diagonal Hessian approximations.
-        It factors the squared PSF afresh: its rank is not the PSF's.
-        """
-        out = object.__new__(BccbOperator)
-        out._set_psf(self.psf ** 2)
-        return out

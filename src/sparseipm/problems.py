@@ -2,7 +2,6 @@
 program via the split-variable reformulation, plus the objective oracles."""
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 import warnings
@@ -21,24 +20,24 @@ class DomainError(ValueError):
 class ConvexProgram:
     """min f(x) s.t. A x = b, x_I >= 0, x_F free, with oracle callbacks.
 
-    The sizes ``m, n`` come from ``A``; ``free`` is the complement of
-    ``nonneg``. ``hessian_is_diagonal`` is set from ``Q`` on construction:
-    true when the explicit Hessian ``Q`` is given and diagonal, which enables
-    the normal-equations solver path. ``hess_action(x)`` returns the action
-    v -> Hessian(x) v, so that work shared by all products at one point is done
-    once per point. ``hess_approx(x)`` returns H~, the approximation of the
-    f-Hessian H that the MINRES preconditioner factors, as one vector: its
-    diagonal, then its value on each column (i, j) of the 2 x c index array
-    ``couplings``, the pairs of coordinates it couples (each once; none by
-    default), a pattern fixed per program. ``hess_diag_cheap`` is an
-    optional inexpensive diagonal approximation of H. Each column (x+, x-) of the
-    2 x p index array ``pairs`` names a split pair of non-negative
-    coordinates whose columns in ``A`` and ``Q`` are exact negatives. Without
-    ``Q``, the Hessian of f must vanish on pair coordinates (f is at most
-    linear in them). Every solver path eliminates each slack pair, one whose
-    two columns each hold a single entry of ``A`` in the same row, and that
-    row with it, and no other row, and reduces every other pair to one
-    unknown inside its Newton solve.
+    The sizes ``m, n`` come from ``A``. ``hessian_is_diagonal`` is set from
+    ``Q`` on construction: true when the explicit Hessian ``Q`` is given and
+    diagonal, which enables the normal-equations solver path.
+    ``hess_action(x)`` returns the action v -> Hessian(x) v, so that work
+    shared by all products at one point is done once per point.
+    ``hess_approx(x)`` returns H~, the approximation of the f-Hessian H that
+    the MINRES preconditioner factors, as one vector: its diagonal, then its
+    value on each column (i, j) of the 2 x c index array ``couplings``, the
+    pairs of coordinates it couples (each once; none by default), a pattern
+    fixed per program. ``hess_diag``, the exact diagonal of H, and
+    ``hess_diag_cheap``, an inexpensive approximation of it, are optional.
+    Each column (x+, x-) of the 2 x p index array ``pairs`` names a split
+    pair of non-negative coordinates whose columns in ``A`` and ``Q`` are
+    exact negatives. Without ``Q``, the Hessian of f must vanish on pair
+    coordinates (f is at most linear in them). Every solver path eliminates
+    each slack pair, one whose two columns each hold a single entry of ``A``
+    in the same row, and that row with it, and no other row, and reduces
+    every other pair to one unknown inside its Newton solve.
     """
 
     A: sp.csr_matrix
@@ -64,7 +63,6 @@ class ConvexProgram:
         free[self.nonneg] = False
         if np.count_nonzero(free) != self.n - self.nonneg.size:
             raise ValueError("nonneg indices must not repeat")
-        self.free = np.flatnonzero(free)
         self.pairs, self.couplings = map(self._index_pairs, ("pairs", "couplings"))
         paired = np.zeros(self.n, dtype=bool)
         paired[self.pairs] = True
@@ -106,11 +104,11 @@ def quadratic_program(Q, c, A, b, nonneg=None, **kw) -> ConvexProgram:
 
 
 def split_l1_program(A, b, k, lam, nonneg, value, gradient, hess_action, hess_approx,
-                     hess_diag, hess_diag_cheap, couplings=None) -> ConvexProgram:
+                     hess_diag_cheap, couplings=None) -> ConvexProgram:
     """Build a ConvexProgram for f(x) = phi(w) + lam * sum(x[k:]) with
     x = [w; d+; d-] and w = x[:k], from phi's oracles as functions of w (H~
     coupling the coordinates of ``couplings``); the gradient is lam and the
-    Hessian action, H~ and the diagonals are zero on the pairs."""
+    Hessian action, H~ and the cheap diagonal are zero on the pairs."""
     n = A.shape[1]
     zeros = np.zeros(n - k)
 
@@ -127,7 +125,6 @@ def split_l1_program(A, b, k, lam, nonneg, value, gradient, hess_action, hess_ap
         objective=lambda x: value(x[:k]) + lam * float(np.sum(x[k:])),
         gradient=lambda x: np.concatenate([gradient(x[:k]), np.full(n - k, lam)]),
         hess_action=padded_action, hess_approx=padded_approx,
-        hess_diag=lambda x: np.concatenate([hess_diag(x[:k]), zeros]),
         hess_diag_cheap=lambda x: np.concatenate([hess_diag_cheap(x[:k]), zeros]),
         pairs=np.arange(k, n).reshape(2, -1), couplings=couplings, extract=lambda x: x[:k])
 
@@ -402,14 +399,10 @@ def build_poisson_tv(inst: PoissonTvInstance) -> ConvexProgram:
         lumped = np.bincount(ends, np.tile(h, 2), minlength=n)
         return np.concatenate([inst.blur.apply_transpose(weights) - lumped, h])
 
-    # diag(D' U^2 D)_j = sum_i u2_i d_ij^2, via the squared-kernel operator,
-    # built on the first call: no solver path needs it on Poisson
-    blur_sq = functools.cache(inst.blur.squared_kernel_operator)
     return split_l1_program(
         A, np.concatenate([[r], np.zeros(l)]), n, inst.lam, np.arange(n + 2 * l),
         value=lambda w: kl_value(w, inst), gradient=lambda w: kl_gradient(w, inst),
-        hess_action=hess_action, hess_approx=hess_approx,
-        hess_diag=lambda w: blur_sq().apply_transpose(u2(w)), hess_diag_cheap=u2,
+        hess_action=hess_action, hess_approx=hess_approx, hess_diag_cheap=u2,
         couplings=pixels)
 
 
@@ -486,5 +479,4 @@ def build_logistic_l1(inst: LogisticInstance) -> ConvexProgram:
         A, np.zeros(s), s, inst.tau, np.arange(s, 3 * s),
         value=lambda w: logistic_loss(D, g, w),
         gradient=lambda w: logistic_oracle(D, g, w)[0],
-        hess_action=hess_action, hess_approx=hess_diag, hess_diag=hess_diag,
-        hess_diag_cheap=hess_diag)
+        hess_action=hess_action, hess_approx=hess_diag, hess_diag_cheap=hess_diag)

@@ -1,4 +1,4 @@
-"""Fifteen small ``ast`` checks in place of a linter, and one on the README.
+"""Sixteen small ``ast`` checks in place of a linter, and one on the README.
 
 - Every name a ``sparseipm`` module imports is used in that module: it appears
   as a name anywhere in the module, or in ``__all__``.
@@ -12,6 +12,11 @@
 - Every ``ConvexProgram`` field is read as an attribute somewhere in
   ``src/sparseipm`` outside its own class: an input no solver code reads is
   not an input.
+- Every attribute that a ``sparseipm`` class assigns, as ``self.<name> = ...``
+  or as a dataclass field, is loaded somewhere in ``src/`` or
+  ``perfbench/``: as an attribute, a keyword or a string (``getattr`` by
+  name). An attribute that only tests read is not kept; ``ALLOWED_UNLOADED``
+  names the exceptions.
 - No ``sparseipm`` function imports inside its body: every dependency of a
   module shows at its top.
 - Every defaulted parameter of a ``sparseipm`` function or method, public or
@@ -196,6 +201,58 @@ def test_checker_flags_an_unread_field():
 def test_every_program_field_is_read():
     fields = [f.name for f in dataclasses.fields(ConvexProgram)]
     assert unread_fields("ConvexProgram", fields, [p.read_text() for p in MODULES]) == []
+
+
+# attributes kept without a load in src/ or perfbench/, with the reason
+ALLOWED_UNLOADED = {
+    "KrylovOutcome.final_relative_residual":
+        "a solve's per-iteration trace is to report the achieved inner residual",
+}
+
+
+def unloaded_attributes(modules, sources) -> list:
+    """``Class.name`` for each attribute that a class in ``modules`` assigns,
+    as ``self.<name> = ...`` or as a dataclass field, and that no source in
+    ``sources`` loads as an attribute, passes as a keyword or names as a
+    string."""
+    assigned = set()
+    for source in modules:
+        for cls in ast.walk(ast.parse(source)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            if any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+                   == "dataclass" for d in cls.decorator_list):
+                assigned.update((cls.name, node.target.id) for node in cls.body
+                                if isinstance(node, ast.AnnAssign))
+            assigned.update((cls.name, node.attr) for node in ast.walk(cls)
+                            if isinstance(node, ast.Attribute)
+                            and isinstance(node.ctx, ast.Store)
+                            and getattr(node.value, "id", None) == "self")
+    loaded = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.keyword):
+                loaded.add(node.arg)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                loaded.add(node.value)
+    return sorted(f"{cls}.{name}" for cls, name in assigned if name not in loaded)
+
+
+def test_checker_flags_an_unloaded_attribute():
+    modules = ["@dataclass(frozen=True)\nclass P:\n    a: int\n    b: int = 0\n"
+               "    def f(self):\n        self.c, self.d = 1, 2\n        self.e[0] = 3\n",
+               "class Q:\n    g: int\n    def __init__(self):\n        self.h = 1\n"
+               "        other.i = 2\n"]
+    sources = [*modules, "print(p.a, q.e)\nP(b=1)\ngetattr(p, 'd')\n"]
+    assert unloaded_attributes(modules, sources) == ["P.c", "Q.h"]
+
+
+def test_no_attribute_only_tests_read():
+    unloaded = unloaded_attributes([p.read_text() for p in MODULES],
+                                   [p.read_text() for p in MODULES + PERFBENCH])
+    assert [name for name in unloaded if name not in ALLOWED_UNLOADED] == []
 
 
 def function_local_imports(source: str) -> list:

@@ -16,7 +16,7 @@ from sparseipm.ippmm import (AugmentedSystem, IpPmmState, NormalEquations,
                              newton_rhs, solve, step_lengths,
                              update_penalties_and_estimates)
 from sparseipm.harness import gen_classification, gen_fused_lasso, gen_portfolio
-from sparseipm.problems import (LogisticInstance, build_fused_lasso_ls,
+from sparseipm.problems import (ConvexProgram, LogisticInstance, build_fused_lasso_ls,
                                 build_logistic_l1, build_poisson_tv,
                                 build_portfolio_qp, quadratic_program)
 from planted import planted_qp
@@ -30,7 +30,8 @@ def random_state(prog, seed=0, rho=1e-2, delta=1e-2):
     opts = SolverOptions()
     state = initial_state(prog, opts)
     state.x[prog.nonneg] = rng.uniform(0.5, 2.0, size=prog.nonneg.size)
-    state.x[prog.free] = rng.standard_normal(prog.free.size)
+    free = np.setdiff1d(np.arange(prog.n), prog.nonneg)
+    state.x[free] = rng.standard_normal(free.size)
     state.z[prog.nonneg] = rng.uniform(0.5, 2.0, size=prog.nonneg.size)
     state.y = rng.standard_normal(prog.m)
     state.zeta = state.x + 0.1 * rng.standard_normal(prog.n)
@@ -263,7 +264,7 @@ class TestSystemAssembly:
         system = factored(AugmentedSystem, st, prog)
         (sp_, sq), (up, uq) = prog.pairs[:, :5], prog.pairs[:, 5:]  # slack pairs, u's
         R, B = np.arange(4, 8), np.arange(4)
-        assert system.pairs.size == 10 and np.array_equal(system.R, R)
+        assert system.pairs.size == 10 and np.array_equal(np.unique(system.prow), R)
         A, rows = prog.A.toarray(), system.rows
         e = 1.0 / (st.xi_diag() + st.rho)
         E = st.delta + A[:, sp_] ** 2 @ (e[sp_] + e[sq])
@@ -430,7 +431,7 @@ class TestDirectPath:
                       "border row": [0, 1, 2, 3, n, n + 1, n + 2, n + 3]}[members])
         system = factored(cls, st, prog)
         # one unknown per w pair
-        assert system.rows.size == n and system.R.size == 8 and system.B.size == 4
+        assert system.rows.size == n and np.unique(system.prow).size == 8 and system.B.size == 4
         assert_dense_step(system, st, prog)
 
     @pytest.mark.parametrize("members", ["slack member", "slack pair"])
@@ -589,6 +590,46 @@ class TestSolveBehavior:
         vals = list(sols.values())
         assert max(vals) - min(vals) <= 1e-6 * (1 + abs(vals[0]))
 
+    def test_three_paths_agree_without_a_hess_diag_oracle(self):
+        # a bare ConvexProgram with a diagonal Q and no hess_diag: the PCG
+        # path reads the Hessian diagonal from Q
+        qdiag, c = np.array([2.0, 1.0, 3.0]), np.array([-1.0, -2.0, 0.5])
+        Q = sp.diags(qdiag, format="csr")
+        prog = ConvexProgram(
+            A=sp.csr_matrix(np.ones((1, 3))), b=np.ones(1), nonneg=np.arange(3),
+            objective=lambda x: 0.5 * float(x @ (Q @ x)) + float(c @ x),
+            gradient=lambda x: Q @ x + c, hess_action=lambda x: lambda v: Q @ v,
+            hess_approx=lambda x: qdiag, Q=Q)
+        assert prog.hess_diag is None
+        objectives = []
+        for path in ("direct-augmented", "pcg-normal", "minres-augmented"):
+            (x, _, _), rep = solve(prog, SolverOptions(tol=1e-8, linear_solver=path))
+            assert rep.status == "optimal", path
+            objectives.append(prog.objective(x))
+        assert max(objectives) - min(objectives) <= 1e-8 * (1 + abs(objectives[0]))
+
+    @pytest.mark.parametrize("path", ["direct-augmented", "pcg-normal",
+                                      "minres-augmented"])
+    def test_qp_without_non_negative_variables_matches_the_kkt_solution(self, path):
+        # no complementarity: μ = 0 and the centering parameter is SIGMA_MIN
+        rng = np.random.default_rng(52)
+        n, m = 6, 2
+        Q = np.diag(rng.uniform(0.5, 2.0, n))
+        c, A, b = rng.standard_normal(n), rng.standard_normal((m, n)), rng.standard_normal(m)
+        prog = quadratic_program(Q, c, A, b, nonneg=np.zeros(0, dtype=int))
+        (x, y, _), rep = solve(prog, SolverOptions(tol=1e-8, linear_solver=path))
+        assert rep.status == "optimal" and set(rep.mu_history) == {0.0}
+        kkt = np.block([[Q, -A.T], [A, np.zeros((m, m))]])
+        expected = np.linalg.solve(kkt, np.concatenate([-c, b]))
+        np.testing.assert_allclose(np.concatenate([x, y]), expected, atol=1e-6)
+
+    def test_non_finite_residual_is_numerical_failure(self):
+        prog = quadratic_program(np.eye(3), np.zeros(3), np.ones((1, 3)), np.ones(1))
+        prog.gradient = lambda x: np.full(x.size, np.nan)
+        _, rep = solve(prog, SolverOptions())
+        assert rep.status == "numerical-failure" and rep.iterations == 0
+        assert len(rep.primal_inf_history) == len(rep.mu_history) == 1
+
     @pytest.mark.filterwarnings("ignore:more samples than features")
     @pytest.mark.parametrize("path", ["direct-augmented", "minres-augmented",
                                       "pcg-normal"])
@@ -704,6 +745,27 @@ class TestSolveBehavior:
                                  np.ones(1))
         with pytest.raises(ValueError, match="starting point"):
             solve(prog, SolverOptions(x0=x0))
+
+    def test_start_on_the_boundary_rejected(self):
+        prog = quadratic_program(np.eye(3), np.zeros(3), np.ones((1, 3)), np.ones(1))
+        with pytest.raises(ValueError, match="must be interior"):
+            solve(prog, SolverOptions(x0=np.array([1.0, 0.0, 1.0])))
+
+    def test_direct_path_needs_an_explicit_hessian(self):
+        rng = np.random.default_rng(53)
+        prog = build_logistic_l1(LogisticInstance(rng.standard_normal((20, 4)),
+                                                  rng.choice([-1.0, 1.0], size=20), 0.05))
+        with pytest.raises(UnsupportedStructureError, match="explicit quadratic"):
+            solve(prog, SolverOptions(linear_solver="direct-augmented"))
+
+    def test_minres_path_rejects_couplings_of_a_slack_pair_member(self):
+        # logistic's (d+, d-) are slack pairs; H~ may not couple w_0 with d+_0
+        rng = np.random.default_rng(54)
+        prog = build_logistic_l1(LogisticInstance(rng.standard_normal((20, 4)),
+                                                  rng.choice([-1.0, 1.0], size=20), 0.05))
+        prog = dataclasses.replace(prog, couplings=np.array([[0], [5]]))
+        with pytest.raises(UnsupportedStructureError, match="reduced unknowns"):
+            solve(prog, SolverOptions(linear_solver="minres-augmented"))
 
     @pytest.mark.parametrize("path", ["direct-augmented", "pcg-normal",
                                       "minres-augmented"])
@@ -837,7 +899,7 @@ class TestSlackPairElimination:
     def test_planted_slack_rows_are_eliminated(self):
         prog, _ = planted_qp("slack", 30, 10, 0)
         system = factored(AugmentedSystem, random_state(prog, seed=43), prog)
-        assert system.pairs.size == 10 and system.R.size == 4
+        assert system.pairs.size == 10 and np.unique(system.prow).size == 4
         assert system.na == 30 and system.band.A_Bt.shape == (30, 10)
 
     def test_poisson_minres_runs_over_pixels_and_the_budget_row(self, monkeypatch):
@@ -1033,7 +1095,7 @@ class TestLifecycle:
         system, borders = self.assert_fmri_blocks_match(prog, (
             [], [s + 3], [s + 7, s + q + 7], [s + 2 * q + 5, s + 2 * q + ell + 5]))
         # one unknown per residual and per w pair; the (d+, d-) pairs leave with E
-        assert system.rows.size == s + q and system.R.size == ell
+        assert system.rows.size == s + q and np.unique(system.prow).size == ell
         # the data rows always border K; the row of the (d+, d-) pair at its
         # bound has E ≈ δ, which at 1e-8 is too small to eliminate it
         assert borders == [s] * 7 + [s + 1]
@@ -1044,7 +1106,7 @@ class TestLifecycle:
         (s, q), ell = inst.data.shape, inst.tv.rows
         system, borders = self.assert_fmri_blocks_match(prog, (
             [], [s + 3], [s + 2 * q + 5, s + 2 * q + ell + 5]))
-        assert system.rows.size == s + 2 * q + 2 * ell and system.R.size == 0
+        assert system.rows.size == s + 2 * q + 2 * ell and system.prow.size == 0
         # without a slack pair no row is eliminated: every row borders K
         assert borders == [s + ell] * 6
 

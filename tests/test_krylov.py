@@ -108,6 +108,24 @@ class TestPcg:
         out = pcg(np.eye(4).__matmul__, np.zeros(4))
         assert out.converged and out.iterations == 0
 
+    @pytest.mark.parametrize("precond", [lambda v: -v, lambda v: 0.0 * v],
+                             ids=["negative", "zero"])
+    def test_non_spd_preconditioner_at_a_nonzero_rhs(self, precond):
+        """r'P^-1 r <= 0 at the start is a breakdown, not a zero rhs."""
+        out = pcg(np.diag([1.0, 2.0, 3.0]).__matmul__, np.ones(3), precond)
+        assert not out.converged and out.iterations == 0
+        assert out.breakdown_reason == "non-spd-preconditioner"
+        np.testing.assert_array_equal(out.solution, np.zeros(3))
+
+    def test_non_spd_preconditioner_in_the_loop(self):
+        # P^-1 = diag(1, -1) is positive on r0 = (1, 0.5), 0.75, and negative
+        # on r1 = r0 - 0.6 r0 * (1, -1) = (0.4, 0.8), -0.48
+        out = pcg(np.eye(2).__matmul__, np.array([1.0, 0.5]),
+                  lambda v: v * np.array([1.0, -1.0]), maxit=10)
+        assert not out.converged and out.iterations == 1
+        assert out.breakdown_reason == "non-spd-preconditioner"
+        np.testing.assert_allclose(out.solution, [0.6, -0.3], rtol=1e-15)
+
     def test_indefinite_breakdown(self):
         M = np.diag([1.0, -1.0])
         out = pcg(M.__matmul__, np.array([0.0, 1.0]), maxit=10)

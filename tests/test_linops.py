@@ -214,18 +214,16 @@ class TestBccbOperator:
                              ids=lambda k: f"{k.family}-{k.grid}" if isinstance(k, BlurKernel)
                              else ("kron" if k else "fft"))
     def test_both_forms_match_a_reference(self, kernel, kronecker):
-        """Each form, and the squared-kernel operator built from it, applies
-        its own PSF; a squared operator sharing the PSF's factors fails."""
+        """Each form applies its PSF."""
         rng = np.random.default_rng(6)
         op = BccbOperator(kernel)
-        for oper, psf in ((op, kernel.psf()), (op.squared_kernel_operator(), kernel.psf() ** 2)):
-            assert (oper._factors is not None) == kronecker
-            for sign, apply in ((1, oper.apply), (-1, oper.apply_transpose)):
-                v = rng.standard_normal(oper.cols)
-                expected = reference_blur(psf, v, sign)
-                np.testing.assert_allclose(apply(v), expected, rtol=1e-12,
-                                           atol=1e-13 * np.abs(expected).max())
-            adjoint_probe(oper, rng)
+        assert (op._factors is not None) == kronecker
+        for sign, apply in ((1, op.apply), (-1, op.apply_transpose)):
+            v = rng.standard_normal(op.cols)
+            expected = reference_blur(kernel.psf(), v, sign)
+            np.testing.assert_allclose(apply(v), expected, rtol=1e-12,
+                                       atol=1e-13 * np.abs(expected).max())
+        adjoint_probe(op, rng)
 
     @pytest.mark.parametrize("kernel", [
         BlurKernel("gaussian", (16, 16), {"sigma": 2.0}),
@@ -254,20 +252,6 @@ class TestBccbOperator:
         op = BccbOperator(BlurKernel("gaussian", (8, 8), {"sigma": 1.0}))
         v = np.random.default_rng(4).uniform(size=64)
         assert abs(op.apply(v).sum() - v.sum()) <= 1e-10
-
-    @pytest.mark.parametrize("kernel", [
-        BlurKernel("gaussian", (8, 8), {"sigma": 1.0}),
-        BlurKernel("gaussian", (5, 7), {"sigma": 1.0}),
-    ])
-    def test_squared_kernel_gives_exact_diagonal(self, kernel):
-        op = BccbOperator(kernel)
-        sq = op.squared_kernel_operator()
-        dense = np.column_stack([op.apply(e) for e in np.eye(op.cols)])
-        u = np.random.default_rng(5).uniform(0.5, 2.0, size=op.cols)
-        # diag(D' diag(u) D) = (D.^2)' u
-        expected = np.diag(dense.T @ np.diag(u) @ dense)
-        np.testing.assert_allclose(sq.apply_transpose(u), expected,
-                                   rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("family", sorted(BLUR_PARAMETERS))
     @pytest.mark.parametrize("grid, kronecker", [((12, 16), True),
