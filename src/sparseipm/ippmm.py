@@ -58,8 +58,8 @@ class SolverOptions:
     def __post_init__(self):
         if self.linear_solver not in _CONTEXTS:
             raise ValueError(f"unknown linear solver {self.linear_solver!r}")
-        if not self.tol > 0 or self.max_iter < 1:
-            raise ValueError("tol must be positive and max_iter at least 1")
+        if not 0 < self.tol < np.inf or self.max_iter < 1:
+            raise ValueError("tol must be positive and finite and max_iter at least 1")
         if self.dropping and not self.eps_drop > 0:
             raise ValueError("dropping needs a positive eps_drop")
         if self.htilde_choice not in ("u-squared", "diag-h"):
@@ -117,18 +117,22 @@ class SolveReport:
     drop_audit: Optional[dict] = None  # always None: the solver drops no variable
 
     def to_json(self) -> str:
+        """Strict JSON: a non-finite history entry or objective is null."""
+        def finite(v):
+            return v if np.isfinite(v) else None
+
         return json.dumps({
             "status": self.status,
             "iters": self.iterations,
-            "primal_inf": self.primal_inf_history,
-            "dual_inf": self.dual_inf_history,
-            "mu": self.mu_history,
+            "primal_inf": list(map(finite, self.primal_inf_history)),
+            "dual_inf": list(map(finite, self.dual_inf_history)),
+            "mu": list(map(finite, self.mu_history)),
             "time_s": self.time_s,
             "inner_iters": self.inner_iterations,
             "inner_capped": self.inner_capped,
-            "objective": None if np.isnan(self.final_objective) else self.final_objective,
+            "objective": finite(self.final_objective),
             "phase_times": self.phase_times,
-        }, indent=2)
+        }, indent=2, allow_nan=False)
 
 
 def initial_state(program: ConvexProgram, options: SolverOptions) -> IpPmmState:
@@ -335,6 +339,12 @@ class NewtonSystem:
         xu, yb = self.band.solve_bordered(self.A_Rt @ u - rt, rs[self.border])
         return xu, self._dy(u, xu, yb)
 
+    def solve(self, r1: np.ndarray, r2: np.ndarray):
+        """The full-length (dx, dy) at the full-length rhs (r1, r2): the
+        path's ``_reduced_solve`` of the reduced rhs, expanded."""
+        rt, rs = self._reduced_rhs(r1, r2)
+        return self._expand(r1, rt, *self._reduced_solve(rt, rs))
+
     def _expand(self, r1, rt, xu, dy):
         """The full-length (dx, dy) of the reduced solution (xu, dy)."""
         c, e, p, q, kp = self.pairs, self.e, self.p, self.q, self.kp
@@ -412,13 +422,13 @@ class AugmentedSystem(NewtonSystem):
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.band.split_apply(v, self._gap)
 
-    def solve(self, r1: np.ndarray, r2: np.ndarray):
-        rt, rs = self._reduced_rhs(r1, r2)
+    def _reduced_solve(self, rt, rs):
+        """(xu, dy) by MINRES on the split operator."""
         u = rs[self.elim] / self.E_elim
         f = self.band.split_rhs(rt - self.A_Rt @ u, rs[self.border])
         xu, yb = self.band.unsplit(self._count(minres(self.matvec, f, tol=self.tol,
                                                       maxit=INNER_MAXIT)))
-        return self._expand(r1, rt, xu, self._dy(u, xu, yb))
+        return xu, self._dy(u, xu, yb)
 
 
 class SaddleMatrix(NewtonSystem):
@@ -438,9 +448,7 @@ class SaddleMatrix(NewtonSystem):
         self._refresh(state)
         self._factor_band()
 
-    def solve(self, r1: np.ndarray, r2: np.ndarray):
-        rt, rs = self._reduced_rhs(r1, r2)
-        return self._expand(r1, rt, *self._direct(rt, rs))
+    _reduced_solve = NewtonSystem._direct
 
 
 class NormalEquations(NewtonSystem):
@@ -485,22 +493,14 @@ class NormalEquations(NewtonSystem):
     def matvec(self, dy: np.ndarray) -> np.ndarray:
         return self.A_u @ (self.D * (self.A_ut @ dy)) + self.E * dy
 
-    def rhs(self, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
-        """rs + A_u D rt of the reduced rhs (rt, rs): r2 + A G^-1 r1."""
-        rt, rs = self._reduced_rhs(r1, r2)
-        return rs + self.A_u @ (self.D * rt[self.where])
-
-    def solve(self, r1: np.ndarray, r2: np.ndarray):
+    def _reduced_solve(self, rt, rs):
+        """dy by PCG on rs + A_u D rt (r2 + A G^-1 r1), then xu = (A_u'dy - rt)/dt."""
         # built per solve: kept on the system, it would make a reference cycle
         # that holds each solve's system until a full garbage collection
         precond = precondmod.build_fmri_normal_precond(self._apply_inverse)
-        dy = self._count(pcg(self.matvec, self.rhs(r1, r2), precond.apply_inverse,
-                             tol=self.tol, maxit=INNER_MAXIT))
-        t = np.empty(r1.size)  # A'dy
-        t[self.unknowns] = self.A_ut @ dy
-        t[self.q] = -t[self.p]
-        t[self.pairs] = self.pval * dy[self.prow]
-        return self.e * (t - r1), dy
+        dy = self._count(pcg(self.matvec, rs + self.A_u @ (self.D * rt[self.where]),
+                             precond.apply_inverse, tol=self.tol, maxit=INNER_MAXIT))
+        return ((self.A_ut @ dy)[self.band.order] - rt) / self.dt, dy
 
 
 _CONTEXTS = {

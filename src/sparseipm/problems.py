@@ -129,6 +129,34 @@ def split_l1_program(A, b, k, lam, nonneg, value, gradient, hess_action, hess_ap
         pairs=np.arange(k, n).reshape(2, -1), couplings=couplings, extract=lambda x: x[:k])
 
 
+def _assemble(shape, blocks) -> sp.csr_matrix:
+    """The CSR matrix of ``shape`` that holds each block M of ``blocks``,
+    given as (M, row offset, column offset), built in one COO step."""
+    coo = [(M.tocoo(), i, j) for M, i, j in blocks]
+    return sp.csr_matrix((np.concatenate([M.data for M, _, _ in coo]),
+                          (np.concatenate([M.row + i for M, i, _ in coo]),
+                           np.concatenate([M.col + j for M, _, j in coo]))), shape=shape)
+
+
+def fused_qp_program(Qv, cv, Av, C, Aw, L, b, tau1, tau2) -> ConvexProgram:
+    """Build the split QP of min 1/2 v'Qv v + cv'v + 1/2 w'Cw + tau1 |w|_1
+    + tau2 |Lw|_1 s.t. Av v + Aw w = b (the fused lasso under linear
+    constraints), with x = [v; w+; w-; d+; d-], v free, w = w+ - w- and
+    Lw = d+ - d-, whose (w+, w-) and (d+, d-) are declared pairs."""
+    nv, m, (l, q) = len(cv), len(b), L.shape
+    n = nv + 2 * (q + l)
+    C, Aw, L, eye = C.tocoo(), Aw.tocoo(), L.tocoo(), sp.eye(l, format="coo")
+    Q = _assemble((n, n), [(Qv, 0, 0), (C, nv, nv), (-C, nv, nv + q), (-C, nv + q, nv),
+                           (C, nv + q, nv + q)])
+    A = _assemble((m + l, n), [(Av, 0, 0), (Aw, 0, nv), (-Aw, 0, nv + q), (L, m, nv),
+                               (-L, m, nv + q), (-eye, m, n - 2 * l), (eye, m, n - l)])
+    c = np.concatenate([cv, np.full(2 * q, tau1), np.full(2 * l, tau2)])
+    w, d = nv + np.arange(q), nv + 2 * q + np.arange(l)
+    return quadratic_program(Q, c, A, np.concatenate([b, np.zeros(l)]), nonneg=np.arange(nv, n),
+                             pairs=np.array([np.r_[w, d], np.r_[w + q, d + l]]),
+                             extract=lambda x: x[nv:nv + q] - x[nv + q:nv + 2 * q])
+
+
 # ---------------------------------------------------------------------------
 # Multi-period portfolio
 
@@ -201,32 +229,12 @@ def budget_constraints(inst: PortfolioInstance) -> tuple:
 
 
 def build_portfolio_qp(inst: PortfolioInstance) -> ConvexProgram:
-    """Split-variable QP with x = [w+; w-; d+; d-]."""
-    m, s = inst.num_periods, inst.num_assets
-    n = m * s
-    l = (m - 1) * s
-    C = inst.block_covariance()
-    L = inst.difference.matrix
+    """Split-variable QP with x = [w+; w-; d+; d-]: ``fused_qp_program``
+    with no free block."""
     Abar, bbar = budget_constraints(inst)
-
-    Q = sp.bmat([
-        [C, -C, None, None],
-        [-C, C, None, None],
-        [None, None, sp.csr_matrix((l, l)), None],
-        [None, None, None, sp.csr_matrix((l, l))],
-    ], format="csr")
-    A = sp.bmat([
-        [Abar, -Abar, None, None],
-        [L, -L, -sp.eye(l), sp.eye(l)],
-    ], format="csr")
-    b = np.concatenate([bbar, np.zeros(l)])
-    c = np.concatenate([
-        np.full(2 * n, inst.tau1), np.full(2 * l, inst.tau2)])
-
-    pairs = np.array([np.r_[:n, 2 * n:2 * n + l], np.r_[n:2 * n, 2 * n + l:2 * (n + l)]])
-    prog = quadratic_program(Q, c, A, b, pairs=pairs)
-    prog.extract = lambda x: x[:n] - x[n:2 * n]
-    return prog
+    return fused_qp_program(sp.csr_matrix((0, 0)), np.zeros(0), sp.csr_matrix((len(bbar), 0)),
+                            inst.block_covariance(), Abar, inst.difference.matrix, bbar,
+                            inst.tau1, inst.tau2)
 
 
 def naive_portfolio(inst: PortfolioInstance) -> tuple:
@@ -279,29 +287,13 @@ class FusedLassoLsInstance:
 
 
 def build_fused_lasso_ls(inst: FusedLassoLsInstance) -> ConvexProgram:
-    """Split program with x = [u; w+; w-; d+; d-], u = Dw free; (w+, w-) and
-    (d+, d-) are declared pairs."""
+    """Split program with x = [u; w+; w-; d+; d-]: ``fused_qp_program``
+    with the free block u = Dw, whose Hessian is I/s."""
     s, q = inst.data.shape
-    L = inst.tv.matrix
-    l = inst.tv.rows
-    D = sp.csr_matrix(inst.data)
-    n = s + 2 * q + 2 * l
-    A = sp.bmat([
-        [-sp.eye(s), D, -D, None, None],
-        [None, L, -L, -sp.eye(l), sp.eye(l)],
-    ], format="csr")
-    b = np.zeros(s + l)
-    qdiag = np.concatenate([np.full(s, 1.0 / s), np.zeros(2 * q + 2 * l)])
-    Q = sp.diags(qdiag, format="csr")
-    c = np.concatenate([
-        -inst.labels / s,
-        np.full(2 * q, inst.tau1),
-        np.full(2 * l, inst.tau2),
-    ])
-    w, d = s + np.arange(q), s + 2 * q + np.arange(l)
-    prog = quadratic_program(Q, c, A, b, nonneg=np.arange(s, n),
-                             pairs=np.array([np.r_[w, d], np.r_[w + q, d + l]]))
-    prog.extract = lambda x: x[s:s + q] - x[s + q:s + 2 * q]
+    eye = sp.eye(s, format="coo")
+    prog = fused_qp_program(eye / s, -inst.labels / s, -eye,
+                            sp.coo_matrix((q, q)), sp.coo_matrix(inst.data), inst.tv.matrix,
+                            np.zeros(s), inst.tau1, inst.tau2)
     # carry the constant ||y||^2/(2s) so values match the unsplit model
     const = float(inst.labels @ inst.labels) / (2.0 * s)
     quad = prog.objective

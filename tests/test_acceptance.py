@@ -171,7 +171,8 @@ def test_criterion_04_solver_path_equivalence():
         r1, r2 = newton_rhs(st, rp, gy, 1.0)
         normal = factored(NormalEquations, st, prog)
         M = np.column_stack([normal.matvec(e) for e in np.eye(m)])
-        dy_normal = np.linalg.solve(M, normal.rhs(r1, r2))
+        g = prog.Q.diagonal() + st.xi_diag() + st.rho  # G, diagonal
+        dy_normal = np.linalg.solve(M, r2 + prog.A @ (r1 / g))
         matrix = direct_matrix(st, prog)
         sol = np.linalg.solve(matrix, np.concatenate([r1, r2]))
         dy_aug = sol[n:]

@@ -512,6 +512,7 @@ class TestCli:
     @pytest.mark.parametrize("flags", [["--tol", "-1"], ["--max-iter", "-3"],
                                        ["--tol", "nan", "--max-iter", "1"],
                                        ["--tol", "0", "--max-iter", "1"],
+                                       ["--tol", "inf", "--max-iter", "1"],
                                        ["--solver", "asb", "--tol", "0"],
                                        ["--solver", "asb,ippmm", "--max-iter", "0"],
                                        ["--solver", "asb,ippmm", "--tol", "-1"]])

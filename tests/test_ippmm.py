@@ -296,10 +296,12 @@ class TestSystemAssembly:
         r1, r2 = newton_rhs(st, rp, gy, 1.0)
         normal = factored(NormalEquations, st, prog)
         M = np.column_stack([normal.matvec(e) for e in np.eye(4)])
-        dy_normal = np.linalg.solve(M, normal.rhs(r1, r2))
+        g = prog.Q.diagonal() + st.xi_diag() + st.rho  # G, diagonal
+        dy_normal = np.linalg.solve(M, r2 + prog.A @ (r1 / g))
         matrix = direct_matrix(st, prog)
         sol = np.linalg.solve(matrix, np.concatenate([r1, r2]))
         np.testing.assert_allclose(dy_normal, sol[10:], rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(normal.solve(r1, r2)[1], sol[10:], rtol=1e-10, atol=1e-10)
         np.testing.assert_allclose(direct_step(st, prog, r1, r2), sol,
                                    rtol=1e-10, atol=1e-10)
 
@@ -626,9 +628,17 @@ class TestSolveBehavior:
     def test_non_finite_residual_is_numerical_failure(self):
         prog = quadratic_program(np.eye(3), np.zeros(3), np.ones((1, 3)), np.ones(1))
         prog.gradient = lambda x: np.full(x.size, np.nan)
+        prog.objective = lambda x: np.inf
         _, rep = solve(prog, SolverOptions())
         assert rep.status == "numerical-failure" and rep.iterations == 0
         assert len(rep.primal_inf_history) == len(rep.mu_history) == 1
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        # the report is strict JSON: its non-finite residual and objective are null
+        doc = json.loads(rep.to_json(), parse_constant=reject)
+        assert doc["dual_inf"] == [None] and doc["objective"] is None
 
     @pytest.mark.filterwarnings("ignore:more samples than features")
     @pytest.mark.parametrize("path", ["direct-augmented", "minres-augmented",
@@ -1217,10 +1227,10 @@ class TestNormalOperator:
         np.testing.assert_allclose(M, N, rtol=1e-13, atol=1e-13 * np.abs(N).max())
         rng = np.random.default_rng(49)
         r1, r2 = rng.standard_normal(prog.n), rng.standard_normal(prog.m)
-        np.testing.assert_allclose(system.rhs(r1, r2), r2 + A @ (r1 / g),
-                                   rtol=1e-13, atol=1e-13)
-        # the step: dx from the returned dy by the unreduced formula
+        # the step: dy solves N dy = r2 + A G^-1 r1, dx follows from dy by the
+        # unreduced formula
         dx, dy = system.solve(r1, r2)
+        np.testing.assert_allclose(N @ dy, r2 + A @ (r1 / g), rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(dx, (A.T @ dy - r1) / g, rtol=1e-13,
                                    atol=1e-13 * np.abs(dx).max())
         assert_dense_step(system, st, prog)
