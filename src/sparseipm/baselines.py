@@ -3,7 +3,6 @@ alternating split Bregman with a cached Cholesky factor, FISTA with an inner
 proximal loop, and ADMM with a truncated-CG subproblem solver."""
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -11,6 +10,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
+from .ippmm import strict_json
 from .krylov import CholeskyFactor, pcg
 from .problems import (FusedLassoLsInstance, LogisticInstance,
                        PortfolioInstance, budget_constraints, logistic_oracle)
@@ -33,7 +33,7 @@ class FirstOrderReport:
     factorizations: int = 0
 
     def to_json(self) -> str:
-        return json.dumps({
+        return strict_json({
             "status": self.status,
             "iters": self.iterations,
             "primal_inf": self.primal_inf_history,
@@ -41,7 +41,7 @@ class FirstOrderReport:
             "time_s": self.time_s,
             "inner_iters": self.inner_iterations,
             "factorizations": self.factorizations,
-        }, indent=2)
+        })
 
     def record(self, k: int, feas: float, objective: float, tol: float,
                t0: float, time_budget: Optional[float]) -> bool:

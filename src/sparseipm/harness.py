@@ -365,7 +365,7 @@ FAMILIES = {
     "portfolio": Family(
         help="multi-period portfolio selection",
         flags=(Flag("--s", int, 8), Flag("--m", int, 4),
-               Flag("--tau1", float, 1e-2), Flag("--tau2", float, 1e-2),
+               Flag("--tau1", _NON_NEGATIVE, 1e-2), Flag("--tau2", _NON_NEGATIVE, 1e-2),
                Flag("--trans-eps", _POSITIVE, 1e-4), _BUDGET),
         make=lambda a: (gen_portfolio(a.s, a.m, a.seed, a.tau1, a.tau2), None),
         build=build_portfolio_qp,
@@ -378,7 +378,7 @@ FAMILIES = {
     "fmri": Family(
         help="fused-lasso least-squares classification",
         flags=(Flag("--s", int, 30), Flag("--grid", str, "4x4x4"),
-               Flag("--tau1", float, 1e-1), Flag("--tau2", float, 1e-1), _BUDGET),
+               Flag("--tau1", _NON_NEGATIVE, 1e-1), Flag("--tau2", _NON_NEGATIVE, 1e-1), _BUDGET),
         make=lambda a: gen_fused_lasso(a.s, _parse_grid(a.grid), a.seed,
                                        a.tau1, a.tau2),
         build=build_fused_lasso_ls,
@@ -400,7 +400,7 @@ FAMILIES = {
                Flag("--sigma", float, None), Flag("--len", float, None),
                Flag("--angle", float, None), Flag("--radius", float, None),
                Flag("--peak", _POSITIVE, 100.0), Flag("--background", _POSITIVE, 1.0),
-               Flag("--lambda", float, 5e-3, {"dest": "lam"}),
+               Flag("--lambda", _NON_NEGATIVE, 5e-3, {"dest": "lam"}),
                Flag("--no-noise", bool, False)),
         make=_make_restore,
         build=build_poisson_tv,
@@ -491,7 +491,7 @@ def _cmd_spectest(args) -> int:
         inst, _ = gen_fused_lasso(6 if args.s is None else args.s, grid, args.seed)
         prog = build_fused_lasso_ls(inst)
         x = np.ones(prog.n)
-        gdiag = prog.hess_diag(x) + 1.0 + rho  # unit point: z/x = 1
+        gdiag = prog.Q.diagonal() + 1.0 + rho  # unit point: z/x = 1
         rep = precond.fmri_spectral_report(gdiag, prog.A, inst.data.shape[0],
                                            rho, delta)
         eigs = rep.eigenvalues
@@ -510,7 +510,8 @@ def _cmd_spectest(args) -> int:
         shift = 1.0 + rho
         hess = prog.hess_action(x)
         H = np.column_stack([hess(e) for e in np.eye(prog.n)]) + shift * np.eye(prog.n)
-        htilde = prog.hess_diag_cheap(x) + shift
+        u2 = inst.observed / (inst.blur.apply(x[:inst.blur.cols]) + inst.background) ** 2
+        htilde = np.r_[u2, np.zeros(prog.n - u2.size)] + shift  # the paper's diag(u^2)
         rep = precond.aug_spectral_report(H, prog.A, htilde, delta)
         eigs = rep.eigenvalues
         neg = eigs[eigs < 0]

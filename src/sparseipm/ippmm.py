@@ -58,8 +58,9 @@ class SolverOptions:
     def __post_init__(self):
         if self.linear_solver not in _CONTEXTS:
             raise ValueError(f"unknown linear solver {self.linear_solver!r}")
-        if not 0 < self.tol < np.inf or self.max_iter < 1:
-            raise ValueError("tol must be positive and finite and max_iter at least 1")
+        if not (0 < self.tol < np.inf and isinstance(self.max_iter, (int, np.integer))
+                and self.max_iter >= 1):
+            raise ValueError("tol must be positive and finite, max_iter an integer >= 1")
         if self.dropping and not self.eps_drop > 0:
             raise ValueError("dropping needs a positive eps_drop")
         if self.htilde_choice not in ("u-squared", "diag-h"):
@@ -118,21 +119,26 @@ class SolveReport:
 
     def to_json(self) -> str:
         """Strict JSON: a non-finite history entry or objective is null."""
-        def finite(v):
-            return v if np.isfinite(v) else None
-
-        return json.dumps({
+        return strict_json({
             "status": self.status,
             "iters": self.iterations,
-            "primal_inf": list(map(finite, self.primal_inf_history)),
-            "dual_inf": list(map(finite, self.dual_inf_history)),
-            "mu": list(map(finite, self.mu_history)),
+            "primal_inf": self.primal_inf_history,
+            "dual_inf": self.dual_inf_history,
+            "mu": self.mu_history,
             "time_s": self.time_s,
             "inner_iters": self.inner_iterations,
             "inner_capped": self.inner_capped,
-            "objective": finite(self.final_objective),
+            "objective": self.final_objective,
             "phase_times": self.phase_times,
-        }, indent=2, allow_nan=False)
+        })
+
+
+def strict_json(report: dict) -> str:
+    """``report`` as indented strict JSON: a non-finite float or list entry is null."""
+    def finite(v):
+        return None if isinstance(v, float) and not np.isfinite(v) else v
+    return json.dumps({key: list(map(finite, v)) if isinstance(v, list) else finite(v)
+                       for key, v in report.items()}, indent=2, allow_nan=False)
 
 
 def initial_state(program: ConvexProgram, options: SolverOptions) -> IpPmmState:
@@ -468,7 +474,7 @@ class NormalEquations(NewtonSystem):
     """
 
     def __init__(self, program: ConvexProgram, options: SolverOptions):
-        if not program.hessian_is_diagonal:
+        if program.Q is None or np.any((Q := program.Q.tocoo()).data[Q.row != Q.col]):
             raise UnsupportedStructureError(
                 "normal equations need a diagonal Hessian; use the augmented path")
         self.hdiag = program.Q.diagonal()

@@ -20,17 +20,16 @@ class DomainError(ValueError):
 class ConvexProgram:
     """min f(x) s.t. A x = b, x_I >= 0, x_F free, with oracle callbacks.
 
-    The sizes ``m, n`` come from ``A``. ``hessian_is_diagonal`` is set from
-    ``Q`` on construction: true when the explicit Hessian ``Q`` is given and
-    diagonal, which enables the normal-equations solver path.
+    The sizes ``m, n`` come from ``A``. ``Q``, the explicit Hessian of a
+    quadratic f, is what the direct path factors; the normal-equations path
+    takes it only when it is diagonal.
     ``hess_action(x)`` returns the action v -> Hessian(x) v, so that work
     shared by all products at one point is done once per point.
     ``hess_approx(x)`` returns H~, the approximation of the f-Hessian H that
     the MINRES preconditioner factors, as one vector: its diagonal, then its
     value on each column (i, j) of the 2 x c index array ``couplings``, the
     pairs of coordinates it couples (each once; none by default), a pattern
-    fixed per program. ``hess_diag``, the exact diagonal of H, and
-    ``hess_diag_cheap``, an inexpensive approximation of it, are optional.
+    fixed per program.
     Each column (x+, x-) of the 2 x p index array ``pairs`` names a split
     pair of non-negative coordinates whose columns in ``A`` and ``Q`` are
     exact negatives. Without ``Q``, the Hessian of f must vanish on pair
@@ -47,12 +46,11 @@ class ConvexProgram:
     gradient: Callable[[np.ndarray], np.ndarray]
     hess_action: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
     hess_approx: Callable[[np.ndarray], np.ndarray]
-    hess_diag: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    hess_diag_cheap: Optional[Callable[[np.ndarray], np.ndarray]] = None
     Q: Optional[sp.csr_matrix] = None
     extract: Optional[Callable[[np.ndarray], np.ndarray]] = None  # split x -> original w
     pairs: Optional[np.ndarray] = None  # 2 x p split pairs (x+, x-)
     couplings: Optional[np.ndarray] = None  # 2 x c coordinate pairs that H~ couples
+    hess_diag = hess_diag_cheap = None  # not fields: only perfbench/tracing.py reads them
 
     def __post_init__(self):
         self.m, self.n = self.A.shape
@@ -70,8 +68,6 @@ class ConvexProgram:
             raise ValueError("pair indices must not repeat")
         if np.any(paired & free):
             raise ValueError("pair indices must be non-negative coordinates")
-        self.hessian_is_diagonal = (
-            self.Q is not None and (self.Q - sp.diags(self.Q.diagonal())).nnz == 0)
 
     def _index_pairs(self, name):
         """The field ``name`` as a 2 x p integer array of coordinates; None is
@@ -97,18 +93,16 @@ def quadratic_program(Q, c, A, b, nonneg=None, **kw) -> ConvexProgram:
         gradient=lambda x: Q @ x + c,
         hess_action=lambda x: lambda v: Q @ v,
         hess_approx=(lambda x: qdiag),
-        hess_diag=(lambda x: qdiag),
-        hess_diag_cheap=(lambda x: qdiag),
         Q=Q, **kw,
     )
 
 
 def split_l1_program(A, b, k, lam, nonneg, value, gradient, hess_action, hess_approx,
-                     hess_diag_cheap, couplings=None) -> ConvexProgram:
+                     couplings=None) -> ConvexProgram:
     """Build a ConvexProgram for f(x) = phi(w) + lam * sum(x[k:]) with
     x = [w; d+; d-] and w = x[:k], from phi's oracles as functions of w (H~
     coupling the coordinates of ``couplings``); the gradient is lam and the
-    Hessian action, H~ and the cheap diagonal are zero on the pairs."""
+    Hessian action and H~ are zero on the pairs."""
     n = A.shape[1]
     zeros = np.zeros(n - k)
 
@@ -125,7 +119,6 @@ def split_l1_program(A, b, k, lam, nonneg, value, gradient, hess_action, hess_ap
         objective=lambda x: value(x[:k]) + lam * float(np.sum(x[k:])),
         gradient=lambda x: np.concatenate([gradient(x[:k]), np.full(n - k, lam)]),
         hess_action=padded_action, hess_approx=padded_approx,
-        hess_diag_cheap=lambda x: np.concatenate([hess_diag_cheap(x[:k]), zeros]),
         pairs=np.arange(k, n).reshape(2, -1), couplings=couplings, extract=lambda x: x[:k])
 
 
@@ -184,8 +177,8 @@ class PortfolioInstance:
     def __post_init__(self):
         if self.num_periods < 2:
             raise ValueError("need at least 2 periods")
-        if not (self.tau1 >= 0 and self.tau2 >= 0):  # NaN fails too
-            raise ValueError("tau1 and tau2 must be non-negative")
+        if not (0 <= self.tau1 < np.inf and 0 <= self.tau2 < np.inf):  # NaN fails too
+            raise ValueError("tau1 and tau2 must be non-negative and finite")
         for j, C in enumerate(self.covariances):
             try:
                 np.linalg.cholesky(np.asarray(C))
@@ -274,8 +267,8 @@ class FusedLassoLsInstance:
             raise ValueError("grid does not match number of features")
         if not np.all(np.isin(self.labels, (-1.0, 1.0))):
             raise ValueError("labels must be -1/+1")
-        if not (self.tau1 >= 0 and self.tau2 >= 0):  # NaN fails too
-            raise ValueError("tau1 and tau2 must be non-negative")
+        if not (0 <= self.tau1 < np.inf and 0 <= self.tau2 < np.inf):  # NaN fails too
+            raise ValueError("tau1 and tau2 must be non-negative and finite")
         if s > q:
             warnings.warn("more samples than features; model intended for s <= q")
         self.tv = make_tv_operator(self.grid)
@@ -322,8 +315,8 @@ class PoissonTvInstance:
             raise ValueError("observed counts must be non-negative")
         if np.any(self.background <= 0):
             raise ValueError("background must be strictly positive")
-        if not self.lam >= 0:
-            raise ValueError("lam must be non-negative")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError("lam must be non-negative and finite")
         self.tv = make_tv_operator(self.blur.grid)
 
     @property
@@ -394,8 +387,7 @@ def build_poisson_tv(inst: PoissonTvInstance) -> ConvexProgram:
     return split_l1_program(
         A, np.concatenate([[r], np.zeros(l)]), n, inst.lam, np.arange(n + 2 * l),
         value=lambda w: kl_value(w, inst), gradient=lambda w: kl_gradient(w, inst),
-        hess_action=hess_action, hess_approx=hess_approx, hess_diag_cheap=u2,
-        couplings=pixels)
+        hess_action=hess_action, hess_approx=hess_approx, couplings=pixels)
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +409,8 @@ class LogisticInstance:
         self.labels = np.asarray(self.labels, dtype=float)
         if not np.all(np.isin(self.labels, (-1.0, 1.0))):
             raise ValueError("labels must be -1/+1")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0 < self.tau < np.inf:
+            raise ValueError("tau must be positive and finite")
         self._design = np.hstack([self.data, np.ones((self.data.shape[0], 1))])
 
     def design(self) -> np.ndarray:
@@ -464,11 +456,11 @@ def build_logistic_l1(inst: LogisticInstance) -> ConvexProgram:
         hw = logistic_oracle(D, g, w)[1]
         return lambda v: D.T @ (hw * (D @ v))
 
-    def hess_diag(w):
+    def hess_approx(w):  # diag H
         return D2.T @ logistic_oracle(D, g, w)[1]
 
     return split_l1_program(
         A, np.zeros(s), s, inst.tau, np.arange(s, 3 * s),
         value=lambda w: logistic_loss(D, g, w),
         gradient=lambda w: logistic_oracle(D, g, w)[0],
-        hess_action=hess_action, hess_approx=hess_diag, hess_diag_cheap=hess_diag)
+        hess_action=hess_action, hess_approx=hess_approx)

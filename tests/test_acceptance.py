@@ -86,7 +86,7 @@ def test_criterion_02_normal_preconditioner_spectra():
         x = rng.uniform(0.1, 5.0, prog.n)
         theta_inv = np.zeros(prog.n)
         theta_inv[prog.nonneg] = rng.uniform(0.1, 10.0, prog.nonneg.size)
-        g = prog.hess_diag(x) + theta_inv + rho
+        g = prog.Q.diagonal() + theta_inv + rho
         rep = precond.fmri_spectral_report(g, prog.A, s, rho, delta)
         ell = prog.m - s
         rank = np.linalg.matrix_rank(inst.data)
@@ -99,7 +99,8 @@ def test_criterion_02_normal_preconditioner_spectra():
     assert ok
 
 
-def _aug_interval_ok(prog, x, theta_inv, rho, delta, htilde_choice):
+def _aug_interval_ok(prog, x, theta_inv, rho, delta, htilde_choice, u2):
+    """``u2`` is the diagonal of the paper's u-squared H~ at x."""
     n = prog.n
     shift = theta_inv + rho
     H = np.column_stack([prog.hess_action(x)(e) for e in np.eye(n)]) \
@@ -109,7 +110,7 @@ def _aug_interval_ok(prog, x, theta_inv, rho, delta, htilde_choice):
     elif htilde_choice == "solver":  # the MINRES path's H~, couplings and all
         htilde = dense_htilde(prog, x) + np.diag(shift)
     else:
-        htilde = prog.hess_diag_cheap(x) + shift
+        htilde = u2 + shift
     rep = precond.aug_spectral_report(H, prog.A, htilde, delta)
     tol = 1e-8
     eigs = rep.eigenvalues
@@ -139,8 +140,12 @@ def test_criterion_03_augmented_preconditioner_spectra():
         x = rng.uniform(0.5, 5.0, prog.n)
         theta_inv = np.zeros(prog.n)
         theta_inv[prog.nonneg] = rng.uniform(0.1, 10.0, prog.nonneg.size)
+        # u^2 = g/(Dw + a)^2 on the pixels, zero on the pairs
+        u2 = np.zeros(prog.n)
+        u2[:inst.blur.cols] = inst.observed / (
+            inst.blur.apply(x[:inst.blur.cols]) + inst.background) ** 2
         for choice in ("u-squared", "diag-h", "solver"):
-            ok &= _aug_interval_ok(prog, x, theta_inv, rho, delta, choice)
+            ok &= _aug_interval_ok(prog, x, theta_inv, rho, delta, choice, u2)
     for k in range(5):
         inst, _, _ = gen_classification(30, 12, seed=300 + k)
         prog = build_logistic_l1(inst)
@@ -148,8 +153,9 @@ def test_criterion_03_augmented_preconditioner_spectra():
         x = rng.uniform(0.1, 3.0, prog.n)
         theta_inv = np.zeros(prog.n)
         theta_inv[prog.nonneg] = rng.uniform(0.1, 10.0, prog.nonneg.size)
+        u2 = prog.hess_approx(x)[:prog.n]  # diag H on logistic
         for choice in ("u-squared", "diag-h"):
-            ok &= _aug_interval_ok(prog, x, theta_inv, rho, delta, choice)
+            ok &= _aug_interval_ok(prog, x, theta_inv, rho, delta, choice, u2)
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 30.0
     _report(3, "augmented block-diagonal preconditioner eigenvalue bounds", ok)

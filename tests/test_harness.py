@@ -249,6 +249,20 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "report_asb.json").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_baseline_report_is_strict_json(self, tmp_path):
+        # tau1 = 1e308 makes every objective of the run overflow to inf
+        code = run_cli(["portfolio", "--solver", "asb", "--tau1", "1e308",
+                        "--max-iter", "3", "--out", str(tmp_path)])
+        assert code == 2
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        doc = json.loads((tmp_path / "report_asb.json").read_text(),
+                         parse_constant=reject)
+        assert doc["objective"] == [None] * 3 and None not in doc["primal_inf"]
+
     def test_fmri_fista(self, tmp_path):
         code = run_cli(["fmri", "--solver", "fista", "--s", "10", "--grid",
                         "3x3", "--out", str(tmp_path)])
@@ -527,14 +541,23 @@ class TestCli:
                                       ["portfolio", "--tau2", "-0.5"],
                                       ["portfolio", "--tau1", "nan"],
                                       ["fmri", "--tau1", "-0.1"],
-                                      ["restore", "--size", "16", "--lambda", "-0.01"]],
+                                      ["restore", "--size", "16", "--lambda", "-0.01"],
+                                      ["portfolio", "--tau1", "inf"],
+                                      ["fmri", "--tau2", "inf"],
+                                      ["restore", "--size", "16", "--lambda", "inf"]],
                              ids=" ".join)
     def test_invalid_regularization_rejected_before_solving(self, tmp_path,
                                                             capsys, argv):
         out = tmp_path / "out"
+        flag, value = argv[-2:]
         assert run_cli([*argv, "--out", str(out)]) == 1
         assert not out.exists()
-        assert "non-negative" in capsys.readouterr().err
+        assert f"argument {flag}: must be non-negative" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"  # a config file's value is checked the same way
+        cfg.write_text(f"{flag[2:]} = {value}\n")
+        assert run_cli([argv[0], "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"bad value '{value}' for {flag[2:]}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["restore", "--peak", "nan", "--no-noise"],
                                       ["restore", "--background", "nan", "--no-noise"],

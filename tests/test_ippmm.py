@@ -737,7 +737,8 @@ class TestSolveBehavior:
                                     {"htilde_choice": "u_squared"},
                                     {"precond": "fmri-block"},
                                     {"linear_solver": "minres-augmented",
-                                     "precond": "identity"}])
+                                     "precond": "identity"},
+                                    {"max_iter": 2.5}, {"max_iter": float("inf")}])
     def test_invalid_options_rejected(self, kw):
         # max_iter=1: the checks run on construction, before any iteration
         kw = {"max_iter": 1, **kw}
@@ -1090,7 +1091,7 @@ class TestLifecycle:
             for st.delta in (1e-2, 1e-8):
                 system.factor(st)
                 borders.append(system.border.size)
-                g = prog.hess_diag(st.x) + st.xi_diag() + st.rho
+                g = prog.Q.diagonal() + st.xi_diag() + st.rho
                 P = precond.normal_equations_matrix(g, prog.A, st.delta)
                 np.testing.assert_allclose(system._apply_inverse(r),
                                            np.linalg.solve(P, r), rtol=1e-9, atol=1e-12)
@@ -1220,7 +1221,7 @@ class TestNormalOperator:
         st.inner_tol = 1e-12
         system = factored(NormalEquations, st, prog)
         assert system.A_u.shape == (prog.m, s + q)  # one column per unknown
-        g = prog.hess_diag(st.x) + st.xi_diag() + st.rho
+        g = prog.Q.diagonal() + st.xi_diag() + st.rho
         A = prog.A.toarray()
         N = (A / g) @ A.T + delta * np.eye(prog.m)
         M = np.column_stack([system.matvec(e) for e in np.eye(prog.m)])

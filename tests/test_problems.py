@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from sparseipm.ippmm import NormalEquations, SolverOptions, UnsupportedStructureError
 from sparseipm.linops import BccbOperator, BlurKernel, make_tv_operator
 from sparseipm.problems import (DomainError, FusedLassoLsInstance,
                                 LogisticInstance, PoissonTvInstance,
@@ -43,9 +44,11 @@ class TestPortfolio:
         with pytest.raises(ValueError):
             PortfolioInstance(bad, inst.returns, 1.0, 1.1, 1e-2, 1e-2)
 
-    @pytest.mark.parametrize("tau1, tau2", [(-1.0, 1e-2), (1e-2, -0.5)])
+    @pytest.mark.parametrize("tau1, tau2", [(-1.0, 1e-2), (1e-2, -0.5), (np.inf, 1e-2),
+                                            (1e-2, np.inf), (np.nan, 1e-2)])
     def test_rejects_negative_weights(self, tau1, tau2):
-        # a negative weight makes the split program unbounded below
+        # a negative weight makes the split program unbounded below; an
+        # infinite one leaves its solve no finite gradient
         with pytest.raises(ValueError, match="non-negative"):
             make_portfolio(tau1=tau1, tau2=tau2)
         make_portfolio(tau1=0.0, tau2=0.0)  # zero stays valid
@@ -124,20 +127,32 @@ class TestPortfolio:
         assert terminal == pytest.approx(float(grow @ W[-1]))
 
 
+def normal_equations(prog):
+    """The PCG path's system of ``prog``, which needs a diagonal ``Q``."""
+    return NormalEquations(prog, SolverOptions(linear_solver="pcg-normal"))
+
+
 class TestQuadraticProgram:
     def test_diagonal_detection(self):
         prog = quadratic_program(np.diag([1.0, 2.0]), np.zeros(2),
                                  np.ones((1, 2)), np.array([1.0]))
-        assert prog.hessian_is_diagonal
+        normal_equations(prog)
+        # an off-diagonal entry stored as zero leaves Q diagonal
+        stored_zero = sp.csr_matrix((np.array([1.0, 0.0, 2.0]), np.array([0, 1, 1]),
+                                     np.array([0, 2, 3])), shape=(2, 2))
+        normal_equations(dataclasses.replace(prog, Q=stored_zero))
         dense = quadratic_program(np.array([[2.0, 1.0], [1.0, 2.0]]),
                                   np.zeros(2), np.ones((1, 2)), np.array([1.0]))
-        assert not dense.hessian_is_diagonal
+        with pytest.raises(UnsupportedStructureError):
+            normal_equations(dense)
 
     def test_diagonal_flag_follows_q_only(self):
         prog = build_poisson_tv(make_poisson())
-        assert prog.Q is None and not prog.hessian_is_diagonal
-        with pytest.raises(TypeError):
-            dataclasses.replace(prog, hessian_is_diagonal=True)
+        assert prog.Q is None
+        with pytest.raises(UnsupportedStructureError):
+            normal_equations(prog)
+        with pytest.raises(TypeError):  # no Hessian-diagonal oracle to set
+            dataclasses.replace(prog, hess_diag=prog.hess_approx)
 
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(6)
@@ -187,7 +202,7 @@ class TestFusedLassoLs:
         ell = make_tv_operator((2, 4)).rows
         assert prog.n == 6 + 2 * 8 + 2 * ell
         assert prog.m == 6 + ell
-        assert prog.hessian_is_diagonal
+        normal_equations(prog)  # Q is diagonal
 
     def test_objective_matches_original_on_feasible_split(self):
         rng = np.random.default_rng(8)
@@ -214,7 +229,8 @@ class TestFusedLassoLs:
         with pytest.warns(UserWarning):
             FusedLassoLsInstance(np.ones((5, 2)), np.ones(5), (2,), 0.1, 0.1)
 
-    @pytest.mark.parametrize("tau1, tau2", [(-0.1, 0.1), (0.1, -0.1)])
+    @pytest.mark.parametrize("tau1, tau2", [(-0.1, 0.1), (0.1, -0.1), (np.inf, 0.1),
+                                            (0.1, np.inf), (0.1, np.nan)])
     def test_rejects_negative_weights(self, tau1, tau2):
         with pytest.raises(ValueError, match="non-negative"):
             FusedLassoLsInstance(np.ones((2, 4)), np.ones(2), (4,), tau1, tau2)
@@ -328,8 +344,9 @@ class TestPoissonTv:
                               np.ones(4), 1e-2)
 
     def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            make_poisson(lam=-0.01)
+        for lam in (-0.01, np.inf, np.nan):
+            with pytest.raises(ValueError, match="non-negative and finite"):
+                make_poisson(lam=lam)
         assert make_poisson(lam=0.0).lam == 0.0
 
 
@@ -354,6 +371,11 @@ class TestLogistic:
                                 tau=0.1)
         assert inst.design().shape == (3, 3)
         np.testing.assert_array_equal(inst.design()[:, -1], 1.0)
+
+    @pytest.mark.parametrize("tau", [0.0, -0.1, np.inf, np.nan])
+    def test_rejects_a_weight_not_positive_and_finite(self, tau):
+        with pytest.raises(ValueError, match="positive and finite"):
+            LogisticInstance(np.ones((3, 2)), np.array([1.0, -1.0, 1.0]), tau=tau)
 
     def test_replaced_instance_keeps_the_right_design(self):
         rng = np.random.default_rng(16)
@@ -431,5 +453,4 @@ def test_declared_pairs_are_slack_pairs(family):
     assert not np.any(hess(v))
     assert np.all(prog.gradient(x)[prog.pairs] == weight)
     assert not np.any(prog.hess_approx(x)[:prog.n][prog.pairs])
-    assert not np.any(prog.hess_diag_cheap(x)[prog.pairs])
     np.testing.assert_array_equal(prog.extract(x), x[:k])
