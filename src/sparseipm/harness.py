@@ -100,6 +100,10 @@ def gen_classification(n: int, s: int, separation: float = 1.0,
         raise ValueError("need n, s >= 1")
     if not 0 < sparsity <= 1:
         raise ValueError("sparsity must be in (0, 1]")
+    if not np.isfinite(separation):
+        raise ValueError("separation must be finite")
+    if not 0 <= test_fraction <= 1:
+        raise ValueError("test_fraction must be in [0, 1]")
     rng = np.random.default_rng(seed)
     k = max(1, int(round(sparsity * s)))
     wbar = np.zeros(s)
@@ -359,6 +363,8 @@ def _checked_float(test, what: str):
 
 _POSITIVE = _checked_float(lambda v: 0 < v < np.inf, "positive and finite")
 _NON_NEGATIVE = _checked_float(lambda v: 0 <= v < np.inf, "non-negative and finite")
+_FINITE = _checked_float(np.isfinite, "finite")
+_FRACTION = _checked_float(lambda v: 0 <= v <= 1, "in [0, 1]")
 _BUDGET = Flag("--budget-seconds", _NON_NEGATIVE, None)
 
 FAMILIES = {
@@ -412,8 +418,8 @@ FAMILIES = {
     "classify": Family(
         help="l1-regularized logistic regression",
         flags=(Flag("--n", int, 200), Flag("--s", int, 50),
-               Flag("--separation", float, 2.0), Flag("--sparsity", float, 0.1),
-               Flag("--test-fraction", _NON_NEGATIVE, 0.25), _BUDGET),
+               Flag("--separation", _FINITE, 2.0), Flag("--sparsity", float, 0.1),
+               Flag("--test-fraction", _FRACTION, 0.25), _BUDGET),
         make=_make_classify,
         build=build_logistic_l1,
         ippmm=lambda a, inst: dict(linear_solver="minres-augmented"),
@@ -490,7 +496,7 @@ def _cmd_spectest(args) -> int:
     if args.family == "fmri":
         inst, _ = gen_fused_lasso(6 if args.s is None else args.s, grid, args.seed)
         prog = build_fused_lasso_ls(inst)
-        x = np.ones(prog.n)
+        precond.check_dense(prog.m)  # before any dense build
         gdiag = prog.Q.diagonal() + 1.0 + rho  # unit point: z/x = 1
         rep = precond.fmri_spectral_report(gdiag, prog.A, inst.data.shape[0],
                                            rho, delta)
@@ -506,6 +512,7 @@ def _cmd_spectest(args) -> int:
         inst, _ = gen_blur_instance(img, kernel, 50.0, 1.0, args.seed,
                                     noise=False)
         prog = build_poisson_tv(inst)
+        precond.check_dense(prog.n + prog.m)  # before any dense build
         x = np.ones(prog.n)
         shift = 1.0 + rho
         hess = prog.hess_action(x)

@@ -217,22 +217,20 @@ class NewtonSystem:
     """The reduced Newton system that the three paths share, built once per
     solve, and the Krylov counters of the solve.
 
-    ``_reduce`` finds the slack pairs (``_find_slack_pairs``), which leave
-    with their rows, and reduces every other split pair (x+, x-) of
-    ``program.pairs`` to its plus member's unknown u = dx+ - dx-. With
-    e = 1/(Θ + ρ), an unknown's diagonal is dt = 1/(e+ + e-) for a u and
-    1/e for an unpaired variable. That leaves
-    [[-K, A_B'], [A_B, E_B]] over the unknowns and the border rows B, with
-    K = C + diag(dt) + A_R' E_R^-1 A_R, C the Hessian over the unknowns and
-    E = δ + Σ a²(e+ + e-) of each row over its slack pairs (δ on a row
-    without one). ``_build_band`` builds its ``krylov.BorderedBand``, and
-    ``_factor_band`` makes the one factor call of every path. ``_direct``
-    solves the factored system: the direct path's step, and at r1 = 0 the
-    PCG path's preconditioner.
+    ``_reduce`` finds the slack pairs, which leave with their rows, and
+    reduces every other split pair (x+, x-) of ``program.pairs`` to its
+    plus member's unknown u = dx+ - dx-. With e = 1/(Θ + ρ), an unknown's
+    diagonal is dt = 1/(e+ + e-) for a u and 1/e for an unpaired variable.
+    That leaves [[-K, A_B'], [A_B, E_B]] over the unknowns and the border
+    rows B, with K = C + diag(dt) + A_R' E_R^-1 A_R, C the Hessian over the
+    unknowns and E = δ + Σ a²(e+ + e-) of each row over its slack pairs (δ
+    on a row without one). ``_reduce`` builds its one ``krylov.BorderedBand``,
+    and ``_factor_band`` makes the one factor call of every path.
+    ``_direct`` solves the factored system: the direct path's step, and at
+    r1 = 0 the PCG path's preconditioner.
     """
 
     inner_iterations = inner_capped = 0  # Krylov iterations, unconverged solves
-    border = None  # the rows that border K; the others are eliminated into it
 
     @classmethod
     def at(cls, state: IpPmmState, program: ConvexProgram, options: SolverOptions):
@@ -242,60 +240,49 @@ class NewtonSystem:
         state.system.factor(state)
         return state.system
 
-    def _reduce(self, program: ConvexProgram):
+    def _reduce(self, program: ConvexProgram, Q=None, couplings=None):
         """Check that the two columns of each pair are exact negatives in A,
-        and in Q when it is given (raises ValueError), find the slack pairs
-        and keep the other unknowns (sorted), A over them and each u's
-        position among them."""
+        and in Q when it is given (raises ValueError). Keep the slack pairs,
+        whose two columns each hold one entry of A, in one row, and that the
+        Hessian does not touch, each member's row and entry, and the rows B
+        that hold none. Build the band of K over the other unknowns, with
+        C = ``Q`` over them or None, the slack rows eliminated, the rows B
+        bordering and H~'s ``couplings`` (variables, 2 x c, or None), which
+        must join unknowns (raises UnsupportedStructureError). Keep the
+        unknowns in band order (``rows``), each u's band position (``kp``)
+        and A over them (``A_u``)."""
         A = program.A.tocsc()
         p, q = program.pairs
         blocks = [A] if program.Q is None else [A, program.Q.tocsc()]
         if any((M[:, p] + M[:, q]).count_nonzero() for M in blocks):
             raise ValueError("the A and Q columns of each pair must be exact negatives")
-        self._find_slack_pairs(program, A)
-        split = self.rest[p]  # pairs that are not slack pairs
-        self.p, self.q = p[split], q[split]
-        self.unknowns = np.setdiff1d(np.flatnonzero(self.rest), self.q)
-        self.upos = np.searchsorted(self.unknowns, self.p)
-        self.A_u = program.A[:, self.unknowns]
-
-    def _find_slack_pairs(self, program: ConvexProgram, A):
-        """Find the slack pairs: the pairs of ``program.pairs`` whose two
-        columns each hold one entry of A (``program.A`` in CSC), both in the
-        same row, and that the Hessian does not touch. Keeps their members,
-        each member's row and entry of A, the rows B that hold no slack
-        pair, and ``rest``, which marks the variables that are not members."""
-        n = program.n
         count = np.diff(A.indptr)
         head = A.indptr[:-1]  # a column's first entry, if it has one
         row, val = np.append(A.indices, -1)[head], np.append(A.data, 0.0)[head]
-        p, q = program.pairs
         slack = (count[p] == 1) & (count[q] == 1) & (row[p] == row[q])
         if program.Q is not None:
             qcol = np.asarray(abs(program.Q).sum(axis=0)).ravel()
             slack &= (qcol[p] == 0) & (qcol[q] == 0)
         self.pairs = np.concatenate([p[slack], q[slack]])  # members of slack pairs
         self.prow, self.pval = row[self.pairs], val[self.pairs]
-        in_r = np.zeros(program.m, dtype=bool)
-        in_r[self.prow] = True
-        self.B = np.flatnonzero(~in_r)
-        self.rest = np.ones(n, dtype=bool)
-        self.rest[self.pairs] = False
-
-    def _build_band(self, border: np.ndarray, C=None, couplings=None):
-        """Build the band of K over the unknowns, with the rows ``border``
-        (sorted) bordering it and the others eliminated into it; C is the
-        Hessian block over the unknowns, or None, and ``couplings`` the
-        pairs of unknowns (positions among them) whose entries each factor
-        gives, or None. Keeps the unknowns in band order (``rows``), each
-        unknown's band position (``where``) and each u's."""
-        self.border = border
-        self.elim = np.setdiff1d(np.arange(self.A_u.shape[0]), border)
-        self.band = BorderedBand(C, self.A_u[self.elim], self.A_u[border], couplings)
+        self.p, self.q = p[~slack], q[~slack]  # the other pairs
+        in_r = np.bincount(self.prow, minlength=program.m) > 0  # the slack rows
+        self.B, self.elim = np.flatnonzero(~in_r), np.flatnonzero(in_r)
+        self.border = self.B
+        unknown = np.ones(program.n, dtype=bool)  # in no slack pair, no pair's minus
+        unknown[np.r_[self.pairs, self.q]] = False
+        column = np.cumsum(unknown) - 1  # each unknown's position among them
+        if couplings is not None:
+            if not np.all(unknown[couplings]):
+                raise UnsupportedStructureError("H~ may couple only the reduced unknowns")
+            couplings = column[couplings]
+        C = None if Q is None else Q[unknown][:, unknown]
+        A_u = program.A[:, unknown]
+        self.band = BorderedBand(C, A_u[self.elim], A_u[self.B], couplings)
         self.A_Rt = self.band.A_R.T
-        self.rows = self.unknowns[self.band.order]
-        self.where = self.band.where
-        self.kp = self.where[self.upos]
+        self.rows = np.flatnonzero(unknown)[self.band.order]
+        self.kp = self.band.where[column[self.p]]
+        self.A_u = A_u[:, self.band.order]
 
     def _refresh(self, state: IpPmmState, h=0.0):
         """Take Θ = ``state.xi_diag()``, e = 1/(h + Θ + ρ), each row's E, δ
@@ -312,13 +299,18 @@ class NewtonSystem:
         self.E = self.delta + np.bincount(self.prow, self.pval ** 2 * self.e[self.pairs],
                                           minlength=self.A_u.shape[0])
 
-    def _factor_band(self, h=0.0, c=None):
+    def _factor_band(self, h=0.0, c=None, loss=None):
         """Take dt in band order and the eliminated rows' E, and factor the
         band with dt + ``h`` on its diagonal and the values ``c`` of its
-        couplings."""
+        couplings. The eliminated rows ``loss`` (positions among them) border
+        K in this factor instead, appended to ``border``: E_elim = inf gives
+        them weight 0 in K, and u and dy_R vanish on them."""
         self.dt = 1.0 / self.esum[self.rows]
         self.E_elim = self.E[self.elim]
-        self.band.factor(self.dt + h, 1.0 / self.E_elim, self.E[self.border], c)
+        if loss is not None:
+            self.E_elim[loss] = np.inf
+            self.border = np.concatenate([self.B, self.elim[loss]])
+        self.band.factor(self.dt + h, 1.0 / self.E_elim, self.E[self.border], c, loss)
 
     def _reduced_rhs(self, r1: np.ndarray, r2: np.ndarray):
         """The reduced system's rhs from the full-length one: rt over the
@@ -332,9 +324,9 @@ class NewtonSystem:
 
     def _dy(self, u: np.ndarray, xu: np.ndarray, yb: np.ndarray) -> np.ndarray:
         """dy from u = rs/E (eliminated rows), ``xu`` and the border's ``yb``."""
-        dy = np.empty(u.size + yb.size)
-        dy[self.border] = yb
+        dy = np.empty(u.size + self.B.size)
         dy[self.elim] = u - (self.band.A_R @ xu) / self.E_elim
+        dy[self.border] = yb  # a row that borders K in this factor takes yb
         return dy
 
     def _direct(self, rt, rs):
@@ -391,18 +383,12 @@ class AugmentedSystem(NewtonSystem):
 
     def __init__(self, program: ConvexProgram, options: SolverOptions):
         self.program = program
-        self._reduce(program)
-        column = np.full(program.n, -1)  # each unknown's position among them
-        column[self.unknowns] = np.arange(self.unknowns.size)
-        couplings = column[program.couplings]
-        if np.any(couplings < 0):
-            raise UnsupportedStructureError("H~ may couple only the reduced unknowns")
-        self._build_band(self.B, couplings=couplings)
+        self._reduce(program, couplings=program.couplings)
         self.na = self.rows.size
         self._full = np.zeros(program.n)  # the Hessian's argument, zero off the unknowns
         # H~ over the unknowns in band order: its diagonal, then each coupling
         # twice, at the positions ``hsel`` picks for the CSR's values
-        i, j = self.where[couplings]
+        i, j = self.band.couplings
         diag = np.arange(self.na)
         rows, cols = np.r_[diag, i, j], np.r_[diag, j, i]
         self.hsel = np.lexsort((cols, rows))
@@ -447,8 +433,7 @@ class SaddleMatrix(NewtonSystem):
         if program.Q is None:
             raise UnsupportedStructureError(
                 "direct path needs an explicit quadratic Hessian")
-        self._reduce(program)
-        self._build_band(self.B, program.Q[self.unknowns][:, self.unknowns])
+        self._reduce(program, program.Q)
 
     def factor(self, state: IpPmmState):
         self._refresh(state)
@@ -462,15 +447,14 @@ class NormalEquations(NewtonSystem):
     ``NewtonSystem``, with G's Hessian diagonal, that of ``program.Q``,
     folded into e and C = None, over all m rows:
     (A_u D A_u' + diag(E)) dy = rs + A_u D rt, with A_u the columns of the
-    unknowns and D their e (e+ + e- on a u). That is A G^-1 A' + δI with G
-    diagonal.
+    unknowns in band order and D = 1/dt their e (e+ + e- on a u). That is
+    A G^-1 A' + δI with G diagonal.
 
     PCG runs under its exact inverse: the direct path's bordered solve
     (``NewtonSystem._direct``) at r1 = 0. The rows B without a slack pair
-    (on fused lasso, the data rows) border K; so does a slack row whose
-    (A_u D A_u')_rr exceeds ``ELIMINATION_LOSS`` E_r, which would lose
-    that factor in accuracy to its elimination. The band is built again
-    when the border changes.
+    (on fused lasso, the data rows) border K; so does, in each factor, a
+    slack row whose (A_u D A_u')_rr exceeds ``ELIMINATION_LOSS`` E_r,
+    which would lose that factor in accuracy to its elimination.
     """
 
     def __init__(self, program: ConvexProgram, options: SolverOptions):
@@ -480,33 +464,28 @@ class NormalEquations(NewtonSystem):
         self.hdiag = program.Q.diagonal()
         self._reduce(program)
         self.A_ut = self.A_u.T
-        self.A_u2 = self.A_u.power(2)
+        self.A_R2 = self.band.A_R.power(2)
 
     def factor(self, state: IpPmmState):
         self._refresh(state, self.hdiag)
-        self.D = self.esum[self.unknowns]
-        border = self.A_u2 @ self.D > ELIMINATION_LOSS * self.E
-        border[self.B] = True
-        border = np.flatnonzero(border)
-        if not np.array_equal(border, self.border):
-            self._build_band(border)
-        self._factor_band()
+        loss = self.A_R2 @ self.esum[self.rows] > ELIMINATION_LOSS * self.E[self.elim]
+        self._factor_band(loss=np.flatnonzero(loss))
 
     def _apply_inverse(self, r: np.ndarray) -> np.ndarray:
         """(A G^-1 A' + δI)^-1 r: the reduced system's dy at r1 = 0."""
         return self._direct(0.0, r)[1]
 
     def matvec(self, dy: np.ndarray) -> np.ndarray:
-        return self.A_u @ (self.D * (self.A_ut @ dy)) + self.E * dy
+        return self.A_u @ ((self.A_ut @ dy) / self.dt) + self.E * dy
 
     def _reduced_solve(self, rt, rs):
         """dy by PCG on rs + A_u D rt (r2 + A G^-1 r1), then xu = (A_u'dy - rt)/dt."""
         # built per solve: kept on the system, it would make a reference cycle
         # that holds each solve's system until a full garbage collection
         precond = precondmod.build_fmri_normal_precond(self._apply_inverse)
-        dy = self._count(pcg(self.matvec, rs + self.A_u @ (self.D * rt[self.where]),
+        dy = self._count(pcg(self.matvec, rs + self.A_u @ (rt / self.dt),
                              precond.apply_inverse, tol=self.tol, maxit=INNER_MAXIT))
-        return ((self.A_ut @ dy)[self.band.order] - rt) / self.dt, dy
+        return (self.A_ut @ dy - rt) / self.dt, dy
 
 
 _CONTEXTS = {

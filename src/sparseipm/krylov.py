@@ -44,7 +44,8 @@ class BorderedBand:
     of unknowns in ``couplings`` (2 x c, each pair once), whose entries of
     K each factor also adds; they must lie within the band. Vectors over
     K's unknowns are in band order: unknown k is column ``order[k]`` of C,
-    A_R and A_B, and ``couplings`` name unknowns by those columns.
+    A_R and A_B, and ``couplings`` name unknowns by those columns (kept in
+    band positions).
 
     Both triangular sweeps, L^-1 b and L'^-1 b, run forward-style as one
     BLAS dtbsv each, the second on L' kept in upper band storage. ``split``
@@ -81,7 +82,9 @@ class BorderedBand:
             ((self.A_R.data[k] * self.A_R.data[l])[low],
              (slot, np.repeat(np.arange(lens.size), sq)[low])),
             shape=(self.pos.size, lens.size))
-        ci, cj = where[np.empty((2, 0), dtype=int) if couplings is None else couplings]
+        self.couplings = where[np.empty((2, 0), dtype=int) if couplings is None
+                               else couplings]
+        ci, cj = self.couplings
         low, off = np.minimum(ci, cj), np.abs(ci - cj)
         if np.any(off > bw):
             raise ValueError("a coupling lies outside the band")
@@ -94,11 +97,14 @@ class BorderedBand:
         self.L = self.buf[bw * bw:].reshape(self.band_c.shape, order="F")
         self.U = np.zeros_like(self.band_c)
 
-    def factor(self, d: np.ndarray, w: np.ndarray, delta: float | np.ndarray, c=None):
+    def factor(self, d: np.ndarray, w: np.ndarray, delta: float | np.ndarray, c=None,
+               rows=None):
         """K = LL' for ``d`` (band order), ``w`` (one per row of A_R) and,
         when given, ``c`` (one value per pair of ``couplings``), and the
-        border as δ + Z'Z with Z = L^-1 A_B'. A band that is not finite, or a
-        Cholesky breakdown of the band or the border, raises LinAlgError."""
+        border as δ + Z'Z with Z = L^-1 A_B'. The rows ``rows`` of A_R, when
+        given, border K too in this factor, after A_B's, with weight 0 in
+        ``w``. A band that is not finite, or a Cholesky breakdown of the band
+        or the border, raises LinAlgError."""
         band = self.L
         band[...] = self.band_c
         flat = band.reshape(-1, order="F")  # a view
@@ -115,8 +121,10 @@ class BorderedBand:
         np.copyto(self.U, np.lib.stride_tricks.as_strided(
             self.buf, band.shape, (self.bw * step, (self.bw + 1) * step)))
         self.Z, self.delta = self.A_Bt, delta
+        if rows is not None and rows.size:
+            self.Z = np.hstack([self.A_Bt, self.A_R[rows].T.toarray()])
         if self.Z.size:  # LAPACK's dtbtrs corrupts the heap on an empty matrix
-            self.Z = scipy.linalg.lapack.dtbtrs(self.L, self.A_Bt, uplo="L")[0]
+            self.Z = scipy.linalg.lapack.dtbtrs(self.L, self.Z, uplo="L")[0]
         if self.Z.shape[1]:  # without border rows LAPACK gets no empty matrix
             S = self.Z.T @ self.Z
             S[np.diag_indices_from(S)] += delta

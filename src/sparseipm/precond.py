@@ -72,6 +72,12 @@ def build_aug_block_diag_precond(band) -> Preconditioner:
 DENSE_MAX = 2000  # largest dimension spectral_check decomposes
 
 
+def check_dense(dim: int) -> None:
+    """Raise ValueError on a dimension over ``DENSE_MAX``."""
+    if dim > DENSE_MAX:
+        raise ValueError(f"dimension {dim} over the dense limit {DENSE_MAX}")
+
+
 @dataclass
 class SpectralReport:
     eigenvalues: np.ndarray
@@ -96,8 +102,7 @@ class SpectralReport:
 def spectral_check(M, P) -> SpectralReport:
     """Dense generalized eigenvalues of (M, P) with a census of those within
     1e-8 of one."""
-    if len(M) > DENSE_MAX:
-        raise ValueError(f"dimension {len(M)} over the dense limit {DENSE_MAX}")
+    check_dense(len(M))
     eigs = scipy.linalg.eigh(M, P, eigvals_only=True)
     eigs = np.sort(eigs)
     unit = int(np.count_nonzero(np.abs(eigs - 1.0) <= 1e-8))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import sparseipm
-from sparseipm import baselines, harness, metrics, problems
+from sparseipm import baselines, harness, metrics, precond, problems
 from sparseipm.harness import (FAMILIES, ParseError, builtin_image,
                                gen_blur_instance, gen_classification,
                                gen_fused_lasso, gen_portfolio, parse_config,
@@ -64,6 +64,13 @@ class TestGenerators:
     def test_classification_no_test_set(self):
         _, _, test = gen_classification(20, 10, seed=3)
         assert test is None
+
+    @pytest.mark.parametrize("name, value", [
+        ("test_fraction", 1.5), ("test_fraction", 1e308), ("test_fraction", -0.1),
+        ("test_fraction", np.nan), ("separation", np.nan), ("separation", -np.inf)])
+    def test_classification_rejects_a_bad_value_by_name(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            gen_classification(20, 10, seed=3, **{name: value})
 
     def test_blur_instance_noise_free_identity(self):
         img = builtin_image("squares", 16)
@@ -459,6 +466,25 @@ class TestCli:
         doc = json.loads((tmp_path / "spectral.json").read_text())
         assert doc["interval_ok"] is True
 
+    @pytest.mark.parametrize("family, dim", [("fmri", 18), ("poisson", 401)])
+    def test_spectest_over_the_dense_limit_builds_nothing_dense(self, tmp_path, capsys,
+                                                                monkeypatch, family, dim):
+        """The dimension is checked before any dense matrix is built: the
+        normal matrix (m) on fmri, the saddle matrix (n + m) on poisson."""
+        def fail(*args, **kwargs):
+            raise AssertionError("a dense build ran")
+
+        for builder in ("fmri_spectral_report", "aug_spectral_report"):
+            monkeypatch.setattr(precond, builder, fail)
+        build = harness.build_poisson_tv  # its Hessian builds H densely
+        monkeypatch.setattr(harness, "build_poisson_tv",
+                            lambda inst: replace(build(inst), hess_action=fail))
+        monkeypatch.setattr(precond, "DENSE_MAX", dim - 1)
+        out = tmp_path / "out"
+        assert run_cli(["spectest", "--family", family, "--out", str(out)]) == 1
+        assert f"dimension {dim} over the dense limit {dim - 1}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_provides_defaults(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("s = 4\nm = 3\n")
@@ -564,6 +590,10 @@ class TestCli:
                                       ["restore", "--background", "inf"],
                                       ["classify", "--test-fraction", "-0.5"],
                                       ["classify", "--test-fraction", "nan"],
+                                      ["classify", "--test-fraction", "1e308"],
+                                      ["classify", "--test-fraction", "1.5"],
+                                      ["classify", "--separation", "nan"],
+                                      ["classify", "--separation", "inf"],
                                       ["portfolio", "--trans-eps", "nan"],
                                       ["portfolio", "--solver", "asb", "--budget-seconds", "-1"],
                                       ["portfolio", "--solver", "asb", "--budget-seconds", "nan"]],

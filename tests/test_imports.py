@@ -27,17 +27,17 @@
   parameter.
 - Within ``src/sparseipm`` only ``quadratic_program`` and ``split_l1_program``
   construct a ``ConvexProgram``, so every builder shares their oracle padding.
-- Within ``src/sparseipm`` outside ``krylov`` only ``ippmm.NewtonSystem``
-  constructs a ``BorderedBand``, so the three solver paths share its one
-  reduced Newton system.
+- Within ``src/sparseipm`` outside ``krylov`` only
+  ``ippmm.NewtonSystem._reduce`` constructs a ``BorderedBand``, so the three
+  solver paths share its one reduced Newton system, built once per solve.
 - Within ``src/sparseipm`` only ``ippmm.NewtonSystem._factor_band`` calls
   ``.factor(`` on a ``band``, so every solver path factors it one way. The
   one other site is ``krylov.CholeskyFactor.__init__``: the ASB baseline's
   one factor, a band with no rows and no border, inside the module that owns
   ``BorderedBand``.
-- Within ``ippmm`` only ``kkt_residuals`` and ``NewtonSystem``'s own
-  ``_reduce`` and ``_find_slack_pairs`` read ``program.A`` or
-  ``program.pairs``, so no path reduces the pairs a second time.
+- Within ``ippmm`` only ``kkt_residuals`` and ``NewtonSystem._reduce``
+  read ``program.A`` or ``program.pairs``, so no path reduces the pairs a
+  second time.
 - Within ``src/sparseipm`` only ``linops`` imports or names ``scipy.fft``,
   so the choice between a blur's Kronecker and FFT forms stays in one module.
 - Within ``src/sparseipm`` only ``krylov`` imports or names
@@ -365,14 +365,19 @@ PROGRAM_CONSTRUCTORS = {"quadratic_program", "split_l1_program"}
 
 
 def constructions(source: str, cls: str) -> list:
-    """(top-level definition, line) of each ``cls(...)`` call."""
+    """(definition, line) of each ``cls(...)`` call: a method is named
+    ``Class.method``, anything else by its top-level definition."""
     out = []
     for top in ast.parse(source).body:
         name = getattr(top, "name", "<module>")
-        out.extend((name, node.lineno) for node in ast.walk(top)
-                   if isinstance(node, ast.Call)
-                   and cls in (getattr(node.func, "id", None),
-                               getattr(node.func, "attr", None)))
+        parts = top.body if isinstance(top, ast.ClassDef) else [top]
+        for part in parts:
+            where = (f"{name}.{part.name}" if part is not top
+                     and isinstance(part, ast.FunctionDef) else name)
+            out.extend((where, node.lineno) for node in ast.walk(part)
+                       if isinstance(node, ast.Call)
+                       and cls in (getattr(node.func, "id", None),
+                                   getattr(node.func, "attr", None)))
     return out
 
 
@@ -381,7 +386,7 @@ def test_checker_finds_program_constructions():
               "def b():\n    def inner():\n        return problems.ConvexProgram()\n"
               "class C:\n    def m(self):\n        ConvexProgram()\n"
               "prog = ConvexProgram()\nConvexProgram.__doc__\n")
-    assert constructions(source, "ConvexProgram") == [("a", 2), ("b", 5), ("C", 8),
+    assert constructions(source, "ConvexProgram") == [("a", 2), ("b", 5), ("C.m", 8),
                                                       ("<module>", 9)]
 
 
@@ -393,19 +398,26 @@ def test_only_the_shared_builders_construct_programs():
 
 
 def test_checker_finds_band_constructions():
-    source = ("class NewtonSystem:\n    def _build_band(self):\n"
+    # a second build site in NewtonSystem, such as a rebuild when the border
+    # changes, is named apart from _reduce
+    source = ("class NewtonSystem:\n    def _reduce(self):\n"
               "        self.band = BorderedBand(None, A, B)\n"
+              "    def _build_band(self):\n"
+              "        self.band = BorderedBand(None, A, B)\n"
+              "    band = BorderedBand(None, A, B)\n"
               "class SaddleMatrix(NewtonSystem):\n    def factor(self):\n"
               "        krylov.BorderedBand(C, A, B).factor(d, w, 1.0)\n"
               "band = BorderedBand\n")
-    assert constructions(source, "BorderedBand") == [("NewtonSystem", 3),
-                                                     ("SaddleMatrix", 6)]
+    assert constructions(source, "BorderedBand") == [("NewtonSystem._reduce", 3),
+                                                     ("NewtonSystem._build_band", 5),
+                                                     ("NewtonSystem", 6),
+                                                     ("SaddleMatrix.factor", 9)]
 
 
 def test_only_the_newton_system_builds_bands():
     found = [(path.name, name, line) for path in MODULES if path.stem != "krylov"
              for name, line in constructions(path.read_text(), "BorderedBand")
-             if (path.stem, name) != ("ippmm", "NewtonSystem")]
+             if (path.stem, name) != ("ippmm", "NewtonSystem._reduce")]
     assert found == []
 
 
@@ -480,7 +492,7 @@ def test_checker_finds_program_reads():
 
 def test_only_the_newton_system_reduces_the_program():
     source = (Path(sparseipm.__file__).parent / "ippmm.py").read_text()
-    allowed = {"kkt_residuals", "NewtonSystem._reduce", "NewtonSystem._find_slack_pairs"}
+    allowed = {"kkt_residuals", "NewtonSystem._reduce"}
     assert [read for read in program_reads(source) if read[0] not in allowed] == []
 
 

@@ -889,7 +889,7 @@ class TestSlackPairElimination:
                                            np.zeros(prog.couplings.shape[1])]
         factored(AugmentedSystem, st, prog)
         band, without = bands
-        k = system.where[14]
+        k = np.flatnonzero(system.rows == 14)[0]  # pixel 14's band position
         offsets = np.arange(1, min(k, system.band.bw) + 1)
         assert np.any(band[1:, k] != without[1:, k])  # its column below the diagonal
         assert np.any(band[offsets, k - offsets] != without[offsets, k - offsets])  # its row
@@ -1165,6 +1165,23 @@ class TestLifecycle:
         assert rep.status == direct.status == "optimal"
         assert np.abs(prog.extract(x)).max() > 1e-3
         assert rep.final_objective == pytest.approx(direct.final_objective, rel=1e-7)
+
+    def test_fmri_pcg_builds_one_band_where_slack_rows_border_it(self, monkeypatch):
+        # a slack row over ELIMINATION_LOSS borders K in that factor alone:
+        # the band is built once per solve, not again when those rows change
+        bands = record_calls(monkeypatch, ippmm, "BorderedBand")
+        loss_rows, factor = [], NormalEquations.factor
+
+        def recorded(system, state):
+            factor(system, state)
+            loss_rows.append(system.border.size - system.B.size)
+
+        monkeypatch.setattr(NormalEquations, "factor", recorded)
+        prog = build_fused_lasso_ls(gen_fused_lasso(200, (6, 6, 6), 0, 1e-3, 1e-2)[0])
+        _, rep = solve(prog, SolverOptions(linear_solver="pcg-normal", precond="fmri-block"))
+        assert len(bands) == 1 and max(loss_rows) > 0
+        _, direct = solve(prog, SolverOptions())
+        assert (rep.status, rep.iterations) == ("optimal", direct.iterations)
 
     def test_fmri_band_breakdown_is_numerical_failure(self, monkeypatch):
         # the band K with its sign flipped: its Cholesky factor breaks down

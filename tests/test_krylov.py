@@ -448,6 +448,35 @@ class TestBorderedBand:
         want = np.linalg.solve(M, np.r_[f, g])
         np.testing.assert_allclose(np.r_[got, y], want, rtol=1e-10, atol=1e-12)
 
+    def test_rows_of_a_r_border_k_in_one_factor(self):
+        """Rows of A_R passed to a factor, weighted 0 in K, border it after
+        A_B's rows; the next factor without them drops them again."""
+        rng = np.random.default_rng(67)
+        n, nr, nb = 15, 8, 4
+        G = sp.random(n, n, density=0.15, random_state=67)
+        C = sp.csr_matrix(G @ G.T)
+        A_R = sp.random(nr, n, density=0.25, random_state=68, format="csr")
+        A_B = sp.random(nb, n, density=0.3, random_state=69, format="csr")
+        d = rng.uniform(0.5, 2.0, n)
+        f = rng.standard_normal(n)
+        band = BorderedBand(C, A_R, A_B)
+        order = band.order
+        for rows in (np.array([1, 5]), None, np.array([], dtype=int)):
+            w = rng.uniform(0.5, 2.0, nr)
+            bordered = A_B.toarray()
+            if rows is not None:
+                w[rows] = 0.0
+                bordered = np.vstack([bordered, A_R[rows].toarray()])
+            delta = rng.uniform(1e-3, 1e-1, len(bordered))
+            band.factor(d[order], w, delta, rows=rows)
+            K = C.toarray() + np.diag(d) + A_R.T.toarray() @ np.diag(w) @ A_R.toarray()
+            g = rng.standard_normal(len(bordered))
+            M = np.block([[K, -bordered.T], [bordered, np.diag(delta)]])
+            want = np.linalg.solve(M, np.r_[f, g])
+            x, y = band.solve_bordered(f[order], g)
+            np.testing.assert_allclose(np.r_[x, y], np.r_[want[:n][order], want[n:]],
+                                       rtol=1e-10, atol=1e-12)
+
     def test_a_coupling_outside_the_band_raises(self):
         # a chain of differences has half-bandwidth 1; its two ends are far apart
         A_R = sp.diags([-1.0, 1.0], [0, 1], shape=(5, 6), format="csr")
