@@ -29,6 +29,7 @@ spla = scipy.sparse.linalg
 SIGMA_MIN, SIGMA_MAX = 0.05, 0.95  # bounds on Mehrotra's centering parameter
 BOUNDARY_FRACTION = 0.995          # fraction-to-the-boundary step rule
 PENALTY_FLOOR = 1e-8               # lower bound on the penalties rho and delta
+PENALTY_START = 1e-2               # initial penalties per unit of min(1, mu_0)
 ESTIMATE_DECREASE = 0.95           # residual decrease that refreshes the estimates
 FORCING, INNER_MAXIT = 0.1, 500    # inner Krylov solves: tolerance per residual, cap
 INNER_TOL_MIN, INNER_TOL_MAX = 1e-10, 1e-2  # bounds on the inner relative tolerance
@@ -142,7 +143,14 @@ def strict_json(report: dict) -> str:
 
 
 def initial_state(program: ConvexProgram, options: SolverOptions) -> IpPmmState:
-    """Unit interior start unless the caller gives ``x0``; estimates track it."""
+    """Unit interior start unless the caller gives ``x0``; estimates track it.
+
+    The penalties start at rho = delta = PENALTY_START * min(1, mu_0), not
+    below PENALTY_FLOOR: a start at 1 outweighs the curvature of a program
+    with a small Hessian, and each step is then a short proximal step.
+    They shrink at mu's rate, so on a program with no bounded variable,
+    whose mu is 0 throughout, they start at the floor and the method is
+    Newton's on its regularized KKT system."""
     n, m = program.n, program.m
     x = np.zeros(n)
     x[program.nonneg] = 1.0
@@ -157,7 +165,7 @@ def initial_state(program: ConvexProgram, options: SolverOptions) -> IpPmmState:
     z[program.nonneg] = 1.0
     ia = program.nonneg
     mu = float(x[ia] @ z[ia]) / ia.size if ia.size else 0.0
-    reg = max(min(1.0, mu) if mu > 0 else 1.0, PENALTY_FLOOR)
+    reg = max(PENALTY_START * min(1.0, mu), PENALTY_FLOOR)
     return IpPmmState(x=x, y=y, z=z, zeta=x.copy(), eta=y.copy(), mu=mu,
                       rho=reg, delta=reg, nonneg=program.nonneg)
 

@@ -290,6 +290,16 @@ class TestCli:
         assert report["status"] == "optimal"
         assert report["inner_capped"] == 0
 
+    @pytest.mark.parametrize("blur", [["--blur", "gaussian"],
+                                      ["--blur", "motion", "--len", "5"],
+                                      ["--blur", "out-of-focus", "--radius", "2"]],
+                             ids=["gaussian", "motion", "out-of-focus"])
+    def test_restore_takes_few_outer_iterations(self, tmp_path, blur):
+        # the 32x32 default instance from the restore start, on three blurs
+        assert run_cli(["restore", *blur, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report_ippmm.json").read_text())
+        assert report["status"] == "optimal" and report["iters"] <= 16
+
     @pytest.mark.parametrize("seed", ["2", "3", "4"])
     def test_fmri_defaults_reach_optimal(self, tmp_path, seed):
         # the CLI defaults: 30 samples on 4x4x4, pcg-normal

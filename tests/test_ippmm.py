@@ -153,6 +153,26 @@ class TestPenaltyUpdates:
         assert st.rho == pytest.approx(1e-4)
         assert st.delta == pytest.approx(1e-4)
 
+    @pytest.mark.parametrize("start,mu,penalty", [
+        (None, 1.0, ippmm.PENALTY_START), (10.0, 10.0, ippmm.PENALTY_START),
+        (0.1, 0.1, 0.1 * ippmm.PENALTY_START), (1e-9, 1e-9, ippmm.PENALTY_FLOOR)])
+    def test_penalties_start_at_a_fraction_of_min_one_and_mu(self, start, mu, penalty):
+        # unit start, then x0 = start * 1 with z = 1
+        prog = quadratic_program(np.eye(3), np.zeros(3), np.zeros((0, 3)),
+                                 np.zeros(0))
+        x0 = None if start is None else np.full(3, start)
+        st = initial_state(prog, SolverOptions(x0=x0))
+        assert st.mu == pytest.approx(mu)
+        assert st.rho == st.delta == pytest.approx(penalty)
+
+    def test_penalties_of_a_program_without_bounded_variables_start_at_the_floor(self):
+        # its mu is 0 throughout, so nothing would shrink them
+        prog = quadratic_program(np.eye(3), np.zeros(3), np.ones((1, 3)), np.ones(1),
+                                 nonneg=[])
+        st = initial_state(prog, SolverOptions())
+        assert st.mu == 0.0
+        assert st.rho == st.delta == ippmm.PENALTY_FLOOR
+
     def test_floor_respected(self):
         prog = quadratic_program(np.eye(1), np.zeros(1), np.zeros((0, 1)),
                                  np.zeros(0))
@@ -556,6 +576,22 @@ class TestSolveBehavior:
         np.testing.assert_array_equal(z[:2], 0.0)
         assert np.all(x[2:] > 0) and np.all(z[2:] > 0)
 
+    @pytest.mark.parametrize("path", ["direct-augmented", "minres-augmented"])
+    def test_program_without_bounded_variables_is_newton_fast(self, path):
+        # no barrier: the solution is that of the KKT system
+        # [[Q, -A'], [A, 0]] (x, y) = (-c, b), reached in a few Newton steps
+        rng = np.random.default_rng(0)
+        n, m = 30, 10
+        M = rng.standard_normal((n, n))
+        Q = M @ M.T / n + 1e-2 * np.eye(n)
+        c, A, b = rng.standard_normal(n), rng.standard_normal((m, n)), rng.standard_normal(m)
+        prog = quadratic_program(Q, c, A, b, nonneg=[])
+        (x, y, _), rep = solve(prog, SolverOptions(tol=1e-9, linear_solver=path))
+        assert rep.status == "optimal" and rep.iterations <= 3
+        kkt = np.linalg.solve(np.block([[Q, -A.T], [A, np.zeros((m, m))]]),
+                              np.concatenate([-c, b]))
+        np.testing.assert_allclose(np.concatenate([x, y]), kkt, rtol=0, atol=1e-8)
+
     def test_mu_equals_average_complementarity(self):
         inst = make_portfolio(seed=20)
         from sparseipm.problems import build_portfolio_qp
@@ -905,7 +941,7 @@ class TestSlackPairElimination:
             linear_solver="minres-augmented", htilde_choice="diag-h"))
         assert borders == [] and len(bands) == rep.iterations
         assert {band.shape[0] for band in bands} == {1}  # P is diagonal
-        assert (rep.status, rep.iterations, rep.inner_iterations) == ("optimal", 9, 171)
+        assert (rep.status, rep.iterations, rep.inner_iterations) == ("optimal", 8, 159)
 
     def test_planted_slack_rows_are_eliminated(self):
         prog, _ = planted_qp("slack", 30, 10, 0)
@@ -1121,8 +1157,10 @@ class TestLifecycle:
         # without a slack pair no row is eliminated: every row borders K
         assert borders == [s + ell] * 6
 
-    @pytest.mark.parametrize("seed", [2838554749, 950828772], ids=["40-48", "45-44"])
-    def test_fmri_benchmark_instance_that_failed_the_drop_audit_is_optimal(self, seed):
+    @pytest.mark.parametrize("seed,iterations", [(2838554749, 6), (950828772, 7)],
+                             ids=["40-48", "45-44"])
+    def test_fmri_benchmark_instance_that_failed_the_drop_audit_is_optimal(self, seed,
+                                                                           iterations):
         # instances (40, 48) and (45, 44) of the fmri-pcg workload, with its
         # options: each ended numerical-failure on the drop audit while
         # dropping=True dropped variables; the solver now only checks that option
@@ -1130,7 +1168,7 @@ class TestLifecycle:
         _, rep = solve(build_fused_lasso_ls(inst), SolverOptions(
             linear_solver="pcg-normal", precond="fmri-block", dropping=True,
             eps_drop=1e-6))
-        assert (rep.status, rep.iterations) == ("optimal", 7)
+        assert (rep.status, rep.iterations) == ("optimal", iterations)
         assert rep.drop_audit is None
 
     def test_fmri_solve_factors_no_superlu(self, monkeypatch):
@@ -1374,7 +1412,8 @@ class TestInnerAccuracy:
         residual = np.maximum.reduce([rep.primal_inf_history, rep.dual_inf_history,
                                       rep.mu_history])[:rep.iterations]
         # predictor and corrector share their iteration's tolerance
-        expected = np.repeat(np.clip(0.1 * residual, 1e-10, 1e-2), 2)
+        expected = np.repeat(np.clip(ippmm.FORCING * residual, ippmm.INNER_TOL_MIN,
+                                     ippmm.INNER_TOL_MAX), 2)
         assert [c["tol"] for c in calls] == pytest.approx(expected, rel=1e-15)
         assert {c["maxit"] for c in calls} == {ippmm.INNER_MAXIT}
 
