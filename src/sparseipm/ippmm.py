@@ -31,7 +31,7 @@ BOUNDARY_FRACTION = 0.995          # fraction-to-the-boundary step rule
 PENALTY_FLOOR = 1e-8               # lower bound on the penalties rho and delta
 PENALTY_START = 1e-2               # initial penalties per unit of min(1, mu_0)
 ESTIMATE_DECREASE = 0.95           # residual decrease that refreshes the estimates
-FORCING, INNER_MAXIT = 0.1, 500    # inner Krylov solves: tolerance per residual, cap
+FORCING, INNER_MAXIT = 0.3, 500    # inner Krylov solves: tolerance per residual, cap
 INNER_TOL_MIN, INNER_TOL_MAX = 1e-10, 1e-2  # bounds on the inner relative tolerance
 ELIMINATION_LOSS = 1e4             # largest (A_u D A_u')_rr / E_r of an eliminated row
 
@@ -113,6 +113,11 @@ class SolveReport:
     mu_history: list = field(default_factory=list)
     inner_iterations: int = 0
     inner_capped: int = 0  # inner Krylov solves that ended unconverged
+    # one entry per outer iteration that factored its system: its inner
+    # tolerance "eta" and its Krylov "solves", the predictor's then the
+    # corrector's, each with "iters", the achieved relative "residual" and
+    # "converged" (no solve on the direct path)
+    inner_solves: list = field(default_factory=list)
     time_s: float = 0.0
     phase_times: dict = field(default_factory=dict)
     final_objective: float = np.nan
@@ -129,17 +134,22 @@ class SolveReport:
             "time_s": self.time_s,
             "inner_iters": self.inner_iterations,
             "inner_capped": self.inner_capped,
+            "inner_solves": self.inner_solves,
             "objective": self.final_objective,
             "phase_times": self.phase_times,
         })
 
 
 def strict_json(report: dict) -> str:
-    """``report`` as indented strict JSON: a non-finite float or list entry is null."""
+    """``report`` as indented strict JSON: a non-finite float, at any depth
+    of its lists and dicts, is null."""
     def finite(v):
+        if isinstance(v, dict):
+            return {key: finite(u) for key, u in v.items()}
+        if isinstance(v, list):
+            return list(map(finite, v))
         return None if isinstance(v, float) and not np.isfinite(v) else v
-    return json.dumps({key: list(map(finite, v)) if isinstance(v, list) else finite(v)
-                       for key, v in report.items()}, indent=2, allow_nan=False)
+    return json.dumps(finite(report), indent=2, allow_nan=False)
 
 
 def initial_state(program: ConvexProgram, options: SolverOptions) -> IpPmmState:
@@ -235,10 +245,10 @@ class NewtonSystem:
     on a row without one). ``_reduce`` builds its one ``krylov.BorderedBand``,
     and ``_factor_band`` makes the one factor call of every path.
     ``_direct`` solves the factored system: the direct path's step, and at
-    r1 = 0 the PCG path's preconditioner.
+    r1 = 0 the PCG path's preconditioner. ``inner_solves`` holds the
+    report's entry of each factor, and ``_count`` records each Krylov
+    solve in the last one.
     """
-
-    inner_iterations = inner_capped = 0  # Krylov iterations, unconverged solves
 
     @classmethod
     def at(cls, state: IpPmmState, program: ConvexProgram, options: SolverOptions):
@@ -291,6 +301,7 @@ class NewtonSystem:
         self.rows = np.flatnonzero(unknown)[self.band.order]
         self.kp = self.band.where[column[self.p]]
         self.A_u = A_u[:, self.band.order]
+        self.inner_solves = []
 
     def _refresh(self, state: IpPmmState, h=0.0):
         """Take Θ = ``state.xi_diag()``, e = 1/(h + Θ + ρ), each row's E, δ
@@ -304,6 +315,7 @@ class NewtonSystem:
         self.esum = self.e.copy()  # an unknown's e: e+ + e- on a u
         self.esum[self.p] += self.e[self.q]
         self.delta, self.tol = state.delta, state.inner_tol
+        self.inner_solves.append({"eta": self.tol, "solves": []})
         self.E = self.delta + np.bincount(self.prow, self.pval ** 2 * self.e[self.pairs],
                                           minlength=self.A_u.shape[0])
 
@@ -362,10 +374,26 @@ class NewtonSystem:
         dx[q] = -(gp + r1[q]) * e[q]
         return dx, dy
 
+    @property
+    def inner_iterations(self) -> int:
+        """Krylov iterations of every solve recorded in ``inner_solves``."""
+        return sum(out["iters"] for entry in self.inner_solves for out in entry["solves"])
+
+    @property
+    def inner_capped(self) -> int:
+        """Krylov solves recorded in ``inner_solves`` that ended unconverged."""
+        return sum(not out["converged"] for entry in self.inner_solves
+                   for out in entry["solves"])
+
     def _count(self, out) -> np.ndarray:
-        """Add one Krylov solve to the counters; returns its solution."""
-        self.inner_iterations += out.iterations
-        self.inner_capped += not out.converged
+        """Record one Krylov solve in this factor's entry of ``inner_solves``;
+        returns its solution. One that met non-finite data raises
+        LinAlgError, after the record."""
+        self.inner_solves[-1]["solves"].append({
+            "iters": out.iterations, "residual": out.final_relative_residual,
+            "converged": out.converged})
+        if out.breakdown_reason == "non-finite":
+            raise np.linalg.LinAlgError("a Krylov solve met non-finite data")
         return out.solution
 
 
@@ -386,7 +414,9 @@ class AugmentedSystem(NewtonSystem):
     blockdiag(L, L_S)^-1 M blockdiag(L, L_S)^-T (``BorderedBand.split``),
     whose iterates are those of MINRES on M under blockdiag(P, S). Since
     K = P + Δ, Δ = H - H~, this system supplies only Δw: A_R, E and dt never
-    enter an iteration.
+    enter an iteration. The predictor's MINRES starts at zero and the
+    corrector's from the predictor's split solution, which ``factor``
+    clears: the two rhs differ only by the centring and second-order terms.
     """
 
     def __init__(self, program: ConvexProgram, options: SolverOptions):
@@ -413,6 +443,7 @@ class AugmentedSystem(NewtonSystem):
         self._factor_band(diag, c)
         self.band.split()
         self.htilde.data[:] = np.concatenate([diag, c, c])[self.hsel]
+        self._start = None
 
     def _gap(self, w: np.ndarray) -> np.ndarray:
         """Δw = (H - H~) w over the unknowns (band order)."""
@@ -423,11 +454,13 @@ class AugmentedSystem(NewtonSystem):
         return self.band.split_apply(v, self._gap)
 
     def _reduced_solve(self, rt, rs):
-        """(xu, dy) by MINRES on the split operator."""
+        """(xu, dy) by MINRES on the split operator, started from the last
+        split solution of this factor."""
         u = rs[self.elim] / self.E_elim
         f = self.band.split_rhs(rt - self.A_Rt @ u, rs[self.border])
-        xu, yb = self.band.unsplit(self._count(minres(self.matvec, f, tol=self.tol,
-                                                      maxit=INNER_MAXIT)))
+        self._start = self._count(minres(self.matvec, f, tol=self.tol,
+                                         maxit=INNER_MAXIT, x0=self._start))
+        xu, yb = self.band.unsplit(self._start)
         return xu, self._dy(u, xu, yb)
 
 
@@ -619,6 +652,7 @@ def solve(program: ConvexProgram, options: Optional[SolverOptions] = None):
         report.iterations = k + 1
 
     if state.system is not None:  # the Krylov work of every iteration, a failed one too
+        report.inner_solves = state.system.inner_solves
         report.inner_iterations = state.system.inner_iterations
         report.inner_capped = state.system.inner_capped
     report.status = status

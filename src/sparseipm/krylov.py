@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ctypes
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -220,7 +221,8 @@ def pcg(matvec, rhs, precond=None, tol: float = 1e-8, maxit: int = 1000) -> Kryl
     preconditioner (identity when None). Stops on the preconditioned
     residual relative to the preconditioned rhs norm. Only a zero rhs
     converges at once; r'P^-1 r <= 0 at a nonzero one ends the solve
-    unconverged, as a non-SPD preconditioner.
+    unconverged, as a non-SPD preconditioner, and a non-finite r'P^-1 r,
+    at the rhs or in the loop, as non-finite data.
     """
     pinv = precond if precond is not None else (lambda v: v)
     b = np.asarray(rhs, dtype=float)
@@ -230,6 +232,8 @@ def pcg(matvec, rhs, precond=None, tol: float = 1e-8, maxit: int = 1000) -> Kryl
     r = b.copy()
     s = pinv(r)
     rs = float(r @ s)
+    if not math.isfinite(rs):
+        return KrylovOutcome(x, 0, math.nan, False, breakdown_reason="non-finite")
     if rs <= 0:
         return KrylovOutcome(x, 0, 1.0, False, breakdown_reason="non-spd-preconditioner")
     norm0 = np.sqrt(rs)
@@ -255,6 +259,9 @@ def pcg(matvec, rhs, precond=None, tol: float = 1e-8, maxit: int = 1000) -> Kryl
         np.subtract(r, tmp, out=r)
         s = pinv(r)
         rs_new = float(r @ s)
+        if not math.isfinite(rs_new):
+            breakdown = "non-finite"
+            break
         if rs_new < 0:
             breakdown = "non-spd-preconditioner"
             break
@@ -267,18 +274,34 @@ def pcg(matvec, rhs, precond=None, tol: float = 1e-8, maxit: int = 1000) -> Kryl
     return KrylovOutcome(x, it, rel, False, breakdown_reason=breakdown)
 
 
-def minres(matvec, rhs, tol: float = 1e-8, maxit: int = 100) -> KrylovOutcome:
+def minres(matvec, rhs, tol: float = 1e-8, maxit: int = 100, x0=None) -> KrylovOutcome:
     """MINRES for symmetric (possibly indefinite) systems, unpreconditioned:
     ``matvec`` applies the matrix, and a preconditioned system is passed in
-    split form (``BorderedBand.split``). Stops on the residual relative to
-    the rhs norm."""
+    split form (``BorderedBand.split``). Starts at ``x0`` (zero when None)
+    and iterates on its residual b - T x0, but stops on the residual of the
+    full system relative to the rhs norm, so that ``tol`` means the same
+    from any start; a start that already meets it returns at once. A
+    non-finite residual norm, at the start or in the loop, ends the solve
+    unconverged as non-finite data."""
     b = np.asarray(rhs, dtype=float)
     n = b.size
-    x = np.zeros(n)
-    r1 = b.copy()
-    beta1 = np.sqrt(float(r1 @ r1))
-    if beta1 == 0.0:
-        return KrylovOutcome(x, 0, 0.0, True)
+    if x0 is None:
+        x = np.zeros(n)
+        r1 = b.copy()
+        beta1 = scale = np.sqrt(float(r1 @ r1))
+    else:
+        x = np.array(x0, dtype=float)
+        if x.shape != b.shape:
+            raise ValueError(f"start of shape {x.shape} for a rhs of shape {b.shape}")
+        r1 = b - matvec(x)
+        beta1, scale = np.sqrt(float(r1 @ r1)), np.sqrt(float(b @ b))
+    if scale == 0.0:
+        return KrylovOutcome(np.zeros(n), 0, 0.0, True)
+    if not math.isfinite(beta1):
+        return KrylovOutcome(x, 0, math.nan, False, breakdown_reason="non-finite")
+    rel = beta1 / scale
+    if rel <= tol:
+        return KrylovOutcome(x, 0, rel, True)
 
     oldb, beta = 0.0, beta1
     dbar, epsln, phibar = 0.0, 0.0, beta1
@@ -289,7 +312,6 @@ def minres(matvec, rhs, tol: float = 1e-8, maxit: int = 100) -> KrylovOutcome:
     w, w1, w2 = np.zeros(n), np.zeros(n), np.zeros(n)
     r2 = r1.copy()
     tmp = np.empty(n)
-    rel = 1.0
     it = 0
     for it in range(1, maxit + 1):
         np.divide(r2, beta, out=v)
@@ -303,6 +325,8 @@ def minres(matvec, rhs, tol: float = 1e-8, maxit: int = 100) -> KrylovOutcome:
         r1, r2 = r2, np.subtract(y, tmp, out=r1)
         oldb = beta
         beta = np.sqrt(float(r2 @ r2))
+        if not math.isfinite(beta):  # x keeps the last iteration's update
+            return KrylovOutcome(x, it - 1, rel, False, breakdown_reason="non-finite")
 
         oldeps = epsln
         delta = cs * dbar + sn * alfa
@@ -326,7 +350,7 @@ def minres(matvec, rhs, tol: float = 1e-8, maxit: int = 100) -> KrylovOutcome:
         np.multiply(w, phi, out=tmp)
         np.add(x, tmp, out=x)
 
-        rel = phibar / beta1
+        rel = phibar / scale
         if rel <= tol:
             return KrylovOutcome(x, it, rel, True)
     return KrylovOutcome(x, it, rel, False)

@@ -1,4 +1,4 @@
-"""Sixteen small ``ast`` checks in place of a linter, and one on the README.
+"""Sixteen small ``ast`` checks in place of a linter, and two on the README.
 
 - Every name a ``sparseipm`` module imports is used in that module: it appears
   as a name anywhere in the module, or in ``__all__``.
@@ -15,8 +15,7 @@
 - Every attribute that a ``sparseipm`` class assigns, as ``self.<name> = ...``
   or as a dataclass field, is loaded somewhere in ``src/`` or
   ``perfbench/``: as an attribute, a keyword or a string (``getattr`` by
-  name). An attribute that only tests read is not kept; ``ALLOWED_UNLOADED``
-  names the exceptions.
+  name). An attribute that only tests read is not kept.
 - No ``sparseipm`` function imports inside its body: every dependency of a
   module shows at its top.
 - Every defaulted parameter of a ``sparseipm`` function or method, public or
@@ -56,6 +55,8 @@
   drop variables again through that module.
 - Every backticked ``<module>.<Name>`` of a ``sparseipm`` module that
   ``README.md`` cites, such as ``ippmm.FORCING``, names a real attribute.
+- The README's forcing formula η_k = max(MIN, min(MAX, F·r_k)) states
+  ``ippmm.INNER_TOL_MIN``, ``INNER_TOL_MAX`` and ``FORCING``.
 """
 import ast
 import dataclasses
@@ -204,12 +205,6 @@ def test_every_program_field_is_read():
 
 
 # attributes kept without a load in src/ or perfbench/, with the reason
-ALLOWED_UNLOADED = {
-    "KrylovOutcome.final_relative_residual":
-        "a solve's per-iteration trace is to report the achieved inner residual",
-}
-
-
 def unloaded_attributes(modules, sources) -> list:
     """``Class.name`` for each attribute that a class in ``modules`` assigns,
     as ``self.<name> = ...`` or as a dataclass field, and that no source in
@@ -252,7 +247,7 @@ def test_checker_flags_an_unloaded_attribute():
 def test_no_attribute_only_tests_read():
     unloaded = unloaded_attributes([p.read_text() for p in MODULES],
                                    [p.read_text() for p in MODULES + PERFBENCH])
-    assert [name for name in unloaded if name not in ALLOWED_UNLOADED] == []
+    assert unloaded == []
 
 
 def function_local_imports(source: str) -> list:
@@ -763,3 +758,23 @@ def test_readme_cites_real_names():
                   for p in MODULES if p.stem != "__init__"}
     namespaces["sparseipm"] = sparseipm
     assert unresolved_citations(README.read_text(), namespaces) == []
+
+
+FORCING_RULE = re.compile(r"η_k = max\(([^,()]+), min\(([^,()]+), ([^·()]+)·r_k\)\)")
+
+
+def forcing_constants(text: str) -> list:
+    """(MIN, MAX, F) of each η_k = max(MIN, min(MAX, F·r_k)) in ``text``."""
+    return [tuple(map(float, found)) for found in FORCING_RULE.findall(text)]
+
+
+def test_checker_reads_the_forcing_rule():
+    text = "tolerance η_k = max(1e-10, min(1e-1, 0.5·r_k)), where r_k = 1"
+    assert forcing_constants(text) == [(1e-10, 0.1, 0.5)]
+
+
+def test_readme_states_the_forcing_constants():
+    ippmm = importlib.import_module("sparseipm.ippmm")
+    text = " ".join(README.read_text().split())  # the formula may wrap
+    assert forcing_constants(text) == [(ippmm.INNER_TOL_MIN, ippmm.INNER_TOL_MAX,
+                                        ippmm.FORCING)]

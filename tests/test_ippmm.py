@@ -720,6 +720,11 @@ class TestSolveBehavior:
         assert doc["status"] == "optimal"
         assert len(doc["mu"]) >= 1
 
+    def test_report_json_nulls_non_finite_values_at_any_depth(self):
+        doc = json.loads(ippmm.strict_json(
+            {"a": np.nan, "b": [1.0, np.inf], "c": [{"d": -np.inf, "e": [np.nan, 2]}]}))
+        assert doc == {"a": None, "b": [1.0, None], "c": [{"d": None, "e": [None, 2]}]}
+
     def test_max_iterations_status(self):
         inst = make_portfolio(seed=24)
         from sparseipm.problems import build_portfolio_qp
@@ -941,7 +946,7 @@ class TestSlackPairElimination:
             linear_solver="minres-augmented", htilde_choice="diag-h"))
         assert borders == [] and len(bands) == rep.iterations
         assert {band.shape[0] for band in bands} == {1}  # P is diagonal
-        assert (rep.status, rep.iterations, rep.inner_iterations) == ("optimal", 8, 159)
+        assert (rep.status, rep.iterations, rep.inner_iterations) == ("optimal", 8, 111)
 
     def test_planted_slack_rows_are_eliminated(self):
         prog, _ = planted_qp("slack", 30, 10, 0)
@@ -1357,6 +1362,43 @@ class TestMinresPath:
         _, lumped_rep = solve(prog, SolverOptions(linear_solver="minres-augmented"))
         assert rep.status == lumped_rep.status == "optimal"
         assert rep.inner_iterations <= 0.9 * lumped_rep.inner_iterations
+
+    def test_corrector_starts_from_the_predictor(self, monkeypatch):
+        # the corrector's rhs differs from the predictor's only by the
+        # centring and second-order terms: started from the predictor's
+        # split solution, the correctors take fewer MINRES iterations
+        calls, minres = [], ippmm.minres
+
+        def recorded(*args, **kwargs):
+            calls.append((kwargs["x0"], minres(*args, **kwargs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(ippmm, "minres", recorded)
+        _, rep = solve(self.program(), SolverOptions(linear_solver="minres-augmented"))
+        assert rep.status == "optimal" and len(calls) == 2 * rep.iterations
+        predictors, correctors = calls[0::2], calls[1::2]
+        assert all(x0 is None for x0, _ in predictors)
+        assert all(x0 is out.solution for (x0, _), (_, out) in zip(correctors, predictors))
+        assert (sum(out.iterations for _, out in correctors)
+                < sum(out.iterations for _, out in predictors))
+
+    def test_non_finite_krylov_data_is_numerical_failure(self):
+        # a Hessian action that turns NaN in the third iteration: its
+        # predictor's MINRES ends at once, and so does the solve
+        prog = self.program()
+        hess_action, built = prog.hess_action, []
+
+        def action(x):
+            built.append(x)
+            h = hess_action(x)
+            return h if len(built) < 3 else (lambda w: h(w) * np.nan)
+
+        prog.hess_action = action
+        _, rep = solve(prog, SolverOptions(linear_solver="minres-augmented"))
+        assert rep.status == "numerical-failure" and rep.iterations == 2
+        last = json.loads(rep.to_json())["inner_solves"][-1]["solves"]
+        assert last == [{"iters": 0, "residual": 1.0, "converged": False}]
+        assert rep.inner_capped == 1
 
     @pytest.mark.parametrize("name", ["cholesky_banded", "cho_factor"])
     def test_factor_breakdown_is_numerical_failure(self, monkeypatch, name):

@@ -201,6 +201,62 @@ class TestMinres:
         assert out.iterations == 5
         assert not out.converged
 
+    def test_start_at_the_solution_takes_no_iteration(self):
+        rng = np.random.default_rng(13)
+        K = _saddle(rng)
+        b = rng.standard_normal(K.shape[0])
+        out = minres(K.__matmul__, b, tol=1e-10, maxit=500, x0=np.linalg.solve(K, b))
+        assert out.converged and out.iterations == 0
+        assert out.final_relative_residual <= 1e-10
+
+    def test_warm_start_stops_on_the_full_residual(self):
+        # started from the solution of a nearby rhs, as the corrector starts
+        # from the predictor's: fewer iterations, and the tolerance holds for
+        # b - Tx recomputed, relative to |b| and not to the start's residual
+        rng = np.random.default_rng(14)
+        K = _saddle(rng)
+        b = rng.standard_normal(K.shape[0])
+        near = b + 0.05 * rng.standard_normal(b.size)
+        tol = 1e-6
+        start = minres(K.__matmul__, near, tol=tol, maxit=500)
+        cold = minres(K.__matmul__, b, tol=tol, maxit=500)
+        warm = minres(K.__matmul__, b, tol=tol, maxit=500, x0=start.solution)
+        assert warm.converged and 0 < warm.iterations < cold.iterations
+        achieved = np.linalg.norm(b - K @ warm.solution) / np.linalg.norm(b)
+        assert achieved <= tol
+        assert warm.final_relative_residual == pytest.approx(achieved, rel=1e-3)
+
+    def test_start_of_the_wrong_length_raises(self):
+        with pytest.raises(ValueError, match="start"):
+            minres(np.eye(4).__matmul__, np.ones(4), x0=np.zeros(3))
+
+
+def _nan_from_call(matvec, k):
+    """``matvec`` whose k-th and later results are NaN."""
+    calls = []
+
+    def applied(v):
+        calls.append(None)
+        return matvec(v) * (np.nan if len(calls) >= k else 1.0)
+    return applied
+
+
+@pytest.mark.parametrize("where", ["rhs", "matvec"])
+@pytest.mark.parametrize("solver", [pcg, minres])
+def test_non_finite_data_ends_the_solve_at_once(solver, where):
+    # a NaN rhs entry, or a matvec turning NaN at its third call: the solve
+    # ends unconverged far below its cap of 500
+    D = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
+    b = np.ones(5)
+    matvec = D.__matmul__
+    if where == "rhs":
+        b[2] = np.nan
+    else:
+        matvec = _nan_from_call(matvec, 3)
+    out = solver(matvec, b, tol=1e-30, maxit=500)
+    assert not out.converged and out.breakdown_reason == "non-finite"
+    assert out.iterations == {"rhs": 0, "matvec": 2 if solver is minres else 3}[where]
+
 
 def _capped_system(solver, rng):
     if solver is pcg:
