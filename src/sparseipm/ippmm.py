@@ -33,6 +33,7 @@ PENALTY_START = 1e-2               # initial penalties per unit of min(1, mu_0)
 ESTIMATE_DECREASE = 0.95           # residual decrease that refreshes the estimates
 FORCING, INNER_MAXIT = 0.3, 500    # inner Krylov solves: tolerance per residual, cap
 INNER_TOL_MIN, INNER_TOL_MAX = 1e-10, 1e-2  # bounds on the inner relative tolerance
+PREDICTOR_FORCING = 10.0           # the predictor's inner tolerance per unit of eta_k
 ELIMINATION_LOSS = 1e4             # largest (A_u D A_u')_rr / E_r of an eliminated row
 
 
@@ -87,7 +88,7 @@ class IpPmmState:
     nonneg: np.ndarray
     last_primal_norm: float = np.inf
     last_dual_norm: float = np.inf
-    inner_tol: float = INNER_TOL_MAX  # relative tolerance of this iteration's Krylov solves
+    inner_tol: float = INNER_TOL_MAX  # eta_k: this iteration's relative Krylov tolerance
     system: Optional[NewtonSystem] = None  # the solve's linear-solver path
 
     def complementarity(self) -> float:
@@ -115,8 +116,8 @@ class SolveReport:
     inner_capped: int = 0  # inner Krylov solves that ended unconverged
     # one entry per outer iteration that factored its system: its inner
     # tolerance "eta" and its Krylov "solves", the predictor's then the
-    # corrector's, each with "iters", the achieved relative "residual" and
-    # "converged" (no solve on the direct path)
+    # corrector's, each with its own target "tol", "iters", the achieved
+    # relative "residual" and "converged" (no solve on the direct path)
     inner_solves: list = field(default_factory=list)
     time_s: float = 0.0
     phase_times: dict = field(default_factory=dict)
@@ -226,9 +227,9 @@ def newton_rhs(state: IpPmmState, rp: np.ndarray, gy: np.ndarray, sigma: float,
 # ---------------------------------------------------------------------------
 # Linear-solver paths. Each is built once per solve from the program and the
 # options, and ``factor(state)`` writes what depends on the iterate at every
-# outer iteration. Its ``solve(r1, r2)`` serves both the predictor and the
-# corrector: r1 is the full-length rhs of ``newton_rhs`` and dx comes back
-# full length.
+# outer iteration. Its ``solve(r1, r2, tol)`` serves both the predictor and
+# the corrector: r1 is the full-length rhs of ``newton_rhs``, dx comes back
+# full length, and a Krylov path solves to ``tol`` (eta_k when None).
 
 
 class NewtonSystem:
@@ -357,11 +358,13 @@ class NewtonSystem:
         xu, yb = self.band.solve_bordered(self.A_Rt @ u - rt, rs[self.border])
         return xu, self._dy(u, xu, yb)
 
-    def solve(self, r1: np.ndarray, r2: np.ndarray):
+    def solve(self, r1: np.ndarray, r2: np.ndarray, tol: Optional[float] = None):
         """The full-length (dx, dy) at the full-length rhs (r1, r2): the
-        path's ``_reduced_solve`` of the reduced rhs, expanded."""
+        path's ``_reduced_solve`` of the reduced rhs to the relative
+        tolerance ``tol`` (this factor's eta_k when None), expanded."""
         rt, rs = self._reduced_rhs(r1, r2)
-        return self._expand(r1, rt, *self._reduced_solve(rt, rs))
+        tol = self.tol if tol is None else tol
+        return self._expand(r1, rt, *self._reduced_solve(rt, rs, tol))
 
     def _expand(self, r1, rt, xu, dy):
         """The full-length (dx, dy) of the reduced solution (xu, dy)."""
@@ -385,13 +388,13 @@ class NewtonSystem:
         return sum(not out["converged"] for entry in self.inner_solves
                    for out in entry["solves"])
 
-    def _count(self, out) -> np.ndarray:
-        """Record one Krylov solve in this factor's entry of ``inner_solves``;
-        returns its solution. One that met non-finite data raises
-        LinAlgError, after the record."""
+    def _count(self, out, tol: float) -> np.ndarray:
+        """Record one Krylov solve to ``tol`` in this factor's entry of
+        ``inner_solves``; returns its solution. One that met non-finite data
+        raises LinAlgError, after the record."""
         self.inner_solves[-1]["solves"].append({
-            "iters": out.iterations, "residual": out.final_relative_residual,
-            "converged": out.converged})
+            "tol": tol, "iters": out.iterations,
+            "residual": out.final_relative_residual, "converged": out.converged})
         if out.breakdown_reason == "non-finite":
             raise np.linalg.LinAlgError("a Krylov solve met non-finite data")
         return out.solution
@@ -417,6 +420,9 @@ class AugmentedSystem(NewtonSystem):
     enter an iteration. The predictor's MINRES starts at zero and the
     corrector's from the predictor's split solution, which ``factor``
     clears: the two rhs differ only by the centring and second-order terms.
+    The predictor's step is never taken, so it solves to the looser
+    min(``INNER_TOL_MAX``, ``PREDICTOR_FORCING`` η_k) and the corrector
+    to η_k.
     """
 
     def __init__(self, program: ConvexProgram, options: SolverOptions):
@@ -453,13 +459,13 @@ class AugmentedSystem(NewtonSystem):
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.band.split_apply(v, self._gap)
 
-    def _reduced_solve(self, rt, rs):
+    def _reduced_solve(self, rt, rs, tol):
         """(xu, dy) by MINRES on the split operator, started from the last
         split solution of this factor."""
         u = rs[self.elim] / self.E_elim
         f = self.band.split_rhs(rt - self.A_Rt @ u, rs[self.border])
-        self._start = self._count(minres(self.matvec, f, tol=self.tol,
-                                         maxit=INNER_MAXIT, x0=self._start))
+        self._start = self._count(minres(self.matvec, f, tol=tol, maxit=INNER_MAXIT,
+                                         x0=self._start), tol)
         xu, yb = self.band.unsplit(self._start)
         return xu, self._dy(u, xu, yb)
 
@@ -480,7 +486,8 @@ class SaddleMatrix(NewtonSystem):
         self._refresh(state)
         self._factor_band()
 
-    _reduced_solve = NewtonSystem._direct
+    def _reduced_solve(self, rt, rs, tol):
+        return self._direct(rt, rs)  # exact: no tolerance applies
 
 
 class NormalEquations(NewtonSystem):
@@ -519,13 +526,13 @@ class NormalEquations(NewtonSystem):
     def matvec(self, dy: np.ndarray) -> np.ndarray:
         return self.A_u @ ((self.A_ut @ dy) / self.dt) + self.E * dy
 
-    def _reduced_solve(self, rt, rs):
+    def _reduced_solve(self, rt, rs, tol):
         """dy by PCG on rs + A_u D rt (r2 + A G^-1 r1), then xu = (A_u'dy - rt)/dt."""
         # built per solve: kept on the system, it would make a reference cycle
         # that holds each solve's system until a full garbage collection
         precond = precondmod.build_fmri_normal_precond(self._apply_inverse)
         dy = self._count(pcg(self.matvec, rs + self.A_u @ (rt / self.dt),
-                             precond.apply_inverse, tol=self.tol, maxit=INNER_MAXIT))
+                             precond.apply_inverse, tol=tol, maxit=INNER_MAXIT), tol)
         return (self.A_ut @ dy - rt) / self.dt, dy
 
 
@@ -567,8 +574,10 @@ def predictor_corrector_step(state: IpPmmState, ctx, rp: np.ndarray,
     """Affine predictor then centering-corrector solve with the same matrix."""
     ia = state.nonneg
 
-    # predictor: sigma = 0, complementarity rhs -XZe
-    dx_aff, _ = ctx.solve(*newton_rhs(state, rp, gy, sigma=0.0))
+    # predictor: sigma = 0, complementarity rhs -XZe; its step is never taken,
+    # only sigma and the second-order term read it, so it may solve looser
+    loose = min(INNER_TOL_MAX, PREDICTOR_FORCING * state.inner_tol)
+    dx_aff, _ = ctx.solve(*newton_rhs(state, rp, gy, sigma=0.0), tol=loose)
     dz_aff = _dual_step(state, dx_aff, -state.x[ia] * state.z[ia])
 
     ap, ad = step_lengths(state, dx_aff, dz_aff)

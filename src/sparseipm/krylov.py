@@ -312,6 +312,7 @@ def minres(matvec, rhs, tol: float = 1e-8, maxit: int = 100, x0=None) -> KrylovO
     w, w1, w2 = np.zeros(n), np.zeros(n), np.zeros(n)
     r2 = r1.copy()
     tmp = np.empty(n)
+    eps = np.finfo(float).eps
     it = 0
     for it in range(1, maxit + 1):
         np.divide(r2, beta, out=v)
@@ -334,7 +335,7 @@ def minres(matvec, rhs, tol: float = 1e-8, maxit: int = 100, x0=None) -> KrylovO
         epsln = sn * beta
         dbar = -cs * beta
         gamma = np.hypot(gbar, beta)
-        gamma = max(gamma, np.finfo(float).eps)
+        gamma = max(gamma, eps)
         cs = gbar / gamma
         sn = beta / gamma
         phi = cs * phibar

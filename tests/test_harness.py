@@ -292,15 +292,17 @@ class TestCli:
 
     def test_restore_report_records_each_iteration_s_inner_solves(self, tmp_path):
         # one entry per outer iteration: its eta_k and its two MINRES solves,
-        # the predictor's and the corrector's, each within eta_k unless capped
+        # the predictor's and the corrector's, each within its own target
+        # unless capped; the corrector's target is eta_k
         assert run_cli(["restore", "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "report_ippmm.json").read_text())
         entries = report["inner_solves"]
         assert len(entries) == report["iters"]
         assert [len(entry["solves"]) for entry in entries] == [2] * report["iters"]
-        solves = [(entry["eta"], out) for entry in entries for out in entry["solves"]]
-        assert sum(out["iters"] for _, out in solves) == report["inner_iters"]
-        assert all(out["residual"] <= eta or not out["converged"] for eta, out in solves)
+        solves = [out for entry in entries for out in entry["solves"]]
+        assert sum(out["iters"] for out in solves) == report["inner_iters"]
+        assert all(out["residual"] <= out["tol"] or not out["converged"] for out in solves)
+        assert all(entry["solves"][1]["tol"] == entry["eta"] for entry in entries)
 
     @pytest.mark.parametrize("blur", [["--blur", "gaussian"],
                                       ["--blur", "motion", "--len", "5"],

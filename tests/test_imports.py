@@ -761,20 +761,26 @@ def test_readme_cites_real_names():
 
 
 FORCING_RULE = re.compile(r"η_k = max\(([^,()]+), min\(([^,()]+), ([^·()]+)·r_k\)\)")
+PREDICTOR_RULE = re.compile(r"η_pred = min\(([^,()]+), ([^·()]+)·η_k\)")
 
 
-def forcing_constants(text: str) -> list:
-    """(MIN, MAX, F) of each η_k = max(MIN, min(MAX, F·r_k)) in ``text``."""
-    return [tuple(map(float, found)) for found in FORCING_RULE.findall(text)]
+def forcing_constants(text: str) -> dict:
+    """(MIN, MAX, F) of each η_k = max(MIN, min(MAX, F·r_k)) in ``text``
+    and (MAX, C) of each η_pred = min(MAX, C·η_k)."""
+    return {name: [tuple(map(float, found)) for found in rule.findall(text)]
+            for name, rule in (("eta_k", FORCING_RULE), ("eta_pred", PREDICTOR_RULE))}
 
 
 def test_checker_reads_the_forcing_rule():
-    text = "tolerance η_k = max(1e-10, min(1e-1, 0.5·r_k)), where r_k = 1"
-    assert forcing_constants(text) == [(1e-10, 0.1, 0.5)]
+    text = ("tolerance η_k = max(1e-10, min(1e-1, 0.5·r_k)), where r_k = 1, "
+            "and the predictor's η_pred = min(1e-1, 3·η_k)")
+    assert forcing_constants(text) == {"eta_k": [(1e-10, 0.1, 0.5)],
+                                       "eta_pred": [(0.1, 3.0)]}
 
 
 def test_readme_states_the_forcing_constants():
     ippmm = importlib.import_module("sparseipm.ippmm")
     text = " ".join(README.read_text().split())  # the formula may wrap
-    assert forcing_constants(text) == [(ippmm.INNER_TOL_MIN, ippmm.INNER_TOL_MAX,
-                                        ippmm.FORCING)]
+    assert forcing_constants(text) == {
+        "eta_k": [(ippmm.INNER_TOL_MIN, ippmm.INNER_TOL_MAX, ippmm.FORCING)],
+        "eta_pred": [(ippmm.INNER_TOL_MAX, ippmm.PREDICTOR_FORCING)]}

@@ -946,7 +946,7 @@ class TestSlackPairElimination:
             linear_solver="minres-augmented", htilde_choice="diag-h"))
         assert borders == [] and len(bands) == rep.iterations
         assert {band.shape[0] for band in bands} == {1}  # P is diagonal
-        assert (rep.status, rep.iterations, rep.inner_iterations) == ("optimal", 8, 111)
+        assert (rep.status, rep.iterations, rep.inner_iterations) == ("optimal", 8, 102)
 
     def test_planted_slack_rows_are_eliminated(self):
         prog, _ = planted_qp("slack", 30, 10, 0)
@@ -1238,7 +1238,7 @@ class TestLifecycle:
         assert json.loads(rep.to_json())["status"] == "numerical-failure"
 
     def test_report_times_the_linear_algebra_of_a_failed_iteration(self, monkeypatch):
-        def failing(self, r1, r2):
+        def failing(self, *args, **kwargs):
             time.sleep(0.05)
             raise np.linalg.LinAlgError("breakdown")
 
@@ -1366,11 +1366,14 @@ class TestMinresPath:
     def test_corrector_starts_from_the_predictor(self, monkeypatch):
         # the corrector's rhs differs from the predictor's only by the
         # centring and second-order terms: started from the predictor's
-        # split solution, the correctors take fewer MINRES iterations
-        calls, minres = [], ippmm.minres
+        # split solution, the correctors take fewer MINRES iterations than
+        # the same systems solved from zero
+        calls, cold, minres = [], [], ippmm.minres
 
         def recorded(*args, **kwargs):
             calls.append((kwargs["x0"], minres(*args, **kwargs)))
+            if kwargs["x0"] is not None:
+                cold.append(minres(*args, **{**kwargs, "x0": None}))
             return calls[-1][1]
 
         monkeypatch.setattr(ippmm, "minres", recorded)
@@ -1379,8 +1382,9 @@ class TestMinresPath:
         predictors, correctors = calls[0::2], calls[1::2]
         assert all(x0 is None for x0, _ in predictors)
         assert all(x0 is out.solution for (x0, _), (_, out) in zip(correctors, predictors))
+        assert len(cold) == len(correctors)
         assert (sum(out.iterations for _, out in correctors)
-                < sum(out.iterations for _, out in predictors))
+                < sum(out.iterations for out in cold))
 
     def test_non_finite_krylov_data_is_numerical_failure(self):
         # a Hessian action that turns NaN in the third iteration: its
@@ -1396,8 +1400,10 @@ class TestMinresPath:
         prog.hess_action = action
         _, rep = solve(prog, SolverOptions(linear_solver="minres-augmented"))
         assert rep.status == "numerical-failure" and rep.iterations == 2
-        last = json.loads(rep.to_json())["inner_solves"][-1]["solves"]
-        assert last == [{"iters": 0, "residual": 1.0, "converged": False}]
+        last = json.loads(rep.to_json())["inner_solves"][-1]
+        tol = min(ippmm.INNER_TOL_MAX, ippmm.PREDICTOR_FORCING * last["eta"])
+        assert last["solves"] == [{"tol": tol, "iters": 0, "residual": 1.0,
+                                   "converged": False}]
         assert rep.inner_capped == 1
 
     @pytest.mark.parametrize("name", ["cholesky_banded", "cho_factor"])
@@ -1453,9 +1459,12 @@ class TestInnerAccuracy:
         assert rep.status == "optimal"
         residual = np.maximum.reduce([rep.primal_inf_history, rep.dual_inf_history,
                                       rep.mu_history])[:rep.iterations]
-        # predictor and corrector share their iteration's tolerance
-        expected = np.repeat(np.clip(ippmm.FORCING * residual, ippmm.INNER_TOL_MIN,
-                                     ippmm.INNER_TOL_MAX), 2)
+        # the corrector solves to eta_k, the predictor to PREDICTOR_FORCING
+        # times it, neither looser than INNER_TOL_MAX
+        eta = np.clip(ippmm.FORCING * residual, ippmm.INNER_TOL_MIN, ippmm.INNER_TOL_MAX)
+        predictor = np.minimum(ippmm.INNER_TOL_MAX, ippmm.PREDICTOR_FORCING * eta)
+        expected = np.column_stack([predictor, eta]).ravel()
+        assert np.any(predictor > eta)
         assert [c["tol"] for c in calls] == pytest.approx(expected, rel=1e-15)
         assert {c["maxit"] for c in calls} == {ippmm.INNER_MAXIT}
 
