@@ -515,7 +515,7 @@ def _cmd_spectest(args) -> int:
         precond.check_dense(prog.n + prog.m)  # before any dense build
         x = np.ones(prog.n)
         shift = 1.0 + rho
-        hess = prog.hess_action(x)
+        hess, _ = prog.hess_action(x)
         H = np.column_stack([hess(e) for e in np.eye(prog.n)]) + shift * np.eye(prog.n)
         u2 = inst.observed / (inst.blur.apply(x[:inst.blur.cols]) + inst.background) ** 2
         htilde = np.r_[u2, np.zeros(prog.n - u2.size)] + shift  # the paper's diag(u^2)

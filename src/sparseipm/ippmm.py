@@ -408,11 +408,11 @@ class AugmentedSystem(NewtonSystem):
     The saddle matrix is M = [[-K, A_B'], [A_B, δI]] over the unknowns and
     the rows without a slack pair, with K = H + diag(dt) + A_R' E^-1 A_R;
     dy_R and the pair steps follow in closed form. Its preconditioner is
-    blockdiag(P, S), S = δI + A_B P^-1 A_B', with P = K and H~ (the
-    program's ``hess_approx``) in place of H, factored in the band built
-    once per solve: H~'s diagonal joins dt, and its couplings, which must
-    join unknowns within the band (on Poisson the TV's pixel pairs), are
-    added into the band at each factor. With P = LL' and S = L_S L_S',
+    blockdiag(P, S), S = δI + A_B P^-1 A_B', with P = K and H~ (the second
+    result of the program's ``hess_action``) in place of H, factored in the
+    band built once per solve: H~'s diagonal joins dt, and its couplings,
+    which must join unknowns within the band (on Poisson the TV's pixel
+    pairs), are added into the band at each factor. With P = LL' and S = L_S L_S',
     MINRES runs on the split operator
     blockdiag(L, L_S)^-1 M blockdiag(L, L_S)^-T (``BorderedBand.split``),
     whose iterates are those of MINRES on M under blockdiag(P, S). Since
@@ -443,8 +443,7 @@ class AugmentedSystem(NewtonSystem):
 
     def factor(self, state: IpPmmState):
         self._refresh(state)
-        self._hess = self.program.hess_action(state.x)
-        htilde = self.program.hess_approx(state.x)  # its diagonal, then its couplings
+        self._hess, htilde = self.program.hess_action(state.x)  # H~: diagonal, couplings
         diag, c = htilde[self.rows], htilde[self.program.n:]
         self._factor_band(diag, c)
         self.band.split()

@@ -53,8 +53,9 @@ def build_aug_block_diag_precond(band) -> Preconditioner:
     from ``band``, a factored ``krylov.BorderedBand`` whose K is P; P's
     unknowns come first, in band order. P = H~ + Θ + ρI + A_R' E^-1 A_R
     approximates the (1,1) block (``ippmm.AugmentedSystem``), with H~ the
-    program's ``hess_approx``: on Poisson H's couplings of the TV's pixel
-    pairs, the rest of each row lumped onto its diagonal, so H~ >= H."""
+    second result of the program's ``hess_action``: on Poisson H's couplings
+    of the TV's pixel pairs, the rest of each row lumped onto its diagonal,
+    so H~ >= H."""
     na = band.order.size
 
     def apply_inverse(r):

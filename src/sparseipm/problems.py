@@ -23,13 +23,13 @@ class ConvexProgram:
     The sizes ``m, n`` come from ``A``. ``Q``, the explicit Hessian of a
     quadratic f, is what the direct path factors; the normal-equations path
     takes it only when it is diagonal.
-    ``hess_action(x)`` returns the action v -> Hessian(x) v, so that work
-    shared by all products at one point is done once per point.
-    ``hess_approx(x)`` returns H~, the approximation of the f-Hessian H that
-    the MINRES preconditioner factors, as one vector: its diagonal, then its
-    value on each column (i, j) of the 2 x c index array ``couplings``, the
-    pairs of coordinates it couples (each once; none by default), a pattern
-    fixed per program.
+    ``hess_action(x)`` returns, from one evaluation at x, the pair
+    (action, H~): the action v -> Hessian(x) v, so that work shared by all
+    products at one point is done once per point, and H~, the approximation
+    of the f-Hessian H that the MINRES preconditioner factors, as one vector:
+    its diagonal, then its value on each column (i, j) of the 2 x c index
+    array ``couplings``, the pairs of coordinates it couples (each once; none
+    by default), a pattern fixed per program.
     Each column (x+, x-) of the 2 x p index array ``pairs`` names a split
     pair of non-negative coordinates whose columns in ``A`` and ``Q`` are
     exact negatives. Without ``Q``, the Hessian of f must vanish on pair
@@ -44,8 +44,7 @@ class ConvexProgram:
     nonneg: np.ndarray
     objective: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
-    hess_action: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
-    hess_approx: Callable[[np.ndarray], np.ndarray]
+    hess_action: Callable[[np.ndarray], tuple]  # x -> (v -> H(x) v, H~)
     Q: Optional[sp.csr_matrix] = None
     extract: Optional[Callable[[np.ndarray], np.ndarray]] = None  # split x -> original w
     pairs: Optional[np.ndarray] = None  # 2 x p split pairs (x+, x-)
@@ -91,13 +90,12 @@ def quadratic_program(Q, c, A, b, nonneg=None, **kw) -> ConvexProgram:
         A=A, b=b, nonneg=np.arange(c.size) if nonneg is None else nonneg,
         objective=lambda x: 0.5 * float(x @ (Q @ x)) + float(c @ x),
         gradient=lambda x: Q @ x + c,
-        hess_action=lambda x: lambda v: Q @ v,
-        hess_approx=(lambda x: qdiag),
+        hess_action=lambda x: (lambda v: Q @ v, qdiag),
         Q=Q, **kw,
     )
 
 
-def split_l1_program(A, b, k, lam, nonneg, value, gradient, hess_action, hess_approx,
+def split_l1_program(A, b, k, lam, nonneg, value, gradient, hess_action,
                      couplings=None) -> ConvexProgram:
     """Build a ConvexProgram for f(x) = phi(w) + lam * sum(x[k:]) with
     x = [w; d+; d-] and w = x[:k], from phi's oracles as functions of w (H~
@@ -106,19 +104,16 @@ def split_l1_program(A, b, k, lam, nonneg, value, gradient, hess_action, hess_ap
     n = A.shape[1]
     zeros = np.zeros(n - k)
 
-    def padded_action(x):
-        action = hess_action(x[:k])
-        return lambda v: np.concatenate([action(v[:k]), zeros])
-
-    def padded_approx(x):
-        htilde = hess_approx(x[:k])
-        return np.concatenate([htilde[:k], zeros, htilde[k:]])
+    def padded(x):
+        action, htilde = hess_action(x[:k])
+        return (lambda v: np.concatenate([action(v[:k]), zeros]),
+                np.concatenate([htilde[:k], zeros, htilde[k:]]))
 
     return ConvexProgram(
         A=A, b=b, nonneg=nonneg,
         objective=lambda x: value(x[:k]) + lam * float(np.sum(x[k:])),
         gradient=lambda x: np.concatenate([gradient(x[:k]), np.full(n - k, lam)]),
-        hess_action=padded_action, hess_approx=padded_approx,
+        hess_action=padded,
         pairs=np.arange(k, n).reshape(2, -1), couplings=couplings, extract=lambda x: x[:k])
 
 
@@ -363,13 +358,6 @@ def build_poisson_tv(inst: PoissonTvInstance) -> ConvexProgram:
         [L, -sp.eye(l), sp.eye(l)],
     ], format="csr")
 
-    def u2(w):
-        return inst.observed / _intensity(w, inst) ** 2
-
-    def hess_action(w):
-        weights = u2(w)
-        return lambda v: inst.blur.apply_transpose(weights * inst.blur.apply(v))
-
     # H~ keeps H's couplings of the pixel pairs (j, j + e_a) of the TV rows,
     # which the band of the MINRES preconditioner holds already, and lumps
     # the rest of each row onto its diagonal: H1 = D'u2 since D1 = 1. Every
@@ -378,16 +366,17 @@ def build_poisson_tv(inst: PoissonTvInstance) -> ConvexProgram:
     axis = (pixels[1] - pixels[0] == 1).astype(int)  # a = 1 has stride 1
     ends = pixels.ravel()
 
-    def hess_approx(w):
-        weights = u2(w)
+    def hess_action(w):
+        weights = inst.observed / _intensity(w, inst) ** 2  # u2
         h = inst.blur.couplings(weights).reshape(2, -1)[axis, pixels[0]]
         lumped = np.bincount(ends, np.tile(h, 2), minlength=n)
-        return np.concatenate([inst.blur.apply_transpose(weights) - lumped, h])
+        return (lambda v: inst.blur.apply_transpose(weights * inst.blur.apply(v)),
+                np.concatenate([inst.blur.apply_transpose(weights) - lumped, h]))
 
     return split_l1_program(
         A, np.concatenate([[r], np.zeros(l)]), n, inst.lam, np.arange(n + 2 * l),
         value=lambda w: kl_value(w, inst), gradient=lambda w: kl_gradient(w, inst),
-        hess_action=hess_action, hess_approx=hess_approx, couplings=pixels)
+        hess_action=hess_action, couplings=pixels)
 
 
 # ---------------------------------------------------------------------------
@@ -452,15 +441,12 @@ def build_logistic_l1(inst: LogisticInstance) -> ConvexProgram:
     s = D.shape[1]
     A = sp.hstack([sp.eye(s), -sp.eye(s), sp.eye(s)], format="csr")
 
-    def hess_action(w):
+    def hess_action(w):  # H~ is diag H
         hw = logistic_oracle(D, g, w)[1]
-        return lambda v: D.T @ (hw * (D @ v))
-
-    def hess_approx(w):  # diag H
-        return D2.T @ logistic_oracle(D, g, w)[1]
+        return lambda v: D.T @ (hw * (D @ v)), D2.T @ hw
 
     return split_l1_program(
         A, np.zeros(s), s, inst.tau, np.arange(s, 3 * s),
         value=lambda w: logistic_loss(D, g, w),
         gradient=lambda w: logistic_oracle(D, g, w)[0],
-        hess_action=hess_action, hess_approx=hess_approx)
+        hess_action=hess_action)

@@ -1,4 +1,4 @@
-"""Sixteen small ``ast`` checks in place of a linter, and two on the README.
+"""Seventeen small ``ast`` checks in place of a linter, and two on the README.
 
 - Every name a ``sparseipm`` module imports is used in that module: it appears
   as a name anywhere in the module, or in ``__all__``.
@@ -26,6 +26,11 @@
   parameter.
 - Within ``src/sparseipm`` only ``quadratic_program`` and ``split_l1_program``
   construct a ``ConvexProgram``, so every builder shares their oracle padding.
+- Within ``src/sparseipm`` only ``ippmm.AugmentedSystem.factor`` and
+  ``harness._cmd_spectest`` call ``.hess_action(``, and no module names a
+  ``hess_<word>`` other than ``hess_action`` and the tracer's
+  ``hess_diag`` and ``hess_diag_cheap``, so the action and H~ come from one
+  evaluation per iterate and no second Hessian oracle comes back.
 - Within ``src/sparseipm`` outside ``krylov`` only
   ``ippmm.NewtonSystem._reduce`` constructs a ``BorderedBand``, so the three
   solver paths share its one reduced Newton system, built once per solve.
@@ -359,9 +364,10 @@ def test_every_defaulted_parameter_has_a_caller():
 PROGRAM_CONSTRUCTORS = {"quadratic_program", "split_l1_program"}
 
 
-def constructions(source: str, cls: str) -> list:
-    """(definition, line) of each ``cls(...)`` call: a method is named
-    ``Class.method``, anything else by its top-level definition."""
+def calls(source: str, match) -> list:
+    """(definition, line) of each call whose callee ``match`` accepts: a
+    method is named ``Class.method``, anything else by its top-level
+    definition."""
     out = []
     for top in ast.parse(source).body:
         name = getattr(top, "name", "<module>")
@@ -370,10 +376,13 @@ def constructions(source: str, cls: str) -> list:
             where = (f"{name}.{part.name}" if part is not top
                      and isinstance(part, ast.FunctionDef) else name)
             out.extend((where, node.lineno) for node in ast.walk(part)
-                       if isinstance(node, ast.Call)
-                       and cls in (getattr(node.func, "id", None),
-                                   getattr(node.func, "attr", None)))
+                       if isinstance(node, ast.Call) and match(node.func))
     return out
+
+
+def constructions(source: str, cls: str) -> list:
+    """(definition, line) of each ``cls(...)`` call, named as by ``calls``."""
+    return calls(source, lambda f: cls in (getattr(f, "id", None), getattr(f, "attr", None)))
 
 
 def test_checker_finds_program_constructions():
@@ -390,6 +399,48 @@ def test_only_the_shared_builders_construct_programs():
              for name, line in constructions(path.read_text(), "ConvexProgram")
              if name not in PROGRAM_CONSTRUCTORS]
     assert found == []
+
+
+def hess_action_calls(source: str) -> list:
+    """(definition, line) of each ``<expr>.hess_action(...)`` call, named as
+    by ``calls``. A bare ``hess_action(...)`` is a builder calling its own
+    closure, not a solver path calling the program's oracle."""
+    return calls(source, lambda f: isinstance(f, ast.Attribute) and f.attr == "hess_action")
+
+
+def hessian_names(source: str) -> set:
+    """Every ``hess_<word>`` that ``source`` names, in code, comment or
+    docstring."""
+    return set(re.findall(r"\bhess_\w+", source))
+
+
+def test_checker_finds_hess_action_calls_and_hessian_names():
+    source = ("class AugmentedSystem:\n    def factor(self, state):\n"
+              "        self._hess, h = self.program.hess_action(state.x)\n"
+              "    def _gap(self, w):\n        return self.program.hess_action(self.x)[0](w)\n"
+              "def padded(x):\n    return hess_action(x[:k])\n"
+              "def _cmd_spectest(args):\n    hess, _ = prog.hess_action(x)\n"
+              "    # prog.hess_weights(x) and the tracer's hess_diag\n")
+    assert hess_action_calls(source) == [("AugmentedSystem.factor", 3),
+                                         ("AugmentedSystem._gap", 5), ("_cmd_spectest", 9)]
+    assert hessian_names(source) == {"hess_action", "hess_weights", "hess_diag"}
+
+
+# the MINRES path's one call of ConvexProgram.hess_action per factor, and
+# the spectral check's dense build of H
+HESS_ACTION_CALLERS = {("ippmm", "AugmentedSystem.factor"), ("harness", "_cmd_spectest")}
+# the Hessian names a ConvexProgram holds: its one oracle, and the two
+# class attributes that only perfbench/tracing.py reads
+HESSIAN_NAMES = {"hess_action", "hess_diag", "hess_diag_cheap"}
+
+
+def test_one_hessian_oracle_one_call_per_iterate():
+    found = [(path.name, name, line) for path in MODULES
+             for name, line in hess_action_calls(path.read_text())
+             if (path.stem, name) not in HESS_ACTION_CALLERS]
+    assert found == []
+    named = set().union(*(hessian_names(path.read_text()) for path in MODULES))
+    assert named <= HESSIAN_NAMES, sorted(named - HESSIAN_NAMES)
 
 
 def test_checker_finds_band_constructions():

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
-from sparseipm import baselines, ippmm, precond
+from sparseipm import baselines, ippmm, precond, problems
 from sparseipm.ippmm import (AugmentedSystem, IpPmmState, NormalEquations,
                              SaddleMatrix, SolverOptions, UnsupportedStructureError,
                              check_termination, initial_state, kkt_residuals,
@@ -636,8 +636,8 @@ class TestSolveBehavior:
         prog = ConvexProgram(
             A=sp.csr_matrix(np.ones((1, 3))), b=np.ones(1), nonneg=np.arange(3),
             objective=lambda x: 0.5 * float(x @ (Q @ x)) + float(c @ x),
-            gradient=lambda x: Q @ x + c, hess_action=lambda x: lambda v: Q @ v,
-            hess_approx=lambda x: qdiag, Q=Q)
+            gradient=lambda x: Q @ x + c, hess_action=lambda x: (lambda v: Q @ v, qdiag),
+            Q=Q)
         assert prog.hess_diag is None
         objectives = []
         for path in ("direct-augmented", "pcg-normal", "minres-augmented"):
@@ -849,7 +849,8 @@ class TestSolveBehavior:
 def assert_dense_step(system, st, prog):
     """``system``'s step at ``st`` is the step of the unreduced system
     [[-(H + Θ + ρI), A'], [A, δI]]."""
-    H = np.column_stack([prog.hess_action(st.x)(e) for e in np.eye(prog.n)])
+    hess, _ = prog.hess_action(st.x)
+    H = np.column_stack([hess(e) for e in np.eye(prog.n)])
     K = H + np.diag(st.xi_diag() + st.rho)
     A = prog.A.toarray()
     M = np.block([[-K, A.T], [A, st.delta * np.eye(prog.m)]])
@@ -925,9 +926,13 @@ class TestSlackPairElimination:
         st.inner_tol = 1e-12
         bands = record_calls(monkeypatch, scipy.linalg, "cholesky_banded")
         system = factored(AugmentedSystem, st, prog)
-        hess_approx = prog.hess_approx
-        prog.hess_approx = lambda x: np.r_[hess_approx(x)[:prog.n],
-                                           np.zeros(prog.couplings.shape[1])]
+        hess_action = prog.hess_action
+
+        def uncoupled(x):
+            action, htilde = hess_action(x)
+            return action, np.r_[htilde[:prog.n], np.zeros(prog.couplings.shape[1])]
+
+        prog.hess_action = uncoupled
         factored(AugmentedSystem, st, prog)
         band, without = bands
         k = np.flatnonzero(system.rows == 14)[0]  # pixel 14's band position
@@ -1344,21 +1349,37 @@ class TestMinresPath:
         assert rep.inner_iterations > 2 * rep.iterations
         assert len(built) == rep.iterations
 
+    @pytest.mark.parametrize("family, weights, per_solve", [("poisson", "_intensity", 2),
+                                                            ("logistic", "logistic_oracle", 1)])
+    def test_each_factor_evaluates_the_hessian_weights_once(self, monkeypatch, family,
+                                                            weights, per_solve):
+        # u2 = g/(Dw + a)^2 on Poisson and p(1 - p)/n on logistic: one call in
+        # each of the k factors, one in the gradient of ``kkt_residuals`` at
+        # each of the k + 1 iterates, and on Poisson one in the final objective
+        if family == "poisson":
+            prog = self.program()
+        else:
+            prog = build_logistic_l1(gen_classification(200, 40, 2.0, 0.1, 0)[0])
+        calls = record_calls(monkeypatch, problems, weights)
+        _, rep = solve(prog, SolverOptions(linear_solver="minres-augmented", max_iter=5))
+        assert (rep.status, rep.iterations) == ("max-iterations", 5)
+        assert len(calls) == 2 * rep.iterations + per_solve
+
     def test_couplings_in_the_preconditioner_save_minres_iterations(self):
         # the same solve with H~ lumped onto its diagonal, H~1 = D'u2, as the
         # band carries no couplings: at least 10% more MINRES iterations
         prog = self.program()
         _, rep = solve(prog, SolverOptions(linear_solver="minres-augmented"))
-        hess_approx = prog.hess_approx
+        hess_action = prog.hess_action
 
         def lumped(x):
-            htilde = hess_approx(x)
+            action, htilde = hess_action(x)
             c = htilde[prog.n:]
             diag = htilde[:prog.n] + np.bincount(prog.couplings.ravel(), np.tile(c, 2),
                                                  minlength=prog.n)
-            return np.r_[diag, np.zeros(c.size)]
+            return action, np.r_[diag, np.zeros(c.size)]
 
-        prog.hess_approx = lumped
+        prog.hess_action = lumped
         _, lumped_rep = solve(prog, SolverOptions(linear_solver="minres-augmented"))
         assert rep.status == lumped_rep.status == "optimal"
         assert rep.inner_iterations <= 0.9 * lumped_rep.inner_iterations
@@ -1394,8 +1415,8 @@ class TestMinresPath:
 
         def action(x):
             built.append(x)
-            h = hess_action(x)
-            return h if len(built) < 3 else (lambda w: h(w) * np.nan)
+            h, htilde = hess_action(x)
+            return (h if len(built) < 3 else (lambda w: h(w) * np.nan)), htilde
 
         prog.hess_action = action
         _, rep = solve(prog, SolverOptions(linear_solver="minres-augmented"))

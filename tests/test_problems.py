@@ -152,7 +152,7 @@ class TestQuadraticProgram:
         with pytest.raises(UnsupportedStructureError):
             normal_equations(prog)
         with pytest.raises(TypeError):  # no Hessian-diagonal oracle to set
-            dataclasses.replace(prog, hess_diag=prog.hess_approx)
+            dataclasses.replace(prog, hess_diag=lambda x: prog.hess_action(x)[1])
 
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(6)
@@ -239,7 +239,7 @@ class TestFusedLassoLs:
 
 def dense_htilde(prog, x):
     """The program's H~ at x, assembled dense from its diagonal and couplings."""
-    htilde = prog.hess_approx(x)
+    _, htilde = prog.hess_action(x)
     dense = np.diag(htilde[:prog.n])
     i, j = prog.couplings
     dense[i, j] = dense[j, i] = htilde[prog.n:]
@@ -298,8 +298,9 @@ class TestPoissonTv:
                             rng.uniform(0.1, 1.0, size=prog.n - 64)])
         u = rng.standard_normal(prog.n)
         v = rng.standard_normal(prog.n)
-        huv = float(u @ prog.hess_action(x)(v))
-        hvu = float(v @ prog.hess_action(x)(u))
+        hess, _ = prog.hess_action(x)
+        huv = float(u @ hess(v))
+        hvu = float(v @ hess(u))
         assert abs(huv - hvu) <= 1e-12 * max(1.0, abs(huv))
 
     @pytest.mark.parametrize("family", ["gaussian", "motion", "out-of-focus", "identity"])
@@ -314,7 +315,8 @@ class TestPoissonTv:
         rng = np.random.default_rng(13)
         x = np.concatenate([rng.uniform(1.0, 5.0, size=64),
                             rng.uniform(0.1, 1.0, size=prog.n - 64)])
-        H = np.column_stack([prog.hess_action(x)(e) for e in np.eye(prog.n)])
+        hess, _ = prog.hess_action(x)
+        H = np.column_stack([hess(e) for e in np.eye(prog.n)])
         Ht = dense_htilde(prog, x)
         if family == "identity":
             np.testing.assert_array_equal(Ht, H)
@@ -403,14 +405,15 @@ class TestLogistic:
         np.testing.assert_allclose(prog.A @ x, prog.b, atol=1e-14)
         assert prog.objective(x) == pytest.approx(inst.original_objective(w))
 
-    def test_hess_approx_is_the_dense_diagonal(self):
+    def test_htilde_is_the_dense_diagonal(self):
         rng = np.random.default_rng(14)
         inst = LogisticInstance(rng.standard_normal((15, 3)),
                                 rng.choice([-1.0, 1.0], size=15), tau=0.05)
         prog = build_logistic_l1(inst)
         x = rng.standard_normal(prog.n)
-        H = np.column_stack([prog.hess_action(x)(e) for e in np.eye(prog.n)])
-        np.testing.assert_allclose(prog.hess_approx(x), np.diag(H),
+        hess, htilde = prog.hess_action(x)
+        H = np.column_stack([hess(e) for e in np.eye(prog.n)])
+        np.testing.assert_allclose(htilde, np.diag(H),
                                    rtol=1e-10, atol=1e-12)
 
     def test_lambda_max_is_gradient_norm_at_zero(self):
@@ -446,11 +449,11 @@ def test_declared_pairs_are_slack_pairs(family):
     np.testing.assert_array_equal(rows[0], rows[1])
     np.testing.assert_array_equal(A[:, p].toarray(), -A[:, q].toarray())
     x = rng.uniform(1.0, 5.0, size=prog.n)
-    hess = prog.hess_action(x)
+    hess, htilde = prog.hess_action(x)
     assert not np.any(hess(rng.standard_normal(prog.n))[prog.pairs])
     v = np.zeros(prog.n)
     v[prog.pairs] = rng.standard_normal(prog.pairs.shape)
     assert not np.any(hess(v))
     assert np.all(prog.gradient(x)[prog.pairs] == weight)
-    assert not np.any(prog.hess_approx(x)[:prog.n][prog.pairs])
+    assert not np.any(htilde[:prog.n][prog.pairs])
     np.testing.assert_array_equal(prog.extract(x), x[:k])
