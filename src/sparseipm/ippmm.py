@@ -112,8 +112,6 @@ class SolveReport:
     primal_inf_history: list = field(default_factory=list)
     dual_inf_history: list = field(default_factory=list)
     mu_history: list = field(default_factory=list)
-    inner_iterations: int = 0
-    inner_capped: int = 0  # inner Krylov solves that ended unconverged
     # one entry per outer iteration that factored its system: its inner
     # tolerance "eta" and its Krylov "solves", the predictor's then the
     # corrector's, each with its own target "tol", "iters", the achieved
@@ -123,6 +121,17 @@ class SolveReport:
     phase_times: dict = field(default_factory=dict)
     final_objective: float = np.nan
     drop_audit: Optional[dict] = None  # always None: the solver drops no variable
+
+    @property
+    def inner_iterations(self) -> int:
+        """Krylov iterations of every solve recorded in ``inner_solves``."""
+        return sum(out["iters"] for entry in self.inner_solves for out in entry["solves"])
+
+    @property
+    def inner_capped(self) -> int:
+        """Krylov solves recorded in ``inner_solves`` that ended unconverged."""
+        return sum(not out["converged"] for entry in self.inner_solves
+                   for out in entry["solves"])
 
     def to_json(self) -> str:
         """Strict JSON: a non-finite history entry or objective is null."""
@@ -225,16 +234,16 @@ def newton_rhs(state: IpPmmState, rp: np.ndarray, gy: np.ndarray, sigma: float,
 
 
 # ---------------------------------------------------------------------------
-# Linear-solver paths. Each is built once per solve from the program and the
-# options, and ``factor(state)`` writes what depends on the iterate at every
-# outer iteration. Its ``solve(r1, r2, tol)`` serves both the predictor and
+# Linear-solver paths. Each is built once per solve from the program alone,
+# and ``factor(state)`` writes what depends on the iterate at every outer
+# iteration. Its ``solve(r1, r2, tol)`` serves both the predictor and
 # the corrector: r1 is the full-length rhs of ``newton_rhs``, dx comes back
 # full length, and a Krylov path solves to ``tol`` (eta_k when None).
 
 
 class NewtonSystem:
     """The reduced Newton system that the three paths share, built once per
-    solve, and the Krylov counters of the solve.
+    solve, and the record of the solve's Krylov work.
 
     ``_reduce`` finds the slack pairs, which leave with their rows, and
     reduces every other split pair (x+, x-) of ``program.pairs`` to its
@@ -252,10 +261,10 @@ class NewtonSystem:
     """
 
     @classmethod
-    def at(cls, state: IpPmmState, program: ConvexProgram, options: SolverOptions):
+    def at(cls, state: IpPmmState, program: ConvexProgram):
         """The solve's system, built on the first call, factored at ``state``."""
         if state.system is None:
-            state.system = cls(program, options)
+            state.system = cls(program)
         state.system.factor(state)
         return state.system
 
@@ -377,17 +386,6 @@ class NewtonSystem:
         dx[q] = -(gp + r1[q]) * e[q]
         return dx, dy
 
-    @property
-    def inner_iterations(self) -> int:
-        """Krylov iterations of every solve recorded in ``inner_solves``."""
-        return sum(out["iters"] for entry in self.inner_solves for out in entry["solves"])
-
-    @property
-    def inner_capped(self) -> int:
-        """Krylov solves recorded in ``inner_solves`` that ended unconverged."""
-        return sum(not out["converged"] for entry in self.inner_solves
-                   for out in entry["solves"])
-
     def _count(self, out, tol: float) -> np.ndarray:
         """Record one Krylov solve to ``tol`` in this factor's entry of
         ``inner_solves``; returns its solution. One that met non-finite data
@@ -425,21 +423,21 @@ class AugmentedSystem(NewtonSystem):
     to η_k.
     """
 
-    def __init__(self, program: ConvexProgram, options: SolverOptions):
+    def __init__(self, program: ConvexProgram):
         self.program = program
         self._reduce(program, couplings=program.couplings)
         self.na = self.rows.size
         self._full = np.zeros(program.n)  # the Hessian's argument, zero off the unknowns
         # H~ over the unknowns in band order: its diagonal, then each coupling
-        # twice, at the positions ``hsel`` picks for the CSR's values
+        # twice. Each entry's value is its place in that list, so the CSR's
+        # values, sorted by the COO step, are ``hsel``: the entry that each
+        # stored position holds (the step sums repeats; ConvexProgram rejects them)
         i, j = self.band.couplings
         diag = np.arange(self.na)
         rows, cols = np.r_[diag, i, j], np.r_[diag, j, i]
-        self.hsel = np.lexsort((cols, rows))
-        self.htilde = sp.csr_matrix(
-            (np.zeros(rows.size), cols[self.hsel],
-             np.searchsorted(rows[self.hsel], np.arange(self.na + 1))),
-            shape=(self.na, self.na))
+        self.htilde = sp.csr_matrix((np.arange(rows.size, dtype=float), (rows, cols)),
+                                    shape=(self.na, self.na))
+        self.hsel = self.htilde.data.astype(int)
 
     def factor(self, state: IpPmmState):
         self._refresh(state)
@@ -475,7 +473,7 @@ class SaddleMatrix(NewtonSystem):
     per solve, and the dense border δI + A_B K^-1 A_B'.
     """
 
-    def __init__(self, program: ConvexProgram, options: SolverOptions):
+    def __init__(self, program: ConvexProgram):
         if program.Q is None:
             raise UnsupportedStructureError(
                 "direct path needs an explicit quadratic Hessian")
@@ -504,7 +502,7 @@ class NormalEquations(NewtonSystem):
     which would lose that factor in accuracy to its elimination.
     """
 
-    def __init__(self, program: ConvexProgram, options: SolverOptions):
+    def __init__(self, program: ConvexProgram):
         if program.Q is None or np.any((Q := program.Q.tocoo()).data[Q.row != Q.col]):
             raise UnsupportedStructureError(
                 "normal equations need a diagonal Hessian; use the augmented path")
@@ -643,7 +641,7 @@ def solve(program: ConvexProgram, options: Optional[SolverOptions] = None):
 
         t0 = time.perf_counter()
         try:
-            ctx = _CONTEXTS[options.linear_solver](state, program, options)
+            ctx = _CONTEXTS[options.linear_solver](state, program)
             dx, dy, dz = predictor_corrector_step(state, ctx, rp, gy)
         except (RuntimeError, np.linalg.LinAlgError):
             status = "numerical-failure"
@@ -661,8 +659,6 @@ def solve(program: ConvexProgram, options: Optional[SolverOptions] = None):
 
     if state.system is not None:  # the Krylov work of every iteration, a failed one too
         report.inner_solves = state.system.inner_solves
-        report.inner_iterations = state.system.inner_iterations
-        report.inner_capped = state.system.inner_capped
     report.status = status
     report.final_objective = float(program.objective(state.x))
     report.time_s = time.perf_counter() - t_start

@@ -67,6 +67,10 @@ class ConvexProgram:
             raise ValueError("pair indices must not repeat")
         if np.any(paired & free):
             raise ValueError("pair indices must be non-negative coordinates")
+        i, j = self.couplings
+        key = np.sort(np.minimum(i, j) * self.n + np.maximum(i, j))  # either order
+        if np.any(i == j) or np.any(key[1:] == key[:-1]):
+            raise ValueError("couplings must join two distinct coordinates, each pair once")
 
     def _index_pairs(self, name):
         """The field ``name`` as a 2 x p integer array of coordinates; None is
@@ -200,20 +204,14 @@ def budget_constraints(inst: PortfolioInstance) -> tuple:
     construction.
     """
     m, s = inst.num_periods, inst.num_assets
-    rows = []
-    e = np.ones(s)
-    for i in range(m + 1):
-        blocks = [np.zeros(s)] * m
-        if i < m:
-            blocks[i] = e
-        if i >= 1:
-            grow = e + np.asarray(inst.returns[i - 1], dtype=float)
-            blocks[i - 1] = (blocks[i - 1] - grow) if i < m else grow
-        rows.append(np.concatenate(blocks))
-    bbar = np.zeros(m + 1)
-    bbar[0] = inst.xi_init
-    bbar[m] = inst.xi_term
-    return sp.csr_matrix(np.array(rows)), bbar
+    # each weight of period j holds +1 in row j and its growth 1 + r_j in
+    # row j + 1, negated there unless that is the terminal row m
+    grow = 1.0 + np.concatenate(inst.returns, dtype=float)
+    grow[:-s] *= -1.0
+    row, col = np.repeat(np.arange(m), s), np.arange(m * s)
+    Abar = sp.csr_matrix((np.r_[np.ones(m * s), grow], (np.r_[row, row + 1], np.r_[col, col])),
+                         shape=(m + 1, m * s))
+    return Abar, np.r_[inst.xi_init, np.zeros(m - 1), inst.xi_term]
 
 
 def build_portfolio_qp(inst: PortfolioInstance) -> ConvexProgram:
@@ -353,10 +351,9 @@ def build_poisson_tv(inst: PoissonTvInstance) -> ConvexProgram:
     r = inst.intensity_budget
     if r <= 0:
         raise ValueError("degenerate intensity: sum(g - a) must be positive")
-    A = sp.bmat([
-        [sp.csr_matrix(np.ones((1, n))), None, None],
-        [L, -sp.eye(l), sp.eye(l)],
-    ], format="csr")
+    eye = sp.eye(l, format="coo")
+    A = _assemble((1 + l, n + 2 * l), [(sp.coo_matrix(np.ones((1, n))), 0, 0), (L, 1, 0),
+                                       (-eye, 1, n), (eye, 1, n + l)])
 
     # H~ keeps H's couplings of the pixel pairs (j, j + e_a) of the TV rows,
     # which the band of the MINRES preconditioner holds already, and lumps
@@ -423,14 +420,17 @@ def logistic_loss(D, g, w) -> float:
     return float(np.mean(np.maximum(-t, 0.0) + np.log1p(np.exp(-np.abs(t)))))
 
 
+def _sigmoid_weights(D, g, w):
+    """p = sigmoid(-t) at the margins t = g * (D w), and the weights p (1 - p) / n."""
+    t = g * (D @ w)
+    p = 1.0 / (1.0 + np.exp(np.clip(t, -500, 500)))
+    return p, p * (1.0 - p) / D.shape[0]
+
+
 def logistic_oracle(D, g, w):
     """Gradient and Hessian weights of the mean logistic loss."""
-    nsamp = D.shape[0]
-    t = g * (D @ w)
-    p = 1.0 / (1.0 + np.exp(np.clip(t, -500, 500)))  # sigmoid(-t)
-    grad = -(D.T @ (g * p)) / nsamp
-    hweights = p * (1.0 - p) / nsamp
-    return grad, hweights
+    p, hweights = _sigmoid_weights(D, g, w)
+    return -(D.T @ (g * p)) / D.shape[0], hweights
 
 
 def build_logistic_l1(inst: LogisticInstance) -> ConvexProgram:
@@ -439,10 +439,11 @@ def build_logistic_l1(inst: LogisticInstance) -> ConvexProgram:
     D2 = D ** 2
     g = inst.labels
     s = D.shape[1]
-    A = sp.hstack([sp.eye(s), -sp.eye(s), sp.eye(s)], format="csr")
+    eye = sp.eye(s, format="coo")
+    A = _assemble((s, 3 * s), [(eye, 0, 0), (-eye, 0, s), (eye, 0, 2 * s)])
 
     def hess_action(w):  # H~ is diag H
-        hw = logistic_oracle(D, g, w)[1]
+        hw = _sigmoid_weights(D, g, w)[1]
         return lambda v: D.T @ (hw * (D @ v)), D2.T @ hw
 
     return split_l1_program(

@@ -1,4 +1,4 @@
-"""Seventeen small ``ast`` checks in place of a linter, and two on the README.
+"""Eighteen small ``ast`` checks in place of a linter, and two on the README.
 
 - Every name a ``sparseipm`` module imports is used in that module: it appears
   as a name anywhere in the module, or in ``__all__``.
@@ -42,6 +42,11 @@
 - Within ``ippmm`` only ``kkt_residuals`` and ``NewtonSystem._reduce``
   read ``program.A`` or ``program.pairs``, so no path reduces the pairs a
   second time.
+- No ``sparseipm`` module names ``bmat``, ``hstack`` or ``vstack`` of
+  ``scipy.sparse``, and only ``linops._forward_differences`` builds a CSR or
+  CSC matrix from a (data, indices, indptr) triple, so every sparse matrix
+  that set-up assembles goes through one COO step; the difference operator
+  writes its two entries per row directly.
 - Within ``src/sparseipm`` only ``linops`` imports or names ``scipy.fft``,
   so the choice between a blur's Kronecker and FFT forms stays in one module.
 - Within ``src/sparseipm`` only ``krylov`` imports or names
@@ -364,10 +369,9 @@ def test_every_defaulted_parameter_has_a_caller():
 PROGRAM_CONSTRUCTORS = {"quadratic_program", "split_l1_program"}
 
 
-def calls(source: str, match) -> list:
-    """(definition, line) of each call whose callee ``match`` accepts: a
-    method is named ``Class.method``, anything else by its top-level
-    definition."""
+def sites(source: str, match) -> list:
+    """(definition, line) of each node that ``match`` accepts: a method is
+    named ``Class.method``, anything else by its top-level definition."""
     out = []
     for top in ast.parse(source).body:
         name = getattr(top, "name", "<module>")
@@ -375,9 +379,14 @@ def calls(source: str, match) -> list:
         for part in parts:
             where = (f"{name}.{part.name}" if part is not top
                      and isinstance(part, ast.FunctionDef) else name)
-            out.extend((where, node.lineno) for node in ast.walk(part)
-                       if isinstance(node, ast.Call) and match(node.func))
+            out.extend((where, node.lineno) for node in ast.walk(part) if match(node))
     return out
+
+
+def calls(source: str, match) -> list:
+    """(definition, line) of each call whose callee ``match`` accepts, named
+    as by ``sites``."""
+    return sites(source, lambda node: isinstance(node, ast.Call) and match(node.func))
 
 
 def constructions(source: str, cls: str) -> list:
@@ -540,6 +549,49 @@ def test_only_the_newton_system_reduces_the_program():
     source = (Path(sparseipm.__file__).parent / "ippmm.py").read_text()
     allowed = {"kkt_residuals", "NewtonSystem._reduce"}
     assert [read for read in program_reads(source) if read[0] not in allowed] == []
+
+
+SPARSE_STACKS = {"bmat", "hstack", "vstack"}
+COMPRESSED = {"csr_matrix", "csc_matrix", "csr_array", "csc_array"}
+
+
+def sparse_assemblies(source: str) -> list:
+    """(definition, line), named as by ``sites``, of each ``bmat``,
+    ``hstack`` or ``vstack`` of ``scipy.sparse`` (as an attribute of ``sp``,
+    ``sparse`` or ``scipy.sparse``, or imported from it) and of each CSR or
+    CSC matrix built from a (data, indices, indptr) triple."""
+    def match(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr in SPARSE_STACKS and (
+                getattr(node.value, "id", None) in ("sp", "sparse")
+                or getattr(node.value, "attr", None) == "sparse")
+        if isinstance(node, ast.ImportFrom):
+            return node.module == "scipy.sparse" and any(
+                alias.name in SPARSE_STACKS for alias in node.names)
+        return (isinstance(node, ast.Call) and bool(node.args)
+                and isinstance(node.args[0], ast.Tuple) and len(node.args[0].elts) == 3
+                and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+                in COMPRESSED)
+    return sites(source, match)
+
+
+def test_checker_finds_sparse_assemblies():
+    source = ("from scipy.sparse import hstack, eye\nimport scipy.sparse as sp\n"
+              "def a(L):\n    return sp.bmat([[L, None]], format='csr')\n"
+              "def b(D):\n    return np.hstack([D, D]), scipy.sparse.vstack([D, D])\n"
+              "class C:\n    def m(self, d, i, p):\n"
+              "        self.M = sp.csr_matrix((d, i, p), shape=(2, 2))\n"
+              "        self.N = sp.csr_matrix((d, (i, p)), shape=(2, 2))\n"
+              "def f(d, i, p):\n    return csc_matrix((d, i, p)), sp.csr_matrix(np.eye(2))\n")
+    assert sparse_assemblies(source) == [("<module>", 1), ("a", 4), ("b", 6), ("C.m", 9),
+                                         ("f", 12)]
+
+
+def test_set_up_assembles_sparse_matrices_in_one_coo_step():
+    found = [(path.name, name, line) for path in MODULES
+             for name, line in sparse_assemblies(path.read_text())
+             if (path.stem, name) != ("linops", "_forward_differences")]
+    assert found == []
 
 
 def scipy_fft_uses(source: str) -> list:

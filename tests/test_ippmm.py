@@ -22,7 +22,7 @@ from sparseipm.problems import (ConvexProgram, LogisticInstance, build_fused_las
 from planted import planted_qp
 from test_krylov import reference_minres
 from test_precond import random_fused_lasso_layout
-from test_problems import make_poisson, make_portfolio
+from test_problems import dense_htilde, make_poisson, make_portfolio
 
 
 def random_state(prog, seed=0, rho=1e-2, delta=1e-2):
@@ -43,7 +43,7 @@ def random_state(prog, seed=0, rho=1e-2, delta=1e-2):
 
 def factored(cls, state, program):
     """A path's system, built for ``program`` and factored at ``state``."""
-    system = cls(program, SolverOptions())
+    system = cls(program)
     system.factor(state)
     return system
 
@@ -336,7 +336,7 @@ class TestSystemAssembly:
         prog = self._program(diag=False)
         st = random_state(prog, seed=15)
         with pytest.raises(UnsupportedStructureError):
-            NormalEquations(prog, SolverOptions())
+            NormalEquations(prog)
 
     def test_sigma_one_rhs_is_perturbed_kkt_residual(self):
         prog = self._program(seed=16, diag=False)
@@ -398,7 +398,7 @@ class TestDirectPath:
             bands = record_calls(monkeypatch, scipy.linalg, "cholesky_banded")
             st = random_state(prog, seed=41)
             Q, A = prog.Q.toarray(), prog.A.toarray()
-            ctx = SaddleMatrix(prog, SolverOptions())  # one band for the whole sequence
+            ctx = SaddleMatrix(prog)  # one band for the whole sequence
             for change in ("first", "reused", "one-at-bound", "both-at-bound"):
                 if change == "reused":
                     st.x = 1.5 * st.x
@@ -1031,7 +1031,8 @@ class TestSplitOperator:
         got = np.concatenate(system.solve(r1, r2))
         (dx, dy), it = preconditioned_minres_step(system, r1, r2)
         expected = np.concatenate([dx, dy])
-        assert abs(system.inner_iterations - it) <= 1
+        assert abs(sum(out["iters"] for entry in system.inner_solves
+                       for out in entry["solves"]) - it) <= 1
         assert np.linalg.norm(got - expected) <= 1e-9 * np.linalg.norm(expected)
 
 
@@ -1054,7 +1055,7 @@ class TestLifecycle:
         (NormalEquations, "diagonal-slack")])
     def test_one_system_follows_the_iterate(self, cls, family):
         prog = self.program(family)
-        system = cls(prog, SolverOptions())
+        system = cls(prog)
         for seed in (41, 42, 43):
             st = random_state(prog, seed=seed)
             st.inner_tol = 1e-12
@@ -1068,7 +1069,7 @@ class TestLifecycle:
         prog = self.program(family)
         st = random_state(prog, seed=41)
         st.inner_tol = 1e-12
-        system = cls(prog, SolverOptions())
+        system = cls(prog)
         p, q = prog.pairs
         # none at its bound, then one pair member, both members of another and
         # a non-negative variable outside the pairs, if the program has one
@@ -1128,8 +1129,7 @@ class TestLifecycle:
         number of rows that border K at each factor."""
         st = random_state(prog, seed=45)
         st.inner_tol = 1e-12
-        system = NormalEquations(prog, SolverOptions(linear_solver="pcg-normal",
-                                                     precond="fmri-block"))
+        system = NormalEquations(prog)
         r = np.random.default_rng(46).standard_normal(prog.m)
         borders = []
         for some in members:
@@ -1333,6 +1333,18 @@ class TestMinresPath:
         inst, _ = gen_blur_instance(img, kernel, 100.0, 1.0, 0, lam=5e-3)
         return build_poisson_tv(inst)
 
+    def test_htilde_csr_holds_each_entry_once(self):
+        # the CSR that each MINRES iteration subtracts is the program's H~
+        # over the unknowns, in band order, refilled at each factor
+        prog = self.program()
+        system = AugmentedSystem(prog)
+        for seed in (51, 52):
+            st = random_state(prog, seed=seed)
+            system.factor(st)
+            rows = system.rows
+            np.testing.assert_array_equal(system.htilde.toarray(),
+                                          dense_htilde(prog, st.x)[np.ix_(rows, rows)])
+
     def test_hessian_action_is_built_once_per_iterate(self):
         prog = self.program()
         built = []
@@ -1350,7 +1362,7 @@ class TestMinresPath:
         assert len(built) == rep.iterations
 
     @pytest.mark.parametrize("family, weights, per_solve", [("poisson", "_intensity", 2),
-                                                            ("logistic", "logistic_oracle", 1)])
+                                                            ("logistic", "_sigmoid_weights", 1)])
     def test_each_factor_evaluates_the_hessian_weights_once(self, monkeypatch, family,
                                                             weights, per_solve):
         # u2 = g/(Dw + a)^2 on Poisson and p(1 - p)/n on logistic: one call in
@@ -1364,6 +1376,15 @@ class TestMinresPath:
         _, rep = solve(prog, SolverOptions(linear_solver="minres-augmented", max_iter=5))
         assert (rep.status, rep.iterations) == ("max-iterations", 5)
         assert len(calls) == 2 * rep.iterations + per_solve
+
+    def test_logistic_factors_compute_only_the_hessian_weights(self, monkeypatch):
+        # the gradient of ``kkt_residuals`` at each of the k + 1 iterates calls
+        # logistic_oracle; the k factors take their weights without D'(g p)
+        prog = build_logistic_l1(gen_classification(200, 40, 2.0, 0.1, 0)[0])
+        calls = record_calls(monkeypatch, problems, "logistic_oracle")
+        _, rep = solve(prog, SolverOptions(linear_solver="minres-augmented", max_iter=5))
+        assert (rep.status, rep.iterations) == ("max-iterations", 5)
+        assert len(calls) == rep.iterations + 1
 
     def test_couplings_in_the_preconditioner_save_minres_iterations(self):
         # the same solve with H~ lumped onto its diagonal, H~1 = D'u2, as the

@@ -47,7 +47,7 @@ def fmri_block_precond(g, A, split, delta, q, at_bound=()):
     st = initial_state(prog, SolverOptions())
     st.x, st.z, st.rho, st.delta = np.ones(n), g.copy(), 0.0, delta
     st.x[list(at_bound)], st.z[list(at_bound)] = 1e-6, 1e6
-    system = NormalEquations(prog, SolverOptions(linear_solver="pcg-normal"))
+    system = NormalEquations(prog)
     system.factor(st)
     return build_fmri_normal_precond(system._apply_inverse), system
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sparseipm.ippmm import NormalEquations, SolverOptions, UnsupportedStructureError
+from sparseipm.ippmm import NormalEquations, UnsupportedStructureError
 from sparseipm.linops import BccbOperator, BlurKernel, make_tv_operator
 from sparseipm.problems import (DomainError, FusedLassoLsInstance,
                                 LogisticInstance, PoissonTvInstance,
@@ -14,6 +14,15 @@ from sparseipm.problems import (DomainError, FusedLassoLsInstance,
                                 kl_gradient, kl_value, logistic_loss,
                                 logistic_oracle, naive_portfolio,
                                 quadratic_program)
+
+
+def assert_same_csr(got, expected):
+    """Equal shapes, and equal indptr, indices and data with their dtypes."""
+    assert got.format == "csr" and got.shape == expected.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
 
 
 def finite_diff_grad(f, x, h=1e-6):
@@ -66,6 +75,17 @@ class TestPortfolio:
             [0.0, 0.0, 1.0, 1.05],
         ])
         np.testing.assert_allclose(A, expected)
+
+    def test_budget_matrix_matches_the_row_by_row_build(self):
+        # the reference: each row assembled dense, block by block
+        inst = make_portfolio(s=5, m=4, seed=7)
+        m, s = inst.num_periods, inst.num_assets
+        rows = np.zeros((m + 1, m * s))
+        for j in range(m):
+            rows[j, j * s:(j + 1) * s] = 1.0
+            grow = 1.0 + np.asarray(inst.returns[j])
+            rows[j + 1, j * s:(j + 1) * s] = grow if j == m - 1 else -grow
+        assert_same_csr(budget_constraints(inst)[0], sp.csr_matrix(rows))
 
     def test_budget_rhs_follows_terminal_wealth_set_later(self):
         inst = make_portfolio(s=2, m=3)
@@ -129,7 +149,7 @@ class TestPortfolio:
 
 def normal_equations(prog):
     """The PCG path's system of ``prog``, which needs a diagonal ``Q``."""
-    return NormalEquations(prog, SolverOptions(linear_solver="pcg-normal"))
+    return NormalEquations(prog)
 
 
 class TestQuadraticProgram:
@@ -189,6 +209,43 @@ class TestQuadraticProgram:
             quadratic_program(np.eye(3), np.zeros(3), np.zeros((0, 3)),
                               np.zeros(0), nonneg=np.array([0, 1]),
                               pairs=np.array(pairs))
+
+    @pytest.mark.parametrize("couplings", [
+        [[1], [1]],                          # a coordinate with itself
+        [[0, 0], [2, 2]],                    # a pair twice
+        [[0, 2], [2, 0]],                    # a pair twice, once reversed
+    ])
+    def test_coupling_indices_enforced(self, couplings):
+        # H~ holds one value per coupling: the MINRES band adds it once, so a
+        # second copy would reach only H~'s CSR product
+        with pytest.raises(ValueError, match="each pair once"):
+            quadratic_program(np.eye(3), np.zeros(3), np.zeros((0, 3)), np.zeros(0),
+                              couplings=np.array(couplings))
+        prog = quadratic_program(np.eye(3), np.zeros(3), np.zeros((0, 3)), np.zeros(0),
+                                 couplings=np.array([[0, 1], [2, 2]]))
+        assert prog.couplings.tolist() == [[0, 1], [2, 2]]
+
+    @pytest.mark.parametrize("family", ["poisson", "logistic"])
+    def test_constraints_match_the_block_build(self, family):
+        # the reference: scipy's block assembly of [1' 0 0; L -I I] and [I -I I]
+        if family == "poisson":
+            inst = make_poisson()
+            L, l = inst.tv.matrix, inst.tv.rows
+            expected = sp.bmat([[sp.csr_matrix(np.ones((1, L.shape[1]))), None, None],
+                                [L, -sp.eye(l), sp.eye(l)]], format="csr")
+            got = build_poisson_tv(inst).A
+        else:
+            inst = LogisticInstance(np.random.default_rng(3).standard_normal((9, 4)),
+                                    np.array([1.0, -1.0] * 4 + [1.0]), tau=0.1)
+            eye = sp.eye(5)
+            expected = sp.hstack([eye, -eye, eye], format="csr")
+            got = build_logistic_l1(inst).A
+        assert_same_csr(got, expected)
+
+    def test_poisson_rejects_a_repeated_coupling(self):
+        prog = build_poisson_tv(make_poisson())
+        with pytest.raises(ValueError, match="each pair once"):
+            dataclasses.replace(prog, couplings=np.c_[prog.couplings, prog.couplings[::-1, :1]])
 
 
 class TestFusedLassoLs:
