@@ -516,7 +516,8 @@ def _cmd_spectest(args) -> int:
         x = np.ones(prog.n)
         shift = 1.0 + rho
         hess, _ = prog.hess_action(x)
-        H = np.column_stack([hess(e) for e in np.eye(prog.n)]) + shift * np.eye(prog.n)
+        block = np.column_stack([hess(e) for e in np.eye(inst.blur.cols)])  # the pixels
+        H = np.pad(block, (0, prog.n - len(block))) + shift * np.eye(prog.n)
         u2 = inst.observed / (inst.blur.apply(x[:inst.blur.cols]) + inst.background) ** 2
         htilde = np.r_[u2, np.zeros(prog.n - u2.size)] + shift  # the paper's diag(u^2)
         rep = precond.aug_spectral_report(H, prog.A, htilde, delta)

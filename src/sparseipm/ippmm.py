@@ -427,7 +427,6 @@ class AugmentedSystem(NewtonSystem):
         self.program = program
         self._reduce(program, couplings=program.couplings)
         self.na = self.rows.size
-        self._full = np.zeros(program.n)  # the Hessian's argument, zero off the unknowns
         # H~ over the unknowns in band order: its diagonal, then each coupling
         # twice. Each entry's value is its place in that list, so the CSR's
         # values, sorted by the COO step, are ``hsel``: the entry that each
@@ -442,7 +441,11 @@ class AugmentedSystem(NewtonSystem):
     def factor(self, state: IpPmmState):
         self._refresh(state)
         self._hess, htilde = self.program.hess_action(state.x)  # H~: diagonal, couplings
-        diag, c = htilde[self.rows], htilde[self.program.n:]
+        k = htilde.size - self.program.couplings.shape[1]  # the Hessian block's length
+        if self.rows.max(initial=-1) >= k:
+            raise UnsupportedStructureError("an unknown lies outside the Hessian block")
+        self._block = np.zeros(k)  # the Hessian's argument, zero off the unknowns
+        diag, c = htilde[self.rows], htilde[k:]
         self._factor_band(diag, c)
         self.band.split()
         self.htilde.data[:] = np.concatenate([diag, c, c])[self.hsel]
@@ -450,8 +453,8 @@ class AugmentedSystem(NewtonSystem):
 
     def _gap(self, w: np.ndarray) -> np.ndarray:
         """Δw = (H - H~) w over the unknowns (band order)."""
-        self._full[self.rows] = w
-        return self._hess(self._full)[self.rows] - self.htilde @ w
+        self._block[self.rows] = w
+        return self._hess(self._block)[self.rows] - self.htilde @ w
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.band.split_apply(v, self._gap)

@@ -24,12 +24,13 @@ class ConvexProgram:
     quadratic f, is what the direct path factors; the normal-equations path
     takes it only when it is diagonal.
     ``hess_action(x)`` returns, from one evaluation at x, the pair
-    (action, H~): the action v -> Hessian(x) v, so that work shared by all
-    products at one point is done once per point, and H~, the approximation
-    of the f-Hessian H that the MINRES preconditioner factors, as one vector:
-    its diagonal, then its value on each column (i, j) of the 2 x c index
-    array ``couplings``, the pairs of coordinates it couples (each once; none
-    by default), a pattern fixed per program.
+    (action, H~) over the Hessian block, the leading k coordinates, outside
+    which f is linear and the MINRES path's Newton solve has no unknown:
+    the action v -> Hessian(x) v on the block, and H~, the approximation of
+    the f-Hessian H that the MINRES preconditioner factors, as one vector
+    of length k + c: its diagonal on the block, then its value on each
+    column (i, j) of the 2 x c index array ``couplings``, the pairs of
+    coordinates it couples (each once; none by default), a fixed pattern.
     Each column (x+, x-) of the 2 x p index array ``pairs`` names a split
     pair of non-negative coordinates whose columns in ``A`` and ``Q`` are
     exact negatives. Without ``Q``, the Hessian of f must vanish on pair
@@ -103,21 +104,14 @@ def split_l1_program(A, b, k, lam, nonneg, value, gradient, hess_action,
                      couplings=None) -> ConvexProgram:
     """Build a ConvexProgram for f(x) = phi(w) + lam * sum(x[k:]) with
     x = [w; d+; d-] and w = x[:k], from phi's oracles as functions of w (H~
-    coupling the coordinates of ``couplings``); the gradient is lam and the
-    Hessian action and H~ are zero on the pairs."""
+    coupling the coordinates of ``couplings``); the gradient is lam on the
+    pairs, and phi's Hessian over w is the program's Hessian block."""
     n = A.shape[1]
-    zeros = np.zeros(n - k)
-
-    def padded(x):
-        action, htilde = hess_action(x[:k])
-        return (lambda v: np.concatenate([action(v[:k]), zeros]),
-                np.concatenate([htilde[:k], zeros, htilde[k:]]))
-
     return ConvexProgram(
         A=A, b=b, nonneg=nonneg,
         objective=lambda x: value(x[:k]) + lam * float(np.sum(x[k:])),
         gradient=lambda x: np.concatenate([gradient(x[:k]), np.full(n - k, lam)]),
-        hess_action=padded,
+        hess_action=lambda x: hess_action(x[:k]),
         pairs=np.arange(k, n).reshape(2, -1), couplings=couplings, extract=lambda x: x[:k])
 
 

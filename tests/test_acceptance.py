@@ -29,7 +29,7 @@ from sparseipm.problems import (build_fused_lasso_ls, build_logistic_l1,
                                 kl_gradient, kl_value, logistic_loss,
                                 logistic_oracle, quadratic_program)
 from test_ippmm import direct_matrix, direct_step, factored, random_state
-from test_problems import dense_htilde
+from test_problems import dense_hessian, dense_htilde
 
 
 def _report(num, title, ok):
@@ -101,10 +101,8 @@ def test_criterion_02_normal_preconditioner_spectra():
 
 def _aug_interval_ok(prog, x, theta_inv, rho, delta, htilde_choice, u2):
     """``u2`` is the diagonal of the paper's u-squared H~ at x."""
-    n = prog.n
     shift = theta_inv + rho
-    hess, _ = prog.hess_action(x)
-    H = np.column_stack([hess(e) for e in np.eye(n)]) + np.diag(shift)
+    H = dense_hessian(prog, x) + np.diag(shift)
     if htilde_choice == "diag-h":
         htilde = np.diag(H).copy()
     elif htilde_choice == "solver":  # the MINRES path's H~, couplings and all
@@ -153,7 +151,7 @@ def test_criterion_03_augmented_preconditioner_spectra():
         x = rng.uniform(0.1, 3.0, prog.n)
         theta_inv = np.zeros(prog.n)
         theta_inv[prog.nonneg] = rng.uniform(0.1, 10.0, prog.nonneg.size)
-        u2 = prog.hess_action(x)[1][:prog.n]  # H~ = diag H on logistic
+        u2 = np.diag(dense_htilde(prog, x))  # H~ = diag H on logistic
         for choice in ("u-squared", "diag-h"):
             ok &= _aug_interval_ok(prog, x, theta_inv, rho, delta, choice, u2)
     elapsed = time.perf_counter() - t0

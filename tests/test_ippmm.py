@@ -22,7 +22,8 @@ from sparseipm.problems import (ConvexProgram, LogisticInstance, build_fused_las
 from planted import planted_qp
 from test_krylov import reference_minres
 from test_precond import random_fused_lasso_layout
-from test_problems import dense_htilde, make_poisson, make_portfolio
+from test_problems import (dense_hessian, dense_htilde, make_poisson, make_portfolio,
+                           split_htilde)
 
 
 def random_state(prog, seed=0, rho=1e-2, delta=1e-2):
@@ -819,6 +820,18 @@ class TestSolveBehavior:
         with pytest.raises(UnsupportedStructureError, match="reduced unknowns"):
             solve(prog, SolverOptions(linear_solver="minres-augmented"))
 
+    def test_minres_path_rejects_an_unknown_outside_the_hessian_block(self):
+        # f = |x[:2]|^2 / 2 + c'x declares the block x[:2], but x_2, linear in
+        # f and in no slack pair, is an unknown of the MINRES path
+        c = np.array([-1.0, -2.0, 0.5])
+        prog = ConvexProgram(
+            A=sp.csr_matrix(np.ones((1, 3))), b=np.ones(1), nonneg=np.arange(3),
+            objective=lambda x: 0.5 * float(x[:2] @ x[:2]) + float(c @ x),
+            gradient=lambda x: np.r_[x[:2], 0.0] + c,
+            hess_action=lambda x: (lambda v: v, np.ones(2)))
+        with pytest.raises(UnsupportedStructureError, match="outside the Hessian block"):
+            solve(prog, SolverOptions(linear_solver="minres-augmented"))
+
     @pytest.mark.parametrize("path", ["direct-augmented", "pcg-normal",
                                       "minres-augmented"])
     def test_negative_hessian_diagonal_is_numerical_failure(self, path):
@@ -849,9 +862,7 @@ class TestSolveBehavior:
 def assert_dense_step(system, st, prog):
     """``system``'s step at ``st`` is the step of the unreduced system
     [[-(H + Θ + ρI), A'], [A, δI]]."""
-    hess, _ = prog.hess_action(st.x)
-    H = np.column_stack([hess(e) for e in np.eye(prog.n)])
-    K = H + np.diag(st.xi_diag() + st.rho)
+    K = dense_hessian(prog, st.x) + np.diag(st.xi_diag() + st.rho)
     A = prog.A.toarray()
     M = np.block([[-K, A.T], [A, st.delta * np.eye(prog.m)]])
     rng = np.random.default_rng(42)
@@ -896,10 +907,11 @@ class TestSlackPairElimination:
         assert system.pairs.size == prog.pairs.size  # every declared pair is slack
         assert_dense_step(system, st, prog)
 
-    LOSS = pytest.mark.xfail(strict=True, reason="the elimination of a row with "
-                             "E ≈ δ = 1e-8 loses about 1e-9 in relative accuracy (up to "
-                             "1.64e-9 on Poisson and 2.67e-9 on logistic over seeds "
-                             "41-50); the MINRES path keeps eliminating that row")
+    LOSS = pytest.mark.xfail(strict=True, raises=AssertionError,
+                             reason="the elimination of a row with E ≈ δ = 1e-8 loses "
+                             "about 1e-9 in relative accuracy (up to 1.64e-9 on Poisson "
+                             "and 2.67e-9 on logistic over seeds 41-50); the MINRES path "
+                             "keeps eliminating that row")
 
     @pytest.mark.parametrize("family,seeds", [
         pytest.param("poisson", range(41, 51), marks=LOSS, id="poisson"),
@@ -930,7 +942,8 @@ class TestSlackPairElimination:
 
         def uncoupled(x):
             action, htilde = hess_action(x)
-            return action, np.r_[htilde[:prog.n], np.zeros(prog.couplings.shape[1])]
+            diag, c = split_htilde(prog, htilde)
+            return action, np.r_[diag, np.zeros(c.size)]
 
         prog.hess_action = uncoupled
         factored(AugmentedSystem, st, prog)
@@ -986,9 +999,9 @@ def preconditioned_minres_step(system, r1, r2):
 
     def matvec(v):
         v1, v2 = v[:na], v[na:]
-        full = np.zeros(system.e.size)
-        full[system.rows] = v1
-        K1 = (system._hess(full)[system.rows] + system.dt * v1
+        block = np.zeros(system._block.size)  # the Hessian's argument
+        block[system.rows] = v1
+        K1 = (system._hess(block)[system.rows] + system.dt * v1
               + system.A_Rt @ ((band.A_R @ v1) / system.E_elim))
         return np.concatenate([band.A_Bt @ v2 - K1, v1 @ band.A_Bt + system.delta * v2])
 
@@ -1377,6 +1390,33 @@ class TestMinresPath:
         assert (rep.status, rep.iterations) == ("max-iterations", 5)
         assert len(calls) == 2 * rep.iterations + per_solve
 
+    @pytest.mark.parametrize("family, k", [("poisson", 16 * 16), ("logistic", 40 + 1)])
+    def test_the_hessian_acts_on_its_block_alone(self, family, k):
+        # the Hessian block is the k pixels, or the s + 1 coefficients with the
+        # bias: every vector that the action takes or returns has length k,
+        # and each H~ holds k diagonal values and one per coupling
+        if family == "poisson":
+            prog = self.program()
+        else:
+            prog = build_logistic_l1(gen_classification(200, 40, 2.0, 0.1, 0)[0])
+        hess_action, htildes, actions = prog.hess_action, [], []
+
+        def recorded(x):
+            action, htilde = hess_action(x)
+            htildes.append(htilde.size)
+
+            def act(v):
+                out = action(v)
+                actions.append((v.size, out.size))
+                return out
+            return act, htilde
+
+        prog.hess_action = recorded
+        _, rep = solve(prog, SolverOptions(linear_solver="minres-augmented", max_iter=5))
+        assert (rep.status, rep.iterations) == ("max-iterations", 5) and prog.n > k
+        assert htildes == [k + prog.couplings.shape[1]] * rep.iterations
+        assert len(actions) >= rep.inner_iterations and set(actions) == {(k, k)}
+
     def test_logistic_factors_compute_only_the_hessian_weights(self, monkeypatch):
         # the gradient of ``kkt_residuals`` at each of the k + 1 iterates calls
         # logistic_oracle; the k factors take their weights without D'(g p)
@@ -1395,9 +1435,9 @@ class TestMinresPath:
 
         def lumped(x):
             action, htilde = hess_action(x)
-            c = htilde[prog.n:]
-            diag = htilde[:prog.n] + np.bincount(prog.couplings.ravel(), np.tile(c, 2),
-                                                 minlength=prog.n)
+            diag, c = split_htilde(prog, htilde)
+            diag = diag + np.bincount(prog.couplings.ravel(), np.tile(c, 2),
+                                      minlength=diag.size)
             return action, np.r_[diag, np.zeros(c.size)]
 
         prog.hess_action = lumped

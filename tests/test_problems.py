@@ -294,12 +294,30 @@ class TestFusedLassoLs:
         FusedLassoLsInstance(np.ones((2, 4)), np.ones(2), (4,), 0.0, 0.0)
 
 
+def split_htilde(prog, htilde):
+    """H~'s diagonal over the Hessian block, the leading k coordinates, and
+    its values on the couplings: k is H~'s length minus theirs."""
+    k = htilde.size - prog.couplings.shape[1]
+    return htilde[:k], htilde[k:]
+
+
+def dense_hessian(prog, x):
+    """The program's n x n Hessian at x: the action on each unit vector of
+    the Hessian block, zero outside it."""
+    hess, htilde = prog.hess_action(x)
+    k = split_htilde(prog, htilde)[0].size
+    H = np.zeros((prog.n, prog.n))
+    H[:k, :k] = np.column_stack([hess(e) for e in np.eye(k)])
+    return H
+
+
 def dense_htilde(prog, x):
-    """The program's H~ at x, assembled dense from its diagonal and couplings."""
-    _, htilde = prog.hess_action(x)
-    dense = np.diag(htilde[:prog.n])
+    """The program's n x n H~ at x, assembled dense from its diagonal and
+    couplings, zero outside the Hessian block."""
+    diag, c = split_htilde(prog, prog.hess_action(x)[1])
+    dense = np.diag(np.r_[diag, np.zeros(prog.n - diag.size)])
     i, j = prog.couplings
-    dense[i, j] = dense[j, i] = htilde[prog.n:]
+    dense[i, j] = dense[j, i] = c
     return dense
 
 
@@ -355,9 +373,9 @@ class TestPoissonTv:
                             rng.uniform(0.1, 1.0, size=prog.n - 64)])
         u = rng.standard_normal(prog.n)
         v = rng.standard_normal(prog.n)
-        hess, _ = prog.hess_action(x)
-        huv = float(u @ hess(v))
-        hvu = float(v @ hess(u))
+        H = dense_hessian(prog, x)
+        huv = float(u @ (H @ v))
+        hvu = float(v @ (H @ u))
         assert abs(huv - hvu) <= 1e-12 * max(1.0, abs(huv))
 
     @pytest.mark.parametrize("family", ["gaussian", "motion", "out-of-focus", "identity"])
@@ -372,8 +390,7 @@ class TestPoissonTv:
         rng = np.random.default_rng(13)
         x = np.concatenate([rng.uniform(1.0, 5.0, size=64),
                             rng.uniform(0.1, 1.0, size=prog.n - 64)])
-        hess, _ = prog.hess_action(x)
-        H = np.column_stack([hess(e) for e in np.eye(prog.n)])
+        H = dense_hessian(prog, x)
         Ht = dense_htilde(prog, x)
         if family == "identity":
             np.testing.assert_array_equal(Ht, H)
@@ -468,9 +485,9 @@ class TestLogistic:
                                 rng.choice([-1.0, 1.0], size=15), tau=0.05)
         prog = build_logistic_l1(inst)
         x = rng.standard_normal(prog.n)
-        hess, htilde = prog.hess_action(x)
-        H = np.column_stack([hess(e) for e in np.eye(prog.n)])
-        np.testing.assert_allclose(htilde, np.diag(H),
+        Ht = dense_htilde(prog, x)
+        np.testing.assert_array_equal(Ht, np.diag(np.diag(Ht)))  # no couplings
+        np.testing.assert_allclose(np.diag(Ht), np.diag(dense_hessian(prog, x)),
                                    rtol=1e-10, atol=1e-12)
 
     def test_lambda_max_is_gradient_norm_at_zero(self):
@@ -488,7 +505,7 @@ def test_declared_pairs_are_slack_pairs(family):
     one entry of A, the two in the same row and exact negatives, and the
     Hessian vanishes on pair coordinates, so the MINRES path eliminates them.
     The split builder's part: the pairs are x[k:] after w = x[:k], where the
-    gradient is the l1 weight and H~ and the cheap diagonal are zero."""
+    gradient is the l1 weight and the Hessian block ends: H and H~ are zero."""
     rng = np.random.default_rng(17)
     if family == "poisson":
         inst = make_poisson(size=4)
@@ -506,11 +523,10 @@ def test_declared_pairs_are_slack_pairs(family):
     np.testing.assert_array_equal(rows[0], rows[1])
     np.testing.assert_array_equal(A[:, p].toarray(), -A[:, q].toarray())
     x = rng.uniform(1.0, 5.0, size=prog.n)
-    hess, htilde = prog.hess_action(x)
-    assert not np.any(hess(rng.standard_normal(prog.n))[prog.pairs])
-    v = np.zeros(prog.n)
-    v[prog.pairs] = rng.standard_normal(prog.pairs.shape)
-    assert not np.any(hess(v))
+    diag, _ = split_htilde(prog, prog.hess_action(x)[1])
+    assert diag.size == k <= prog.pairs.min()  # the Hessian block ends before the pairs
+    H = dense_hessian(prog, x)
+    assert not np.any(H[prog.pairs]) and not np.any(H[:, prog.pairs])
     assert np.all(prog.gradient(x)[prog.pairs] == weight)
-    assert not np.any(htilde[:prog.n][prog.pairs])
+    assert not np.any(dense_htilde(prog, x)[prog.pairs])
     np.testing.assert_array_equal(prog.extract(x), x[:k])
