@@ -224,16 +224,17 @@ class BccbOperator:
 
     def couplings(self, weights):
         """H[j, j + e_a] of H = K' diag(weights) K for every pixel j and both
-        axes a, the neighbour taken periodically, as a (2, n1, n2) stack.
+        axes a, the neighbour taken periodically, and H[j, j], as a
+        (3, n1, n2) stack: planes 0 and 1 the axes, plane 2 the diagonal.
 
-        With K[i, j] = psf[i - j], entry a at j is the sum over i of
-        weights[i] psf[i - j] psf[i - j - e_a]: the correlation of the
-        weights with psf * shift_a(psf), by one forward and one batched
-        inverse real FFT. The conjugate half spectra of psf * shift_a(psf) are
-        found on the first call, since set-up needs none.
+        With K[i, j] = psf[i - j], the plane of shift s (e_0, e_1, then 0) at
+        j is the sum over i of weights[i] psf[i - j] psf[i - j - s]: the
+        correlation of the weights with psf * shift_s(psf), by one forward and
+        one batched inverse real FFT. The conjugate half spectra of the three
+        products are found on the first call, since set-up needs none.
         """
         if self._coupling_conj is None:
             self._coupling_conj = np.conj(scipy.fft.rfft2(
-                [self.psf * np.roll(self.psf, 1, axis=axis) for axis in (0, 1)]))
+                [self.psf * np.roll(self.psf, s, axis=a) for s, a in ((1, 0), (1, 1), (0, 0))]))
         spectrum = scipy.fft.rfft2(np.asarray(weights, dtype=float).reshape(self.grid))
         return scipy.fft.irfft2(spectrum * self._coupling_conj, s=self.grid)

@@ -54,8 +54,8 @@ def build_aug_block_diag_precond(band) -> Preconditioner:
     unknowns come first, in band order. P = H~ + Θ + ρI + A_R' E^-1 A_R
     approximates the (1,1) block (``ippmm.AugmentedSystem``), with H~ the
     second result of the program's ``hess_action``: on Poisson H's couplings
-    of the TV's pixel pairs, the rest of each row lumped onto its diagonal,
-    so H~ >= H."""
+    of the TV's pixel pairs, with each diagonal max(H_jj, its row's coupling
+    sum), so H~ is diagonally dominant and P is SPD."""
     na = band.order.size
 
     def apply_inverse(r):

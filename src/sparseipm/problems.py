@@ -350,19 +350,20 @@ def build_poisson_tv(inst: PoissonTvInstance) -> ConvexProgram:
                                        (-eye, 1, n), (eye, 1, n + l)])
 
     # H~ keeps H's couplings of the pixel pairs (j, j + e_a) of the TV rows,
-    # which the band of the MINRES preconditioner holds already, and lumps
-    # the rest of each row onto its diagonal: H1 = D'u2 since D1 = 1. Every
-    # entry of H is >= 0, so H~ - H is diagonally dominant and H~ >= H.
+    # which the band of the MINRES preconditioner holds already, with the
+    # diagonal max(H_jj, the row's sum of them). Every entry of H is >= 0, so
+    # H~ is diagonally dominant with a non-negative diagonal.
     pixels = L.indices.reshape(-1, 2).T  # each TV row's (j, j + e_a), in its CSR order
     axis = (pixels[1] - pixels[0] == 1).astype(int)  # a = 1 has stride 1
     ends = pixels.ravel()
 
     def hess_action(w):
         weights = inst.observed / _intensity(w, inst) ** 2  # u2
-        h = inst.blur.couplings(weights).reshape(2, -1)[axis, pixels[0]]
-        lumped = np.bincount(ends, np.tile(h, 2), minlength=n)
+        planes = inst.blur.couplings(weights).reshape(3, -1)
+        h = planes[axis, pixels[0]]
+        row_sum = np.bincount(ends, np.tile(h, 2), minlength=n)
         return (lambda v: inst.blur.apply_transpose(weights * inst.blur.apply(v)),
-                np.concatenate([inst.blur.apply_transpose(weights) - lumped, h]))
+                np.concatenate([np.maximum(planes[2], row_sum), h]))
 
     return split_l1_program(
         A, np.concatenate([[r], np.zeros(l)]), n, inst.lam, np.arange(n + 2 * l),

@@ -119,8 +119,12 @@ def _aug_interval_ok(prog, x, theta_inv, rho, delta, htilde_choice, u2):
               and np.all(pos <= 1.0 + tol))
     if htilde_choice == "diag-h":
         ok &= rep.alpha_h <= 1.0 + tol and rep.beta_h >= 1.0 - tol
-    if htilde_choice == "solver":  # H~ >= H
-        ok &= rep.beta_h <= 1.0 + tol
+    if htilde_choice == "solver":  # diagonally dominant, with couplings >= 0
+        Ht = dense_htilde(prog, x)
+        off = Ht - np.diag(np.diag(Ht))
+        floor = 1e-14 * np.abs(Ht).max()
+        ok &= bool(off.min() >= -floor
+                   and np.all(np.diag(Ht) >= np.abs(off).sum(axis=1) - floor))
     return ok
 
 

@@ -16,14 +16,15 @@ from sparseipm.ippmm import (AugmentedSystem, IpPmmState, NormalEquations,
                              newton_rhs, solve, step_lengths,
                              update_penalties_and_estimates)
 from sparseipm.harness import gen_classification, gen_fused_lasso, gen_portfolio
+from sparseipm.linops import BccbOperator, BlurKernel
 from sparseipm.problems import (ConvexProgram, LogisticInstance, build_fused_lasso_ls,
                                 build_logistic_l1, build_poisson_tv,
                                 build_portfolio_qp, quadratic_program)
 from planted import planted_qp
 from test_krylov import reference_minres
 from test_precond import random_fused_lasso_layout
-from test_problems import (dense_hessian, dense_htilde, make_poisson, make_portfolio,
-                           split_htilde)
+from test_problems import (dense_hessian, dense_htilde, lumped_htilde, make_poisson,
+                           make_portfolio, split_htilde)
 
 
 def random_state(prog, seed=0, rho=1e-2, delta=1e-2):
@@ -1021,8 +1022,8 @@ class TestSplitOperator:
     def test_a_dominating_htilde_keeps_the_first_block_in_minus_one_to_zero(self):
         # at small shifts Θ + ρ, P is nearly H~ on the pixels, so the split
         # block -(I + L^-1 (H - H~) L^-T) = -L^-1 K L^-T reaches below -1
-        # as soon as H~ does not dominate H
-        prog = build_poisson_tv(make_poisson(size=8))
+        # as soon as H~ does not dominate H: the lumped H~ >= H does
+        prog = lumped_htilde(build_poisson_tv(make_poisson(size=8)))
         st = random_state(prog, seed=45, rho=1e-6)
         shift = np.random.default_rng(46).uniform(1e-4, 1e-2, prog.n)
         st.z = (shift - st.rho) * st.x  # Θ + ρ = shift
@@ -1357,6 +1358,39 @@ class TestMinresPath:
             rows = system.rows
             np.testing.assert_array_equal(system.htilde.toarray(),
                                           dense_htilde(prog, st.x)[np.ix_(rows, rows)])
+
+    def test_diagonally_dominant_htilde_takes_fewer_minres_iterations(self):
+        # against the same solve with the lumped H~ >= H, whose diagonal
+        # carries each row's whole mass off the couplings: 627 against 892
+        # MINRES iterations; two lumped H~ equal up to roundoff read 890 and
+        # 892, so a fifth fewer is beyond roundoff
+        reports = [solve(prog, SolverOptions(linear_solver="minres-augmented"))[1]
+                   for prog in (self.program(), lumped_htilde(self.program()))]
+        assert [rep.status for rep in reports] == ["optimal", "optimal"]
+        assert reports[0].inner_iterations < 0.8 * reports[1].inner_iterations
+
+    @pytest.mark.parametrize("family", ["gaussian", "motion", "out-of-focus"])
+    def test_band_factors_with_u_squared_over_sixteen_decades(self, family):
+        # u^2 = g / (Dw + a)^2 = g from 1e-8 to 1e8 at w ~ 0 and a = 1, with
+        # Θ + ρ = 1e-8 on the pixels and slack rows of weight ~1e-8 in K:
+        # P is nearly H~, diagonally dominant with a non-negative diagonal
+        rng = np.random.default_rng(53)
+        inst = make_poisson(size=16)
+        inst.blur = BccbOperator(BlurKernel(family, (16, 16)))
+        inst.observed = 10.0 ** rng.uniform(-8.0, 8.0, 256)
+        prog = build_poisson_tv(inst)
+        st = random_state(prog, seed=54, rho=1e-8)
+        st.x[:] = 1.0
+        st.x[:256] = 1e-12
+        st.z[:] = 0.0
+        system = factored(AugmentedSystem, st, prog)  # no LinAlgError
+        H = dense_hessian(prog, st.x)[:256, :256]
+        i, j = prog.couplings
+        row_sum = np.bincount(prog.couplings.ravel(), np.tile(H[i, j], 2), minlength=256)
+        rows = system.rows
+        np.testing.assert_allclose(system.htilde.diagonal(),
+                                   np.maximum(np.diag(H), row_sum)[rows],
+                                   rtol=1e-12, atol=1e-14 * np.abs(H).max())
 
     def test_hessian_action_is_built_once_per_iterate(self):
         prog = self.program()

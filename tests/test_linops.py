@@ -267,11 +267,23 @@ class TestBccbOperator:
         H = dense.T @ (u[:, None] * dense)
         pixel = np.arange(op.cols).reshape(grid)
         got = op.couplings(u)
-        assert got.shape == (2, *grid)
+        assert got.shape == (3, *grid)
         for axis in (0, 1):
             neighbour = np.roll(pixel, -1, axis=axis)
             np.testing.assert_allclose(got[axis].ravel(),
                                        H[pixel.ravel(), neighbour.ravel()],
                                        rtol=0, atol=1e-14 * np.abs(H).max())
         np.testing.assert_allclose(op.apply_transpose(u), H.sum(axis=1),
+                                   rtol=1e-13, atol=1e-14 * np.abs(H).max())
+
+    @pytest.mark.parametrize("family", sorted(BLUR_PARAMETERS))
+    def test_couplings_zero_shift_plane_is_the_weighted_hessian_diagonal(self, family):
+        """Plane 2 of ``couplings`` at pixel j is H[j, j] of
+        H = K' diag(w) K, the correlation of w with psf^2."""
+        grid = (12, 16)
+        op = BccbOperator(BlurKernel(family, grid))
+        K = dense_circulant(op.psf)
+        w = 10.0 ** np.random.default_rng(8).uniform(-2.0, 2.0, op.cols)
+        H = K.T @ (w[:, None] * K)
+        np.testing.assert_allclose(op.couplings(w)[2].ravel(), np.diag(H),
                                    rtol=1e-13, atol=1e-14 * np.abs(H).max())

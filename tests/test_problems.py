@@ -321,6 +321,18 @@ def dense_htilde(prog, x):
     return dense
 
 
+def lumped_htilde(prog):
+    """``prog`` with the Poisson H~ of earlier versions: H's couplings of the
+    TV's pixel pairs, and the rest of each row lumped onto its diagonal,
+    H~_jj = (H1)_j - sum_k H~_jk, so that H~ >= H."""
+    def hess_action(x):
+        hess, htilde = prog.hess_action(x)
+        diag, c = split_htilde(prog, htilde)
+        lumped = np.bincount(prog.couplings.ravel(), np.tile(c, 2), minlength=diag.size)
+        return hess, np.concatenate([hess(np.ones(diag.size)) - lumped, c])
+    return dataclasses.replace(prog, hess_action=hess_action)
+
+
 def make_poisson(size=8, seed=9, lam=1e-2):
     rng = np.random.default_rng(seed)
     kernel = BlurKernel("gaussian", (size, size), {"sigma": 1.0})
@@ -379,11 +391,11 @@ class TestPoissonTv:
         assert abs(huv - hvu) <= 1e-12 * max(1.0, abs(huv))
 
     @pytest.mark.parametrize("family", ["gaussian", "motion", "out-of-focus", "identity"])
-    def test_hessian_approximation_dominates_the_hessian(self, family):
-        """H~ keeps H's couplings of the TV's pixel pairs and lumps the rest
-        of each row onto its diagonal, so H~ - H is PSD; with the identity
-        blur H is diagonal and H~ = H. H~ is zero on the pairs, and its rows
-        sum to those of H."""
+    def test_hessian_approximation_is_diagonally_dominant(self, family):
+        """H~ keeps H's couplings of the TV's pixel pairs, each >= 0, and
+        raises each diagonal H_jj to at least its row's coupling sum, so H~
+        is diagonally dominant with a non-negative diagonal; with the
+        identity blur H is diagonal and H~ = H. H~ is zero on the pairs."""
         inst = make_poisson(seed=12)
         inst.blur = BccbOperator(BlurKernel(family, (8, 8)))
         prog = build_poisson_tv(inst)
@@ -392,11 +404,19 @@ class TestPoissonTv:
                             rng.uniform(0.1, 1.0, size=prog.n - 64)])
         H = dense_hessian(prog, x)
         Ht = dense_htilde(prog, x)
+        scale = np.abs(H).max()
         if family == "identity":
-            np.testing.assert_array_equal(Ht, H)
-        assert np.linalg.eigvalsh(Ht - H).min() >= -1e-12 * np.linalg.norm(H, 2)
-        np.testing.assert_allclose(Ht.sum(axis=1), H.sum(axis=1), rtol=1e-12,
-                                   atol=1e-13 * np.abs(H).max())
+            # H_jj comes from one real FFT round trip
+            np.testing.assert_allclose(Ht, H, rtol=1e-15, atol=0)
+        i, j = prog.couplings
+        c = H[i, j]
+        np.testing.assert_allclose(Ht[i, j], c, rtol=0, atol=1e-14 * scale)
+        assert c.min() >= -1e-14 * scale
+        row_sum = np.bincount(prog.couplings.ravel(), np.tile(c, 2), minlength=64)
+        np.testing.assert_allclose(np.diag(Ht)[:64], np.maximum(np.diag(H)[:64], row_sum),
+                                   rtol=1e-12, atol=1e-14 * scale)
+        off = np.abs(Ht - np.diag(np.diag(Ht))).sum(axis=1)
+        assert np.all(np.diag(Ht) >= off - 1e-14 * scale)
         # the couplings are the TV's pixel pairs, each once
         L = inst.tv.matrix
         np.testing.assert_array_equal(
