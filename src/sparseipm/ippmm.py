@@ -109,44 +109,46 @@ class IpPmmState:
 class SolveReport:
     status: str = "max-iterations"
     iterations: int = 0
-    primal_inf_history: list = field(default_factory=list)
-    dual_inf_history: list = field(default_factory=list)
-    mu_history: list = field(default_factory=list)
-    # one entry per outer iteration that factored its system: its inner
-    # tolerance "eta" and its Krylov "solves", the predictor's then the
-    # corrector's, each with its own target "tol", "iters", the achieved
-    # relative "residual" and "converged" (no solve on the direct path)
-    inner_solves: list = field(default_factory=list)
+    # one dict per evaluated iterate, the returned point's last: its scaled
+    # "primal" and "dual" infeasibility and its "mu". One whose iteration
+    # factored its system also holds the inner tolerance "eta", the
+    # "linear_algebra_s" of the factor and its solves (a failed one too) and
+    # the Krylov "solves", the predictor's then the corrector's, each with its
+    # own target "tol", "iters", the achieved relative "residual" and
+    # "converged" (none on the direct path)
+    records: list = field(default_factory=list)
     time_s: float = 0.0
-    phase_times: dict = field(default_factory=dict)
     final_objective: float = np.nan
     drop_audit: Optional[dict] = None  # always None: the solver drops no variable
 
+    # each evaluated iterate's residual or μ, read from its record
+    primal_inf_history = property(lambda self: [r["primal"] for r in self.records])
+    dual_inf_history = property(lambda self: [r["dual"] for r in self.records])
+    mu_history = property(lambda self: [r["mu"] for r in self.records])
+
     @property
     def inner_iterations(self) -> int:
-        """Krylov iterations of every solve recorded in ``inner_solves``."""
-        return sum(out["iters"] for entry in self.inner_solves for out in entry["solves"])
+        """Krylov iterations of every recorded solve."""
+        return sum(out["iters"] for out in self._solves())
 
     @property
     def inner_capped(self) -> int:
-        """Krylov solves recorded in ``inner_solves`` that ended unconverged."""
-        return sum(not out["converged"] for entry in self.inner_solves
-                   for out in entry["solves"])
+        """Recorded Krylov solves that ended unconverged."""
+        return sum(not out["converged"] for out in self._solves())
+
+    def _solves(self):
+        return (out for record in self.records for out in record.get("solves", ()))
 
     def to_json(self) -> str:
-        """Strict JSON: a non-finite history entry or objective is null."""
+        """Strict JSON: a non-finite residual, μ or objective is null."""
         return strict_json({
             "status": self.status,
             "iters": self.iterations,
-            "primal_inf": self.primal_inf_history,
-            "dual_inf": self.dual_inf_history,
-            "mu": self.mu_history,
             "time_s": self.time_s,
+            "objective": self.final_objective,
             "inner_iters": self.inner_iterations,
             "inner_capped": self.inner_capped,
-            "inner_solves": self.inner_solves,
-            "objective": self.final_objective,
-            "phase_times": self.phase_times,
+            "records": self.records,
         })
 
 
@@ -243,7 +245,7 @@ def newton_rhs(state: IpPmmState, rp: np.ndarray, gy: np.ndarray, sigma: float,
 
 class NewtonSystem:
     """The reduced Newton system that the three paths share, built once per
-    solve, and the record of the solve's Krylov work.
+    solve.
 
     ``_reduce`` finds the slack pairs, which leave with their rows, and
     reduces every other split pair (x+, x-) of ``program.pairs`` to its
@@ -255,16 +257,17 @@ class NewtonSystem:
     on a row without one). ``_reduce`` builds its one ``krylov.BorderedBand``,
     and ``_factor_band`` makes the one factor call of every path.
     ``_direct`` solves the factored system: the direct path's step, and at
-    r1 = 0 the PCG path's preconditioner. ``inner_solves`` holds the
-    report's entry of each factor, and ``_count`` records each Krylov
-    solve in the last one.
+    r1 = 0 the PCG path's preconditioner. ``solves`` holds the Krylov
+    solves of the current factor alone, each recorded by ``_count``.
     """
 
     @classmethod
     def at(cls, state: IpPmmState, program: ConvexProgram):
-        """The solve's system, built on the first call, factored at ``state``."""
+        """The solve's system, built on the first call, with ``solves``
+        emptied before it is factored at ``state``: a failed factor has none."""
         if state.system is None:
             state.system = cls(program)
+        state.system.solves = []
         state.system.factor(state)
         return state.system
 
@@ -311,7 +314,7 @@ class NewtonSystem:
         self.rows = np.flatnonzero(unknown)[self.band.order]
         self.kp = self.band.where[column[self.p]]
         self.A_u = A_u[:, self.band.order]
-        self.inner_solves = []
+        self.solves = []
 
     def _refresh(self, state: IpPmmState, h=0.0):
         """Take Θ = ``state.xi_diag()``, e = 1/(h + Θ + ρ), each row's E, δ
@@ -325,7 +328,6 @@ class NewtonSystem:
         self.esum = self.e.copy()  # an unknown's e: e+ + e- on a u
         self.esum[self.p] += self.e[self.q]
         self.delta, self.tol = state.delta, state.inner_tol
-        self.inner_solves.append({"eta": self.tol, "solves": []})
         self.E = self.delta + np.bincount(self.prow, self.pval ** 2 * self.e[self.pairs],
                                           minlength=self.A_u.shape[0])
 
@@ -387,10 +389,10 @@ class NewtonSystem:
         return dx, dy
 
     def _count(self, out, tol: float) -> np.ndarray:
-        """Record one Krylov solve to ``tol`` in this factor's entry of
-        ``inner_solves``; returns its solution. One that met non-finite data
-        raises LinAlgError, after the record."""
-        self.inner_solves[-1]["solves"].append({
+        """Record one Krylov solve to ``tol`` in ``solves``; returns its
+        solution. One that met non-finite data raises LinAlgError, after the
+        record."""
+        self.solves.append({
             "tol": tol, "iters": out.iterations,
             "residual": out.final_relative_residual, "converged": out.converged})
         if out.breakdown_reason == "non-finite":
@@ -619,7 +621,6 @@ def solve(program: ConvexProgram, options: Optional[SolverOptions] = None):
     """Run IP-PMM; returns ((x, y, z), SolveReport)."""
     options = options or SolverOptions()
     t_start = time.perf_counter()
-    t_linalg = 0.0
     state = initial_state(program, options)
     report = SolveReport()
     status = "max-iterations"
@@ -627,9 +628,8 @@ def solve(program: ConvexProgram, options: Optional[SolverOptions] = None):
     # evaluation k is of the k-th iterate; the last one is of the returned point
     for k in range(options.max_iter + 1):
         primal, dual, mu, rp, gy, rd = kkt_residuals(state, program)
-        report.primal_inf_history.append(primal)
-        report.dual_inf_history.append(dual)
-        report.mu_history.append(mu)
+        record = {"primal": primal, "dual": dual, "mu": mu}
+        report.records.append(record)
         if not (np.isfinite(primal) and np.isfinite(dual) and np.isfinite(mu)):
             status = "numerical-failure"
             break
@@ -649,8 +649,9 @@ def solve(program: ConvexProgram, options: Optional[SolverOptions] = None):
         except (RuntimeError, np.linalg.LinAlgError):
             status = "numerical-failure"
             break
-        finally:  # a failed iteration's linear algebra counts too
-            t_linalg += time.perf_counter() - t0
+        finally:  # a failed iteration's linear algebra and Krylov work count too
+            record.update(eta=state.inner_tol, linear_algebra_s=time.perf_counter() - t0,
+                          solves=[] if state.system is None else state.system.solves)
 
         ap, ad = step_lengths(state, dx, dz)
         state.x = state.x + ap * dx
@@ -660,11 +661,7 @@ def solve(program: ConvexProgram, options: Optional[SolverOptions] = None):
                                        float(np.linalg.norm(rd)))
         report.iterations = k + 1
 
-    if state.system is not None:  # the Krylov work of every iteration, a failed one too
-        report.inner_solves = state.system.inner_solves
     report.status = status
     report.final_objective = float(program.objective(state.x))
     report.time_s = time.perf_counter() - t_start
-    report.phase_times = {"linear_algebra_s": t_linalg,
-                          "other_s": report.time_s - t_linalg}
     return (state.x, state.y, state.z), report

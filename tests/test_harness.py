@@ -291,13 +291,14 @@ class TestCli:
         assert report["inner_capped"] == 0
 
     def test_restore_report_records_each_iteration_s_inner_solves(self, tmp_path):
-        # one entry per outer iteration: its eta_k and its two MINRES solves,
-        # the predictor's and the corrector's, each within its own target
-        # unless capped; the corrector's target is eta_k
+        # one record per outer iteration, then the returned point's: each
+        # iteration's eta_k and its two MINRES solves, the predictor's and the
+        # corrector's, each within its own target unless capped; the
+        # corrector's target is eta_k
         assert run_cli(["restore", "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "report_ippmm.json").read_text())
-        entries = report["inner_solves"]
-        assert len(entries) == report["iters"]
+        *entries, last = report["records"]
+        assert len(entries) == report["iters"] and "solves" not in last
         assert [len(entry["solves"]) for entry in entries] == [2] * report["iters"]
         solves = [out for entry in entries for out in entry["solves"]]
         assert sum(out["iters"] for out in solves) == report["inner_iters"]
@@ -447,7 +448,9 @@ class TestCli:
                         "--out", str(several)]) == code
         several_report = json.loads((several / "report_ippmm.json").read_text())
         for doc in (report, several_report):
-            del doc["time_s"], doc["phase_times"]
+            del doc["time_s"]
+            for record in doc["records"]:
+                record.pop("linear_algebra_s", None)
         assert several_report == report
         rows = (several / "scores.csv").read_text().splitlines()
         assert rows[0] == ",".join(("solver", "status", "iters", "time_s",

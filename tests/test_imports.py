@@ -1,4 +1,4 @@
-"""Eighteen small ``ast`` checks in place of a linter, and two on the README.
+"""Nineteen small ``ast`` checks in place of a linter, and two on the README.
 
 - Every name a ``sparseipm`` module imports is used in that module: it appears
   as a name anywhere in the module, or in ``__all__``.
@@ -42,6 +42,10 @@
 - Within ``ippmm`` only ``kkt_residuals`` and ``NewtonSystem._reduce``
   read ``program.A`` or ``program.pairs``, so no path reduces the pairs a
   second time.
+- Within ``src/sparseipm`` only ``ippmm.solve`` stores into a ``records``
+  attribute, beside ``SolveReport``'s declaration of it, and no class
+  assigns ``inner_solves`` or ``phase_times``: the report's one list of
+  per-iterate records has no second writer and no parallel copy.
 - No ``sparseipm`` module names ``bmat``, ``hstack`` or ``vstack`` of
   ``scipy.sparse``, and only ``linops._forward_differences`` builds a CSR or
   CSC matrix from a (data, indices, indptr) triple, so every sparse matrix
@@ -549,6 +553,55 @@ def test_only_the_newton_system_reduces_the_program():
     source = (Path(sparseipm.__file__).parent / "ippmm.py").read_text()
     allowed = {"kkt_residuals", "NewtonSystem._reduce"}
     assert [read for read in program_reads(source) if read[0] not in allowed] == []
+
+
+LIST_MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
+
+
+def attribute_stores(source: str, names) -> list:
+    """(definition, line), named as by ``sites``, of each store into an
+    attribute in ``names``: an assignment to it or to an item of it, a
+    class-body declaration of it, or a call of a list method that changes
+    it."""
+    def match(node):
+        if isinstance(node, ast.AnnAssign):
+            return getattr(node.target, "id", None) in names
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            node = node.value
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in LIST_MUTATORS):
+            node = node.func.value
+        elif not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)):
+            return False
+        return isinstance(node, ast.Attribute) and node.attr in names
+    return sites(source, match)
+
+
+def test_checker_flags_stores_into_a_report_log():
+    source = ("class SolveReport:\n    records: list = field(default_factory=list)\n"
+              "class NewtonSystem:\n    def _count(self, out):\n"
+              "        self.report.records.append(out)\n"
+              "    def factor(self):\n        self.records = []\n"
+              "        self.records[0] = {}\n        print(self.records[-1])\n"
+              "def solve(report):\n    report.records.append({})\n"
+              "    report.records.extend(report.records[:1])\n")
+    assert attribute_stores(source, {"records"}) == [
+        ("SolveReport", 2), ("NewtonSystem._count", 5), ("NewtonSystem.factor", 7),
+        ("NewtonSystem.factor", 8), ("solve", 11), ("solve", 12)]
+
+
+# the report's one log: declared on SolveReport, written by solve alone
+RECORD_WRITERS = {("ippmm", "SolveReport"), ("ippmm", "solve")}
+
+
+def test_only_solve_writes_the_report_s_records():
+    found = [(path.name, name, line) for path in MODULES
+             for name, line in attribute_stores(path.read_text(), {"records"})
+             if (path.stem, name) not in RECORD_WRITERS]
+    assert found == []
+    retired = {"inner_solves", "phase_times"}  # the copies that records replaced
+    assert [(path.name, *store) for path in MODULES
+            for store in attribute_stores(path.read_text(), retired)] == []
 
 
 SPARSE_STACKS = {"bmat", "hstack", "vstack"}
