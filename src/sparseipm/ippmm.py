@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg
+from scipy.sparse._sparsetools import csr_matvec
 
 from . import precond as precondmod
 from .krylov import BorderedBand, minres, pcg
@@ -439,6 +440,7 @@ class AugmentedSystem(NewtonSystem):
         self.htilde = sp.csr_matrix((np.arange(rows.size, dtype=float), (rows, cols)),
                                     shape=(self.na, self.na))
         self.hsel = self.htilde.data.astype(int)
+        self._htilde_w = np.empty(self.na)  # H~ w, by one csr_matvec per call
 
     def factor(self, state: IpPmmState):
         self._refresh(state)
@@ -456,7 +458,10 @@ class AugmentedSystem(NewtonSystem):
     def _gap(self, w: np.ndarray) -> np.ndarray:
         """Δw = (H - H~) w over the unknowns (band order)."""
         self._block[self.rows] = w
-        return self._hess(self._block)[self.rows] - self.htilde @ w
+        hw, htw, H = self._hess(self._block)[self.rows], self._htilde_w, self.htilde
+        htw.fill(0.0)  # csr_matvec adds H~ w into it
+        csr_matvec(self.na, self.na, H.indptr, H.indices, H.data, w, htw)
+        return np.subtract(hw, htw, out=hw)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.band.split_apply(v, self._gap)

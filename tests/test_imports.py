@@ -1,4 +1,4 @@
-"""Nineteen small ``ast`` checks in place of a linter, and two on the README.
+"""Twenty small ``ast`` checks in place of a linter, and two on the README.
 
 - Every name a ``sparseipm`` module imports is used in that module: it appears
   as a name anywhere in the module, or in ``__all__``.
@@ -61,6 +61,9 @@
   once to import it and once to bind the alias ``spla`` that
   ``perfbench/tracing.py`` replaces, and no module names ``splu``, so no
   SuperLU factor comes back.
+- Within ``src/sparseipm`` only ``ippmm`` names scipy's private
+  ``scipy.sparse._sparsetools``, at one line that imports ``csr_matvec``,
+  so a scipy upgrade that moves it breaks one line.
 - ``ippmm`` reads every ``SolverOptions`` field from its ``options`` outside
   ``SolverOptions.__post_init__`` except the four of ``ONLY_CHECKED``, so no
   other field may become a setting that selects nothing.
@@ -770,6 +773,45 @@ def test_only_ippmm_names_sparse_linalg_for_the_tracer():
              for _, text in sparse_linalg_uses(path.read_text())]
     assert found == [("ippmm", "import scipy.sparse.linalg"),
                      ("ippmm", "spla = scipy.sparse.linalg")]
+
+
+def sparsetools_uses(source: str) -> list:
+    """(line, stripped source line) of each line that imports
+    ``scipy.sparse._sparsetools`` or a name from it, imports
+    ``_sparsetools`` from ``scipy.sparse``, or names ``_sparsetools``."""
+    def is_sparsetools(module):
+        return module.split(".")[:3] == ["scipy", "sparse", "_sparsetools"]
+
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found = any(is_sparsetools(alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found = is_sparsetools(node.module or "") or any(
+                alias.name == "_sparsetools" for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            found = node.attr == "_sparsetools"
+        else:
+            found = isinstance(node, ast.Name) and node.id == "_sparsetools"
+        if found:
+            lines.add(node.lineno)
+    text = source.splitlines()
+    return [(line, text[line - 1].strip()) for line in sorted(lines)]
+
+
+def test_checker_finds_sparsetools_uses():
+    source = ("import scipy.sparse._sparsetools\nfrom scipy.sparse import _sparsetools, eye\n"
+              "from scipy.sparse._sparsetools import csr_matvec\nimport scipy.sparse as sp\n"
+              "sp._sparsetools.csr_matvec(n, n, p, j, x, v, y)\nt = _sparsetools\n"
+              "from scipy.sparse import csr_matrix\nimport scipy.sparse._sparsetools as st\n"
+              "y = csr_matvec(n, n, p, j, x, v, y)\nsparsetools = None\n")
+    assert [line for line, _ in sparsetools_uses(source)] == [1, 2, 3, 5, 6, 8]
+
+
+def test_only_ippmm_names_scipy_s_private_sparsetools_once():
+    found = [(path.stem, text) for path in MODULES
+             for _, text in sparsetools_uses(path.read_text())]
+    assert found == [("ippmm", "from scipy.sparse._sparsetools import csr_matvec")]
 
 
 def unread_options(source: str, fields) -> list:

@@ -994,11 +994,10 @@ class TestSlackPairElimination:
         assert lus == []  # the preconditioner factors no SuperLU either
 
 
-def preconditioned_minres_step(system, r1, r2):
-    """(dx, dy) and the iteration count of MINRES on the saddle matrix
-    [[-K, A_B'], [A_B, δI]] of a factored ``AugmentedSystem``, by the
-    reference loop under the preconditioner blockdiag(P, S) from its band:
-    the MINRES step before the split form."""
+def saddle_matvec(system):
+    """The product with the saddle matrix M = [[-K, A_B'], [A_B, δI]] of a
+    factored ``AugmentedSystem``, from its definition, unknowns in band
+    order."""
     band, na = system.band, system.na
 
     def matvec(v):
@@ -1008,12 +1007,20 @@ def preconditioned_minres_step(system, r1, r2):
         K1 = (system._hess(block)[system.rows] + system.dt * v1
               + system.A_Rt @ ((band.A_R @ v1) / system.E_elim))
         return np.concatenate([band.A_Bt @ v2 - K1, v1 @ band.A_Bt + system.delta * v2])
+    return matvec
 
+
+def preconditioned_minres_step(system, r1, r2):
+    """(dx, dy) and the iteration count of MINRES on the saddle matrix
+    [[-K, A_B'], [A_B, δI]] of a factored ``AugmentedSystem``, by the
+    reference loop under the preconditioner blockdiag(P, S) from its band:
+    the MINRES step before the split form."""
+    band, na = system.band, system.na
     rt, rs = system._reduced_rhs(r1, r2)
     u = rs[system.elim] / system.E_elim
     f = np.concatenate([rt - system.A_Rt @ u, rs[system.border]])
     sol, it, _ = reference_minres(
-        matvec, f, precond=precond.build_aug_block_diag_precond(band).apply_inverse,
+        saddle_matvec(system), f, precond=precond.build_aug_block_diag_precond(band).apply_inverse,
         tol=system.tol, maxit=ippmm.INNER_MAXIT)
     xu = sol[:na]
     return system._expand(r1, rt, xu, system._dy(u, xu, sol[na:])), it
@@ -1050,6 +1057,50 @@ class TestSplitOperator:
         expected = np.concatenate([dx, dy])
         assert abs(sum(out["iters"] for out in system.solves) - it) <= 1
         assert np.linalg.norm(got - expected) <= 1e-9 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("family", ["poisson", "logistic"])
+    def test_split_apply_returns_a_fresh_result_and_reads_v_only(self, family):
+        # on logistic every row is eliminated: the border has no rows
+        prog = (build_poisson_tv(make_poisson(size=8)) if family == "poisson"
+                else TestSlackPairElimination.program("logistic"))
+        system = factored(AugmentedSystem, random_state(prog, seed=49), prog)
+        band, na, nb = system.band, system.na, system.B.size
+        assert (nb == 0) == (family == "logistic")
+        v = np.random.default_rng(50).standard_normal(na + nb)
+        kept = v.copy()
+        first, second = system.matvec(v), system.matvec(v)
+        np.testing.assert_array_equal(v, kept)
+        assert not np.shares_memory(first, second)
+        np.testing.assert_array_equal(first, second)
+        # against blockdiag(L, L_S)^-1 M blockdiag(L, L_S)^-T, dense
+        n = na + nb
+        T = np.column_stack([system.matvec(e) for e in np.eye(n)])
+        M = np.column_stack([saddle_matvec(system)(e) for e in np.eye(n)])
+        L = np.zeros((n, n))
+        for t in range(band.bw + 1):  # L's t-th subdiagonal, from lower band storage
+            L[np.arange(t, na), np.arange(na - t)] = band.L[t, :na - t]
+        if nb:
+            L[na:, na:] = np.tril(band.S)
+        dense = scipy.linalg.solve_triangular(
+            L, scipy.linalg.solve_triangular(L, M, lower=True).T, lower=True).T
+        assert np.linalg.norm(T - dense) <= 1e-12 * np.linalg.norm(dense)
+
+    def test_gap_applies_the_factor_s_htilde(self, monkeypatch):
+        # one system factored at two iterates: H~'s values are refilled
+        prog = build_poisson_tv(make_poisson(size=8))
+        system = AugmentedSystem(prog)
+        w = np.random.default_rng(52).standard_normal(system.na)
+        for seed in (53, 54):
+            st = random_state(prog, seed=seed)
+            system.factor(st)
+            # with H = 0, Δw = -H~ w
+            monkeypatch.setattr(system, "_hess", np.zeros_like)
+            product = -system._gap(w)
+            np.testing.assert_array_equal(product, system.htilde @ w)
+            rows = system.rows
+            dense = dense_htilde(prog, st.x)[np.ix_(rows, rows)] @ w
+            np.testing.assert_allclose(product, dense, rtol=1e-14,
+                                       atol=1e-14 * np.abs(dense).max())
 
 
 class TestLifecycle:
