@@ -87,21 +87,25 @@ class IpPmmState:
     rho: float
     delta: float
     nonneg: np.ndarray
+    # the non-negative set as the outer loop indexes it: a slice when
+    # ``nonneg`` is one increasing run, so each read is a view, else ``nonneg``
+    ia: slice | np.ndarray
+    b_norm: float  # ||b||, the scale of the primal residual
     last_primal_norm: float = np.inf
     last_dual_norm: float = np.inf
     inner_tol: float = INNER_TOL_MAX  # eta_k: this iteration's relative Krylov tolerance
     system: Optional[NewtonSystem] = None  # the solve's linear-solver path
 
     def complementarity(self) -> float:
-        ia = self.nonneg
-        if ia.size == 0:
+        ia, count = self.ia, self.nonneg.size
+        if count == 0:
             return 0.0
-        return float(self.x[ia] @ self.z[ia]) / ia.size
+        return float(self.x[ia] @ self.z[ia]) / count
 
     def xi_diag(self) -> np.ndarray:
         """Complementarity scaling z/x on the non-negative coordinates."""
         xi = np.zeros(self.x.size)
-        ia = self.nonneg
+        ia = self.ia
         xi[ia] = self.z[ia] / self.x[ia]
         return xi
 
@@ -174,23 +178,26 @@ def initial_state(program: ConvexProgram, options: SolverOptions) -> IpPmmState:
     They shrink at mu's rate, so on a program with no bounded variable,
     whose mu is 0 throughout, they start at the floor and the method is
     Newton's on its regularized KKT system."""
-    n, m = program.n, program.m
+    n, m, nonneg = program.n, program.m, program.nonneg
+    ia = nonneg
+    if nonneg.size and np.all(np.diff(nonneg) == 1):
+        ia = slice(int(nonneg[0]), int(nonneg[-1]) + 1)
     x = np.zeros(n)
-    x[program.nonneg] = 1.0
+    x[ia] = 1.0
     if options.x0 is not None:
         x = np.array(options.x0, dtype=float)
         if x.shape != (n,) or not np.all(np.isfinite(x)):
             raise ValueError(f"starting point must be a finite vector of length {n}")
-        if np.any(x[program.nonneg] <= 0):
+        if np.any(x[ia] <= 0):
             raise ValueError("override starting point must be interior")
     y = np.zeros(m)
     z = np.zeros(n)
-    z[program.nonneg] = 1.0
-    ia = program.nonneg
-    mu = float(x[ia] @ z[ia]) / ia.size if ia.size else 0.0
+    z[ia] = 1.0
+    mu = float(x[ia] @ z[ia]) / nonneg.size if nonneg.size else 0.0
     reg = max(PENALTY_START * min(1.0, mu), PENALTY_FLOOR)
     return IpPmmState(x=x, y=y, z=z, zeta=x.copy(), eta=y.copy(), mu=mu,
-                      rho=reg, delta=reg, nonneg=program.nonneg)
+                      rho=reg, delta=reg, nonneg=nonneg, ia=ia,
+                      b_norm=float(np.linalg.norm(program.b)))
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +211,7 @@ def kkt_residuals(state: IpPmmState, program: ConvexProgram):
     rp = program.b - program.A @ state.x
     gy = g - program.A.T @ state.y
     rd = gy - state.z
-    primal = float(np.linalg.norm(rp)) / (1.0 + np.linalg.norm(program.b))
+    primal = float(np.linalg.norm(rp)) / (1.0 + state.b_norm)
     dual = float(np.linalg.norm(rd)) / (1.0 + np.linalg.norm(g))
     return primal, dual, state.complementarity(), rp, gy, rd
 
@@ -224,8 +231,8 @@ def newton_rhs(state: IpPmmState, rp: np.ndarray, gy: np.ndarray, sigma: float,
     r1 = gy
     if sigma != 0.0:
         r1 = r1 + sigma * state.rho * (state.x - state.zeta)
-    ia = state.nonneg
-    if ia.size:
+    ia = state.ia
+    if state.nonneg.size:
         barrier = np.zeros(state.x.size)
         if sigma != 0.0:
             barrier[ia] -= sigma * state.mu / state.x[ia]
@@ -281,8 +288,8 @@ class NewtonSystem:
         C = ``Q`` over them or None, the slack rows eliminated, the rows B
         bordering and H~'s ``couplings`` (variables, 2 x c, or None), which
         must join unknowns (raises UnsupportedStructureError). Keep the
-        unknowns in band order (``rows``), each u's band position (``kp``)
-        and A over them (``A_u``)."""
+        unknowns in band order (``rows``) and each u's band position
+        (``kp``); returns A over the unknowns in their own order."""
         A = program.A.tocsc()
         p, q = program.pairs
         blocks = [A] if program.Q is None else [A, program.Q.tocsc()]
@@ -292,9 +299,11 @@ class NewtonSystem:
         head = A.indptr[:-1]  # a column's first entry, if it has one
         row, val = np.append(A.indices, -1)[head], np.append(A.data, 0.0)[head]
         slack = (count[p] == 1) & (count[q] == 1) & (row[p] == row[q])
-        if program.Q is not None:
-            qcol = np.asarray(abs(program.Q).sum(axis=0)).ravel()
-            slack &= (qcol[p] == 0) & (qcol[q] == 0)
+        if program.Q is not None:  # a candidate's Q columns must hold no nonzero
+            cand = np.flatnonzero(slack)
+            touched = blocks[1][:, np.r_[p[cand], q[cand]]]
+            touched.eliminate_zeros()
+            slack[cand[np.diff(touched.indptr).reshape(2, -1).any(axis=0)]] = False
         self.pairs = np.concatenate([p[slack], q[slack]])  # members of slack pairs
         self.prow, self.pval = row[self.pairs], val[self.pairs]
         self.p, self.q = p[~slack], q[~slack]  # the other pairs
@@ -314,8 +323,8 @@ class NewtonSystem:
         self.A_Rt = self.band.A_R.T
         self.rows = np.flatnonzero(unknown)[self.band.order]
         self.kp = self.band.where[column[self.p]]
-        self.A_u = A_u[:, self.band.order]
         self.solves = []
+        return A_u
 
     def _refresh(self, state: IpPmmState, h=0.0):
         """Take Θ = ``state.xi_diag()``, e = 1/(h + Θ + ρ), each row's E, δ
@@ -330,7 +339,7 @@ class NewtonSystem:
         self.esum[self.p] += self.e[self.q]
         self.delta, self.tol = state.delta, state.inner_tol
         self.E = self.delta + np.bincount(self.prow, self.pval ** 2 * self.e[self.pairs],
-                                          minlength=self.A_u.shape[0])
+                                          minlength=self.B.size + self.elim.size)
 
     def _factor_band(self, h=0.0, c=None, loss=None):
         """Take dt in band order and the eliminated rows' E, and factor the
@@ -517,7 +526,7 @@ class NormalEquations(NewtonSystem):
             raise UnsupportedStructureError(
                 "normal equations need a diagonal Hessian; use the augmented path")
         self.hdiag = program.Q.diagonal()
-        self._reduce(program)
+        self.A_u = self._reduce(program)[:, self.band.order]
         self.A_ut = self.A_u.T
         self.A_R2 = self.band.A_R.power(2)
 
@@ -556,11 +565,11 @@ _CONTEXTS = {
 
 def step_lengths(state: IpPmmState, dx: np.ndarray, dz: np.ndarray):
     """Fraction-to-the-boundary primal and dual step lengths in (0, 1]."""
-    ia = state.nonneg
+    ia = state.ia
 
     def max_step(v, dv):
-        neg = dv < 0
-        if not np.any(neg):
+        neg = np.flatnonzero(dv < 0)
+        if not neg.size:
             return 1.0
         return min(1.0, BOUNDARY_FRACTION * float(np.min(-v[neg] / dv[neg])))
 
@@ -570,7 +579,7 @@ def step_lengths(state: IpPmmState, dx: np.ndarray, dz: np.ndarray):
 def _dual_step(state, dx, rc):
     """dz from dx and the complementarity rhs ``rc`` of the non-negative
     variables; 0 elsewhere."""
-    ia = state.nonneg
+    ia = state.ia
     dz = np.zeros(state.x.size)
     dz[ia] = (rc - state.z[ia] * dx[ia]) / state.x[ia]
     return dz
@@ -579,7 +588,7 @@ def _dual_step(state, dx, rc):
 def predictor_corrector_step(state: IpPmmState, ctx, rp: np.ndarray,
                              gy: np.ndarray):
     """Affine predictor then centering-corrector solve with the same matrix."""
-    ia = state.nonneg
+    ia = state.ia
 
     # predictor: sigma = 0, complementarity rhs -XZe; its step is never taken,
     # only sigma and the second-order term read it, so it may solve looser
@@ -588,9 +597,9 @@ def predictor_corrector_step(state: IpPmmState, ctx, rp: np.ndarray,
     dz_aff = _dual_step(state, dx_aff, -state.x[ia] * state.z[ia])
 
     ap, ad = step_lengths(state, dx_aff, dz_aff)
-    if ia.size:
+    if state.nonneg.size:
         mu_aff = float((state.x[ia] + ap * dx_aff[ia])
-                       @ (state.z[ia] + ad * dz_aff[ia])) / ia.size
+                       @ (state.z[ia] + ad * dz_aff[ia])) / state.nonneg.size
         ratio = mu_aff / state.mu if state.mu > 0 else 0.0
         sigma = float(np.clip(ratio ** 3, SIGMA_MIN, SIGMA_MAX))
     else:

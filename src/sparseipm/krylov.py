@@ -56,9 +56,10 @@ class BorderedBand:
 
     def __init__(self, C, A_R, A_B, couplings=None):
         N = A_R.shape[1]
-        C = sp.coo_matrix((N, N)) if C is None else C.tocoo()
+        C = sp.csr_matrix((N, N)) if C is None else C.tocsr()
         self.order = scipy.sparse.csgraph.reverse_cuthill_mckee(
             (abs(C) + abs(A_R).T @ abs(A_R)).tocsr(), symmetric_mode=True)
+        C = C.tocoo()
         self.where = where = np.argsort(self.order)  # the band position of each unknown
         self.A_R = sp.csr_matrix(A_R[:, self.order])
         self.A_Bt = A_B[:, self.order].T.toarray()

@@ -54,7 +54,7 @@ class ConvexProgram:
 
     def __post_init__(self):
         self.m, self.n = self.A.shape
-        self.nonneg = np.asarray(self.nonneg, dtype=int)
+        self.nonneg = self._indices("nonneg", self.nonneg)
         if np.any((self.nonneg < 0) | (self.nonneg >= self.n)):
             raise ValueError("nonneg indices must lie in {0..n-1}")
         free = np.ones(self.n, dtype=bool)
@@ -77,10 +77,21 @@ class ConvexProgram:
         """The field ``name`` as a 2 x p integer array of coordinates; None is
         empty."""
         value = getattr(self, name)
-        value = np.asarray(np.empty((2, 0)) if value is None else value, dtype=int)
+        value = self._indices(name, np.empty((2, 0)) if value is None else value)
         if value.ndim != 2 or len(value) != 2 or np.any((value < 0) | (value >= self.n)):
             raise ValueError(f"{name} must be a 2 x p array of indices in {{0..n-1}}")
         return value
+
+    @staticmethod
+    def _indices(name, value) -> np.ndarray:
+        """``value`` as an integer array; a boolean mask or a non-integral
+        value raises ValueError naming the field ``name``."""
+        value = np.asarray(value)
+        integral = value.dtype.kind in "iu" or value.dtype.kind == "f" and np.all(
+            np.isfinite(value) & (np.trunc(value) == value))
+        if value.size and not integral:
+            raise ValueError(f"{name} must hold integer indices, not {value.dtype} values")
+        return value.astype(int)
 
 
 def quadratic_program(Q, c, A, b, nonneg=None, **kw) -> ConvexProgram:

@@ -130,6 +130,36 @@ class TestStepLengths:
         st = self._state([1.0], [1.0])
         assert step_lengths(st, np.zeros(1), np.zeros(1)) == (1.0, 1.0)
 
+    @pytest.mark.parametrize("nonneg", ["one run", "indices"])
+    def test_matches_the_boolean_gather_bit_for_bit(self, nonneg):
+        # the state reads one run of non-negative coordinates through a slice
+        # and any other set through its index array
+        n, rng = 200, np.random.default_rng(53)
+        ia = np.arange(20, 180) if nonneg == "one run" else np.sort(
+            rng.choice(n, 150, replace=False))
+        prog = quadratic_program(np.eye(n), np.zeros(n), np.zeros((0, n)), np.zeros(0),
+                                 nonneg=ia)
+        st = initial_state(prog, SolverOptions())
+        assert isinstance(st.ia, slice if nonneg == "one run" else np.ndarray)
+
+        def gathered(v, dv):  # the formula on a boolean mask
+            neg = dv < 0
+            if not np.any(neg):
+                return 1.0
+            return min(1.0, ippmm.BOUNDARY_FRACTION * float(np.min(-v[neg] / dv[neg])))
+
+        for _ in range(20):
+            st.x, st.z = rng.uniform(1e-6, 2.0, n), rng.uniform(1e-6, 2.0, n)
+            dx = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
+            dz = rng.standard_normal(n)
+            assert step_lengths(st, dx, dz) == (gathered(st.x[ia], dx[ia]),
+                                                gathered(st.z[ia], dz[ia]))
+        # no negative entry on the non-negative set: full steps, whatever
+        # the free coordinates do
+        dx, free = np.abs(dx), np.setdiff1d(np.arange(n), ia)
+        dx[free] = -1.0
+        assert step_lengths(st, dx, np.zeros(n)) == (1.0, 1.0)
+
 
 class TestTermination:
     def test_inclusive_boundary(self):
@@ -661,6 +691,29 @@ class TestSolveBehavior:
         expected = np.linalg.solve(kkt, np.concatenate([-c, b]))
         np.testing.assert_allclose(np.concatenate([x, y]), expected, atol=1e-6)
 
+    @pytest.mark.parametrize("path", ["direct-augmented", "pcg-normal",
+                                      "minres-augmented"])
+    def test_free_coordinate_inside_the_non_negative_set(self, path):
+        # coordinate 3 is free, so the state indexes the others through their
+        # index array; its twin moves it last and reads one run through a slice
+        rng = np.random.default_rng(54)
+        n, m, free = 9, 3, 3
+        Q = np.diag(rng.uniform(0.5, 2.0, n))
+        c, A = rng.standard_normal(n), rng.standard_normal((m, n))
+        b = A @ rng.uniform(0.5, 1.5, n)
+        perm = np.r_[np.delete(np.arange(n), free), free]
+        programs = [quadratic_program(Q, c, A, b, nonneg=np.delete(np.arange(n), free)),
+                    quadratic_program(Q[np.ix_(perm, perm)], c[perm], A[:, perm], b,
+                                      nonneg=np.arange(n - 1))]
+        objectives = []
+        for prog, view in zip(programs, (np.ndarray, slice)):
+            assert isinstance(initial_state(prog, SolverOptions()).ia, view)
+            (x, _, z), rep = solve(prog, SolverOptions(tol=1e-9, linear_solver=path))
+            assert rep.status == "optimal"
+            assert np.all(x[prog.nonneg] > 0) and np.all(z[prog.nonneg] > 0)
+            objectives.append(prog.objective(x))
+        assert objectives[0] == pytest.approx(objectives[1], rel=0, abs=1e-8)
+
     def test_non_finite_residual_is_numerical_failure(self):
         prog = quadratic_program(np.eye(3), np.zeros(3), np.ones((1, 3)), np.ones(1))
         prog.gradient = lambda x: np.full(x.size, np.nan)
@@ -861,6 +914,33 @@ class TestSolveBehavior:
                                            precond="fmri-block"))
         assert rep.status == "numerical-failure"
         assert rep.iterations == 0 and len(borders) == 1
+
+
+class TestBenchmarkHooks:
+    """perfbench/run.py samples its reference kernel through the module-level
+    ``kkt_residuals``, and perfbench/tracing.py times the step functions by
+    name: a solve must keep calling each through ``ippmm``."""
+
+    # calls per outer iteration: the predictor's and the corrector's rhs, the
+    # predictor's and the step's lengths
+    STEP_HOOKS = {"newton_rhs": 2, "predictor_corrector_step": 1, "step_lengths": 2,
+                  "update_penalties_and_estimates": 1}
+
+    @pytest.mark.parametrize("path", ["direct-augmented", "pcg-normal",
+                                      "minres-augmented"])
+    def test_solve_calls_every_hook_through_the_module(self, monkeypatch, path):
+        calls = {name: record_calls(monkeypatch, ippmm, name)
+                 for name in ("kkt_residuals", *self.STEP_HOOKS)}
+        rng = np.random.default_rng(55)
+        n, m = 12, 4
+        A = rng.standard_normal((m, n))
+        prog = quadratic_program(np.diag(rng.uniform(0.5, 2.0, n)), rng.standard_normal(n),
+                                 A, A @ rng.uniform(0.5, 1.5, n))
+        _, rep = solve(prog, SolverOptions(linear_solver=path))
+        assert rep.status == "optimal" and rep.iterations >= 1
+        assert len(calls["kkt_residuals"]) == len(rep.records)
+        for name, per_iteration in self.STEP_HOOKS.items():
+            assert len(calls[name]) >= per_iteration * rep.iterations, name
 
 
 def assert_dense_step(system, st, prog):

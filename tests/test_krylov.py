@@ -228,6 +228,24 @@ class TestMinres:
         assert achieved <= tol
         assert warm.final_relative_residual == pytest.approx(achieved, rel=1e-3)
 
+    def test_warm_starts_save_iterations_over_many_seeds(self):
+        # the test above on seeds 14-53: one seed's iteration count moves with
+        # the rounding of the loop, so the saving is asserted on the sum
+        tol, warm_iters, cold_iters = 1e-6, 0, 0
+        for seed in range(14, 54):
+            rng = np.random.default_rng(seed)
+            K = _saddle(rng)
+            b = rng.standard_normal(K.shape[0])
+            near = b + 0.05 * rng.standard_normal(b.size)
+            start = minres(K.__matmul__, near, tol=tol, maxit=500)
+            cold = minres(K.__matmul__, b, tol=tol, maxit=500)
+            warm = minres(K.__matmul__, b, tol=tol, maxit=500, x0=start.solution)
+            assert warm.converged, seed
+            assert np.linalg.norm(b - K @ warm.solution) <= tol * np.linalg.norm(b), seed
+            warm_iters += warm.iterations
+            cold_iters += cold.iterations
+        assert warm_iters < cold_iters
+
     def test_start_of_the_wrong_length_raises(self):
         with pytest.raises(ValueError, match="start"):
             minres(np.eye(4).__matmul__, np.ones(4), x0=np.zeros(3))

@@ -225,6 +225,36 @@ class TestQuadraticProgram:
                                  couplings=np.array([[0, 1], [2, 2]]))
         assert prog.couplings.tolist() == [[0, 1], [2, 2]]
 
+    # an index read through dtype=int would be truncated (1.9 -> 1), and a
+    # boolean mask read as the indices 0 and 1 (True, False -> 1, 0)
+    BAD_INDICES = pytest.mark.parametrize("bad", ["fraction", "mask"])
+
+    @staticmethod
+    def indexed(**fields):
+        return quadratic_program(np.eye(3), np.zeros(3), np.zeros((0, 3)), np.zeros(0),
+                                 **fields)
+
+    @BAD_INDICES
+    def test_nonneg_must_hold_integer_indices(self, bad):
+        with pytest.raises(ValueError, match="nonneg must hold integer indices"):
+            self.indexed(nonneg={"fraction": [1.9], "mask": [True, False, True]}[bad])
+        for good in ([2, 0], np.array([2, 0]), np.array([2, 0], dtype=np.int32), [2.0, 0.0]):
+            assert self.indexed(nonneg=good).nonneg.tolist() == [2, 0]
+
+    @BAD_INDICES
+    def test_pairs_must_hold_integer_indices(self, bad):
+        with pytest.raises(ValueError, match="pairs must hold integer indices"):
+            self.indexed(pairs={"fraction": [[0.5], [1]], "mask": [[True], [False]]}[bad])
+        for good in ([[0], [1]], np.array([[0], [1]])):
+            assert self.indexed(pairs=good).pairs.tolist() == [[0], [1]]
+
+    @BAD_INDICES
+    def test_couplings_must_hold_integer_indices(self, bad):
+        with pytest.raises(ValueError, match="couplings must hold integer indices"):
+            self.indexed(couplings={"fraction": [[0], [1.5]], "mask": [[True], [False]]}[bad])
+        for good in ([[0], [2]], np.array([[0], [2]])):
+            assert self.indexed(couplings=good).couplings.tolist() == [[0], [2]]
+
     @pytest.mark.parametrize("family", ["poisson", "logistic"])
     def test_constraints_match_the_block_build(self, family):
         # the reference: scipy's block assembly of [1' 0 0; L -I I] and [I -I I]
