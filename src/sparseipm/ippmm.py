@@ -61,8 +61,9 @@ class SolverOptions:
     def __post_init__(self):
         if self.linear_solver not in _CONTEXTS:
             raise ValueError(f"unknown linear solver {self.linear_solver!r}")
-        if not (0 < self.tol < np.inf and isinstance(self.max_iter, (int, np.integer))
-                and self.max_iter >= 1):
+        if (isinstance(self.tol, (bool, np.bool_)) or isinstance(self.max_iter, bool)
+                or not (0 < self.tol < np.inf and self.max_iter >= 1
+                        and isinstance(self.max_iter, (int, np.integer)))):
             raise ValueError("tol must be positive and finite, max_iter an integer >= 1")
         if self.dropping and not self.eps_drop > 0:
             raise ValueError("dropping needs a positive eps_drop")
@@ -97,10 +98,7 @@ class IpPmmState:
     system: Optional[NewtonSystem] = None  # the solve's linear-solver path
 
     def complementarity(self) -> float:
-        ia, count = self.ia, self.nonneg.size
-        if count == 0:
-            return 0.0
-        return float(self.x[ia] @ self.z[ia]) / count
+        return _mean_product(self.x[self.ia], self.z[self.ia])
 
     def xi_diag(self) -> np.ndarray:
         """Complementarity scaling z/x on the non-negative coordinates."""
@@ -169,6 +167,12 @@ def strict_json(report: dict) -> str:
     return json.dumps(finite(report), indent=2, allow_nan=False)
 
 
+def _mean_product(x: np.ndarray, z: np.ndarray) -> float:
+    """The average complementarity product x'z / |x| of the non-negative
+    coordinates' ``x`` and ``z``; 0 on an empty set."""
+    return float(x @ z) / x.size if x.size else 0.0
+
+
 def initial_state(program: ConvexProgram, options: SolverOptions) -> IpPmmState:
     """Unit interior start unless the caller gives ``x0``; estimates track it.
 
@@ -193,7 +197,7 @@ def initial_state(program: ConvexProgram, options: SolverOptions) -> IpPmmState:
     y = np.zeros(m)
     z = np.zeros(n)
     z[ia] = 1.0
-    mu = float(x[ia] @ z[ia]) / nonneg.size if nonneg.size else 0.0
+    mu = _mean_product(x[ia], z[ia])
     reg = max(PENALTY_START * min(1.0, mu), PENALTY_FLOOR)
     return IpPmmState(x=x, y=y, z=z, zeta=x.copy(), eta=y.copy(), mu=mu,
                       rho=reg, delta=reg, nonneg=nonneg, ia=ia,
@@ -206,14 +210,14 @@ def initial_state(program: ConvexProgram, options: SolverOptions) -> IpPmmState:
 
 def kkt_residuals(state: IpPmmState, program: ConvexProgram):
     """Scaled primal/dual infeasibility and average complementarity, with
-    b - Ax, grad - A'y and the dual residual grad - A'y - z."""
+    b - Ax, grad - A'y and the pair of norms (||b - Ax||, ||grad - A'y - z||)."""
     g = program.gradient(state.x)
     rp = program.b - program.A @ state.x
     gy = g - program.A.T @ state.y
-    rd = gy - state.z
-    primal = float(np.linalg.norm(rp)) / (1.0 + state.b_norm)
-    dual = float(np.linalg.norm(rd)) / (1.0 + np.linalg.norm(g))
-    return primal, dual, state.complementarity(), rp, gy, rd
+    norms = float(np.linalg.norm(rp)), float(np.linalg.norm(gy - state.z))
+    primal = norms[0] / (1.0 + state.b_norm)
+    dual = norms[1] / (1.0 + np.linalg.norm(g))
+    return primal, dual, state.complementarity(), rp, gy, norms
 
 
 def check_termination(primal: float, dual: float, mu: float, tol: float) -> bool:
@@ -248,7 +252,7 @@ def newton_rhs(state: IpPmmState, rp: np.ndarray, gy: np.ndarray, sigma: float,
 # and ``factor(state)`` writes what depends on the iterate at every outer
 # iteration. Its ``solve(r1, r2, tol)`` serves both the predictor and
 # the corrector: r1 is the full-length rhs of ``newton_rhs``, dx comes back
-# full length, and a Krylov path solves to ``tol`` (eta_k when None).
+# full length, and a Krylov path solves to ``tol``.
 
 
 class NewtonSystem:
@@ -264,9 +268,10 @@ class NewtonSystem:
     unknowns and E = δ + Σ a²(e+ + e-) of each row over its slack pairs (δ
     on a row without one). ``_reduce`` builds its one ``krylov.BorderedBand``,
     and ``_factor_band`` makes the one factor call of every path.
-    ``_direct`` solves the factored system: the direct path's step, and at
-    r1 = 0 the PCG path's preconditioner. ``solves`` holds the Krylov
-    solves of the current factor alone, each recorded by ``_count``.
+    ``_eliminated`` recovers the slack rows around a path's bordered core:
+    with the factored system as that core, ``_direct`` is the direct path's
+    step, and at r1 = 0 the PCG path's preconditioner. ``solves`` holds the
+    Krylov solves of the current factor alone, each recorded by ``_count``.
     """
 
     @classmethod
@@ -309,7 +314,6 @@ class NewtonSystem:
         self.p, self.q = p[~slack], q[~slack]  # the other pairs
         in_r = np.bincount(self.prow, minlength=program.m) > 0  # the slack rows
         self.B, self.elim = np.flatnonzero(~in_r), np.flatnonzero(in_r)
-        self.border = self.B
         unknown = np.ones(program.n, dtype=bool)  # in no slack pair, no pair's minus
         unknown[np.r_[self.pairs, self.q]] = False
         column = np.cumsum(unknown) - 1  # each unknown's position among them
@@ -327,31 +331,28 @@ class NewtonSystem:
         return A_u
 
     def _refresh(self, state: IpPmmState, h=0.0):
-        """Take Θ = ``state.xi_diag()``, e = 1/(h + Θ + ρ), each row's E, δ
-        and the inner tolerance from ``state``; ``h`` is a Hessian diagonal
-        folded into e. A weight h + Θ + ρ that is not positive raises
-        LinAlgError."""
+        """Take Θ = ``state.xi_diag()``, e = 1/(h + Θ + ρ) and each row's E
+        from ``state``; ``h`` is a Hessian diagonal folded into e. A weight
+        h + Θ + ρ that is not positive raises LinAlgError."""
         g = h + state.xi_diag() + state.rho
         if np.any(g <= 0):
             raise np.linalg.LinAlgError("diagonal weights must be positive")
         self.e = 1.0 / g
         self.esum = self.e.copy()  # an unknown's e: e+ + e- on a u
         self.esum[self.p] += self.e[self.q]
-        self.delta, self.tol = state.delta, state.inner_tol
-        self.E = self.delta + np.bincount(self.prow, self.pval ** 2 * self.e[self.pairs],
-                                          minlength=self.B.size + self.elim.size)
+        self.E = state.delta + np.bincount(self.prow, self.pval ** 2 * self.e[self.pairs],
+                                           minlength=self.B.size + self.elim.size)
 
-    def _factor_band(self, h=0.0, c=None, loss=None):
+    def _factor_band(self, h=0.0, c=None, loss=np.zeros(0, dtype=int)):
         """Take dt in band order and the eliminated rows' E, and factor the
         band with dt + ``h`` on its diagonal and the values ``c`` of its
-        couplings. The eliminated rows ``loss`` (positions among them) border
-        K in this factor instead, appended to ``border``: E_elim = inf gives
-        them weight 0 in K, and u and dy_R vanish on them."""
+        couplings. The eliminated rows ``loss`` (positions among them; none
+        by default) border K in this factor too: ``border`` is B and them.
+        E_elim = inf gives them weight 0 in K, and u and dy_R vanish on them."""
         self.dt = 1.0 / self.esum[self.rows]
         self.E_elim = self.E[self.elim]
-        if loss is not None:
-            self.E_elim[loss] = np.inf
-            self.border = np.concatenate([self.B, self.elim[loss]])
+        self.E_elim[loss] = np.inf
+        self.border = np.concatenate([self.B, self.elim[loss]])
         self.band.factor(self.dt + h, 1.0 / self.E_elim, self.E[self.border], c, loss)
 
     def _reduced_rhs(self, r1: np.ndarray, r2: np.ndarray):
@@ -364,27 +365,27 @@ class NewtonSystem:
         rt[kp] = self.dt[kp] * (e[p] * r1[p] - e[q] * r1[q])
         return rt, rs
 
-    def _dy(self, u: np.ndarray, xu: np.ndarray, yb: np.ndarray) -> np.ndarray:
-        """dy from u = rs/E (eliminated rows), ``xu`` and the border's ``yb``."""
-        dy = np.empty(u.size + self.B.size)
+    def _eliminated(self, rt, rs, bordered):
+        """(xu, dy) of the reduced system at the rhs (rt, rs): with u = rs/E
+        on the eliminated rows, ``bordered(f, g)`` returns the (xu, dy_B) of
+        -K xu + A_B' dy_B = f = rt - A_R' u and A_B xu + E_B dy_B = g = rs_B,
+        and dy_R = u - A_R xu / E follows."""
+        u = rs[self.elim] / self.E_elim
+        xu, yb = bordered(rt - self.A_Rt @ u, rs[self.border])
+        dy = np.empty(rs.size)
         dy[self.elim] = u - (self.band.A_R @ xu) / self.E_elim
         dy[self.border] = yb  # a row that borders K in this factor takes yb
-        return dy
+        return xu, dy
 
     def _direct(self, rt, rs):
-        """(xu, dy) of the factored reduced system at the rhs (rt, rs):
-        -K xu + A_B' dy_B = rt - A_R' u and A_B xu + E_B dy_B = rs_B,
-        with u = rs/E on the eliminated rows."""
-        u = rs[self.elim] / self.E_elim
-        xu, yb = self.band.solve_bordered(self.A_Rt @ u - rt, rs[self.border])
-        return xu, self._dy(u, xu, yb)
+        """(xu, dy) of the factored reduced system at the rhs (rt, rs)."""
+        return self._eliminated(rt, rs, lambda f, g: self.band.solve_bordered(-f, g))
 
-    def solve(self, r1: np.ndarray, r2: np.ndarray, tol: Optional[float] = None):
+    def solve(self, r1: np.ndarray, r2: np.ndarray, tol: float):
         """The full-length (dx, dy) at the full-length rhs (r1, r2): the
         path's ``_reduced_solve`` of the reduced rhs to the relative
-        tolerance ``tol`` (this factor's eta_k when None), expanded."""
+        tolerance ``tol``, expanded."""
         rt, rs = self._reduced_rhs(r1, r2)
-        tol = self.tol if tol is None else tol
         return self._expand(r1, rt, *self._reduced_solve(rt, rs, tol))
 
     def _expand(self, r1, rt, xu, dy):
@@ -478,12 +479,12 @@ class AugmentedSystem(NewtonSystem):
     def _reduced_solve(self, rt, rs, tol):
         """(xu, dy) by MINRES on the split operator, started from the last
         split solution of this factor."""
-        u = rs[self.elim] / self.E_elim
-        f = self.band.split_rhs(rt - self.A_Rt @ u, rs[self.border])
-        self._start = self._count(minres(self.matvec, f, tol=tol, maxit=INNER_MAXIT,
-                                         x0=self._start), tol)
-        xu, yb = self.band.unsplit(self._start)
-        return xu, self._dy(u, xu, yb)
+        def split_minres(f, g):
+            out = minres(self.matvec, self.band.split_rhs(f, g), tol=tol,
+                         maxit=INNER_MAXIT, x0=self._start)
+            self._start = self._count(out, tol)
+            return self.band.unsplit(self._start)
+        return self._eliminated(rt, rs, split_minres)
 
 
 class SaddleMatrix(NewtonSystem):
@@ -597,17 +598,14 @@ def predictor_corrector_step(state: IpPmmState, ctx, rp: np.ndarray,
     dz_aff = _dual_step(state, dx_aff, -state.x[ia] * state.z[ia])
 
     ap, ad = step_lengths(state, dx_aff, dz_aff)
-    if state.nonneg.size:
-        mu_aff = float((state.x[ia] + ap * dx_aff[ia])
-                       @ (state.z[ia] + ad * dz_aff[ia])) / state.nonneg.size
-        ratio = mu_aff / state.mu if state.mu > 0 else 0.0
-        sigma = float(np.clip(ratio ** 3, SIGMA_MIN, SIGMA_MAX))
-    else:
-        sigma = SIGMA_MIN
+    mu_aff = _mean_product(state.x[ia] + ap * dx_aff[ia], state.z[ia] + ad * dz_aff[ia])
+    ratio = mu_aff / state.mu if state.mu > 0 else 0.0  # mu = 0 gives SIGMA_MIN
+    sigma = float(np.clip(ratio ** 3, SIGMA_MIN, SIGMA_MAX))
 
     # corrector: centering plus second-order complementarity correction
     soc = dx_aff * dz_aff
-    dx, dy = ctx.solve(*newton_rhs(state, rp, gy, sigma=sigma, correction=soc))
+    dx, dy = ctx.solve(*newton_rhs(state, rp, gy, sigma=sigma, correction=soc),
+                       tol=state.inner_tol)
     rc = sigma * state.mu - state.x[ia] * state.z[ia] - soc[ia]
     return dx, dy, _dual_step(state, dx, rc)
 
@@ -641,7 +639,7 @@ def solve(program: ConvexProgram, options: Optional[SolverOptions] = None):
 
     # evaluation k is of the k-th iterate; the last one is of the returned point
     for k in range(options.max_iter + 1):
-        primal, dual, mu, rp, gy, rd = kkt_residuals(state, program)
+        primal, dual, mu, rp, gy, norms = kkt_residuals(state, program)
         record = {"primal": primal, "dual": dual, "mu": mu}
         report.records.append(record)
         if not (np.isfinite(primal) and np.isfinite(dual) and np.isfinite(mu)):
@@ -671,8 +669,7 @@ def solve(program: ConvexProgram, options: Optional[SolverOptions] = None):
         state.x = state.x + ap * dx
         state.y = state.y + ad * dy
         state.z = state.z + ad * dz
-        update_penalties_and_estimates(state, float(np.linalg.norm(rp)),
-                                       float(np.linalg.norm(rd)))
+        update_penalties_and_estimates(state, *norms)
         report.iterations = k + 1
 
     report.status = status

@@ -115,11 +115,10 @@ class BlurKernel:
         n1, n2 = self.grid
         small = self._small_psf()
         k1, k2 = small.shape
-        c1, c2 = k1 // 2, k2 // 2
         out = np.zeros((n1, n2))
-        for i in range(k1):
-            for j in range(k2):
-                out[(i - c1) % n1, (j - c2) % n2] += small[i, j]
+        # a kernel larger than the grid wraps onto itself: add.at sums repeats
+        np.add.at(out, np.ix_((np.arange(k1) - k1 // 2) % n1,
+                              (np.arange(k2) - k2 // 2) % n2), small)
         return out
 
     def _small_psf(self) -> np.ndarray:
@@ -139,16 +138,15 @@ class BlurKernel:
             k = np.zeros((size, size))
             nsamp = max(2, int(np.ceil(length * 32)))
             ts = np.linspace(-(length - 1) / 2.0, (length - 1) / 2.0, nsamp)
-            # anti-aliased deposit of the line segment via bilinear weights
-            for t in ts:
-                yy = r + t * np.sin(angle)
-                xx = r + t * np.cos(angle)
-                i0, j0 = int(np.floor(yy)), int(np.floor(xx))
-                fy, fx = yy - i0, xx - j0
-                k[i0, j0] += (1 - fy) * (1 - fx)
-                k[i0 + 1, j0] += fy * (1 - fx)
-                k[i0, j0 + 1] += (1 - fy) * fx
-                k[i0 + 1, j0 + 1] += fy * fx
+            # anti-aliased deposit of the line segment via bilinear weights,
+            # sample by sample, each sample's four corners in turn
+            yy, xx = r + ts * np.sin(angle), r + ts * np.cos(angle)
+            i0, j0 = np.floor(yy).astype(int), np.floor(xx).astype(int)
+            fy, fx = yy - i0, xx - j0
+            np.add.at(k, (np.column_stack([i0, i0 + 1, i0, i0 + 1]),
+                          np.column_stack([j0, j0, j0 + 1, j0 + 1])),
+                      np.column_stack([(1 - fy) * (1 - fx), fy * (1 - fx),
+                                       (1 - fy) * fx, fy * fx]))
         else:  # out-of-focus
             radius = float(self.parameters["radius"])
             r = int(np.ceil(radius)) + 1

@@ -1,4 +1,4 @@
-"""Twenty small ``ast`` checks in place of a linter, and two on the README.
+"""Twenty-one small ``ast`` checks in place of a linter, and two on the README.
 
 - Every name a ``sparseipm`` module imports is used in that module: it appears
   as a name anywhere in the module, or in ``__all__``.
@@ -46,6 +46,9 @@
   attribute, beside ``SolveReport``'s declaration of it, and no class
   assigns ``inner_solves`` or ``phase_times``: the report's one list of
   per-iterate records has no second writer and no parallel copy.
+- Within ``src/sparseipm`` only ``ippmm.NewtonSystem._factor_band`` stores
+  into a ``border`` attribute, at one line, so the rows that border K are
+  always those of the current factor.
 - No ``sparseipm`` module names ``bmat``, ``hstack`` or ``vstack`` of
   ``scipy.sparse``, and only ``linops._forward_differences`` builds a CSR or
   CSC matrix from a (data, indices, indptr) triple, so every sparse matrix
@@ -605,6 +608,22 @@ def test_only_solve_writes_the_report_s_records():
     retired = {"inner_solves", "phase_times"}  # the copies that records replaced
     assert [(path.name, *store) for path in MODULES
             for store in attribute_stores(path.read_text(), retired)] == []
+
+
+def test_checker_flags_a_second_border_writer():
+    source = ("class NewtonSystem:\n    def _factor_band(self, loss):\n"
+              "        self.border = np.concatenate([self.B, loss])\n"
+              "    def _reduce(self):\n        self.border = self.B\n"
+              "        self.border[0] = 1\n        print(self.border[-1])\n")
+    assert attribute_stores(source, {"border"}) == [
+        ("NewtonSystem._factor_band", 3), ("NewtonSystem._reduce", 5),
+        ("NewtonSystem._reduce", 6)]
+
+
+def test_only_the_band_factor_writes_the_border():
+    assert [(path.stem, name) for path in MODULES
+            for name, _ in attribute_stores(path.read_text(), {"border"})] == [
+        ("ippmm", "NewtonSystem._factor_band")]
 
 
 SPARSE_STACKS = {"bmat", "hstack", "vstack"}

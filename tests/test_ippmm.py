@@ -60,7 +60,8 @@ def direct_matrix(state, program):
 
 def direct_step(state, program, r1, r2):
     """The direct path's (dx, dy) at ``state``, concatenated."""
-    return np.concatenate(factored(SaddleMatrix, state, program).solve(r1, r2))
+    system = factored(SaddleMatrix, state, program)
+    return np.concatenate(system.solve(r1, r2, state.inner_tol))
 
 
 def split_operator(M, na, gap):
@@ -353,7 +354,8 @@ class TestSystemAssembly:
         matrix = direct_matrix(st, prog)
         sol = np.linalg.solve(matrix, np.concatenate([r1, r2]))
         np.testing.assert_allclose(dy_normal, sol[10:], rtol=1e-10, atol=1e-10)
-        np.testing.assert_allclose(normal.solve(r1, r2)[1], sol[10:], rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(normal.solve(r1, r2, st.inner_tol)[1], sol[10:],
+                                   rtol=1e-10, atol=1e-10)
         np.testing.assert_allclose(direct_step(st, prog, r1, r2), sol,
                                    rtol=1e-10, atol=1e-10)
 
@@ -445,7 +447,7 @@ class TestDirectPath:
                 # the unreduced system, every pair member kept
                 H = Q + np.diag(st.xi_diag() + st.rho)
                 K = np.block([[-H, A.T], [A, st.delta * np.eye(prog.m)]])
-                dx, dy = ctx.solve(r1, r2)
+                dx, dy = ctx.solve(r1, r2, st.inner_tol)
                 expected = np.linalg.solve(K, np.concatenate([r1, r2]))
                 np.testing.assert_allclose(np.concatenate([dx, dy]), expected,
                                            rtol=1e-10, atol=1e-10)
@@ -837,7 +839,9 @@ class TestSolveBehavior:
                                     {"precond": "fmri-block"},
                                     {"linear_solver": "minres-augmented",
                                      "precond": "identity"},
-                                    {"max_iter": 2.5}, {"max_iter": float("inf")}])
+                                    {"max_iter": 2.5}, {"max_iter": float("inf")},
+                                    # True is neither tol = 1.0 nor one iteration
+                                    {"tol": True}, {"tol": np.True_}, {"max_iter": True}])
     def test_invalid_options_rejected(self, kw):
         # max_iter=1: the checks run on construction, before any iteration
         kw = {"max_iter": 1, **kw}
@@ -952,7 +956,7 @@ def assert_dense_step(system, st, prog):
     rng = np.random.default_rng(42)
     r1, r2 = rng.standard_normal(prog.n), rng.standard_normal(prog.m)
     expected = np.linalg.solve(M, np.concatenate([r1, r2]))
-    got = np.concatenate(system.solve(r1, r2))
+    got = np.concatenate(system.solve(r1, r2, st.inner_tol))
     assert np.linalg.norm(got - expected) <= 1e-9 * np.linalg.norm(expected)
 
 
@@ -1075,9 +1079,9 @@ class TestSlackPairElimination:
 
 
 def saddle_matvec(system):
-    """The product with the saddle matrix M = [[-K, A_B'], [A_B, δI]] of a
+    """The product with the saddle matrix M = [[-K, A_B'], [A_B, E_B]] of a
     factored ``AugmentedSystem``, from its definition, unknowns in band
-    order."""
+    order; E_B = δ on its border rows, which hold no slack pair."""
     band, na = system.band, system.na
 
     def matvec(v):
@@ -1086,24 +1090,27 @@ def saddle_matvec(system):
         block[system.rows] = v1
         K1 = (system._hess(block)[system.rows] + system.dt * v1
               + system.A_Rt @ ((band.A_R @ v1) / system.E_elim))
-        return np.concatenate([band.A_Bt @ v2 - K1, v1 @ band.A_Bt + system.delta * v2])
+        return np.concatenate([band.A_Bt @ v2 - K1,
+                               v1 @ band.A_Bt + system.E[system.border] * v2])
     return matvec
 
 
-def preconditioned_minres_step(system, r1, r2):
-    """(dx, dy) and the iteration count of MINRES on the saddle matrix
-    [[-K, A_B'], [A_B, δI]] of a factored ``AugmentedSystem``, by the
+def preconditioned_minres_step(system, r1, r2, tol):
+    """(dx, dy) and the iteration count of MINRES to ``tol`` on the saddle
+    matrix [[-K, A_B'], [A_B, δI]] of a factored ``AugmentedSystem``, by the
     reference loop under the preconditioner blockdiag(P, S) from its band:
-    the MINRES step before the split form."""
+    the MINRES step before the split form, with dy_R = (rs_R - A_R xu)/E_R."""
     band, na = system.band, system.na
     rt, rs = system._reduced_rhs(r1, r2)
     u = rs[system.elim] / system.E_elim
     f = np.concatenate([rt - system.A_Rt @ u, rs[system.border]])
     sol, it, _ = reference_minres(
         saddle_matvec(system), f, precond=precond.build_aug_block_diag_precond(band).apply_inverse,
-        tol=system.tol, maxit=ippmm.INNER_MAXIT)
-    xu = sol[:na]
-    return system._expand(r1, rt, xu, system._dy(u, xu, sol[na:])), it
+        tol=tol, maxit=ippmm.INNER_MAXIT)
+    xu, dy = sol[:na], np.empty(rs.size)
+    dy[system.elim] = u - (band.A_R @ xu) / system.E_elim
+    dy[system.border] = sol[na:]
+    return system._expand(r1, rt, xu, dy), it
 
 
 class TestSplitOperator:
@@ -1132,8 +1139,8 @@ class TestSplitOperator:
         system = factored(AugmentedSystem, st, prog)
         _, _, _, rp, gy, _ = kkt_residuals(st, prog)
         r1, r2 = newton_rhs(st, rp, gy, 0.5)
-        got = np.concatenate(system.solve(r1, r2))
-        (dx, dy), it = preconditioned_minres_step(system, r1, r2)
+        got = np.concatenate(system.solve(r1, r2, st.inner_tol))
+        (dx, dy), it = preconditioned_minres_step(system, r1, r2, st.inner_tol)
         expected = np.concatenate([dx, dy])
         assert abs(sum(out["iters"] for out in system.solves) - it) <= 1
         assert np.linalg.norm(got - expected) <= 1e-9 * np.linalg.norm(expected)
@@ -1461,7 +1468,7 @@ class TestNormalOperator:
         r1, r2 = rng.standard_normal(prog.n), rng.standard_normal(prog.m)
         # the step: dy solves N dy = r2 + A G^-1 r1, dx follows from dy by the
         # unreduced formula
-        dx, dy = system.solve(r1, r2)
+        dx, dy = system.solve(r1, r2, st.inner_tol)
         np.testing.assert_allclose(N @ dy, r2 + A @ (r1 / g), rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(dx, (A.T @ dy - r1) / g, rtol=1e-13,
                                    atol=1e-13 * np.abs(dx).max())

@@ -168,6 +168,43 @@ class TestBlurKernels:
         with pytest.raises(ValueError, match="blur takes"):
             BlurKernel(family, (8, 8), params)
 
+    @pytest.mark.parametrize("grid", [(4, 4), (3, 7), (16, 16)])
+    @pytest.mark.parametrize("family, params", [
+        ("gaussian", {"sigma": 1.5}), ("motion", {"length": 7.0, "angle": 30.0}),
+        ("motion", {"length": 2.5, "angle": -120.0}), ("out-of-focus", {"radius": 3.0})])
+    def test_psf_matches_the_loop_reference(self, family, params, grid):
+        # on the two small grids the kernel is larger than the grid and wraps
+        # onto itself, its entries summed into the pixels they share
+        kernel = BlurKernel(family, grid, params)
+        small = kernel._small_psf()
+        assert any(k > n for k, n in zip(small.shape, grid)) == (grid != (16, 16))
+        expected = np.zeros(grid)
+        c1, c2 = small.shape[0] // 2, small.shape[1] // 2
+        for i in range(small.shape[0]):
+            for j in range(small.shape[1]):
+                expected[(i - c1) % grid[0], (j - c2) % grid[1]] += small[i, j]
+        np.testing.assert_array_equal(kernel.psf(), expected)
+
+    @pytest.mark.parametrize("length, angle", [(1.0, 0.0), (2.5, -120.0), (7.0, 30.0),
+                                               (5.0, 90.0)])
+    def test_motion_deposit_matches_the_loop_reference(self, length, angle):
+        """Each sample of the segment deposits its four bilinear weights in
+        turn, sample after sample."""
+        small = BlurKernel("motion", (16, 16), {"length": length, "angle": angle})._small_psf()
+        r = int(np.ceil(length / 2)) + 1
+        expected = np.zeros((2 * r + 1, 2 * r + 1))
+        a = np.deg2rad(angle)
+        for t in np.linspace(-(length - 1) / 2.0, (length - 1) / 2.0,
+                             max(2, int(np.ceil(length * 32)))):
+            yy, xx = r + t * np.sin(a), r + t * np.cos(a)
+            i0, j0 = int(np.floor(yy)), int(np.floor(xx))
+            fy, fx = yy - i0, xx - j0
+            expected[i0, j0] += (1 - fy) * (1 - fx)
+            expected[i0 + 1, j0] += fy * (1 - fx)
+            expected[i0, j0 + 1] += (1 - fy) * fx
+            expected[i0 + 1, j0 + 1] += fy * fx
+        np.testing.assert_array_equal(small, expected / expected.sum())
+
 
 def dense_circulant(psf):
     """The BCCB matrix of ``psf``: column j is the PSF cyclically shifted to
